@@ -8,6 +8,10 @@ strict majority test: a tally exactly equal to theta resolves to 0.
 Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
+
+Every strategy runs in O(sum |C|) time over the cluster family: trust
+weighting computes each cluster's unweighted majority and each person's
+weight once, then reads them from every cluster the person sits in.
 """
 
 from __future__ import annotations
@@ -118,13 +122,22 @@ class AggregationStrategy:
 
 
 def validate_veto_rules(rules: Iterable[VetoRule], pop: Population) -> None:
-    """Reject rules referencing attribute keys the population lacks."""
+    """Reject rules referencing attribute keys the population lacks, or
+    whose operand cannot be compared with some individual's value."""
     keys = pop.attribute_keys()
     for rule in rules:
         if rule.attribute not in keys:
             raise ConfigError(
                 f"veto rule references unknown attribute {rule.attribute!r}"
             )
+        for individual, attrs in (pop.attributes or {}).items():
+            try:
+                rule.matches(attrs)
+            except TypeError:
+                raise ConfigError(
+                    f"veto rule {rule.attribute} {rule.op} {rule.operand!r} cannot "
+                    f"compare {individual}'s value {attrs[rule.attribute]!r}"
+                ) from None
 
 
 def binarize(outcome: Outcome) -> Outcome:
@@ -173,23 +186,26 @@ def trust_weight(
     themselves with is taken to have drawn their cluster honestly, so their
     vote carries full weight in trust-weighted aggregation.
     """
-    own = binarize(recs[x])
-    agg = aggregate_set_recommendation(family.cluster_of(x), recs, theta)
-    return treatment_similarity(own, agg)
+    own_majority = aggregate_set_recommendation(family.cluster_of(x), recs, theta)
+    return _agreement(recs[x], own_majority)
+
+
+def _agreement(rec: Outcome, own_majority: Outcome) -> float:
+    return treatment_similarity(binarize(rec), own_majority)
 
 
 def _trust_weighted_set_recommendation(
     cluster: PerceivedCluster,
-    family: ClusterFamily,
     recs: RecommendationVector,
     theta: float,
+    weights: Mapping[str, float],
+    majority: Outcome,
 ) -> Outcome:
     # Weighted positive fraction; an all-zero weight sum falls back to the
-    # unweighted majority.
-    weights = {m: trust_weight(m, family, recs, theta) for m in cluster.members}
-    total = sum(weights.values())
+    # cluster's unweighted ``majority``.
+    total = sum(weights[m] for m in cluster.members)
     if total == 0.0:
-        return aggregate_set_recommendation(cluster, recs, theta)
+        return majority
     tally = (
         sum(weights[m] * binarize(recs[m]).value for m in cluster.members) / total
     )
@@ -240,12 +256,22 @@ def run_pipeline(
     if strategy.veto_rules:
         validate_veto_rules(strategy.veto_rules, pop)
 
+    if strategy.kind == TRUST_WEIGHTED:
+        # Each cluster's majority and each person's weight, once: a weight
+        # depends only on its owner's cluster, however many clusters it is
+        # read in.
+        majority = {
+            x: aggregate_set_recommendation(family.cluster_of(x), recs, strategy.theta)
+            for x in pop.individuals
+        }
+        weights = {x: _agreement(recs[x], majority[x]) for x in pop.individuals}
+
     set_values: dict[str, Outcome] = {}
     for owner in pop.individuals:
         cluster = family.cluster_of(owner)
         if strategy.kind == TRUST_WEIGHTED:
             label = _trust_weighted_set_recommendation(
-                cluster, family, recs, strategy.theta
+                cluster, recs, strategy.theta, weights, majority[owner]
             )
         elif strategy.kind == PESSIMISTIC:
             label = resolve_pessimistic(recs[m] for m in cluster.members)

@@ -4,6 +4,12 @@ Each individual owns one cluster: the set of people they rate at least
 delta-similar to themself. Because similarity is non-symmetric, belonging to
 someone's cluster says nothing about whose clusters you put them in, so a
 separate inverse index tracks which clusters contain each individual.
+
+Cost: ``build_cluster_family`` makes one pass over the perception table's
+explicit entries and then writes each cluster and its transpose once, so it
+runs in O(nnz + sum |C|) time, where nnz is the number of entries and sum |C|
+the total cluster size. It never looks up the n^2 pairs a table leaves
+unstated. ``perceived_cluster`` builds one owner's cluster with n lookups.
 """
 
 from __future__ import annotations
@@ -92,12 +98,32 @@ def perceived_cluster(
 def build_cluster_family(
     pop: Population, perceptions: PerceptionTable, delta: float
 ) -> ClusterFamily:
-    """One cluster per individual, plus the inverse membership index."""
-    clusters = {
-        x: perceived_cluster(x, pop, perceptions, delta) for x in pop.individuals
-    }
+    """One cluster per individual, plus the inverse membership index.
+
+    Agrees with :func:`perceived_cluster` for every owner. Entries naming ids
+    outside the population are ignored.
+    """
+    ids = pop.id_set
+    # A missing entry reads 0.0, so it either qualifies for every owner
+    # (delta <= 0) or for none. Only the explicit entries whose verdict
+    # differs from that default need to be looked at.
+    missing_qualifies = 0.0 >= delta
+    flipped: dict[str, set[str]] = {}
+    for (observer, target), value in perceptions.entries.items():
+        if (value >= delta) != missing_qualifies and observer in ids and target in ids:
+            flipped.setdefault(observer, set()).add(target)
+
+    clusters: dict[str, PerceivedCluster] = {}
     index: dict[str, set[str]] = {x: set() for x in pop.individuals}
-    for owner, cluster in clusters.items():
-        for member in cluster.members:
-            index[member].add(owner)
-    return ClusterFamily(clusters, {i: frozenset(o) for i, o in index.items()})
+    for x in pop.individuals:
+        targets = flipped.pop(x, set())
+        if missing_qualifies:
+            targets.discard(x)
+            members = ids.difference(targets)
+        else:
+            targets.add(x)
+            members = frozenset(targets)
+        clusters[x] = PerceivedCluster(x, members)
+        for member in members:
+            index[member].add(x)
+    return ClusterFamily(clusters, index)

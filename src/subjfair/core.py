@@ -7,7 +7,7 @@ share across concurrent audit runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 #: Opaque unique token identifying one individual within a population.
@@ -107,20 +107,22 @@ class Population:
 
     individuals: tuple[IndividualId, ...]
     attributes: Mapping[IndividualId, Mapping[str, Any]] | None = None
+    #: The ids as a set, for O(1) membership tests.
+    id_set: frozenset[IndividualId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "individuals", tuple(self.individuals))
         if not self.individuals:
             raise InputError("population must contain at least one individual")
-        if len(set(self.individuals)) != len(self.individuals):
+        object.__setattr__(self, "id_set", frozenset(self.individuals))
+        if len(self.id_set) != len(self.individuals):
             raise InputError("population contains duplicate ids")
         if self.attributes is not None:
             attrs = {i: dict(v) for i, v in self.attributes.items()}
             object.__setattr__(self, "attributes", attrs)
-            known = set(self.individuals)
             keysets = set()
             for ind, values in attrs.items():
-                if ind not in known:
+                if ind not in self.id_set:
                     raise InputError(f"attributes reference unknown id {ind!r}")
                 keysets.add(frozenset(values))
             if len(keysets) > 1:
@@ -130,7 +132,7 @@ class Population:
         return len(self.individuals)
 
     def __contains__(self, individual: str) -> bool:
-        return individual in self.individuals
+        return individual in self.id_set
 
     def attribute_keys(self) -> frozenset[str]:
         """Attribute keys shared by the covered individuals (empty if none)."""
@@ -323,7 +325,7 @@ def validate_population(
       known ids only.
     """
     violations: list[Violation] = []
-    known = set(pop.individuals)
+    known = pop.id_set
 
     for individual in pop.individuals:
         own = perceptions.similarity(individual, individual)

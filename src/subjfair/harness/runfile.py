@@ -39,6 +39,14 @@ from ..explanations import AcceptanceLedger
 
 SCHEMA = "subjfair-run/1"
 
+#: Every top-level field the schema defines; any other key is rejected.
+FIELDS = frozenset(
+    {
+        "schema", "purpose", "individuals", "attributes", "provenance", "sim",
+        "rec", "params", "strategy", "ledger", "baseline", "metadata",
+    }
+)
+
 
 class RunFileError(InputError):
     """A run file is malformed, violates the schema, or fails validation."""
@@ -191,6 +199,9 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     schema = _require(doc, "schema")
     if schema != SCHEMA:
         raise RunFileError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "schema")
+    unknown = sorted(str(key) for key in doc if key not in FIELDS)
+    if unknown:
+        raise RunFileError(f"unknown field {unknown[0]!r}", unknown[0])
 
     individuals = _require(doc, "individuals")
     if not isinstance(individuals, list) or not all(isinstance(i, str) for i in individuals):

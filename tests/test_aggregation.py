@@ -18,10 +18,11 @@ from subjfair import (
     run_pipeline,
     trust_weight,
 )
+from subjfair import aggregation
 from subjfair.aggregation import validate_veto_rules
 from subjfair.clustering import PerceivedCluster
 
-from helpers import make_inputs, random_instance
+from helpers import make_inputs, random_instance, random_rows
 
 
 def _recs(values, kind="binary"):
@@ -190,6 +191,50 @@ class TestTrustWeighting:
         assert weighted["a"] == plain["a"]
 
 
+    def test_pipeline_matches_per_member_trust_weights(self):
+        # the pipeline reads precomputed weights; restate stage 1 from the
+        # public trust_weight, recomputed for every member of every cluster
+        rng = random.Random(11)
+        for _ in range(6):
+            inputs = random_instance(rng, max_n=60, delta=rng.choice([0.3, 0.5, 0.8]))
+            family, recs, theta = inputs.family, inputs.recs, inputs.params.theta
+            strategy = AggregationStrategy("trust_weighted", theta)
+            labels, _ = run_pipeline(inputs.pop, family, recs, strategy)
+            for owner in inputs.pop.individuals:
+                cluster = family.cluster_of(owner)
+                weights = {m: trust_weight(m, family, recs, theta) for m in cluster.members}
+                total = sum(weights.values())
+                if total == 0.0:
+                    expected = aggregate_set_recommendation(cluster, recs, theta)
+                else:
+                    tally = sum(w * recs[m].value for m, w in weights.items()) / total
+                    expected = Outcome.label(1 if tally > theta else 0)
+                assert labels[owner] == expected
+
+    def test_pipeline_aggregates_each_cluster_once(self, monkeypatch):
+        # complexity gate by counted calls: one unweighted majority per
+        # cluster, not one per (cluster, member) pair
+        rng = random.Random(3)
+        ids = [f"p{k:03d}" for k in range(100)]
+        recs = {i: rng.randint(0, 1) for i in ids}
+        inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3)
+        sum_c = sum(len(c) for c in inputs.family.clusters.values())
+        assert sum_c > 4 * len(ids)
+
+        calls = 0
+        aggregate = aggregation.aggregate_set_recommendation
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "aggregate_set_recommendation", counting)
+        strategy = AggregationStrategy("trust_weighted")
+        run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        assert calls <= 2 * len(ids)
+
+
 class TestPessimistic:
     def test_conflict_resolves_to_bad_outcome(self):
         assert resolve_pessimistic([Outcome.label(0), Outcome.label(1)]) == Outcome.label(0)
@@ -254,6 +299,16 @@ class TestVeto:
         )
         with pytest.raises(ConfigError):
             validate_veto_rules([VetoRule("income", "<", 100)], inputs.pop)
+
+    def test_incomparable_operand_rejected_at_validation(self):
+        inputs = make_inputs(
+            {"a": {"a": 1.0}, "b": {"b": 1.0}},
+            {"a": 1, "b": 1},
+            attributes={"a": {"age": 16}, "b": {"age": "young"}},
+        )
+        with pytest.raises(ConfigError, match="cannot compare b's value 'young'"):
+            validate_veto_rules([VetoRule("age", "<", 18)], inputs.pop)
+        validate_veto_rules([VetoRule("age", "==", 18)], inputs.pop)
 
     def test_pipeline_applies_veto_to_final_decisions(self):
         inputs = make_inputs(

@@ -142,3 +142,96 @@ def test_family_has_one_cluster_per_individual():
     ids = [f"p{k}" for k in range(6)]
     inputs = make_inputs(random_rows(rng, ids), {i: 1 for i in ids})
     assert set(inputs.family.clusters) == set(ids)
+
+
+# --- differential: the one-pass family against the definition ---------------
+
+
+def _naive_clusters(ids, entries, delta):
+    """The definition, literally: x's cluster is everyone x rates >= delta
+    (a missing entry reads 0.0), plus x."""
+    return {
+        x: {z for z in ids if entries.get((x, z), 0.0) >= delta} | {x} for x in ids
+    }
+
+
+def _sparse_entries(rng, ids, validated):
+    """A sparse table: each observer names a handful of peers. Unvalidated
+    tables also drop or spoil diagonals, carry out-of-range and NaN values,
+    and name ids outside the population as observer or target."""
+    grid = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    entries = {}
+    for x in ids:
+        if validated or rng.random() < 0.7:
+            entries[(x, x)] = 1.0
+        elif rng.random() < 0.5:
+            entries[(x, x)] = rng.choice([-0.5, float("nan")])
+        for z in rng.sample(ids, rng.randint(0, 6)):
+            entries[(x, z)] = rng.choice(grid)
+    if not validated:
+        for k in range(len(ids) // 4):
+            x = rng.choice(ids)
+            entries[(x, rng.choice(ids))] = rng.choice([-0.5, 1.5, 2.0, float("nan")])
+            entries[(x, f"ghost{k}")] = rng.choice(grid)
+            entries[(f"ghost{k}", x)] = rng.choice(grid)
+    return entries
+
+
+@pytest.mark.parametrize("validated", [True, False])
+def test_family_matches_definition_on_sparse_tables(validated):
+    rng = random.Random(2024 + validated)
+    for _ in range(3):
+        n = rng.randint(100, 200)
+        ids = [f"p{k:03d}" for k in range(n)]
+        entries = _sparse_entries(rng, ids, validated)
+        pop = Population(tuple(ids))
+        table = PerceptionTable(entries)
+        stated = [v for v in entries.values() if v == v]  # NaN is not a delta
+        deltas = [0.0, 1.0, -0.5, float("nan"), *rng.sample(stated, 3)]
+        for delta in deltas:
+            expected = _naive_clusters(ids, entries, delta)
+            family = build_cluster_family(pop, table, delta)
+            assert set(family.clusters) == set(ids)
+            for x in ids:
+                assert family.cluster_of(x).members == expected[x]
+                assert perceived_cluster(x, pop, table, delta).members == expected[x]
+            for i in ids:
+                owners = {o for o in ids if i in expected[o]}
+                assert family.containing(i) == owners
+
+
+def test_family_boundary_entry_joins_and_below_zero_entry_leaves():
+    # delta equal to an entry admits it; with delta 0 a missing entry
+    # qualifies, but an explicit negative or NaN one does not
+    pop = Population(("x", "y", "u", "v"))
+    table = PerceptionTable(
+        {("x", "x"): 1.0, ("x", "y"): 0.4, ("x", "u"): -0.1, ("x", "v"): float("nan")}
+    )
+    assert build_cluster_family(pop, table, 0.4).cluster_of("x").members == {"x", "y"}
+    assert build_cluster_family(pop, table, 0.0).cluster_of("x").members == {"x", "y"}
+    assert build_cluster_family(pop, table, 0.0).cluster_of("u").members == {
+        "x", "y", "u", "v"
+    }
+
+
+# --- complexity gate by counted calls ------------------------------------------
+
+
+def test_build_cluster_family_looks_up_at_most_n_pairs(monkeypatch):
+    rng = random.Random(5)
+    ids = [f"p{k:03d}" for k in range(150)]
+    pop = Population(tuple(ids))
+    table = PerceptionTable(_sparse_entries(rng, ids, validated=True))
+    calls = 0
+    similarity = PerceptionTable.similarity
+
+    def counting(self, observer, target):
+        nonlocal calls
+        calls += 1
+        return similarity(self, observer, target)
+
+    monkeypatch.setattr(PerceptionTable, "similarity", counting)
+    for delta in (0.0, 0.5, 1.0):
+        calls = 0
+        build_cluster_family(pop, table, delta)
+        assert calls <= len(ids)

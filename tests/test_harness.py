@@ -6,6 +6,7 @@ import pytest
 
 from subjfair import (
     AggregationStrategy,
+    AuditParams,
     Population,
     VetoRule,
     build_cluster_family,
@@ -109,6 +110,7 @@ class TestRunFile:
             (lambda d: d.update(schema="other/9"), "schema"),
             (lambda d: d.update(strategy={"kind": "median"}), "strategy.kind"),
             (lambda d: d.update(individuals=["a", "a"]), "individuals"),
+            (lambda d: d.update(strategey={"kind": "pessimistic"}), "strategey"),
         ],
     )
     def test_schema_violations_carry_field_location(self, mutate, location):
@@ -213,6 +215,20 @@ class TestOracle:
                     base, strategy=AggregationStrategy(kind, theta=base.params.theta)
                 )
                 assert brute_force_oracle(run) == build_audit_doc(audit_run(run))
+
+    @pytest.mark.parametrize("kind", ["majority", "trust_weighted"])
+    def test_mid_sized_runs_match_engine(self, kind):
+        # past the default bound, where clusters overlap heavily and the
+        # trust-weighted stage reads one weight across many clusters
+        cases = [(40, 0.3, 0.5), (50, 0.5, 0.4), (60, 0.8, 0.6), (45, 0.0, 0.5)]
+        for seed, (n, delta, theta) in enumerate(cases * 2):
+            base = generate_population(SynthProfile(n=n, cluster_density=0.4, seed=seed))
+            run = dataclasses.replace(
+                base,
+                params=AuditParams(delta=delta, epsilon=base.params.epsilon, theta=theta),
+                strategy=AggregationStrategy(kind, theta=theta),
+            )
+            assert brute_force_oracle(run, bound=n) == build_audit_doc(audit_run(run))
 
     def test_veto_strategy_matches_engine(self):
         base = generate_population(SynthProfile(n=5, cluster_density=0.6, seed=4))
@@ -437,6 +453,30 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["sf"]["verdict"] == "unfair"
         assert doc["explanation_fairness"] == "pending"
+
+    def test_unknown_top_level_field_is_input_error(self, tmp_path, capsys):
+        doc = _fixture_doc()
+        doc["strategey"] = {"kind": "pessimistic"}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert main(["audit", "--input", str(path), "--strict"]) == 2
+        assert "strategey: unknown field 'strategey'" in capsys.readouterr().err
+
+    def test_incomparable_veto_rule_is_input_error_not_verdict(self, tmp_path, capsys):
+        # exit 1 would read as "SF-unfair" under --strict
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"age": "young"} for i in doc["individuals"]}
+        doc["strategy"] = {
+            "kind": "veto",
+            "veto_rules": [{"attribute": "age", "op": "<", "value": 18}],
+        }
+        path = tmp_path / "veto.json"
+        path.write_text(json.dumps(doc))
+        assert main(["audit", "--input", str(path), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "strategy.veto_rules" in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["audit", "--input", "/nonexistent/run.json"])
