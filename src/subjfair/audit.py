@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .aggregation import (
-    AggregationStrategy,
     SetRecommendationVector,
     aggregate_set_recommendation,
     binarize,
@@ -66,8 +65,6 @@ class AuditReport:
     """Everything one audit run decided, keyed by individual."""
 
     purpose: str
-    params: AuditParams
-    strategy: AggregationStrategy
     verdicts: Mapping[str, FairnessVerdict]
     scenarios: Mapping[str, str]
     conflicts: Mapping[str, str]
@@ -156,13 +153,10 @@ def classify_scenario(
 
     ``set_recs`` must have been computed at the same theta as ``params``.
     """
-    r_x = recs[x]
-    own_vs_set = treatment_similarity(binarize(r_x), set_recs[x])
-    if own_vs_set <= params.epsilon:
+    if treatment_similarity(binarize(recs[x]), set_recs[x]) <= params.epsilon:
         return NEITHER
-    for y in family.cluster_of(x).members:
-        if treatment_similarity(recs[y], r_x) <= params.epsilon:
-            return RELAXED_ONLY
+    if isf(x, family, recs, params.epsilon) == UNFAIR:
+        return RELAXED_ONLY
     return ISF_SATISFIED
 
 
@@ -198,38 +192,29 @@ def audit_population(
     params: AuditParams,
     set_recs: SetRecommendationVector,
     decisions: DecisionVector,
-    strategy: AggregationStrategy | None = None,
 ) -> AuditReport:
     """Assemble the full audit report from pipeline outputs.
 
     ``set_recs`` and ``decisions`` are the pipeline outputs for the same
-    family and strategy; the strategy's theta must equal ``params.theta``
-    since scenario classification compares against those cluster labels.
+    family, computed at ``params.theta``, since scenario classification
+    compares against those cluster labels.
     """
-    strategy = strategy or AggregationStrategy(theta=params.theta)
-    if strategy.theta != params.theta:
-        raise ValueError(
-            f"strategy theta {strategy.theta} differs from params theta {params.theta}"
-        )
-
+    sf, dissenters = sf_process(pop, family, recs, params)
     verdicts: dict[str, FairnessVerdict] = {}
     scenarios: dict[str, str] = {}
     conflicts: dict[str, str] = {}
     for x in pop.individuals:
         verdicts[x] = FairnessVerdict(
             individual=x,
-            isf=isf(x, family, recs, params.epsilon),
+            isf=UNFAIR if x in dissenters else FAIR,
             relaxed_isf=relaxed_isf(x, family, recs, params.epsilon, params.theta),
             satisfaction_ratio=satisfaction_ratio(x, family, recs, params.epsilon),
         )
         scenarios[x] = classify_scenario(x, family, recs, set_recs, params)
         conflicts[x] = classify_conflict(x, recs, set_recs, decisions, params.epsilon)
 
-    sf, dissenters = sf_process(pop, family, recs, params)
     return AuditReport(
         purpose=recs.purpose,
-        params=params,
-        strategy=strategy,
         verdicts=verdicts,
         scenarios=scenarios,
         conflicts=conflicts,

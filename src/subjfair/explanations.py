@@ -10,10 +10,9 @@ the current ledger each time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .aggregation import AggregationStrategy
 from .audit import (
     FAIR,
     UNFAIR,
@@ -22,7 +21,7 @@ from .audit import (
     SYSTEM_SUSPECT,
     AuditReport,
 )
-from .core import AuditParams, InputError
+from .core import InputError
 
 PENDING = "pending"
 ACCEPTED = "accepted"
@@ -128,6 +127,8 @@ class AcceptanceLedger:
             self.record(individual, kind, state)
 
     def record(self, individual: str, kind: str, state: str) -> None:
+        if kind not in OBLIGATION_KINDS:
+            raise InputError(f"unknown obligation kind {kind!r}")
         if state not in ACCEPTANCE_STATES:
             raise InputError(f"unknown acceptance state {state!r}")
         self._entries[(individual, kind)] = state
@@ -145,9 +146,6 @@ class AcceptanceLedger:
         if not isinstance(other, AcceptanceLedger):
             return NotImplemented
         return self._entries == other._entries
-
-    def copy(self) -> "AcceptanceLedger":
-        return AcceptanceLedger(dict(self._entries))
 
     def as_rows(self) -> dict[str, dict[str, str]]:
         """Nested ``{individual: {kind: state}}`` view."""
@@ -202,21 +200,11 @@ ASSERTED = "asserted"
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Run metadata the procedural check inspects.
+    """Run metadata the procedural check inspects. ethicality cannot be
+    computed and is operator-asserted."""
 
-    parameter_overrides records any per-individual ad-hoc parameter sets an
-    operator applied outside the uniform pipeline; a uniform run leaves it
-    empty. ethicality cannot be computed and is operator-asserted.
-    """
-
-    params: AuditParams
-    strategy: AggregationStrategy
-    parameter_overrides: Mapping[str, AuditParams] = field(default_factory=dict)
     validation_clean: bool = True
     ethicality_asserted: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parameter_overrides", dict(self.parameter_overrides))
 
 
 @dataclass(frozen=True)
@@ -233,14 +221,12 @@ def procedural_check(config: AuditConfig) -> ProceduralReport:
     """Which procedural rules the run satisfies.
 
     consistency: one strategy and parameter set applied uniformly to all
-    individuals. accuracy: the input validation report was empty.
-    ethicality: echoed from the operator's assertion, never computed.
+    individuals, which holds by construction: a run carries exactly one of
+    each. accuracy: the input validation report was empty. ethicality:
+    echoed from the operator's assertion, never computed.
     """
-    satisfied: set[str] = set()
-    provenance: dict[str, str] = {}
-    if not config.parameter_overrides:
-        satisfied.add(CONSISTENCY)
-        provenance[CONSISTENCY] = COMPUTED
+    satisfied: set[str] = {CONSISTENCY}
+    provenance: dict[str, str] = {CONSISTENCY: COMPUTED}
     if config.validation_clean:
         satisfied.add(ACCURACY)
         provenance[ACCURACY] = COMPUTED

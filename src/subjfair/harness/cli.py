@@ -2,7 +2,8 @@
 
 Subcommands: validate, audit, decide, baseline, simulate, oracle, report.
 Exit codes: 0 clean, 1 audit found the process SF-unfair (with --strict) or
-an oracle mismatch, 2 input error.
+an oracle mismatch, 2 input error (including an unreadable file), 3 a fault
+in the engine itself, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import csv
 import io
 import json
 import sys
+import traceback
+from dataclasses import replace
 from typing import Any, Sequence
 
 from .. import __version__
-from ..aggregation import STRATEGY_KINDS, AggregationStrategy
+from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
 from ..audit import UNFAIR
 from ..core import AuditParams, InputError, validate_population
 from .oracle import DEFAULT_BOUND, brute_force_oracle
@@ -26,6 +29,7 @@ from .synth import SynthProfile, generate_population
 EXIT_OK = 0
 EXIT_UNFAIR = 1
 EXIT_INPUT = 2
+EXIT_FAULT = 3
 
 
 def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
@@ -42,16 +46,29 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> No
         )
 
 
-def _overridden(run: AuditRunFile, args: argparse.Namespace) -> tuple[AuditParams, AggregationStrategy]:
+def _with_settings(
+    run: AuditRunFile,
+    delta: float | None = None,
+    epsilon: float | None = None,
+    theta: float | None = None,
+    kind: str | None = None,
+) -> AuditRunFile:
+    """The run with each given setting in place of its own. Veto rules are
+    kept only under the veto kind."""
+    theta = run.params.theta if theta is None else theta
     params = AuditParams(
-        delta=run.params.delta if args.delta is None else args.delta,
-        epsilon=run.params.epsilon if args.epsilon is None else args.epsilon,
-        theta=run.params.theta if args.theta is None else args.theta,
+        delta=run.params.delta if delta is None else delta,
+        epsilon=run.params.epsilon if epsilon is None else epsilon,
+        theta=theta,
     )
-    kind = run.strategy.kind if args.strategy is None else args.strategy
-    rules = run.strategy.veto_rules if kind == "veto" else ()
-    strategy = AggregationStrategy(kind=kind, theta=params.theta, veto_rules=rules)
-    return params, strategy
+    kind = run.strategy.kind if kind is None else kind
+    rules = run.strategy.veto_rules if kind == VETO else ()
+    strategy = AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
+    return replace(run, params=params, strategy=strategy)
+
+
+def _overridden(run: AuditRunFile, args: argparse.Namespace) -> AuditRunFile:
+    return _with_settings(run, args.delta, args.epsilon, args.theta, args.strategy)
 
 
 def _emit(doc: dict[str, Any], fmt: str) -> None:
@@ -84,9 +101,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    run = load_run(args.input)
-    params, strategy = _overridden(run, args)
-    result = audit_run(run, params, strategy)
+    result = audit_run(_overridden(load_run(args.input), args))
     _emit(build_report_doc(result, group_attr=args.group_attr), args.format)
     if args.strict and result.report.sf == UNFAIR:
         return EXIT_UNFAIR
@@ -94,9 +109,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    run = load_run(args.input)
-    params, strategy = _overridden(run, args)
-    result = audit_run(run, params, strategy)
+    result = audit_run(_overridden(load_run(args.input), args))
     doc = build_audit_doc(result)
     if args.format == "json":
         _emit({"set_rec": doc["set_rec"], "dec": doc["dec"]}, "json")
@@ -115,9 +128,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    run = load_run(args.input)
-    params, strategy = _overridden(run, args)
-    result = audit_run(run, params, strategy)
+    result = audit_run(_overridden(load_run(args.input), args))
     doc = build_report_doc(result, group_attr=args.group_attr, include_baselines=True)
     baselines = doc.get("baselines")
     if not baselines:
@@ -147,17 +158,15 @@ def _parse_grid(raw: str | None, fallback: float) -> list[float]:
 
 
 def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, Any]]:
+    # The table reports no explanation verdict, and the ledger names the
+    # obligations of the run's own settings, so the points go without it.
+    run = replace(run, ledger=None)
     rows = []
     for delta in _parse_grid(args.deltas, run.params.delta):
         for epsilon in _parse_grid(args.epsilons, run.params.epsilon):
             for theta in _parse_grid(args.thetas, run.params.theta):
-                params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
-                strategy = AggregationStrategy(
-                    kind=run.strategy.kind,
-                    theta=theta,
-                    veto_rules=run.strategy.veto_rules,
-                )
-                doc = build_audit_doc(audit_run(run, params, strategy))
+                point = _with_settings(run, delta, epsilon, theta)
+                doc = build_audit_doc(audit_run(point))
                 metrics: dict[str, float] = {
                     "sf_fair": 1.0 if doc["sf"]["verdict"] == "fair" else 0.0,
                     "dissenters": float(len(doc["sf"]["dissenters"])),
@@ -242,9 +251,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    run = load_run(args.input)
-    params, strategy = _overridden(run, args)
-    result = audit_run(run, params, strategy)
+    result = audit_run(_overridden(load_run(args.input), args))
     doc = build_report_doc(result, group_attr=args.group_attr, include_baselines=True)
     _emit(doc, args.format)
     return EXIT_OK
@@ -317,12 +324,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, KeyError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..core import InputError
 from .runfile import AuditRunFile
 
 DEFAULT_BOUND = 10
@@ -20,12 +21,12 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
     """Recompute the audit document for ``run`` by exhaustive loops.
 
     Raises:
-        ValueError: when the population exceeds ``bound`` individuals.
+        InputError: when the population exceeds ``bound`` individuals.
     """
     ids = list(run.population.individuals)
     n = len(ids)
     if n > bound:
-        raise ValueError(f"population of {n} exceeds oracle bound {bound}")
+        raise InputError(f"population of {n} exceeds oracle bound {bound}")
 
     delta = run.params.delta
     eps = run.params.epsilon

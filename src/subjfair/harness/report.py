@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .. import __version__
-from ..aggregation import AggregationStrategy, run_pipeline
+from ..aggregation import run_pipeline
 from ..audit import (
     FAIR,
     ISF_SATISFIED,
@@ -28,7 +28,7 @@ from ..audit import (
 )
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, InputError, ValidationReport, validate_population
+from ..core import InputError, ValidationReport, validate_population
 from ..explanations import (
     AcceptanceLedger,
     AuditConfig,
@@ -38,7 +38,7 @@ from ..explanations import (
     fairness_through_explanations,
     procedural_check,
 )
-from .runfile import AuditRunFile
+from .runfile import AuditRunFile, settings_to_dict
 
 REPORT_SCHEMA = "subjfair-report/1"
 
@@ -59,27 +59,12 @@ class RunResult:
     procedural: ProceduralReport
 
 
-def audit_run(
-    run: AuditRunFile,
-    params: AuditParams | None = None,
-    strategy: AggregationStrategy | None = None,
-) -> RunResult:
-    """Run the full audit for a run file.
-
-    ``params``/``strategy`` override the file's own settings (used by
-    parameter sweeps); the strategy's theta is kept aligned with params.
+def audit_run(run: AuditRunFile) -> RunResult:
+    """Run the full audit for a run file at its own settings.
 
     Raises:
         InputError: if the inputs break the model invariants.
     """
-    params = params or run.params
-    if strategy is None:
-        strategy = run.strategy
-        if strategy.theta != params.theta:
-            strategy = AggregationStrategy(
-                kind=strategy.kind, theta=params.theta, veto_rules=strategy.veto_rules
-            )
-
     validation = validate_population(
         run.population, run.perceptions, run.recommendations
     )
@@ -88,20 +73,18 @@ def audit_run(
             "invalid audit inputs: " + "; ".join(validation.messages()[:5])
         )
 
-    family = build_cluster_family(run.population, run.perceptions, params.delta)
+    family = build_cluster_family(run.population, run.perceptions, run.params.delta)
     set_recs, decisions = run_pipeline(
-        run.population, family, run.recommendations, strategy
+        run.population, family, run.recommendations, run.strategy
     )
     report = audit_population(
-        run.population, family, run.recommendations, params, set_recs, decisions, strategy
+        run.population, family, run.recommendations, run.params, set_recs, decisions
     )
     obligations = tuple(derive_obligations(report))
     ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
     explanation_fairness = fairness_through_explanations(obligations, ledger)
     procedural = procedural_check(
         AuditConfig(
-            params=params,
-            strategy=strategy,
             validation_clean=validation.ok,
             ethicality_asserted=bool(run.metadata.get("ethicality_asserted", False)),
         )
@@ -129,24 +112,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
         "n": len(ids),
-        "params": {
-            "delta": report.params.delta,
-            "epsilon": report.params.epsilon,
-            "theta": report.params.theta,
-        },
-        "strategy": {
-            "kind": report.strategy.kind,
-            "theta": report.strategy.theta,
-            "veto_rules": [
-                {
-                    "attribute": r.attribute,
-                    "op": r.op,
-                    "value": r.operand,
-                    "vetoes": r.vetoed_label,
-                }
-                for r in report.strategy.veto_rules
-            ],
-        },
+        **settings_to_dict(run),
         "clusters": {
             x: sorted(result.family.cluster_of(x).members) for x in ids
         },

@@ -71,7 +71,10 @@ class BaselineInputs:
 
 @dataclass(frozen=True)
 class AuditRunFile:
-    """One audit run: inputs, parameters, and acceptance state."""
+    """One audit run: inputs, parameters, and acceptance state.
+
+    Theta is one fact: the strategy's theta must equal ``params.theta``.
+    """
 
     population: Population
     perceptions: PerceptionTable
@@ -83,6 +86,11 @@ class AuditRunFile:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.strategy.theta != self.params.theta:
+            raise InputError(
+                f"strategy theta {self.strategy.theta} differs from params theta "
+                f"{self.params.theta}"
+            )
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     @property
@@ -100,16 +108,32 @@ def _require(doc: Mapping[str, Any], key: str, location: str = "") -> Any:
     return doc[key]
 
 
-def _expect_object(value: Any, location: str) -> Mapping[str, Any]:
+def _expect_object(
+    value: Any, location: str, fields: frozenset[str] | None = None
+) -> Mapping[str, Any]:
+    """``value`` as an object; with ``fields``, reject any other key."""
     if not isinstance(value, dict):
         raise RunFileError("expected an object", location)
+    if fields is not None:
+        unknown = sorted(str(key) for key in value if key not in fields)
+        if unknown:
+            raise RunFileError(f"unknown field {unknown[0]!r}", f"{location}.{unknown[0]}")
+    return value
+
+
+def _expect_list(value: Any, location: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise RunFileError("expected a list", location)
     return value
 
 
 def _expect_number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RunFileError(f"expected a number, got {value!r}", location)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise RunFileError(f"number {value} is out of range", location) from None
 
 
 def _parse_outcome(value: Any, kind: str, location: str) -> Outcome:
@@ -121,7 +145,9 @@ def _parse_outcome(value: Any, kind: str, location: str) -> Outcome:
 
 
 def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
-    section = _expect_object(_require(doc, "params"), "params")
+    section = _expect_object(
+        _require(doc, "params"), "params", frozenset({"delta", "epsilon", "theta"})
+    )
     try:
         return AuditParams(
             delta=_expect_number(_require(section, "delta", "params.delta"), "params.delta"),
@@ -136,24 +162,27 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
     section = doc.get("strategy")
     if section is None:
         return AggregationStrategy(theta=params.theta)
-    section = _expect_object(section, "strategy")
+    section = _expect_object(section, "strategy", frozenset({"kind", "theta", "veto_rules"}))
     kind = section.get("kind", "majority")
     if kind not in STRATEGY_KINDS:
         raise RunFileError(f"unknown strategy kind {kind!r}", "strategy.kind")
     rules = []
-    for idx, rule in enumerate(section.get("veto_rules", [])):
+    for idx, rule in enumerate(_expect_list(section.get("veto_rules", []), "strategy.veto_rules")):
         where = f"strategy.veto_rules[{idx}]"
-        rule = _expect_object(rule, where)
+        rule = _expect_object(rule, where, frozenset({"attribute", "op", "value", "vetoes"}))
+        label = rule.get("vetoes", 1)
+        if isinstance(label, bool) or label not in (0, 1):
+            raise RunFileError(f"expected 0 or 1, got {label!r}", f"{where}.vetoes")
         try:
             rules.append(
                 VetoRule(
                     attribute=str(_require(rule, "attribute", where)),
                     op=str(_require(rule, "op", where)),
                     operand=_require(rule, "value", where),
-                    vetoed_label=int(rule.get("vetoes", 1)),
+                    vetoed_label=int(label),
                 )
             )
-        except (InputError, TypeError, ValueError) as exc:
+        except InputError as exc:
             raise RunFileError(str(exc), where) from None
     try:
         return AggregationStrategy(
@@ -169,19 +198,19 @@ def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
     section = doc.get("baseline")
     if section is None:
         return None
-    section = _expect_object(section, "baseline")
+    section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
     scores = {
         str(i): _expect_number(v, f"baseline.scores.{i}")
         for i, v in _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores").items()
     }
     entries = {}
-    for idx, row in enumerate(section.get("distances", [])):
+    for idx, row in enumerate(_expect_list(section.get("distances", []), "baseline.distances")):
         where = f"baseline.distances[{idx}]"
         if not (isinstance(row, list) and len(row) == 3):
             raise RunFileError("expected [x, y, distance]", where)
         entries[(str(row[0]), str(row[1]))] = _expect_number(row[2], where)
     overrides = {}
-    for idx, row in enumerate(section.get("overrides", [])):
+    for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
         where = f"baseline.overrides[{idx}]"
         if not (isinstance(row, list) and len(row) == 4):
             raise RunFileError("expected [observer, x, y, distance]", where)
@@ -227,7 +256,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     except InputError as exc:
         raise RunFileError(str(exc), "provenance") from None
 
-    rec = _expect_object(_require(doc, "rec"), "rec")
+    rec = _expect_object(_require(doc, "rec"), "rec", frozenset({"kind", "values"}))
     kind = rec.get("kind", "binary")
     if kind not in (BINARY, SCORE):
         raise RunFileError(f"unknown outcome kind {kind!r}", "rec.kind")
@@ -242,28 +271,54 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
 
     ledger = None
     if "ledger" in doc:
-        rows = _expect_object(doc["ledger"], "ledger")
-        for individual, states in rows.items():
-            _expect_object(states, f"ledger.{individual}")
-        try:
-            ledger = AcceptanceLedger.from_rows(rows)
-        except InputError as exc:
-            raise RunFileError(str(exc), "ledger") from None
+        ledger = AcceptanceLedger()
+        for individual, states in _expect_object(doc["ledger"], "ledger").items():
+            for obligation, state in _expect_object(states, f"ledger.{individual}").items():
+                try:
+                    ledger.record(individual, obligation, state)
+                except InputError as exc:
+                    raise RunFileError(str(exc), f"ledger.{individual}.{obligation}") from None
 
-    metadata = doc.get("metadata", {})
-    if metadata:
-        metadata = _expect_object(metadata, "metadata")
+    baseline = _parse_baseline(doc)
+    metadata = _expect_object(doc.get("metadata", {}), "metadata")
+    try:
+        return AuditRunFile(
+            population=population,
+            perceptions=perceptions,
+            recommendations=recommendations,
+            params=params,
+            strategy=strategy,
+            ledger=ledger,
+            baseline=baseline,
+            metadata=metadata,
+        )
+    except InputError as exc:
+        raise RunFileError(str(exc), "strategy.theta") from None
 
-    return AuditRunFile(
-        population=population,
-        perceptions=perceptions,
-        recommendations=recommendations,
-        params=params,
-        strategy=strategy,
-        ledger=ledger,
-        baseline=_parse_baseline(doc),
-        metadata=metadata,
-    )
+
+def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
+    """The ``params`` and ``strategy`` blocks, as run files and reports
+    write them."""
+    return {
+        "params": {
+            "delta": run.params.delta,
+            "epsilon": run.params.epsilon,
+            "theta": run.params.theta,
+        },
+        "strategy": {
+            "kind": run.strategy.kind,
+            "theta": run.strategy.theta,
+            "veto_rules": [
+                {
+                    "attribute": r.attribute,
+                    "op": r.op,
+                    "value": r.operand,
+                    "vetoes": r.vetoed_label,
+                }
+                for r in run.strategy.veto_rules
+            ],
+        },
+    }
 
 
 def to_dict(run: AuditRunFile) -> dict[str, Any]:
@@ -285,24 +340,7 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
                 for i, o in sorted(run.recommendations.values.items())
             },
         },
-        "params": {
-            "delta": run.params.delta,
-            "epsilon": run.params.epsilon,
-            "theta": run.params.theta,
-        },
-        "strategy": {
-            "kind": run.strategy.kind,
-            "theta": run.strategy.theta,
-            "veto_rules": [
-                {
-                    "attribute": r.attribute,
-                    "op": r.op,
-                    "value": r.operand,
-                    "vetoes": r.vetoed_label,
-                }
-                for r in run.strategy.veto_rules
-            ],
-        },
+        **settings_to_dict(run),
     }
     if run.population.attributes:
         doc["attributes"] = {
@@ -351,6 +389,8 @@ def loads_run(text: str, validate: bool = True) -> AuditRunFile:
         raise RunFileError(
             f"malformed JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise RunFileError(f"unreadable JSON: {exc}", "<document>") from None
     run = from_dict(doc)
     if validate:
         validate_run(run)
@@ -360,7 +400,11 @@ def loads_run(text: str, validate: bool = True) -> AuditRunFile:
 def load_run(path: str | Path, validate: bool = True) -> AuditRunFile:
     """Load a run file; with ``validate`` (default) reject any file whose
     inputs break the model invariants."""
-    return loads_run(Path(path).read_text(encoding="utf-8"), validate=validate)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RunFileError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}") from None
+    return loads_run(text, validate=validate)
 
 
 def dumps_run(run: AuditRunFile) -> str:

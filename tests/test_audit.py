@@ -313,18 +313,26 @@ class TestAuditPopulation:
         assert report.scenarios["v"] == ISF_SATISFIED
         assert report.verdicts["x"].relaxed_isf == FAIR
 
-    def test_theta_mismatch_rejected(self):
-        from subjfair import AggregationStrategy
+    def test_theta_mismatch_rejected(self, tmp_path, capsys):
+        # Theta agreement is an invariant of the run, so the audit never
+        # sees a second theta: a mismatched run cannot be built or loaded.
+        import dataclasses
+        import json
 
-        inputs = crossed()
-        set_recs, decisions = _pipeline(inputs)
-        with pytest.raises(ValueError):
-            audit_population(
-                inputs.pop,
-                inputs.family,
-                inputs.recs,
-                inputs.params,
-                set_recs,
-                decisions,
-                AggregationStrategy(theta=0.4),
-            )
+        from subjfair import AggregationStrategy, InputError
+        from subjfair.harness.cli import main
+        from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
+        from subjfair.harness.runfile import RunFileError, loads_run
+
+        with pytest.raises(InputError, match="differs from params theta"):
+            dataclasses.replace(crossed_clusters_run(), strategy=AggregationStrategy(theta=0.4))
+        doc = json.loads(crossed_clusters_path().read_text())
+        doc["strategy"]["theta"] = 0.2
+        with pytest.raises(RunFileError) as err:
+            loads_run(json.dumps(doc))
+        assert err.value.location == "strategy.theta"
+        path = tmp_path / "two_thetas.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert main(["audit", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.count("strategy.theta:") == 2

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subjfair import (
     AggregationStrategy,
@@ -11,6 +12,7 @@ from subjfair import (
     VetoRule,
     build_cluster_family,
 )
+from subjfair.harness import cli
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
@@ -111,6 +113,38 @@ class TestRunFile:
             (lambda d: d.update(strategy={"kind": "median"}), "strategy.kind"),
             (lambda d: d.update(individuals=["a", "a"]), "individuals"),
             (lambda d: d.update(strategey={"kind": "pessimistic"}), "strategey"),
+            (lambda d: d["params"].update(thetaa=0.7), "params.thetaa"),
+            (lambda d: d.update(strategy={"vetoo_rules": []}), "strategy.vetoo_rules"),
+            (lambda d: d["rec"].update(kindd="score"), "rec.kindd"),
+            (lambda d: d.update(baseline={"scores": {}, "distance": []}), "baseline.distance"),
+            (
+                lambda d: d.update(
+                    strategy={
+                        "kind": "veto",
+                        "veto_rules": [{"attribute": "g", "op": "<", "value": 1, "veto": 1}],
+                    }
+                ),
+                "strategy.veto_rules[0].veto",
+            ),
+            (
+                lambda d: d.update(
+                    strategy={
+                        "kind": "veto",
+                        "veto_rules": [{"attribute": "g", "op": "<", "value": 1, "vetoes": 2}],
+                    }
+                ),
+                "strategy.veto_rules[0].vetoes",
+            ),
+            (lambda d: d.update(strategy={"veto_rules": 0}), "strategy.veto_rules"),
+            (lambda d: d.update(baseline={"scores": {}, "overrides": 0}), "baseline.overrides"),
+            (lambda d: d.update(strategy={"theta": 0.2}), "strategy.theta"),
+            (lambda d: d.update(metadata=0), "metadata"),
+            (lambda d: d.update(metadata=False), "metadata"),
+            (lambda d: d.update(ledger={"a": {"BOGUS": "accepted"}}), "ledger.a.BOGUS"),
+            (
+                lambda d: d.update(ledger={"a": {"SYSTEM_RECOMMENDATION": "maybe"}}),
+                "ledger.a.SYSTEM_RECOMMENDATION",
+            ),
         ],
     )
     def test_schema_violations_carry_field_location(self, mutate, location):
@@ -119,6 +153,12 @@ class TestRunFile:
         with pytest.raises(RunFileError) as err:
             from_dict(doc)
         assert err.value.location == location
+
+    def test_strategy_theta_may_be_omitted(self):
+        doc = _minimal_doc(params={"delta": 0.5, "theta": 0.3}, strategy={"kind": "pessimistic"})
+        run = from_dict(doc)
+        assert run.strategy.theta == run.params.theta == 0.3
+        assert to_dict(run)["strategy"]["theta"] == 0.3
 
     def test_veto_rule_with_unknown_attribute_rejected_at_load(self):
         doc = _minimal_doc(
@@ -149,6 +189,54 @@ class TestRunFile:
         run = from_dict(doc)
         assert run.baseline.distances.perceived_distance("a", "a", "b") == 0.04
         assert to_dict(run)["baseline"] == doc["baseline"]
+
+
+def _rich_fixture_doc():
+    """The bundled fixture with every optional section filled in."""
+    doc = _fixture_doc()
+    doc["attributes"] = {i: {"age": 15 + 3 * k} for k, i in enumerate(doc["individuals"])}
+    doc["strategy"] = {
+        "kind": "veto",
+        "theta": 0.5,
+        "veto_rules": [{"attribute": "age", "op": "<", "value": 18, "vetoes": 1}],
+    }
+    doc["ledger"] = {"x": {"SYSTEM_RECOMMENDATION": "accepted"}}
+    doc["baseline"] = {
+        "scores": {"x": 0.2, "y": 0.8},
+        "distances": [["x", "y", 0.5]],
+        "overrides": [["x", "x", "y", 0.4]],
+    }
+    return doc
+
+
+def _field_paths():
+    doc = _rich_fixture_doc()
+    paths = [(key,) for key in sorted(doc)]
+    paths += [(key, sub) for key in sorted(doc) if isinstance(doc[key], dict) for sub in sorted(doc[key])]
+    paths += [("strategy", "veto_rules", 0, key) for key in sorted(doc["strategy"]["veto_rules"][0])]
+    return paths
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(_field_paths()), value=_JSON_VALUES)
+def test_any_json_value_in_any_field_gives_a_run_or_run_file_error(path, value):
+    doc = _rich_fixture_doc()
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    try:
+        run = loads_run(json.dumps(doc))
+    except RunFileError:
+        return
+    assert isinstance(run, AuditRunFile)
 
 
 class TestSynth:
@@ -439,6 +527,46 @@ class TestCli:
         data_rows = lines[1:]
         assert len(data_rows) % 4 == 0
         assert all(len(row.split(",")) == 5 for row in data_rows)
+
+    def test_sweep_of_a_run_with_a_ledger(self, tmp_path, capsys):
+        # the ledger names obligations of the run's own settings; the sweep
+        # reports no explanation verdict and audits its points without it
+        doc = _fixture_doc()
+        doc["ledger"] = {"u": {"AGGREGATION_METHOD": "accepted"}}
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--input", str(path), "--sweep", "--deltas", "0,0.5,0.9"]
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        del doc["ledger"]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(doc))
+        assert main(["simulate", "--input", str(plain), "--sweep", "--deltas", "0,0.5,0.9",
+                     "--format", "json"]) == 0
+        assert rows == json.loads(capsys.readouterr().out)
+        assert sorted({row["delta"] for row in rows}) == [0.0, 0.5, 0.9]
+        assert {(row["delta"], row["metric"]): row["value"] for row in rows}[(0.5, "sf_fair")] == 0.0
+
+    def test_engine_fault_is_neither_verdict_nor_input_error(self, monkeypatch, capsys):
+        def broken(run):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "audit_run", broken)
+        code = main(["audit", "--input", str(crossed_clusters_path()), "--strict"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "KeyError" in err
+
+    def test_non_object_metadata_is_input_error(self, tmp_path, capsys):
+        doc = _fixture_doc()
+        doc["metadata"] = 0
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(doc))
+        assert main(["audit", "--input", str(path), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "metadata: expected an object" in err
+        assert "Traceback" not in err
 
     def test_oracle_subcommand_matches(self, capsys):
         code = main(["oracle", "--input", str(crossed_clusters_path())])
