@@ -59,11 +59,6 @@ from .audit import (
     AuditReport,
     FairnessVerdict,
     audit_population,
-    classify_conflict,
-    classify_scenario,
-    isf,
-    relaxed_isf,
-    satisfaction_ratio,
     sf_process,
 )
 from .explanations import (

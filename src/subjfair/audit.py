@@ -17,19 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .aggregation import (
-    SetRecommendationVector,
-    aggregate_set_recommendation,
-    binarize,
-)
+from .aggregation import SetRecommendationVector, binarize
 from .clustering import ClusterFamily
-from .core import (
-    AuditParams,
-    DecisionVector,
-    Population,
-    RecommendationVector,
-    treatment_similarity,
-)
+from .core import AuditParams, DecisionVector, Population, RecommendationVector
 
 FAIR = "fair"
 UNFAIR = "unfair"
@@ -80,109 +70,25 @@ class AuditReport:
         object.__setattr__(self, "dissenters", frozenset(self.dissenters))
 
 
-def isf(
-    x: str, family: ClusterFamily, recs: RecommendationVector, epsilon: float
-) -> str:
-    """Fair iff every member of x's cluster is treated epsilon-similarly.
+def _similar(a: float, b: float, epsilon: float) -> bool:
+    """Whether two treatment values of one kind are epsilon-similar.
 
-    x is a member of their own cluster, but self-comparison is similarity
-    1.0 and can never cause unfairness.
+    Their similarity is ``1 - |a - b|``, the score metric; on 0/1 labels it
+    is 1.0 for a match and 0.0 otherwise, the exact-match rule for binary
+    outcomes. Similar means strictly above epsilon.
     """
-    r_x = recs[x]
-    for y in family.cluster_of(x).members:
-        if treatment_similarity(r_x, recs[y]) <= epsilon:
-            return UNFAIR
-    return FAIR
-
-
-def satisfaction_ratio(
-    x: str, family: ClusterFamily, recs: RecommendationVector, epsilon: float
-) -> float:
-    """Fraction of x's cluster treated epsilon-similarly to x."""
-    r_x = recs[x]
-    members = family.cluster_of(x).members
-    satisfied = sum(
-        1 for y in members if treatment_similarity(r_x, recs[y]) > epsilon
-    )
-    return satisfied / len(members)
-
-
-def relaxed_isf(
-    x: str,
-    family: ClusterFamily,
-    recs: RecommendationVector,
-    epsilon: float,
-    theta: float,
-) -> str:
-    """Fair iff x's treatment is epsilon-similar to their cluster's majority
-    label (so "most" similar people being treated alike is enough)."""
-    agg = aggregate_set_recommendation(family.cluster_of(x), recs, theta)
-    if treatment_similarity(binarize(recs[x]), agg) > epsilon:
-        return FAIR
-    return UNFAIR
+    return 1.0 - abs(a - b) > epsilon
 
 
 def sf_process(
-    pop: Population,
-    family: ClusterFamily,
-    recs: RecommendationVector,
-    params: AuditParams,
+    verdicts: Mapping[str, FairnessVerdict],
 ) -> tuple[str, frozenset[str]]:
     """Process-level verdict plus the exact set of dissenting individuals.
 
     The process is fair iff no individual's ISF verdict is unfair.
     """
-    dissenters = frozenset(
-        x for x in pop.individuals if isf(x, family, recs, params.epsilon) == UNFAIR
-    )
+    dissenters = frozenset(x for x, v in verdicts.items() if v.isf == UNFAIR)
     return (FAIR if not dissenters else UNFAIR), dissenters
-
-
-def classify_scenario(
-    x: str,
-    family: ClusterFamily,
-    recs: RecommendationVector,
-    set_recs: SetRecommendationVector,
-    params: AuditParams,
-) -> str:
-    """Which fairness level x's cluster reaches.
-
-    ISF_SATISFIED: x matches their cluster label and every member matches x.
-    RELAXED_ONLY: x matches their cluster label but some member does not
-    match x. NEITHER: x does not even match their cluster label.
-
-    ``set_recs`` must have been computed at the same theta as ``params``.
-    """
-    if treatment_similarity(binarize(recs[x]), set_recs[x]) <= params.epsilon:
-        return NEITHER
-    if isf(x, family, recs, params.epsilon) == UNFAIR:
-        return RELAXED_ONLY
-    return ISF_SATISFIED
-
-
-def classify_conflict(
-    x: str,
-    recs: RecommendationVector,
-    set_recs: SetRecommendationVector,
-    decisions: DecisionVector,
-    epsilon: float,
-) -> str:
-    """How the conflict between x's recommendation and cluster label, if
-    any, should be handled.
-
-    NO_CONFLICT: x's recommendation matches their cluster label.
-    JUSTIFIABLE_BY_GROUP: they differ, but the final decision sides with
-    x's recommendation, so the group assignment itself is what needs
-    justifying. SYSTEM_SUSPECT: recommendation, cluster label and final
-    decision are mutually inconsistent; the system's recommendation needs
-    review.
-    """
-    own = binarize(recs[x])
-    if treatment_similarity(own, set_recs[x]) > epsilon:
-        return NO_CONFLICT
-    if treatment_similarity(own, decisions[x]) > epsilon:
-        return JUSTIFIABLE_BY_GROUP
-    return SYSTEM_SUSPECT
 
 
 def audit_population(
@@ -198,20 +104,46 @@ def audit_population(
     ``set_recs`` and ``decisions`` are the pipeline outputs for the same
     family, computed at ``params.theta``, since scenario classification
     compares against those cluster labels.
+
+    Each person's cluster is read once, counting the members treated
+    epsilon-similarly to them (raw values) and the members with a positive
+    label (binarized); every verdict and class follows from the two counts.
+    ISF is fair iff every member is satisfied, the satisfaction ratio is
+    the satisfied share, and relaxed ISF compares the person's label with
+    the cluster's plain theta-majority, whatever the strategy. The scenario
+    compares the label with the cluster label ``set_recs[x]``, and the
+    conflict class with it and then with the decision. Cost: O(n + sum |C|).
     """
-    sf, dissenters = sf_process(pop, family, recs, params)
+    epsilon = params.epsilon
+    raw = {x: recs[x].value for x in pop.individuals}
+    label = {x: binarize(recs[x]).value for x in pop.individuals}
     verdicts: dict[str, FairnessVerdict] = {}
     scenarios: dict[str, str] = {}
     conflicts: dict[str, str] = {}
     for x in pop.individuals:
+        members = family.cluster_of(x).members
+        satisfied = positive = 0
+        for y in members:
+            satisfied += _similar(raw[x], raw[y], epsilon)
+            positive += label[y]
+        size = len(members)
+        majority = 1.0 if positive / size > params.theta else 0.0
         verdicts[x] = FairnessVerdict(
             individual=x,
-            isf=UNFAIR if x in dissenters else FAIR,
-            relaxed_isf=relaxed_isf(x, family, recs, params.epsilon, params.theta),
-            satisfaction_ratio=satisfaction_ratio(x, family, recs, params.epsilon),
+            isf=FAIR if satisfied == size else UNFAIR,
+            relaxed_isf=FAIR if _similar(label[x], majority, epsilon) else UNFAIR,
+            satisfaction_ratio=satisfied / size,
         )
-        scenarios[x] = classify_scenario(x, family, recs, set_recs, params)
-        conflicts[x] = classify_conflict(x, recs, set_recs, decisions, params.epsilon)
+        if _similar(label[x], set_recs[x].value, epsilon):
+            scenarios[x] = ISF_SATISFIED if satisfied == size else RELAXED_ONLY
+            conflicts[x] = NO_CONFLICT
+        else:
+            scenarios[x] = NEITHER
+            if _similar(label[x], decisions[x].value, epsilon):
+                conflicts[x] = JUSTIFIABLE_BY_GROUP
+            else:
+                conflicts[x] = SYSTEM_SUSPECT
+    sf, dissenters = sf_process(verdicts)
 
     return AuditReport(
         purpose=recs.purpose,

@@ -42,13 +42,13 @@ class ObjectiveDistanceTable:
     def __post_init__(self) -> None:
         normalized = {}
         for (x, y), d in self.entries.items():
-            if d < 0:
+            if not d >= 0:
                 raise InputError(f"distance d({x},{y}) must be >= 0, got {d}")
             normalized[_pair_key(x, y)] = float(d)
         object.__setattr__(self, "entries", normalized)
         overrides = {}
         for (observer, x, y), d in (self.subjective_overrides or {}).items():
-            if d < 0:
+            if not d >= 0:
                 raise InputError(
                     f"distance d_{observer}({x},{y}) must be >= 0, got {d}"
                 )

@@ -13,6 +13,7 @@ loading and re-saving any valid file is idempotent and preserves content.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -136,6 +137,20 @@ def _expect_number(value: Any, location: str) -> float:
         raise RunFileError(f"number {value} is out of range", location) from None
 
 
+def _parse_score(value: Any, location: str) -> float:
+    score = _expect_number(value, location)
+    if not math.isfinite(score):
+        raise RunFileError(f"expected a finite score, got {score}", location)
+    return score
+
+
+def _parse_distance(value: Any, location: str) -> float:
+    distance = _expect_number(value, location)
+    if not distance >= 0:  # NaN included
+        raise RunFileError(f"distance must be >= 0, got {distance}", location)
+    return distance
+
+
 def _parse_outcome(value: Any, kind: str, location: str) -> Outcome:
     number = _expect_number(value, location)
     try:
@@ -200,7 +215,7 @@ def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
         return None
     section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
     scores = {
-        str(i): _expect_number(v, f"baseline.scores.{i}")
+        str(i): _parse_score(v, f"baseline.scores.{i}")
         for i, v in _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores").items()
     }
     entries = {}
@@ -208,17 +223,14 @@ def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
         where = f"baseline.distances[{idx}]"
         if not (isinstance(row, list) and len(row) == 3):
             raise RunFileError("expected [x, y, distance]", where)
-        entries[(str(row[0]), str(row[1]))] = _expect_number(row[2], where)
+        entries[(str(row[0]), str(row[1]))] = _parse_distance(row[2], where)
     overrides = {}
     for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
         where = f"baseline.overrides[{idx}]"
         if not (isinstance(row, list) and len(row) == 4):
             raise RunFileError("expected [observer, x, y, distance]", where)
-        overrides[(str(row[0]), str(row[1]), str(row[2]))] = _expect_number(row[3], where)
-    try:
-        return BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
-    except InputError as exc:
-        raise RunFileError(str(exc), "baseline") from None
+        overrides[(str(row[0]), str(row[1]), str(row[2]))] = _parse_distance(row[3], where)
+    return BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
@@ -239,7 +251,12 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     if attributes is not None:
         attributes = _expect_object(attributes, "attributes")
         for individual, values in attributes.items():
-            _expect_object(values, f"attributes.{individual}")
+            for key, value in _expect_object(values, f"attributes.{individual}").items():
+                if isinstance(value, (list, dict)):
+                    raise RunFileError(
+                        "expected a string, number, boolean or null",
+                        f"attributes.{individual}.{key}",
+                    )
     try:
         population = Population(tuple(individuals), attributes)
     except InputError as exc:
@@ -264,7 +281,10 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
         str(i): _parse_outcome(v, kind, f"rec.values.{i}")
         for i, v in _expect_object(_require(rec, "values", "rec.values"), "rec.values").items()
     }
-    recommendations = RecommendationVector(str(_require(doc, "purpose")), values)
+    purpose = _require(doc, "purpose")
+    if not isinstance(purpose, str):
+        raise RunFileError(f"expected a string, got {purpose!r}", "purpose")
+    recommendations = RecommendationVector(purpose, values)
 
     params = _parse_params(doc)
     strategy = _parse_strategy(doc, params)

@@ -6,12 +6,17 @@ import random
 from types import SimpleNamespace
 
 from subjfair import (
+    MAJORITY,
+    AggregationStrategy,
     AuditParams,
+    AuditReport,
     Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
+    audit_population,
     build_cluster_family,
+    run_pipeline,
 )
 
 
@@ -34,6 +39,26 @@ def make_inputs(
     family = build_cluster_family(pop, table, delta)
     return SimpleNamespace(
         pop=pop, table=table, recs=vector, params=params, family=family
+    )
+
+
+def audit(
+    inputs: SimpleNamespace,
+    epsilon: float | None = None,
+    theta: float | None = None,
+    kind: str = MAJORITY,
+) -> AuditReport:
+    """Run the ``kind`` pipeline over ``inputs`` and audit the result, at
+    the inputs' own epsilon and theta unless given."""
+    params = AuditParams(
+        delta=inputs.params.delta,
+        epsilon=inputs.params.epsilon if epsilon is None else epsilon,
+        theta=inputs.params.theta if theta is None else theta,
+    )
+    strategy = AggregationStrategy(kind, theta=params.theta)
+    set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    return audit_population(
+        inputs.pop, inputs.family, inputs.recs, params, set_recs, decisions
     )
 
 

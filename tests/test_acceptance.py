@@ -28,12 +28,9 @@ from subjfair import (
     aggregate_individual_decision,
     aggregate_set_recommendation,
     build_cluster_family,
-    classify_scenario,
     dwork_if_check,
     fairness_through_explanations,
-    isf,
     perceived_cluster,
-    relaxed_isf,
     run_pipeline,
     subjective_if_check,
     treatment_similarity,
@@ -46,7 +43,7 @@ from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import audit_run, build_audit_doc
 from subjfair.harness.synth import SynthProfile, find_manipulation_instance, generate_population
 
-from helpers import make_inputs, random_instance, random_rows
+from helpers import audit, make_inputs, random_instance, random_rows
 
 
 def _passed(number: int, name: str) -> None:
@@ -176,12 +173,9 @@ def test_acceptance_5_property_suite():
     rng = random.Random(104)
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
-        for x in inputs.pop.individuals:
-            if isf(x, inputs.family, inputs.recs, 0.0) == FAIR:
-                assert (
-                    relaxed_isf(x, inputs.family, inputs.recs, 0.0, inputs.params.theta)
-                    == FAIR
-                )
+        for verdict in audit(inputs, epsilon=0.0).verdicts.values():
+            if verdict.isf == FAIR:
+                assert verdict.relaxed_isf == FAIR
 
     # totality of decisions
     rng = random.Random(105)
@@ -194,7 +188,8 @@ def test_acceptance_5_property_suite():
     rng = random.Random(106)
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
-        set_recs, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        report = audit(inputs)
+        set_recs = report.set_recommendations
         for x in inputs.pop.individuals:
             r_x = inputs.recs[x]
             members = inputs.family.cluster_of(x).members
@@ -209,10 +204,7 @@ def test_acceptance_5_property_suite():
             ]
             assert sum(conds) == 1
             expected = [ISF_SATISFIED, RELAXED_ONLY, NEITHER][conds.index(True)]
-            assert (
-                classify_scenario(x, inputs.family, inputs.recs, set_recs, inputs.params)
-                == expected
-            )
+            assert report.scenarios[x] == expected
 
     # a tally exactly equal to theta resolves to 0 at both stages
     rng = random.Random(107)

@@ -1,10 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from subjfair import aggregation, audit as audit_module, core
 from subjfair import (
     FAIR,
+    PESSIMISTIC,
     UNFAIR,
     ISF_SATISFIED,
     RELAXED_ONLY,
@@ -12,22 +15,18 @@ from subjfair import (
     NO_CONFLICT,
     JUSTIFIABLE_BY_GROUP,
     SYSTEM_SUSPECT,
+    ClusterFamily,
     DecisionVector,
     Outcome,
-    RecommendationVector,
     SetRecommendationVector,
     audit_population,
-    classify_conflict,
-    classify_scenario,
-    isf,
-    relaxed_isf,
+    binarize,
     run_pipeline,
-    satisfaction_ratio,
     sf_process,
     treatment_similarity,
 )
 
-from helpers import make_inputs, random_instance
+from helpers import audit, make_inputs, random_instance, random_rows
 
 
 CROSSED_ROWS = {
@@ -43,17 +42,25 @@ def crossed():
     return make_inputs(CROSSED_ROWS, CROSSED_RECS)
 
 
+def satisfied_share(inputs, x, epsilon):
+    """The satisfaction ratio by its definition, member by member."""
+    members = inputs.family.cluster_of(x).members
+    r_x = inputs.recs[x]
+    hits = sum(1 for y in members if treatment_similarity(r_x, inputs.recs[y]) > epsilon)
+    return hits / len(members)
+
+
 class TestIsf:
     def test_uniform_cluster_is_fair(self):
         inputs = make_inputs(
             {"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}}, {"a": 1, "b": 1}
         )
-        assert isf("a", inputs.family, inputs.recs, 0.0) == FAIR
+        assert audit(inputs).verdicts["a"].isf == FAIR
 
     def test_dissenting_member_makes_unfair(self):
         inputs = crossed()
         # y sits in x's cluster with the opposite recommendation
-        assert isf("x", inputs.family, inputs.recs, 0.0) == UNFAIR
+        assert audit(inputs).verdicts["x"].isf == UNFAIR
 
     def test_perception_is_one_sided(self):
         # alice groups herself with bob; bob does not reciprocate. Bob is
@@ -62,8 +69,9 @@ class TestIsf:
             {"alice": {"alice": 1.0, "bob": 0.9}, "bob": {"bob": 1.0, "alice": 0.2}},
             {"alice": 0, "bob": 1},
         )
-        assert isf("alice", inputs.family, inputs.recs, 0.0) == UNFAIR
-        assert isf("bob", inputs.family, inputs.recs, 0.0) == FAIR
+        verdicts = audit(inputs).verdicts
+        assert verdicts["alice"].isf == UNFAIR
+        assert verdicts["bob"].isf == FAIR
 
     def test_score_outcomes_compare_raw(self):
         inputs = make_inputs(
@@ -72,39 +80,55 @@ class TestIsf:
             kind="score",
         )
         # T = 0.9 > epsilon for small epsilon, fails at 0.9
-        assert isf("a", inputs.family, inputs.recs, 0.5) == FAIR
-        assert isf("a", inputs.family, inputs.recs, 0.95) == UNFAIR
+        assert audit(inputs, epsilon=0.5).verdicts["a"].isf == FAIR
+        assert audit(inputs, epsilon=0.95).verdicts["a"].isf == UNFAIR
 
 
 class TestSatisfactionRatio:
     def test_fair_means_ratio_one(self):
         rng = random.Random(2)
         for _ in range(50):
-            inputs = random_instance(rng)
+            inputs = random_instance(rng, kind=rng.choice(["binary", "score"]))
+            epsilon = rng.choice([0.0, 0.3, 0.8])
+            verdicts = audit(inputs, epsilon=epsilon).verdicts
             for x in inputs.pop.individuals:
-                verdict = isf(x, inputs.family, inputs.recs, 0.0)
-                ratio = satisfaction_ratio(x, inputs.family, inputs.recs, 0.0)
-                assert (verdict == FAIR) == (ratio == 1.0)
+                ratio = verdicts[x].satisfaction_ratio
+                assert ratio == satisfied_share(inputs, x, epsilon)
+                assert (verdicts[x].isf == FAIR) == (ratio == 1.0)
 
     def test_crossed_x_ratio(self):
         inputs = crossed()
         # x's cluster is {x, y}; only x itself matches x
-        assert satisfaction_ratio("x", inputs.family, inputs.recs, 0.0) == 0.5
+        assert audit(inputs).verdicts["x"].satisfaction_ratio == 0.5
 
 
 class TestRelaxedIsf:
     def test_majority_backing_makes_relaxed_fair(self):
         inputs = crossed()
-        assert relaxed_isf("y", inputs.family, inputs.recs, 0.0, 0.5) == FAIR
+        assert audit(inputs, theta=0.5).verdicts["y"].relaxed_isf == FAIR
 
     def test_crossed_x_relaxed_fair_but_isf_unfair(self):
         inputs = crossed()
-        assert relaxed_isf("x", inputs.family, inputs.recs, 0.0, 0.5) == FAIR
-        assert isf("x", inputs.family, inputs.recs, 0.0) == UNFAIR
+        verdict = audit(inputs, theta=0.5).verdicts["x"]
+        assert verdict.relaxed_isf == FAIR
+        assert verdict.isf == UNFAIR
 
     def test_singleton_cluster_always_fair(self):
         inputs = make_inputs({"solo": {"solo": 1.0}}, {"solo": 0})
-        assert relaxed_isf("solo", inputs.family, inputs.recs, 0.0, 0.5) == FAIR
+        assert audit(inputs, theta=0.5).verdicts["solo"].relaxed_isf == FAIR
+
+    def test_compares_with_the_plain_majority_not_the_cluster_label(self):
+        # a's cluster {a, b, c} has a 2/3 positive majority, but the
+        # pessimistic pipeline labels it 0: a matches the majority (relaxed
+        # ISF fair) yet not the cluster label (scenario NEITHER).
+        inputs = make_inputs(
+            {"a": {"a": 1.0, "b": 0.9, "c": 0.9}, "b": {"b": 1.0}, "c": {"c": 1.0}},
+            {"a": 1, "b": 1, "c": 0},
+        )
+        report = audit(inputs, kind=PESSIMISTIC)
+        assert report.set_recommendations["a"] == Outcome.label(0)
+        assert report.verdicts["a"].relaxed_isf == FAIR
+        assert report.scenarios["a"] == NEITHER
 
 
 class TestSfProcess:
@@ -112,40 +136,33 @@ class TestSfProcess:
         inputs = make_inputs(
             {"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0, "a": 0.9}}, {"a": 1, "b": 1}
         )
-        verdict, dissenters = sf_process(inputs.pop, inputs.family, inputs.recs, inputs.params)
-        assert verdict == FAIR
-        assert dissenters == frozenset()
+        report = audit(inputs)
+        assert report.sf == FAIR
+        assert report.dissenters == frozenset()
 
     def test_crossed_clusters_dissent(self):
-        inputs = crossed()
-        verdict, dissenters = sf_process(inputs.pop, inputs.family, inputs.recs, inputs.params)
-        assert verdict == UNFAIR
-        assert "x" in dissenters
+        report = audit(crossed())
+        assert report.sf == UNFAIR
+        assert "x" in report.dissenters
 
     def test_single_individual_is_fair(self):
-        inputs = make_inputs({"solo": {"solo": 1.0}}, {"solo": 0})
-        verdict, dissenters = sf_process(inputs.pop, inputs.family, inputs.recs, inputs.params)
-        assert verdict == FAIR
-        assert dissenters == frozenset()
+        report = audit(make_inputs({"solo": {"solo": 1.0}}, {"solo": 0}))
+        assert report.sf == FAIR
+        assert report.dissenters == frozenset()
 
     def test_fair_iff_no_dissenters(self):
         rng = random.Random(17)
         for _ in range(50):
             inputs = random_instance(rng)
-            verdict, dissenters = sf_process(
-                inputs.pop, inputs.family, inputs.recs, inputs.params
-            )
-            assert (verdict == FAIR) == (not dissenters)
+            report = audit(inputs)
+            assert (report.sf == FAIR) == (not report.dissenters)
             expected = {
                 x
                 for x in inputs.pop.individuals
-                if isf(x, inputs.family, inputs.recs, inputs.params.epsilon) == UNFAIR
+                if satisfied_share(inputs, x, inputs.params.epsilon) < 1.0
             }
-            assert dissenters == expected
-
-
-def _pipeline(inputs):
-    return run_pipeline(inputs.pop, inputs.family, inputs.recs)
+            assert report.dissenters == expected
+            assert sf_process(report.verdicts) == (report.sf, report.dissenters)
 
 
 class TestScenario:
@@ -153,15 +170,10 @@ class TestScenario:
         inputs = make_inputs(
             {"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}}, {"a": 1, "b": 1}
         )
-        set_recs, _ = _pipeline(inputs)
-        got = classify_scenario("a", inputs.family, inputs.recs, set_recs, inputs.params)
-        assert got == ISF_SATISFIED
+        assert audit(inputs).scenarios["a"] == ISF_SATISFIED
 
     def test_crossed_x_is_relaxed_only(self):
-        inputs = crossed()
-        set_recs, _ = _pipeline(inputs)
-        got = classify_scenario("x", inputs.family, inputs.recs, set_recs, inputs.params)
-        assert got == RELAXED_ONLY
+        assert audit(crossed()).scenarios["x"] == RELAXED_ONLY
 
     def test_owner_against_cluster_majority_is_neither(self):
         # owner recommends 1, the rest of the cluster 0: majority differs
@@ -169,9 +181,7 @@ class TestScenario:
             {"a": {"a": 1.0, "b": 0.9, "c": 0.9}, "b": {"b": 1.0}, "c": {"c": 1.0}},
             {"a": 1, "b": 0, "c": 0},
         )
-        set_recs, _ = _pipeline(inputs)
-        got = classify_scenario("a", inputs.family, inputs.recs, set_recs, inputs.params)
-        assert got == NEITHER
+        assert audit(inputs).scenarios["a"] == NEITHER
 
     def test_partition_exactly_one_class(self):
         # evaluate the three class conditions independently of the
@@ -179,7 +189,8 @@ class TestScenario:
         rng = random.Random(29)
         for _ in range(80):
             inputs = random_instance(rng, epsilon=0.0)
-            set_recs, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+            report = audit(inputs)
+            set_recs = report.set_recommendations
             eps = inputs.params.epsilon
             for x in inputs.pop.individuals:
                 r_x = inputs.recs[x]
@@ -195,45 +206,37 @@ class TestScenario:
                 ]
                 assert sum(conds) == 1
                 expected = [ISF_SATISFIED, RELAXED_ONLY, NEITHER][conds.index(True)]
-                got = classify_scenario(
-                    x, inputs.family, inputs.recs, set_recs, inputs.params
-                )
-                assert got == expected
+                assert report.scenarios[x] == expected
 
 
 class TestConflict:
-    def _vectors(self, r, r_set, d):
-        recs = RecommendationVector("t", {"i": Outcome.label(r)})
+    def _conflict(self, r, r_set, d):
+        inputs = make_inputs({"i": {"i": 1.0}}, {"i": r})
         set_recs = SetRecommendationVector("t", {"i": Outcome.label(r_set)})
         decisions = DecisionVector("t", {"i": Outcome.label(d)})
-        return recs, set_recs, decisions
+        report = audit_population(
+            inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
+        )
+        return report.conflicts["i"]
 
     def test_agreement_is_no_conflict(self):
-        recs, set_recs, decisions = self._vectors(1, 1, 0)
-        assert classify_conflict("i", recs, set_recs, decisions, 0.0) == NO_CONFLICT
+        assert self._conflict(1, 1, 0) == NO_CONFLICT
 
     def test_decision_sides_with_individual(self):
-        recs, set_recs, decisions = self._vectors(1, 0, 1)
-        assert (
-            classify_conflict("i", recs, set_recs, decisions, 0.0)
-            == JUSTIFIABLE_BY_GROUP
-        )
+        assert self._conflict(1, 0, 1) == JUSTIFIABLE_BY_GROUP
 
     def test_everything_disagrees_flags_system(self):
-        recs, set_recs, decisions = self._vectors(1, 0, 0)
-        assert classify_conflict("i", recs, set_recs, decisions, 0.0) == SYSTEM_SUSPECT
+        assert self._conflict(1, 0, 0) == SYSTEM_SUSPECT
 
     def test_conflict_classes_require_cluster_mismatch(self):
         rng = random.Random(37)
         for _ in range(50):
             inputs = random_instance(rng, epsilon=0.0)
-            set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+            report = audit(inputs)
             for x in inputs.pop.individuals:
-                got = classify_conflict(
-                    x, inputs.recs, set_recs, decisions, inputs.params.epsilon
-                )
+                got = report.conflicts[x]
                 matches_cluster = (
-                    treatment_similarity(inputs.recs[x], set_recs[x])
+                    treatment_similarity(inputs.recs[x], report.set_recommendations[x])
                     > inputs.params.epsilon
                 )
                 if matches_cluster:
@@ -258,21 +261,16 @@ class TestInvariants:
                         for i in ids
                     }
                     inputs = make_inputs(rows, recs, delta=0.5)
-                    if isf("p0", inputs.family, inputs.recs, 0.0) == FAIR:
-                        assert (
-                            relaxed_isf("p0", inputs.family, inputs.recs, 0.0, 0.5)
-                            == FAIR
-                        )
+                    verdict = audit(inputs, epsilon=0.0, theta=0.5).verdicts["p0"]
+                    if verdict.isf == FAIR:
+                        assert verdict.relaxed_isf == FAIR
 
     def test_epsilon_irrelevant_for_binary(self):
         rng = random.Random(43)
         for _ in range(50):
             inputs = random_instance(rng)
             eps2 = rng.choice([0.0, 0.3, 0.6, 0.99])
-            for x in inputs.pop.individuals:
-                assert isf(x, inputs.family, inputs.recs, 0.0) == isf(
-                    x, inputs.family, inputs.recs, eps2
-                )
+            assert audit(inputs, epsilon=0.0) == audit(inputs, epsilon=eps2)
 
     def test_raising_epsilon_only_hurts_for_scores(self):
         rng = random.Random(47)
@@ -280,15 +278,18 @@ class TestInvariants:
             inputs = random_instance(rng, kind="score")
             lo = rng.choice([0.0, 0.2, 0.4])
             hi = lo + rng.choice([0.1, 0.3, 0.5])
+            at_lo = audit(inputs, epsilon=lo).verdicts
+            at_hi = audit(inputs, epsilon=hi).verdicts
             for x in inputs.pop.individuals:
-                if isf(x, inputs.family, inputs.recs, hi) == FAIR:
-                    assert isf(x, inputs.family, inputs.recs, lo) == FAIR
+                if at_hi[x].isf == FAIR:
+                    assert at_lo[x].isf == FAIR
 
     def test_self_membership_never_causes_unfairness(self):
         rng = random.Random(53)
         for _ in range(50):
             inputs = random_instance(rng, kind=rng.choice(["binary", "score"]))
             eps = rng.choice([0.0, 0.2, 0.5])
+            verdicts = audit(inputs, epsilon=eps).verdicts
             for x in inputs.pop.individuals:
                 members = inputs.family.cluster_of(x).members
                 without_self = all(
@@ -296,14 +297,13 @@ class TestInvariants:
                     for y in members
                     if y != x
                 )
-                verdict = isf(x, inputs.family, inputs.recs, eps)
-                assert (verdict == FAIR) == without_self
+                assert (verdicts[x].isf == FAIR) == without_self
 
 
 class TestAuditPopulation:
     def test_full_report_fields(self):
         inputs = crossed()
-        set_recs, decisions = _pipeline(inputs)
+        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
         report = audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
@@ -312,6 +312,41 @@ class TestAuditPopulation:
         assert report.dissenters == frozenset({"x", "y", "u"})
         assert report.scenarios["v"] == ISF_SATISFIED
         assert report.verdicts["x"].relaxed_isf == FAIR
+
+    def test_reads_each_cluster_once(self, monkeypatch):
+        # complexity gate by counted calls: one cluster lookup and one
+        # binarized label per person, and no per-member Outcome comparisons
+        rng = random.Random(11)
+        ids = [f"p{k:03d}" for k in range(200)]
+        recs = {i: round(rng.random(), 3) for i in ids}
+        inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score")
+        sum_c = sum(len(c) for c in inputs.family.clusters.values())
+        assert sum_c > 20 * len(ids)
+        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for module in (aggregation, audit_module):
+            monkeypatch.setattr(module, "binarize", counting("binarize", binarize))
+        monkeypatch.setattr(
+            ClusterFamily, "cluster_of", counting("cluster_of", ClusterFamily.cluster_of)
+        )
+        similarity = counting("treatment_similarity", treatment_similarity)
+        monkeypatch.setattr(core, "treatment_similarity", similarity)
+        monkeypatch.setattr(audit_module, "treatment_similarity", similarity, raising=False)
+        audit_population(
+            inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
+        )
+        assert calls["binarize"] <= len(ids)
+        assert calls["cluster_of"] <= len(ids)
+        assert calls["treatment_similarity"] == 0
 
     def test_theta_mismatch_rejected(self, tmp_path, capsys):
         # Theta agreement is an invariant of the run, so the audit never

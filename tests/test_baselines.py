@@ -107,8 +107,12 @@ class TestSubjectiveCheck:
             assert mine(with_override) <= mine(without)
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(InputError):
-            ObjectiveDistanceTable({("x", "y"): -0.1})
+        # NaN too: no score gap compares above it, so it would hide a pair
+        for d in (-0.1, float("nan")):
+            with pytest.raises(InputError):
+                ObjectiveDistanceTable({("x", "y"): d})
+            with pytest.raises(InputError):
+                ObjectiveDistanceTable({("x", "y"): 0.1}, {("x", "x", "y"): d})
 
 
 def _decisions(values):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from subjfair import (
     AggregationStrategy,
     AuditParams,
+    Outcome,
     Population,
+    RecommendationVector,
     VetoRule,
     build_cluster_family,
 )
@@ -37,6 +39,10 @@ from subjfair.harness.runfile import (
 from subjfair.harness.synth import SynthProfile, generate_population
 
 from helpers import make_inputs
+
+
+NAN = float("nan")
+SCORES = {"a": 0.0, "b": 1.0}
 
 
 def _fixture_doc():
@@ -144,6 +150,40 @@ class TestRunFile:
             (
                 lambda d: d.update(ledger={"a": {"SYSTEM_RECOMMENDATION": "maybe"}}),
                 "ledger.a.SYSTEM_RECOMMENDATION",
+            ),
+            (
+                lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b", NAN]]}),
+                "baseline.distances[0]",
+            ),
+            (
+                lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b", -1]]}),
+                "baseline.distances[0]",
+            ),
+            (
+                lambda d: d.update(
+                    baseline={
+                        "scores": SCORES,
+                        "distances": [["a", "b", 0.1]],
+                        "overrides": [["a", "a", "b", NAN]],
+                    }
+                ),
+                "baseline.overrides[0]",
+            ),
+            (
+                lambda d: d.update(
+                    baseline={"scores": {"a": NAN, "b": 1.0}, "distances": [["a", "b", 0.1]]}
+                ),
+                "baseline.scores.a",
+            ),
+            (lambda d: d.update(purpose=None), "purpose"),
+            (lambda d: d.update(purpose=0), "purpose"),
+            (
+                lambda d: d.update(attributes={"a": {"group": [1]}, "b": {"group": 2}}),
+                "attributes.a.group",
+            ),
+            (
+                lambda d: d.update(attributes={"a": {"group": 1}, "b": {"group": {"k": 1}}}),
+                "attributes.b.group",
             ),
         ],
     )
@@ -304,17 +344,33 @@ class TestOracle:
                 )
                 assert brute_force_oracle(run) == build_audit_doc(audit_run(run))
 
-    @pytest.mark.parametrize("kind", ["majority", "trust_weighted"])
+    @pytest.mark.parametrize("kind", ["majority", "trust_weighted", "pessimistic", "veto"])
     def test_mid_sized_runs_match_engine(self, kind):
         # past the default bound, where clusters overlap heavily and the
-        # trust-weighted stage reads one weight across many clusters
+        # trust-weighted stage reads one weight across many clusters. The
+        # second round recommends scores at epsilon > 0: only there do raw
+        # and binarized comparisons part.
         cases = [(40, 0.3, 0.5), (50, 0.5, 0.4), (60, 0.8, 0.6), (45, 0.0, 0.5)]
         for seed, (n, delta, theta) in enumerate(cases * 2):
             base = generate_population(SynthProfile(n=n, cluster_density=0.4, seed=seed))
+            ids = base.population.individuals
+            population, recs, epsilon = base.population, base.recommendations, 0.0
+            if seed >= len(cases):
+                rng = random.Random(seed)
+                recs = RecommendationVector(
+                    recs.purpose, {i: Outcome.score(round(rng.random(), 2)) for i in ids}
+                )
+                epsilon = (0.1, 0.3, 0.5, 0.8)[seed - len(cases)]
+            rules = ()
+            if kind == "veto":
+                population = Population(ids, {i: {"age": 15 + k % 7} for k, i in enumerate(ids)})
+                rules = (VetoRule("age", "<", 18),)
             run = dataclasses.replace(
                 base,
-                params=AuditParams(delta=delta, epsilon=base.params.epsilon, theta=theta),
-                strategy=AggregationStrategy(kind, theta=theta),
+                population=population,
+                recommendations=recs,
+                params=AuditParams(delta=delta, epsilon=epsilon, theta=theta),
+                strategy=AggregationStrategy(kind, theta=theta, veto_rules=rules),
             )
             assert brute_force_oracle(run, bound=n) == build_audit_doc(audit_run(run))
 
@@ -604,6 +660,17 @@ class TestCli:
         assert main(["audit", "--input", str(path), "--strict"]) == 2
         err = capsys.readouterr().err
         assert "strategy.veto_rules" in err
+        assert "Traceback" not in err
+
+    def test_list_attribute_is_input_error(self, tmp_path, capsys):
+        # grouping by an unhashable value was a TypeError, exit 3
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"group": [1]} for i in doc["individuals"]}
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(doc))
+        assert main(["audit", "--input", str(path), "--group-attr", "group"]) == 2
+        err = capsys.readouterr().err
+        assert f"attributes.{doc['individuals'][0]}.group" in err
         assert "Traceback" not in err
 
     def test_missing_file_is_input_error(self, capsys):

@@ -151,3 +151,17 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["sf"]["verdict"] == "unfair"
+
+
+def test_readme_quick_start_runs():
+    # the first Python example in README.md, run as written
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(example, namespace)
+    labels = lambda vector: {i: int(o.value) for i, o in vector.values.items()}
+    assert labels(namespace["set_recs"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    assert labels(namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    report = namespace["report"]
+    assert report.sf == UNFAIR
+    assert report.dissenters == {"x", "y", "u"}
