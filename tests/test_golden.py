@@ -1,0 +1,234 @@
+"""Golden SHA-256 hashes of what the CLI prints.
+
+Each case writes one run file, runs one ``subjfair`` command on it through
+``main`` and hashes the exit code with the printed bytes. The hashes were
+computed before the perception table was stored as per-observer rows and
+must not move under any change that keeps the engine's outputs: a rewrite
+of loading, validation or clustering is byte-identical or it is wrong.
+
+The synthetic runs cover all four strategies, binary and score
+recommendations, densities 0.003 and 0.3 and n up to 800; the broken
+tables pin which violations ``validate`` reports and in what order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import itertools
+import json
+import random
+from contextlib import redirect_stdout
+from dataclasses import replace
+
+import pytest
+
+from subjfair import (
+    MAJORITY,
+    PESSIMISTIC,
+    TRUST_WEIGHTED,
+    VETO,
+    AggregationStrategy,
+    AuditParams,
+    Outcome,
+    Population,
+    RecommendationVector,
+    VetoRule,
+)
+from subjfair.baselines import ObjectiveDistanceTable
+from subjfair.explanations import ACCEPTED, REJECTED, AcceptanceLedger
+from subjfair.harness.cli import main
+from subjfair.harness.fixtures import crossed_clusters_path
+from subjfair.harness.report import audit_run
+from subjfair.harness.runfile import BaselineInputs, save_run, to_dict
+from subjfair.harness.synth import SynthProfile, generate_population
+
+
+def _printed(argv: list[str]) -> str:
+    """``"<exit code>:<sha256 of stdout>"`` of one command."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    return f"{code}:{hashlib.sha256(buffer.getvalue().encode('utf-8')).hexdigest()}"
+
+
+# --- the bundled fixture -----------------------------------------------------
+
+FIXTURE = {
+    "report": "0:40df60f26ab6738c70941d6f982efbb5d5c408f48ede51f4142141bf88feaad8",
+    "audit": "0:40df60f26ab6738c70941d6f982efbb5d5c408f48ede51f4142141bf88feaad8",
+    "validate": "0:7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIXTURE))
+def test_fixture_output_is_pinned(command):
+    argv = [command, "--input", str(crossed_clusters_path()), "--format", "json"]
+    assert _printed(argv) == FIXTURE[command]
+
+
+# --- synthetic runs ------------------------------------------------------------
+
+#: (n, density, strategy, recommendation kind, extras, seed). ``extras``
+#: adds a group attribute (reported with --group-attr), baseline inputs or
+#: a ledger to the generated run.
+SYNTHETIC = [
+    (40, 0.3, MAJORITY, "binary", (), 1),
+    (40, 0.3, TRUST_WEIGHTED, "score", (), 2),
+    (40, 0.003, PESSIMISTIC, "binary", (), 3),
+    (40, 0.3, VETO, "score", ("group",), 4),
+    (120, 0.3, MAJORITY, "score", ("baseline",), 5),
+    (120, 0.003, TRUST_WEIGHTED, "binary", (), 6),
+    (120, 0.3, PESSIMISTIC, "score", ("ledger",), 7),
+    (120, 0.3, VETO, "binary", ("baseline", "ledger"), 8),
+    (200, 0.003, MAJORITY, "binary", ("group",), 9),
+    (200, 0.3, TRUST_WEIGHTED, "binary", ("group", "baseline"), 10),
+    (200, 0.3, PESSIMISTIC, "binary", (), 11),
+    (200, 0.003, VETO, "score", (), 12),
+    (400, 0.3, MAJORITY, "binary", ("ledger",), 13),
+    (400, 0.003, TRUST_WEIGHTED, "score", (), 14),
+    (400, 0.003, PESSIMISTIC, "score", ("group",), 15),
+    (400, 0.3, VETO, "binary", (), 16),
+    (800, 0.003, MAJORITY, "score", ("baseline",), 17),
+    (800, 0.003, TRUST_WEIGHTED, "binary", ("ledger",), 18),
+    (800, 0.003, VETO, "binary", ("group",), 19),
+    (800, 0.3, MAJORITY, "binary", (), 20),
+]
+
+
+def _synthetic_run(n, density, strategy, kind, extras, seed):
+    run = generate_population(SynthProfile(n=n, cluster_density=density, seed=seed))
+    rng = random.Random(f"golden/{seed}")
+    ids = run.population.individuals
+    epsilon = 0.2 if kind == "score" else 0.0
+    params = AuditParams(delta=0.5, epsilon=epsilon, theta=0.5)
+    changes = {"params": params}
+    if kind == "score":
+        changes["recommendations"] = RecommendationVector(
+            run.purpose, {i: Outcome.score(round(rng.random(), 3)) for i in ids}
+        )
+    attributes = {i: {"age": rng.randint(10, 60), "group": rng.choice("abc")} for i in ids}
+    changes["population"] = Population(ids, attributes)
+    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if strategy == VETO else ()
+    changes["strategy"] = AggregationStrategy(kind=strategy, theta=0.5, veto_rules=rules)
+    if "baseline" in extras:
+        people = sorted(rng.sample(ids, 30))
+        scores = {i: round(rng.random(), 3) for i in people}
+        distances, overrides = {}, {}
+        for pair in itertools.combinations(people, 2):
+            distances[pair] = round(0.2 + 0.8 * rng.random(), 3)
+            if rng.random() < 0.1:
+                overrides[(rng.choice(pair),) + pair] = round(rng.random(), 3)
+        changes["baseline"] = BaselineInputs(scores, ObjectiveDistanceTable(distances, overrides))
+    run = replace(run, **changes)
+    if "ledger" in extras:
+        obligations = audit_run(run).obligations
+        chosen = rng.sample(obligations, len(obligations) // 2)
+        states = {o.key: ACCEPTED if rng.random() < 0.9 else REJECTED for o in chosen}
+        run = replace(run, ledger=AcceptanceLedger(states))
+    return run
+
+
+SYNTHETIC_HASHES = [
+    "0:2b7429da70a90f85456b13ca0d495ce4cef5508f3735434ff4924a2c11d2c48d",
+    "0:0361be87403f333d13f593b41ce86970a590d17840520ca2222cb6761d319e8b",
+    "0:3990b76c079ca104f0f7d43e4b2a6cfd89c24cf06040cee39905dd8836c2454f",
+    "0:e76e0ebf6e1390f830c5a262b696270fb9b0d5b4e7fb2ad031586c63a0a6b526",
+    "0:fc79e9efeedf807b62085c632724f124ea7c59bd02cb9b2808bb2a0976766e33",
+    "0:3ec6b1c14eb4594016710ec5405b292674ba8a25c4be33ecb4334a4130b627b2",
+    "0:767d4267950ec7071848bc2d2262b2f2bc7721cfd0634650f0e1177548662adb",
+    "0:4318a7269dec50900b95af5bbd6a17b289241bf9ab5997341bdba8488e725173",
+    "0:d011e1f27b81237c63f26c08932bec9f7d458e7a3ac3cb29a5c45ef3a5992ab6",
+    "0:cb1bcac0895492b126f6f4cab2370c5a7ba3dbe28540efc829f46cd929b044b2",
+    "0:b1a42959afd5d3c31a608d455fa66e7ce46cbfc7f350a1e1990e85d5c07104fa",
+    "0:175ac6e30f51cc1852235d2d9f779879abd57baa2745f65ee7295d9de787443c",
+    "0:fb971653f08a3b5901b24427e3ddbc5b8911ffd346bb6352469e65f15d528162",
+    "0:afb7dc75208596d7ba90cb64771599b34b05dad228b7f8d0ae610979740f0171",
+    "0:0a57096dc78fd7fe07aa1ec1bd6b0f88519531e5b565cfb5c8bbad3f1369faa2",
+    "0:f02c38df862877d9265d1aab09ab6c8e3273d5b9b39e6268701ef835315a4ce5",
+    "0:09e317abac2845360c81c7895139a3c686d7b3c8fa5b5a38b0553b0c165eb851",
+    "0:7d0e1f233ca2fc29bcb0dc074ae391405674dc7719e570d1a5c6997d2319e89f",
+    "0:32e08625aaf557bd6c2bb8f94bdbecd810d1271427533f059684afe680ab6d50",
+    "0:d3e2a57ff840b7043b5a7d6e5b6439259bb39ce1c6212a952dd88aa5a957436c",
+]
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    list(zip(SYNTHETIC, SYNTHETIC_HASHES)),
+    ids=[f"n{c[0]}-d{c[1]}-{c[2]}-{c[3]}-s{c[5]}" for c in SYNTHETIC],
+)
+def test_synthetic_report_is_pinned(tmp_path, case, expected):
+    path = save_run(_synthetic_run(*case), tmp_path / "run.json")
+    argv = ["report", "--input", str(path), "--format", "json"]
+    if "group" in case[4]:
+        argv += ["--group-attr", "group"]
+    assert _printed(argv) == expected
+
+
+SWEEP = "0:1db0eaabd7d158b08ef2e65fe2759be6073dfc741fcda4d10795e992cc5a127d"
+
+
+def test_sweep_table_is_pinned(tmp_path):
+    path = save_run(_synthetic_run(100, 0.3, TRUST_WEIGHTED, "binary", (), 21), tmp_path / "run.json")
+    argv = [
+        "simulate", "--input", str(path), "--sweep",
+        "--deltas", "0.3,0.5,0.7", "--epsilons", "0.0,0.2", "--thetas", "0.4,0.5",
+        "--format", "json",
+    ]
+    assert _printed(argv) == SWEEP
+
+
+# --- broken tables ---------------------------------------------------------------
+
+
+def _unknown_ids(doc, rng):
+    ids = doc["individuals"]
+    for k in range(12):
+        doc["sim"][rng.choice(ids)][f"ghost{k}"] = round(rng.random(), 3)
+        doc["sim"][f"stray{k}"] = {rng.choice(ids): 0.5, f"stray{k}": 1.0}
+    for k in range(4):
+        doc["rec"]["values"][f"zz{k}"] = 1
+        del doc["rec"]["values"][rng.choice(sorted(doc["rec"]["values"]))]
+
+
+def _out_of_range(doc, rng):
+    ids = doc["individuals"]
+    for _ in range(25):
+        doc["sim"][rng.choice(ids)][rng.choice(ids)] = rng.choice(
+            [-0.25, 1.5, 2.0, float("nan"), -1e-9, 1.0000001]
+        )
+
+
+def _missing_diagonals(doc, rng):
+    for x in rng.sample(doc["individuals"], 15):
+        if rng.random() < 0.3:
+            del doc["sim"][x]
+        else:
+            del doc["sim"][x][x]
+
+
+BROKEN = {
+    "unknown_ids": (
+        _unknown_ids,
+        "2:2ffa64f546cb4c235fed53ba2a7cd84793b9bfd350d6372c1704eb14cea18979",
+    ),
+    "out_of_range": (
+        _out_of_range,
+        "2:0bf763e1b9ada43f9c98593d2a52293ad46f50994e5a6404cf95bc11e90f2f57",
+    ),
+    "missing_diagonals": (
+        _missing_diagonals,
+        "2:a09deefd8af1dcba8774a0237b5b2ac78dbda22f0edf4980d554bf8289c41d4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_validation_of_broken_table_is_pinned(tmp_path, name):
+    mutate, expected = BROKEN[name]
+    doc = to_dict(generate_population(SynthProfile(n=60, cluster_density=0.3, seed=30)))
+    mutate(doc, random.Random(name))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _printed(["validate", "--input", str(path), "--format", "json"]) == expected
