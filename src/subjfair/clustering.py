@@ -5,9 +5,9 @@ delta-similar to themself. Because similarity is non-symmetric, belonging to
 someone's cluster says nothing about whose clusters you put them in, so a
 separate inverse index tracks which clusters contain each individual.
 
-Cost: ``build_cluster_family`` makes one pass over the perception table's
-explicit entries and then writes each cluster and its transpose once, so it
-runs in O(nnz + sum |C|) time, where nnz is the number of entries and sum |C|
+Cost: ``build_cluster_family`` reads each person's own row of the perception
+table once and then writes each cluster and its transpose once, so it runs
+in O(n + nnz + sum |C|) time, where nnz is the number of entries and sum |C|
 the total cluster size. It never looks up the n^2 pairs a table leaves
 unstated. ``perceived_cluster`` builds one owner's cluster with n lookups.
 """
@@ -106,23 +106,21 @@ def build_cluster_family(
     ids = pop.id_set
     # A missing entry reads 0.0, so it either qualifies for every owner
     # (delta <= 0) or for none. Only the explicit entries whose verdict
-    # differs from that default need to be looked at.
+    # differs from that default change a cluster. Rows of observers outside
+    # the population are never read.
     missing_qualifies = 0.0 >= delta
-    flipped: dict[str, set[str]] = {}
-    for (observer, target), value in perceptions.entries.items():
-        if (value >= delta) != missing_qualifies and observer in ids and target in ids:
-            flipped.setdefault(observer, set()).add(target)
-
     clusters: dict[str, PerceivedCluster] = {}
     index: dict[str, set[str]] = {x: set() for x in pop.individuals}
     for x in pop.individuals:
-        targets = flipped.pop(x, set())
+        row = perceptions.rows.get(x, {})
         if missing_qualifies:
-            targets.discard(x)
-            members = ids.difference(targets)
+            # Entries below delta (NaN included) leave; the owner stays.
+            left = {z for z, value in row.items() if not value >= delta}
+            left.discard(x)
+            members = ids.difference(left)
         else:
-            targets.add(x)
-            members = frozenset(targets)
+            members = {z for z, value in row.items() if value >= delta and z in ids}
+            members.add(x)
         clusters[x] = PerceivedCluster(x, members)
         for member in members:
             index[member].add(x)

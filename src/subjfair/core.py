@@ -8,6 +8,7 @@ share across concurrent audit runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 #: Opaque unique token identifying one individual within a population.
@@ -147,18 +148,23 @@ class Population:
         return self.attributes.get(individual, {})
 
 
+#: The row of an observer who stated nothing.
+_NO_ROW: Mapping[IndividualId, float] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class PerceptionTable:
     """Per-observer, non-symmetric similarity scores over the population.
 
-    ``entries[(observer, target)]`` is how similar *observer* rates *target*
-    to themself, in [0, 1]. Missing entries read as 0.0 (no perceived
-    similarity), which keeps input files sparse. Symmetry is not required
-    and not assumed anywhere: ``sim(x, z)`` and ``sim(z, x)`` are
+    ``rows[observer][target]`` is how similar *observer* rates *target* to
+    themself, in [0, 1]: each row is one person's own statement, and the
+    rows are the only form the table keeps. Missing entries read as 0.0 (no
+    perceived similarity), which keeps input files sparse. Symmetry is not
+    required and not assumed anywhere: ``sim(x, z)`` and ``sim(z, x)`` are
     independent opinions.
     """
 
-    entries: Mapping[tuple[IndividualId, IndividualId], float]
+    rows: Mapping[IndividualId, Mapping[IndividualId, float]]
     provenance: str = "declared"
 
     def __post_init__(self) -> None:
@@ -166,34 +172,36 @@ class PerceptionTable:
             raise InputError(
                 f"provenance must be one of {PROVENANCE_TAGS}, got {self.provenance!r}"
             )
+        # An empty row states nothing, so it is not kept.
         object.__setattr__(
             self,
-            "entries",
-            {(str(o), str(t)): float(v) for (o, t), v in self.entries.items()},
+            "rows",
+            {
+                observer: dict(zip(row, map(float, row.values())))
+                for observer, row in self.rows.items()
+                if row
+            },
         )
 
-    @classmethod
-    def from_rows(
-        cls, rows: Mapping[str, Mapping[str, float]], provenance: str = "declared"
-    ) -> "PerceptionTable":
-        """Build from one similarity row per observer."""
-        entries = {
-            (observer, target): value
-            for observer, row in rows.items()
-            for target, value in row.items()
-        }
-        return cls(entries, provenance)
+    @property
+    def entries(self) -> Mapping[tuple[IndividualId, IndividualId], float]:
+        """Read-only ``{(observer, target): value}`` view, built from the
+        rows on each access. The engine itself never builds it."""
+        return MappingProxyType(
+            {
+                (observer, target): value
+                for observer, row in self.rows.items()
+                for target, value in row.items()
+            }
+        )
 
     def similarity(self, observer: str, target: str) -> float:
         """How similar ``observer`` rates ``target``; 0.0 when unstated."""
-        return self.entries.get((observer, target), 0.0)
+        return self.rows.get(observer, _NO_ROW).get(target, 0.0)
 
     def as_rows(self) -> dict[str, dict[str, float]]:
-        """Nested ``{observer: {target: value}}`` view, observer-major."""
-        rows: dict[str, dict[str, float]] = {}
-        for (observer, target), value in self.entries.items():
-            rows.setdefault(observer, {})[target] = value
-        return rows
+        """A copy of the rows, ``{observer: {target: value}}``."""
+        return {observer: dict(row) for observer, row in self.rows.items()}
 
 
 @dataclass(frozen=True)
@@ -338,7 +346,18 @@ def validate_population(
                 )
             )
 
-    for (observer, target), value in sorted(perceptions.entries.items()):
+    # One unsorted pass over the rows; only the entries at fault are sorted,
+    # so a clean table costs O(nnz). No two entries share an (observer,
+    # target) pair, so the sort orders them by that pair alone.
+    faulty: list[tuple[str, str, float]] = []
+    for observer, row in perceptions.rows.items():
+        if observer not in known:
+            faulty.extend((observer, target, value) for target, value in row.items())
+            continue
+        for target, value in row.items():
+            if target not in known or not 0.0 <= value <= 1.0:
+                faulty.append((observer, target, value))
+    for observer, target, value in sorted(faulty):
         where = f"sim({observer},{target})"
         for individual in (observer, target):
             if individual not in known:

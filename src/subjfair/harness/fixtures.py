@@ -37,7 +37,7 @@ def crossed_clusters_run() -> AuditRunFile:
     """The crossed-clusters scenario as an in-memory run."""
     return AuditRunFile(
         population=Population(("x", "y", "u", "v")),
-        perceptions=PerceptionTable.from_rows(CROSSED_CLUSTERS_ROWS),
+        perceptions=PerceptionTable(CROSSED_CLUSTERS_ROWS),
         recommendations=RecommendationVector(
             "grant", {i: Outcome.label(v) for i, v in CROSSED_CLUSTERS_RECS.items()}
         ),

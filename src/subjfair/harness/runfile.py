@@ -12,6 +12,7 @@ loading and re-saving any valid file is idempotent and preserves content.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -151,12 +152,30 @@ def _parse_distance(value: Any, location: str) -> float:
     return distance
 
 
-def _parse_outcome(value: Any, kind: str, location: str) -> Outcome:
+def _parse_outcome(value: Any, kind: str, individual: str) -> Outcome:
+    """The recommendation at ``rec.values.<individual>``. A plain number is
+    taken as it is; the location is spelled out only for any other value
+    or one the outcome rejects."""
+    if type(value) is float or type(value) is int:  # a bool is neither
+        try:
+            return Outcome(value, kind)
+        except (InputError, OverflowError):
+            pass
+    location = f"rec.values.{individual}"
     number = _expect_number(value, location)
     try:
         return Outcome(number, kind)
     except InputError as exc:
         raise RunFileError(str(exc), location) from None
+
+
+def _parse_distance_row(row: Any, size: int, location: str) -> list[Any]:
+    """``row`` as ``[*ids, distance]`` with ``size`` items and its distance
+    checked."""
+    if not (isinstance(row, list) and len(row) == size):
+        names = "[x, y, distance]" if size == 3 else "[observer, x, y, distance]"
+        raise RunFileError(f"expected {names}", location)
+    return [*row[:-1], _parse_distance(row[-1], location)]
 
 
 def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
@@ -214,23 +233,49 @@ def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
     if section is None:
         return None
     section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
-    scores = {
-        str(i): _parse_score(v, f"baseline.scores.{i}")
-        for i, v in _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores").items()
-    }
+    # Each loop runs once per entry: a value that passes the plain type test
+    # is taken as it is, and only any other value is checked again with its
+    # location spelled out.
+    scores = {}
+    for i, v in _expect_object(
+        _require(section, "scores", "baseline.scores"), "baseline.scores"
+    ).items():
+        if not (type(v) is float and math.isfinite(v)):
+            v = _parse_score(v, f"baseline.scores.{i}")
+        scores[str(i)] = v
     entries = {}
     for idx, row in enumerate(_expect_list(section.get("distances", []), "baseline.distances")):
-        where = f"baseline.distances[{idx}]"
-        if not (isinstance(row, list) and len(row) == 3):
-            raise RunFileError("expected [x, y, distance]", where)
-        entries[(str(row[0]), str(row[1]))] = _parse_distance(row[2], where)
+        if not (type(row) is list and len(row) == 3 and type(row[2]) is float and row[2] >= 0):
+            row = _parse_distance_row(row, 3, f"baseline.distances[{idx}]")
+        entries[(str(row[0]), str(row[1]))] = row[2]
     overrides = {}
     for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
-        where = f"baseline.overrides[{idx}]"
-        if not (isinstance(row, list) and len(row) == 4):
-            raise RunFileError("expected [observer, x, y, distance]", where)
-        overrides[(str(row[0]), str(row[1]), str(row[2]))] = _parse_distance(row[3], where)
+        if not (type(row) is list and len(row) == 4 and type(row[3]) is float and row[3] >= 0):
+            row = _parse_distance_row(row, 4, f"baseline.overrides[{idx}]")
+        overrides[(str(row[0]), str(row[1]), str(row[2]))] = row[3]
     return BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
+
+
+def _check_baseline(baseline: BaselineInputs, population: Population) -> None:
+    """Every scored id must be in the population, and every pair of scored
+    people must have a distance."""
+    unknown = sorted(baseline.scores.keys() - population.id_set)
+    if unknown:
+        raise RunFileError(
+            f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
+        )
+    # Count the covered pairs in one pass over the distances; look for the
+    # missing pair only when the count falls short.
+    scored = baseline.scores
+    distances = baseline.distances.entries
+    covered = sum(1 for x, y in distances if x != y and x in scored and y in scored)
+    if covered < len(scored) * (len(scored) - 1) // 2:
+        for pair in itertools.combinations(sorted(scored), 2):
+            if pair not in distances:
+                raise RunFileError(
+                    f"no distance recorded for scored pair ({pair[0]}, {pair[1]})",
+                    "baseline.distances",
+                )
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
@@ -263,13 +308,12 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
         raise RunFileError(str(exc), "individuals") from None
 
     sim = _expect_object(_require(doc, "sim"), "sim")
-    entries: dict[tuple[str, str], float] = {}
     for observer, row in sim.items():
-        row = _expect_object(row, f"sim.{observer}")
-        for target, value in row.items():
-            entries[(observer, target)] = _expect_number(value, f"sim.{observer}.{target}")
+        for target, value in _expect_object(row, f"sim.{observer}").items():
+            if type(value) is not float:  # only then is the location spelled out
+                _expect_number(value, f"sim.{observer}.{target}")
     try:
-        perceptions = PerceptionTable(entries, doc.get("provenance", "declared"))
+        perceptions = PerceptionTable(sim, doc.get("provenance", "declared"))
     except InputError as exc:
         raise RunFileError(str(exc), "provenance") from None
 
@@ -278,7 +322,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     if kind not in (BINARY, SCORE):
         raise RunFileError(f"unknown outcome kind {kind!r}", "rec.kind")
     values = {
-        str(i): _parse_outcome(v, kind, f"rec.values.{i}")
+        str(i): _parse_outcome(v, kind, i)
         for i, v in _expect_object(_require(rec, "values", "rec.values"), "rec.values").items()
     }
     purpose = _require(doc, "purpose")
@@ -302,7 +346,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     baseline = _parse_baseline(doc)
     metadata = _expect_object(doc.get("metadata", {}), "metadata")
     try:
-        return AuditRunFile(
+        run = AuditRunFile(
             population=population,
             perceptions=perceptions,
             recommendations=recommendations,
@@ -314,6 +358,9 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
         )
     except InputError as exc:
         raise RunFileError(str(exc), "strategy.theta") from None
+    if baseline is not None:
+        _check_baseline(baseline, population)
+    return run
 
 
 def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
@@ -351,7 +398,7 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
         "provenance": run.perceptions.provenance,
         "sim": {
             observer: dict(sorted(row.items()))
-            for observer, row in sorted(run.perceptions.as_rows().items())
+            for observer, row in sorted(run.perceptions.rows.items())
         },
         "rec": {
             "kind": run.recommendations.kind,

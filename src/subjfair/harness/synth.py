@@ -109,7 +109,7 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
                 rows[agent][member] = max(rows[agent].get(member, 0.0), boost)
 
     population = Population(tuple(ids))
-    perceptions = PerceptionTable.from_rows(rows, provenance="sampled")
+    perceptions = PerceptionTable(rows, provenance="sampled")
     recommendations = RecommendationVector("synthetic", rec_values)
     report = validate_population(population, perceptions, recommendations)
     if not report.ok:

@@ -32,7 +32,7 @@ def make_inputs(
 ) -> SimpleNamespace:
     """Assemble validated audit inputs from plain dicts."""
     pop = Population(tuple(rows), attributes)
-    table = PerceptionTable.from_rows(rows)
+    table = PerceptionTable(rows)
     make = Outcome.label if kind == "binary" else Outcome.score
     vector = RecommendationVector(purpose, {i: make(v) for i, v in recs.items()})
     params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
@@ -60,6 +60,15 @@ def audit(
     return audit_population(
         inputs.pop, inputs.family, inputs.recs, params, set_recs, decisions
     )
+
+
+def rows_of(entries: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
+    """The per-observer rows of a ``{(observer, target): value}`` dict, the
+    form the tests' literal definitions are written in."""
+    rows: dict[str, dict[str, float]] = {}
+    for (observer, target), value in entries.items():
+        rows.setdefault(observer, {})[target] = value
+    return rows
 
 
 def random_rows(

@@ -130,7 +130,7 @@ def test_acceptance_5_property_suite():
         n = rng.randint(1, 8)
         ids = [f"p{k}" for k in range(n)]
         pop = Population(tuple(ids))
-        table = PerceptionTable.from_rows(random_rows(rng, ids, rng.random()))
+        table = PerceptionTable(random_rows(rng, ids, rng.random()))
         lo, hi = sorted((rng.random(), rng.random()))
         x = rng.choice(ids)
         assert (
@@ -221,7 +221,7 @@ def test_acceptance_5_property_suite():
         rows = {ids[0]: {ids[0]: 1.0}}
         rows.update({i: {i: 1.0, ids[0]: 0.9} for i in ids[1:]})
         family = build_cluster_family(
-            Population(tuple(ids)), PerceptionTable.from_rows(rows), 0.5
+            Population(tuple(ids)), PerceptionTable(rows), 0.5
         )
         set_recs = SetRecommendationVector(
             "t", {i: Outcome.label(v) for i, v in zip(ids, labels)}

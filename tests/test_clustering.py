@@ -11,14 +11,14 @@ from subjfair import (
     perceived_cluster,
 )
 
-from helpers import make_inputs, random_rows
+from helpers import make_inputs, random_rows, rows_of
 
 
 FOUR = Population(("x", "y", "u", "v"))
 
 
 def test_threshold_filter():
-    table = PerceptionTable.from_rows(
+    table = PerceptionTable(
         {"x": {"x": 1.0, "y": 0.8, "u": 0.2, "v": 0.1}}
     )
     cluster = perceived_cluster("x", FOUR, table, 0.5)
@@ -26,19 +26,19 @@ def test_threshold_filter():
 
 
 def test_zero_threshold_admits_everyone():
-    table = PerceptionTable.from_rows({"x": {"x": 1.0}})
+    table = PerceptionTable({"x": {"x": 1.0}})
     cluster = perceived_cluster("x", FOUR, table, 0.0)
     assert cluster.members == set(FOUR.individuals)
 
 
 def test_threshold_boundary_is_inclusive():
-    table = PerceptionTable.from_rows({"x": {"x": 1.0, "y": 0.5}})
+    table = PerceptionTable({"x": {"x": 1.0, "y": 0.5}})
     cluster = perceived_cluster("x", Population(("x", "y")), table, 0.5)
     assert cluster.members == {"x", "y"}
 
 
 def test_unknown_owner_rejected():
-    table = PerceptionTable.from_rows({"x": {"x": 1.0}})
+    table = PerceptionTable({"x": {"x": 1.0}})
     with pytest.raises(UnknownIndividualError):
         perceived_cluster("ghost", FOUR, table, 0.5)
 
@@ -75,7 +75,7 @@ def test_symmetric_perceptions_make_index_equal_members():
                 rows[ids[a]][ids[b]] = value
                 rows[ids[b]][ids[a]] = value
         pop = Population(tuple(ids))
-        family = build_cluster_family(pop, PerceptionTable.from_rows(rows), 0.5)
+        family = build_cluster_family(pop, PerceptionTable(rows), 0.5)
         for i in ids:
             assert family.containing(i) == family.cluster_of(i).members
 
@@ -88,7 +88,7 @@ def test_inverse_consistency_against_double_loop():
         rows = random_rows(rng, ids, density=rng.random())
         delta = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
         pop = Population(tuple(ids))
-        table = PerceptionTable.from_rows(rows)
+        table = PerceptionTable(rows)
         family = build_cluster_family(pop, table, delta)
         for target in ids:
             owners = {
@@ -121,7 +121,7 @@ def table_and_deltas(draw):
 def test_delta_monotonicity(case):
     ids, rows, lo, hi = case
     pop = Population(tuple(ids))
-    table = PerceptionTable.from_rows(rows)
+    table = PerceptionTable(rows)
     for x in ids:
         tight = perceived_cluster(x, pop, table, hi).members
         loose = perceived_cluster(x, pop, table, lo).members
@@ -132,7 +132,7 @@ def test_delta_monotonicity(case):
 def test_owner_always_member(case):
     ids, rows, _, delta = case
     pop = Population(tuple(ids))
-    table = PerceptionTable.from_rows(rows)
+    table = PerceptionTable(rows)
     for x in ids:
         assert x in perceived_cluster(x, pop, table, delta).members
 
@@ -185,7 +185,7 @@ def test_family_matches_definition_on_sparse_tables(validated):
         ids = [f"p{k:03d}" for k in range(n)]
         entries = _sparse_entries(rng, ids, validated)
         pop = Population(tuple(ids))
-        table = PerceptionTable(entries)
+        table = PerceptionTable(rows_of(entries))
         stated = [v for v in entries.values() if v == v]  # NaN is not a delta
         deltas = [0.0, 1.0, -0.5, float("nan"), *rng.sample(stated, 3)]
         for delta in deltas:
@@ -204,9 +204,7 @@ def test_family_boundary_entry_joins_and_below_zero_entry_leaves():
     # delta equal to an entry admits it; with delta 0 a missing entry
     # qualifies, but an explicit negative or NaN one does not
     pop = Population(("x", "y", "u", "v"))
-    table = PerceptionTable(
-        {("x", "x"): 1.0, ("x", "y"): 0.4, ("x", "u"): -0.1, ("x", "v"): float("nan")}
-    )
+    table = PerceptionTable({"x": {"x": 1.0, "y": 0.4, "u": -0.1, "v": float("nan")}})
     assert build_cluster_family(pop, table, 0.4).cluster_of("x").members == {"x", "y"}
     assert build_cluster_family(pop, table, 0.0).cluster_of("x").members == {"x", "y"}
     assert build_cluster_family(pop, table, 0.0).cluster_of("u").members == {
@@ -221,7 +219,7 @@ def test_build_cluster_family_looks_up_at_most_n_pairs(monkeypatch):
     rng = random.Random(5)
     ids = [f"p{k:03d}" for k in range(150)]
     pop = Population(tuple(ids))
-    table = PerceptionTable(_sparse_entries(rng, ids, validated=True))
+    table = PerceptionTable(rows_of(_sparse_entries(rng, ids, validated=True)))
     calls = 0
     similarity = PerceptionTable.similarity
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,15 @@ from subjfair import (
     treatment_similarity,
     validate_population,
 )
-from subjfair.core import MISSING_RECOMMENDATION, SELF_SIMILARITY, UNKNOWN_ID, VALUE_RANGE
+from subjfair.core import (
+    MISSING_RECOMMENDATION,
+    SELF_SIMILARITY,
+    UNKNOWN_ID,
+    VALUE_RANGE,
+    Violation,
+)
 
-from helpers import make_inputs
+from helpers import make_inputs, rows_of
 
 
 class TestTreatmentSimilarity:
@@ -134,7 +142,7 @@ class TestValidatePopulation:
 
     def test_wrong_self_similarity_is_flagged(self):
         inputs = self._valid()
-        table = PerceptionTable.from_rows({"a": {"a": 0.9}, "b": {"b": 1.0}})
+        table = PerceptionTable({"a": {"a": 0.9}, "b": {"b": 1.0}})
         report = validate_population(inputs.pop, table, inputs.recs)
         assert not report.ok
         assert any(
@@ -144,7 +152,7 @@ class TestValidatePopulation:
 
     def test_missing_diagonal_is_flagged(self):
         inputs = self._valid()
-        table = PerceptionTable.from_rows({"a": {"a": 1.0}})  # b has no row at all
+        table = PerceptionTable({"a": {"a": 1.0}})  # b has no row at all
         report = validate_population(inputs.pop, table, inputs.recs)
         assert any(v.code == SELF_SIMILARITY and "for b" in v.message for v in report)
 
@@ -159,7 +167,7 @@ class TestValidatePopulation:
 
     def test_unknown_ids_are_flagged(self):
         inputs = self._valid()
-        table = PerceptionTable.from_rows(
+        table = PerceptionTable(
             {"a": {"a": 1.0, "ghost": 0.8}, "b": {"b": 1.0}}
         )
         recs = RecommendationVector(
@@ -171,9 +179,7 @@ class TestValidatePopulation:
 
     def test_out_of_range_similarity_is_flagged(self):
         inputs = self._valid()
-        table = PerceptionTable(
-            {("a", "a"): 1.0, ("a", "b"): 1.5, ("b", "b"): 1.0}
-        )
+        table = PerceptionTable({"a": {"a": 1.0, "b": 1.5}, "b": {"b": 1.0}})
         report = validate_population(inputs.pop, table, inputs.recs)
         assert any(v.code == VALUE_RANGE for v in report)
 
@@ -188,11 +194,11 @@ class TestValidatePopulation:
 
 class TestPerceptionTable:
     def test_missing_entries_read_as_zero(self):
-        table = PerceptionTable.from_rows({"a": {"a": 1.0}})
+        table = PerceptionTable({"a": {"a": 1.0}})
         assert table.similarity("a", "b") == 0.0
 
     def test_asymmetry_is_allowed(self):
-        table = PerceptionTable.from_rows({"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}})
+        table = PerceptionTable({"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}})
         assert table.similarity("a", "b") == 0.9
         assert table.similarity("b", "a") == 0.0
 
@@ -202,4 +208,90 @@ class TestPerceptionTable:
 
     def test_rows_round_trip(self):
         rows = {"a": {"a": 1.0, "b": 0.4}, "b": {"b": 1.0}}
-        assert PerceptionTable.from_rows(rows).as_rows() == rows
+        assert PerceptionTable(rows).as_rows() == rows
+
+    def test_rows_are_the_stored_form(self):
+        rows = {"a": {"a": 1, "b": 0.4}, "b": {}}
+        table = PerceptionTable(rows)
+        assert table.rows == {"a": {"a": 1.0, "b": 0.4}}  # values as floats, empty rows dropped
+        assert type(table.rows["a"]["a"]) is float
+        assert table == PerceptionTable({"a": {"b": 0.4, "a": 1.0}})
+        rows["a"]["b"] = 0.9
+        assert table.similarity("a", "b") == 0.4
+
+    def test_entries_is_a_read_only_view_of_the_rows(self):
+        table = PerceptionTable({"a": {"a": 1.0, "b": 0.4}, "b": {"b": 1.0}})
+        assert dict(table.entries) == {("a", "a"): 1.0, ("a", "b"): 0.4, ("b", "b"): 1.0}
+        with pytest.raises(TypeError):
+            table.entries[("b", "a")] = 0.5  # type: ignore[index]
+
+
+# --- differential: the unsorted scan against the sorted definition ----------
+
+
+def _sorted_scan(pop, table, recs):
+    """The definition of the perception checks, literally: every explicit
+    entry in sorted order, each checked for unknown ids and then range."""
+    violations = [
+        Violation(SELF_SIMILARITY, f"sim({i},{i})",
+                  f"self-similarity must be 1.0 for {i}, got {table.similarity(i, i)}")
+        for i in pop.individuals
+        if table.similarity(i, i) != 1.0
+    ]
+    for (observer, target), value in sorted(table.entries.items()):
+        where = f"sim({observer},{target})"
+        for individual in (observer, target):
+            if individual not in pop.id_set:
+                violations.append(
+                    Violation(UNKNOWN_ID, where, f"unknown id {individual} in perception table")
+                )
+        if not 0.0 <= value <= 1.0:
+            violations.append(Violation(VALUE_RANGE, where, f"similarity {value} outside [0, 1]"))
+    for i in pop.individuals:
+        if i not in recs.values:
+            violations.append(Violation(MISSING_RECOMMENDATION, f"rec({i})", f"no recommendation for {i}"))
+    for i in sorted(recs.values):
+        if i not in pop.id_set:
+            violations.append(Violation(UNKNOWN_ID, f"rec({i})", f"recommendation for unknown id {i}"))
+    return violations
+
+
+def _broken_entries(rng, ids):
+    """A table mixing every kind of perception fault: spoiled or missing
+    diagonals, out-of-range and NaN values, unknown observers and targets,
+    with rows and entries in shuffled order."""
+    bad_values = [-0.5, -1e-12, 1.0000001, 2.0, float("nan"), float("inf")]
+    entries = {}
+    for x in rng.sample(ids, len(ids)):
+        roll = rng.random()
+        if roll < 0.7:
+            entries[(x, x)] = 1.0
+        elif roll < 0.85:
+            entries[(x, x)] = rng.choice([0.9, *bad_values])
+        for z in rng.sample(ids, rng.randint(0, 8)):
+            entries[(x, z)] = rng.choice([0.0, 0.3, 1.0, *bad_values])
+    for k in range(rng.randint(1, 10)):
+        x = rng.choice(ids)
+        entries[(x, f"ghost{k}")] = rng.choice([0.5, 1.5])
+        entries[(f"stray{k}", rng.choice([x, f"ghost{k}", f"stray{k}"]))] = rng.choice([0.5, -1.0])
+    keys = list(entries)
+    rng.shuffle(keys)
+    return {key: entries[key] for key in keys}
+
+
+def test_validation_matches_the_sorted_scan_on_broken_tables():
+    rng = random.Random(77)
+    for _ in range(25):
+        n = rng.randint(50, 200)
+        ids = [f"p{k:03d}" for k in range(n)]
+        pop = Population(tuple(ids))
+        table = PerceptionTable(rows_of(_broken_entries(rng, ids)))
+        rec_ids = rng.sample(ids, n - rng.randint(0, 5)) + [f"zz{k}" for k in range(rng.randint(0, 3))]
+        recs = RecommendationVector("t", {i: Outcome.label(rng.randint(0, 1)) for i in rec_ids})
+        report = validate_population(pop, table, recs)
+        expected = _sorted_scan(pop, table, recs)
+        assert report.messages() == [v.message for v in expected]
+        assert [(v.code, v.where) for v in report] == [(v.code, v.where) for v in expected]
+        assert {v.code for v in report} == {SELF_SIMILARITY, VALUE_RANGE, UNKNOWN_ID} | (
+            {MISSING_RECOMMENDATION} if len(set(rec_ids) & set(ids)) < n else set()
+        )

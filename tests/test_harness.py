@@ -175,6 +175,37 @@ class TestRunFile:
                 ),
                 "baseline.scores.a",
             ),
+            (
+                lambda d: d.update(
+                    baseline={"scores": {"a": 0.0, "zz": 1.0}, "distances": [["a", "zz", 0.1]]}
+                ),
+                "baseline.scores.zz",
+            ),
+            (lambda d: d.update(baseline={"scores": SCORES, "distances": []}), "baseline.distances"),
+            (
+                lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b", True]]}),
+                "baseline.distances[0]",
+            ),
+            (
+                lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b"]]}),
+                "baseline.distances[0]",
+            ),
+            (
+                lambda d: d.update(
+                    baseline={"scores": SCORES, "distances": [["a", "b", 0.1]], "overrides": [0.1]}
+                ),
+                "baseline.overrides[0]",
+            ),
+            (
+                lambda d: d.update(baseline={"scores": {"a": 10**400, "b": 1.0}, "distances": []}),
+                "baseline.scores.a",
+            ),
+            (lambda d: d["sim"]["a"].update({"b": True}), "sim.a.b"),
+            (lambda d: d["sim"]["a"].update({"b": 10**400}), "sim.a.b"),
+            (lambda d: d["sim"].update({"b": [1.0]}), "sim.b"),
+            (lambda d: d["rec"]["values"].update({"a": True}), "rec.values.a"),
+            (lambda d: d["rec"]["values"].update({"a": 10**400}), "rec.values.a"),
+            (lambda d: d["rec"]["values"].update({"b": 0.5}), "rec.values.b"),
             (lambda d: d.update(purpose=None), "purpose"),
             (lambda d: d.update(purpose=0), "purpose"),
             (
@@ -193,6 +224,30 @@ class TestRunFile:
         with pytest.raises(RunFileError) as err:
             from_dict(doc)
         assert err.value.location == location
+
+    def test_first_scored_pair_without_a_distance_is_named(self):
+        scores = {"c": 0.0, "a": 0.5, "b": 1.0}
+        doc = _minimal_doc(
+            individuals=["a", "b", "c"],
+            sim={i: {i: 1.0} for i in "abc"},
+            rec={"values": {"a": 1, "b": 0, "c": 1}},
+            baseline={"scores": scores, "distances": [["c", "a", 0.2], ["a", "a", 0.0]]},
+        )
+        with pytest.raises(RunFileError, match=r"scored pair \(a, b\)") as err:
+            from_dict(doc)
+        assert err.value.location == "baseline.distances"
+        doc["baseline"]["distances"] += [["b", "a", 0.3], ["c", "b", 0.4]]
+        assert from_dict(doc).baseline.distances.distance("b", "c") == 0.4
+
+    def test_integer_values_load_as_floats(self):
+        doc = _minimal_doc(
+            sim={"a": {"a": 1, "b": 0}, "b": {"b": 1}},
+            baseline={"scores": {"a": 0, "b": 1}, "distances": [["a", "b", 1]]},
+        )
+        run = from_dict(doc)
+        assert to_dict(run)["sim"] == {"a": {"a": 1.0, "b": 0.0}, "b": {"b": 1.0}}
+        assert type(run.perceptions.similarity("a", "a")) is float
+        assert type(run.baseline.distances.distance("a", "b")) is float
 
     def test_strategy_theta_may_be_omitted(self):
         doc = _minimal_doc(params={"delta": 0.5, "theta": 0.3}, strategy={"kind": "pessimistic"})
@@ -672,6 +727,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"attributes.{doc['individuals'][0]}.group" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "baseline, location",
+        [
+            # a score for an id outside the population validated clean, and
+            # report listed it as an observer
+            (
+                {"scores": {"x": 0.0, "zz": 1.0}, "distances": [["x", "zz", 0.1]]},
+                "baseline.scores.zz: score for unknown id 'zz'",
+            ),
+            # a scored pair without a distance failed only inside report,
+            # with no location
+            (
+                {"scores": {"x": 0.0, "y": 1.0}, "distances": []},
+                "baseline.distances: no distance recorded for scored pair (x, y)",
+            ),
+        ],
+    )
+    def test_baseline_faults_are_input_errors_at_load(self, tmp_path, capsys, baseline, location):
+        doc = _fixture_doc()
+        doc["baseline"] = baseline
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "report"):
+            assert main([command, "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert location in err
+            assert "Traceback" not in err
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["audit", "--input", "/nonexistent/run.json"])

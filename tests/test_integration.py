@@ -13,13 +13,15 @@ from subjfair import (
     PENDING,
     AggregationStrategy,
     Outcome,
+    PerceptionTable,
     SetRecommendationVector,
     aggregate_individual_decision,
 )
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
-from subjfair.harness.report import audit_run, build_audit_doc
+from subjfair.harness.report import audit_run, build_audit_doc, build_report_doc
 from subjfair.harness.runfile import AuditRunFile, load_run, save_run, to_dict
+from subjfair.harness.synth import SynthProfile, generate_population
 
 from helpers import make_inputs
 
@@ -127,6 +129,23 @@ class TestScoreKindEndToEnd:
         reloaded = load_run(path)
         assert reloaded.recommendations.kind == "score"
         assert reloaded.recommendations["a"].value == 0.9
+
+
+def test_no_stage_builds_the_tuple_keyed_entries(tmp_path, monkeypatch):
+    # Loading, validation, clustering and the report read the per-observer
+    # rows; the (observer, target) view exists only for outside readers.
+    path = save_run(
+        generate_population(SynthProfile(n=300, cluster_density=0.3, seed=8)),
+        tmp_path / "run.json",
+    )
+
+    def refuse(self):
+        raise AssertionError("the entries view was built")
+
+    monkeypatch.setattr(PerceptionTable, "entries", property(refuse))
+    result = audit_run(load_run(path))
+    doc = build_report_doc(result, include_baselines=True)
+    assert doc["validation"]["ok"] and doc["n"] == 300
 
 
 def test_module_entry_point_runs():
