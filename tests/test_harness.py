@@ -175,37 +175,59 @@ class TestRunFile:
                 ),
                 "baseline.scores.a",
             ),
-            (
+            # Explicit ids keep the generated ids of the cases above unchanged.
+            pytest.param(
                 lambda d: d.update(
                     baseline={"scores": {"a": 0.0, "zz": 1.0}, "distances": [["a", "zz", 0.1]]}
                 ),
                 "baseline.scores.zz",
+                id="baseline-score-for-unknown-id",
             ),
-            (lambda d: d.update(baseline={"scores": SCORES, "distances": []}), "baseline.distances"),
-            (
+            pytest.param(
+                lambda d: d.update(baseline={"scores": SCORES, "distances": []}),
+                "baseline.distances",
+                id="baseline-scored-pair-without-distance",
+            ),
+            pytest.param(
                 lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b", True]]}),
                 "baseline.distances[0]",
+                id="baseline-bool-distance",
             ),
-            (
+            pytest.param(
                 lambda d: d.update(baseline={"scores": SCORES, "distances": [["a", "b"]]}),
                 "baseline.distances[0]",
+                id="baseline-short-distance-row",
             ),
-            (
+            pytest.param(
                 lambda d: d.update(
                     baseline={"scores": SCORES, "distances": [["a", "b", 0.1]], "overrides": [0.1]}
                 ),
                 "baseline.overrides[0]",
+                id="baseline-override-not-a-row",
             ),
-            (
+            pytest.param(
                 lambda d: d.update(baseline={"scores": {"a": 10**400, "b": 1.0}, "distances": []}),
                 "baseline.scores.a",
+                id="baseline-huge-int-score",
             ),
-            (lambda d: d["sim"]["a"].update({"b": True}), "sim.a.b"),
-            (lambda d: d["sim"]["a"].update({"b": 10**400}), "sim.a.b"),
-            (lambda d: d["sim"].update({"b": [1.0]}), "sim.b"),
-            (lambda d: d["rec"]["values"].update({"a": True}), "rec.values.a"),
-            (lambda d: d["rec"]["values"].update({"a": 10**400}), "rec.values.a"),
-            (lambda d: d["rec"]["values"].update({"b": 0.5}), "rec.values.b"),
+            pytest.param(lambda d: d["sim"]["a"].update({"b": True}), "sim.a.b", id="sim-bool"),
+            pytest.param(
+                lambda d: d["sim"]["a"].update({"b": 10**400}), "sim.a.b", id="sim-huge-int"
+            ),
+            pytest.param(lambda d: d["sim"].update({"b": [1.0]}), "sim.b", id="sim-row-not-an-object"),
+            pytest.param(
+                lambda d: d["rec"]["values"].update({"a": True}), "rec.values.a", id="rec-bool"
+            ),
+            pytest.param(
+                lambda d: d["rec"]["values"].update({"a": 10**400}),
+                "rec.values.a",
+                id="rec-huge-int",
+            ),
+            pytest.param(
+                lambda d: d["rec"]["values"].update({"b": 0.5}),
+                "rec.values.b",
+                id="rec-binary-half",
+            ),
             (lambda d: d.update(purpose=None), "purpose"),
             (lambda d: d.update(purpose=0), "purpose"),
             (
