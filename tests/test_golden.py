@@ -8,7 +8,10 @@ of loading, validation or clustering is byte-identical or it is wrong.
 
 The synthetic runs cover all four strategies, binary and score
 recommendations, densities 0.003 and 0.3 and n up to 800; the broken
-tables pin which violations ``validate`` reports and in what order.
+tables pin which violations ``validate`` reports and in what order. The
+sweeps under every strategy and the ``decide`` outputs were pinned before
+both pipeline stages ran on flat 0/1 labels and the sweep began to reuse
+validation and clusters across its grid points.
 """
 
 from __future__ import annotations
@@ -177,6 +180,68 @@ def test_sweep_table_is_pinned(tmp_path):
         "--format", "json",
     ]
     assert _printed(argv) == SWEEP
+
+
+#: (strategy, recommendation kind, seed, --deltas, --epsilons) of further
+#: pinned sweeps, each over thetas 0.4 and 0.5: every strategy on binary and
+#: score recommendations, and one grid that is unsorted and repeats a delta.
+SWEEPS = [
+    (MAJORITY, "binary", 22, "0.3,0.5,0.7", "0.0,0.2"),
+    (PESSIMISTIC, "binary", 23, "0.3,0.5,0.7", "0.0,0.2"),
+    (VETO, "binary", 24, "0.3,0.5,0.7", "0.0,0.2"),
+    (MAJORITY, "score", 25, "0.3,0.5,0.7", "0,0.3"),
+    (TRUST_WEIGHTED, "score", 26, "0.3,0.5,0.7", "0,0.3"),
+    (PESSIMISTIC, "score", 27, "0.3,0.5,0.7", "0,0.3"),
+    (VETO, "score", 28, "0.3,0.5,0.7", "0,0.3"),
+    (TRUST_WEIGHTED, "binary", 29, "0.7,0.3,0.7", "0.0,0.2"),
+]
+
+SWEEP_HASHES = [
+    "0:82991eec834c3911344e5f7252670978949e402a05af778acb2b5a853bde7994",
+    "0:8441912aee1f75fea21fc8777ecd459279f67a87fd1a2313b47b9e5c8cc6e21c",
+    "0:e7de000bc0328116114ad521d045b9a7cfe5270edf40d0e3ec2dc9ecaad6105a",
+    "0:c3c41316d8d7de1017e68dd250279c316637f626f315ae25bf18c607a1b30c16",
+    "0:535661cac900f7570c7836642b6c24b9fafee6f88514d3a041267accd3f3ee5b",
+    "0:42de5b696fcd0d7898ad98f61efd4af1abfb6b6f73c01456ea468ca6a52d499f",
+    "0:1fe183d0b61aba7124a3106ceb4a834533a874cae0e8a547111ce027a03a5e84",
+    "0:5493784d370ed7903926512178039c73e43a2124315ad3fe18ef6cae36aad1ef",
+]
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    list(zip(SWEEPS, SWEEP_HASHES)),
+    ids=[f"{c[0]}-{c[1]}-s{c[2]}-d{c[3]}" for c in SWEEPS],
+)
+def test_sweep_under_each_strategy_is_pinned(tmp_path, case, expected):
+    strategy, kind, seed, deltas, epsilons = case
+    run = _synthetic_run(100, 0.3, strategy, kind, (), seed)
+    path = save_run(run, tmp_path / "run.json")
+    argv = [
+        "simulate", "--input", str(path), "--sweep",
+        "--deltas", deltas, "--epsilons", epsilons, "--thetas", "0.4,0.5",
+        "--format", "json",
+    ]
+    assert _printed(argv) == expected
+
+
+DECIDE = {
+    "fixture": "0:d0b5a225a41d55375a7d67c2fe0e2e4e4b5838d6606d960a18be4f6fed3ad364",
+    "n300": "0:257637656549f1e6e6e8b255489b859d10bcb74cbee32fab2e4fa039687baff9",
+}
+
+
+def test_decide_is_pinned(tmp_path):
+    run = _synthetic_run(300, 0.3, TRUST_WEIGHTED, "score", (), 31)
+    paths = {
+        "fixture": crossed_clusters_path(),
+        "n300": save_run(run, tmp_path / "run.json"),
+    }
+    printed = {
+        name: _printed(["decide", "--input", str(path), "--format", "json"])
+        for name, path in paths.items()
+    }
+    assert printed == DECIDE
 
 
 # --- broken tables ---------------------------------------------------------------
