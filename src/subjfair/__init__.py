@@ -28,7 +28,6 @@ from .clustering import (
     ClusterFamily,
     PerceivedCluster,
     build_cluster_family,
-    perceived_cluster,
 )
 from .aggregation import (
     MAJORITY,

@@ -2,22 +2,26 @@
 
 Stage 1 turns individual recommendations into one label per perceived
 cluster; stage 2 turns cluster labels into one final decision per individual
-by aggregating over every cluster that contains them. Both stages use a
-strict majority test: a tally exactly equal to theta resolves to 0.
+by aggregating over every cluster that contains them. Both stages use one
+strict majority test, ``majority_label``: a tally exactly equal to theta
+resolves to 0.
 
 Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
 
-Every strategy runs in O(sum |C|) time over the cluster family: trust
-weighting computes each cluster's unweighted majority and each person's
-weight once, then reads them from every cluster the person sits in.
+``run_pipeline`` binarizes each recommendation once into a 0/1 label; both
+stages then count positive labels, so every strategy costs O(n + sum |C|).
+Trust weights are 0/1 labels too, one per person. ``Outcome`` objects appear
+only at the boundary, as two shared instances. The single-cluster helpers
+take and return ``Outcome`` objects under the same rules.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily, PerceivedCluster
@@ -30,7 +34,6 @@ from .core import (
     RecommendationVector,
     DecisionVector,
     UnknownIndividualError,
-    treatment_similarity,
 )
 
 MAJORITY = "majority"
@@ -39,6 +42,10 @@ PESSIMISTIC = "pessimistic"
 VETO = "veto"
 
 STRATEGY_KINDS = (MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO)
+
+
+#: The two binary outcomes, shared by every label the pipeline returns.
+_LABELS = (Outcome.label(BAD_LABEL), Outcome.label(GOOD_LABEL))
 
 
 class ConfigError(InputError):
@@ -144,7 +151,18 @@ def binarize(outcome: Outcome) -> Outcome:
     """Binary view of an outcome: scores become 1 iff strictly above 0.5."""
     if outcome.is_binary:
         return outcome
-    return Outcome.label(GOOD_LABEL if outcome.value > 0.5 else BAD_LABEL)
+    return _LABELS[outcome.value > 0.5]
+
+
+def majority_label(positive: int, size: int, theta: float) -> int:
+    """1 iff the positive share ``positive / size`` is strictly above theta,
+    else 0: a tally exactly at theta resolves to 0."""
+    return 1 if positive / size > theta else 0
+
+
+def _unanimous(positive: int, size: int) -> int:
+    # The pessimistic rule: the bad outcome wins any conflict.
+    return 1 if positive == size else 0
 
 
 def aggregate_set_recommendation(
@@ -153,13 +171,12 @@ def aggregate_set_recommendation(
     """Stage 1: majority label of one cluster.
 
     Returns 1 iff the fraction of members with a positive (binarized)
-    recommendation is strictly above theta, else 0. A tie at exactly theta
-    resolves to 0.
+    recommendation is strictly above theta, else 0.
     """
     if not cluster.members:
         raise ValueError(f"cluster of {cluster.owner!r} is empty")
-    tally = sum(binarize(recs[m]).value for m in cluster.members) / len(cluster.members)
-    return Outcome.label(1 if tally > theta else 0)
+    positive = sum(int(binarize(recs[m]).value) for m in cluster.members)
+    return _LABELS[majority_label(positive, len(cluster.members), theta)]
 
 
 def aggregate_individual_decision(
@@ -167,49 +184,27 @@ def aggregate_individual_decision(
 ) -> Outcome:
     """Stage 2: majority over the clusters that contain ``i``.
 
-    Returns 1 iff the mean cluster label across every cluster containing
-    ``i`` is strictly above theta, else 0. Each containing cluster counts
-    once per owner.
+    Returns 1 iff the share of positive labels across every cluster
+    containing ``i`` is strictly above theta, else 0. Each containing
+    cluster counts once per owner.
     """
     owners = family.containing(i)
-    tally = sum(set_recs[o].value for o in owners) / len(owners)
-    return Outcome.label(1 if tally > theta else 0)
+    positive = sum(int(set_recs[o].value) for o in owners)
+    return _LABELS[majority_label(positive, len(owners), theta)]
 
 
 def trust_weight(
     x: str, family: ClusterFamily, recs: RecommendationVector, theta: float = 0.5
 ) -> float:
-    """Weight of x's recommendation: 1.0 when it matches their own cluster's
-    majority, else 0.0 (binary treatments).
+    """Weight of x's recommendation: 1.0 when its binarized label matches
+    their own cluster's majority, else 0.0.
 
     Someone whose recommendation agrees with the people they grouped
     themselves with is taken to have drawn their cluster honestly, so their
     vote carries full weight in trust-weighted aggregation.
     """
     own_majority = aggregate_set_recommendation(family.cluster_of(x), recs, theta)
-    return _agreement(recs[x], own_majority)
-
-
-def _agreement(rec: Outcome, own_majority: Outcome) -> float:
-    return treatment_similarity(binarize(rec), own_majority)
-
-
-def _trust_weighted_set_recommendation(
-    cluster: PerceivedCluster,
-    recs: RecommendationVector,
-    theta: float,
-    weights: Mapping[str, float],
-    majority: Outcome,
-) -> Outcome:
-    # Weighted positive fraction; an all-zero weight sum falls back to the
-    # cluster's unweighted ``majority``.
-    total = sum(weights[m] for m in cluster.members)
-    if total == 0.0:
-        return majority
-    tally = (
-        sum(weights[m] * binarize(recs[m]).value for m in cluster.members) / total
-    )
-    return Outcome.label(1 if tally > theta else 0)
+    return 1.0 if binarize(recs[x]).value == own_majority.value else 0.0
 
 
 def resolve_pessimistic(conflicting: Iterable[Outcome]) -> Outcome:
@@ -223,7 +218,16 @@ def resolve_pessimistic(conflicting: Iterable[Outcome]) -> Outcome:
     outcomes = list(conflicting)
     if not outcomes:
         raise ValueError("cannot resolve an empty set of outcomes")
-    return Outcome.label(0 if any(binarize(o).value == 0.0 for o in outcomes) else 1)
+    positive = sum(int(binarize(o).value) for o in outcomes)
+    return _LABELS[_unanimous(positive, len(outcomes))]
+
+
+def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> int:
+    # 0 when a rule matching ``attrs`` vetoes ``label``, else ``label``.
+    for rule in rules:
+        if label == rule.vetoed_label and rule.matches(attrs):
+            return BAD_LABEL
+    return label
 
 
 def apply_veto(
@@ -234,11 +238,7 @@ def apply_veto(
 ) -> Outcome:
     """Force the decision to 0 when a matching rule vetoes its label."""
     attrs = (attributes or {}).get(i, {})
-    d = binarize(decision)
-    for rule in rules:
-        if rule.matches(attrs) and d.value == rule.vetoed_label:
-            return Outcome.label(0)
-    return d
+    return _LABELS[_veto(int(binarize(decision).value), rules, attrs)]
 
 
 def run_pipeline(
@@ -253,41 +253,33 @@ def run_pipeline(
     cluster, so stage 2 always has something to aggregate.
     """
     strategy = strategy or AggregationStrategy()
-    if strategy.veto_rules:
-        validate_veto_rules(strategy.veto_rules, pop)
-
+    rules = strategy.veto_rules
+    if rules:
+        validate_veto_rules(rules, pop)
+    theta = strategy.theta
+    tally = _unanimous if strategy.kind == PESSIMISTIC else partial(majority_label, theta=theta)
+    ids = pop.individuals
+    label = {x: int(binarize(recs[x]).value) for x in ids}
+    members = {x: family.cluster_of(x).members for x in ids}
+    set_label = {x: tally(sum(map(label.__getitem__, c)), len(c)) for x, c in members.items()}
     if strategy.kind == TRUST_WEIGHTED:
-        # Each cluster's majority and each person's weight, once: a weight
-        # depends only on its owner's cluster, however many clusters it is
-        # read in.
-        majority = {
-            x: aggregate_set_recommendation(family.cluster_of(x), recs, strategy.theta)
-            for x in pop.individuals
-        }
-        weights = {x: _agreement(recs[x], majority[x]) for x in pop.individuals}
+        # Weight 1 for a label that matches its owner's cluster majority,
+        # else 0. A cluster tallies the positive labels of weight 1 over all
+        # labels of weight 1, and keeps its majority when none has weight.
+        weight = {x: 1 if label[x] == set_label[x] else 0 for x in ids}
+        trusted = {x: weight[x] & label[x] for x in ids}
+        for x, c in members.items():
+            total = sum(map(weight.__getitem__, c))
+            if total:
+                set_label[x] = tally(sum(map(trusted.__getitem__, c)), total)
 
-    set_values: dict[str, Outcome] = {}
-    for owner in pop.individuals:
-        cluster = family.cluster_of(owner)
-        if strategy.kind == TRUST_WEIGHTED:
-            label = _trust_weighted_set_recommendation(
-                cluster, recs, strategy.theta, weights, majority[owner]
-            )
-        elif strategy.kind == PESSIMISTIC:
-            label = resolve_pessimistic(recs[m] for m in cluster.members)
-        else:
-            label = aggregate_set_recommendation(cluster, recs, strategy.theta)
-        set_values[owner] = label
-    set_recs = SetRecommendationVector(recs.purpose, set_values)
-
-    decisions: dict[str, Outcome] = {}
-    for i in pop.individuals:
-        if strategy.kind == PESSIMISTIC:
-            decision = resolve_pessimistic(set_recs[o] for o in family.containing(i))
-        else:
-            decision = aggregate_individual_decision(i, family, set_recs, strategy.theta)
-        if strategy.veto_rules:
-            decision = apply_veto(i, decision, strategy.veto_rules, pop.attributes)
-        decisions[i] = decision
-
+    attributes = pop.attributes or {}
+    decisions = {}
+    for i in ids:
+        owners = family.containing(i)
+        decision = tally(sum(map(set_label.__getitem__, owners)), len(owners))
+        if rules:
+            decision = _veto(decision, rules, attributes.get(i, {}))
+        decisions[i] = _LABELS[decision]
+    set_recs = SetRecommendationVector(recs.purpose, {x: _LABELS[v] for x, v in set_label.items()})
     return set_recs, DecisionVector(recs.purpose, decisions)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .aggregation import SetRecommendationVector, binarize
+from .aggregation import SetRecommendationVector, binarize, majority_label
 from .clustering import ClusterFamily
 from .core import AuditParams, DecisionVector, Population, RecommendationVector
 
@@ -116,18 +116,16 @@ def audit_population(
     """
     epsilon = params.epsilon
     raw = {x: recs[x].value for x in pop.individuals}
-    label = {x: binarize(recs[x]).value for x in pop.individuals}
+    label = {x: int(binarize(recs[x]).value) for x in pop.individuals}
     verdicts: dict[str, FairnessVerdict] = {}
     scenarios: dict[str, str] = {}
     conflicts: dict[str, str] = {}
     for x in pop.individuals:
         members = family.cluster_of(x).members
-        satisfied = positive = 0
-        for y in members:
-            satisfied += _similar(raw[x], raw[y], epsilon)
-            positive += label[y]
+        own = raw[x]
+        satisfied = sum(_similar(own, raw[y], epsilon) for y in members)
         size = len(members)
-        majority = 1.0 if positive / size > params.theta else 0.0
+        majority = majority_label(sum(map(label.__getitem__, members)), size, params.theta)
         verdicts[x] = FairnessVerdict(
             individual=x,
             isf=FAIR if satisfied == size else UNFAIR,

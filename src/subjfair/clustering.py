@@ -9,7 +9,7 @@ Cost: ``build_cluster_family`` reads each person's own row of the perception
 table once and then writes each cluster and its transpose once, so it runs
 in O(n + nnz + sum |C|) time, where nnz is the number of entries and sum |C|
 the total cluster size. It never looks up the n^2 pairs a table leaves
-unstated. ``perceived_cluster`` builds one owner's cluster with n lookups.
+unstated.
 """
 
 from __future__ import annotations
@@ -77,31 +77,14 @@ class ClusterFamily:
             raise UnknownIndividualError(individual) from None
 
 
-def perceived_cluster(
-    x: str, pop: Population, perceptions: PerceptionTable, delta: float
-) -> PerceivedCluster:
-    """Build x's perceived cluster: everyone x rates >= delta similar.
-
-    The threshold is inclusive, so delta = 0.0 admits the whole population.
-    The owner is always a member regardless of the table contents.
-
-    Raises:
-        UnknownIndividualError: if ``x`` is not in the population.
-    """
-    if x not in pop:
-        raise UnknownIndividualError(x)
-    members = {z for z in pop.individuals if perceptions.similarity(x, z) >= delta}
-    members.add(x)
-    return PerceivedCluster(x, frozenset(members))
-
-
 def build_cluster_family(
     pop: Population, perceptions: PerceptionTable, delta: float
 ) -> ClusterFamily:
     """One cluster per individual, plus the inverse membership index.
 
-    Agrees with :func:`perceived_cluster` for every owner. Entries naming ids
-    outside the population are ignored.
+    Owner x's cluster is everyone x rates at least delta-similar, plus x:
+    the threshold is inclusive, so delta = 0.0 admits the whole population.
+    Entries naming ids outside the population are ignored.
     """
     ids = pop.id_set
     # A missing entry reads 0.0, so it either qualifies for every owner

@@ -19,10 +19,20 @@ from typing import Any, Sequence
 
 from .. import __version__
 from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
-from ..audit import UNFAIR
+from ..audit import FAIR, UNFAIR
 from ..core import AuditParams, InputError, validate_population
 from .oracle import DEFAULT_BOUND, brute_force_oracle
-from .report import audit_run, build_audit_doc, build_report_doc, dumps_doc, render_text
+from .report import (
+    audit_grid,
+    audit_run,
+    build_audit_doc,
+    build_report_doc,
+    dumps_doc,
+    label_fields,
+    render_labels,
+    render_text,
+    summary_counts,
+)
 from .runfile import AuditRunFile, load_run, save_run
 from .synth import SynthProfile, generate_population
 
@@ -109,21 +119,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    result = audit_run(_overridden(load_run(args.input), args))
-    doc = build_audit_doc(result)
+    doc = label_fields(audit_run(_overridden(load_run(args.input), args)))
     if args.format == "json":
-        _emit({"set_rec": doc["set_rec"], "dec": doc["dec"]}, "json")
+        _emit(doc, "json")
     else:
-        sys.stdout.write(
-            "set recommendations: "
-            + " ".join(f"{i}={doc['set_rec'][i]}" for i in sorted(doc["set_rec"]))
-            + "\n"
-        )
-        sys.stdout.write(
-            "decisions: "
-            + " ".join(f"{i}={doc['dec'][i]}" for i in sorted(doc["dec"]))
-            + "\n"
-        )
+        sys.stdout.write("\n".join(render_labels(doc)) + "\n")
     return EXIT_OK
 
 
@@ -157,38 +157,40 @@ def _parse_grid(raw: str | None, fallback: float) -> list[float]:
         raise InputError(f"expected a comma-separated list of numbers, got {raw!r}") from None
 
 
+#: The columns of the sweep table, one row per (grid point, metric).
+_SWEEP_FIELDS = ("delta", "epsilon", "theta", "metric", "value")
+
+
 def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, Any]]:
     # The table reports no explanation verdict, and the ledger names the
     # obligations of the run's own settings, so the points go without it.
     run = replace(run, ledger=None)
+    points = [
+        _with_settings(run, delta, epsilon, theta)
+        for delta in _parse_grid(args.deltas, run.params.delta)
+        for epsilon in _parse_grid(args.epsilons, run.params.epsilon)
+        for theta in _parse_grid(args.thetas, run.params.theta)
+    ]
     rows = []
-    for delta in _parse_grid(args.deltas, run.params.delta):
-        for epsilon in _parse_grid(args.epsilons, run.params.epsilon):
-            for theta in _parse_grid(args.thetas, run.params.theta):
-                point = _with_settings(run, delta, epsilon, theta)
-                doc = build_audit_doc(audit_run(point))
-                metrics: dict[str, float] = {
-                    "sf_fair": 1.0 if doc["sf"]["verdict"] == "fair" else 0.0,
-                    "dissenters": float(len(doc["sf"]["dissenters"])),
-                    "isf_fair": float(doc["counts"]["isf_fair"]),
-                    "relaxed_isf_fair": float(doc["counts"]["relaxed_isf_fair"]),
-                    "obligations": float(len(doc["obligations"])),
-                    "positive_decision_rate": sum(doc["dec"].values()) / doc["n"],
-                }
-                for label, count in doc["scenario_histogram"].items():
-                    metrics[f"scenario_{label}"] = float(count)
-                for label, count in doc["conflict_histogram"].items():
-                    metrics[f"conflict_{label}"] = float(count)
-                for metric, value in metrics.items():
-                    rows.append(
-                        {
-                            "delta": delta,
-                            "epsilon": epsilon,
-                            "theta": theta,
-                            "metric": metric,
-                            "value": value,
-                        }
-                    )
+    for result in audit_grid(run, [(p.params, p.strategy) for p in points]):
+        report = result.report
+        summary = summary_counts(report)
+        positive = sum(int(d.value) for d in report.decisions.values.values())
+        metrics = {
+            "sf_fair": 1.0 if report.sf == FAIR else 0.0,
+            "dissenters": float(len(report.dissenters)),
+            **{name: float(count) for name, count in summary["counts"].items()},
+            "obligations": float(len(result.obligations)),
+            "positive_decision_rate": positive / run.n,
+        }
+        for histogram in ("scenario", "conflict"):
+            for label, count in summary[f"{histogram}_histogram"].items():
+                metrics[f"{histogram}_{label}"] = float(count)
+        params = result.run.params
+        rows += [
+            dict(zip(_SWEEP_FIELDS, (params.delta, params.epsilon, params.theta, *item)))
+            for item in metrics.items()
+        ]
     return rows
 
 
@@ -223,9 +225,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         else:
             buffer = io.StringIO()
-            writer = csv.DictWriter(
-                buffer, fieldnames=["delta", "epsilon", "theta", "metric", "value"]
-            )
+            writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
             sys.stdout.write(buffer.getvalue())

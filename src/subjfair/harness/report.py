@@ -1,8 +1,9 @@
 """Audit orchestration and report emission.
 
-``audit_run`` wires the full pipeline for one run file: validation,
-clustering, both aggregation stages, fairness verdicts, obligations, the
-explanation-level verdict, and the procedural check. Reports come in a
+``audit_grid`` wires the full pipeline for one run file at a sequence of
+settings: validation, clustering, both aggregation stages, fairness
+verdicts, obligations, the explanation-level verdict, and the procedural
+check. ``audit_run`` is its single-point case. Reports come in a
 machine form (a plain dict, dumped as sorted JSON) and a human-readable
 text form; both are deterministic for a given run file and engine version.
 """
@@ -10,11 +11,12 @@ text form; both are deterministic for a given run file and engine version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Iterator
 
 from .. import __version__
-from ..aggregation import run_pipeline
+from ..aggregation import AggregationStrategy, run_pipeline
 from ..audit import (
     FAIR,
     ISF_SATISFIED,
@@ -28,7 +30,7 @@ from ..audit import (
 )
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import InputError, ValidationReport, validate_population
+from ..core import AuditParams, InputError, ValidationReport, validate_population
 from ..explanations import (
     AcceptanceLedger,
     AuditConfig,
@@ -59,45 +61,83 @@ class RunResult:
     procedural: ProceduralReport
 
 
-def audit_run(run: AuditRunFile) -> RunResult:
-    """Run the full audit for a run file at its own settings.
+def audit_grid(
+    run: AuditRunFile, settings: Iterable[tuple[AuditParams, AggregationStrategy]]
+) -> Iterator[RunResult]:
+    """One ``RunResult`` per ``(params, strategy)`` of ``settings``, in order.
+
+    Validation and the procedural check do not depend on the settings, so
+    each runs once. Clusters depend on delta alone: a family is built only
+    when delta differs from the previous point's, and only one is kept.
 
     Raises:
         InputError: if the inputs break the model invariants.
     """
-    validation = validate_population(
-        run.population, run.perceptions, run.recommendations
-    )
+    validation = validate_population(run.population, run.perceptions, run.recommendations)
     if not validation.ok:
-        raise InputError(
-            "invalid audit inputs: " + "; ".join(validation.messages()[:5])
-        )
-
-    family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-    set_recs, decisions = run_pipeline(
-        run.population, family, run.recommendations, run.strategy
-    )
-    report = audit_population(
-        run.population, family, run.recommendations, run.params, set_recs, decisions
-    )
-    obligations = tuple(derive_obligations(report))
-    ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
-    explanation_fairness = fairness_through_explanations(obligations, ledger)
+        raise InputError("invalid audit inputs: " + "; ".join(validation.messages()[:5]))
     procedural = procedural_check(
         AuditConfig(
             validation_clean=validation.ok,
             ethicality_asserted=bool(run.metadata.get("ethicality_asserted", False)),
         )
     )
-    return RunResult(
-        run=run,
-        validation=validation,
-        family=family,
-        report=report,
-        obligations=obligations,
-        explanation_fairness=explanation_fairness,
-        procedural=procedural,
-    )
+    ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
+    family = delta = None
+    for params, strategy in settings:
+        if params.delta != delta:
+            family = None  # the previous family goes before the next is built
+            delta = params.delta
+            family = build_cluster_family(run.population, run.perceptions, delta)
+        set_recs, decisions = run_pipeline(run.population, family, run.recommendations, strategy)
+        report = audit_population(
+            run.population, family, run.recommendations, params, set_recs, decisions
+        )
+        obligations = tuple(derive_obligations(report))
+        yield RunResult(
+            run=replace(run, params=params, strategy=strategy),
+            validation=validation,
+            family=family,
+            report=report,
+            obligations=obligations,
+            explanation_fairness=fairness_through_explanations(obligations, ledger),
+            procedural=procedural,
+        )
+
+
+def audit_run(run: AuditRunFile) -> RunResult:
+    """The full audit of ``run`` at its own settings: ``audit_grid`` at one
+    point, raising as it does."""
+    return next(audit_grid(run, [(run.params, run.strategy)]))
+
+
+def label_fields(result: RunResult) -> dict[str, dict[str, int]]:
+    """The ``set_rec`` and ``dec`` fields of the audit document: each
+    cluster label and decision as a 0/1 int, by id in population order."""
+    ids = result.run.population.individuals
+    report = result.report
+    return {
+        "set_rec": {x: int(report.set_recommendations[x].value) for x in ids},
+        "dec": {i: int(report.decisions[i].value) for i in ids},
+    }
+
+
+def summary_counts(report: AuditReport) -> dict[str, dict[str, int]]:
+    """The ``counts``, ``scenario_histogram`` and ``conflict_histogram``
+    fields of the audit document, each label in its fixed order."""
+    verdicts = report.verdicts.values()
+    scenarios = Counter(report.scenarios.values())
+    conflicts = Counter(report.conflicts.values())
+    return {
+        "counts": {
+            "isf_fair": sum(1 for v in verdicts if v.isf == FAIR),
+            "relaxed_isf_fair": sum(1 for v in verdicts if v.relaxed_isf == FAIR),
+        },
+        "scenario_histogram": {k: scenarios[k] for k in (ISF_SATISFIED, RELAXED_ONLY, NEITHER)},
+        "conflict_histogram": {
+            k: conflicts[k] for k in (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
+        },
+    }
 
 
 def build_audit_doc(result: RunResult) -> dict[str, Any]:
@@ -106,8 +146,6 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
     run = result.run
     report = result.report
     ids = list(run.population.individuals)
-    scenarios = report.scenarios
-    conflicts = report.conflicts
     return {
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
@@ -117,8 +155,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
             x: sorted(result.family.cluster_of(x).members) for x in ids
         },
         "membership": {i: sorted(result.family.containing(i)) for i in ids},
-        "set_rec": {x: int(report.set_recommendations[x].value) for x in ids},
-        "dec": {i: int(report.decisions[i].value) for i in ids},
+        **label_fields(result),
         "verdicts": {
             x: {
                 "isf": report.verdicts[x].isf,
@@ -127,23 +164,10 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
             }
             for x in ids
         },
-        "scenarios": dict(scenarios),
-        "conflicts": dict(conflicts),
+        "scenarios": dict(report.scenarios),
+        "conflicts": dict(report.conflicts),
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
-        "counts": {
-            "isf_fair": sum(1 for x in ids if report.verdicts[x].isf == FAIR),
-            "relaxed_isf_fair": sum(
-                1 for x in ids if report.verdicts[x].relaxed_isf == FAIR
-            ),
-        },
-        "scenario_histogram": {
-            label: sum(1 for x in ids if scenarios[x] == label)
-            for label in (ISF_SATISFIED, RELAXED_ONLY, NEITHER)
-        },
-        "conflict_histogram": {
-            label: sum(1 for x in ids if conflicts[x] == label)
-            for label in (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
-        },
+        **summary_counts(report),
         "obligations": [
             {
                 "individual": o.individual,
@@ -216,6 +240,14 @@ def dumps_doc(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def render_labels(doc: dict[str, Any]) -> list[str]:
+    """The text lines of the ``set_rec`` and ``dec`` fields, by sorted id."""
+    return [
+        f"{title}: " + " ".join(f"{i}={doc[field][i]}" for i in sorted(doc[field]))
+        for title, field in (("set recommendations", "set_rec"), ("decisions", "dec"))
+    ]
+
+
 def render_text(doc: dict[str, Any]) -> str:
     """Human-readable report, ordered by individual id throughout."""
     lines = [
@@ -250,13 +282,7 @@ def render_text(doc: dict[str, Any]) -> str:
         "conflicts: "
         + " ".join(f"{k}={v}" for k, v in doc["conflict_histogram"].items())
     )
-    lines.append(
-        "set recommendations: "
-        + " ".join(f"{i}={doc['set_rec'][i]}" for i in sorted(doc["set_rec"]))
-    )
-    lines.append(
-        "decisions: " + " ".join(f"{i}={doc['dec'][i]}" for i in sorted(doc["dec"]))
-    )
+    lines += render_labels(doc)
 
     lines.append(f"obligations: {len(doc['obligations'])}")
     for o in doc["obligations"]:

@@ -228,7 +228,10 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         raise RunFileError(str(exc), "strategy") from None
 
 
-def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
+def _parse_baseline(doc: Mapping[str, Any], ids: frozenset[str]) -> BaselineInputs | None:
+    """The baseline section, checked against the population ``ids``: every
+    id it names must be in the population, every override's observer must be
+    a party to its pair, and every pair of scored people needs a distance."""
     section = doc.get("baseline")
     if section is None:
         return None
@@ -243,39 +246,50 @@ def _parse_baseline(doc: Mapping[str, Any]) -> BaselineInputs | None:
         if not (type(v) is float and math.isfinite(v)):
             v = _parse_score(v, f"baseline.scores.{i}")
         scores[str(i)] = v
-    entries = {}
-    for idx, row in enumerate(_expect_list(section.get("distances", []), "baseline.distances")):
-        if not (type(row) is list and len(row) == 3 and type(row[2]) is float and row[2] >= 0):
-            row = _parse_distance_row(row, 3, f"baseline.distances[{idx}]")
-        entries[(str(row[0]), str(row[1]))] = row[2]
-    overrides = {}
-    for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
-        if not (type(row) is list and len(row) == 4 and type(row[3]) is float and row[3] >= 0):
-            row = _parse_distance_row(row, 4, f"baseline.overrides[{idx}]")
-        overrides[(str(row[0]), str(row[1]), str(row[2]))] = row[3]
-    return BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
-
-
-def _check_baseline(baseline: BaselineInputs, population: Population) -> None:
-    """Every scored id must be in the population, and every pair of scored
-    people must have a distance."""
-    unknown = sorted(baseline.scores.keys() - population.id_set)
+    unknown = sorted(scores.keys() - ids)
     if unknown:
         raise RunFileError(
             f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
         )
+    entries = {}
+    for idx, row in enumerate(_expect_list(section.get("distances", []), "baseline.distances")):
+        if not (type(row) is list and len(row) == 3 and type(row[2]) is float and row[2] >= 0):
+            row = _parse_distance_row(row, 3, f"baseline.distances[{idx}]")
+        pair = (str(row[0]), str(row[1]))
+        if not ids.issuperset(pair):
+            raise _unknown_id(pair, ids, f"baseline.distances[{idx}]")
+        entries[pair] = row[2]
+    overrides = {}
+    for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
+        where = f"baseline.overrides[{idx}]"
+        if not (type(row) is list and len(row) == 4 and type(row[3]) is float and row[3] >= 0):
+            row = _parse_distance_row(row, 4, where)
+        key = (str(row[0]), str(row[1]), str(row[2]))
+        if not ids.issuperset(key):
+            raise _unknown_id(key, ids, where)
+        if key[0] not in key[1:]:
+            raise RunFileError(
+                f"observer {key[0]!r} is not a party to the pair ({key[1]}, {key[2]})", where
+            )
+        overrides[key] = row[3]
+    baseline = BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
     # Count the covered pairs in one pass over the distances; look for the
     # missing pair only when the count falls short.
-    scored = baseline.scores
     distances = baseline.distances.entries
-    covered = sum(1 for x, y in distances if x != y and x in scored and y in scored)
-    if covered < len(scored) * (len(scored) - 1) // 2:
-        for pair in itertools.combinations(sorted(scored), 2):
+    covered = sum(1 for x, y in distances if x != y and x in scores and y in scores)
+    if covered < len(scores) * (len(scores) - 1) // 2:
+        for pair in itertools.combinations(sorted(scores), 2):
             if pair not in distances:
                 raise RunFileError(
                     f"no distance recorded for scored pair ({pair[0]}, {pair[1]})",
                     "baseline.distances",
                 )
+    return baseline
+
+
+def _unknown_id(names: tuple[str, ...], ids: frozenset[str], location: str) -> RunFileError:
+    unknown = next(name for name in names if name not in ids)
+    return RunFileError(f"unknown id {unknown!r}", location)
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
@@ -343,7 +357,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
                 except InputError as exc:
                     raise RunFileError(str(exc), f"ledger.{individual}.{obligation}") from None
 
-    baseline = _parse_baseline(doc)
+    baseline = _parse_baseline(doc, population.id_set)
     metadata = _expect_object(doc.get("metadata", {}), "metadata")
     try:
         run = AuditRunFile(
@@ -358,8 +372,6 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
         )
     except InputError as exc:
         raise RunFileError(str(exc), "strategy.theta") from None
-    if baseline is not None:
-        _check_baseline(baseline, population)
     return run
 
 

@@ -11,13 +11,31 @@ from subjfair import (
     AuditParams,
     AuditReport,
     Outcome,
+    PerceivedCluster,
     PerceptionTable,
     Population,
     RecommendationVector,
+    UnknownIndividualError,
     audit_population,
     build_cluster_family,
     run_pipeline,
 )
+
+
+def perceived_cluster(
+    x: str, pop: Population, perceptions: PerceptionTable, delta: float
+) -> PerceivedCluster:
+    """x's perceived cluster by n lookups: everyone x rates >= delta similar,
+    and x. The per-owner reference ``build_cluster_family`` is checked
+    against; the threshold is inclusive, so delta = 0.0 admits everyone.
+
+    Raises:
+        UnknownIndividualError: if ``x`` is not in the population.
+    """
+    if x not in pop:
+        raise UnknownIndividualError(x)
+    members = {z for z in pop.individuals if perceptions.similarity(x, z) >= delta}
+    return PerceivedCluster(x, frozenset(members | {x}))
 
 
 def make_inputs(

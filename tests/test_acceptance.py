@@ -30,7 +30,6 @@ from subjfair import (
     build_cluster_family,
     dwork_if_check,
     fairness_through_explanations,
-    perceived_cluster,
     run_pipeline,
     subjective_if_check,
     treatment_similarity,
@@ -134,8 +133,8 @@ def test_acceptance_5_property_suite():
         lo, hi = sorted((rng.random(), rng.random()))
         x = rng.choice(ids)
         assert (
-            perceived_cluster(x, pop, table, hi).members
-            <= perceived_cluster(x, pop, table, lo).members
+            build_cluster_family(pop, table, hi).cluster_of(x).members
+            <= build_cluster_family(pop, table, lo).cluster_of(x).members
         )
 
     # theta-antitonicity of aggregates

@@ -235,6 +235,34 @@ class TestTrustWeighting:
         assert calls <= 2 * len(ids)
 
 
+@pytest.mark.parametrize("kind", ["majority", "trust_weighted", "pessimistic", "veto"])
+def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
+    # complexity gate by counted calls: at most n binarize calls, so none
+    # per cluster member, under every strategy
+    rng = random.Random(19)
+    ids = [f"p{k:03d}" for k in range(200)]
+    recs = {i: round(rng.random(), 3) for i in ids}
+    attributes = {i: {"age": rng.randint(10, 60)} for i in ids}
+    inputs = make_inputs(
+        random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score", attributes=attributes
+    )
+    assert sum(len(c) for c in inputs.family.clusters.values()) > 20 * len(ids)
+    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == "veto" else ()
+    strategy = AggregationStrategy(kind, veto_rules=rules)
+    expected = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+
+    calls = 0
+
+    def counting(outcome):
+        nonlocal calls
+        calls += 1
+        return binarize(outcome)
+
+    monkeypatch.setattr(aggregation, "binarize", counting)
+    assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy) == expected
+    assert calls <= len(ids)
+
+
 class TestPessimistic:
     def test_conflict_resolves_to_bad_outcome(self):
         assert resolve_pessimistic([Outcome.label(0), Outcome.label(1)]) == Outcome.label(0)

@@ -8,10 +8,9 @@ from subjfair import (
     Population,
     UnknownIndividualError,
     build_cluster_family,
-    perceived_cluster,
 )
 
-from helpers import make_inputs, random_rows, rows_of
+from helpers import make_inputs, perceived_cluster, random_rows, rows_of
 
 
 FOUR = Population(("x", "y", "u", "v"))
@@ -21,26 +20,26 @@ def test_threshold_filter():
     table = PerceptionTable(
         {"x": {"x": 1.0, "y": 0.8, "u": 0.2, "v": 0.1}}
     )
-    cluster = perceived_cluster("x", FOUR, table, 0.5)
+    cluster = build_cluster_family(FOUR, table, 0.5).cluster_of("x")
     assert cluster.members == {"x", "y"}
 
 
 def test_zero_threshold_admits_everyone():
     table = PerceptionTable({"x": {"x": 1.0}})
-    cluster = perceived_cluster("x", FOUR, table, 0.0)
+    cluster = build_cluster_family(FOUR, table, 0.0).cluster_of("x")
     assert cluster.members == set(FOUR.individuals)
 
 
 def test_threshold_boundary_is_inclusive():
     table = PerceptionTable({"x": {"x": 1.0, "y": 0.5}})
-    cluster = perceived_cluster("x", Population(("x", "y")), table, 0.5)
+    cluster = build_cluster_family(Population(("x", "y")), table, 0.5).cluster_of("x")
     assert cluster.members == {"x", "y"}
 
 
 def test_unknown_owner_rejected():
     table = PerceptionTable({"x": {"x": 1.0}})
     with pytest.raises(UnknownIndividualError):
-        perceived_cluster("ghost", FOUR, table, 0.5)
+        build_cluster_family(FOUR, table, 0.5).cluster_of("ghost")
 
 
 def test_crossed_clusters_membership_index():

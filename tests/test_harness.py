@@ -210,6 +210,54 @@ class TestRunFile:
                 "baseline.scores.a",
                 id="baseline-huge-int-score",
             ),
+            pytest.param(
+                lambda d: d.update(
+                    baseline={"scores": SCORES, "distances": [["a", "b", 0.1], ["a", "zz", 0.2]]}
+                ),
+                "baseline.distances[1]",
+                id="baseline-distance-for-unknown-id",
+            ),
+            pytest.param(
+                lambda d: d.update(baseline={"scores": {}, "distances": [["zz", "yy", 0.2]]}),
+                "baseline.distances[0]",
+                id="baseline-distance-between-unknown-ids",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    baseline={
+                        "scores": SCORES,
+                        "distances": [["a", "b", 0.1]],
+                        "overrides": [["a", "a", "b", 0.0], ["zz", "a", "b", 0.2]],
+                    }
+                ),
+                "baseline.overrides[1]",
+                id="baseline-override-by-unknown-observer",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    baseline={
+                        "scores": SCORES,
+                        "distances": [["a", "b", 0.1]],
+                        "overrides": [["a", "a", "zz", 0.2]],
+                    }
+                ),
+                "baseline.overrides[0]",
+                id="baseline-override-for-unknown-pair",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    individuals=["a", "b", "c"],
+                    sim={i: {i: 1.0} for i in "abc"},
+                    rec={"values": {"a": 1, "b": 0, "c": 1}},
+                    baseline={
+                        "scores": SCORES,
+                        "distances": [["a", "b", 0.1]],
+                        "overrides": [["c", "a", "b", 0.0]],
+                    },
+                ),
+                "baseline.overrides[0]",
+                id="baseline-override-by-a-non-party",
+            ),
             pytest.param(lambda d: d["sim"]["a"].update({"b": True}), "sim.a.b", id="sim-bool"),
             pytest.param(
                 lambda d: d["sim"]["a"].update({"b": 10**400}), "sim.a.b", id="sim-huge-int"
@@ -661,6 +709,42 @@ class TestCli:
         assert len(data_rows) % 4 == 0
         assert all(len(row.split(",")) == 5 for row in data_rows)
 
+    def test_sweep_validates_once_and_clusters_once_per_delta(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # call-count gate: 12 grid points over 3 deltas validate once at
+        # load and once for the whole grid, and build one family per delta
+        from subjfair.harness import report, runfile
+
+        path = save_run(
+            generate_population(SynthProfile(n=60, cluster_density=0.3, seed=4)),
+            tmp_path / "run.json",
+        )
+        calls = {"validate": 0, "cluster": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        validate = counting("validate", runfile.validate_population)
+        monkeypatch.setattr(runfile, "validate_population", validate)
+        monkeypatch.setattr(report, "validate_population", validate)
+        monkeypatch.setattr(
+            report, "build_cluster_family", counting("cluster", report.build_cluster_family)
+        )
+        code = main(
+            [
+                "simulate", "--input", str(path), "--sweep", "--deltas", "0.3,0.5,0.7",
+                "--epsilons", "0.0,0.2", "--thetas", "0.4,0.5", "--format", "json",
+            ]
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)) == 12 * 12
+        assert calls == {"validate": 2, "cluster": 3}
+
     def test_sweep_of_a_run_with_a_ledger(self, tmp_path, capsys):
         # the ledger names obligations of the run's own settings; the sweep
         # reports no explanation verdict and audits its points without it
@@ -777,6 +861,50 @@ class TestCli:
             err = capsys.readouterr().err
             assert location in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "baseline, location",
+        [
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5], ["u", "ghost", 0.1]],
+                },
+                "baseline.distances[1]: unknown id 'ghost'",
+                id="distance-for-unknown-id",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5]],
+                    "overrides": [["y", "x", "y", 0.2], ["ghost", "x", "y", 2.0]],
+                },
+                "baseline.overrides[1]: unknown id 'ghost'",
+                id="override-by-unknown-observer",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5]],
+                    "overrides": [["u", "x", "y", 0.0]],
+                },
+                "baseline.overrides[0]: observer 'u' is not a party to the pair (x, y)",
+                id="override-by-a-non-party",
+            ),
+        ],
+    )
+    def test_stray_baseline_rows_are_rejected_by_validate(
+        self, tmp_path, capsys, baseline, location
+    ):
+        # each of these rows loaded clean and the baselines silently ignored it
+        doc = _fixture_doc()
+        doc["baseline"] = baseline
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert location in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["audit", "--input", "/nonexistent/run.json"])
