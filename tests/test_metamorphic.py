@@ -75,7 +75,8 @@ def test_veto_without_rules_is_majority(case):
     veto = audit_run(_with_strategy(run, VETO))
     for field in ("set_recommendations", "decisions", "verdicts", "scenarios", "conflicts"):
         assert getattr(veto.report, field) == getattr(majority.report, field), field
-    assert (veto.report.sf, veto.report.dissenters) == (majority.report.sf, majority.report.dissenters)
+    assert veto.report.sf == majority.report.sf
+    assert veto.report.dissenters == majority.report.dissenters
     assert veto.obligations == majority.obligations
 
 
@@ -115,7 +116,9 @@ def _renamed_doc(doc, name):
         "verdict": doc["sf"]["verdict"],
         "dissenters": [name[x] for x in doc["sf"]["dissenters"]],
     }
-    renamed["obligations"] = [{**o, "individual": name[o["individual"]]} for o in doc["obligations"]]
+    renamed["obligations"] = [
+        {**o, "individual": name[o["individual"]]} for o in doc["obligations"]
+    ]
     return renamed
 
 
