@@ -11,7 +11,10 @@ recommendations, densities 0.003 and 0.3 and n up to 800; the broken
 tables pin which violations ``validate`` reports and in what order. The
 sweeps under every strategy and the ``decide`` outputs were pinned before
 both pipeline stages ran on flat 0/1 labels and the sweep began to reuse
-validation and clusters across its grid points.
+validation and clusters across its grid points. The text outputs of
+``report`` and ``decide`` were pinned before the Outcome-level copies of the
+aggregation and similarity rules and the validation plumbing of the
+procedural check were removed.
 """
 
 from __future__ import annotations
@@ -242,6 +245,27 @@ def test_decide_is_pinned(tmp_path):
         for name, path in paths.items()
     }
     assert printed == DECIDE
+
+
+TEXT = {
+    "report-fixture": "0:feec8dcbec80f09ab693b6217868e3974a045610d394101f5fe5b421d29e2e25",
+    "report-n120": "0:c3fbc9a9158058ce5bd27e7bae8c69a66c492a2d09744c2522f23982beca0f61",
+    "decide-fixture": "0:284571012def3c5b283202501f4a38c9c4f966d9a197641e9ec373e4a942acf0",
+}
+
+
+def test_text_output_is_pinned(tmp_path):
+    """The text form of ``report`` on the fixture and on a run with a group
+    attribute, baseline inputs and a ledger, and of ``decide`` on the fixture."""
+    run = _synthetic_run(120, 0.3, VETO, "score", ("group", "baseline", "ledger"), 32)
+    fixture = str(crossed_clusters_path())
+    path = str(save_run(run, tmp_path / "run.json"))
+    printed = {
+        "report-fixture": _printed(["report", "--input", fixture]),
+        "report-n120": _printed(["report", "--input", path, "--group-attr", "group"]),
+        "decide-fixture": _printed(["decide", "--input", fixture]),
+    }
+    assert printed == TEXT
 
 
 # --- broken tables ---------------------------------------------------------------
