@@ -21,7 +21,6 @@ from .core import (
     RecommendationVector,
     UnknownIndividualError,
     ValidationReport,
-    treatment_similarity,
     validate_population,
 )
 from .clustering import (
@@ -38,13 +37,8 @@ from .aggregation import (
     ConfigError,
     SetRecommendationVector,
     VetoRule,
-    aggregate_individual_decision,
-    aggregate_set_recommendation,
-    apply_veto,
     binarize,
-    resolve_pessimistic,
     run_pipeline,
-    trust_weight,
 )
 from .audit import (
     FAIR,
@@ -65,7 +59,6 @@ from .explanations import (
     PENDING,
     REJECTED,
     AcceptanceLedger,
-    AuditConfig,
     ExplanationObligation,
     LedgerIntegrityError,
     ProceduralReport,

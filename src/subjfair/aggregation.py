@@ -13,8 +13,9 @@ attribute-based veto rules applied to final decisions.
 ``run_pipeline`` binarizes each recommendation once into a 0/1 label; both
 stages then count positive labels, so every strategy costs O(n + sum |C|).
 Trust weights are 0/1 labels too, one per person. ``Outcome`` objects appear
-only at the boundary, as two shared instances. The single-cluster helpers
-take and return ``Outcome`` objects under the same rules.
+only at the boundary, as two shared instances. Each rule has one home:
+``majority_label`` and ``_unanimous`` are the two tallies, ``_veto`` applies
+veto rules, and trust weighting is one line of ``run_pipeline``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Mapping
 
-from .clustering import ClusterFamily, PerceivedCluster
+from .clustering import ClusterFamily
 from .core import (
     BAD_LABEL,
     GOOD_LABEL,
@@ -165,80 +166,12 @@ def _unanimous(positive: int, size: int) -> int:
     return 1 if positive == size else 0
 
 
-def aggregate_set_recommendation(
-    cluster: PerceivedCluster, recs: RecommendationVector, theta: float
-) -> Outcome:
-    """Stage 1: majority label of one cluster.
-
-    Returns 1 iff the fraction of members with a positive (binarized)
-    recommendation is strictly above theta, else 0.
-    """
-    if not cluster.members:
-        raise ValueError(f"cluster of {cluster.owner!r} is empty")
-    positive = sum(int(binarize(recs[m]).value) for m in cluster.members)
-    return _LABELS[majority_label(positive, len(cluster.members), theta)]
-
-
-def aggregate_individual_decision(
-    i: str, family: ClusterFamily, set_recs: SetRecommendationVector, theta: float
-) -> Outcome:
-    """Stage 2: majority over the clusters that contain ``i``.
-
-    Returns 1 iff the share of positive labels across every cluster
-    containing ``i`` is strictly above theta, else 0. Each containing
-    cluster counts once per owner.
-    """
-    owners = family.containing(i)
-    positive = sum(int(set_recs[o].value) for o in owners)
-    return _LABELS[majority_label(positive, len(owners), theta)]
-
-
-def trust_weight(
-    x: str, family: ClusterFamily, recs: RecommendationVector, theta: float = 0.5
-) -> float:
-    """Weight of x's recommendation: 1.0 when its binarized label matches
-    their own cluster's majority, else 0.0.
-
-    Someone whose recommendation agrees with the people they grouped
-    themselves with is taken to have drawn their cluster honestly, so their
-    vote carries full weight in trust-weighted aggregation.
-    """
-    own_majority = aggregate_set_recommendation(family.cluster_of(x), recs, theta)
-    return 1.0 if binarize(recs[x]).value == own_majority.value else 0.0
-
-
-def resolve_pessimistic(conflicting: Iterable[Outcome]) -> Outcome:
-    """Reconcile conflicting binary outcomes by favoring the bad one.
-
-    Returns 0 if any outcome is 0, else 1.
-
-    Raises:
-        ValueError: on an empty collection.
-    """
-    outcomes = list(conflicting)
-    if not outcomes:
-        raise ValueError("cannot resolve an empty set of outcomes")
-    positive = sum(int(binarize(o).value) for o in outcomes)
-    return _LABELS[_unanimous(positive, len(outcomes))]
-
-
 def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> int:
     # 0 when a rule matching ``attrs`` vetoes ``label``, else ``label``.
     for rule in rules:
         if label == rule.vetoed_label and rule.matches(attrs):
             return BAD_LABEL
     return label
-
-
-def apply_veto(
-    i: str,
-    decision: Outcome,
-    rules: Iterable[VetoRule],
-    attributes: Mapping[str, Mapping[str, Any]] | None,
-) -> Outcome:
-    """Force the decision to 0 when a matching rule vetoes its label."""
-    attrs = (attributes or {}).get(i, {})
-    return _LABELS[_veto(int(binarize(decision).value), rules, attrs)]
 
 
 def run_pipeline(

@@ -1,4 +1,4 @@
-"""Domain types, parameter validation, and the treatment-similarity metric.
+"""Domain types, parameter validation, and input validation.
 
 Everything downstream (clustering, aggregation, auditing) is built on the
 types in this module. All types are immutable after construction and safe to
@@ -36,7 +36,8 @@ class InputError(ValueError):
 
 
 class KindMismatchError(InputError):
-    """Two outcomes of different kinds (binary vs score) were compared."""
+    """Outcomes of different kinds (binary vs score) were mixed where one
+    kind is required."""
 
 
 class UnknownIndividualError(KeyError):
@@ -76,25 +77,6 @@ class Outcome:
     @property
     def is_binary(self) -> bool:
         return self.kind == BINARY
-
-
-def treatment_similarity(a: Outcome, b: Outcome) -> float:
-    """Similarity in [0, 1] between two treatments of the same kind.
-
-    Binary outcomes compare by exact match (1.0 if equal, else 0.0); score
-    outcomes by ``1 - |a - b|``. Symmetric, and maximal on identical
-    outcomes: ``treatment_similarity(a, a) == 1.0``.
-
-    Raises:
-        KindMismatchError: if ``a`` and ``b`` are of different kinds.
-    """
-    if a.kind != b.kind:
-        raise KindMismatchError(
-            f"cannot compare {a.kind} outcome with {b.kind} outcome"
-        )
-    if a.kind == BINARY:
-        return 1.0 if a.value == b.value else 0.0
-    return 1.0 - abs(a.value - b.value)
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,15 @@ class ExplanationObligation:
 
     individual: str
     kind: str
-    procedural_tags: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.kind not in OBLIGATION_KINDS:
             raise InputError(f"unknown obligation kind {self.kind!r}")
-        object.__setattr__(self, "procedural_tags", frozenset(self.procedural_tags))
+
+    @property
+    def procedural_tags(self) -> frozenset[str]:
+        """The procedural rules this obligation speaks to, fixed by its kind."""
+        return _KIND_TAGS[self.kind]
 
     @property
     def key(self) -> tuple[str, str]:
@@ -105,10 +108,7 @@ def derive_obligations(report: AuditReport) -> list[ExplanationObligation]:
             kinds.append(GROUP_IDENTIFICATION)
         elif report.conflicts[individual] == SYSTEM_SUSPECT:
             kinds.append(SYSTEM_ERROR_REVIEW)
-        for kind in kinds:
-            obligations.append(
-                ExplanationObligation(individual, kind, _KIND_TAGS[kind])
-            )
+        obligations.extend(ExplanationObligation(individual, kind) for kind in kinds)
     return obligations
 
 
@@ -199,15 +199,6 @@ ASSERTED = "asserted"
 
 
 @dataclass(frozen=True)
-class AuditConfig:
-    """Run metadata the procedural check inspects. ethicality cannot be
-    computed and is operator-asserted."""
-
-    validation_clean: bool = True
-    ethicality_asserted: bool = False
-
-
-@dataclass(frozen=True)
 class ProceduralReport:
     satisfied: frozenset[str]
     provenance: Mapping[str, str]
@@ -217,20 +208,18 @@ class ProceduralReport:
         object.__setattr__(self, "provenance", dict(self.provenance))
 
 
-def procedural_check(config: AuditConfig) -> ProceduralReport:
+def procedural_check(ethicality_asserted: bool) -> ProceduralReport:
     """Which procedural rules the run satisfies.
 
     consistency: one strategy and parameter set applied uniformly to all
     individuals, which holds by construction: a run carries exactly one of
-    each. accuracy: the input validation report was empty. ethicality:
-    echoed from the operator's assertion, never computed.
+    each. accuracy: the decision rests on inputs that passed validation,
+    which holds by construction too, since no run is audited otherwise.
+    ethicality: echoed from the operator's assertion, never computed.
     """
-    satisfied: set[str] = {CONSISTENCY}
-    provenance: dict[str, str] = {CONSISTENCY: COMPUTED}
-    if config.validation_clean:
-        satisfied.add(ACCURACY)
-        provenance[ACCURACY] = COMPUTED
-    if config.ethicality_asserted:
+    satisfied = {CONSISTENCY, ACCURACY}
+    provenance = {CONSISTENCY: COMPUTED, ACCURACY: COMPUTED}
+    if ethicality_asserted:
         satisfied.add(ETHICALITY)
         provenance[ETHICALITY] = ASSERTED
     return ProceduralReport(frozenset(satisfied), provenance)

@@ -29,6 +29,7 @@ from .report import (
     build_report_doc,
     dumps_doc,
     label_fields,
+    render_baselines,
     render_labels,
     render_text,
     summary_counts,
@@ -138,13 +139,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(baselines, "json")
     else:
-        text = render_text(doc)
-        keep = [
-            line
-            for line in text.splitlines()
-            if line.startswith(("statistical parity", "objective IF", "subjective IF", "  - "))
-        ]
-        sys.stdout.write("\n".join(keep) + "\n")
+        sys.stdout.write("\n".join(render_baselines(doc)) + "\n")
     return EXIT_OK
 
 

@@ -30,10 +30,9 @@ from ..audit import (
 )
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, InputError, ValidationReport, validate_population
+from ..core import AuditParams, InputError, validate_population
 from ..explanations import (
     AcceptanceLedger,
-    AuditConfig,
     ExplanationObligation,
     ProceduralReport,
     derive_obligations,
@@ -53,7 +52,6 @@ class RunResult:
     """Everything one audit run produced."""
 
     run: AuditRunFile
-    validation: ValidationReport
     family: ClusterFamily
     report: AuditReport
     obligations: tuple[ExplanationObligation, ...]
@@ -76,12 +74,7 @@ def audit_grid(
     validation = validate_population(run.population, run.perceptions, run.recommendations)
     if not validation.ok:
         raise InputError("invalid audit inputs: " + "; ".join(validation.messages()[:5]))
-    procedural = procedural_check(
-        AuditConfig(
-            validation_clean=validation.ok,
-            ethicality_asserted=bool(run.metadata.get("ethicality_asserted", False)),
-        )
-    )
+    procedural = procedural_check(bool(run.metadata.get("ethicality_asserted", False)))
     ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
     family = delta = None
     for params, strategy in settings:
@@ -96,7 +89,6 @@ def audit_grid(
         obligations = tuple(derive_obligations(report))
         yield RunResult(
             run=replace(run, params=params, strategy=strategy),
-            validation=validation,
             family=family,
             report=report,
             obligations=obligations,
@@ -188,10 +180,8 @@ def build_report_doc(
     state, procedural tags, review flags, and optional baseline metrics."""
     doc = build_audit_doc(result)
     doc["engine_version"] = __version__
-    doc["validation"] = {
-        "ok": result.validation.ok,
-        "violations": result.validation.messages(),
-    }
+    # Only a run whose inputs pass validation is audited (``audit_grid``).
+    doc["validation"] = {"ok": True, "violations": []}
     doc["explanation_fairness"] = result.explanation_fairness
     if result.run.ledger is not None:
         doc["ledger"] = result.run.ledger.as_rows()
@@ -248,18 +238,44 @@ def render_labels(doc: dict[str, Any]) -> list[str]:
     ]
 
 
+def render_baselines(doc: dict[str, Any]) -> list[str]:
+    """The text lines of the ``baselines`` section, if any: the parity line,
+    and each IF check's violation count followed by one line per violation."""
+    baselines = doc.get("baselines", {})
+    lines = []
+    if "statistical_parity" in baselines:
+        parity = baselines["statistical_parity"]
+        rates = " ".join(f"{g}={r:.4f}" for g, r in parity["rates"].items())
+        lines.append(
+            f"statistical parity on {parity['attribute']!r}: {rates} "
+            f"(gap {parity['gap']:.4f})"
+        )
+    if "objective_if" in baselines:
+        lines.append(f"objective IF violations: {len(baselines['objective_if'])}")
+        for v in baselines["objective_if"]:
+            lines.append(
+                f"  - ({v['pair'][0]}, {v['pair'][1]}): gap {v['score_gap']:.4f} "
+                f"> distance {v['distance']:.4f}"
+            )
+    if "subjective_if" in baselines:
+        lines.append(f"subjective IF violations: {len(baselines['subjective_if'])}")
+        for v in baselines["subjective_if"]:
+            lines.append(
+                f"  - observer {v['observer']} on ({v['pair'][0]}, {v['pair'][1]}): "
+                f"gap {v['score_gap']:.4f} > perceived {v['perceived_distance']:.4f}"
+            )
+    return lines
+
+
 def render_text(doc: dict[str, Any]) -> str:
-    """Human-readable report, ordered by individual id throughout."""
+    """Human-readable form of a report document, ordered by individual id
+    throughout."""
     lines = [
         f"subjective-fairness audit: purpose {doc['purpose']!r}, n={doc['n']}",
         "params: delta={delta} epsilon={epsilon} theta={theta}".format(**doc["params"])
         + f", strategy={doc['strategy']['kind']}",
+        "validation: clean",
     ]
-    if "validation" in doc:
-        state = "clean" if doc["validation"]["ok"] else "INVALID"
-        lines.append(f"validation: {state}")
-        for message in doc["validation"]["violations"]:
-            lines.append(f"  ! {message}")
 
     sf = doc["sf"]
     if sf["dissenters"]:
@@ -296,26 +312,5 @@ def render_text(doc: dict[str, Any]) -> str:
     for flag in doc.get("flags", []):
         lines.append(f"flag: {flag}")
 
-    baselines = doc.get("baselines", {})
-    if "statistical_parity" in baselines:
-        parity = baselines["statistical_parity"]
-        rates = " ".join(f"{g}={r:.4f}" for g, r in parity["rates"].items())
-        lines.append(
-            f"statistical parity on {parity['attribute']!r}: {rates} "
-            f"(gap {parity['gap']:.4f})"
-        )
-    if "objective_if" in baselines:
-        lines.append(f"objective IF violations: {len(baselines['objective_if'])}")
-        for v in baselines["objective_if"]:
-            lines.append(
-                f"  - ({v['pair'][0]}, {v['pair'][1]}): gap {v['score_gap']:.4f} "
-                f"> distance {v['distance']:.4f}"
-            )
-    if "subjective_if" in baselines:
-        lines.append(f"subjective IF violations: {len(baselines['subjective_if'])}")
-        for v in baselines["subjective_if"]:
-            lines.append(
-                f"  - observer {v['observer']} on ({v['pair'][0]}, {v['pair'][1]}): "
-                f"gap {v['score_gap']:.4f} > perceived {v['perceived_distance']:.4f}"
-            )
+    lines += render_baselines(doc)
     return "\n".join(lines) + "\n"

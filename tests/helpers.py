@@ -6,6 +6,7 @@ import random
 from types import SimpleNamespace
 
 from subjfair import (
+    BINARY,
     MAJORITY,
     AggregationStrategy,
     AuditParams,
@@ -20,6 +21,7 @@ from subjfair import (
     build_cluster_family,
     run_pipeline,
 )
+from subjfair.harness.runfile import AuditRunFile
 
 
 def perceived_cluster(
@@ -77,6 +79,42 @@ def audit(
     set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
     return audit_population(
         inputs.pop, inputs.family, inputs.recs, params, set_recs, decisions
+    )
+
+
+def similarity(a: Outcome, b: Outcome) -> float:
+    """Treatment similarity by its definition, the reference the audit's
+    epsilon tests are checked against: binary outcomes compare by exact
+    match (1.0 or 0.0), scores by ``1 - |a - b|``."""
+    if a.kind == BINARY:
+        return 1.0 if a.value == b.value else 0.0
+    return 1.0 - abs(a.value - b.value)
+
+
+def cluster_label(
+    recs: list[float], theta: float = 0.5, kind: str = "binary", strategy: str = MAJORITY
+) -> int:
+    """The stage-1 label ``run_pipeline`` gives one cluster that holds one
+    person per value of ``recs``: p0 rates everyone 1.0, everyone else
+    rates only themself."""
+    ids = [f"p{k}" for k in range(len(recs))]
+    rows = {i: {i: 1.0} for i in ids}
+    rows[ids[0]] = dict.fromkeys(ids, 1.0)
+    inputs = make_inputs(rows, dict(zip(ids, recs)), theta=theta, kind=kind)
+    set_recs, _ = run_pipeline(
+        inputs.pop, inputs.family, inputs.recs, AggregationStrategy(strategy, theta=theta)
+    )
+    return int(set_recs[ids[0]].value)
+
+
+def as_run(inputs: SimpleNamespace, kind: str = MAJORITY) -> AuditRunFile:
+    """The run file of ``inputs`` under the ``kind`` strategy at their theta."""
+    return AuditRunFile(
+        population=inputs.pop,
+        perceptions=inputs.table,
+        recommendations=inputs.recs,
+        params=inputs.params,
+        strategy=AggregationStrategy(kind, theta=inputs.params.theta),
     )
 
 

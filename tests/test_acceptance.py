@@ -23,26 +23,20 @@ from subjfair import (
     Outcome,
     Population,
     PerceptionTable,
-    RecommendationVector,
-    SetRecommendationVector,
-    aggregate_individual_decision,
-    aggregate_set_recommendation,
     build_cluster_family,
     dwork_if_check,
     fairness_through_explanations,
     run_pipeline,
     subjective_if_check,
-    treatment_similarity,
 )
 from subjfair.audit import ISF_SATISFIED, NEITHER, RELAXED_ONLY
-from subjfair.clustering import PerceivedCluster
 from subjfair.explanations import SYSTEM_RECOMMENDATION
 from subjfair.harness.fixtures import crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import audit_run, build_audit_doc
 from subjfair.harness.synth import SynthProfile, find_manipulation_instance, generate_population
 
-from helpers import audit, make_inputs, random_instance, random_rows
+from helpers import audit, cluster_label, make_inputs, random_instance, random_rows, similarity
 
 
 def _passed(number: int, name: str) -> None:
@@ -142,14 +136,8 @@ def test_acceptance_5_property_suite():
     for _ in range(cases):
         size = rng.randint(1, 8)
         labels = [rng.randint(0, 1) for _ in range(size)]
-        ids = [f"p{k}" for k in range(size)]
-        recs = RecommendationVector("t", {i: Outcome.label(v) for i, v in zip(ids, labels)})
-        cluster = PerceivedCluster(ids[0], frozenset(ids))
         lo, hi = sorted((rng.uniform(0, 0.99), rng.uniform(0, 0.99)))
-        assert (
-            aggregate_set_recommendation(cluster, recs, hi).value
-            <= aggregate_set_recommendation(cluster, recs, lo).value
-        )
+        assert cluster_label(labels, hi) <= cluster_label(labels, lo)
 
     # unanimity preservation through both stages
     rng = random.Random(103)
@@ -192,10 +180,8 @@ def test_acceptance_5_property_suite():
         for x in inputs.pop.individuals:
             r_x = inputs.recs[x]
             members = inputs.family.cluster_of(x).members
-            own_vs_set = treatment_similarity(r_x, set_recs[x])
-            all_match = all(
-                treatment_similarity(inputs.recs[y], r_x) > 0.0 for y in members
-            )
+            own_vs_set = similarity(r_x, set_recs[x])
+            all_match = all(similarity(inputs.recs[y], r_x) > 0.0 for y in members)
             conds = [
                 own_vs_set > 0.0 and all_match,
                 own_vs_set > 0.0 and not all_match,
@@ -211,21 +197,25 @@ def test_acceptance_5_property_suite():
         size = rng.randint(1, 8)
         count = rng.randint(0, size - 1) if size > 1 else 0
         theta = count / size
-        ids = [f"p{k}" for k in range(size)]
         labels = [1] * count + [0] * (size - count)
-        recs = RecommendationVector("t", {i: Outcome.label(v) for i, v in zip(ids, labels)})
-        cluster = PerceivedCluster(ids[0], frozenset(ids))
-        assert aggregate_set_recommendation(cluster, recs, theta) == Outcome.label(0)
+        assert cluster_label(labels, theta) == 0
 
-        rows = {ids[0]: {ids[0]: 1.0}}
-        rows.update({i: {i: 1.0, ids[0]: 0.9} for i in ids[1:]})
-        family = build_cluster_family(
-            Population(tuple(ids)), PerceptionTable(rows), 0.5
-        )
-        set_recs = SetRecommendationVector(
-            "t", {i: Outcome.label(v) for i, v in zip(ids, labels)}
-        )
-        assert aggregate_individual_decision(ids[0], family, set_recs, theta) == Outcome.label(0)
+        # t, recommended 0, sits in its own cluster {t} (label 0) and in the
+        # cluster of each owner o_k: {o_k, t} and `size` supporters who share
+        # o_k's label, so that cluster tallies 0 or (size + 1) / (size + 2),
+        # on the side of theta its label says.
+        rows, recs = {"t": {"t": 1.0}}, {"t": 0}
+        for k, label in enumerate(labels[:-1]):
+            supporters = [f"s{k}_{j}" for j in range(size)]
+            rows[f"o{k}"] = dict.fromkeys([f"o{k}", "t", *supporters], 1.0)
+            rows.update({s: {s: 1.0} for s in supporters})
+            recs.update(dict.fromkeys([f"o{k}", *supporters], label))
+        inputs = make_inputs(rows, recs, theta=theta)
+        strategy = AggregationStrategy(theta=theta)
+        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        owners = inputs.family.containing("t")
+        assert sorted(int(set_recs[o].value) for o in owners) == sorted(labels)
+        assert decisions["t"] == Outcome.label(0)
 
     # subjective check with no overrides is the objective check per observer
     rng = random.Random(108)

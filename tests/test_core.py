@@ -12,7 +12,6 @@ from subjfair import (
     PerceptionTable,
     Population,
     RecommendationVector,
-    treatment_similarity,
     validate_population,
 )
 from subjfair.core import (
@@ -23,41 +22,48 @@ from subjfair.core import (
     Violation,
 )
 
-from helpers import make_inputs, rows_of
+from helpers import audit, make_inputs, rows_of
+
+
+def _pair_ratios(a, b, epsilon, kind="binary"):
+    """The satisfaction ratios the audit gives a and b, who each perceive
+    the cluster {a, b}: 1.0 when a's and b's treatments are
+    epsilon-similar, else 0.5."""
+    rows = {"a": {"a": 1.0, "b": 1.0}, "b": {"a": 1.0, "b": 1.0}}
+    verdicts = audit(make_inputs(rows, {"a": a, "b": b}, kind=kind), epsilon=epsilon).verdicts
+    return verdicts["a"].satisfaction_ratio, verdicts["b"].satisfaction_ratio
 
 
 class TestTreatmentSimilarity:
+    # Binary outcomes compare by exact match, scores by 1 - |a - b|; two
+    # treatments are similar when that exceeds epsilon.
+
     def test_identical_binary_labels(self):
-        assert treatment_similarity(Outcome.label(1), Outcome.label(1)) == 1.0
+        assert _pair_ratios(1, 1, 0.99) == (1.0, 1.0)
+        assert _pair_ratios(0, 0, 0.99) == (1.0, 1.0)
 
     def test_opposite_binary_labels(self):
-        assert treatment_similarity(Outcome.label(1), Outcome.label(0)) == 0.0
+        assert _pair_ratios(1, 0, 0.0) == (0.5, 0.5)
 
     def test_scores(self):
-        # 1 - |0.85 - 0.90|
-        got = treatment_similarity(Outcome.score(0.85), Outcome.score(0.90))
-        assert got == pytest.approx(0.95)
+        # 1 - |0.85 - 0.90| = 0.95
+        assert _pair_ratios(0.85, 0.90, 0.94, kind="score") == (1.0, 1.0)
+        assert _pair_ratios(0.85, 0.90, 0.96, kind="score") == (0.5, 0.5)
 
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(KindMismatchError):
-            treatment_similarity(Outcome.label(1), Outcome.score(0.5))
-
-    @given(st.integers(0, 1), st.integers(0, 1))
-    def test_binary_symmetric_and_two_valued(self, a, b):
-        x, y = Outcome.label(a), Outcome.label(b)
-        assert treatment_similarity(x, y) == treatment_similarity(y, x)
-        assert treatment_similarity(x, y) in (0.0, 1.0)
-        assert treatment_similarity(x, x) == 1.0
+    @given(st.integers(0, 1), st.integers(0, 1), st.sampled_from([0.0, 0.3, 0.99]))
+    def test_binary_symmetric_and_two_valued(self, a, b, epsilon):
+        ratio_a, ratio_b = _pair_ratios(a, b, epsilon)
+        assert ratio_a == ratio_b == (1.0 if a == b else 0.5)
 
     @given(
         st.floats(0, 1, allow_nan=False, allow_infinity=False),
         st.floats(0, 1, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 0.2, 0.5, 0.9]),
     )
-    def test_score_symmetric_reflexive_bounded(self, a, b):
-        x, y = Outcome.score(a), Outcome.score(b)
-        assert treatment_similarity(x, y) == treatment_similarity(y, x)
-        assert 0.0 <= treatment_similarity(x, y) <= 1.0
-        assert treatment_similarity(x, x) == 1.0
+    def test_score_symmetric_reflexive_bounded(self, a, b, epsilon):
+        ratio_a, ratio_b = _pair_ratios(a, b, epsilon, kind="score")
+        assert ratio_a == ratio_b == (1.0 if 1.0 - abs(a - b) > epsilon else 0.5)
+        assert _pair_ratios(a, a, epsilon, kind="score") == (1.0, 1.0)
 
 
 class TestOutcome:

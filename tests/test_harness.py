@@ -670,6 +670,25 @@ class TestCli:
         assert got["objective_if"] == []
         assert [v["observer"] for v in got["subjective_if"]] == ["a"]
 
+    def test_baseline_text_lists_only_baseline_violations(self, tmp_path, capsys):
+        # The fixture owes obligations, whose lines the text report indents
+        # the way it indents violations; the baseline text has none of them.
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"group": "g" if i in "xy" else "h"} for i in doc["individuals"]}
+        doc["baseline"] = {"scores": {"x": 0.2, "y": 0.9}, "distances": [["x", "y", 0.3]]}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        code = main(["baseline", "--input", str(path), "--group-attr", "group"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "statistical parity on 'group': g=0.5000 h=0.5000 (gap 0.0000)",
+            "objective IF violations: 1",
+            "  - (x, y): gap 0.7000 > distance 0.3000",
+            "subjective IF violations: 2",
+            "  - observer x on (x, y): gap 0.7000 > perceived 0.3000",
+            "  - observer y on (x, y): gap 0.7000 > perceived 0.3000",
+        ]
+
     def test_baseline_requires_inputs(self, tmp_path, capsys):
         path = tmp_path / "plain.json"
         path.write_text(json.dumps(_minimal_doc()))

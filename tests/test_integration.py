@@ -14,8 +14,7 @@ from subjfair import (
     AggregationStrategy,
     Outcome,
     PerceptionTable,
-    SetRecommendationVector,
-    aggregate_individual_decision,
+    run_pipeline,
 )
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
@@ -80,16 +79,16 @@ class TestPerOwnerClusterCounting:
             "c": {"c": 1.0, "i": 0.9},
             "i": {"i": 1.0},
         }
-        inputs = make_inputs(rows, {"a": 1, "b": 1, "c": 0, "i": 0})
-        set_recs = SetRecommendationVector(
-            "t",
-            {"a": Outcome.label(1), "b": Outcome.label(1), "c": Outcome.label(0), "i": Outcome.label(0)},
-        )
+        inputs = make_inputs(rows, {"a": 1, "b": 1, "c": 0, "i": 0}, theta=0.4)
+        strategy = AggregationStrategy(theta=0.4)
+        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        assert {x: int(o.value) for x, o in set_recs.values.items()} == {
+            "a": 1, "b": 1, "c": 0, "i": 0
+        }
         assert inputs.family.containing("i") == {"a", "b", "c", "i"}
-        # per-owner counting: mean over {1, 1, 0, 0} = 0.5 -> 0;
+        # per-owner counting: mean over {1, 1, 0, 0} = 0.5;
         # collapsing identical clusters would give mean over {1, 0, 0}
-        got = aggregate_individual_decision("i", inputs.family, set_recs, 0.4)
-        assert got == Outcome.label(1)  # 0.5 > 0.4 only with per-owner counting
+        assert decisions["i"] == Outcome.label(1)  # 0.5 > 0.4 only with per-owner counting
 
 
 class TestScoreKindEndToEnd:
@@ -173,14 +172,17 @@ def test_module_entry_point_runs():
 
 
 def test_readme_quick_start_runs():
-    # the first Python example in README.md, run as written
+    # every Python example in README.md, run as written, in order
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    example = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    blocks = readme.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) >= 2
     namespace: dict = {}
-    exec(example, namespace)
+    for block in blocks:
+        exec(block.split("```", 1)[0], namespace)
     labels = lambda vector: {i: int(o.value) for i, o in vector.values.items()}
     assert labels(namespace["set_recs"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
     assert labels(namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
     report = namespace["report"]
     assert report.sf == UNFAIR
     assert report.dissenters == {"x", "y", "u"}
+    assert namespace["doc"]["sf"] == {"verdict": UNFAIR, "dissenters": ["u", "x", "y"]}

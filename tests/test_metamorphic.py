@@ -7,7 +7,10 @@ the sizes the benchmark and the golden hashes use, without a second engine.
 
 from __future__ import annotations
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
@@ -15,14 +18,17 @@ import pytest
 from subjfair import (
     MAJORITY,
     PESSIMISTIC,
+    TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
     AuditParams,
     Outcome,
     Population,
     RecommendationVector,
+    binarize,
     build_cluster_family,
 )
+from subjfair.harness.cli import main
 from subjfair.harness.report import audit_run, build_audit_doc
 from subjfair.harness.runfile import from_dict, to_dict
 from subjfair.harness.synth import SynthProfile, generate_population
@@ -133,3 +139,54 @@ def test_order_preserving_renaming_renames_the_report(case, kind):
     assert sorted(name.values()) == [name[old] for old in ordered]
     expected = _renamed_doc(build_audit_doc(audit_run(run)), name)
     assert build_audit_doc(audit_run(_renamed_run(run, name))) == expected
+
+
+def _report_json(doc, path):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        assert main(["report", "--input", str(path), "--format", "json", "--group-attr", "age"]) == 0
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_shuffling_the_population_leaves_the_report_unchanged(tmp_path, seed):
+    kind = ["binary", "score"][seed % 2]
+    strategy = [MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO, MAJORITY][seed - 1]
+    run = _with_strategy(_run(250, [0.3, 0.05][seed % 2], kind, seed, epsilon=0.1), strategy)
+    doc = to_dict(run)
+    shuffled = dict(doc, individuals=random.Random(seed).sample(doc["individuals"], run.n))
+    assert shuffled["individuals"] != doc["individuals"]
+    assert _report_json(shuffled, tmp_path / "b.json") == _report_json(doc, tmp_path / "a.json")
+
+
+def _self_consistent(run):
+    """The run with the row of everyone whose label differs from their own
+    cluster's majority label cut down to themself. A row is one person's
+    own statement, so this changes only their own cluster, which then holds
+    them alone and agrees with them: every trust weight becomes 1."""
+    majority = audit_run(run).report.set_recommendations
+    rows = run.perceptions.as_rows()
+    dissenting = [
+        x for x in run.population.individuals
+        if binarize(run.recommendations[x]) != majority[x]
+    ]
+    for x in dissenting:
+        rows[x] = {x: 1.0}
+    return replace(run, perceptions=replace(run.perceptions, rows=rows)), len(dissenting)
+
+
+@pytest.mark.parametrize("case", RUNS, ids=IDS)
+@pytest.mark.parametrize("theta", [0.3, 0.5])
+def test_trust_weighted_is_majority_when_everyone_agrees_with_their_cluster(case, theta):
+    run, cut = _self_consistent(_run(*case, delta=0.4, epsilon=0.1, theta=theta))
+    majority = audit_run(run)
+    family = majority.family
+    assert cut > 0
+    assert sum(len(family.cluster_of(x)) for x in run.population.individuals) > 2 * run.n
+    for x in run.population.individuals:
+        assert binarize(run.recommendations[x]) == majority.report.set_recommendations[x]
+    weighted = audit_run(_with_strategy(run, TRUST_WEIGHTED))
+    for field in ("set_recommendations", "decisions", "verdicts", "scenarios", "conflicts"):
+        assert getattr(weighted.report, field) == getattr(majority.report, field), field
+    assert weighted.obligations == majority.obligations
