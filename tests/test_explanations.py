@@ -9,7 +9,6 @@ from subjfair import (
     FAIR,
     UNFAIR,
     AcceptanceLedger,
-    AggregationStrategy,
     ExplanationObligation,
     InputError,
     LedgerIntegrityError,
@@ -27,10 +26,9 @@ from subjfair.explanations import (
     SYSTEM_RECOMMENDATION,
 )
 from subjfair.harness.report import audit_run
-from subjfair.harness.runfile import AuditRunFile
 from subjfair import run_pipeline, audit_population
 
-from helpers import make_inputs
+from helpers import as_run, make_inputs
 
 
 def _report(rows, recs):
@@ -193,14 +191,7 @@ class TestFairnessThroughExplanations:
 
     def test_sf_fair_process_is_vacuously_explanation_fair(self):
         inputs = make_inputs(*UNANIMOUS)
-        run = AuditRunFile(
-            population=inputs.pop,
-            perceptions=inputs.table,
-            recommendations=inputs.recs,
-            params=inputs.params,
-            strategy=AggregationStrategy(theta=inputs.params.theta),
-        )
-        result = audit_run(run)
+        result = audit_run(as_run(inputs))
         assert result.report.sf == FAIR
         assert result.obligations == ()
         assert result.explanation_fairness == FAIR

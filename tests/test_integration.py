@@ -19,10 +19,10 @@ from subjfair import (
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import audit_run, build_audit_doc, build_report_doc
-from subjfair.harness.runfile import AuditRunFile, load_run, save_run, to_dict
+from subjfair.harness.runfile import load_run, save_run, to_dict
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import make_inputs
+from helpers import as_run, make_inputs
 
 
 class TestAcceptanceRoundsThroughRunFiles:
@@ -103,13 +103,7 @@ class TestScoreKindEndToEnd:
             kind="score",
             epsilon=epsilon,
         )
-        return AuditRunFile(
-            population=inputs.pop,
-            perceptions=inputs.table,
-            recommendations=inputs.recs,
-            params=inputs.params,
-            strategy=AggregationStrategy(theta=inputs.params.theta),
-        )
+        return as_run(inputs)
 
     def test_engine_matches_oracle_on_scores(self):
         run = self._run()
