@@ -14,7 +14,9 @@ both pipeline stages ran on flat 0/1 labels and the sweep began to reuse
 validation and clusters across its grid points. The text outputs of
 ``report`` and ``decide`` were pinned before the Outcome-level copies of the
 aggregation and similarity rules and the validation plumbing of the
-procedural check were removed.
+procedural check were removed. The ``baseline`` outputs were pinned before
+the two individual-fairness checks began to share one walk over the scored
+pairs.
 """
 
 from __future__ import annotations
@@ -266,6 +268,46 @@ def test_text_output_is_pinned(tmp_path):
         "decide-fixture": _printed(["decide", "--input", fixture]),
     }
     assert printed == TEXT
+
+
+BASELINE = {
+    "n120-json": "0:4f49fb7289387746b0c3a837176fb52246ed3953086e7dd0aecddae03addad1b",
+    "n120-text": "0:125459b3d5fff3edbfa0ffe30edefaa4296979b718f6573a753f189a414460ab",
+    "reversed-json": "0:2d5ba6f7f8f3f27939e9f19dde9c1551d0da5efd5ff93be023841ad2fd1a1d20",
+}
+
+#: Each pair of the fixture's people as a distance row, and four overrides,
+#: every row naming its pair in reverse sorted order.
+REVERSED_BASELINE = {
+    "scores": {"x": 0.1, "y": 0.9, "u": 0.5, "v": 0.45},
+    "distances": [
+        ["v", "u", 0.01], ["x", "u", 0.5], ["y", "u", 0.3],
+        ["x", "v", 0.2], ["y", "v", 0.5], ["y", "x", 0.6],
+    ],
+    "overrides": [
+        ["v", "v", "u", 0.2], ["u", "x", "u", 0.1], ["y", "y", "x", 2.0], ["x", "y", "x", 0.7],
+    ],
+}
+
+
+def test_baseline_is_pinned(tmp_path):
+    """``baseline`` on a run with a group attribute and baseline inputs, in
+    both forms, and on the fixture with baseline rows given in reverse order."""
+    run = _synthetic_run(120, 0.3, VETO, "score", ("group", "baseline"), 33)
+    path = str(save_run(run, tmp_path / "run.json"))
+    doc = json.loads(crossed_clusters_path().read_text(encoding="utf-8"))
+    doc["baseline"] = REVERSED_BASELINE
+    reversed_path = tmp_path / "reversed.json"
+    reversed_path.write_text(json.dumps(doc), encoding="utf-8")
+    group = ["--group-attr", "group"]
+    printed = {
+        "n120-json": _printed(["baseline", "--input", path, *group, "--format", "json"]),
+        "n120-text": _printed(["baseline", "--input", path, *group, "--format", "text"]),
+        "reversed-json": _printed(
+            ["baseline", "--input", str(reversed_path), "--format", "json"]
+        ),
+    }
+    assert printed == BASELINE
 
 
 # --- broken tables ---------------------------------------------------------------
