@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterator, Mapping
 
-from .aggregation import binarize
 from .core import DecisionVector, InputError, Population
 
 ScoreMapping = Mapping[str, float]
@@ -22,18 +21,13 @@ ScoreMapping = Mapping[str, float]
 GAP_TOLERANCE = 1e-9
 
 
-def _pair_key(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if x <= y else (y, x)
-
-
 @dataclass(frozen=True)
 class ObjectiveDistanceTable:
     """Symmetric pairwise distances, optionally overridden per observer.
 
-    ``entries`` holds the objective distance for each unordered pair.
-    ``subjective_overrides`` maps (observer, x, y) to the distance that
-    observer perceives for the pair; overrides may break symmetry since
-    the two parties of a pair can disagree.
+    ``entries`` maps each unordered pair, keyed in sorted order, to its
+    objective distance. ``subjective_overrides`` maps (observer, x, y), pair
+    sorted too, to the distance that observer perceives: the parties may disagree.
     """
 
     entries: Mapping[tuple[str, str], float]
@@ -44,30 +38,14 @@ class ObjectiveDistanceTable:
         for (x, y), d in self.entries.items():
             if not d >= 0:
                 raise InputError(f"distance d({x},{y}) must be >= 0, got {d}")
-            normalized[_pair_key(x, y)] = float(d)
+            normalized[(x, y) if x <= y else (y, x)] = float(d)
         object.__setattr__(self, "entries", normalized)
         overrides = {}
         for (observer, x, y), d in (self.subjective_overrides or {}).items():
             if not d >= 0:
-                raise InputError(
-                    f"distance d_{observer}({x},{y}) must be >= 0, got {d}"
-                )
-            overrides[(observer,) + _pair_key(x, y)] = float(d)
+                raise InputError(f"distance d_{observer}({x},{y}) must be >= 0, got {d}")
+            overrides[(observer, x, y) if x <= y else (observer, y, x)] = float(d)
         object.__setattr__(self, "subjective_overrides", overrides)
-
-    def distance(self, x: str, y: str) -> float:
-        try:
-            return self.entries[_pair_key(x, y)]
-        except KeyError:
-            raise InputError(f"no distance recorded for pair ({x}, {y})") from None
-
-    def perceived_distance(self, observer: str, x: str, y: str) -> float:
-        """The observer's own distance for the pair; objective if they
-        never stated one."""
-        key = (observer,) + _pair_key(x, y)
-        if key in self.subjective_overrides:
-            return self.subjective_overrides[key]
-        return self.distance(x, y)
 
 
 @dataclass(frozen=True)
@@ -89,56 +67,47 @@ class ObserverViolation:
     perceived_distance: float
 
 
-def _score_gap(scores: ScoreMapping, x: str, y: str) -> float:
-    for i in (x, y):
-        if i not in scores:
-            raise InputError(f"no score for {i}")
-    return abs(scores[x] - scores[y])
-
-
-def _all_pairs(scores: ScoreMapping) -> list[tuple[str, str]]:
-    return list(itertools.combinations(sorted(scores), 2))
+def _scored_pairs(
+    scores: ScoreMapping, distances: ObjectiveDistanceTable
+) -> Iterator[tuple[tuple[str, str], float, float]]:
+    """Each sorted pair of scored people once, with its score gap and its
+    distance; raises ``InputError`` naming the first pair with no distance."""
+    for pair in itertools.combinations(sorted(scores), 2):
+        d = distances.entries.get(pair)
+        if d is None:
+            raise InputError(f"no distance recorded for pair ({pair[0]}, {pair[1]})")
+        yield pair, abs(scores[pair[0]] - scores[pair[1]]), d
 
 
 def dwork_if_check(
-    scores: ScoreMapping,
-    distances: ObjectiveDistanceTable,
-    pairs: Iterable[tuple[str, str]] | None = None,
+    scores: ScoreMapping, distances: ObjectiveDistanceTable
 ) -> list[PairViolation]:
-    """Individual-fairness check against the objective distance.
-
-    A pair (x, y) violates when |score(x) - score(y)| > d(x, y). Checks all
-    unordered pairs of the score mapping when ``pairs`` is omitted.
-    """
-    violations = []
-    for x, y in pairs if pairs is not None else _all_pairs(scores):
-        gap = _score_gap(scores, x, y)
-        d = distances.distance(x, y)
-        if gap > d + GAP_TOLERANCE:
-            violations.append(PairViolation(_pair_key(x, y), gap, d))
-    return violations
+    """Individual-fairness check against the objective distance: a pair
+    (x, y) of scored people violates when |score(x) - score(y)| > d(x, y)."""
+    return [
+        PairViolation(pair, gap, d)
+        for pair, gap, d in _scored_pairs(scores, distances)
+        if gap > d + GAP_TOLERANCE
+    ]
 
 
 def subjective_if_check(
-    scores: ScoreMapping,
-    distances: ObjectiveDistanceTable,
-    pairs: Iterable[tuple[str, str]] | None = None,
+    scores: ScoreMapping, distances: ObjectiveDistanceTable
 ) -> list[ObserverViolation]:
     """Individual-fairness check against each observer's own distance.
 
     For every pair, each of its two parties is asked in turn: does the
-    score gap exceed the distance *you* perceive? With no overrides this
+    score gap exceed the distance *you* perceive? A party who never stated
+    one perceives the objective distance, so with no overrides this
     reduces to the objective check, reported once per observer.
     """
+    overrides = distances.subjective_overrides
     violations = []
-    for x, y in pairs if pairs is not None else _all_pairs(scores):
-        gap = _score_gap(scores, x, y)
-        for observer in (x, y):
-            perceived = distances.perceived_distance(observer, x, y)
+    for pair, gap, d in _scored_pairs(scores, distances):
+        for observer in pair:
+            perceived = overrides.get((observer, *pair), d)
             if gap > perceived + GAP_TOLERANCE:
-                violations.append(
-                    ObserverViolation(observer, _pair_key(x, y), gap, perceived)
-                )
+                violations.append(ObserverViolation(observer, pair, gap, perceived))
     return violations
 
 
@@ -160,18 +129,27 @@ def statistical_parity_gap(
     """Positive-decision rate per value of ``group_attribute``.
 
     The gap is the difference between the best- and worst-treated group
-    (0.0 with a single group). Every individual must carry the attribute.
+    (0.0 with a single group). Every individual must carry the attribute, and
+    two values must be equal exactly when they print alike, as reports print the keys.
     """
-    groups: dict[Any, list[float]] = {}
+    groups: dict[Any, list[int]] = {}
+    by_value: dict[Any, Any] = {}
+    by_print: dict[str, Any] = {}
     for individual in pop.individuals:
         attrs = pop.attributes_of(individual)
         if group_attribute not in attrs:
             raise InputError(
                 f"individual {individual} has no attribute {group_attribute!r}"
             )
-        groups.setdefault(attrs[group_attribute], []).append(
-            binarize(decisions[individual]).value
-        )
+        value = attrs[group_attribute]
+        # ``True`` and ``1`` would share one group, ``1`` and ``"1"`` one key.
+        for other in (by_value.setdefault(value, value), by_print.setdefault(str(value), value)):
+            if other is not value and (other != value or str(other) != str(value)):
+                raise InputError(
+                    f"attribute {group_attribute!r} has values {other!r} and {value!r}, "
+                    "which a report cannot tell apart"
+                )
+        groups.setdefault(value, []).append(decisions[individual].value)
     rates = {g: sum(vs) / len(vs) for g, vs in groups.items()}
     gap = max(rates.values()) - min(rates.values())
     return ParityReport(group_attribute, rates, gap)

@@ -62,6 +62,10 @@ _KIND_TAGS: Mapping[str, frozenset[str]] = {
 class LedgerIntegrityError(InputError):
     """A ledger entry references an obligation that was never issued."""
 
+    def __init__(self, key: tuple[str, str]) -> None:
+        self.key = key
+        super().__init__(f"ledger entry for ({key[0]}, {key[1]}) matches no obligation")
+
 
 @dataclass(frozen=True)
 class ExplanationObligation:
@@ -180,10 +184,7 @@ def fairness_through_explanations(
     keys = {o.key for o in obligations}
     for entry_key, _state in ledger:
         if entry_key not in keys:
-            individual, kind = entry_key
-            raise LedgerIntegrityError(
-                f"ledger entry for ({individual}, {kind}) matches no obligation"
-            )
+            raise LedgerIntegrityError(entry_key)
     states = [ledger.state(*key) for key in keys]
     if any(s == REJECTED for s in states):
         return UNFAIR

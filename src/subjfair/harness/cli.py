@@ -119,8 +119,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _unledgered(args: argparse.Namespace) -> AuditRunFile:
+    # For commands that print no explanation verdict: the ledger names the
+    # obligations of the file's own settings, which they never check.
+    return replace(_overridden(load_run(args.input), args), ledger=None)
+
+
 def _cmd_decide(args: argparse.Namespace) -> int:
-    doc = label_fields(audit_run(_overridden(load_run(args.input), args)))
+    doc = label_fields(audit_run(_unledgered(args)))
     if args.format == "json":
         _emit(doc, "json")
     else:
@@ -129,7 +135,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    result = audit_run(_overridden(load_run(args.input), args))
+    result = audit_run(_unledgered(args))
     doc = build_report_doc(result, group_attr=args.group_attr, include_baselines=True)
     baselines = doc.get("baselines")
     if not baselines:

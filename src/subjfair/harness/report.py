@@ -34,12 +34,13 @@ from ..core import AuditParams, InputError, validate_population
 from ..explanations import (
     AcceptanceLedger,
     ExplanationObligation,
+    LedgerIntegrityError,
     ProceduralReport,
     derive_obligations,
     fairness_through_explanations,
     procedural_check,
 )
-from .runfile import AuditRunFile, settings_to_dict
+from .runfile import AuditRunFile, RunFileError, settings_to_dict
 
 REPORT_SCHEMA = "subjfair-report/1"
 
@@ -70,6 +71,7 @@ def audit_grid(
 
     Raises:
         InputError: if the inputs break the model invariants.
+        RunFileError: at the ledger entry that names no obligation of a point.
     """
     validation = validate_population(run.population, run.perceptions, run.recommendations)
     if not validation.ok:
@@ -87,12 +89,16 @@ def audit_grid(
             run.population, family, run.recommendations, params, set_recs, decisions
         )
         obligations = tuple(derive_obligations(report))
+        try:
+            explanation_fairness = fairness_through_explanations(obligations, ledger)
+        except LedgerIntegrityError as exc:
+            raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
         yield RunResult(
             run=replace(run, params=params, strategy=strategy),
             family=family,
             report=report,
             obligations=obligations,
-            explanation_fairness=fairness_through_explanations(obligations, ledger),
+            explanation_fairness=explanation_fairness,
             procedural=procedural,
         )
 

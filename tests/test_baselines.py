@@ -7,12 +7,15 @@ from subjfair import (
     DecisionVector,
     InputError,
     ObjectiveDistanceTable,
+    ObserverViolation,
     Outcome,
+    PairViolation,
     Population,
     dwork_if_check,
     statistical_parity_gap,
     subjective_if_check,
 )
+from subjfair.baselines import GAP_TOLERANCE
 
 
 class TestObjectiveCheck:
@@ -36,19 +39,14 @@ class TestObjectiveCheck:
         assert violations[0].score_gap == pytest.approx(0.7)
 
     def test_symmetric_in_pair_order(self):
+        # a table keyed (y, x) gives the same violations as one keyed (x, y)
         scores = {"x": 0.2, "y": 0.9}
-        distances = ObjectiveDistanceTable({("y", "x"): 0.1})
-        one = dwork_if_check(scores, distances, pairs=[("x", "y")])
-        two = dwork_if_check(scores, distances, pairs=[("y", "x")])
-        assert one == two
-
-    def test_missing_score_rejected(self):
-        distances = ObjectiveDistanceTable({("x", "y"): 0.1})
-        with pytest.raises(InputError):
-            dwork_if_check({"x": 0.2}, distances, pairs=[("x", "y")])
+        one = dwork_if_check(scores, ObjectiveDistanceTable({("x", "y"): 0.1}))
+        two = dwork_if_check(scores, ObjectiveDistanceTable({("y", "x"): 0.1}))
+        assert one == two == [PairViolation(("x", "y"), pytest.approx(0.7), 0.1)]
 
     def test_missing_distance_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"pair \(x, y\)"):
             dwork_if_check({"x": 0.2, "y": 0.4}, ObjectiveDistanceTable({}))
 
 
@@ -171,6 +169,28 @@ class TestStatisticalParity:
         decisions = _decisions({"a": 1, "b": 0})
         assert statistical_parity_gap(decisions, pop, "group").gap == 0.0
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ({"a": 1, "b": "1", "c": 1, "d": "1"}, "1 and '1'"),
+            ({"a": True, "b": 0, "c": 1, "d": False}, "True and 1"),
+            ({"a": 1, "b": "1", "c": True}, "1 and '1'"),
+            ({"a": "A", "b": 1.0, "c": 1}, "1.0 and 1"),
+        ],
+    )
+    def test_values_a_report_cannot_tell_apart_rejected(self, values, named):
+        # the report keys each rate by its printed value: a value equal to
+        # another that prints differently, or one that prints alike and differs,
+        # would merge two groups or drop one
+        decisions = _decisions({i: k % 2 for k, i in enumerate(values)})
+        with pytest.raises(InputError, match=f"'group' has values {named}"):
+            statistical_parity_gap(decisions, _population(values), "group")
+
+    def test_values_of_several_types_accepted(self):
+        pop = _population({"a": 1, "b": "2", "c": None, "d": 1})
+        decisions = _decisions({"a": 1, "b": 0, "c": 1, "d": 0})
+        assert statistical_parity_gap(decisions, pop, "group").rates == {1: 0.5, "2": 0.0, None: 1.0}
+
     def test_missing_attribute_rejected(self):
         pop = Population(("a", "b"))
         decisions = _decisions({"a": 1, "b": 0})
@@ -179,12 +199,88 @@ class TestStatisticalParity:
 
 
 class TestDistanceTable:
-    def test_lookup_is_symmetric(self):
-        table = ObjectiveDistanceTable({("y", "x"): 0.3})
-        assert table.distance("x", "y") == 0.3
-        assert table.distance("y", "x") == 0.3
+    def test_pairs_are_stored_sorted(self):
+        table = ObjectiveDistanceTable({("y", "x"): 0.3}, {("y", "y", "x"): 1})
+        assert table.entries == {("x", "y"): 0.3}
+        assert table.subjective_overrides == {("y", "x", "y"): 1.0}
+        assert type(table.subjective_overrides[("y", "x", "y")]) is float
 
     def test_override_falls_back_to_objective(self):
+        # y states no distance of its own, so y perceives the objective one
+        scores = {"x": 0.5, "y": 0.7}
         table = ObjectiveDistanceTable({("x", "y"): 0.3}, {("x", "x", "y"): 0.1})
-        assert table.perceived_distance("x", "x", "y") == 0.1
-        assert table.perceived_distance("y", "x", "y") == 0.3
+        assert table.subjective_overrides == {("x", "x", "y"): 0.1}
+        assert subjective_if_check(scores, table) == [
+            ObserverViolation("x", ("x", "y"), pytest.approx(0.2), 0.1)
+        ]
+
+
+def _restated_checks(scores, distances, overrides):
+    """Both IF checks as the definitions state them, over tables keyed by
+    unordered pair: (objective, subjective) violations as plain tuples."""
+    def d(*pair):
+        return distances[frozenset(pair)]
+
+    ids = sorted(scores)
+    objective, subjective = [], []
+    for i, x in enumerate(ids):
+        for y in ids[i + 1:]:
+            gap = abs(scores[x] - scores[y])
+            if gap > d(x, y) + GAP_TOLERANCE:
+                objective.append(((x, y), gap, d(x, y)))
+            for observer in (x, y):
+                perceived = overrides.get((observer, frozenset((x, y))), d(x, y))
+                if gap > perceived + GAP_TOLERANCE:
+                    subjective.append((observer, (x, y), gap, perceived))
+    return objective, subjective
+
+
+class TestAgainstRestatedDefinition:
+    """Both checks against the definitions restated above, on random
+    tables with about 10 % of pairs overridden and keys in either order."""
+
+    @staticmethod
+    def _instance(rng):
+        n = rng.randint(2, 60)
+        ids = [f"p{k:02d}" for k in rng.sample(range(100), n)]
+        scores = {i: round(rng.random(), 2) for i in ids}
+        distances, overrides = {}, {}
+        table, table_overrides = {}, {}
+        for x, y in itertools.combinations(ids, 2):
+            key = (x, y) if rng.random() < 0.5 else (y, x)
+            distances[frozenset(key)] = table[key] = round(rng.random(), 2)
+            if rng.random() < 0.1:
+                observer = rng.choice(key)
+                d = round(rng.random(), 2)
+                overrides[(observer, frozenset(key))] = table_overrides[(observer, *key)] = d
+        return scores, distances, overrides, ObjectiveDistanceTable(table, table_overrides)
+
+    def test_both_checks_match_the_definition(self):
+        rng = random.Random(83)
+        observers = set()
+        for _ in range(30):
+            scores, distances, overrides, table = self._instance(rng)
+            objective, subjective = _restated_checks(scores, distances, overrides)
+            assert [
+                (v.pair, v.score_gap, v.distance) for v in dwork_if_check(scores, table)
+            ] == objective
+            assert [
+                (v.observer, v.pair, v.score_gap, v.perceived_distance)
+                for v in subjective_if_check(scores, table)
+            ] == subjective
+            observers |= {
+                "first" if observer == min(pair) else "second" for observer, pair in overrides
+            }
+        # the overrides reached both the first and the second party of a pair
+        assert observers == {"first", "second"}
+
+    def test_missing_pair_is_named(self):
+        rng = random.Random(89)
+        for _ in range(30):
+            scores, _, _, table = self._instance(rng)
+            missing = rng.choice(sorted(table.entries))
+            entries = {pair: d for pair, d in table.entries.items() if pair != missing}
+            broken = ObjectiveDistanceTable(entries, table.subjective_overrides)
+            for check in (dwork_if_check, subjective_if_check):
+                with pytest.raises(InputError, match=rf"pair \({missing[0]}, {missing[1]}\)"):
+                    check(scores, broken)

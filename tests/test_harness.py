@@ -307,7 +307,7 @@ class TestRunFile:
             from_dict(doc)
         assert err.value.location == "baseline.distances"
         doc["baseline"]["distances"] += [["b", "a", 0.3], ["c", "b", 0.4]]
-        assert from_dict(doc).baseline.distances.distance("b", "c") == 0.4
+        assert from_dict(doc).baseline.distances.entries[("b", "c")] == 0.4
 
     def test_integer_values_load_as_floats(self):
         doc = _minimal_doc(
@@ -317,7 +317,7 @@ class TestRunFile:
         run = from_dict(doc)
         assert to_dict(run)["sim"] == {"a": {"a": 1.0, "b": 0.0}, "b": {"b": 1.0}}
         assert type(run.perceptions.similarity("a", "a")) is float
-        assert type(run.baseline.distances.distance("a", "b")) is float
+        assert type(run.baseline.distances.entries[("a", "b")]) is float
 
     def test_strategy_theta_may_be_omitted(self):
         doc = _minimal_doc(params={"delta": 0.5, "theta": 0.3}, strategy={"kind": "pessimistic"})
@@ -352,7 +352,7 @@ class TestRunFile:
             }
         )
         run = from_dict(doc)
-        assert run.baseline.distances.perceived_distance("a", "a", "b") == 0.04
+        assert run.baseline.distances.subjective_overrides == {("a", "a", "b"): 0.04}
         assert to_dict(run)["baseline"] == doc["baseline"]
 
 
@@ -924,6 +924,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert location in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"x": 1, "u": 1, "y": "1", "v": "1"},  # one printed key for two groups
+            {"x": True, "u": 1, "y": 0, "v": False},  # true and 1 made one group
+        ],
+    )
+    def test_parity_groups_that_print_alike_are_input_errors(self, tmp_path, capsys, values):
+        # the report keys rates by the printed value, so a group was dropped
+        # or two merged, and the gap came out wrong
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"g": values[i]} for i in doc["individuals"]}
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(doc))
+        for command in ("baseline", "audit", "report"):
+            assert main([command, "--input", str(path), "--group-attr", "g"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: attribute 'g' has values ")
+            assert "Traceback" not in err
+
+    def test_commands_without_a_verdict_ignore_the_ledger(self, tmp_path, capsys):
+        # decide and baseline print no explanation verdict, so a ledger entry
+        # that matches no obligation is no error of theirs
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"g": "a" if i in "xy" else "b"} for i in doc["individuals"]}
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(doc))
+        doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["decide"], ["baseline", "--group-attr", "g", "--format", "json"]):
+            assert main(argv + ["--input", str(path)]) == 0
+            with_ledger = capsys.readouterr().out
+            assert main(argv + ["--input", str(plain)]) == 0
+            assert with_ledger == capsys.readouterr().out
+
+    def test_ledger_entry_matching_no_obligation_is_located(self, tmp_path, capsys):
+        doc = _fixture_doc()
+        doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 0
+        capsys.readouterr()
+        for command in ("audit", "report"):
+            assert main([command, "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: ledger.x.SYSTEM_ERROR_REVIEW: matches no obligation\n"
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["audit", "--input", "/nonexistent/run.json"])
