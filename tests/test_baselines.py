@@ -189,7 +189,8 @@ class TestStatisticalParity:
     def test_values_of_several_types_accepted(self):
         pop = _population({"a": 1, "b": "2", "c": None, "d": 1})
         decisions = _decisions({"a": 1, "b": 0, "c": 1, "d": 0})
-        assert statistical_parity_gap(decisions, pop, "group").rates == {1: 0.5, "2": 0.0, None: 1.0}
+        report = statistical_parity_gap(decisions, pop, "group")
+        assert report.rates == {1: 0.5, "2": 0.0, None: 1.0}
 
     def test_missing_attribute_rejected(self):
         pop = Population(("a", "b"))
