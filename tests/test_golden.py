@@ -16,7 +16,8 @@ validation and clusters across its grid points. The text outputs of
 aggregation and similarity rules and the validation plumbing of the
 procedural check were removed. The ``baseline`` outputs were pinned before
 the two individual-fairness checks began to share one walk over the scored
-pairs.
+pairs. The bytes ``save_run`` writes were pinned before run files were
+written by the shared canonical JSON writer.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from subjfair.explanations import ACCEPTED, REJECTED, AcceptanceLedger
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path
 from subjfair.harness.report import audit_run
-from subjfair.harness.runfile import BaselineInputs, save_run, to_dict
+from subjfair.harness.runfile import BaselineInputs, load_run, save_run, to_dict
 from subjfair.harness.synth import SynthProfile, generate_population
 
 
@@ -308,6 +309,38 @@ def test_baseline_is_pinned(tmp_path):
         ),
     }
     assert printed == BASELINE
+
+
+# --- run files ------------------------------------------------------------------
+
+#: A synthetic run carrying every optional section: attributes, a ledger,
+#: baseline scores with distances and overrides, metadata and veto rules.
+FULL_RUN = (120, 0.3, VETO, "score", ("group", "baseline", "ledger"), 34)
+
+SAVED = {
+    "fixture": "07a1a69643cc7c38302ad7e09edc4d2f3cbe4d694935c20e9d30c7cff6367ab2",
+    "full": "68735416a0cb72363951c5fe4d5d23aa5a2c6317b2880e60026686996e6be722",
+    "n40-s1": "35c720b5a88e421c17b2130fa6d1aaa7595528ef8988700ca814b9736e8bf4f8",
+    "n800-s17": "fb1d14e4a4aea4126ace674884545ad2a1f7a826a7bc96e3d5c6e52b06f6e45f",
+}
+
+
+def test_saved_run_bytes_are_pinned(tmp_path):
+    """The SHA-256 of what ``save_run`` writes for the fixture as loaded, for
+    a run with every optional section and for two of ``SYNTHETIC``."""
+    full = _synthetic_run(*FULL_RUN)
+    full = replace(full, metadata={**full.metadata, "note": "Zürich \"q\" \\ \u0007"})
+    runs = {
+        "fixture": load_run(crossed_clusters_path()),
+        "full": full,
+        "n40-s1": _synthetic_run(*SYNTHETIC[0]),
+        "n800-s17": _synthetic_run(*SYNTHETIC[16]),
+    }
+    saved = {
+        name: hashlib.sha256(save_run(run, tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        for name, run in runs.items()
+    }
+    assert saved == SAVED
 
 
 # --- broken tables ---------------------------------------------------------------
