@@ -25,8 +25,10 @@ from .oracle import DEFAULT_BOUND, brute_force_oracle
 from .report import (
     audit_grid,
     audit_run,
+    baselines_section,
     build_audit_doc,
     build_report_doc,
+    decide_run,
     dumps_doc,
     label_fields,
     render_baselines,
@@ -119,33 +121,29 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _unledgered(args: argparse.Namespace) -> AuditRunFile:
-    # For commands that print no explanation verdict: the ledger names the
-    # obligations of the file's own settings, which they never check.
-    return replace(_overridden(load_run(args.input), args), ledger=None)
-
-
 def _cmd_decide(args: argparse.Namespace) -> int:
-    doc = label_fields(audit_run(_unledgered(args)))
+    run = _overridden(load_run(args.input), args)
+    doc = label_fields(run.population.individuals, *decide_run(run))
     if args.format == "json":
-        _emit(doc, "json")
+        sys.stdout.write(dumps_doc(doc))
     else:
         sys.stdout.write("\n".join(render_labels(doc)) + "\n")
     return EXIT_OK
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    result = audit_run(_unledgered(args))
-    doc = build_report_doc(result, group_attr=args.group_attr, include_baselines=True)
-    baselines = doc.get("baselines")
+    # Parity reads the decisions alone, and the IF checks read no audit.
+    run = _overridden(load_run(args.input), args)
+    decisions = decide_run(run)[1] if args.group_attr is not None else None
+    baselines = baselines_section(run, decisions, args.group_attr, include_if=True)
     if not baselines:
         raise InputError(
             "nothing to report: pass --group-attr or add a 'baseline' section to the run file"
         )
     if args.format == "json":
-        _emit(baselines, "json")
+        sys.stdout.write(dumps_doc(baselines))
     else:
-        sys.stdout.write("\n".join(render_baselines(doc)) + "\n")
+        sys.stdout.write("\n".join(render_baselines(baselines)) + "\n")
     return EXIT_OK
 
 
@@ -223,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.sweep:
         rows = _sweep_rows(run, args)
         if args.format == "json":
-            sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(dumps_doc(rows))
         else:
             buffer = io.StringIO()
             writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS)

@@ -10,13 +10,12 @@ text form; both are deterministic for a given run file and engine version.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator
 
 from .. import __version__
-from ..aggregation import AggregationStrategy, run_pipeline
+from ..aggregation import AggregationStrategy, SetRecommendationVector, run_pipeline
 from ..audit import (
     FAIR,
     ISF_SATISFIED,
@@ -30,7 +29,7 @@ from ..audit import (
 )
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, InputError, validate_population
+from ..core import AuditParams, DecisionVector, InputError, validate_population
 from ..explanations import (
     AcceptanceLedger,
     ExplanationObligation,
@@ -40,6 +39,7 @@ from ..explanations import (
     fairness_through_explanations,
     procedural_check,
 )
+from .canonical import dumps_canonical
 from .runfile import AuditRunFile, RunFileError, settings_to_dict
 
 REPORT_SCHEMA = "subjfair-report/1"
@@ -109,14 +109,23 @@ def audit_run(run: AuditRunFile) -> RunResult:
     return next(audit_grid(run, [(run.params, run.strategy)]))
 
 
-def label_fields(result: RunResult) -> dict[str, dict[str, int]]:
+def decide_run(run: AuditRunFile) -> tuple[SetRecommendationVector, DecisionVector]:
+    """The cluster labels and decisions of ``run`` at its own settings:
+    the clusters and both pipeline stages, with no audit. ``run`` must have
+    passed validation, as every loaded run has."""
+    family = build_cluster_family(run.population, run.perceptions, run.params.delta)
+    return run_pipeline(run.population, family, run.recommendations, run.strategy)
+
+
+def label_fields(
+    ids: Iterable[str], set_recs: SetRecommendationVector, decisions: DecisionVector
+) -> dict[str, dict[str, int]]:
     """The ``set_rec`` and ``dec`` fields of the audit document: each
-    cluster label and decision as a 0/1 int, by id in population order."""
-    ids = result.run.population.individuals
-    report = result.report
+    cluster label and decision as a 0/1 int, by id in ``ids`` order."""
+    ids = list(ids)
     return {
-        "set_rec": {x: int(report.set_recommendations[x].value) for x in ids},
-        "dec": {i: int(report.decisions[i].value) for i in ids},
+        "set_rec": {x: int(set_recs[x].value) for x in ids},
+        "dec": {i: int(decisions[i].value) for i in ids},
     }
 
 
@@ -153,7 +162,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
             x: sorted(result.family.cluster_of(x).members) for x in ids
         },
         "membership": {i: sorted(result.family.containing(i)) for i in ids},
-        **label_fields(result),
+        **label_fields(ids, report.set_recommendations, report.decisions),
         "verdicts": {
             x: {
                 "isf": report.verdicts[x].isf,
@@ -200,19 +209,35 @@ def build_report_doc(
         flags.append(SYSTEM_REVIEW_FLAG)
     doc["flags"] = flags
 
+    baselines = baselines_section(
+        result.run, result.report.decisions, group_attr, include_baselines
+    )
+    if baselines:
+        doc["baselines"] = baselines
+    return doc
+
+
+def baselines_section(
+    run: AuditRunFile,
+    decisions: DecisionVector | None,
+    group_attr: str | None = None,
+    include_if: bool = False,
+) -> dict[str, Any]:
+    """The ``baselines`` section of the report: statistical parity of
+    ``decisions`` on ``group_attr`` when one is given, and both
+    individual-fairness checks when ``include_if`` and the run carries
+    baseline inputs. Empty when neither applies."""
     baselines: dict[str, Any] = {}
     if group_attr is not None:
-        parity = statistical_parity_gap(
-            result.report.decisions, result.run.population, group_attr
-        )
+        parity = statistical_parity_gap(decisions, run.population, group_attr)
         baselines["statistical_parity"] = {
             "attribute": parity.attribute,
             "rates": {str(g): r for g, r in sorted(parity.rates.items(), key=lambda kv: str(kv[0]))},
             "gap": parity.gap,
         }
-    if include_baselines and result.run.baseline is not None:
-        scores = result.run.baseline.scores
-        distances = result.run.baseline.distances
+    if include_if and run.baseline is not None:
+        scores = run.baseline.scores
+        distances = run.baseline.distances
         baselines["objective_if"] = [
             {"pair": list(v.pair), "score_gap": v.score_gap, "distance": v.distance}
             for v in dwork_if_check(scores, distances)
@@ -226,14 +251,12 @@ def build_report_doc(
             }
             for v in subjective_if_check(scores, distances)
         ]
-    if baselines:
-        doc["baselines"] = baselines
-    return doc
+    return baselines
 
 
-def dumps_doc(doc: dict[str, Any]) -> str:
+def dumps_doc(doc: Any) -> str:
     """Canonical JSON form: deterministic bytes for a deterministic doc."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps_canonical(doc)
 
 
 def render_labels(doc: dict[str, Any]) -> list[str]:
@@ -244,10 +267,9 @@ def render_labels(doc: dict[str, Any]) -> list[str]:
     ]
 
 
-def render_baselines(doc: dict[str, Any]) -> list[str]:
-    """The text lines of the ``baselines`` section, if any: the parity line,
-    and each IF check's violation count followed by one line per violation."""
-    baselines = doc.get("baselines", {})
+def render_baselines(baselines: dict[str, Any]) -> list[str]:
+    """The text lines of a ``baselines`` section: the parity line, and each
+    IF check's violation count followed by one line per violation."""
     lines = []
     if "statistical_parity" in baselines:
         parity = baselines["statistical_parity"]
@@ -318,5 +340,5 @@ def render_text(doc: dict[str, Any]) -> str:
     for flag in doc.get("flags", []):
         lines.append(f"flag: {flag}")
 
-    lines += render_baselines(doc)
+    lines += render_baselines(doc.get("baselines", {}))
     return "\n".join(lines) + "\n"

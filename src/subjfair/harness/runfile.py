@@ -38,6 +38,7 @@ from ..core import (
     validate_population,
 )
 from ..explanations import AcceptanceLedger
+from .canonical import dumps_canonical
 
 SCHEMA = "subjfair-run/1"
 
@@ -487,7 +488,7 @@ def load_run(path: str | Path, validate: bool = True) -> AuditRunFile:
 
 
 def dumps_run(run: AuditRunFile) -> str:
-    return json.dumps(to_dict(run), indent=2, sort_keys=True) + "\n"
+    return dumps_canonical(to_dict(run))
 
 
 def save_run(run: AuditRunFile, path: str | Path) -> Path:

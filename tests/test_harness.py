@@ -764,6 +764,43 @@ class TestCli:
         assert len(json.loads(capsys.readouterr().out)) == 12 * 12
         assert calls == {"validate": 2, "cluster": 3}
 
+    def test_decide_and_baseline_run_no_audit(self, tmp_path, monkeypatch, capsys):
+        # call-count gate: decide prints the pipeline's labels and baseline
+        # the parity of the decisions plus the IF checks; neither audits
+        from subjfair.harness import report
+
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"g": "a" if i in "xy" else "b"} for i in doc["individuals"]}
+        doc["baseline"] = {"scores": {"x": 0.2, "y": 0.9}, "distances": [["x", "y", 0.3]]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        calls = {"audit": 0, "obligations": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            report, "audit_population", counting("audit", report.audit_population)
+        )
+        monkeypatch.setattr(
+            report, "derive_obligations", counting("obligations", report.derive_obligations)
+        )
+        for argv in (
+            ["decide"],
+            ["decide", "--format", "json"],
+            ["baseline", "--group-attr", "g"],
+            ["baseline", "--format", "json"],
+        ):
+            assert main(argv + ["--input", str(path)]) == 0
+        assert calls == {"audit": 0, "obligations": 0}
+        assert main(["report", "--input", str(path)]) == 0
+        assert calls == {"audit": 1, "obligations": 1}
+        capsys.readouterr()
+
     def test_sweep_of_a_run_with_a_ledger(self, tmp_path, capsys):
         # the ledger names obligations of the run's own settings; the sweep
         # reports no explanation verdict and audits its points without it
