@@ -3,16 +3,20 @@
 ``audit_grid`` wires the full pipeline for one run file at a sequence of
 settings: validation, clustering, both aggregation stages, fairness
 verdicts, obligations, the explanation-level verdict, and the procedural
-check. ``audit_run`` is its single-point case. Reports come in a
-machine form (a plain dict, dumped as sorted JSON) and a human-readable
-text form; both are deterministic for a given run file and engine version.
+check. ``audit_run`` is its single-point case; ``decide_run`` runs the
+clusters and both pipeline stages alone, for the commands that print no
+audit. Reports come in a machine form, a plain dict that ``dumps_doc``
+writes with the canonical JSON writer (sorted keys, two-space indent), and
+a human-readable text form; both are deterministic for a given run file
+and engine version. ``baselines_section`` builds the baselines part on its
+own, for the report and for the ``baseline`` command.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .. import __version__
 from ..aggregation import AggregationStrategy, SetRecommendationVector, run_pipeline
@@ -118,11 +122,10 @@ def decide_run(run: AuditRunFile) -> tuple[SetRecommendationVector, DecisionVect
 
 
 def label_fields(
-    ids: Iterable[str], set_recs: SetRecommendationVector, decisions: DecisionVector
+    ids: Sequence[str], set_recs: SetRecommendationVector, decisions: DecisionVector
 ) -> dict[str, dict[str, int]]:
     """The ``set_rec`` and ``dec`` fields of the audit document: each
     cluster label and decision as a 0/1 int, by id in ``ids`` order."""
-    ids = list(ids)
     return {
         "set_rec": {x: int(set_recs[x].value) for x in ids},
         "dec": {i: int(decisions[i].value) for i in ids},
