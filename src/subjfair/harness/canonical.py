@@ -76,8 +76,8 @@ def _encode_leaves(leaves: list[Any], depth: int, is_dict: bool) -> list[str]:
 
 
 def _scalar(value: Any) -> str:
-    if type(value) is str:
-        return encode_basestring_ascii(value)
+    """A value that is no dict, list or tuple as JSON; a float directly by
+    its repr, as ``json`` writes it."""
     if type(value) is float:
         text = float.__repr__(value)
         return _NONFINITE.get(text, text)
