@@ -10,12 +10,17 @@ Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
 
-``run_pipeline`` binarizes each recommendation once into a 0/1 label; both
-stages then count positive labels, so every strategy costs O(n + sum |C|).
-Trust weights are 0/1 labels too, one per person. ``Outcome`` objects appear
-only at the boundary, as two shared instances. Each rule has one home:
-``majority_label`` and ``_unanimous`` are the two tallies, ``_veto`` applies
-veto rules, and trust weighting is one line of ``run_pipeline``.
+``cluster_tally`` binarizes each recommendation once into a 0/1 label and
+counts the positive labels of each cluster once. Neither depends on theta or
+the strategy, so it keeps them on the family for the recommendation vector
+it read: both pipeline stages, the audit's verdicts and every theta of a
+sweep share one tally per family. Stage 1 reads a cluster's label off its
+count in O(1); trust weighting and stage 2 count again per strategy, so
+every strategy costs O(n + sum |C|). Trust weights are 0/1 labels too, one
+per person. ``Outcome`` objects appear only at the boundary, as two shared
+instances. Each rule has one home: ``majority_label`` and ``_unanimous`` are
+the two tallies, ``_veto`` applies veto rules, and trust weighting is one
+line of ``run_pipeline``.
 """
 
 from __future__ import annotations
@@ -161,6 +166,26 @@ def majority_label(positive: int, size: int, theta: float) -> int:
     return 1 if positive / size > theta else 0
 
 
+def cluster_tally(
+    pop: Population, family: ClusterFamily, recs: RecommendationVector
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Each person's 0/1 label and each cluster's positive count, by id.
+
+    ``label[x]`` is ``recs[x]`` binarized; ``positive[x]`` counts the
+    positive labels in x's cluster. Computed in O(n + sum |C|) with one
+    ``binarize`` call per person, then kept on ``family`` and returned
+    again while the same ``pop`` and ``recs`` objects are asked for.
+    """
+    cached = family.tally
+    if cached is not None and cached[0] is pop and cached[1] is recs:
+        return cached[2]
+    ids = pop.individuals
+    label = {x: int(binarize(recs[x]).value) for x in ids}
+    positive = {x: sum(map(label.__getitem__, family.cluster_of(x).members)) for x in ids}
+    object.__setattr__(family, "tally", (pop, recs, (label, positive)))
+    return label, positive
+
+
 def _unanimous(positive: int, size: int) -> int:
     # The pessimistic rule: the bad outcome wins any conflict.
     return 1 if positive == size else 0
@@ -182,6 +207,7 @@ def run_pipeline(
 ) -> tuple[SetRecommendationVector, DecisionVector]:
     """Run both stages and return (cluster labels, final decisions).
 
+    Stage 1 reads each cluster's positive count from ``cluster_tally``.
     The decision vector is total: everyone belongs at least to their own
     cluster, so stage 2 always has something to aggregate.
     """
@@ -192,9 +218,9 @@ def run_pipeline(
     theta = strategy.theta
     tally = _unanimous if strategy.kind == PESSIMISTIC else partial(majority_label, theta=theta)
     ids = pop.individuals
-    label = {x: int(binarize(recs[x]).value) for x in ids}
+    label, positive = cluster_tally(pop, family, recs)
     members = {x: family.cluster_of(x).members for x in ids}
-    set_label = {x: tally(sum(map(label.__getitem__, c)), len(c)) for x, c in members.items()}
+    set_label = {x: tally(positive[x], len(c)) for x, c in members.items()}
     if strategy.kind == TRUST_WEIGHTED:
         # Weight 1 for a label that matches its owner's cluster majority,
         # else 0. A cluster tallies the positive labels of weight 1 over all

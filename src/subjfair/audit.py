@@ -10,6 +10,12 @@ ISF verdict is fair.
 Whenever a recommendation is compared against a binary aggregate (a cluster
 label or a final decision), score recommendations are binarized at 0.5
 first, mirroring the decision pipeline.
+
+The verdicts read the pipeline's stage-1 tally (``cluster_tally``): each
+person's label and each cluster's positive count, computed once per family
+and recommendation vector. Relaxed ISF needs only the count; so does ISF on
+binary recommendations, where the members treated like x are the members
+sharing x's label. Score recommendations are compared member by member.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .aggregation import SetRecommendationVector, binarize, majority_label
+from .aggregation import SetRecommendationVector, cluster_tally, majority_label
 from .clustering import ClusterFamily
-from .core import AuditParams, DecisionVector, Population, RecommendationVector
+from .core import BINARY, AuditParams, DecisionVector, Population, RecommendationVector
 
 FAIR = "fair"
 UNFAIR = "unfair"
@@ -105,27 +111,36 @@ def audit_population(
     family, computed at ``params.theta``, since scenario classification
     compares against those cluster labels.
 
-    Each person's cluster is read once, counting the members treated
-    epsilon-similarly to them (raw values) and the members with a positive
-    label (binarized); every verdict and class follows from the two counts.
-    ISF is fair iff every member is satisfied, the satisfaction ratio is
-    the satisfied share, and relaxed ISF compares the person's label with
-    the cluster's plain theta-majority, whatever the strategy. The scenario
-    compares the label with the cluster label ``set_recs[x]``, and the
-    conflict class with it and then with the decision. Cost: O(n + sum |C|).
+    Each person's cluster is read once, from the stage-1 tally the pipeline
+    keeps on ``family`` (``cluster_tally``): the person's label and the
+    count of positive labels in their cluster. Relaxed ISF compares the
+    label with the cluster's plain theta-majority of that count, whatever
+    the strategy. On binary recommendations epsilon-similarity is equality
+    for every epsilon in [0, 1), so the members treated epsilon-similarly
+    to x are the positive count when x's label is 1 and the rest when it is
+    0; score recommendations are compared with x's raw value member by
+    member. ISF is fair iff every member is satisfied, and the satisfaction
+    ratio is the satisfied share. The scenario compares the label with the
+    cluster label ``set_recs[x]``, and the conflict class with it and then
+    with the decision. Cost: O(n) on binary recommendations once the tally
+    exists, O(n + sum |C|) on scores.
     """
     epsilon = params.epsilon
-    raw = {x: recs[x].value for x in pop.individuals}
-    label = {x: int(binarize(recs[x]).value) for x in pop.individuals}
+    theta = params.theta
+    label, positive = cluster_tally(pop, family, recs)
+    raw = None if recs.kind == BINARY else {x: recs[x].value for x in pop.individuals}
     verdicts: dict[str, FairnessVerdict] = {}
     scenarios: dict[str, str] = {}
     conflicts: dict[str, str] = {}
     for x in pop.individuals:
         members = family.cluster_of(x).members
-        own = raw[x]
-        satisfied = sum(_similar(own, raw[y], epsilon) for y in members)
         size = len(members)
-        majority = majority_label(sum(map(label.__getitem__, members)), size, params.theta)
+        if raw is None:
+            satisfied = positive[x] if label[x] else size - positive[x]
+        else:
+            own = raw[x]
+            satisfied = sum(_similar(own, raw[y], epsilon) for y in members)
+        majority = majority_label(positive[x], size, theta)
         verdicts[x] = FairnessVerdict(
             individual=x,
             isf=FAIR if satisfied == size else UNFAIR,

@@ -14,8 +14,8 @@ unstated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from .core import PerceptionTable, Population, UnknownIndividualError
 
@@ -50,10 +50,15 @@ class ClusterFamily:
     ``clusters`` maps each owner to their cluster; ``membership_index`` maps
     each individual to the owners whose clusters contain them. The two views
     are exact transposes of each other.
+
+    ``tally`` is a derived cache, not part of the family's value:
+    ``aggregation.cluster_tally`` keeps there the labels and positive counts
+    it last computed over these clusters, with the inputs it read.
     """
 
     clusters: Mapping[str, PerceivedCluster]
     membership_index: Mapping[str, frozenset[str]]
+    tally: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clusters", dict(self.clusters))

@@ -2,7 +2,10 @@
 
 Everything downstream (clustering, aggregation, auditing) is built on the
 types in this module. All types are immutable after construction and safe to
-share across concurrent audit runs.
+share across concurrent audit runs. The one exception downstream is the
+cluster family (``clustering.ClusterFamily``): its clusters are immutable,
+but it also holds a derived cache, the stage-1 tally of the last
+recommendation vector read over it, which never changes its value.
 """
 
 from __future__ import annotations

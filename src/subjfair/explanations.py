@@ -182,13 +182,18 @@ def fairness_through_explanations(
             is not in ``obligations``.
     """
     keys = {o.key for o in obligations}
-    for entry_key, _state in ledger:
+    accepted = 0
+    rejected = False
+    for entry_key, state in ledger:
         if entry_key not in keys:
             raise LedgerIntegrityError(entry_key)
-    states = [ledger.state(*key) for key in keys]
-    if any(s == REJECTED for s in states):
+        accepted += state == ACCEPTED
+        rejected = rejected or state == REJECTED
+    # Every entry names a distinct obligation, so all are accepted exactly
+    # when the accepted entries number as many as the obligations.
+    if rejected:
         return UNFAIR
-    if all(s == ACCEPTED for s in states):
+    if accepted == len(keys):
         return FAIR
     return PENDING
 

@@ -332,8 +332,10 @@ class TestAuditPopulation:
 
             return wrapper
 
-        for module in (aggregation, audit_module):
-            monkeypatch.setattr(module, "binarize", counting("binarize", binarize))
+        # the audit reads its labels from the pipeline's tally, so every
+        # binarize call goes through the aggregation module
+        assert not hasattr(audit_module, "binarize")
+        monkeypatch.setattr(aggregation, "binarize", counting("binarize", binarize))
         monkeypatch.setattr(
             ClusterFamily, "cluster_of", counting("cluster_of", ClusterFamily.cluster_of)
         )

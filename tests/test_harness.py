@@ -764,6 +764,58 @@ class TestCli:
         assert len(json.loads(capsys.readouterr().out)) == 12 * 12
         assert calls == {"validate": 2, "cluster": 3}
 
+    def test_sweep_tallies_once_per_delta_and_audits_binary_runs_in_o_n(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # call-count gate: 12 grid points over 3 deltas compute the stage-1
+        # tally once per delta (each tally binarizes every person once, and
+        # nothing else binarizes), and the binary audit makes at most three
+        # similarity tests per person, none per cluster member
+        from subjfair import aggregation, audit
+        from subjfair.harness import report
+
+        run = generate_population(SynthProfile(n=60, cluster_density=0.3, seed=4))
+        assert run.recommendations.kind == "binary"
+        path = save_run(run, tmp_path / "run.json")
+        n = run.n
+        deltas = (0.3, 0.5, 0.7)
+        for delta in deltas:
+            family = build_cluster_family(run.population, run.perceptions, delta)
+            assert sum(len(c) for c in family.clusters.values()) > 3 * n
+        calls = {"binarize": 0, "similar": 0}
+        per_point = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        audit_population = report.audit_population
+
+        def auditing(*args, **kwargs):
+            before = calls["similar"]
+            result = audit_population(*args, **kwargs)
+            per_point.append(calls["similar"] - before)
+            return result
+
+        monkeypatch.setattr(aggregation, "binarize", counting("binarize", aggregation.binarize))
+        monkeypatch.setattr(audit, "_similar", counting("similar", audit._similar))
+        monkeypatch.setattr(report, "audit_population", auditing)
+        code = main(
+            [
+                "simulate", "--input", str(path), "--sweep",
+                "--deltas", ",".join(map(str, deltas)),
+                "--epsilons", "0.0,0.2", "--thetas", "0.4,0.5", "--format", "json",
+            ]
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)) == 12 * 12
+        assert calls["binarize"] == len(deltas) * n
+        assert len(per_point) == 12
+        assert max(per_point) <= 3 * n
+
     def test_decide_and_baseline_run_no_audit(self, tmp_path, monkeypatch, capsys):
         # call-count gate: decide prints the pipeline's labels and baseline
         # the parity of the decisions plus the IF checks; neither audits

@@ -25,6 +25,7 @@ from subjfair import (
     Outcome,
     Population,
     RecommendationVector,
+    VetoRule,
     binarize,
     build_cluster_family,
 )
@@ -190,3 +191,35 @@ def test_trust_weighted_is_majority_when_everyone_agrees_with_their_cluster(case
     for field in ("set_recommendations", "decisions", "verdicts", "scenarios", "conflicts"):
         assert getattr(weighted.report, field) == getattr(majority.report, field), field
     assert weighted.obligations == majority.obligations
+
+
+def _as_scores(run):
+    """The run with each binary label restated as the score 0.0 or 1.0."""
+    values = {x: Outcome.score(o.value) for x, o in run.recommendations.values.items()}
+    return replace(run, recommendations=RecommendationVector(run.purpose, values))
+
+
+#: (n, density, seed) of the binary runs restated as scores
+BINARY_RUNS = [(200, 0.3, 11), (300, 0.1, 12), (400, 0.02, 13)]
+
+
+@pytest.mark.parametrize("case", BINARY_RUNS, ids=[f"n{c[0]}-d{c[1]}" for c in BINARY_RUNS])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("kind", [MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO])
+def test_binary_labels_audit_as_their_zero_one_scores(case, epsilon, kind):
+    # Binary ISF is counted from the stage-1 tally; scores go member by
+    # member. On 0/1 values the two must agree at every epsilon.
+    n, density, seed = case
+    run = _run(n, density, "binary", seed, epsilon=epsilon, theta=0.4)
+    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == VETO else ()
+    run = replace(run, strategy=AggregationStrategy(kind, theta=0.4, veto_rules=rules))
+    scored = _as_scores(run)
+    assert scored.recommendations.kind == "score"
+    binary, score = audit_run(run), audit_run(scored)
+    ratios = {v.satisfaction_ratio for v in binary.report.verdicts.values()}
+    assert any(0.0 < r < 1.0 for r in ratios)
+    for field in ("verdicts", "scenarios", "conflicts", "set_recommendations", "decisions"):
+        assert getattr(score.report, field) == getattr(binary.report, field), field
+    assert score.report.sf == binary.report.sf
+    assert score.report.dissenters == binary.report.dissenters
+    assert score.obligations == binary.obligations
