@@ -47,6 +47,22 @@ class ObjectiveDistanceTable:
             overrides[(observer, x, y) if x <= y else (observer, y, x)] = float(d)
         object.__setattr__(self, "subjective_overrides", overrides)
 
+    @classmethod
+    def adopt(
+        cls,
+        entries: dict[tuple[str, str], float],
+        subjective_overrides: dict[tuple[str, str, str], float],
+    ) -> "ObjectiveDistanceTable":
+        """A table that keeps ``entries`` and ``subjective_overrides``
+        themselves, as the constructor would have made them: every pair
+        keyed in sorted order and every distance a float >= 0. The
+        constructor's pass over them is skipped, so nothing may change them
+        afterwards. The run-file loader builds its tables so."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "entries", entries)
+        object.__setattr__(table, "subjective_overrides", subjective_overrides)
+        return table
+
 
 @dataclass(frozen=True)
 class PairViolation:

@@ -137,6 +137,11 @@ class Population:
 _NO_ROW: Mapping[IndividualId, float] = MappingProxyType({})
 
 
+def _check_provenance(provenance: str) -> None:
+    if provenance not in PROVENANCE_TAGS:
+        raise InputError(f"provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}")
+
+
 @dataclass(frozen=True)
 class PerceptionTable:
     """Per-observer, non-symmetric similarity scores over the population.
@@ -153,10 +158,7 @@ class PerceptionTable:
     provenance: str = "declared"
 
     def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCE_TAGS:
-            raise InputError(
-                f"provenance must be one of {PROVENANCE_TAGS}, got {self.provenance!r}"
-            )
+        _check_provenance(self.provenance)
         # An empty row states nothing, so it is not kept.
         object.__setattr__(
             self,
@@ -167,6 +169,20 @@ class PerceptionTable:
                 if row
             },
         )
+
+    @classmethod
+    def adopt(
+        cls, rows: dict[IndividualId, dict[IndividualId, float]], provenance: str = "declared"
+    ) -> "PerceptionTable":
+        """A table that keeps ``rows`` themselves, as the constructor would
+        have made them: no row empty and every value a float. The
+        constructor's copy is skipped, so nothing may change the rows
+        afterwards. The run-file loader builds its rows so."""
+        _check_provenance(provenance)
+        table = cls.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "provenance", provenance)
+        return table
 
     @property
     def entries(self) -> Mapping[tuple[IndividualId, IndividualId], float]:

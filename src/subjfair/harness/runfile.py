@@ -51,6 +51,10 @@ FIELDS = frozenset(
 )
 
 
+#: The one type a parsed similarity value needs no further check for.
+_FLOAT = frozenset((float,))
+
+
 class RunFileError(InputError):
     """A run file is malformed, violates the schema, or fails validation."""
 
@@ -237,9 +241,8 @@ def _parse_baseline(doc: Mapping[str, Any], ids: frozenset[str]) -> BaselineInpu
     if section is None:
         return None
     section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
-    # Each loop runs once per entry: a value that passes the plain type test
-    # is taken as it is, and only any other value is checked again with its
-    # location spelled out.
+    # A value that passes the plain type test is taken as it is, and only any
+    # other value is checked again with its location spelled out.
     scores = {}
     for i, v in _expect_object(
         _require(section, "scores", "baseline.scores"), "baseline.scores"
@@ -252,40 +255,78 @@ def _parse_baseline(doc: Mapping[str, Any], ids: frozenset[str]) -> BaselineInpu
         raise RunFileError(
             f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
         )
+    entries = _parse_distances(section, ids)
+    overrides = _parse_overrides(section, ids)
+    pairs = itertools.combinations(sorted(scores), 2)
+    missing = next(itertools.filterfalse(entries.__contains__, pairs), None)
+    if missing is not None:
+        raise RunFileError(
+            f"no distance recorded for scored pair ({missing[0]}, {missing[1]})",
+            "baseline.distances",
+        )
+    return BaselineInputs(scores, ObjectiveDistanceTable.adopt(entries, overrides))
+
+
+def _parse_distances(
+    section: Mapping[str, Any], ids: frozenset[str]
+) -> dict[tuple[str, str], float]:
+    """The ``[x, y, distance]`` rows keyed by sorted pair, as the distance
+    table keeps them, so that a pair given twice, in either order, is seen.
+
+    Plain rows, two population ids and a float >= 0, go in first; only if
+    some row is no such row, or a pair repeats, are the rows read again one
+    by one, to convert that row or to report it at its location."""
+    rows = _expect_list(section.get("distances", []), "baseline.distances")
+    entries: dict[tuple[str, str], float] = {}
+    try:
+        for row in rows:
+            if type(row) is list and len(row) == 3:
+                x, y, d = row
+                if type(d) is float and d >= 0 and x in ids and y in ids:
+                    entries[(x, y) if x <= y else (y, x)] = d
+                    continue
+            break
+    except TypeError:  # an id that is a list or an object
+        pass
+    if len(entries) == len(rows):
+        return entries
     entries = {}
-    for idx, row in enumerate(_expect_list(section.get("distances", []), "baseline.distances")):
-        if not (type(row) is list and len(row) == 3 and type(row[2]) is float and row[2] >= 0):
-            row = _parse_distance_row(row, 3, f"baseline.distances[{idx}]")
-        pair = (str(row[0]), str(row[1]))
+    for idx, row in enumerate(rows):
+        where = f"baseline.distances[{idx}]"
+        row = _parse_distance_row(row, 3, where)
+        x, y = str(row[0]), str(row[1])
+        pair = (x, y) if x <= y else (y, x)
         if not ids.issuperset(pair):
-            raise _unknown_id(pair, ids, f"baseline.distances[{idx}]")
+            raise _unknown_id((x, y), ids, where)
+        if pair in entries:
+            raise RunFileError(f"second distance for the pair ({x}, {y})", where)
         entries[pair] = row[2]
-    overrides = {}
+    return entries
+
+
+def _parse_overrides(
+    section: Mapping[str, Any], ids: frozenset[str]
+) -> dict[tuple[str, str, str], float]:
+    """The ``[observer, x, y, distance]`` rows keyed by observer and sorted
+    pair, as the distance table keeps them; the observer must be a party to
+    the pair and may state one distance for it."""
+    overrides: dict[tuple[str, str, str], float] = {}
     for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
         where = f"baseline.overrides[{idx}]"
         if not (type(row) is list and len(row) == 4 and type(row[3]) is float and row[3] >= 0):
             row = _parse_distance_row(row, 4, where)
-        key = (str(row[0]), str(row[1]), str(row[2]))
+        observer, x, y = str(row[0]), str(row[1]), str(row[2])
+        key = (observer, x, y) if x <= y else (observer, y, x)
         if not ids.issuperset(key):
-            raise _unknown_id(key, ids, where)
-        if key[0] not in key[1:]:
+            raise _unknown_id((observer, x, y), ids, where)
+        if observer != x and observer != y:
             raise RunFileError(
-                f"observer {key[0]!r} is not a party to the pair ({key[1]}, {key[2]})", where
+                f"observer {observer!r} is not a party to the pair ({x}, {y})", where
             )
+        if key in overrides:
+            raise RunFileError(f"second override by {observer!r} for the pair ({x}, {y})", where)
         overrides[key] = row[3]
-    baseline = BaselineInputs(scores, ObjectiveDistanceTable(entries, overrides))
-    # Count the covered pairs in one pass over the distances; look for the
-    # missing pair only when the count falls short.
-    distances = baseline.distances.entries
-    covered = sum(1 for x, y in distances if x != y and x in scores and y in scores)
-    if covered < len(scores) * (len(scores) - 1) // 2:
-        for pair in itertools.combinations(sorted(scores), 2):
-            if pair not in distances:
-                raise RunFileError(
-                    f"no distance recorded for scored pair ({pair[0]}, {pair[1]})",
-                    "baseline.distances",
-                )
-    return baseline
+    return overrides
 
 
 def _unknown_id(names: tuple[str, ...], ids: frozenset[str], location: str) -> RunFileError:
@@ -295,7 +336,8 @@ def _unknown_id(names: tuple[str, ...], ids: frozenset[str], location: str) -> R
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     """Build a run from a parsed document, reporting the offending field
-    on any schema violation."""
+    on any schema violation. The run keeps the document's ``sim`` rows that
+    hold only floats, so the document must not change afterwards."""
     doc = _expect_object(doc, "<document>")
     schema = _require(doc, "schema")
     if schema != SCHEMA:
@@ -322,13 +364,19 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     except InputError as exc:
         raise RunFileError(str(exc), "individuals") from None
 
-    sim = _expect_object(_require(doc, "sim"), "sim")
-    for observer, row in sim.items():
-        for target, value in _expect_object(row, f"sim.{observer}").items():
-            if type(value) is not float:  # only then is the location spelled out
-                _expect_number(value, f"sim.{observer}.{target}")
+    # A row of floats is kept as it is; only any other row is checked value
+    # by value, with each location spelled out, and copied as floats.
+    rows = {}
+    for observer, row in _expect_object(_require(doc, "sim"), "sim").items():
+        if not (type(row) is dict and _FLOAT.issuperset(map(type, row.values()))):
+            row = {
+                target: _expect_number(value, f"sim.{observer}.{target}")
+                for target, value in _expect_object(row, f"sim.{observer}").items()
+            }
+        if row:
+            rows[observer] = row
     try:
-        perceptions = PerceptionTable(sim, doc.get("provenance", "declared"))
+        perceptions = PerceptionTable.adopt(rows, doc.get("provenance", "declared"))
     except InputError as exc:
         raise RunFileError(str(exc), "provenance") from None
 

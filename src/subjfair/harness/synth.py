@@ -4,8 +4,7 @@ A manipulative agent inflates their stated similarity toward every member
 of a target owner's cluster, placing themselves in a cluster whose
 aggregate label they hope to inherit. Because the cross-cluster decision
 stage also counts the clusters *other* people put the agent in, the
-manipulation does not necessarily pay off; ``find_manipulation_instance``
-searches seeds for a case where it demonstrably does not.
+manipulation does not necessarily pay off.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..aggregation import AggregationStrategy
-from ..clustering import build_cluster_family
 from ..core import (
     AuditParams,
     InputError,
@@ -127,48 +125,4 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
             "generator": "synthetic",
             "manipulation": [list(pair) for pair in profile.manipulation],
         },
-    )
-
-
-def find_manipulation_instance(
-    n: int = 6,
-    cluster_density: float = 0.35,
-    base_positive_rate: float = 0.5,
-    max_seeds: int = 1000,
-) -> AuditRunFile:
-    """Search seeds for a run where manipulation demonstrably fails.
-
-    Returns the first generated run in which the manipulating agent lands
-    in a favorable cluster (both the target's cluster and the agent's own
-    post-manipulation cluster carry label 1) yet the cross-cluster decision
-    still denies them.
-
-    Raises:
-        LookupError: if no such instance appears within ``max_seeds``.
-    """
-    from ..aggregation import run_pipeline  # local import keeps module load light
-
-    ids = individual_ids(n)
-    agent, target = ids[0], ids[-1]
-    for seed in range(max_seeds):
-        profile = SynthProfile(
-            n=n,
-            cluster_density=cluster_density,
-            base_positive_rate=base_positive_rate,
-            manipulation=((agent, target),),
-            seed=seed,
-        )
-        run = generate_population(profile)
-        family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-        set_recs, decisions = run_pipeline(
-            run.population, family, run.recommendations, run.strategy
-        )
-        if (
-            set_recs[target].value == 1.0
-            and set_recs[agent].value == 1.0
-            and decisions[agent].value == 0.0
-        ):
-            return run
-    raise LookupError(
-        f"no manipulation-mitigation instance found within {max_seeds} seeds"
     )

@@ -22,6 +22,7 @@ from subjfair import (
     run_pipeline,
 )
 from subjfair.harness.runfile import AuditRunFile
+from subjfair.harness.synth import SynthProfile, generate_population, individual_ids
 
 
 def perceived_cluster(
@@ -165,3 +166,45 @@ def random_instance(
     if theta is None:
         theta = rng.choice([0.25, 0.4, 0.5, 0.6, 0.75])
     return make_inputs(rows, recs, delta=delta, epsilon=epsilon, theta=theta, kind=kind)
+
+
+def find_manipulation_instance(
+    n: int = 6,
+    cluster_density: float = 0.35,
+    base_positive_rate: float = 0.5,
+    max_seeds: int = 1000,
+) -> AuditRunFile:
+    """Search seeds for a run where manipulation demonstrably fails.
+
+    Returns the first generated run in which the manipulating agent lands
+    in a favorable cluster (both the target's cluster and the agent's own
+    post-manipulation cluster carry label 1) yet the cross-cluster decision
+    still denies them.
+
+    Raises:
+        LookupError: if no such instance appears within ``max_seeds``.
+    """
+    ids = individual_ids(n)
+    agent, target = ids[0], ids[-1]
+    for seed in range(max_seeds):
+        profile = SynthProfile(
+            n=n,
+            cluster_density=cluster_density,
+            base_positive_rate=base_positive_rate,
+            manipulation=((agent, target),),
+            seed=seed,
+        )
+        run = generate_population(profile)
+        family = build_cluster_family(run.population, run.perceptions, run.params.delta)
+        set_recs, decisions = run_pipeline(
+            run.population, family, run.recommendations, run.strategy
+        )
+        if (
+            set_recs[target].value == 1.0
+            and set_recs[agent].value == 1.0
+            and decisions[agent].value == 0.0
+        ):
+            return run
+    raise LookupError(
+        f"no manipulation-mitigation instance found within {max_seeds} seeds"
+    )

@@ -34,9 +34,17 @@ from subjfair.explanations import SYSTEM_RECOMMENDATION
 from subjfair.harness.fixtures import crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import audit_run, build_audit_doc
-from subjfair.harness.synth import SynthProfile, find_manipulation_instance, generate_population
+from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import audit, cluster_label, make_inputs, random_instance, random_rows, similarity
+from helpers import (
+    audit,
+    cluster_label,
+    find_manipulation_instance,
+    make_inputs,
+    random_instance,
+    random_rows,
+    similarity,
+)
 
 
 def _passed(number: int, name: str) -> None:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from subjfair import (
     AggregationStrategy,
     AuditParams,
+    ObjectiveDistanceTable,
     Outcome,
+    PerceptionTable,
     Population,
     RecommendationVector,
     VetoRule,
@@ -28,6 +30,7 @@ from subjfair.harness.report import (
 )
 from subjfair.harness.runfile import (
     AuditRunFile,
+    BaselineInputs,
     RunFileError,
     dumps_run,
     from_dict,
@@ -354,6 +357,35 @@ class TestRunFile:
         run = from_dict(doc)
         assert run.baseline.distances.subjective_overrides == {("a", "a", "b"): 0.04}
         assert to_dict(run)["baseline"] == doc["baseline"]
+
+    def test_loading_makes_no_second_pass_over_the_tables(self, monkeypatch):
+        # complexity gate by counted calls: the loader keys every row as the
+        # tables keep them, so neither constructor's pass over the rows runs;
+        # a table built by hand still runs it
+        run = generate_population(SynthProfile(n=30, cluster_density=0.3, seed=4))
+        ids = run.population.individuals
+        distances = {(x, y): 0.5 for i, x in enumerate(ids) for y in ids[i + 1 :]}
+        overrides = {(ids[1], ids[1], ids[0]): 0.25}
+        table = ObjectiveDistanceTable(distances, overrides)
+        baseline = BaselineInputs(dict.fromkeys(ids, 0.5), table)
+        text = dumps_run(dataclasses.replace(run, baseline=baseline))
+        passes = []
+        for table in (PerceptionTable, ObjectiveDistanceTable):
+            def counted(self, check=table.__post_init__):
+                passes.append(self)
+                check(self)
+
+            monkeypatch.setattr(table, "__post_init__", counted)
+        loaded = loads_run(text)
+        assert passes == []
+        assert loaded.perceptions == run.perceptions
+        assert loaded.baseline == baseline
+        assert dumps_run(loaded) == text
+        hand_built = [
+            PerceptionTable(run.perceptions.rows, "sampled"),
+            ObjectiveDistanceTable(distances, overrides),
+        ]
+        assert passes == hand_built
 
 
 def _rich_fixture_doc():
@@ -998,6 +1030,23 @@ class TestCli:
                 },
                 "baseline.overrides[0]: observer 'u' is not a party to the pair (x, y)",
                 id="override-by-a-non-party",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5], ["y", "x", 2.0]],
+                },
+                "baseline.distances[1]: second distance for the pair (y, x)",
+                id="pair-given-twice",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 2.0]],
+                    "overrides": [["x", "x", "y", 0.5], ["x", "y", "x", 2.0]],
+                },
+                "baseline.overrides[1]: second override by 'x' for the pair (y, x)",
+                id="override-given-twice",
             ),
         ],
     )
