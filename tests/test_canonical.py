@@ -67,7 +67,7 @@ def deep_values(draw):
 #: read, the quote, a newline and non-ASCII.
 KEYS = st.text(alphabet=st.sampled_from(list('ab%{}"\n\\é中😀 :s')), max_size=4)
 
-#: Key sets: strings, or keys json writes in quotes.
+#: Key sets: strings (drawn twice as often), or keys json writes in quotes.
 KEY_SETS = st.one_of(
     st.lists(KEYS, min_size=1, max_size=4, unique=True),
     st.lists(KEYS, min_size=2, max_size=4, unique=True),
@@ -94,14 +94,8 @@ EMPTY = st.sampled_from([[], (), {}, Counter()])
 
 #: What the values of one key, or the siblings of one container, are drawn
 #: from: one kind the batch paths take throughout ...
-UNIFORM = [
-    LEAF_SCALARS,
-    st.integers(),
-    st.booleans(),
-    LIST_LEAVES,
-    st.one_of(LIST_LEAVES, LIST_LEAVES.map(tuple)),
-    DICT_LEAVES,
-]
+LEAF_KINDS = [LIST_LEAVES, st.one_of(LIST_LEAVES, LIST_LEAVES.map(tuple)), DICT_LEAVES]
+UNIFORM = [LEAF_SCALARS, st.integers(), st.booleans(), *LEAF_KINDS]
 #: ... or kinds they must refuse, or take only in part.
 MIXED = [
     st.one_of(LEAF_SCALARS, LIST_LEAVES),
@@ -125,7 +119,7 @@ def sibling_records(draw):
     columns = {}
     for key in keys:
         # The first key holds leaves, so that a record is no leaf itself.
-        kind = draw(st.sampled_from(UNIFORM[3:] if not columns else kinds))
+        kind = draw(st.sampled_from(kinds if columns else LEAF_KINDS))
         columns[key] = draw(st.lists(kind, min_size=count, max_size=count))
     records = []
     for i in range(count):
@@ -149,14 +143,13 @@ def _siblings_in_a_container(draw, values):
     if kind in ("list", "tuple"):
         value = values if kind == "list" else tuple(values)
     else:
-        if kind == "int-keyed":
-            keys = draw(st.lists(st.integers(), min_size=len(values), max_size=len(values), unique=True))
-        else:
-            keys = draw(st.lists(KEYS, min_size=len(values), max_size=len(values), unique=True))
+        key = st.integers() if kind == "int-keyed" else KEYS
+        keys = draw(st.lists(key, min_size=len(values), max_size=len(values), unique=True))
         value = dict(zip(keys, values))
         value = Counter(value) if kind == "counter" else value
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        value = draw(st.sampled_from([[value], [0, value, "z"], {"k": value}, {"a": 1, "k": value}]))
+        wrappers = [[value], [0, value, "z"], {"k": value}, {"a": 1, "k": value}]
+        value = draw(st.sampled_from(wrappers))
     return value
 
 
