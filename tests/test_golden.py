@@ -17,7 +17,10 @@ aggregation and similarity rules and the validation plumbing of the
 procedural check were removed. The ``baseline`` outputs were pinned before
 the two individual-fairness checks began to share one walk over the scored
 pairs. The bytes ``save_run`` writes were pinned before run files were
-written by the shared canonical JSON writer.
+written by the shared canonical JSON writer. The sweeps over the boundary
+deltas 0 and 1 and the report at delta 0 on a sparse run, where every
+unstated pair qualifies, were pinned before clusters, labels, verdicts and
+obligations were indexed by person position.
 """
 
 from __future__ import annotations
@@ -190,7 +193,8 @@ def test_sweep_table_is_pinned(tmp_path):
 
 #: (strategy, recommendation kind, seed, --deltas, --epsilons) of further
 #: pinned sweeps, each over thetas 0.4 and 0.5: every strategy on binary and
-#: score recommendations, and one grid that is unsorted and repeats a delta.
+#: score recommendations, one grid that is unsorted and repeats a delta, and
+#: two over the boundary deltas 0 and 1.
 SWEEPS = [
     (MAJORITY, "binary", 22, "0.3,0.5,0.7", "0.0,0.2"),
     (PESSIMISTIC, "binary", 23, "0.3,0.5,0.7", "0.0,0.2"),
@@ -200,6 +204,8 @@ SWEEPS = [
     (PESSIMISTIC, "score", 27, "0.3,0.5,0.7", "0,0.3"),
     (VETO, "score", 28, "0.3,0.5,0.7", "0,0.3"),
     (TRUST_WEIGHTED, "binary", 29, "0.7,0.3,0.7", "0.0,0.2"),
+    (VETO, "score", 35, "0,1,0.5", "0,0.3"),
+    (TRUST_WEIGHTED, "binary", 36, "0,1,0.5", "0.0,0.2"),
 ]
 
 SWEEP_HASHES = [
@@ -211,6 +217,8 @@ SWEEP_HASHES = [
     "0:42de5b696fcd0d7898ad98f61efd4af1abfb6b6f73c01456ea468ca6a52d499f",
     "0:1fe183d0b61aba7124a3106ceb4a834533a874cae0e8a547111ce027a03a5e84",
     "0:5493784d370ed7903926512178039c73e43a2124315ad3fe18ef6cae36aad1ef",
+    "0:b6618b8e122f83b86e9cf03039740c477ee9ee24e8172d208a91fe5616896054",
+    "0:53f537fe9496859522a79be8d6139a6752e72afc001049557a762653672748fd",
 ]
 
 
@@ -229,6 +237,21 @@ def test_sweep_under_each_strategy_is_pinned(tmp_path, case, expected):
         "--format", "json",
     ]
     assert _printed(argv) == expected
+
+
+DELTA_ZERO = "0:f48df164bd4e20f9150caac0de83776bae6280b3df98d497e0acb10fe4048242"
+
+
+def test_report_at_delta_zero_on_a_sparse_run_is_pinned(tmp_path):
+    """At delta 0 every pair a sparse table leaves unstated qualifies, so
+    each cluster is the population less the entries below delta."""
+    run = _synthetic_run(150, 0.003, TRUST_WEIGHTED, "binary", ("group", "baseline"), 37)
+    path = save_run(run, tmp_path / "run.json")
+    argv = [
+        "report", "--input", str(path), "--delta", "0", "--group-attr", "group",
+        "--format", "json",
+    ]
+    assert _printed(argv) == DELTA_ZERO
 
 
 DECIDE = {
