@@ -10,17 +10,18 @@ Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
 
-``cluster_tally`` binarizes each recommendation once into a 0/1 label and
-counts the positive labels of each cluster once. Neither depends on theta or
-the strategy, so it keeps them on the family for the recommendation vector
-it read: both pipeline stages, the audit's verdicts and every theta of a
-sweep share one tally per family. Stage 1 reads a cluster's label off its
-count in O(1); trust weighting and stage 2 count again per strategy, so
-every strategy costs O(n + sum |C|). Trust weights are 0/1 labels too, one
-per person. ``Outcome`` objects appear only at the boundary, as two shared
-instances. Each rule has one home: ``majority_label`` and ``_unanimous`` are
-the two tallies, ``_veto`` applies veto rules, and trust weighting is one
-line of ``run_pipeline``.
+Everything runs on lists indexed by person position. ``cluster_tally``
+binarizes each recommendation once into a 0/1 label and counts the positive
+labels of each cluster once. Neither depends on theta or the strategy, so it
+keeps them on the family for the recommendation vector it read: both
+pipeline stages, the audit's verdicts and every theta of a sweep share one
+tally per family. Stage 1 reads a cluster's label off its count in O(1);
+trust weighting and stage 2 count again per strategy, so every strategy
+costs O(n + sum |C|). Trust weights and both outputs are 0/1 labels by
+position; ``Outcome`` objects appear only when a caller reads one by id.
+Each rule has one home: ``majority_label`` and ``_unanimous`` are the two
+tallies, ``_veto`` applies veto rules, and trust weighting is one line of
+``run_pipeline``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .clustering import ClusterFamily
 from .core import (
     BAD_LABEL,
     GOOD_LABEL,
+    LABELS,
     InputError,
     Outcome,
     Population,
     RecommendationVector,
     DecisionVector,
-    UnknownIndividualError,
 )
 
 MAJORITY = "majority"
@@ -50,29 +51,13 @@ VETO = "veto"
 STRATEGY_KINDS = (MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO)
 
 
-#: The two binary outcomes, shared by every label the pipeline returns.
-_LABELS = (Outcome.label(BAD_LABEL), Outcome.label(GOOD_LABEL))
-
-
 class ConfigError(InputError):
     """A strategy or veto-rule configuration is unusable."""
 
 
-@dataclass(frozen=True)
-class SetRecommendationVector:
-    """One aggregated binary recommendation per cluster owner."""
-
-    purpose: str
-    values: Mapping[str, Outcome]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-
-    def __getitem__(self, owner: str) -> Outcome:
-        try:
-            return self.values[owner]
-        except KeyError:
-            raise UnknownIndividualError(owner) from None
+class SetRecommendationVector(DecisionVector):
+    """One aggregated binary recommendation per cluster owner:
+    ``labels[k]`` is the label of the cluster of the person at position k."""
 
 
 _OPS = {
@@ -157,7 +142,7 @@ def binarize(outcome: Outcome) -> Outcome:
     """Binary view of an outcome: scores become 1 iff strictly above 0.5."""
     if outcome.is_binary:
         return outcome
-    return _LABELS[outcome.value > 0.5]
+    return LABELS[outcome.value > 0.5]
 
 
 def majority_label(positive: int, size: int, theta: float) -> int:
@@ -168,20 +153,20 @@ def majority_label(positive: int, size: int, theta: float) -> int:
 
 def cluster_tally(
     pop: Population, family: ClusterFamily, recs: RecommendationVector
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Each person's 0/1 label and each cluster's positive count, by id.
+) -> tuple[list[int], list[int]]:
+    """Each person's 0/1 label and each cluster's positive count, by position.
 
-    ``label[x]`` is ``recs[x]`` binarized; ``positive[x]`` counts the
-    positive labels in x's cluster. Computed in O(n + sum |C|) with one
-    ``binarize`` call per person, then kept on ``family`` and returned
-    again while the same ``pop`` and ``recs`` objects are asked for.
+    ``label[k]`` is the binarized recommendation of the person at position
+    k; ``positive[k]`` counts the positive labels in their cluster. Computed
+    in O(n + sum |C|) with one ``binarize`` call per person, then kept on
+    ``family`` and returned again while the same ``pop`` and ``recs``
+    objects are asked for.
     """
     cached = family.tally
     if cached is not None and cached[0] is pop and cached[1] is recs:
         return cached[2]
-    ids = pop.individuals
-    label = {x: int(binarize(recs[x]).value) for x in ids}
-    positive = {x: sum(map(label.__getitem__, family.cluster_of(x).members)) for x in ids}
+    label = [int(binarize(recs[x]).value) for x in pop.individuals]
+    positive = [sum(map(label.__getitem__, c)) for c in family.members]
     object.__setattr__(family, "tally", (pop, recs, (label, positive)))
     return label, positive
 
@@ -217,28 +202,28 @@ def run_pipeline(
         validate_veto_rules(rules, pop)
     theta = strategy.theta
     tally = _unanimous if strategy.kind == PESSIMISTIC else partial(majority_label, theta=theta)
-    ids = pop.individuals
     label, positive = cluster_tally(pop, family, recs)
-    members = {x: family.cluster_of(x).members for x in ids}
-    set_label = {x: tally(positive[x], len(c)) for x, c in members.items()}
+    members = family.members
+    set_label = list(map(tally, positive, map(len, members)))
     if strategy.kind == TRUST_WEIGHTED:
         # Weight 1 for a label that matches its owner's cluster majority,
         # else 0. A cluster tallies the positive labels of weight 1 over all
         # labels of weight 1, and keeps its majority when none has weight.
-        weight = {x: 1 if label[x] == set_label[x] else 0 for x in ids}
-        trusted = {x: weight[x] & label[x] for x in ids}
-        for x, c in members.items():
+        weight = [1 if own == cluster else 0 for own, cluster in zip(label, set_label)]
+        trusted = list(map(int.__and__, weight, label))
+        for k, c in enumerate(members):
             total = sum(map(weight.__getitem__, c))
             if total:
-                set_label[x] = tally(sum(map(trusted.__getitem__, c)), total)
+                set_label[k] = tally(sum(map(trusted.__getitem__, c)), total)
 
-    attributes = pop.attributes or {}
-    decisions = {}
-    for i in ids:
-        owners = family.containing(i)
-        decision = tally(sum(map(set_label.__getitem__, owners)), len(owners))
-        if rules:
-            decision = _veto(decision, rules, attributes.get(i, {}))
-        decisions[i] = _LABELS[decision]
-    set_recs = SetRecommendationVector(recs.purpose, {x: _LABELS[v] for x, v in set_label.items()})
-    return set_recs, DecisionVector(recs.purpose, decisions)
+    decisions = [tally(sum(map(set_label.__getitem__, o)), len(o)) for o in family.owners]
+    if rules:
+        attributes = pop.attributes or {}
+        decisions = [
+            _veto(d, rules, attributes.get(i, {})) for i, d in zip(pop.individuals, decisions)
+        ]
+    positions = pop.positions
+    return (
+        SetRecommendationVector(recs.purpose, positions, set_label),
+        DecisionVector(recs.purpose, positions, decisions),
+    )

@@ -16,12 +16,17 @@ person's label and each cluster's positive count, computed once per family
 and recommendation vector. Relaxed ISF needs only the count; so does ISF on
 binary recommendations, where the members treated like x are the members
 sharing x's label. Score recommendations are compared member by member.
+The audit fills one column per verdict, by person position, and builds no
+per-person record; ``AuditReport.verdicts`` and the like are id views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from itertools import compress
+from operator import truediv
+from typing import Sequence
 
 from .aggregation import SetRecommendationVector, cluster_tally, majority_label
 from .clustering import ClusterFamily
@@ -34,16 +39,18 @@ UNFAIR = "unfair"
 ISF_SATISFIED = "ISF_SATISFIED"
 RELAXED_ONLY = "RELAXED_ONLY"
 NEITHER = "NEITHER"
+SCENARIOS = (ISF_SATISFIED, RELAXED_ONLY, NEITHER)
 
 #: Conflict classes for the triple (own rec, cluster label, final decision).
 NO_CONFLICT = "NO_CONFLICT"
 JUSTIFIABLE_BY_GROUP = "JUSTIFIABLE_BY_GROUP"
 SYSTEM_SUSPECT = "SYSTEM_SUSPECT"
+CONFLICTS = (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
 
 
 @dataclass(frozen=True)
 class FairnessVerdict:
-    """Per-individual fairness result.
+    """Per-individual fairness result, as ``AuditReport.verdicts`` shows it.
 
     satisfaction_ratio is the fraction of the individual's cluster treated
     epsilon-similarly to them; it is reported as a scalar fairness degree
@@ -58,22 +65,35 @@ class FairnessVerdict:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Everything one audit run decided, keyed by individual."""
+    """Everything one audit run decided, in columns by person position:
+    ``isf[k]`` is the ISF verdict of the person at position k of
+    ``population``, and so on."""
 
     purpose: str
-    verdicts: Mapping[str, FairnessVerdict]
-    scenarios: Mapping[str, str]
-    conflicts: Mapping[str, str]
+    population: Population
+    isf: list[str]
+    relaxed_isf: list[str]
+    satisfaction_ratio: list[float]
+    scenario: list[str]
+    conflict: list[str]
     set_recommendations: SetRecommendationVector
     decisions: DecisionVector
     sf: str
     dissenters: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "verdicts", dict(self.verdicts))
-        object.__setattr__(self, "scenarios", dict(self.scenarios))
-        object.__setattr__(self, "conflicts", dict(self.conflicts))
-        object.__setattr__(self, "dissenters", frozenset(self.dissenters))
+    @property
+    def verdicts(self) -> dict[str, FairnessVerdict]:
+        """Read-only ``{id: FairnessVerdict}`` view, built on each access."""
+        columns = zip(self.isf, self.relaxed_isf, self.satisfaction_ratio)
+        return {x: FairnessVerdict(x, *row) for x, row in zip(self.population.individuals, columns)}
+
+    @property
+    def scenarios(self) -> dict[str, str]:
+        return dict(zip(self.population.individuals, self.scenario))
+
+    @property
+    def conflicts(self) -> dict[str, str]:
+        return dict(zip(self.population.individuals, self.conflict))
 
 
 def _similar(a: float, b: float, epsilon: float) -> bool:
@@ -86,14 +106,11 @@ def _similar(a: float, b: float, epsilon: float) -> bool:
     return 1.0 - abs(a - b) > epsilon
 
 
-def sf_process(
-    verdicts: Mapping[str, FairnessVerdict],
-) -> tuple[str, frozenset[str]]:
-    """Process-level verdict plus the exact set of dissenting individuals.
-
-    The process is fair iff no individual's ISF verdict is unfair.
-    """
-    dissenters = frozenset(x for x, v in verdicts.items() if v.isf == UNFAIR)
+def sf_process(individuals: Sequence[str], isf: Sequence[str]) -> tuple[str, frozenset[str]]:
+    """Process-level verdict plus the exact set of dissenting individuals,
+    from the ISF column ``isf`` of ``individuals``: fair iff no verdict is
+    unfair."""
+    dissenters = frozenset(compress(individuals, map(UNFAIR.__eq__, isf)))
     return (FAIR if not dissenters else UNFAIR), dissenters
 
 
@@ -108,61 +125,51 @@ def audit_population(
     """Assemble the full audit report from pipeline outputs.
 
     ``set_recs`` and ``decisions`` are the pipeline outputs for the same
-    family, computed at ``params.theta``, since scenario classification
-    compares against those cluster labels.
+    population and family, computed at ``params.theta``, since scenario
+    classification compares against those cluster labels.
 
     Each person's cluster is read once, from the stage-1 tally the pipeline
     keeps on ``family`` (``cluster_tally``): the person's label and the
     count of positive labels in their cluster. Relaxed ISF compares the
     label with the cluster's plain theta-majority of that count, whatever
-    the strategy. On binary recommendations epsilon-similarity is equality
-    for every epsilon in [0, 1), so the members treated epsilon-similarly
-    to x are the positive count when x's label is 1 and the rest when it is
-    0; score recommendations are compared with x's raw value member by
-    member. ISF is fair iff every member is satisfied, and the satisfaction
-    ratio is the satisfied share. The scenario compares the label with the
-    cluster label ``set_recs[x]``, and the conflict class with it and then
-    with the decision. Cost: O(n) on binary recommendations once the tally
-    exists, O(n + sum |C|) on scores.
-    """
-    epsilon = params.epsilon
-    theta = params.theta
+    the strategy. On 0/1 labels epsilon-similarity is equality for every
+    epsilon in [0, 1), so labels are compared by equality, and on binary
+    recommendations the members treated like x are the positive count when
+    x's label is 1 and the rest when it is 0; score recommendations are
+    compared with x's raw value member by member. ISF is fair iff every
+    member is satisfied; the scenario compares the label with the cluster
+    label, and the conflict class with it and then with the decision. Cost:
+    O(n) on binary recommendations once the tally exists, O(n + sum |C|) on
+    scores."""
     label, positive = cluster_tally(pop, family, recs)
-    raw = None if recs.kind == BINARY else {x: recs[x].value for x in pop.individuals}
-    verdicts: dict[str, FairnessVerdict] = {}
-    scenarios: dict[str, str] = {}
-    conflicts: dict[str, str] = {}
-    for x in pop.individuals:
-        members = family.cluster_of(x).members
-        size = len(members)
-        if raw is None:
-            satisfied = positive[x] if label[x] else size - positive[x]
-        else:
-            own = raw[x]
-            satisfied = sum(_similar(own, raw[y], epsilon) for y in members)
-        majority = majority_label(positive[x], size, theta)
-        verdicts[x] = FairnessVerdict(
-            individual=x,
-            isf=FAIR if satisfied == size else UNFAIR,
-            relaxed_isf=FAIR if _similar(label[x], majority, epsilon) else UNFAIR,
-            satisfaction_ratio=satisfied / size,
-        )
-        if _similar(label[x], set_recs[x].value, epsilon):
-            scenarios[x] = ISF_SATISFIED if satisfied == size else RELAXED_ONLY
-            conflicts[x] = NO_CONFLICT
-        else:
-            scenarios[x] = NEITHER
-            if _similar(label[x], decisions[x].value, epsilon):
-                conflicts[x] = JUSTIFIABLE_BY_GROUP
-            else:
-                conflicts[x] = SYSTEM_SUSPECT
-    sf, dissenters = sf_process(verdicts)
-
+    members = family.members
+    sizes = list(map(len, members))
+    if recs.kind == BINARY:
+        satisfied = [p if own else size - p for own, p, size in zip(label, positive, sizes)]
+    else:
+        raw = [recs[x].value for x in pop.individuals]
+        satisfied = [
+            sum([_similar(own, raw[y], params.epsilon) for y in cluster])
+            for own, cluster in zip(raw, members)
+        ]
+    isf = [FAIR if sat == size else UNFAIR for sat, size in zip(satisfied, sizes)]
+    majority = map(partial(majority_label, theta=params.theta), positive, sizes)
+    agrees = list(map(int.__eq__, label, set_recs.labels))
+    sf, dissenters = sf_process(pop.individuals, isf)
     return AuditReport(
         purpose=recs.purpose,
-        verdicts=verdicts,
-        scenarios=scenarios,
-        conflicts=conflicts,
+        population=pop,
+        isf=isf,
+        relaxed_isf=[FAIR if own == m else UNFAIR for own, m in zip(label, majority)],
+        satisfaction_ratio=list(map(truediv, satisfied, sizes)),
+        scenario=[
+            (ISF_SATISFIED if verdict == FAIR else RELAXED_ONLY) if agree else NEITHER
+            for agree, verdict in zip(agrees, isf)
+        ],
+        conflict=[
+            NO_CONFLICT if agree else JUSTIFIABLE_BY_GROUP if own == d else SYSTEM_SUSPECT
+            for agree, own, d in zip(agrees, label, decisions.labels)
+        ],
         set_recommendations=set_recs,
         decisions=decisions,
         sf=sf,

@@ -5,24 +5,28 @@ delta-similar to themself. Because similarity is non-symmetric, belonging to
 someone's cluster says nothing about whose clusters you put them in, so a
 separate inverse index tracks which clusters contain each individual.
 
+A family holds both as lists of person positions, each in id order; the
+engine reads those, and ``cluster_of`` and ``containing`` are id views.
+
 Cost: ``build_cluster_family`` reads each person's own row of the perception
-table once and then writes each cluster and its transpose once, so it runs
-in O(n + nnz + sum |C|) time, where nnz is the number of entries and sum |C|
-the total cluster size. It never looks up the n^2 pairs a table leaves
-unstated.
+table once, writes each cluster once and transposes the family twice, in id
+order, so it runs in O(n + nnz + sum |C|) time, where nnz is the number of
+entries and sum |C| the total cluster size, and builds no per-owner object.
+It never looks up the n^2 pairs a table leaves unstated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from .core import PerceptionTable, Population, UnknownIndividualError
 
 
 @dataclass(frozen=True)
 class PerceivedCluster:
-    """The set of individuals ``owner`` considers similar to themself.
+    """The set of individuals ``owner`` considers similar to themself: the
+    id view ``ClusterFamily.cluster_of`` returns.
 
     Always contains the owner: everyone rates themself 1.0, which clears
     any threshold in [0, 1].
@@ -30,14 +34,6 @@ class PerceivedCluster:
 
     owner: str
     members: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.owner not in self.members:
-            raise ValueError(f"cluster of {self.owner!r} must contain its owner")
-
-    def __contains__(self, individual: str) -> bool:
-        return individual in self.members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -47,39 +43,44 @@ class PerceivedCluster:
 class ClusterFamily:
     """All perceived clusters of one population, plus the inverse index.
 
-    ``clusters`` maps each owner to their cluster; ``membership_index`` maps
-    each individual to the owners whose clusters contain them. The two views
-    are exact transposes of each other.
+    ``members[k]`` lists the positions in the cluster of the person at
+    position k; ``owners[k]`` lists the owners whose clusters contain that
+    person. Both are in id order, and they are exact transposes of each
+    other.
 
     ``tally`` is a derived cache, not part of the family's value:
     ``aggregation.cluster_tally`` keeps there the labels and positive counts
     it last computed over these clusters, with the inputs it read.
     """
 
-    clusters: Mapping[str, PerceivedCluster]
-    membership_index: Mapping[str, frozenset[str]]
+    population: Population
+    members: list[list[int]]
+    owners: list[list[int]]
     tally: Any = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clusters", dict(self.clusters))
-        object.__setattr__(
-            self,
-            "membership_index",
-            {i: frozenset(owners) for i, owners in self.membership_index.items()},
-        )
-
-    def cluster_of(self, individual: str) -> PerceivedCluster:
+    def _ids(self, individual: str, lists: list[list[int]]) -> frozenset[str]:
         try:
-            return self.clusters[individual]
+            row = lists[self.population.positions[individual]]
         except KeyError:
             raise UnknownIndividualError(individual) from None
+        return frozenset(map(self.population.individuals.__getitem__, row))
+
+    def cluster_of(self, individual: str) -> PerceivedCluster:
+        """Read-only id view of the cluster ``individual`` owns."""
+        return PerceivedCluster(individual, self._ids(individual, self.members))
 
     def containing(self, individual: str) -> frozenset[str]:
         """Owners whose clusters contain ``individual`` (never empty)."""
-        try:
-            return self.membership_index[individual]
-        except KeyError:
-            raise UnknownIndividualError(individual) from None
+        return self._ids(individual, self.owners)
+
+
+def _transpose(lists: list[list[int]], order: list[int]) -> list[list[int]]:
+    # Row j of the result lists every k whose row holds j, in ``order``.
+    result: list[list[int]] = [[] for _ in lists]
+    for k in order:
+        for j in lists[k]:
+            result[j].append(k)
+    return result
 
 
 def build_cluster_family(
@@ -91,25 +92,28 @@ def build_cluster_family(
     the threshold is inclusive, so delta = 0.0 admits the whole population.
     Entries naming ids outside the population are ignored.
     """
-    ids = pop.id_set
+    positions = pop.positions
+    everyone = range(len(positions))
     # A missing entry reads 0.0, so it either qualifies for every owner
     # (delta <= 0) or for none. Only the explicit entries whose verdict
     # differs from that default change a cluster. Rows of observers outside
     # the population are never read.
     missing_qualifies = 0.0 >= delta
-    clusters: dict[str, PerceivedCluster] = {}
-    index: dict[str, set[str]] = {x: set() for x in pop.individuals}
-    for x in pop.individuals:
+    clusters: list[Any] = []
+    for k, x in enumerate(pop.individuals):
         row = perceptions.rows.get(x, {})
         if missing_qualifies:
             # Entries below delta (NaN included) leave; the owner stays.
-            left = {z for z, value in row.items() if not value >= delta}
-            left.discard(x)
-            members = ids.difference(left)
+            left = {positions.get(z) for z, value in row.items() if not value >= delta}
+            left.discard(k)
+            clusters.append([j for j in everyone if j not in left] if left else everyone)
         else:
-            members = {z for z, value in row.items() if value >= delta and z in ids}
-            members.add(x)
-        clusters[x] = PerceivedCluster(x, members)
-        for member in members:
-            index[member].add(x)
-    return ClusterFamily(clusters, index)
+            cluster = [positions[z] for z, value in row.items() if value >= delta and z in positions]
+            own = row.get(x)
+            if own is None or not own >= delta:
+                cluster.append(k)
+            clusters.append(cluster)
+    # Transposing in id order lists each person's owners in id order, and
+    # transposing those back lists each cluster's members in id order.
+    owners = _transpose(clusters, pop.order)
+    return ClusterFamily(pop, _transpose(owners, pop.order), owners)

@@ -6,13 +6,16 @@ share across concurrent audit runs. The one exception downstream is the
 cluster family (``clustering.ClusterFamily``): its clusters are immutable,
 but it also holds a derived cache, the stage-1 tally of the last
 recommendation vector read over it, which never changes its value.
+Past loading, the engine indexes people by position, their index in
+``Population.individuals``; ids appear only in read-only views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -82,6 +85,10 @@ class Outcome:
         return self.kind == BINARY
 
 
+#: The two binary outcomes, indexed by label, shared by every label vector.
+LABELS = (Outcome.label(BAD_LABEL), Outcome.label(GOOD_LABEL))
+
+
 @dataclass(frozen=True)
 class Population:
     """The ordered set of individuals one audit run is about.
@@ -93,22 +100,22 @@ class Population:
 
     individuals: tuple[IndividualId, ...]
     attributes: Mapping[IndividualId, Mapping[str, Any]] | None = None
-    #: The ids as a set, for O(1) membership tests.
-    id_set: frozenset[IndividualId] = field(init=False, repr=False, compare=False)
+    #: Each id's position, its index in ``individuals``.
+    positions: Mapping[IndividualId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "individuals", tuple(self.individuals))
         if not self.individuals:
             raise InputError("population must contain at least one individual")
-        object.__setattr__(self, "id_set", frozenset(self.individuals))
-        if len(self.id_set) != len(self.individuals):
+        object.__setattr__(self, "positions", {x: k for k, x in enumerate(self.individuals)})
+        if len(self.positions) != len(self.individuals):
             raise InputError("population contains duplicate ids")
         if self.attributes is not None:
             attrs = {i: dict(v) for i, v in self.attributes.items()}
             object.__setattr__(self, "attributes", attrs)
             keysets = set()
             for ind, values in attrs.items():
-                if ind not in self.id_set:
+                if ind not in self.positions:
                     raise InputError(f"attributes reference unknown id {ind!r}")
                 keysets.add(frozenset(values))
             if len(keysets) > 1:
@@ -118,7 +125,12 @@ class Population:
         return len(self.individuals)
 
     def __contains__(self, individual: str) -> bool:
-        return individual in self.id_set
+        return individual in self.positions
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The positions sorted by id: the order every report lists people in."""
+        return sorted(range(len(self.individuals)), key=self.individuals.__getitem__)
 
     def attribute_keys(self) -> frozenset[str]:
         """Attribute keys shared by the covered individuals (empty if none)."""
@@ -239,22 +251,24 @@ class RecommendationVector:
 
 @dataclass(frozen=True)
 class DecisionVector:
-    """Final binary decisions, one per individual, for one purpose."""
+    """Final binary decisions for one purpose: ``labels[k]`` is the 0/1
+    decision of the person at position k of ``positions``."""
 
     purpose: Purpose
-    values: Mapping[IndividualId, Outcome]
+    positions: Mapping[IndividualId, int]
+    labels: Sequence[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        for individual, outcome in self.values.items():
-            if not outcome.is_binary:
-                raise KindMismatchError(
-                    f"decision for {individual!r} must be binary, got {outcome.kind}"
-                )
+    @classmethod
+    def of(cls, purpose: Purpose, values: Mapping[IndividualId, Outcome]) -> "DecisionVector":
+        """The vector of one binary outcome per id, in the order of ``values``."""
+        if not all(o.is_binary for o in values.values()):
+            raise KindMismatchError("a label vector holds binary outcomes only")
+        positions = {x: k for k, x in enumerate(values)}
+        return cls(purpose, positions, [int(o.value) for o in values.values()])
 
     def __getitem__(self, individual: str) -> Outcome:
         try:
-            return self.values[individual]
+            return LABELS[self.labels[self.positions[individual]]]
         except KeyError:
             raise UnknownIndividualError(individual) from None
 
@@ -334,7 +348,7 @@ def validate_population(
       known ids only.
     """
     violations: list[Violation] = []
-    known = pop.id_set
+    known = pop.positions
 
     for individual in pop.individuals:
         own = perceptions.similarity(individual, individual)

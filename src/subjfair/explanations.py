@@ -6,18 +6,23 @@ acceptance state of each one; it does not generate explanation content.
 Acceptance is defeasible: ledger entries may be rewritten across rounds as
 arguments land or fail, and the explanation-level verdict is re-derived from
 the current ledger each time.
+What is owed follows from a person's scenario and conflict classes alone,
+so ``derive_obligations`` reads it from one table and builds no record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .audit import (
     FAIR,
     UNFAIR,
     ISF_SATISFIED,
     JUSTIFIABLE_BY_GROUP,
+    NEITHER,
+    NO_CONFLICT,
+    RELAXED_ONLY,
     SYSTEM_SUSPECT,
     AuditReport,
 )
@@ -51,7 +56,7 @@ PROCEDURAL_TAGS = (CONSISTENCY, ACCURACY, ETHICALITY)
 #: the best available information; justifying the aggregation method is
 #: about applying one uniform procedure; justifying a group identification
 #: against the individual's self-perception is a question of values.
-_KIND_TAGS: Mapping[str, frozenset[str]] = {
+KIND_TAGS: Mapping[str, frozenset[str]] = {
     SYSTEM_RECOMMENDATION: frozenset({ACCURACY}),
     AGGREGATION_METHOD: frozenset({CONSISTENCY}),
     GROUP_IDENTIFICATION: frozenset({ETHICALITY}),
@@ -81,39 +86,36 @@ class ExplanationObligation:
     @property
     def procedural_tags(self) -> frozenset[str]:
         """The procedural rules this obligation speaks to, fixed by its kind."""
-        return _KIND_TAGS[self.kind]
+        return KIND_TAGS[self.kind]
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.individual, self.kind)
 
 
-def derive_obligations(report: AuditReport) -> list[ExplanationObligation]:
-    """Map each individual's scenario and conflict class to the
-    justifications owed to them.
+_BASE = (SYSTEM_RECOMMENDATION, AGGREGATION_METHOD)
 
-    Fully satisfied individuals (ISF holds, no conflict) are owed nothing.
-    Anyone short of that is owed a justification of their own
-    recommendation and of the aggregation method. A conflict that the final
-    decision can justify additionally requires justifying the group
-    identification; a conflict the decision cannot justify requires a
-    review of the system's recommendation instead.
+#: The kinds owed, in report order, by (scenario, conflict) class, the only
+#: pairs an audit gives. Fully satisfied individuals (ISF holds, no
+#: conflict) are owed nothing. Anyone short of that is owed a justification
+#: of their own recommendation and of the aggregation method. A conflict
+#: that the final decision can justify additionally requires justifying the
+#: group identification; a conflict the decision cannot justify requires a
+#: review of the system's recommendation instead.
+_OWED_KINDS: Mapping[tuple[str, str], tuple[str, ...]] = {
+    (ISF_SATISFIED, NO_CONFLICT): (),
+    (RELAXED_ONLY, NO_CONFLICT): _BASE,
+    (NEITHER, JUSTIFIABLE_BY_GROUP): _BASE + (GROUP_IDENTIFICATION,),
+    (NEITHER, SYSTEM_SUSPECT): _BASE + (SYSTEM_ERROR_REVIEW,),
+}
 
-    Pure in the report: identical reports yield identical obligation
-    lists, ordered by individual id.
-    """
-    obligations: list[ExplanationObligation] = []
-    for individual in sorted(report.decisions.values):
-        kinds: list[str] = []
-        if report.scenarios[individual] != ISF_SATISFIED:
-            kinds.append(SYSTEM_RECOMMENDATION)
-            kinds.append(AGGREGATION_METHOD)
-        if report.conflicts[individual] == JUSTIFIABLE_BY_GROUP:
-            kinds.append(GROUP_IDENTIFICATION)
-        elif report.conflicts[individual] == SYSTEM_SUSPECT:
-            kinds.append(SYSTEM_ERROR_REVIEW)
-        obligations.extend(ExplanationObligation(individual, kind) for kind in kinds)
-    return obligations
+
+def derive_obligations(report: AuditReport) -> dict[str, tuple[str, ...]]:
+    """The kinds owed to each individual owed any, ``{id: kinds}`` by id in
+    sorted order. Pure in the report: identical reports, identical maps."""
+    ids = report.population.individuals
+    owed = list(map(_OWED_KINDS.__getitem__, zip(report.scenario, report.conflict)))
+    return {ids[k]: owed[k] for k in report.population.order if owed[k]}
 
 
 class AcceptanceLedger:
@@ -168,10 +170,12 @@ class AcceptanceLedger:
 
 
 def fairness_through_explanations(
-    obligations: Iterable[ExplanationObligation],
+    owed: Mapping[str, Sequence[str]],
     ledger: AcceptanceLedger,
 ) -> str:
-    """Explanation-level verdict from the current acceptance states.
+    """Explanation-level verdict from the current acceptance states, for
+    the obligations ``owed`` names: ``{individual: kinds}`` with distinct
+    kinds per person, as ``derive_obligations`` gives them.
 
     Fair iff every obligation is accepted (vacuously fair with none --
     individuals owed nothing are presumed accepting). Unfair as soon as any
@@ -179,21 +183,20 @@ def fairness_through_explanations(
 
     Raises:
         LedgerIntegrityError: if the ledger references an obligation that
-            is not in ``obligations``.
+            is not in ``owed``.
     """
-    keys = {o.key for o in obligations}
     accepted = 0
     rejected = False
-    for entry_key, state in ledger:
-        if entry_key not in keys:
-            raise LedgerIntegrityError(entry_key)
+    for (individual, kind), state in ledger:
+        if kind not in owed.get(individual, ()):
+            raise LedgerIntegrityError((individual, kind))
         accepted += state == ACCEPTED
         rejected = rejected or state == REJECTED
     # Every entry names a distinct obligation, so all are accepted exactly
     # when the accepted entries number as many as the obligations.
     if rejected:
         return UNFAIR
-    if accepted == len(keys):
+    if accepted == sum(map(len, owed.values())):
         return FAIR
     return PENDING
 

@@ -123,7 +123,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     run = _overridden(load_run(args.input), args)
-    doc = label_fields(run.population.individuals, *decide_run(run))
+    doc = label_fields(*decide_run(run))
     if args.format == "json":
         sys.stdout.write(dumps_doc(doc))
     else:
@@ -174,13 +174,12 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
     for result in audit_grid(run, [(p.params, p.strategy) for p in points]):
         report = result.report
         summary = summary_counts(report)
-        positive = sum(int(d.value) for d in report.decisions.values.values())
         metrics = {
             "sf_fair": 1.0 if report.sf == FAIR else 0.0,
             "dissenters": float(len(report.dissenters)),
             **{name: float(count) for name, count in summary["counts"].items()},
-            "obligations": float(len(result.obligations)),
-            "positive_decision_rate": positive / run.n,
+            "obligations": float(sum(map(len, result.owed.values()))),
+            "positive_decision_rate": sum(report.decisions.labels) / run.n,
         }
         for histogram in ("scenario", "conflict"):
             for label, count in summary[f"{histogram}_histogram"].items():

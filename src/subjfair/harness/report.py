@@ -16,25 +16,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from .. import __version__
 from ..aggregation import AggregationStrategy, SetRecommendationVector, run_pipeline
-from ..audit import (
-    FAIR,
-    ISF_SATISFIED,
-    JUSTIFIABLE_BY_GROUP,
-    NEITHER,
-    NO_CONFLICT,
-    RELAXED_ONLY,
-    SYSTEM_SUSPECT,
-    AuditReport,
-    audit_population,
-)
+from ..audit import CONFLICTS, FAIR, SCENARIOS, SYSTEM_SUSPECT, AuditReport, audit_population
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
 from ..core import AuditParams, DecisionVector, InputError, validate_population
 from ..explanations import (
+    KIND_TAGS,
     AcceptanceLedger,
     ExplanationObligation,
     LedgerIntegrityError,
@@ -54,14 +45,19 @@ SYSTEM_REVIEW_FLAG = "ADMS recommendation requires review"
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one audit run produced."""
+    """Everything one audit run produced; ``owed`` is ``derive_obligations``'s."""
 
     run: AuditRunFile
     family: ClusterFamily
     report: AuditReport
-    obligations: tuple[ExplanationObligation, ...]
+    owed: Mapping[str, tuple[str, ...]]
     explanation_fairness: str
     procedural: ProceduralReport
+
+    @property
+    def obligations(self) -> tuple[ExplanationObligation, ...]:
+        """Read-only view: one record per owed kind, by id, then kind."""
+        return tuple(ExplanationObligation(x, k) for x, kinds in self.owed.items() for k in kinds)
 
 
 def audit_grid(
@@ -92,16 +88,16 @@ def audit_grid(
         report = audit_population(
             run.population, family, run.recommendations, params, set_recs, decisions
         )
-        obligations = tuple(derive_obligations(report))
+        owed = derive_obligations(report)
         try:
-            explanation_fairness = fairness_through_explanations(obligations, ledger)
+            explanation_fairness = fairness_through_explanations(owed, ledger)
         except LedgerIntegrityError as exc:
             raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
         yield RunResult(
             run=replace(run, params=params, strategy=strategy),
             family=family,
             report=report,
-            obligations=obligations,
+            owed=owed,
             explanation_fairness=explanation_fairness,
             procedural=procedural,
         )
@@ -122,69 +118,65 @@ def decide_run(run: AuditRunFile) -> tuple[SetRecommendationVector, DecisionVect
 
 
 def label_fields(
-    ids: Sequence[str], set_recs: SetRecommendationVector, decisions: DecisionVector
+    set_recs: SetRecommendationVector, decisions: DecisionVector
 ) -> dict[str, dict[str, int]]:
     """The ``set_rec`` and ``dec`` fields of the audit document: each
-    cluster label and decision as a 0/1 int, by id in ``ids`` order."""
+    cluster label and decision as a 0/1 int, by id."""
     return {
-        "set_rec": {x: int(set_recs[x].value) for x in ids},
-        "dec": {i: int(decisions[i].value) for i in ids},
+        "set_rec": dict(zip(set_recs.positions, set_recs.labels)),
+        "dec": dict(zip(decisions.positions, decisions.labels)),
     }
 
 
 def summary_counts(report: AuditReport) -> dict[str, dict[str, int]]:
     """The ``counts``, ``scenario_histogram`` and ``conflict_histogram``
     fields of the audit document, each label in its fixed order."""
-    verdicts = report.verdicts.values()
-    scenarios = Counter(report.scenarios.values())
-    conflicts = Counter(report.conflicts.values())
+    scenarios = Counter(report.scenario)
+    conflicts = Counter(report.conflict)
     return {
         "counts": {
-            "isf_fair": sum(1 for v in verdicts if v.isf == FAIR),
-            "relaxed_isf_fair": sum(1 for v in verdicts if v.relaxed_isf == FAIR),
+            "isf_fair": report.isf.count(FAIR),
+            "relaxed_isf_fair": report.relaxed_isf.count(FAIR),
         },
-        "scenario_histogram": {k: scenarios[k] for k in (ISF_SATISFIED, RELAXED_ONLY, NEITHER)},
-        "conflict_histogram": {
-            k: conflicts[k] for k in (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
-        },
+        "scenario_histogram": {k: scenarios[k] for k in SCENARIOS},
+        "conflict_histogram": {k: conflicts[k] for k in CONFLICTS},
     }
+
+
+#: Each obligation kind's procedural tags as the report lists them.
+_SORTED_TAGS = {kind: sorted(tags) for kind, tags in KIND_TAGS.items()}
 
 
 def build_audit_doc(result: RunResult) -> dict[str, Any]:
     """The audit core as a plain document, comparable field-for-field with
-    the brute-force oracle's output."""
+    the brute-force oracle's output. Written from the family's lists and
+    the report's columns by position, each list of people in id order."""
     run = result.run
     report = result.report
-    ids = list(run.population.individuals)
+    ids = run.population.individuals
+    named = ids.__getitem__
     return {
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
         "n": len(ids),
         **settings_to_dict(run),
-        "clusters": {
-            x: sorted(result.family.cluster_of(x).members) for x in ids
-        },
-        "membership": {i: sorted(result.family.containing(i)) for i in ids},
-        **label_fields(ids, report.set_recommendations, report.decisions),
+        "clusters": {x: list(map(named, c)) for x, c in zip(ids, result.family.members)},
+        "membership": {x: list(map(named, o)) for x, o in zip(ids, result.family.owners)},
+        **label_fields(report.set_recommendations, report.decisions),
         "verdicts": {
-            x: {
-                "isf": report.verdicts[x].isf,
-                "relaxed_isf": report.verdicts[x].relaxed_isf,
-                "satisfaction_ratio": report.verdicts[x].satisfaction_ratio,
-            }
-            for x in ids
+            x: {"isf": isf, "relaxed_isf": relaxed, "satisfaction_ratio": ratio}
+            for x, isf, relaxed, ratio in zip(
+                ids, report.isf, report.relaxed_isf, report.satisfaction_ratio
+            )
         },
-        "scenarios": dict(report.scenarios),
-        "conflicts": dict(report.conflicts),
+        "scenarios": dict(zip(ids, report.scenario)),
+        "conflicts": dict(zip(ids, report.conflict)),
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
         **summary_counts(report),
         "obligations": [
-            {
-                "individual": o.individual,
-                "kind": o.kind,
-                "procedural_tags": sorted(o.procedural_tags),
-            }
-            for o in result.obligations
+            {"individual": x, "kind": kind, "procedural_tags": _SORTED_TAGS[kind]}
+            for x, kinds in result.owed.items()
+            for kind in kinds
         ],
     }
 

@@ -233,7 +233,7 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         raise RunFileError(str(exc), "strategy") from None
 
 
-def _parse_baseline(doc: Mapping[str, Any], ids: frozenset[str]) -> BaselineInputs | None:
+def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineInputs | None:
     """The baseline section, checked against the population ``ids``: every
     id it names must be in the population, every override's observer must be
     a party to its pair, and every pair of scored people needs a distance."""
@@ -268,7 +268,7 @@ def _parse_baseline(doc: Mapping[str, Any], ids: frozenset[str]) -> BaselineInpu
 
 
 def _parse_distances(
-    section: Mapping[str, Any], ids: frozenset[str]
+    section: Mapping[str, Any], ids: Mapping[str, int]
 ) -> dict[tuple[str, str], float]:
     """The ``[x, y, distance]`` rows keyed by sorted pair, as the distance
     table keeps them, so that a pair given twice, in either order, is seen.
@@ -296,7 +296,7 @@ def _parse_distances(
         row = _parse_distance_row(row, 3, where)
         x, y = str(row[0]), str(row[1])
         pair = (x, y) if x <= y else (y, x)
-        if not ids.issuperset(pair):
+        if not all(map(ids.__contains__, pair)):
             raise _unknown_id((x, y), ids, where)
         if pair in entries:
             raise RunFileError(f"second distance for the pair ({x}, {y})", where)
@@ -305,7 +305,7 @@ def _parse_distances(
 
 
 def _parse_overrides(
-    section: Mapping[str, Any], ids: frozenset[str]
+    section: Mapping[str, Any], ids: Mapping[str, int]
 ) -> dict[tuple[str, str, str], float]:
     """The ``[observer, x, y, distance]`` rows keyed by observer and sorted
     pair, as the distance table keeps them; the observer must be a party to
@@ -317,7 +317,7 @@ def _parse_overrides(
             row = _parse_distance_row(row, 4, where)
         observer, x, y = str(row[0]), str(row[1]), str(row[2])
         key = (observer, x, y) if x <= y else (observer, y, x)
-        if not ids.issuperset(key):
+        if not all(map(ids.__contains__, key)):
             raise _unknown_id((observer, x, y), ids, where)
         if observer != x and observer != y:
             raise RunFileError(
@@ -329,7 +329,7 @@ def _parse_overrides(
     return overrides
 
 
-def _unknown_id(names: tuple[str, ...], ids: frozenset[str], location: str) -> RunFileError:
+def _unknown_id(names: tuple[str, ...], ids: Mapping[str, int], location: str) -> RunFileError:
     unknown = next(name for name in names if name not in ids)
     return RunFileError(f"unknown id {unknown!r}", location)
 
@@ -406,7 +406,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
                 except InputError as exc:
                     raise RunFileError(str(exc), f"ledger.{individual}.{obligation}") from None
 
-    baseline = _parse_baseline(doc, population.id_set)
+    baseline = _parse_baseline(doc, population.positions)
     metadata = _expect_object(doc.get("metadata", {}), "metadata")
     try:
         run = AuditRunFile(
@@ -451,35 +451,31 @@ def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
 
 def to_dict(run: AuditRunFile) -> dict[str, Any]:
     """Canonical document form of a run. Optional sections are omitted
-    when empty."""
+    when empty. The ``sim`` rows, the attributes and the baseline scores are
+    the run's own maps, unsorted and uncopied (the canonical writer sorts
+    every key), so the document is for writing, not for changing."""
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "purpose": run.purpose,
         "individuals": list(run.population.individuals),
         "provenance": run.perceptions.provenance,
-        "sim": {
-            observer: dict(sorted(row.items()))
-            for observer, row in sorted(run.perceptions.rows.items())
-        },
+        "sim": run.perceptions.rows,
         "rec": {
             "kind": run.recommendations.kind,
             "values": {
                 i: (int(o.value) if o.is_binary else o.value)
-                for i, o in sorted(run.recommendations.values.items())
+                for i, o in run.recommendations.values.items()
             },
         },
         **settings_to_dict(run),
     }
     if run.population.attributes:
-        doc["attributes"] = {
-            i: dict(sorted(v.items()))
-            for i, v in sorted(run.population.attributes.items())
-        }
+        doc["attributes"] = run.population.attributes
     if run.ledger is not None and len(run.ledger):
         doc["ledger"] = run.ledger.as_rows()
     if run.baseline is not None:
         doc["baseline"] = {
-            "scores": dict(sorted(run.baseline.scores.items())),
+            "scores": run.baseline.scores,
             "distances": [
                 [x, y, d] for (x, y), d in sorted(run.baseline.distances.entries.items())
             ],

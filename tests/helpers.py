@@ -11,6 +11,8 @@ from subjfair import (
     AggregationStrategy,
     AuditParams,
     AuditReport,
+    DecisionVector,
+    ExplanationObligation,
     Outcome,
     PerceivedCluster,
     PerceptionTable,
@@ -39,6 +41,16 @@ def perceived_cluster(
         raise UnknownIndividualError(x)
     members = {z for z in pop.individuals if perceptions.similarity(x, z) >= delta}
     return PerceivedCluster(x, frozenset(members | {x}))
+
+
+def by_id(vector: DecisionVector) -> dict[str, int]:
+    """A label vector as ``{id: 0/1 label}``, read through its id view."""
+    return {x: int(vector[x].value) for x in vector.positions}
+
+
+def obligation_records(owed: dict[str, tuple[str, ...]]) -> list[ExplanationObligation]:
+    """One obligation per kind ``owed`` names, person by person."""
+    return [ExplanationObligation(x, kind) for x, kinds in owed.items() for kind in kinds]
 
 
 def make_inputs(

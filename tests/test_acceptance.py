@@ -18,7 +18,6 @@ from subjfair import (
     AcceptanceLedger,
     AggregationStrategy,
     AuditParams,
-    ExplanationObligation,
     ObjectiveDistanceTable,
     Outcome,
     Population,
@@ -38,9 +37,11 @@ from subjfair.harness.synth import SynthProfile, generate_population
 
 from helpers import (
     audit,
+    by_id,
     cluster_label,
     find_manipulation_instance,
     make_inputs,
+    obligation_records,
     random_instance,
     random_rows,
     similarity,
@@ -57,7 +58,7 @@ def test_acceptance_1_stage_one_reproduction():
     start = time.perf_counter()
     set_recs, _ = run_pipeline(run.population, family, run.recommendations, run.strategy)
     elapsed = time.perf_counter() - start
-    assert {i: int(o.value) for i, o in set_recs.values.items()} == {
+    assert by_id(set_recs) == {
         "x": 0,
         "y": 1,
         "u": 0,
@@ -73,7 +74,7 @@ def test_acceptance_2_stage_two_reproduction():
     start = time.perf_counter()
     _, decisions = run_pipeline(run.population, family, run.recommendations, run.strategy)
     elapsed = time.perf_counter() - start
-    assert {i: int(o.value) for i, o in decisions.values.items()} == {
+    assert by_id(decisions) == {
         "x": 0,
         "y": 1,
         "u": 0,
@@ -161,8 +162,8 @@ def test_acceptance_5_property_suite():
         )
         strategy = AggregationStrategy(theta=inputs.params.theta)
         set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert all(o.value == float(constant) for o in set_recs.values.values())
-        assert all(o.value == float(constant) for o in decisions.values.values())
+        assert all(v == float(constant) for v in by_id(set_recs).values())
+        assert all(v == float(constant) for v in by_id(decisions).values())
 
     # ISF implies relaxed ISF for binary outcomes under majority aggregation
     rng = random.Random(104)
@@ -177,7 +178,7 @@ def test_acceptance_5_property_suite():
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert set(decisions.values) == set(inputs.pop.individuals)
+        assert set(by_id(decisions)) == set(inputs.pop.individuals)
 
     # scenario classes partition the population
     rng = random.Random(106)
@@ -255,9 +256,9 @@ def test_acceptance_6_manipulation_mitigation():
 
 
 def test_acceptance_7_explanation_state_machine():
-    assert fairness_through_explanations([], AcceptanceLedger()) == FAIR
+    assert fairness_through_explanations({}, AcceptanceLedger()) == FAIR
 
-    single = [ExplanationObligation("a", SYSTEM_RECOMMENDATION)]
+    single = {"a": (SYSTEM_RECOMMENDATION,)}
     ledger = AcceptanceLedger()
     ledger.record("a", SYSTEM_RECOMMENDATION, REJECTED)
     assert fairness_through_explanations(single, ledger) == UNFAIR
@@ -271,16 +272,14 @@ def test_acceptance_7_explanation_state_machine():
         "SYSTEM_ERROR_REVIEW",
     ]
     for _ in range(500):
-        obligations = [
-            ExplanationObligation(f"p{k}", rng.choice(kinds))
-            for k in range(rng.randint(1, 6))
-        ]
+        owed = {f"p{k}": (rng.choice(kinds),) for k in range(rng.randint(1, 6))}
+        obligations = obligation_records(owed)
         ledger = AcceptanceLedger()
         for o in obligations:
             ledger.record(o.individual, o.kind, rng.choice([ACCEPTED, REJECTED, PENDING]))
-        before = fairness_through_explanations(obligations, ledger)
+        before = fairness_through_explanations(owed, ledger)
         flipped = rng.choice(obligations)
         ledger.record(flipped.individual, flipped.kind, ACCEPTED)
-        after = fairness_through_explanations(obligations, ledger)
+        after = fairness_through_explanations(owed, ledger)
         assert order[after] >= order[before]
     _passed(7, "vacuous fairness, rejection, and 500 acceptance mutations")

@@ -15,7 +15,7 @@ from subjfair import aggregation
 from subjfair.aggregation import validate_veto_rules
 from subjfair.harness.oracle import brute_force_oracle
 
-from helpers import as_run, cluster_label, make_inputs, random_instance, random_rows
+from helpers import as_run, by_id, cluster_label, make_inputs, random_instance, random_rows
 
 
 CROSSED_ROWS = {
@@ -78,7 +78,7 @@ class TestPipeline:
     def test_crossed_clusters_stage_one(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         set_recs, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert {i: int(o.value) for i, o in set_recs.values.items()} == {
+        assert by_id(set_recs) == {
             "x": 0,
             "y": 1,
             "u": 0,
@@ -88,7 +88,7 @@ class TestPipeline:
     def test_crossed_clusters_stage_two(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert {i: int(o.value) for i, o in decisions.values.items()} == {
+        assert by_id(decisions) == {
             "x": 0,
             "y": 1,
             "u": 0,
@@ -104,15 +104,15 @@ class TestPipeline:
         }
         inputs = make_inputs(rows, {i: 1 for i in ids}, delta=0.5)
         set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert all(o.value == 1.0 for o in set_recs.values.values())
-        assert all(o.value == 1.0 for o in decisions.values.values())
+        assert all(v == 1.0 for v in by_id(set_recs).values())
+        assert all(v == 1.0 for v in by_id(decisions).values())
 
     def test_decisions_are_total(self):
         rng = random.Random(5)
         for _ in range(20):
             inputs = random_instance(rng)
             _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-            assert set(decisions.values) == set(inputs.pop.individuals)
+            assert set(by_id(decisions)) == set(inputs.pop.individuals)
 
 
 def _trusted(inputs):
@@ -128,7 +128,7 @@ def _matches_oracle(inputs):
         inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
     )
     doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
-    return {x: int(o.value) for x, o in weighted.values.items()} == doc["set_rec"]
+    return by_id(weighted) == doc["set_rec"]
 
 
 class TestTrustWeighting:
@@ -196,7 +196,7 @@ class TestTrustWeighting:
             strategy = AggregationStrategy("trust_weighted", inputs.params.theta)
             labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
             doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
-            assert {x: int(o.value) for x, o in labels.values.items()} == doc["set_rec"]
+            assert by_id(labels) == doc["set_rec"]
 
     def test_pipeline_aggregates_each_cluster_once(self, monkeypatch):
         # complexity gate by counted calls: at most three majority tallies
@@ -206,7 +206,7 @@ class TestTrustWeighting:
         ids = [f"p{k:03d}" for k in range(100)]
         recs = {i: rng.randint(0, 1) for i in ids}
         inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3)
-        sum_c = sum(len(c) for c in inputs.family.clusters.values())
+        sum_c = sum(map(len, inputs.family.members))
         assert sum_c > 4 * len(ids)
 
         calls = 0
@@ -234,7 +234,7 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
     inputs = make_inputs(
         random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score", attributes=attributes
     )
-    assert sum(len(c) for c in inputs.family.clusters.values()) > 20 * len(ids)
+    assert sum(map(len, inputs.family.members)) > 20 * len(ids)
     rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == "veto" else ()
     strategy = AggregationStrategy(kind, veto_rules=rules)
     expected = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
@@ -279,14 +279,14 @@ class TestPessimistic:
             inputs.pop, inputs.family, inputs.recs, AggregationStrategy("pessimistic")
         )
         # every cluster but v's contains at least one 0 recommendation
-        assert {i: int(o.value) for i, o in set_recs.values.items()} == {
+        assert by_id(set_recs) == {
             "x": 0,
             "y": 0,
             "u": 0,
             "v": 1,
         }
         # v belongs to clusters of y (0), u (0) and v (1) -> 0
-        assert all(o.value == 0.0 for o in decisions.values.values())
+        assert all(v == 0.0 for v in by_id(decisions).values())
 
 
 def _vetoed_decision(person, rec, age, rule):

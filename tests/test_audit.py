@@ -161,7 +161,7 @@ class TestSfProcess:
                 if satisfied_share(inputs, x, inputs.params.epsilon) < 1.0
             }
             assert report.dissenters == expected
-            assert sf_process(report.verdicts) == (report.sf, report.dissenters)
+            assert sf_process(inputs.pop.individuals, report.isf) == (report.sf, report.dissenters)
 
 
 class TestScenario:
@@ -211,8 +211,8 @@ class TestScenario:
 class TestConflict:
     def _conflict(self, r, r_set, d):
         inputs = make_inputs({"i": {"i": 1.0}}, {"i": r})
-        set_recs = SetRecommendationVector("t", {"i": Outcome.label(r_set)})
-        decisions = DecisionVector("t", {"i": Outcome.label(d)})
+        set_recs = SetRecommendationVector.of("t", {"i": Outcome.label(r_set)})
+        decisions = DecisionVector.of("t", {"i": Outcome.label(d)})
         report = audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
@@ -319,7 +319,7 @@ class TestAuditPopulation:
         ids = [f"p{k:03d}" for k in range(200)]
         recs = {i: round(rng.random(), 3) for i in ids}
         inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score")
-        sum_c = sum(len(c) for c in inputs.family.clusters.values())
+        sum_c = sum(map(len, inputs.family.members))
         assert sum_c > 20 * len(ids)
         set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
 

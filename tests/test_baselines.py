@@ -114,7 +114,7 @@ class TestSubjectiveCheck:
 
 
 def _decisions(values):
-    return DecisionVector("t", {i: Outcome.label(v) for i, v in values.items()})
+    return DecisionVector.of("t", {i: Outcome.label(v) for i, v in values.items()})
 
 
 def _population(groups):

@@ -130,7 +130,7 @@ class TestVectors:
 
     def test_decision_vector_rejects_scores(self):
         with pytest.raises(KindMismatchError):
-            DecisionVector("p", {"a": Outcome.score(0.5)})
+            DecisionVector.of("p", {"a": Outcome.score(0.5)})
 
 
 class TestValidatePopulation:
@@ -247,7 +247,7 @@ def _sorted_scan(pop, table, recs):
     for (observer, target), value in sorted(table.entries.items()):
         where = f"sim({observer},{target})"
         for individual in (observer, target):
-            if individual not in pop.id_set:
+            if individual not in pop.positions:
                 violations.append(
                     Violation(UNKNOWN_ID, where, f"unknown id {individual} in perception table")
                 )
@@ -257,7 +257,7 @@ def _sorted_scan(pop, table, recs):
         if i not in recs.values:
             violations.append(Violation(MISSING_RECOMMENDATION, f"rec({i})", f"no recommendation for {i}"))
     for i in sorted(recs.values):
-        if i not in pop.id_set:
+        if i not in pop.positions:
             violations.append(Violation(UNKNOWN_ID, f"rec({i})", f"recommendation for unknown id {i}"))
     return violations
 

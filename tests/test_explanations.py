@@ -28,7 +28,7 @@ from subjfair.explanations import (
 from subjfair.harness.report import audit_run
 from subjfair import run_pipeline, audit_population
 
-from helpers import as_run, make_inputs
+from helpers import as_run, make_inputs, obligation_records
 
 
 def _report(rows, recs):
@@ -72,12 +72,11 @@ def _justifiable_report():
 
 class TestDeriveObligations:
     def test_unanimous_audit_owes_nothing(self):
-        assert derive_obligations(_report(*UNANIMOUS)) == []
+        assert derive_obligations(_report(*UNANIMOUS)) == {}
 
     def test_suspect_individual_gets_error_review(self):
         report = _report(*SUSPECT)
-        obligations = derive_obligations(report)
-        kinds_for_a = {o.kind for o in obligations if o.individual == "a"}
+        kinds_for_a = set(derive_obligations(report)["a"])
         assert kinds_for_a == {
             SYSTEM_RECOMMENDATION,
             AGGREGATION_METHOD,
@@ -87,8 +86,7 @@ class TestDeriveObligations:
     def test_justifiable_individual_gets_group_identification(self):
         report = _justifiable_report()
         assert report.conflicts["a"] == "JUSTIFIABLE_BY_GROUP"
-        kinds_for_a = {o.kind for o in derive_obligations(report) if o.individual == "a"}
-        assert GROUP_IDENTIFICATION in kinds_for_a
+        assert GROUP_IDENTIFICATION in derive_obligations(report)["a"]
 
     def test_relaxed_only_gets_base_obligations(self):
         # b disagrees with its cluster-mate a but matches the cluster label
@@ -100,8 +98,7 @@ class TestDeriveObligations:
         recs = {"a": 0, "b": 1, "c": 0}
         report = _report(rows, recs)
         assert report.scenarios["a"] == "RELAXED_ONLY"
-        kinds_for_a = {o.kind for o in derive_obligations(report) if o.individual == "a"}
-        assert kinds_for_a == {SYSTEM_RECOMMENDATION, AGGREGATION_METHOD}
+        assert derive_obligations(report)["a"] == (SYSTEM_RECOMMENDATION, AGGREGATION_METHOD)
 
     def test_derivation_is_pure(self):
         report = _report(*SUSPECT)
@@ -109,7 +106,7 @@ class TestDeriveObligations:
 
     def test_tags_come_from_fixed_mapping(self):
         report = _report(*SUSPECT)
-        for o in derive_obligations(report):
+        for o in obligation_records(derive_obligations(report)):
             if o.kind == SYSTEM_RECOMMENDATION:
                 assert o.procedural_tags == {ACCURACY}
             if o.kind == AGGREGATION_METHOD:
@@ -119,48 +116,46 @@ class TestDeriveObligations:
         # the tags follow from the kind, so an obligation built by hand is
         # the very obligation the derivation issues for that person and kind
         report = _report(*SUSPECT)
-        for o in derive_obligations(report):
+        for o in obligation_records(derive_obligations(report)):
             built = ExplanationObligation(o.individual, o.kind)
             assert built == o
             assert built.procedural_tags == o.procedural_tags != frozenset()
 
 
 class TestFairnessThroughExplanations:
-    def _obligations(self):
-        return [
-            ExplanationObligation("a", SYSTEM_RECOMMENDATION),
-            ExplanationObligation("a", AGGREGATION_METHOD),
-            ExplanationObligation("b", SYSTEM_RECOMMENDATION),
-        ]
+    OWED = {"a": (SYSTEM_RECOMMENDATION, AGGREGATION_METHOD), "b": (SYSTEM_RECOMMENDATION,)}
 
     def test_vacuously_fair_with_no_obligations(self):
-        assert fairness_through_explanations([], AcceptanceLedger()) == FAIR
+        assert fairness_through_explanations({}, AcceptanceLedger()) == FAIR
 
     def test_pending_until_everyone_accepts(self):
-        obligations = self._obligations()
         ledger = AcceptanceLedger()
-        assert fairness_through_explanations(obligations, ledger) == PENDING
+        assert fairness_through_explanations(self.OWED, ledger) == PENDING
         ledger.record("a", SYSTEM_RECOMMENDATION, ACCEPTED)
-        assert fairness_through_explanations(obligations, ledger) == PENDING
+        assert fairness_through_explanations(self.OWED, ledger) == PENDING
 
     def test_all_accepted_is_fair(self):
-        obligations = self._obligations()
         ledger = AcceptanceLedger()
-        for o in obligations:
+        for o in obligation_records(self.OWED):
             ledger.record(o.individual, o.kind, ACCEPTED)
-        assert fairness_through_explanations(obligations, ledger) == FAIR
+        assert fairness_through_explanations(self.OWED, ledger) == FAIR
 
     def test_single_rejection_is_unfair(self):
-        obligations = self._obligations()
         ledger = AcceptanceLedger()
-        for o in obligations:
+        for o in obligation_records(self.OWED):
             ledger.record(o.individual, o.kind, ACCEPTED)
         ledger.record("b", SYSTEM_RECOMMENDATION, REJECTED)
-        assert fairness_through_explanations(obligations, ledger) == UNFAIR
+        assert fairness_through_explanations(self.OWED, ledger) == UNFAIR
+
+    def test_kinds_owed_to_someone_else_do_not_match(self):
+        ledger = AcceptanceLedger()
+        ledger.record("b", AGGREGATION_METHOD, ACCEPTED)
+        with pytest.raises(LedgerIntegrityError):
+            fairness_through_explanations(self.OWED, ledger)
 
     def test_rejection_is_defeasible(self):
         # a later convincing explanation supersedes the rejection
-        obligations = [ExplanationObligation("a", SYSTEM_RECOMMENDATION)]
+        obligations = {"a": (SYSTEM_RECOMMENDATION,)}
         ledger = AcceptanceLedger()
         ledger.record("a", SYSTEM_RECOMMENDATION, REJECTED)
         assert fairness_through_explanations(obligations, ledger) == UNFAIR
@@ -171,22 +166,22 @@ class TestFairnessThroughExplanations:
         ledger = AcceptanceLedger()
         ledger.record("ghost", SYSTEM_RECOMMENDATION, ACCEPTED)
         with pytest.raises(LedgerIntegrityError):
-            fairness_through_explanations([], ledger)
+            fairness_through_explanations({}, ledger)
 
     def test_acceptance_monotonicity(self):
         order = {UNFAIR: 0, PENDING: 1, FAIR: 2}
         rng = random.Random(61)
-        obligations = self._obligations()
+        obligations = obligation_records(self.OWED)
         for _ in range(200):
             ledger = AcceptanceLedger()
             for o in obligations:
                 ledger.record(
                     o.individual, o.kind, rng.choice([ACCEPTED, REJECTED, PENDING])
                 )
-            before = fairness_through_explanations(obligations, ledger)
+            before = fairness_through_explanations(self.OWED, ledger)
             flipped = rng.choice(obligations)
             ledger.record(flipped.individual, flipped.kind, ACCEPTED)
-            after = fairness_through_explanations(obligations, ledger)
+            after = fairness_through_explanations(self.OWED, ledger)
             assert order[after] >= order[before]
 
     def test_sf_fair_process_is_vacuously_explanation_fair(self):

@@ -70,7 +70,7 @@ class TestRunFile:
         run = load_run(crossed_clusters_path())
         assert run.n == 4
         family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-        assert len(family.clusters) == 4
+        assert len(family.members) == 4
 
     def test_bundled_fixture_matches_programmatic_run(self):
         assert dumps_run(crossed_clusters_run()) == crossed_clusters_path().read_text()
@@ -813,7 +813,7 @@ class TestCli:
         deltas = (0.3, 0.5, 0.7)
         for delta in deltas:
             family = build_cluster_family(run.population, run.perceptions, delta)
-            assert sum(len(c) for c in family.clusters.values()) > 3 * n
+            assert sum(map(len, family.members)) > 3 * n
         calls = {"binarize": 0, "similar": 0}
         per_point = []
 

@@ -22,7 +22,7 @@ from subjfair.harness.report import audit_run, build_audit_doc, build_report_doc
 from subjfair.harness.runfile import load_run, save_run, to_dict
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import as_run, make_inputs
+from helpers import as_run, by_id, make_inputs
 
 
 class TestAcceptanceRoundsThroughRunFiles:
@@ -82,7 +82,7 @@ class TestPerOwnerClusterCounting:
         inputs = make_inputs(rows, {"a": 1, "b": 1, "c": 0, "i": 0}, theta=0.4)
         strategy = AggregationStrategy(theta=0.4)
         set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert {x: int(o.value) for x, o in set_recs.values.items()} == {
+        assert by_id(set_recs) == {
             "a": 1, "b": 1, "c": 0, "i": 0
         }
         assert inputs.family.containing("i") == {"a", "b", "c", "i"}
@@ -173,9 +173,8 @@ def test_readme_quick_start_runs():
     namespace: dict = {}
     for block in blocks:
         exec(block.split("```", 1)[0], namespace)
-    labels = lambda vector: {i: int(o.value) for i, o in vector.values.items()}
-    assert labels(namespace["set_recs"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
-    assert labels(namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    assert by_id(namespace["set_recs"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    assert by_id(namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
     report = namespace["report"]
     assert report.sf == UNFAIR
     assert report.dissenters == {"x", "y", "u"}
