@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .aggregation import SetRecommendationVector, cluster_tally, majority_label
 from .clustering import ClusterFamily
-from .core import BINARY, AuditParams, DecisionVector, Population, RecommendationVector
+from .core import BINARY, AuditParams, DecisionVector, InputError, Population, RecommendationVector
 
 FAIR = "fair"
 UNFAIR = "unfair"
@@ -122,11 +122,9 @@ def audit_population(
     set_recs: SetRecommendationVector,
     decisions: DecisionVector,
 ) -> AuditReport:
-    """Assemble the full audit report from pipeline outputs.
-
-    ``set_recs`` and ``decisions`` are the pipeline outputs for the same
-    population and family, computed at ``params.theta``, since scenario
-    classification compares against those cluster labels.
+    """Assemble the full audit report from pipeline outputs: ``set_recs``
+    and ``decisions`` are those of the same family at ``params.theta``, by
+    the positions of ``pop`` (else InputError).
 
     Each person's cluster is read once, from the stage-1 tally the pipeline
     keeps on ``family`` (``cluster_tally``): the person's label and the
@@ -139,8 +137,9 @@ def audit_population(
     compared with x's raw value member by member. ISF is fair iff every
     member is satisfied; the scenario compares the label with the cluster
     label, and the conflict class with it and then with the decision. Cost:
-    O(n) on binary recommendations once the tally exists, O(n + sum |C|) on
-    scores."""
+    O(n) on binary recommendations once the tally exists, else O(n + sum |C|)."""
+    if set_recs.positions != pop.positions or decisions.positions != pop.positions:
+        raise InputError("label vectors must follow the population's positions")
     label, positive = cluster_tally(pop, family, recs)
     members = family.members
     sizes = list(map(len, members))

@@ -11,7 +11,7 @@ engine reads those, and ``cluster_of`` and ``containing`` are id views.
 Cost: ``build_cluster_family`` reads each person's own row of the perception
 table once, writes each cluster once and transposes the family twice, in id
 order, so it runs in O(n + nnz + sum |C|) time, where nnz is the number of
-entries and sum |C| the total cluster size, and builds no per-owner object.
+entries and sum |C| the total cluster size, with no record or set per owner.
 It never looks up the n^2 pairs a table leaves unstated.
 """
 
@@ -94,10 +94,9 @@ def build_cluster_family(
     """
     positions = pop.positions
     everyone = range(len(positions))
-    # A missing entry reads 0.0, so it either qualifies for every owner
-    # (delta <= 0) or for none. Only the explicit entries whose verdict
-    # differs from that default change a cluster. Rows of observers outside
-    # the population are never read.
+    # A missing entry reads 0.0, so it qualifies for every owner (delta <= 0)
+    # or for none; only the explicit entries that differ change a cluster.
+    # Rows of observers outside the population are never read.
     missing_qualifies = 0.0 >= delta
     clusters: list[Any] = []
     for k, x in enumerate(pop.individuals):
@@ -108,7 +107,9 @@ def build_cluster_family(
             left.discard(k)
             clusters.append([j for j in everyone if j not in left] if left else everyone)
         else:
-            cluster = [positions[z] for z, value in row.items() if value >= delta and z in positions]
+            cluster = [
+                positions[z] for z, value in row.items() if value >= delta and z in positions
+            ]
             own = row.get(x)
             if own is None or not own >= delta:
                 cluster.append(k)

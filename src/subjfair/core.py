@@ -6,8 +6,8 @@ share across concurrent audit runs. The one exception downstream is the
 cluster family (``clustering.ClusterFamily``): its clusters are immutable,
 but it also holds a derived cache, the stage-1 tally of the last
 recommendation vector read over it, which never changes its value.
-Past loading, the engine indexes people by position, their index in
-``Population.individuals``; ids appear only in read-only views.
+Past loading, people are known by their index in ``individuals``; the
+position lists are shared and never changed, and ids appear only in views.
 """
 
 from __future__ import annotations

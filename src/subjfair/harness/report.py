@@ -143,10 +143,6 @@ def summary_counts(report: AuditReport) -> dict[str, dict[str, int]]:
     }
 
 
-#: Each obligation kind's procedural tags as the report lists them.
-_SORTED_TAGS = {kind: sorted(tags) for kind, tags in KIND_TAGS.items()}
-
-
 def build_audit_doc(result: RunResult) -> dict[str, Any]:
     """The audit core as a plain document, comparable field-for-field with
     the brute-force oracle's output. Written from the family's lists and
@@ -174,7 +170,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
         **summary_counts(report),
         "obligations": [
-            {"individual": x, "kind": kind, "procedural_tags": _SORTED_TAGS[kind]}
+            {"individual": x, "kind": kind, "procedural_tags": sorted(KIND_TAGS[kind])}
             for x, kinds in result.owed.items()
             for kind in kinds
         ],

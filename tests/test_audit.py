@@ -312,6 +312,21 @@ class TestAuditPopulation:
         assert report.scenarios["v"] == ISF_SATISFIED
         assert report.verdicts["x"].relaxed_isf == FAIR
 
+    def test_label_vectors_in_another_order_are_refused(self):
+        # the audit reads the vectors by position, so a vector positioned
+        # otherwise than the population would pair people with others' labels
+        from subjfair import InputError
+
+        inputs = crossed()
+        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        backwards = tuple(reversed(inputs.pop.individuals))
+        reordered = SetRecommendationVector.of("t", {x: set_recs[x] for x in backwards})
+        assert all(reordered[x] == set_recs[x] for x in backwards)
+        with pytest.raises(InputError, match="population's positions"):
+            audit_population(
+                inputs.pop, inputs.family, inputs.recs, inputs.params, reordered, decisions
+            )
+
     def test_reads_each_cluster_once(self, monkeypatch):
         # complexity gate by counted calls: one cluster lookup and one
         # binarized label per person

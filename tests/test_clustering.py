@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subjfair import (
     PerceptionTable,
@@ -197,6 +197,45 @@ def test_family_matches_definition_on_sparse_tables(validated):
             for i in ids:
                 owners = {o for o in ids if i in expected[o]}
                 assert family.containing(i) == owners
+
+
+@st.composite
+def hand_built_tables(draw):
+    """A population of 50-300 in shuffled order and a hand-built table that
+    skips validation: rows of observers outside the population, targets
+    outside it, NaN and out-of-range values, missing self entries."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(50, 300))
+    ids = [f"p{k:03d}" for k in range(n)]
+    rng.shuffle(ids)
+    entries = _sparse_entries(rng, ids, validated=False)
+    for x in rng.sample(ids, n // 10):
+        entries.pop((x, x), None)
+        entries[(x, rng.choice(ids))] = float("nan")
+    return ids, entries
+
+
+@settings(max_examples=25, deadline=None)
+@given(hand_built_tables())
+def test_family_views_are_exact_transposes_matching_the_definition(case):
+    ids, entries = case
+    pop = Population(tuple(ids))
+    table = PerceptionTable(rows_of(entries))
+    for delta in (0.0, 0.5, 1.0):
+        family = build_cluster_family(pop, table, delta)
+        clusters = {x: family.cluster_of(x).members for x in ids}
+        containing = {x: family.containing(x) for x in ids}
+        transposed = {x: set() for x in ids}
+        for owner, members in clusters.items():
+            for z in members:
+                transposed[z].add(owner)
+        assert containing == transposed
+        assert clusters == _naive_clusters(ids, entries, delta)
+        # the position lists behind the views hold each person once, in id order
+        for lists in (family.members, family.owners):
+            for row in lists:
+                named = [pop.individuals[k] for k in row]
+                assert named == sorted(set(named))
 
 
 def test_family_boundary_entry_joins_and_below_zero_entry_leaves():

@@ -848,6 +848,75 @@ class TestCli:
         assert len(per_point) == 12
         assert max(per_point) <= 3 * n
 
+    def test_sweep_points_build_no_per_person_record(self, tmp_path, monkeypatch, capsys):
+        # work gate by counted constructions: on a loaded binary run with
+        # sum |C| > 3n, no grid point of a sweep builds a per-person record
+        # of the audit, the explanations or the clustering; they exist only
+        # as id views for callers who ask
+        from subjfair import audit, clustering, explanations
+
+        run = generate_population(SynthProfile(n=60, cluster_density=0.3, seed=4))
+        assert run.recommendations.kind == "binary"
+        path = save_run(run, tmp_path / "run.json")
+        loaded = load_run(path)
+        for delta in (0.3, 0.5, 0.7):
+            family = build_cluster_family(loaded.population, loaded.perceptions, delta)
+            assert sum(map(len, family.members)) > 3 * run.n
+        built = {}
+        for cls in (
+            audit.FairnessVerdict, explanations.ExplanationObligation, clustering.PerceivedCluster
+        ):
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] = built.get(_name, 0) + 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        code = main(
+            [
+                "simulate", "--input", str(path), "--sweep", "--deltas", "0.3,0.5,0.7",
+                "--epsilons", "0.0,0.2", "--thetas", "0.4,0.5", "--format", "json",
+            ]
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)) == 12 * 12
+        assert built == {}
+        # the views still build them on request
+        assert audit_run(run).report.verdicts["i00"].individual == "i00"
+        assert built["FairnessVerdict"] == run.n
+
+    def test_cluster_build_makes_no_per_owner_object(self, tmp_path, monkeypatch):
+        # work gate by counted constructions: a family is lists of
+        # positions, with no cluster record and no frozenset per owner
+        from subjfair import clustering
+
+        run = load_run(
+            save_run(
+                generate_population(SynthProfile(n=60, cluster_density=0.3, seed=4)),
+                tmp_path / "run.json",
+            )
+        )
+        built = {"cluster": 0, "frozenset": 0}
+        init = clustering.PerceivedCluster.__init__
+
+        def counting_cluster(self, *args, **kwargs):
+            built["cluster"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_frozenset(*args):
+            built["frozenset"] += 1
+            return frozenset(*args)
+
+        monkeypatch.setattr(clustering.PerceivedCluster, "__init__", counting_cluster)
+        monkeypatch.setattr(clustering, "frozenset", counting_frozenset, raising=False)
+        for delta in (0.0, 0.3, 0.5, 0.7):
+            family = build_cluster_family(run.population, run.perceptions, delta)
+            assert sum(map(len, family.members)) > 3 * run.n
+            assert built == {"cluster": 0, "frozenset": 0}
+        # the id views build them on request
+        assert "i00" in family.cluster_of("i00").members & family.containing("i00")
+        assert built == {"cluster": 1, "frozenset": 2}
+
     def test_decide_and_baseline_run_no_audit(self, tmp_path, monkeypatch, capsys):
         # call-count gate: decide prints the pipeline's labels and baseline
         # the parity of the decisions plus the IF checks; neither audits

@@ -142,23 +142,41 @@ def test_order_preserving_renaming_renames_the_report(case, kind):
     assert build_audit_doc(audit_run(_renamed_run(run, name))) == expected
 
 
-def _report_json(doc, path):
+def _printed(doc, path, argv):
     path.write_text(json.dumps(doc), encoding="utf-8")
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        assert main(["report", "--input", str(path), "--format", "json", "--group-attr", "age"]) == 0
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_shuffling_the_population_leaves_the_report_unchanged(tmp_path, seed):
-    kind = ["binary", "score"][seed % 2]
-    strategy = [MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO, MAJORITY][seed - 1]
-    run = _with_strategy(_run(250, [0.3, 0.05][seed % 2], kind, seed, epsilon=0.1), strategy)
+#: The commands whose output must not depend on the order of ``individuals``.
+ORDER_FREE = {
+    "report": ["report", "--format", "json", "--group-attr", "age"],
+    "sweep": [
+        "simulate", "--sweep", "--deltas", "0,0.3,0.6", "--epsilons", "0,0.2",
+        "--thetas", "0.4,0.5", "--format", "json",
+    ],
+    "decide": ["decide", "--format", "json"],
+}
+STRATEGIES = [MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO]
+
+
+@pytest.mark.parametrize("kind", ["binary", "score"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_shuffling_the_population_leaves_the_report_unchanged(tmp_path, strategy, kind):
+    # People are indexed by their position in ``individuals``, so every
+    # loop runs in that order; the printed bytes must not.
+    seed = 1 + 2 * STRATEGIES.index(strategy) + (kind == "score")
+    run = _run(250, [0.3, 0.05][seed % 2], kind, seed, epsilon=0.1)
+    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if strategy == VETO else ()
+    run = replace(run, strategy=AggregationStrategy(strategy, theta=0.5, veto_rules=rules))
     doc = to_dict(run)
     shuffled = dict(doc, individuals=random.Random(seed).sample(doc["individuals"], run.n))
     assert shuffled["individuals"] != doc["individuals"]
-    assert _report_json(shuffled, tmp_path / "b.json") == _report_json(doc, tmp_path / "a.json")
+    for name, argv in ORDER_FREE.items():
+        expected = _printed(doc, tmp_path / f"{name}-a.json", argv)
+        assert _printed(shuffled, tmp_path / f"{name}-b.json", argv) == expected, name
 
 
 def _self_consistent(run):
