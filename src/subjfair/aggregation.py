@@ -209,12 +209,14 @@ def run_pipeline(
         # Weight 1 for a label that matches its owner's cluster majority,
         # else 0. A cluster tallies the positive labels of weight 1 over all
         # labels of weight 1, and keeps its majority when none has weight.
-        weight = [1 if own == cluster else 0 for own, cluster in zip(label, set_label)]
-        trusted = list(map(int.__and__, weight, label))
+        # One sum per cluster counts both: a member of weight 1 adds 1, and
+        # n + 1 more if its label is positive, and the total is at most n.
+        base = len(label) + 1
+        code = [1 + base * own if own == cluster else 0 for own, cluster in zip(label, set_label)]
         for k, c in enumerate(members):
-            total = sum(map(weight.__getitem__, c))
+            trusted, total = divmod(sum(map(code.__getitem__, c)), base)
             if total:
-                set_label[k] = tally(sum(map(trusted.__getitem__, c)), total)
+                set_label[k] = tally(trusted, total)
 
     decisions = [tally(sum(map(set_label.__getitem__, o)), len(o)) for o in family.owners]
     if rules:
