@@ -20,7 +20,10 @@ pairs. The bytes ``save_run`` writes were pinned before run files were
 written by the shared canonical JSON writer. The sweeps over the boundary
 deltas 0 and 1 and the report at delta 0 on a sparse run, where every
 unstated pair qualifies, were pinned before clusters, labels, verdicts and
-obligations were indexed by person position.
+obligations were indexed by person position. The report of a run whose
+metadata asserts ethicality and the text form of ``validate`` on the broken
+tables were pinned before the per-person and per-pair records beside those
+columns were deleted.
 """
 
 from __future__ import annotations
@@ -334,6 +337,25 @@ def test_baseline_is_pinned(tmp_path):
     assert printed == BASELINE
 
 
+ASSERTED = {
+    "json": "0:4f785e76ef96ec02d31d2e5047549104e93b64ff4bfddfbece5692c876521ef1",
+    "text": "0:6adc3acd8e75f3956dc003ba6030b2e01999b0aeec63501f1e4959523445e93a",
+}
+
+
+def test_report_with_ethicality_asserted_is_pinned(tmp_path):
+    """``report`` in both forms on a run whose metadata asserts ethicality,
+    with a group attribute and baseline inputs."""
+    run = _synthetic_run(120, 0.3, MAJORITY, "binary", ("group", "baseline"), 38)
+    run = replace(run, metadata={**run.metadata, "ethicality_asserted": True})
+    path = str(save_run(run, tmp_path / "run.json"))
+    printed = {
+        fmt: _printed(["report", "--input", path, "--group-attr", "group", "--format", fmt])
+        for fmt in ASSERTED
+    }
+    assert printed == ASSERTED
+
+
 # --- run files ------------------------------------------------------------------
 
 #: A synthetic run carrying every optional section: attributes, a ledger,
@@ -411,11 +433,29 @@ BROKEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BROKEN))
-def test_validation_of_broken_table_is_pinned(tmp_path, name):
-    mutate, expected = BROKEN[name]
+#: The text form of ``validate`` on each broken table of ``BROKEN``.
+BROKEN_TEXT = {
+    "unknown_ids": "2:35c0c66a00f5a39b8a7c8f67b314770aa137273caf9d9c471afc9a8a67e206e2",
+    "out_of_range": "2:82532696c5dc0f4584ae1c7a15f2bac2ea05d5f79708634e15a7979a45462226",
+    "missing_diagonals": "2:b87582fc44aa455b8f0bfd019c75ebaa69720745aa1174c8ec7fe2682167ee3c",
+}
+
+
+def _broken_table(tmp_path, name):
     doc = to_dict(generate_population(SynthProfile(n=60, cluster_density=0.3, seed=30)))
-    mutate(doc, random.Random(name))
+    BROKEN[name][0](doc, random.Random(name))
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert _printed(["validate", "--input", str(path), "--format", "json"]) == expected
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_validation_of_broken_table_is_pinned(tmp_path, name):
+    path = _broken_table(tmp_path, name)
+    assert _printed(["validate", "--input", path, "--format", "json"]) == BROKEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TEXT))
+def test_text_validation_of_broken_table_is_pinned(tmp_path, name):
+    path = _broken_table(tmp_path, name)
+    assert _printed(["validate", "--input", path, "--format", "text"]) == BROKEN_TEXT[name]
