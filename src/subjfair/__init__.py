@@ -20,12 +20,10 @@ from .core import (
     Purpose,
     RecommendationVector,
     UnknownIndividualError,
-    ValidationReport,
     validate_population,
 )
 from .clustering import (
     ClusterFamily,
-    PerceivedCluster,
     build_cluster_family,
 )
 from .aggregation import (
@@ -50,7 +48,6 @@ from .audit import (
     JUSTIFIABLE_BY_GROUP,
     SYSTEM_SUSPECT,
     AuditReport,
-    FairnessVerdict,
     audit_population,
     sf_process,
 )
@@ -61,16 +58,12 @@ from .explanations import (
     AcceptanceLedger,
     ExplanationObligation,
     LedgerIntegrityError,
-    ProceduralReport,
     derive_obligations,
     fairness_through_explanations,
     procedural_check,
 )
 from .baselines import (
     ObjectiveDistanceTable,
-    ParityReport,
-    PairViolation,
-    ObserverViolation,
     dwork_if_check,
     statistical_parity_gap,
     subjective_if_check,

@@ -17,7 +17,7 @@ and recommendation vector. Relaxed ISF needs only the count; so does ISF on
 binary recommendations, where the members treated like x are the members
 sharing x's label. Score recommendations are compared member by member.
 The audit fills one column per verdict, by person position, and builds no
-per-person record; ``AuditReport.verdicts`` and the like are id views.
+per-person record.
 """
 
 from __future__ import annotations
@@ -49,25 +49,14 @@ CONFLICTS = (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
 
 
 @dataclass(frozen=True)
-class FairnessVerdict:
-    """Per-individual fairness result, as ``AuditReport.verdicts`` shows it.
-
-    satisfaction_ratio is the fraction of the individual's cluster treated
-    epsilon-similarly to them; it is reported as a scalar fairness degree
-    but never enters the fair/unfair logic.
-    """
-
-    individual: str
-    isf: str
-    relaxed_isf: str
-    satisfaction_ratio: float
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Everything one audit run decided, in columns by person position:
     ``isf[k]`` is the ISF verdict of the person at position k of
-    ``population``, and so on."""
+    ``population``, and so on.
+
+    ``satisfaction_ratio[k]`` is the fraction of that person's cluster
+    treated epsilon-similarly to them; it is reported as a scalar fairness
+    degree but never enters the fair/unfair logic."""
 
     purpose: str
     population: Population
@@ -80,20 +69,6 @@ class AuditReport:
     decisions: DecisionVector
     sf: str
     dissenters: frozenset[str]
-
-    @property
-    def verdicts(self) -> dict[str, FairnessVerdict]:
-        """Read-only ``{id: FairnessVerdict}`` view, built on each access."""
-        columns = zip(self.isf, self.relaxed_isf, self.satisfaction_ratio)
-        return {x: FairnessVerdict(x, *row) for x, row in zip(self.population.individuals, columns)}
-
-    @property
-    def scenarios(self) -> dict[str, str]:
-        return dict(zip(self.population.individuals, self.scenario))
-
-    @property
-    def conflicts(self) -> dict[str, str]:
-        return dict(zip(self.population.individuals, self.conflict))
 
 
 def _similar(a: float, b: float, epsilon: float) -> bool:

@@ -3,7 +3,8 @@
 Two individual-fairness checks over a score mapping -- one against an
 objective symmetric distance, one against each observer's own perceived
 distance -- plus a group-level statistical parity gap over final decisions.
-The outcome metric is the absolute score difference throughout.
+The outcome metric is the absolute score difference throughout. The checks
+give their findings as plain tuples, in the order the report lists them.
 """
 
 from __future__ import annotations
@@ -64,25 +65,6 @@ class ObjectiveDistanceTable:
         return table
 
 
-@dataclass(frozen=True)
-class PairViolation:
-    """A pair whose score gap exceeds the distance between them."""
-
-    pair: tuple[str, str]
-    score_gap: float
-    distance: float
-
-
-@dataclass(frozen=True)
-class ObserverViolation:
-    """A pair one observer perceives as unfairly treated."""
-
-    observer: str
-    pair: tuple[str, str]
-    score_gap: float
-    perceived_distance: float
-
-
 def _scored_pairs(
     scores: ScoreMapping, distances: ObjectiveDistanceTable
 ) -> Iterator[tuple[tuple[str, str], float, float]]:
@@ -97,11 +79,13 @@ def _scored_pairs(
 
 def dwork_if_check(
     scores: ScoreMapping, distances: ObjectiveDistanceTable
-) -> list[PairViolation]:
+) -> list[tuple[tuple[str, str], float, float]]:
     """Individual-fairness check against the objective distance: a pair
-    (x, y) of scored people violates when |score(x) - score(y)| > d(x, y)."""
+    (x, y) of scored people violates when |score(x) - score(y)| > d(x, y).
+    Each violation is ``(pair, score gap, distance)``, pair sorted, in pair
+    order."""
     return [
-        PairViolation(pair, gap, d)
+        (pair, gap, d)
         for pair, gap, d in _scored_pairs(scores, distances)
         if gap > d + GAP_TOLERANCE
     ]
@@ -109,13 +93,14 @@ def dwork_if_check(
 
 def subjective_if_check(
     scores: ScoreMapping, distances: ObjectiveDistanceTable
-) -> list[ObserverViolation]:
+) -> list[tuple[str, tuple[str, str], float, float]]:
     """Individual-fairness check against each observer's own distance.
 
     For every pair, each of its two parties is asked in turn: does the
     score gap exceed the distance *you* perceive? A party who never stated
     one perceives the objective distance, so with no overrides this
-    reduces to the objective check, reported once per observer.
+    reduces to the objective check, reported once per observer. Each
+    violation is ``(observer, pair, score gap, perceived distance)``.
     """
     overrides = distances.subjective_overrides
     violations = []
@@ -123,35 +108,26 @@ def subjective_if_check(
         for observer in pair:
             perceived = overrides.get((observer, *pair), d)
             if gap > perceived + GAP_TOLERANCE:
-                violations.append(ObserverViolation(observer, pair, gap, perceived))
+                violations.append((observer, pair, gap, perceived))
     return violations
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """Positive-decision rate per group and the max pairwise gap."""
-
-    attribute: str
-    rates: Mapping[Any, float]
-    gap: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", dict(self.rates))
 
 
 def statistical_parity_gap(
     decisions: DecisionVector, pop: Population, group_attribute: str
-) -> ParityReport:
-    """Positive-decision rate per value of ``group_attribute``.
+) -> tuple[dict[Any, float], float]:
+    """Positive-decision rate per value of ``group_attribute``, and the gap.
 
+    ``decisions`` must follow the positions of ``pop`` (else InputError).
     The gap is the difference between the best- and worst-treated group
     (0.0 with a single group). Every individual must carry the attribute, and
     two values must be equal exactly when they print alike, as reports print the keys.
     """
+    if decisions.positions != pop.positions:
+        raise InputError("decisions must follow the population's positions")
     groups: dict[Any, list[int]] = {}
     by_value: dict[Any, Any] = {}
     by_print: dict[str, Any] = {}
-    for individual in pop.individuals:
+    for individual, label in zip(pop.individuals, decisions.labels):
         attrs = pop.attributes_of(individual)
         if group_attribute not in attrs:
             raise InputError(
@@ -165,7 +141,6 @@ def statistical_parity_gap(
                     f"attribute {group_attribute!r} has values {other!r} and {value!r}, "
                     "which a report cannot tell apart"
                 )
-        groups.setdefault(value, []).append(decisions[individual].value)
+        groups.setdefault(value, []).append(label)
     rates = {g: sum(vs) / len(vs) for g, vs in groups.items()}
-    gap = max(rates.values()) - min(rates.values())
-    return ParityReport(group_attribute, rates, gap)
+    return rates, max(rates.values()) - min(rates.values())

@@ -5,8 +5,7 @@ delta-similar to themself. Because similarity is non-symmetric, belonging to
 someone's cluster says nothing about whose clusters you put them in, so a
 separate inverse index tracks which clusters contain each individual.
 
-A family holds both as lists of person positions, each in id order; the
-engine reads those, and ``cluster_of`` and ``containing`` are id views.
+A family holds both as lists of person positions, each in id order.
 
 Cost: ``build_cluster_family`` reads each person's own row of the perception
 table once, writes each cluster once and transposes the family twice, in id
@@ -20,23 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import PerceptionTable, Population, UnknownIndividualError
-
-
-@dataclass(frozen=True)
-class PerceivedCluster:
-    """The set of individuals ``owner`` considers similar to themself: the
-    id view ``ClusterFamily.cluster_of`` returns.
-
-    Always contains the owner: everyone rates themself 1.0, which clears
-    any threshold in [0, 1].
-    """
-
-    owner: str
-    members: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.members)
+from .core import PerceptionTable, Population
 
 
 @dataclass(frozen=True)
@@ -44,9 +27,9 @@ class ClusterFamily:
     """All perceived clusters of one population, plus the inverse index.
 
     ``members[k]`` lists the positions in the cluster of the person at
-    position k; ``owners[k]`` lists the owners whose clusters contain that
-    person. Both are in id order, and they are exact transposes of each
-    other.
+    position k of ``population``, the owner included; ``owners[k]`` lists
+    the owners whose clusters contain that person, never empty. Both are in
+    id order, and they are exact transposes of each other.
 
     ``tally`` is a derived cache, not part of the family's value:
     ``aggregation.cluster_tally`` keeps there the labels and positive counts
@@ -57,21 +40,6 @@ class ClusterFamily:
     members: list[list[int]]
     owners: list[list[int]]
     tally: Any = field(default=None, init=False, repr=False, compare=False)
-
-    def _ids(self, individual: str, lists: list[list[int]]) -> frozenset[str]:
-        try:
-            row = lists[self.population.positions[individual]]
-        except KeyError:
-            raise UnknownIndividualError(individual) from None
-        return frozenset(map(self.population.individuals.__getitem__, row))
-
-    def cluster_of(self, individual: str) -> PerceivedCluster:
-        """Read-only id view of the cluster ``individual`` owns."""
-        return PerceivedCluster(individual, self._ids(individual, self.members))
-
-    def containing(self, individual: str) -> frozenset[str]:
-        """Owners whose clusters contain ``individual`` (never empty)."""
-        return self._ids(individual, self.owners)
 
 
 def _transpose(lists: list[list[int]], order: list[int]) -> list[list[int]]:

@@ -7,7 +7,8 @@ cluster family (``clustering.ClusterFamily``): its clusters are immutable,
 but it also holds a derived cache, the stage-1 tally of the last
 recommendation vector read over it, which never changes its value.
 Past loading, people are known by their index in ``individuals``; the
-position lists are shared and never changed, and ids appear only in views.
+position lists are shared and never changed, and ids appear only at the
+edges: in the label vectors' ``__getitem__`` and in the documents written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -308,37 +309,15 @@ MISSING_RECOMMENDATION = "missing_recommendation"
 UNKNOWN_ID = "unknown_id"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    where: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __iter__(self) -> Iterator[Violation]:
-        return iter(self.violations)
-
-    def messages(self) -> list[str]:
-        return [v.message for v in self.violations]
-
-
 def validate_population(
     pop: Population,
     perceptions: PerceptionTable,
     recs: RecommendationVector,
-) -> ValidationReport:
+) -> tuple[tuple[str, str, str], ...]:
     """Check the audit inputs against the model invariants.
 
-    Returns an empty report on success; otherwise lists every violated
-    invariant with its location. Checked:
+    Returns every violated invariant as a ``(code, where, message)`` triple,
+    in a fixed order; an empty tuple means the inputs are clean. Checked:
 
     - every individual rates themself exactly 1.0 (self-similarity; missing
       diagonal entries read as 0.0 and therefore fail),
@@ -347,19 +326,14 @@ def validate_population(
     - the recommendation vector is total over the population and references
       known ids only.
     """
-    violations: list[Violation] = []
+    violations: list[tuple[str, str, str]] = []
     known = pop.positions
 
     for individual in pop.individuals:
         own = perceptions.similarity(individual, individual)
         if own != 1.0:
-            violations.append(
-                Violation(
-                    SELF_SIMILARITY,
-                    f"sim({individual},{individual})",
-                    f"self-similarity must be 1.0 for {individual}, got {own}",
-                )
-            )
+            message = f"self-similarity must be 1.0 for {individual}, got {own}"
+            violations.append((SELF_SIMILARITY, f"sim({individual},{individual})", message))
 
     # One unsorted pass over the rows; only the entries at fault are sorted,
     # so a clean table costs O(nnz). No two entries share an (observer,
@@ -376,31 +350,18 @@ def validate_population(
         where = f"sim({observer},{target})"
         for individual in (observer, target):
             if individual not in known:
-                violations.append(
-                    Violation(UNKNOWN_ID, where, f"unknown id {individual} in perception table")
-                )
+                message = f"unknown id {individual} in perception table"
+                violations.append((UNKNOWN_ID, where, message))
         if not 0.0 <= value <= 1.0:
-            violations.append(
-                Violation(VALUE_RANGE, where, f"similarity {value} outside [0, 1]")
-            )
+            violations.append((VALUE_RANGE, where, f"similarity {value} outside [0, 1]"))
 
     for individual in pop.individuals:
         if individual not in recs.values:
-            violations.append(
-                Violation(
-                    MISSING_RECOMMENDATION,
-                    f"rec({individual})",
-                    f"no recommendation for {individual}",
-                )
-            )
+            message = f"no recommendation for {individual}"
+            violations.append((MISSING_RECOMMENDATION, f"rec({individual})", message))
     for individual in sorted(recs.values):
         if individual not in known:
-            violations.append(
-                Violation(
-                    UNKNOWN_ID,
-                    f"rec({individual})",
-                    f"recommendation for unknown id {individual}",
-                )
-            )
+            message = f"recommendation for unknown id {individual}"
+            violations.append((UNKNOWN_ID, f"rec({individual})", message))
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)

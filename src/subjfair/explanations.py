@@ -207,18 +207,10 @@ COMPUTED = "computed"
 ASSERTED = "asserted"
 
 
-@dataclass(frozen=True)
-class ProceduralReport:
-    satisfied: frozenset[str]
-    provenance: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "satisfied", frozenset(self.satisfied))
-        object.__setattr__(self, "provenance", dict(self.provenance))
-
-
-def procedural_check(ethicality_asserted: bool) -> ProceduralReport:
-    """Which procedural rules the run satisfies.
+def procedural_check(ethicality_asserted: bool) -> dict[str, str]:
+    """Which procedural rules the run satisfies, ``{tag: provenance}``:
+    each satisfied rule's tag, with how it is known, ``COMPUTED`` or
+    ``ASSERTED``.
 
     consistency: one strategy and parameter set applied uniformly to all
     individuals, which holds by construction: a run carries exactly one of
@@ -226,9 +218,7 @@ def procedural_check(ethicality_asserted: bool) -> ProceduralReport:
     which holds by construction too, since no run is audited otherwise.
     ethicality: echoed from the operator's assertion, never computed.
     """
-    satisfied = {CONSISTENCY, ACCURACY}
-    provenance = {CONSISTENCY: COMPUTED, ACCURACY: COMPUTED}
+    satisfied = {CONSISTENCY: COMPUTED, ACCURACY: COMPUTED}
     if ethicality_asserted:
-        satisfied.add(ETHICALITY)
-        provenance[ETHICALITY] = ASSERTED
-    return ProceduralReport(frozenset(satisfied), provenance)
+        satisfied[ETHICALITY] = ASSERTED
+    return satisfied

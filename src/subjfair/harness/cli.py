@@ -2,8 +2,9 @@
 
 Subcommands: validate, audit, decide, baseline, simulate, oracle, report.
 Exit codes: 0 clean, 1 audit found the process SF-unfair (with --strict) or
-an oracle mismatch, 2 input error (including an unreadable file), 3 a fault
-in the engine itself, with its traceback on stderr.
+an oracle mismatch, 2 input error (including an unreadable file and a sweep
+grid flag that lists no number), 3 a fault in the engine itself, with its
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -93,24 +94,23 @@ def _emit(doc: dict[str, Any], fmt: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     run = load_run(args.input, validate=False)
-    report = validate_population(run.population, run.perceptions, run.recommendations)
+    violations = validate_population(run.population, run.perceptions, run.recommendations)
     if args.format == "json":
         doc = {
-            "ok": report.ok,
+            "ok": not violations,
             "violations": [
-                {"code": v.code, "where": v.where, "message": v.message}
-                for v in report
+                {"code": code, "where": where, "message": message}
+                for code, where, message in violations
             ],
         }
         sys.stdout.write(dumps_doc(doc))
+    elif not violations:
+        sys.stdout.write("validation: clean\n")
     else:
-        if report.ok:
-            sys.stdout.write("validation: clean\n")
-        else:
-            sys.stdout.write(f"validation: {len(report.violations)} violation(s)\n")
-            for v in report:
-                sys.stdout.write(f"  ! {v.where}: {v.message}\n")
-    return EXIT_OK if report.ok else EXIT_INPUT
+        sys.stdout.write(f"validation: {len(violations)} violation(s)\n")
+        for _, where, message in violations:
+            sys.stdout.write(f"  ! {where}: {message}\n")
+    return EXIT_INPUT if violations else EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -147,13 +147,20 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(raw: str | None, fallback: float) -> list[float]:
+def _parse_grid(raw: str | None, fallback: float, flag: str) -> list[float]:
+    """The numbers the grid flag ``flag`` lists, or ``[fallback]`` when it
+    is not given; a flag that lists no number is refused."""
     if raw is None:
         return [fallback]
     try:
-        return [float(part) for part in raw.split(",") if part.strip() != ""]
+        grid = [float(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
-        raise InputError(f"expected a comma-separated list of numbers, got {raw!r}") from None
+        raise InputError(
+            f"{flag} expects a comma-separated list of numbers, got {raw!r}"
+        ) from None
+    if not grid:
+        raise InputError(f"{flag} lists no number: {raw!r}")
+    return grid
 
 
 #: The columns of the sweep table, one row per (grid point, metric).
@@ -166,9 +173,9 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
     run = replace(run, ledger=None)
     points = [
         _with_settings(run, delta, epsilon, theta)
-        for delta in _parse_grid(args.deltas, run.params.delta)
-        for epsilon in _parse_grid(args.epsilons, run.params.epsilon)
-        for theta in _parse_grid(args.thetas, run.params.theta)
+        for delta in _parse_grid(args.deltas, run.params.delta, "--deltas")
+        for epsilon in _parse_grid(args.epsilons, run.params.epsilon, "--epsilons")
+        for theta in _parse_grid(args.thetas, run.params.theta, "--thetas")
     ]
     rows = []
     for result in audit_grid(run, [(p.params, p.strategy) for p in points]):

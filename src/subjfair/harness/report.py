@@ -2,14 +2,17 @@
 
 ``audit_grid`` wires the full pipeline for one run file at a sequence of
 settings: validation, clustering, both aggregation stages, fairness
-verdicts, obligations, the explanation-level verdict, and the procedural
-check. ``audit_run`` is its single-point case; ``decide_run`` runs the
-clusters and both pipeline stages alone, for the commands that print no
-audit. Reports come in a machine form, a plain dict that ``dumps_doc``
-writes with the canonical JSON writer (sorted keys, two-space indent), and
-a human-readable text form; both are deterministic for a given run file
-and engine version. ``baselines_section`` builds the baselines part on its
-own, for the report and for the ``baseline`` command.
+verdicts, obligations and the explanation-level verdict. ``audit_run`` is
+its single-point case; ``decide_run`` runs the clusters and both pipeline
+stages alone, for the commands that print no audit. Reports come in a
+machine form, a plain dict that ``dumps_doc`` writes with the canonical
+JSON writer (sorted keys, two-space indent), and a human-readable text
+form; both are deterministic for a given run file and engine version.
+Each is written from the family's position lists, the audit's columns and
+the baselines' violation tuples; ``build_report_doc`` adds the procedural
+check, from the run's ``metadata.ethicality_asserted``.
+``baselines_section`` builds the baselines part on its own, for the report
+and for the ``baseline`` command.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from ..explanations import (
     AcceptanceLedger,
     ExplanationObligation,
     LedgerIntegrityError,
-    ProceduralReport,
     derive_obligations,
     fairness_through_explanations,
     procedural_check,
@@ -52,7 +54,6 @@ class RunResult:
     report: AuditReport
     owed: Mapping[str, tuple[str, ...]]
     explanation_fairness: str
-    procedural: ProceduralReport
 
     @property
     def obligations(self) -> tuple[ExplanationObligation, ...]:
@@ -65,18 +66,17 @@ def audit_grid(
 ) -> Iterator[RunResult]:
     """One ``RunResult`` per ``(params, strategy)`` of ``settings``, in order.
 
-    Validation and the procedural check do not depend on the settings, so
-    each runs once. Clusters depend on delta alone: a family is built only
-    when delta differs from the previous point's, and only one is kept.
+    Validation does not depend on the settings, so it runs once. Clusters
+    depend on delta alone: a family is built only when delta differs from
+    the previous point's, and only one is kept.
 
     Raises:
         InputError: if the inputs break the model invariants.
         RunFileError: at the ledger entry that names no obligation of a point.
     """
-    validation = validate_population(run.population, run.perceptions, run.recommendations)
-    if not validation.ok:
-        raise InputError("invalid audit inputs: " + "; ".join(validation.messages()[:5]))
-    procedural = procedural_check(bool(run.metadata.get("ethicality_asserted", False)))
+    violations = validate_population(run.population, run.perceptions, run.recommendations)
+    if violations:
+        raise InputError("invalid audit inputs: " + "; ".join(m for _, _, m in violations[:5]))
     ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
     family = delta = None
     for params, strategy in settings:
@@ -99,7 +99,6 @@ def audit_grid(
             report=report,
             owed=owed,
             explanation_fairness=explanation_fairness,
-            procedural=procedural,
         )
 
 
@@ -191,9 +190,12 @@ def build_report_doc(
     doc["explanation_fairness"] = result.explanation_fairness
     if result.run.ledger is not None:
         doc["ledger"] = result.run.ledger.as_rows()
+    # Only JSON ``true`` asserts ethicality; the loader refuses any other
+    # value but ``false``.
+    procedural = procedural_check(result.run.metadata.get("ethicality_asserted") is True)
     doc["procedural"] = {
-        "satisfied": sorted(result.procedural.satisfied),
-        "provenance": dict(sorted(result.procedural.provenance.items())),
+        "satisfied": sorted(procedural),
+        "provenance": dict(sorted(procedural.items())),
     }
     flags = []
     if doc["conflict_histogram"][SYSTEM_SUSPECT] > 0:
@@ -220,27 +222,27 @@ def baselines_section(
     baseline inputs. Empty when neither applies."""
     baselines: dict[str, Any] = {}
     if group_attr is not None:
-        parity = statistical_parity_gap(decisions, run.population, group_attr)
+        rates, gap = statistical_parity_gap(decisions, run.population, group_attr)
         baselines["statistical_parity"] = {
-            "attribute": parity.attribute,
-            "rates": {str(g): r for g, r in sorted(parity.rates.items(), key=lambda kv: str(kv[0]))},
-            "gap": parity.gap,
+            "attribute": group_attr,
+            "rates": {str(g): r for g, r in sorted(rates.items(), key=lambda kv: str(kv[0]))},
+            "gap": gap,
         }
     if include_if and run.baseline is not None:
         scores = run.baseline.scores
         distances = run.baseline.distances
         baselines["objective_if"] = [
-            {"pair": list(v.pair), "score_gap": v.score_gap, "distance": v.distance}
-            for v in dwork_if_check(scores, distances)
+            {"pair": list(pair), "score_gap": gap, "distance": d}
+            for pair, gap, d in dwork_if_check(scores, distances)
         ]
         baselines["subjective_if"] = [
             {
-                "observer": v.observer,
-                "pair": list(v.pair),
-                "score_gap": v.score_gap,
-                "perceived_distance": v.perceived_distance,
+                "observer": observer,
+                "pair": list(pair),
+                "score_gap": gap,
+                "perceived_distance": perceived,
             }
-            for v in subjective_if_check(scores, distances)
+            for observer, pair, gap, perceived in subjective_if_check(scores, distances)
         ]
     return baselines
 

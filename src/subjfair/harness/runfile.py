@@ -4,7 +4,11 @@ A run file carries everything needed to reproduce a report byte-for-byte:
 population, perception table, recommendations, parameters, strategy, the
 optional acceptance ledger, optional baseline-auditor inputs, and run
 metadata. Field names mirror the engine's symbols (sim, rec, delta,
-epsilon, theta) so files stay traceable next to the definitions.
+epsilon, theta) so files stay traceable next to the definitions. Metadata
+is free-form except ``ethicality_asserted``, the one key the engine reads,
+which must be a JSON boolean. The ids of every baseline row, and the
+attribute and operator of every veto rule, must be strings: none is
+coerced.
 
 ``save_run`` writes a canonical form (sorted keys, two-space indent);
 loading and re-saving any valid file is idempotent and preserves content.
@@ -175,11 +179,14 @@ def _parse_outcome(value: Any, kind: str, individual: str) -> Outcome:
 
 
 def _parse_distance_row(row: Any, size: int, location: str) -> list[Any]:
-    """``row`` as ``[*ids, distance]`` with ``size`` items and its distance
-    checked."""
+    """``row`` as ``[*ids, distance]`` with ``size`` items, each id a string
+    and its distance checked."""
     if not (isinstance(row, list) and len(row) == size):
         names = "[x, y, distance]" if size == 3 else "[observer, x, y, distance]"
         raise RunFileError(f"expected {names}", location)
+    for name in row[:-1]:
+        if type(name) is not str:
+            raise RunFileError(f"expected an id string, got {name!r}", location)
     return [*row[:-1], _parse_distance(row[-1], location)]
 
 
@@ -212,11 +219,15 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         label = rule.get("vetoes", 1)
         if isinstance(label, bool) or label not in (0, 1):
             raise RunFileError(f"expected 0 or 1, got {label!r}", f"{where}.vetoes")
+        attribute, op = _require(rule, "attribute", where), _require(rule, "op", where)
+        for name, value in (("attribute", attribute), ("op", op)):
+            if type(value) is not str:
+                raise RunFileError(f"expected a string {name}, got {value!r}", where)
         try:
             rules.append(
                 VetoRule(
-                    attribute=str(_require(rule, "attribute", where)),
-                    op=str(_require(rule, "op", where)),
+                    attribute=attribute,
+                    op=op,
                     operand=_require(rule, "value", where),
                     vetoed_label=int(label),
                 )
@@ -293,14 +304,13 @@ def _parse_distances(
     entries = {}
     for idx, row in enumerate(rows):
         where = f"baseline.distances[{idx}]"
-        row = _parse_distance_row(row, 3, where)
-        x, y = str(row[0]), str(row[1])
+        x, y, d = _parse_distance_row(row, 3, where)
         pair = (x, y) if x <= y else (y, x)
         if not all(map(ids.__contains__, pair)):
             raise _unknown_id((x, y), ids, where)
         if pair in entries:
             raise RunFileError(f"second distance for the pair ({x}, {y})", where)
-        entries[pair] = row[2]
+        entries[pair] = d
     return entries
 
 
@@ -313,9 +323,15 @@ def _parse_overrides(
     overrides: dict[tuple[str, str, str], float] = {}
     for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
         where = f"baseline.overrides[{idx}]"
-        if not (type(row) is list and len(row) == 4 and type(row[3]) is float and row[3] >= 0):
+        if not (
+            type(row) is list
+            and len(row) == 4
+            and type(row[0]) is type(row[1]) is type(row[2]) is str
+            and type(row[3]) is float
+            and row[3] >= 0
+        ):
             row = _parse_distance_row(row, 4, where)
-        observer, x, y = str(row[0]), str(row[1]), str(row[2])
+        observer, x, y, d = row
         key = (observer, x, y) if x <= y else (observer, y, x)
         if not all(map(ids.__contains__, key)):
             raise _unknown_id((observer, x, y), ids, where)
@@ -325,7 +341,7 @@ def _parse_overrides(
             )
         if key in overrides:
             raise RunFileError(f"second override by {observer!r} for the pair ({x}, {y})", where)
-        overrides[key] = row[3]
+        overrides[key] = d
     return overrides
 
 
@@ -408,6 +424,13 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
 
     baseline = _parse_baseline(doc, population.positions)
     metadata = _expect_object(doc.get("metadata", {}), "metadata")
+    # The one metadata key the engine reads; any other value than a JSON
+    # boolean would be read by its truth and could assert by accident.
+    asserted = metadata.get("ethicality_asserted", False)
+    if type(asserted) is not bool:
+        raise RunFileError(
+            f"expected true or false, got {asserted!r}", "metadata.ethicality_asserted"
+        )
     try:
         run = AuditRunFile(
             population=population,
@@ -491,13 +514,12 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
 
 def validate_run(run: AuditRunFile) -> None:
     """Raise a RunFileError on any model-invariant violation."""
-    report = validate_population(run.population, run.perceptions, run.recommendations)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate_population(run.population, run.perceptions, run.recommendations)
+    if violations:
         raise RunFileError(
-            "; ".join(report.messages()[:5])
-            + (f" (+{len(report.violations) - 5} more)" if len(report.violations) > 5 else ""),
-            first.where,
+            "; ".join(message for _, _, message in violations[:5])
+            + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""),
+            violations[0][1],
         )
     if run.strategy.veto_rules:
         try:

@@ -109,9 +109,9 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
     population = Population(tuple(ids))
     perceptions = PerceptionTable(rows, provenance="sampled")
     recommendations = RecommendationVector("synthetic", rec_values)
-    report = validate_population(population, perceptions, recommendations)
-    if not report.ok:
-        raise AssertionError(f"generator produced invalid inputs: {report.messages()}")
+    violations = validate_population(population, perceptions, recommendations)
+    if violations:
+        raise AssertionError(f"generator produced invalid inputs: {violations}")
 
     return AuditRunFile(
         population=population,

@@ -14,7 +14,6 @@ from subjfair import (
     DecisionVector,
     ExplanationObligation,
     Outcome,
-    PerceivedCluster,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -29,18 +28,19 @@ from subjfair.harness.synth import SynthProfile, generate_population, individual
 
 def perceived_cluster(
     x: str, pop: Population, perceptions: PerceptionTable, delta: float
-) -> PerceivedCluster:
-    """x's perceived cluster by n lookups: everyone x rates >= delta similar,
-    and x. The per-owner reference ``build_cluster_family`` is checked
-    against; the threshold is inclusive, so delta = 0.0 admits everyone.
+) -> list[int]:
+    """x's perceived cluster by n lookups, as its members' positions in id
+    order: everyone x rates >= delta similar, and x. The per-owner reference
+    ``build_cluster_family`` is checked against; the threshold is inclusive,
+    so delta = 0.0 admits everyone.
 
     Raises:
         UnknownIndividualError: if ``x`` is not in the population.
     """
     if x not in pop:
         raise UnknownIndividualError(x)
-    members = {z for z in pop.individuals if perceptions.similarity(x, z) >= delta}
-    return PerceivedCluster(x, frozenset(members | {x}))
+    ids = pop.individuals
+    return [k for k in pop.order if ids[k] == x or perceptions.similarity(x, ids[k]) >= delta]
 
 
 def by_id(vector: DecisionVector) -> dict[str, int]:

@@ -15,7 +15,6 @@ from subjfair import (
     NO_CONFLICT,
     JUSTIFIABLE_BY_GROUP,
     SYSTEM_SUSPECT,
-    ClusterFamily,
     DecisionVector,
     Outcome,
     SetRecommendationVector,
@@ -37,15 +36,21 @@ CROSSED_ROWS = {
 CROSSED_RECS = {"x": 0, "y": 1, "u": 0, "v": 1}
 
 
+#: The positions of the crossed population.
+X, Y, U, V = range(4)
+
+
 def crossed():
     return make_inputs(CROSSED_ROWS, CROSSED_RECS)
 
 
-def satisfied_share(inputs, x, epsilon):
-    """The satisfaction ratio by its definition, member by member."""
-    members = inputs.family.cluster_of(x).members
-    r_x = inputs.recs[x]
-    hits = sum(1 for y in members if similarity(r_x, inputs.recs[y]) > epsilon)
+def satisfied_share(inputs, k, epsilon):
+    """The satisfaction ratio of the person at position k by its
+    definition, member by member."""
+    ids = inputs.pop.individuals
+    members = inputs.family.members[k]
+    r_x = inputs.recs[ids[k]]
+    hits = sum(1 for j in members if similarity(r_x, inputs.recs[ids[j]]) > epsilon)
     return hits / len(members)
 
 
@@ -54,12 +59,12 @@ class TestIsf:
         inputs = make_inputs(
             {"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}}, {"a": 1, "b": 1}
         )
-        assert audit(inputs).verdicts["a"].isf == FAIR
+        assert audit(inputs).isf[0] == FAIR
 
     def test_dissenting_member_makes_unfair(self):
         inputs = crossed()
         # y sits in x's cluster with the opposite recommendation
-        assert audit(inputs).verdicts["x"].isf == UNFAIR
+        assert audit(inputs).isf[X] == UNFAIR
 
     def test_perception_is_one_sided(self):
         # alice groups herself with bob; bob does not reciprocate. Bob is
@@ -68,9 +73,7 @@ class TestIsf:
             {"alice": {"alice": 1.0, "bob": 0.9}, "bob": {"bob": 1.0, "alice": 0.2}},
             {"alice": 0, "bob": 1},
         )
-        verdicts = audit(inputs).verdicts
-        assert verdicts["alice"].isf == UNFAIR
-        assert verdicts["bob"].isf == FAIR
+        assert audit(inputs).isf == [UNFAIR, FAIR]
 
     def test_score_outcomes_compare_raw(self):
         inputs = make_inputs(
@@ -79,8 +82,8 @@ class TestIsf:
             kind="score",
         )
         # T = 0.9 > epsilon for small epsilon, fails at 0.9
-        assert audit(inputs, epsilon=0.5).verdicts["a"].isf == FAIR
-        assert audit(inputs, epsilon=0.95).verdicts["a"].isf == UNFAIR
+        assert audit(inputs, epsilon=0.5).isf[0] == FAIR
+        assert audit(inputs, epsilon=0.95).isf[0] == UNFAIR
 
 
 class TestSatisfactionRatio:
@@ -89,32 +92,32 @@ class TestSatisfactionRatio:
         for _ in range(50):
             inputs = random_instance(rng, kind=rng.choice(["binary", "score"]))
             epsilon = rng.choice([0.0, 0.3, 0.8])
-            verdicts = audit(inputs, epsilon=epsilon).verdicts
-            for x in inputs.pop.individuals:
-                ratio = verdicts[x].satisfaction_ratio
-                assert ratio == satisfied_share(inputs, x, epsilon)
-                assert (verdicts[x].isf == FAIR) == (ratio == 1.0)
+            report = audit(inputs, epsilon=epsilon)
+            for k in range(len(inputs.pop)):
+                ratio = report.satisfaction_ratio[k]
+                assert ratio == satisfied_share(inputs, k, epsilon)
+                assert (report.isf[k] == FAIR) == (ratio == 1.0)
 
     def test_crossed_x_ratio(self):
         inputs = crossed()
         # x's cluster is {x, y}; only x itself matches x
-        assert audit(inputs).verdicts["x"].satisfaction_ratio == 0.5
+        assert audit(inputs).satisfaction_ratio[X] == 0.5
 
 
 class TestRelaxedIsf:
     def test_majority_backing_makes_relaxed_fair(self):
         inputs = crossed()
-        assert audit(inputs, theta=0.5).verdicts["y"].relaxed_isf == FAIR
+        assert audit(inputs, theta=0.5).relaxed_isf[Y] == FAIR
 
     def test_crossed_x_relaxed_fair_but_isf_unfair(self):
         inputs = crossed()
-        verdict = audit(inputs, theta=0.5).verdicts["x"]
-        assert verdict.relaxed_isf == FAIR
-        assert verdict.isf == UNFAIR
+        report = audit(inputs, theta=0.5)
+        assert report.relaxed_isf[X] == FAIR
+        assert report.isf[X] == UNFAIR
 
     def test_singleton_cluster_always_fair(self):
         inputs = make_inputs({"solo": {"solo": 1.0}}, {"solo": 0})
-        assert audit(inputs, theta=0.5).verdicts["solo"].relaxed_isf == FAIR
+        assert audit(inputs, theta=0.5).relaxed_isf == [FAIR]
 
     def test_compares_with_the_plain_majority_not_the_cluster_label(self):
         # a's cluster {a, b, c} has a 2/3 positive majority, but the
@@ -126,8 +129,8 @@ class TestRelaxedIsf:
         )
         report = audit(inputs, kind=PESSIMISTIC)
         assert report.set_recommendations["a"] == Outcome.label(0)
-        assert report.verdicts["a"].relaxed_isf == FAIR
-        assert report.scenarios["a"] == NEITHER
+        assert report.relaxed_isf[0] == FAIR
+        assert report.scenario[0] == NEITHER
 
 
 class TestSfProcess:
@@ -157,8 +160,8 @@ class TestSfProcess:
             assert (report.sf == FAIR) == (not report.dissenters)
             expected = {
                 x
-                for x in inputs.pop.individuals
-                if satisfied_share(inputs, x, inputs.params.epsilon) < 1.0
+                for k, x in enumerate(inputs.pop.individuals)
+                if satisfied_share(inputs, k, inputs.params.epsilon) < 1.0
             }
             assert report.dissenters == expected
             assert sf_process(inputs.pop.individuals, report.isf) == (report.sf, report.dissenters)
@@ -169,10 +172,10 @@ class TestScenario:
         inputs = make_inputs(
             {"a": {"a": 1.0, "b": 0.9}, "b": {"b": 1.0}}, {"a": 1, "b": 1}
         )
-        assert audit(inputs).scenarios["a"] == ISF_SATISFIED
+        assert audit(inputs).scenario[0] == ISF_SATISFIED
 
     def test_crossed_x_is_relaxed_only(self):
-        assert audit(crossed()).scenarios["x"] == RELAXED_ONLY
+        assert audit(crossed()).scenario[X] == RELAXED_ONLY
 
     def test_owner_against_cluster_majority_is_neither(self):
         # owner recommends 1, the rest of the cluster 0: majority differs
@@ -180,7 +183,7 @@ class TestScenario:
             {"a": {"a": 1.0, "b": 0.9, "c": 0.9}, "b": {"b": 1.0}, "c": {"c": 1.0}},
             {"a": 1, "b": 0, "c": 0},
         )
-        assert audit(inputs).scenarios["a"] == NEITHER
+        assert audit(inputs).scenario[0] == NEITHER
 
     def test_partition_exactly_one_class(self):
         # evaluate the three class conditions independently of the
@@ -191,12 +194,12 @@ class TestScenario:
             report = audit(inputs)
             set_recs = report.set_recommendations
             eps = inputs.params.epsilon
-            for x in inputs.pop.individuals:
+            ids = inputs.pop.individuals
+            for k, x in enumerate(ids):
                 r_x = inputs.recs[x]
-                members = inputs.family.cluster_of(x).members
                 own_vs_set = similarity(r_x, set_recs[x])
                 all_match = all(
-                    similarity(inputs.recs[y], r_x) > eps for y in members
+                    similarity(inputs.recs[ids[j]], r_x) > eps for j in inputs.family.members[k]
                 )
                 conds = [
                     own_vs_set > eps and all_match,
@@ -205,7 +208,7 @@ class TestScenario:
                 ]
                 assert sum(conds) == 1
                 expected = [ISF_SATISFIED, RELAXED_ONLY, NEITHER][conds.index(True)]
-                assert report.scenarios[x] == expected
+                assert report.scenario[k] == expected
 
 
 class TestConflict:
@@ -216,7 +219,7 @@ class TestConflict:
         report = audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
-        return report.conflicts["i"]
+        return report.conflict[0]
 
     def test_agreement_is_no_conflict(self):
         assert self._conflict(1, 1, 0) == NO_CONFLICT
@@ -232,8 +235,7 @@ class TestConflict:
         for _ in range(50):
             inputs = random_instance(rng, epsilon=0.0)
             report = audit(inputs)
-            for x in inputs.pop.individuals:
-                got = report.conflicts[x]
+            for x, got in zip(inputs.pop.individuals, report.conflict):
                 matches_cluster = (
                     similarity(inputs.recs[x], report.set_recommendations[x])
                     > inputs.params.epsilon
@@ -260,9 +262,9 @@ class TestInvariants:
                         for i in ids
                     }
                     inputs = make_inputs(rows, recs, delta=0.5)
-                    verdict = audit(inputs, epsilon=0.0, theta=0.5).verdicts["p0"]
-                    if verdict.isf == FAIR:
-                        assert verdict.relaxed_isf == FAIR
+                    report = audit(inputs, epsilon=0.0, theta=0.5)
+                    if report.isf[0] == FAIR:
+                        assert report.relaxed_isf[0] == FAIR
 
     def test_epsilon_irrelevant_for_binary(self):
         rng = random.Random(43)
@@ -277,26 +279,26 @@ class TestInvariants:
             inputs = random_instance(rng, kind="score")
             lo = rng.choice([0.0, 0.2, 0.4])
             hi = lo + rng.choice([0.1, 0.3, 0.5])
-            at_lo = audit(inputs, epsilon=lo).verdicts
-            at_hi = audit(inputs, epsilon=hi).verdicts
-            for x in inputs.pop.individuals:
-                if at_hi[x].isf == FAIR:
-                    assert at_lo[x].isf == FAIR
+            at_lo = audit(inputs, epsilon=lo).isf
+            at_hi = audit(inputs, epsilon=hi).isf
+            for k in range(len(inputs.pop)):
+                if at_hi[k] == FAIR:
+                    assert at_lo[k] == FAIR
 
     def test_self_membership_never_causes_unfairness(self):
         rng = random.Random(53)
         for _ in range(50):
             inputs = random_instance(rng, kind=rng.choice(["binary", "score"]))
             eps = rng.choice([0.0, 0.2, 0.5])
-            verdicts = audit(inputs, epsilon=eps).verdicts
-            for x in inputs.pop.individuals:
-                members = inputs.family.cluster_of(x).members
+            isf = audit(inputs, epsilon=eps).isf
+            ids = inputs.pop.individuals
+            for k, x in enumerate(ids):
                 without_self = all(
-                    similarity(inputs.recs[x], inputs.recs[y]) > eps
-                    for y in members
-                    if y != x
+                    similarity(inputs.recs[x], inputs.recs[ids[j]]) > eps
+                    for j in inputs.family.members[k]
+                    if j != k
                 )
-                assert (verdicts[x].isf == FAIR) == without_self
+                assert (isf[k] == FAIR) == without_self
 
 
 class TestAuditPopulation:
@@ -306,11 +308,12 @@ class TestAuditPopulation:
         report = audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
-        assert set(report.verdicts) == set(inputs.pop.individuals)
+        columns = (report.isf, report.relaxed_isf, report.satisfaction_ratio)
+        assert all(len(column) == len(inputs.pop) for column in columns)
         assert report.sf == UNFAIR
         assert report.dissenters == frozenset({"x", "y", "u"})
-        assert report.scenarios["v"] == ISF_SATISFIED
-        assert report.verdicts["x"].relaxed_isf == FAIR
+        assert report.scenario[V] == ISF_SATISFIED
+        assert report.relaxed_isf[X] == FAIR
 
     def test_label_vectors_in_another_order_are_refused(self):
         # the audit reads the vectors by position, so a vector positioned
@@ -328,8 +331,7 @@ class TestAuditPopulation:
             )
 
     def test_reads_each_cluster_once(self, monkeypatch):
-        # complexity gate by counted calls: one cluster lookup and one
-        # binarized label per person
+        # complexity gate by counted calls: one binarized label per person
         rng = random.Random(11)
         ids = [f"p{k:03d}" for k in range(200)]
         recs = {i: round(rng.random(), 3) for i in ids}
@@ -351,14 +353,10 @@ class TestAuditPopulation:
         # binarize call goes through the aggregation module
         assert not hasattr(audit_module, "binarize")
         monkeypatch.setattr(aggregation, "binarize", counting("binarize", binarize))
-        monkeypatch.setattr(
-            ClusterFamily, "cluster_of", counting("cluster_of", ClusterFamily.cluster_of)
-        )
         audit_population(
             inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
         )
         assert calls["binarize"] <= len(ids)
-        assert calls["cluster_of"] <= len(ids)
 
     def test_theta_mismatch_rejected(self, tmp_path, capsys):
         # Theta agreement is an invariant of the run, so the audit never

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from subjfair import (
     PerceptionTable,
     Population,
-    UnknownIndividualError,
     build_cluster_family,
 )
 
@@ -14,32 +13,25 @@ from helpers import make_inputs, perceived_cluster, random_rows, rows_of
 
 
 FOUR = Population(("x", "y", "u", "v"))
+#: The positions of ``FOUR``; its id order is u, v, x, y.
+X, Y, U, V = range(4)
 
 
 def test_threshold_filter():
     table = PerceptionTable(
         {"x": {"x": 1.0, "y": 0.8, "u": 0.2, "v": 0.1}}
     )
-    cluster = build_cluster_family(FOUR, table, 0.5).cluster_of("x")
-    assert cluster.members == {"x", "y"}
+    assert build_cluster_family(FOUR, table, 0.5).members[X] == [X, Y]
 
 
 def test_zero_threshold_admits_everyone():
     table = PerceptionTable({"x": {"x": 1.0}})
-    cluster = build_cluster_family(FOUR, table, 0.0).cluster_of("x")
-    assert cluster.members == set(FOUR.individuals)
+    assert build_cluster_family(FOUR, table, 0.0).members[X] == [U, V, X, Y]
 
 
 def test_threshold_boundary_is_inclusive():
     table = PerceptionTable({"x": {"x": 1.0, "y": 0.5}})
-    cluster = build_cluster_family(Population(("x", "y")), table, 0.5).cluster_of("x")
-    assert cluster.members == {"x", "y"}
-
-
-def test_unknown_owner_rejected():
-    table = PerceptionTable({"x": {"x": 1.0}})
-    with pytest.raises(UnknownIndividualError):
-        build_cluster_family(FOUR, table, 0.5).cluster_of("ghost")
+    assert build_cluster_family(Population(("x", "y")), table, 0.5).members[X] == [X, Y]
 
 
 def test_crossed_clusters_membership_index():
@@ -53,13 +45,12 @@ def test_crossed_clusters_membership_index():
         },
         {"x": 0, "y": 1, "u": 0, "v": 1},
     )
-    assert inputs.family.containing("y") == {"x", "y", "v"}
+    assert inputs.family.owners[Y] == [V, X, Y]
 
 
 def test_single_individual_population():
     inputs = make_inputs({"solo": {"solo": 1.0}}, {"solo": 1})
-    assert inputs.family.cluster_of("solo").members == {"solo"}
-    assert inputs.family.containing("solo") == {"solo"}
+    assert inputs.family.members == inputs.family.owners == [[0]]
 
 
 def test_symmetric_perceptions_make_index_equal_members():
@@ -75,8 +66,7 @@ def test_symmetric_perceptions_make_index_equal_members():
                 rows[ids[b]][ids[a]] = value
         pop = Population(tuple(ids))
         family = build_cluster_family(pop, PerceptionTable(rows), 0.5)
-        for i in ids:
-            assert family.containing(i) == family.cluster_of(i).members
+        assert family.owners == family.members
 
 
 def test_inverse_consistency_against_double_loop():
@@ -89,13 +79,9 @@ def test_inverse_consistency_against_double_loop():
         pop = Population(tuple(ids))
         table = PerceptionTable(rows)
         family = build_cluster_family(pop, table, delta)
-        for target in ids:
-            owners = {
-                owner
-                for owner in ids
-                if target in family.cluster_of(owner).members
-            }
-            assert family.containing(target) == owners
+        for target in range(n):
+            owners = [owner for owner in pop.order if target in family.members[owner]]
+            assert family.owners[target] == owners
 
 
 @st.composite
@@ -122,9 +108,9 @@ def test_delta_monotonicity(case):
     pop = Population(tuple(ids))
     table = PerceptionTable(rows)
     for x in ids:
-        tight = perceived_cluster(x, pop, table, hi).members
-        loose = perceived_cluster(x, pop, table, lo).members
-        assert tight <= loose
+        tight = perceived_cluster(x, pop, table, hi)
+        loose = perceived_cluster(x, pop, table, lo)
+        assert set(tight) <= set(loose)
 
 
 @given(table_and_deltas())
@@ -133,7 +119,7 @@ def test_owner_always_member(case):
     pop = Population(tuple(ids))
     table = PerceptionTable(rows)
     for x in ids:
-        assert x in perceived_cluster(x, pop, table, delta).members
+        assert pop.positions[x] in perceived_cluster(x, pop, table, delta)
 
 
 def test_family_has_one_cluster_per_individual():
@@ -146,12 +132,24 @@ def test_family_has_one_cluster_per_individual():
 # --- differential: the one-pass family against the definition ---------------
 
 
-def _naive_clusters(ids, entries, delta):
+def _naive_clusters(pop, entries, delta):
     """The definition, literally: x's cluster is everyone x rates >= delta
-    (a missing entry reads 0.0), plus x."""
-    return {
-        x: {z for z in ids if entries.get((x, z), 0.0) >= delta} | {x} for x in ids
-    }
+    (a missing entry reads 0.0), plus x. By owner position, each cluster as
+    its members' positions in id order."""
+    ids = pop.individuals
+    return [
+        [k for k in pop.order if entries.get((x, ids[k]), 0.0) >= delta or ids[k] == x]
+        for x in ids
+    ]
+
+
+def _transposed(pop, clusters):
+    """The owners of each position, in id order."""
+    owners = [[] for _ in clusters]
+    for owner in pop.order:
+        for k in clusters[owner]:
+            owners[k].append(owner)
+    return owners
 
 
 def _sparse_entries(rng, ids, validated):
@@ -188,15 +186,13 @@ def test_family_matches_definition_on_sparse_tables(validated):
         stated = [v for v in entries.values() if v == v]  # NaN is not a delta
         deltas = [0.0, 1.0, -0.5, float("nan"), *rng.sample(stated, 3)]
         for delta in deltas:
-            expected = _naive_clusters(ids, entries, delta)
+            expected = _naive_clusters(pop, entries, delta)
             family = build_cluster_family(pop, table, delta)
             assert len(family.members) == len(family.owners) == len(ids)
-            for x in ids:
-                assert family.cluster_of(x).members == expected[x]
-                assert perceived_cluster(x, pop, table, delta).members == expected[x]
-            for i in ids:
-                owners = {o for o in ids if i in expected[o]}
-                assert family.containing(i) == owners
+            assert family.members == expected
+            for k, x in enumerate(ids):
+                assert perceived_cluster(x, pop, table, delta) == expected[k]
+            assert family.owners == _transposed(pop, expected)
 
 
 @st.composite
@@ -223,31 +219,19 @@ def test_family_views_are_exact_transposes_matching_the_definition(case):
     table = PerceptionTable(rows_of(entries))
     for delta in (0.0, 0.5, 1.0):
         family = build_cluster_family(pop, table, delta)
-        clusters = {x: family.cluster_of(x).members for x in ids}
-        containing = {x: family.containing(x) for x in ids}
-        transposed = {x: set() for x in ids}
-        for owner, members in clusters.items():
-            for z in members:
-                transposed[z].add(owner)
-        assert containing == transposed
-        assert clusters == _naive_clusters(ids, entries, delta)
-        # the position lists behind the views hold each person once, in id order
-        for lists in (family.members, family.owners):
-            for row in lists:
-                named = [pop.individuals[k] for k in row]
-                assert named == sorted(set(named))
+        # each list holds each person once, in id order: the members are
+        # {z : sim(x, z) >= delta} | {x}, and the owners their transpose
+        assert family.members == _naive_clusters(pop, entries, delta)
+        assert family.owners == _transposed(pop, family.members)
 
 
 def test_family_boundary_entry_joins_and_below_zero_entry_leaves():
     # delta equal to an entry admits it; with delta 0 a missing entry
     # qualifies, but an explicit negative or NaN one does not
-    pop = Population(("x", "y", "u", "v"))
     table = PerceptionTable({"x": {"x": 1.0, "y": 0.4, "u": -0.1, "v": float("nan")}})
-    assert build_cluster_family(pop, table, 0.4).cluster_of("x").members == {"x", "y"}
-    assert build_cluster_family(pop, table, 0.0).cluster_of("x").members == {"x", "y"}
-    assert build_cluster_family(pop, table, 0.0).cluster_of("u").members == {
-        "x", "y", "u", "v"
-    }
+    assert build_cluster_family(FOUR, table, 0.4).members[X] == [X, Y]
+    assert build_cluster_family(FOUR, table, 0.0).members[X] == [X, Y]
+    assert build_cluster_family(FOUR, table, 0.0).members[U] == [U, V, X, Y]
 
 
 # --- complexity gate by counted calls ------------------------------------------

@@ -19,7 +19,6 @@ from subjfair.core import (
     SELF_SIMILARITY,
     UNKNOWN_ID,
     VALUE_RANGE,
-    Violation,
 )
 
 from helpers import audit, make_inputs, rows_of
@@ -30,8 +29,8 @@ def _pair_ratios(a, b, epsilon, kind="binary"):
     the cluster {a, b}: 1.0 when a's and b's treatments are
     epsilon-similar, else 0.5."""
     rows = {"a": {"a": 1.0, "b": 1.0}, "b": {"a": 1.0, "b": 1.0}}
-    verdicts = audit(make_inputs(rows, {"a": a, "b": b}, kind=kind), epsilon=epsilon).verdicts
-    return verdicts["a"].satisfaction_ratio, verdicts["b"].satisfaction_ratio
+    report = audit(make_inputs(rows, {"a": a, "b": b}, kind=kind), epsilon=epsilon)
+    return tuple(report.satisfaction_ratio)
 
 
 class TestTreatmentSimilarity:
@@ -142,33 +141,31 @@ class TestValidatePopulation:
 
     def test_valid_inputs_give_empty_report(self):
         inputs = self._valid()
-        report = validate_population(inputs.pop, inputs.table, inputs.recs)
-        assert report.ok
-        assert report.messages() == []
+        assert validate_population(inputs.pop, inputs.table, inputs.recs) == ()
 
     def test_wrong_self_similarity_is_flagged(self):
         inputs = self._valid()
         table = PerceptionTable({"a": {"a": 0.9}, "b": {"b": 1.0}})
         report = validate_population(inputs.pop, table, inputs.recs)
-        assert not report.ok
+        assert report
         assert any(
-            v.code == SELF_SIMILARITY and "self-similarity must be 1.0 for a" in v.message
-            for v in report
+            code == SELF_SIMILARITY and "self-similarity must be 1.0 for a" in message
+            for code, _, message in report
         )
 
     def test_missing_diagonal_is_flagged(self):
         inputs = self._valid()
         table = PerceptionTable({"a": {"a": 1.0}})  # b has no row at all
         report = validate_population(inputs.pop, table, inputs.recs)
-        assert any(v.code == SELF_SIMILARITY and "for b" in v.message for v in report)
+        assert any(code == SELF_SIMILARITY and "for b" in message for code, _, message in report)
 
     def test_missing_recommendation_is_flagged(self):
         inputs = self._valid()
         recs = RecommendationVector("test", {"a": Outcome.label(1)})
         report = validate_population(inputs.pop, inputs.table, recs)
         assert any(
-            v.code == MISSING_RECOMMENDATION and "no recommendation for b" in v.message
-            for v in report
+            code == MISSING_RECOMMENDATION and "no recommendation for b" in message
+            for code, _, message in report
         )
 
     def test_unknown_ids_are_flagged(self):
@@ -180,20 +177,19 @@ class TestValidatePopulation:
             "test", {"a": Outcome.label(1), "b": Outcome.label(0), "ghost": Outcome.label(1)}
         )
         report = validate_population(inputs.pop, table, recs)
-        codes = {v.code for v in report}
+        codes = {code for code, _, _ in report}
         assert UNKNOWN_ID in codes
 
     def test_out_of_range_similarity_is_flagged(self):
         inputs = self._valid()
         table = PerceptionTable({"a": {"a": 1.0, "b": 1.5}, "b": {"b": 1.0}})
         report = validate_population(inputs.pop, table, inputs.recs)
-        assert any(v.code == VALUE_RANGE for v in report)
+        assert any(code == VALUE_RANGE for code, _, _ in report)
 
     def test_validated_table_means_nonempty_clusters(self):
         # sim(x, x) == 1 clears any threshold, so every cluster has its owner
         inputs = self._valid()
-        report = validate_population(inputs.pop, inputs.table, inputs.recs)
-        assert report.ok
+        assert validate_population(inputs.pop, inputs.table, inputs.recs) == ()
         for x in inputs.pop.individuals:
             assert inputs.table.similarity(x, x) == 1.0
 
@@ -239,8 +235,8 @@ def _sorted_scan(pop, table, recs):
     """The definition of the perception checks, literally: every explicit
     entry in sorted order, each checked for unknown ids and then range."""
     violations = [
-        Violation(SELF_SIMILARITY, f"sim({i},{i})",
-                  f"self-similarity must be 1.0 for {i}, got {table.similarity(i, i)}")
+        (SELF_SIMILARITY, f"sim({i},{i})",
+         f"self-similarity must be 1.0 for {i}, got {table.similarity(i, i)}")
         for i in pop.individuals
         if table.similarity(i, i) != 1.0
     ]
@@ -249,17 +245,17 @@ def _sorted_scan(pop, table, recs):
         for individual in (observer, target):
             if individual not in pop.positions:
                 violations.append(
-                    Violation(UNKNOWN_ID, where, f"unknown id {individual} in perception table")
+                    (UNKNOWN_ID, where, f"unknown id {individual} in perception table")
                 )
         if not 0.0 <= value <= 1.0:
-            violations.append(Violation(VALUE_RANGE, where, f"similarity {value} outside [0, 1]"))
+            violations.append((VALUE_RANGE, where, f"similarity {value} outside [0, 1]"))
     for i in pop.individuals:
         if i not in recs.values:
-            violations.append(Violation(MISSING_RECOMMENDATION, f"rec({i})", f"no recommendation for {i}"))
+            violations.append((MISSING_RECOMMENDATION, f"rec({i})", f"no recommendation for {i}"))
     for i in sorted(recs.values):
         if i not in pop.positions:
-            violations.append(Violation(UNKNOWN_ID, f"rec({i})", f"recommendation for unknown id {i}"))
-    return violations
+            violations.append((UNKNOWN_ID, f"rec({i})", f"recommendation for unknown id {i}"))
+    return tuple(violations)
 
 
 def _broken_entries(rng, ids):
@@ -295,9 +291,7 @@ def test_validation_matches_the_sorted_scan_on_broken_tables():
         rec_ids = rng.sample(ids, n - rng.randint(0, 5)) + [f"zz{k}" for k in range(rng.randint(0, 3))]
         recs = RecommendationVector("t", {i: Outcome.label(rng.randint(0, 1)) for i in rec_ids})
         report = validate_population(pop, table, recs)
-        expected = _sorted_scan(pop, table, recs)
-        assert report.messages() == [v.message for v in expected]
-        assert [(v.code, v.where) for v in report] == [(v.code, v.where) for v in expected]
-        assert {v.code for v in report} == {SELF_SIMILARITY, VALUE_RANGE, UNKNOWN_ID} | (
+        assert report == _sorted_scan(pop, table, recs)
+        assert {code for code, _, _ in report} == {SELF_SIMILARITY, VALUE_RANGE, UNKNOWN_ID} | (
             {MISSING_RECOMMENDATION} if len(set(rec_ids) & set(ids)) < n else set()
         )

@@ -279,6 +279,52 @@ class TestRunFile:
                 "rec.values.b",
                 id="rec-binary-half",
             ),
+            pytest.param(
+                lambda d: d.update(
+                    individuals=["a", "1"],
+                    sim={"a": {"a": 1.0}, "1": {"1": 1.0}},
+                    rec={"values": {"a": 1, "1": 0}},
+                    baseline={"scores": {"a": 0.0, "1": 1.0}, "distances": [[1, "a", 0.5]]},
+                ),
+                "baseline.distances[0]",
+                id="baseline-distance-with-a-number-id",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    individuals=["a", "1"],
+                    sim={"a": {"a": 1.0}, "1": {"1": 1.0}},
+                    rec={"values": {"a": 1, "1": 0}},
+                    baseline={
+                        "scores": {"a": 0.0, "1": 1.0},
+                        "distances": [["1", "a", 0.5]],
+                        "overrides": [["a", "a", 1, 0.2]],
+                    },
+                ),
+                "baseline.overrides[0]",
+                id="baseline-override-with-a-number-id",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    attributes={"a": {"5": 1}, "b": {"5": 20}},
+                    strategy={
+                        "kind": "veto",
+                        "veto_rules": [{"attribute": 5, "op": "<", "value": 10}],
+                    },
+                ),
+                "strategy.veto_rules[0]",
+                id="veto-rule-with-a-number-attribute",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    attributes={"a": {"g": 1}, "b": {"g": 20}},
+                    strategy={
+                        "kind": "veto",
+                        "veto_rules": [{"attribute": "g", "op": ["<"], "value": 10}],
+                    },
+                ),
+                "strategy.veto_rules[0]",
+                id="veto-rule-with-a-list-op",
+            ),
             (lambda d: d.update(purpose=None), "purpose"),
             (lambda d: d.update(purpose=0), "purpose"),
             (
@@ -457,8 +503,7 @@ class TestSynth:
     def test_zero_density_gives_singleton_clusters(self):
         run = generate_population(SynthProfile(n=6, cluster_density=0.0, seed=3))
         family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-        for i in run.population.individuals:
-            assert family.cluster_of(i).members == {i}
+        assert family.members == [[k] for k in range(run.n)]
 
     def test_manipulated_agent_absorbs_target_cluster(self):
         ids_run = generate_population(
@@ -466,8 +511,8 @@ class TestSynth:
         )
         delta = ids_run.params.delta
         family = build_cluster_family(ids_run.population, ids_run.perceptions, delta)
-        target_members = family.cluster_of("i05").members
-        assert target_members <= family.cluster_of("i00").members | {"i00"}
+        agent, target = ids_run.population.positions["i00"], ids_run.population.positions["i05"]
+        assert set(family.members[target]) <= set(family.members[agent]) | {agent}
 
     def test_unknown_manipulation_ids_rejected(self):
         with pytest.raises(Exception):
@@ -850,10 +895,9 @@ class TestCli:
 
     def test_sweep_points_build_no_per_person_record(self, tmp_path, monkeypatch, capsys):
         # work gate by counted constructions: on a loaded binary run with
-        # sum |C| > 3n, no grid point of a sweep builds a per-person record
-        # of the audit, the explanations or the clustering; they exist only
-        # as id views for callers who ask
-        from subjfair import audit, clustering, explanations
+        # sum |C| > 3n, no grid point of a sweep builds an obligation
+        # record; ``RunResult.obligations`` builds them for callers who ask
+        from subjfair import explanations
 
         run = generate_population(SynthProfile(n=60, cluster_density=0.3, seed=4))
         assert run.recommendations.kind == "binary"
@@ -863,15 +907,13 @@ class TestCli:
             family = build_cluster_family(loaded.population, loaded.perceptions, delta)
             assert sum(map(len, family.members)) > 3 * run.n
         built = {}
-        for cls in (
-            audit.FairnessVerdict, explanations.ExplanationObligation, clustering.PerceivedCluster
-        ):
+        init = explanations.ExplanationObligation.__init__
 
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] = built.get(_name, 0) + 1
-                _init(self, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            built["ExplanationObligation"] = built.get("ExplanationObligation", 0) + 1
+            init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(explanations.ExplanationObligation, "__init__", counting)
         code = main(
             [
                 "simulate", "--input", str(path), "--sweep", "--deltas", "0.3,0.5,0.7",
@@ -881,13 +923,14 @@ class TestCli:
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)) == 12 * 12
         assert built == {}
-        # the views still build them on request
-        assert audit_run(run).report.verdicts["i00"].individual == "i00"
-        assert built["FairnessVerdict"] == run.n
+        # the view still builds them on request
+        obligations = audit_run(run).obligations
+        assert built == {"ExplanationObligation": len(obligations)}
+        assert len(obligations) > 0
 
     def test_cluster_build_makes_no_per_owner_object(self, tmp_path, monkeypatch):
         # work gate by counted constructions: a family is lists of
-        # positions, with no cluster record and no frozenset per owner
+        # positions, with no frozenset per owner
         from subjfair import clustering
 
         run = load_run(
@@ -896,26 +939,75 @@ class TestCli:
                 tmp_path / "run.json",
             )
         )
-        built = {"cluster": 0, "frozenset": 0}
-        init = clustering.PerceivedCluster.__init__
-
-        def counting_cluster(self, *args, **kwargs):
-            built["cluster"] += 1
-            init(self, *args, **kwargs)
+        built = 0
 
         def counting_frozenset(*args):
-            built["frozenset"] += 1
+            nonlocal built
+            built += 1
             return frozenset(*args)
 
-        monkeypatch.setattr(clustering.PerceivedCluster, "__init__", counting_cluster)
         monkeypatch.setattr(clustering, "frozenset", counting_frozenset, raising=False)
         for delta in (0.0, 0.3, 0.5, 0.7):
             family = build_cluster_family(run.population, run.perceptions, delta)
             assert sum(map(len, family.members)) > 3 * run.n
-            assert built == {"cluster": 0, "frozenset": 0}
-        # the id views build them on request
-        assert "i00" in family.cluster_of("i00").members & family.containing("i00")
-        assert built == {"cluster": 1, "frozenset": 2}
+            assert built == 0
+
+    def test_report_builds_as_many_records_at_any_size(self, tmp_path, monkeypatch):
+        # work gate by counted constructions: the full report of a run with
+        # a group attribute and baseline violations builds the same number
+        # of subjfair dataclass instances at n = 120 with 30 scored people
+        # as at n = 240 with 60, so it builds none per person or per pair
+        import itertools
+        import sys
+
+        runs = []
+        for n, scored in ((120, 30), (240, 60)):
+            run = generate_population(SynthProfile(n=n, cluster_density=0.3, seed=n))
+            rng = random.Random(n)
+            ids = run.population.individuals
+            people = sorted(rng.sample(ids, scored))
+            distances = {
+                pair: round(0.2 + 0.8 * rng.random(), 3)
+                for pair in itertools.combinations(people, 2)
+            }
+            overrides = {(pair[0], *pair): 0.0 for pair in list(distances)[::7]}
+            run = dataclasses.replace(
+                run,
+                population=Population(ids, {i: {"group": rng.choice("ab")} for i in ids}),
+                baseline=BaselineInputs(
+                    {i: round(rng.random(), 3) for i in people},
+                    ObjectiveDistanceTable(distances, overrides),
+                ),
+            )
+            runs.append(load_run(save_run(run, tmp_path / f"n{n}.json")))
+
+        built = 0
+        classes = {
+            cls
+            for name, module in list(sys.modules.items())
+            if name == "subjfair" or name.startswith("subjfair.")
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and dataclasses.is_dataclass(cls)
+            and cls.__module__.startswith("subjfair")
+        }
+        for cls in classes:
+            if "__init__" in vars(cls):
+
+                def counting(self, *args, _init=cls.__init__, **kwargs):
+                    nonlocal built
+                    built += 1
+                    _init(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, "__init__", counting)
+        counts = []
+        for run in runs:
+            built = 0
+            doc = build_report_doc(audit_run(run), group_attr="group", include_baselines=True)
+            counts.append(built)
+            assert doc["baselines"]["objective_if"] and doc["baselines"]["subjective_if"]
+        assert len(classes) > 10
+        assert counts[0] == counts[1] > 0
 
     def test_decide_and_baseline_run_no_audit(self, tmp_path, monkeypatch, capsys):
         # call-count gate: decide prints the pipeline's labels and baseline
@@ -993,6 +1085,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "metadata: expected an object" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["no", "false", 1])
+    def test_ethicality_asserted_other_than_a_boolean_is_input_error(
+        self, tmp_path, capsys, value
+    ):
+        # read by truth, each of these would assert ethicality
+        doc = _fixture_doc()
+        doc["metadata"] = {"ethicality_asserted": value}
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "metadata.ethicality_asserted: expected true or false" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value, satisfied", [(True, "accuracy, consistency, ethicality"),
+                                                   (False, "accuracy, consistency")])
+    def test_ethicality_asserted_by_json_booleans(self, tmp_path, capsys, value, satisfied):
+        doc = _fixture_doc()
+        doc["metadata"] = {"ethicality_asserted": value}
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 0
+        assert f"procedural rules satisfied: {satisfied}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--deltas", "--epsilons", "--thetas"])
+    @pytest.mark.parametrize("grid", [",", "", " , ,"])
+    def test_sweep_grid_listing_no_number_is_input_error(self, capsys, flag, grid):
+        argv = ["simulate", "--input", str(crossed_clusters_path()), "--sweep", flag, grid]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} lists no number" in captured.err
 
     def test_oracle_subcommand_matches(self, capsys):
         code = main(["oracle", "--input", str(crossed_clusters_path())])

@@ -43,6 +43,18 @@ RUNS = [
 ]
 IDS = [f"n{c[0]}-d{c[1]}-{c[2]}" for c in RUNS]
 
+#: The per-person fields of an audit report: the label vectors and the
+#: verdict, scenario and conflict columns.
+COLUMNS = (
+    "set_recommendations",
+    "decisions",
+    "isf",
+    "relaxed_isf",
+    "satisfaction_ratio",
+    "scenario",
+    "conflict",
+)
+
 
 def _run(n, density, kind, seed, delta=0.5, epsilon=0.0, theta=0.5):
     run = generate_population(SynthProfile(n=n, cluster_density=density, seed=seed))
@@ -80,7 +92,7 @@ def test_veto_without_rules_is_majority(case):
     run = _run(*case, epsilon=0.2, theta=0.4)
     majority = audit_run(run)
     veto = audit_run(_with_strategy(run, VETO))
-    for field in ("set_recommendations", "decisions", "verdicts", "scenarios", "conflicts"):
+    for field in COLUMNS:
         assert getattr(veto.report, field) == getattr(majority.report, field), field
     assert veto.report.sf == majority.report.sf
     assert veto.report.dissenters == majority.report.dissenters
@@ -93,10 +105,10 @@ def test_raising_delta_only_shrinks_clusters_and_memberships(case):
     deltas = [0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 1.0]
     families = [build_cluster_family(run.population, run.perceptions, d) for d in deltas]
     for loose, tight in zip(families, families[1:]):
-        for x in run.population.individuals:
-            assert tight.cluster_of(x).members <= loose.cluster_of(x).members
-            assert tight.containing(x) <= loose.containing(x)
-    assert all(len(families[0].cluster_of(x)) == run.n for x in run.population.individuals)
+        for k in range(run.n):
+            assert set(tight.members[k]) <= set(loose.members[k])
+            assert set(tight.owners[k]) <= set(loose.owners[k])
+    assert all(len(members) == run.n for members in families[0].members)
 
 
 def _renamed_run(run, name):
@@ -202,11 +214,11 @@ def test_trust_weighted_is_majority_when_everyone_agrees_with_their_cluster(case
     majority = audit_run(run)
     family = majority.family
     assert cut > 0
-    assert sum(len(family.cluster_of(x)) for x in run.population.individuals) > 2 * run.n
+    assert sum(map(len, family.members)) > 2 * run.n
     for x in run.population.individuals:
         assert binarize(run.recommendations[x]) == majority.report.set_recommendations[x]
     weighted = audit_run(_with_strategy(run, TRUST_WEIGHTED))
-    for field in ("set_recommendations", "decisions", "verdicts", "scenarios", "conflicts"):
+    for field in COLUMNS:
         assert getattr(weighted.report, field) == getattr(majority.report, field), field
     assert weighted.obligations == majority.obligations
 
@@ -234,9 +246,9 @@ def test_binary_labels_audit_as_their_zero_one_scores(case, epsilon, kind):
     scored = _as_scores(run)
     assert scored.recommendations.kind == "score"
     binary, score = audit_run(run), audit_run(scored)
-    ratios = {v.satisfaction_ratio for v in binary.report.verdicts.values()}
+    ratios = set(binary.report.satisfaction_ratio)
     assert any(0.0 < r < 1.0 for r in ratios)
-    for field in ("verdicts", "scenarios", "conflicts", "set_recommendations", "decisions"):
+    for field in COLUMNS:
         assert getattr(score.report, field) == getattr(binary.report, field), field
     assert score.report.sf == binary.report.sf
     assert score.report.dissenters == binary.report.dissenters
