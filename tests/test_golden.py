@@ -23,7 +23,9 @@ unstated pair qualifies, were pinned before clusters, labels, verdicts and
 obligations were indexed by person position. The report of a run whose
 metadata asserts ethicality and the text form of ``validate`` on the broken
 tables were pinned before the per-person and per-pair records beside those
-columns were deleted.
+columns were deleted. The runs whose binary labels are written as floats, or
+whose scores include the ints 0 and 1, were pinned before a recommendation
+became one number with one kind per vector.
 """
 
 from __future__ import annotations
@@ -459,3 +461,47 @@ def test_validation_of_broken_table_is_pinned(tmp_path, name):
 def test_text_validation_of_broken_table_is_pinned(tmp_path, name):
     path = _broken_table(tmp_path, name)
     assert _printed(["validate", "--input", path, "--format", "text"]) == BROKEN_TEXT[name]
+
+
+# --- recommendation values written as the other number type ----------------------
+
+
+def _retyped_recs_doc(kind):
+    """A generated run's document whose binary labels are written as the
+    floats 1.0 and 0.0, or whose scores include the ints 0 and 1."""
+    doc = to_dict(generate_population(SynthProfile(n=60, cluster_density=0.3, seed=39)))
+    values = doc["rec"]["values"]
+    if kind == "binary":
+        doc["rec"] = {"kind": "binary", "values": {i: float(v) for i, v in values.items()}}
+    else:
+        rng = random.Random("retyped")
+        scores = {i: rng.choice([0, 1, round(rng.random(), 3)]) for i in sorted(values)}
+        doc["rec"] = {"kind": "score", "values": scores}
+    return doc
+
+
+RETYPED = {
+    "binary-saved": "af9091f1677679799db2697462297c45afcf65282e1fd0ec1520c1068617bbce",
+    "binary-report": "0:b8a5f45ed28010120140ee7a7bad226698793931086f27a15c223929f91c8713",
+    "score-saved": "efbf026a6301990e6ace5ae51d284f51b501839049f404ad8a804b4ce471e00d",
+    "score-report": "0:73b0eb67c51c44fb83003e890f0fd1fe5164811dd37645f5f58951535872d7af",
+}
+
+
+def test_retyped_recommendation_values_are_pinned(tmp_path):
+    """A binary ``1.0`` is saved as ``1`` and a score ``1`` as ``1.0``: the
+    SHA-256 of what ``save_run`` writes after ``load_run``, and the report."""
+    printed = {}
+    for kind in ("binary", "score"):
+        doc = _retyped_recs_doc(kind)
+        assert {type(v) for v in doc["rec"]["values"].values()} >= (
+            {float} if kind == "binary" else {int, float}
+        )
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        saved = save_run(load_run(path), tmp_path / f"{kind}-saved.json")
+        printed[f"{kind}-saved"] = hashlib.sha256(saved.read_bytes()).hexdigest()
+        printed[f"{kind}-report"] = _printed(
+            ["report", "--input", str(path), "--format", "json"]
+        )
+    assert printed == RETYPED
