@@ -10,16 +10,12 @@ from .core import (
     BINARY,
     SCORE,
     AuditParams,
-    DecisionVector,
     IndividualId,
     InputError,
-    KindMismatchError,
-    Outcome,
     PerceptionTable,
     Population,
     Purpose,
     RecommendationVector,
-    UnknownIndividualError,
     validate_population,
 )
 from .clustering import (
@@ -33,7 +29,6 @@ from .aggregation import (
     VETO,
     AggregationStrategy,
     ConfigError,
-    SetRecommendationVector,
     VetoRule,
     binarize,
     run_pipeline,

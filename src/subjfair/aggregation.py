@@ -17,8 +17,8 @@ keeps them on the family for the recommendation vector it read: both
 pipeline stages, the audit's verdicts and every theta of a sweep share one
 tally per family. Stage 1 reads a cluster's label off its count in O(1);
 trust weighting and stage 2 count again per strategy, so every strategy
-costs O(n + sum |C|). Trust weights and both outputs are 0/1 labels by
-position; ``Outcome`` objects appear only when a caller reads one by id.
+costs O(n + sum |C|). A recommendation is a plain number, and trust
+weights and both outputs are plain lists of 0/1 labels by person position.
 Each rule has one home: ``majority_label`` and ``_unanimous`` are the two
 tallies, ``_veto`` applies veto rules, and trust weighting is one line of
 ``run_pipeline``.
@@ -32,16 +32,7 @@ from functools import partial
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily
-from .core import (
-    BAD_LABEL,
-    GOOD_LABEL,
-    LABELS,
-    InputError,
-    Outcome,
-    Population,
-    RecommendationVector,
-    DecisionVector,
-)
+from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector
 
 MAJORITY = "majority"
 TRUST_WEIGHTED = "trust_weighted"
@@ -53,11 +44,6 @@ STRATEGY_KINDS = (MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO)
 
 class ConfigError(InputError):
     """A strategy or veto-rule configuration is unusable."""
-
-
-class SetRecommendationVector(DecisionVector):
-    """One aggregated binary recommendation per cluster owner:
-    ``labels[k]`` is the label of the cluster of the person at position k."""
 
 
 _OPS = {
@@ -138,11 +124,10 @@ def validate_veto_rules(rules: Iterable[VetoRule], pop: Population) -> None:
                 ) from None
 
 
-def binarize(outcome: Outcome) -> Outcome:
-    """Binary view of an outcome: scores become 1 iff strictly above 0.5."""
-    if outcome.is_binary:
-        return outcome
-    return LABELS[outcome.value > 0.5]
+def binarize(value: float) -> int:
+    """The 0/1 label of a recommendation: 1 iff strictly above 0.5, so a
+    binary label is its own label and a score of exactly 0.5 is 0."""
+    return 1 if value > 0.5 else 0
 
 
 def majority_label(positive: int, size: int, theta: float) -> int:
@@ -165,7 +150,7 @@ def cluster_tally(
     cached = family.tally
     if cached is not None and cached[0] is pop and cached[1] is recs:
         return cached[2]
-    label = [int(binarize(recs[x]).value) for x in pop.individuals]
+    label = list(map(binarize, map(recs.values.__getitem__, pop.individuals)))
     positive = [sum(map(label.__getitem__, c)) for c in family.members]
     object.__setattr__(family, "tally", (pop, recs, (label, positive)))
     return label, positive
@@ -189,11 +174,13 @@ def run_pipeline(
     family: ClusterFamily,
     recs: RecommendationVector,
     strategy: AggregationStrategy | None = None,
-) -> tuple[SetRecommendationVector, DecisionVector]:
-    """Run both stages and return (cluster labels, final decisions).
+) -> tuple[list[int], list[int]]:
+    """Run both stages and return (cluster labels, final decisions), each a
+    0/1 label by person position: ``set_labels[k]`` is the label of the
+    cluster of the person at position k, ``decisions[k]`` their decision.
 
     Stage 1 reads each cluster's positive count from ``cluster_tally``.
-    The decision vector is total: everyone belongs at least to their own
+    The decisions are total: everyone belongs at least to their own
     cluster, so stage 2 always has something to aggregate.
     """
     strategy = strategy or AggregationStrategy()
@@ -224,8 +211,4 @@ def run_pipeline(
         decisions = [
             _veto(d, rules, attributes.get(i, {})) for i, d in zip(pop.individuals, decisions)
         ]
-    positions = pop.positions
-    return (
-        SetRecommendationVector(recs.purpose, positions, set_label),
-        DecisionVector(recs.purpose, positions, decisions),
-    )
+    return set_label, decisions

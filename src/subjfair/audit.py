@@ -16,8 +16,10 @@ person's label and each cluster's positive count, computed once per family
 and recommendation vector. Relaxed ISF needs only the count; so does ISF on
 binary recommendations, where the members treated like x are the members
 sharing x's label. Score recommendations are compared member by member.
-The audit fills one column per verdict, by person position, and builds no
-per-person record.
+Recommendations are read as the numbers they are stored as, and the
+pipeline's cluster labels and decisions as the 0/1 lists by position that
+it returns. The audit fills one column per verdict, by person position, and
+builds no per-person record.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from itertools import compress
 from operator import truediv
 from typing import Sequence
 
-from .aggregation import SetRecommendationVector, cluster_tally, majority_label
+from .aggregation import cluster_tally, majority_label
 from .clustering import ClusterFamily
-from .core import BINARY, AuditParams, DecisionVector, InputError, Population, RecommendationVector
+from .core import BINARY, AuditParams, InputError, Population, RecommendationVector
 
 FAIR = "fair"
 UNFAIR = "unfair"
@@ -52,21 +54,21 @@ CONFLICTS = (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
 class AuditReport:
     """Everything one audit run decided, in columns by person position:
     ``isf[k]`` is the ISF verdict of the person at position k of
-    ``population``, and so on.
+    ``population``, and so on; ``set_labels`` and ``decisions`` are the
+    pipeline's 0/1 cluster labels and decisions.
 
     ``satisfaction_ratio[k]`` is the fraction of that person's cluster
     treated epsilon-similarly to them; it is reported as a scalar fairness
     degree but never enters the fair/unfair logic."""
 
-    purpose: str
     population: Population
     isf: list[str]
     relaxed_isf: list[str]
     satisfaction_ratio: list[float]
     scenario: list[str]
     conflict: list[str]
-    set_recommendations: SetRecommendationVector
-    decisions: DecisionVector
+    set_labels: list[int]
+    decisions: list[int]
     sf: str
     dissenters: frozenset[str]
 
@@ -94,12 +96,12 @@ def audit_population(
     family: ClusterFamily,
     recs: RecommendationVector,
     params: AuditParams,
-    set_recs: SetRecommendationVector,
-    decisions: DecisionVector,
+    set_labels: list[int],
+    decisions: list[int],
 ) -> AuditReport:
-    """Assemble the full audit report from pipeline outputs: ``set_recs``
-    and ``decisions`` are those of the same family at ``params.theta``, by
-    the positions of ``pop`` (else InputError).
+    """Assemble the full audit report from pipeline outputs: ``set_labels``
+    and ``decisions`` are those of the same family at ``params.theta``, one
+    label per person of ``pop`` (else InputError).
 
     Each person's cluster is read once, from the stage-1 tally the pipeline
     keeps on ``family`` (``cluster_tally``): the person's label and the
@@ -113,25 +115,24 @@ def audit_population(
     member is satisfied; the scenario compares the label with the cluster
     label, and the conflict class with it and then with the decision. Cost:
     O(n) on binary recommendations once the tally exists, else O(n + sum |C|)."""
-    if set_recs.positions != pop.positions or decisions.positions != pop.positions:
-        raise InputError("label vectors must follow the population's positions")
+    if len(set_labels) != len(pop) or len(decisions) != len(pop):
+        raise InputError("the pipeline's labels must hold one label per person")
     label, positive = cluster_tally(pop, family, recs)
     members = family.members
     sizes = list(map(len, members))
     if recs.kind == BINARY:
         satisfied = [p if own else size - p for own, p, size in zip(label, positive, sizes)]
     else:
-        raw = [recs[x].value for x in pop.individuals]
+        raw = list(map(recs.values.__getitem__, pop.individuals))
         satisfied = [
             sum([_similar(own, raw[y], params.epsilon) for y in cluster])
             for own, cluster in zip(raw, members)
         ]
     isf = [FAIR if sat == size else UNFAIR for sat, size in zip(satisfied, sizes)]
     majority = map(partial(majority_label, theta=params.theta), positive, sizes)
-    agrees = list(map(int.__eq__, label, set_recs.labels))
+    agrees = list(map(int.__eq__, label, set_labels))
     sf, dissenters = sf_process(pop.individuals, isf)
     return AuditReport(
-        purpose=recs.purpose,
         population=pop,
         isf=isf,
         relaxed_isf=[FAIR if own == m else UNFAIR for own, m in zip(label, majority)],
@@ -142,9 +143,9 @@ def audit_population(
         ],
         conflict=[
             NO_CONFLICT if agree else JUSTIFIABLE_BY_GROUP if own == d else SYSTEM_SUSPECT
-            for agree, own, d in zip(agrees, label, decisions.labels)
+            for agree, own, d in zip(agrees, label, decisions)
         ],
-        set_recommendations=set_recs,
+        set_labels=set_labels,
         decisions=decisions,
         sf=sf,
         dissenters=dissenters,

@@ -11,15 +11,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .core import DecisionVector, InputError, Population
+from .core import InputError, Population
 
 ScoreMapping = Mapping[str, float]
 
 #: Absolute slack for gap-vs-distance comparisons, so float rounding noise
 #: (e.g. |0.85 - 0.90| landing a few ulp above 0.05) never flags a pair.
 GAP_TOLERANCE = 1e-9
+
+
+def check_ids(ids: Iterable[Any]) -> None:
+    """Refuse any id that is not a string: a coerced ``1`` would name ``"1"``."""
+    for i in ids:
+        if not isinstance(i, str):
+            raise InputError(f"expected an id string, got {i!r}")
 
 
 @dataclass(frozen=True)
@@ -37,12 +44,14 @@ class ObjectiveDistanceTable:
     def __post_init__(self) -> None:
         normalized = {}
         for (x, y), d in self.entries.items():
+            check_ids((x, y))
             if not d >= 0:
                 raise InputError(f"distance d({x},{y}) must be >= 0, got {d}")
             normalized[(x, y) if x <= y else (y, x)] = float(d)
         object.__setattr__(self, "entries", normalized)
         overrides = {}
         for (observer, x, y), d in (self.subjective_overrides or {}).items():
+            check_ids((observer, x, y))
             if not d >= 0:
                 raise InputError(f"distance d_{observer}({x},{y}) must be >= 0, got {d}")
             overrides[(observer, x, y) if x <= y else (observer, y, x)] = float(d)
@@ -113,21 +122,22 @@ def subjective_if_check(
 
 
 def statistical_parity_gap(
-    decisions: DecisionVector, pop: Population, group_attribute: str
+    labels: Sequence[int], pop: Population, group_attribute: str
 ) -> tuple[dict[Any, float], float]:
     """Positive-decision rate per value of ``group_attribute``, and the gap.
 
-    ``decisions`` must follow the positions of ``pop`` (else InputError).
+    ``labels`` holds one 0/1 decision per person of ``pop``, by position
+    (else InputError).
     The gap is the difference between the best- and worst-treated group
     (0.0 with a single group). Every individual must carry the attribute, and
     two values must be equal exactly when they print alike, as reports print the keys.
     """
-    if decisions.positions != pop.positions:
-        raise InputError("decisions must follow the population's positions")
+    if len(labels) != len(pop):
+        raise InputError("decisions must hold one label per person")
     groups: dict[Any, list[int]] = {}
     by_value: dict[Any, Any] = {}
     by_print: dict[str, Any] = {}
-    for individual, label in zip(pop.individuals, decisions.labels):
+    for individual, label in zip(pop.individuals, labels):
         attrs = pop.attributes_of(individual)
         if group_attribute not in attrs:
             raise InputError(

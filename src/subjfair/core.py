@@ -6,9 +6,10 @@ share across concurrent audit runs. The one exception downstream is the
 cluster family (``clustering.ClusterFamily``): its clusters are immutable,
 but it also holds a derived cache, the stage-1 tally of the last
 recommendation vector read over it, which never changes its value.
-Past loading, people are known by their index in ``individuals``; the
-position lists are shared and never changed, and ids appear only at the
-edges: in the label vectors' ``__getitem__`` and in the documents written.
+A recommendation is one number per person, and its kind is stated once
+per vector. Past loading, people are known by their index in
+``individuals``: the pipeline's labels are plain 0/1 lists by position,
+shared and never changed, and ids appear only in the documents written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -25,7 +26,7 @@ IndividualId = str
 #: exactly one purpose.
 Purpose = str
 
-#: Outcome kinds. One population uses one kind uniformly per purpose.
+#: Recommendation kinds. One vector holds one kind.
 BINARY = "binary"
 SCORE = "score"
 
@@ -40,54 +41,6 @@ PROVENANCE_TAGS = ("declared", "fitted", "sampled", "dynamic")
 
 class InputError(ValueError):
     """Malformed or incomplete caller-supplied data."""
-
-
-class KindMismatchError(InputError):
-    """Outcomes of different kinds (binary vs score) were mixed where one
-    kind is required."""
-
-
-class UnknownIndividualError(KeyError):
-    """An operation referenced an id that is not part of the population."""
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """A single treatment outcome: a binary label or a score in [0, 1].
-
-    Binary outcomes take values 0 and 1 only; label 1 is the favorable
-    outcome. Score outcomes are reals in [0, 1].
-    """
-
-    value: float
-    kind: str = BINARY
-
-    def __post_init__(self) -> None:
-        if self.kind not in (BINARY, SCORE):
-            raise InputError(f"unknown outcome kind {self.kind!r}")
-        object.__setattr__(self, "value", float(self.value))
-        if self.kind == BINARY and self.value not in (0.0, 1.0):
-            raise InputError(f"binary outcome must be 0 or 1, got {self.value}")
-        if not 0.0 <= self.value <= 1.0:
-            raise InputError(f"outcome value {self.value} outside [0, 1]")
-
-    @classmethod
-    def label(cls, value: int) -> "Outcome":
-        """Binary outcome from a 0/1 label."""
-        return cls(float(value), BINARY)
-
-    @classmethod
-    def score(cls, value: float) -> "Outcome":
-        """Score outcome from a real in [0, 1]."""
-        return cls(float(value), SCORE)
-
-    @property
-    def is_binary(self) -> bool:
-        return self.kind == BINARY
-
-
-#: The two binary outcomes, indexed by label, shared by every label vector.
-LABELS = (Outcome.label(BAD_LABEL), Outcome.label(GOOD_LABEL))
 
 
 @dataclass(frozen=True)
@@ -218,60 +171,41 @@ class PerceptionTable:
         return {observer: dict(row) for observer, row in self.rows.items()}
 
 
+def _recommendation(value: Any, kind: str) -> float:
+    """One recommendation as a vector of ``kind`` stores it: a binary label
+    as the int 0 or 1, a score as a float in [0, 1]. A bool, NaN or any
+    value that is no number is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"expected a number, got {value!r}")
+    if kind == BINARY:
+        if value == 0 or value == 1:
+            return int(value)
+        raise InputError(f"binary outcome must be 0 or 1, got {value}")
+    if 0 <= value <= 1:
+        return float(value)
+    raise InputError(f"outcome value {value} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class RecommendationVector:
-    """Per-individual system recommendations for one purpose.
+    """Per-individual system recommendations for one purpose, all of one
+    ``kind``: ``values[x]`` is x's label, 0 or 1 (1 is the favorable
+    outcome), or x's score in [0, 1].
 
-    All values must share one outcome kind. Totality over the population is
-    checked by :func:`validate_population`, not at construction.
+    Totality over the population is checked by :func:`validate_population`,
+    not at construction.
     """
 
     purpose: Purpose
-    values: Mapping[IndividualId, Outcome]
+    values: Mapping[IndividualId, float]
+    kind: str = BINARY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        kinds = {o.kind for o in self.values.values()}
-        if len(kinds) > 1:
-            raise KindMismatchError(
-                f"recommendation vector mixes outcome kinds {sorted(kinds)}"
-            )
-
-    @property
-    def kind(self) -> str:
-        for outcome in self.values.values():
-            return outcome.kind
-        return BINARY
-
-    def __getitem__(self, individual: str) -> Outcome:
-        try:
-            return self.values[individual]
-        except KeyError:
-            raise UnknownIndividualError(individual) from None
-
-
-@dataclass(frozen=True)
-class DecisionVector:
-    """Final binary decisions for one purpose: ``labels[k]`` is the 0/1
-    decision of the person at position k of ``positions``."""
-
-    purpose: Purpose
-    positions: Mapping[IndividualId, int]
-    labels: Sequence[int]
-
-    @classmethod
-    def of(cls, purpose: Purpose, values: Mapping[IndividualId, Outcome]) -> "DecisionVector":
-        """The vector of one binary outcome per id, in the order of ``values``."""
-        if not all(o.is_binary for o in values.values()):
-            raise KindMismatchError("a label vector holds binary outcomes only")
-        positions = {x: k for k, x in enumerate(values)}
-        return cls(purpose, positions, [int(o.value) for o in values.values()])
-
-    def __getitem__(self, individual: str) -> Outcome:
-        try:
-            return LABELS[self.labels[self.positions[individual]]]
-        except KeyError:
-            raise UnknownIndividualError(individual) from None
+        if self.kind not in (BINARY, SCORE):
+            raise InputError(f"unknown outcome kind {self.kind!r}")
+        kind = self.kind
+        values = {x: _recommendation(v, kind) for x, v in self.values.items()}
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     run = _overridden(load_run(args.input), args)
-    doc = label_fields(*decide_run(run))
+    doc = label_fields(run.population.individuals, *decide_run(run))
     if args.format == "json":
         sys.stdout.write(dumps_doc(doc))
     else:
@@ -186,7 +186,7 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
             "dissenters": float(len(report.dissenters)),
             **{name: float(count) for name, count in summary["counts"].items()},
             "obligations": float(sum(map(len, result.owed.values()))),
-            "positive_decision_rate": sum(report.decisions.labels) / run.n,
+            "positive_decision_rate": sum(report.decisions) / run.n,
         }
         for histogram in ("scenario", "conflict"):
             for label, count in summary[f"{histogram}_histogram"].items():

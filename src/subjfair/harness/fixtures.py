@@ -12,13 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..aggregation import AggregationStrategy
-from ..core import (
-    AuditParams,
-    Outcome,
-    PerceptionTable,
-    Population,
-    RecommendationVector,
-)
+from ..core import AuditParams, PerceptionTable, Population, RecommendationVector
 from .runfile import AuditRunFile
 
 #: Cluster memberships at delta=0.5: x sees {x, y}; y sees {y, u, v};
@@ -38,9 +32,7 @@ def crossed_clusters_run() -> AuditRunFile:
     return AuditRunFile(
         population=Population(("x", "y", "u", "v")),
         perceptions=PerceptionTable(CROSSED_CLUSTERS_ROWS),
-        recommendations=RecommendationVector(
-            "grant", {i: Outcome.label(v) for i, v in CROSSED_CLUSTERS_RECS.items()}
-        ),
+        recommendations=RecommendationVector("grant", CROSSED_CLUSTERS_RECS),
         params=AuditParams(delta=0.5, epsilon=0.0, theta=0.5),
         strategy=AggregationStrategy(theta=0.5),
         metadata={"fixture": "crossed_clusters"},

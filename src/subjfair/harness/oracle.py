@@ -34,7 +34,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
     strategy = run.strategy.kind
     rows = run.perceptions.as_rows()
     kind = run.recommendations.kind
-    raw = {i: run.recommendations.values[i].value for i in ids}
+    raw = {i: run.recommendations.values[i] for i in ids}
 
     def sim(x: str, z: str) -> float:
         return rows.get(x, {}).get(z, 0.0)

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .. import __version__
-from ..aggregation import AggregationStrategy, SetRecommendationVector, run_pipeline
+from ..aggregation import AggregationStrategy, run_pipeline
 from ..audit import CONFLICTS, FAIR, SCENARIOS, SYSTEM_SUSPECT, AuditReport, audit_population
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, DecisionVector, InputError, validate_population
+from ..core import AuditParams, InputError, validate_population
 from ..explanations import (
     KIND_TAGS,
     AcceptanceLedger,
@@ -84,9 +84,11 @@ def audit_grid(
             family = None  # the previous family goes before the next is built
             delta = params.delta
             family = build_cluster_family(run.population, run.perceptions, delta)
-        set_recs, decisions = run_pipeline(run.population, family, run.recommendations, strategy)
+        set_labels, decisions = run_pipeline(
+            run.population, family, run.recommendations, strategy
+        )
         report = audit_population(
-            run.population, family, run.recommendations, params, set_recs, decisions
+            run.population, family, run.recommendations, params, set_labels, decisions
         )
         owed = derive_obligations(report)
         try:
@@ -108,23 +110,21 @@ def audit_run(run: AuditRunFile) -> RunResult:
     return next(audit_grid(run, [(run.params, run.strategy)]))
 
 
-def decide_run(run: AuditRunFile) -> tuple[SetRecommendationVector, DecisionVector]:
-    """The cluster labels and decisions of ``run`` at its own settings:
-    the clusters and both pipeline stages, with no audit. ``run`` must have
-    passed validation, as every loaded run has."""
+def decide_run(run: AuditRunFile) -> tuple[list[int], list[int]]:
+    """The 0/1 cluster labels and decisions of ``run`` at its own settings,
+    by person position: the clusters and both pipeline stages, with no
+    audit. ``run`` must have passed validation, as every loaded run has."""
     family = build_cluster_family(run.population, run.perceptions, run.params.delta)
     return run_pipeline(run.population, family, run.recommendations, run.strategy)
 
 
 def label_fields(
-    set_recs: SetRecommendationVector, decisions: DecisionVector
+    ids: Sequence[str], set_labels: Sequence[int], decisions: Sequence[int]
 ) -> dict[str, dict[str, int]]:
-    """The ``set_rec`` and ``dec`` fields of the audit document: each
-    cluster label and decision as a 0/1 int, by id."""
-    return {
-        "set_rec": dict(zip(set_recs.positions, set_recs.labels)),
-        "dec": dict(zip(decisions.positions, decisions.labels)),
-    }
+    """The ``set_rec`` and ``dec`` fields of the audit document: the 0/1
+    cluster label and decision of each person, by position in ``ids``, keyed
+    by id."""
+    return {"set_rec": dict(zip(ids, set_labels)), "dec": dict(zip(ids, decisions))}
 
 
 def summary_counts(report: AuditReport) -> dict[str, dict[str, int]]:
@@ -157,7 +157,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         **settings_to_dict(run),
         "clusters": {x: list(map(named, c)) for x, c in zip(ids, result.family.members)},
         "membership": {x: list(map(named, o)) for x, o in zip(ids, result.family.owners)},
-        **label_fields(report.set_recommendations, report.decisions),
+        **label_fields(ids, report.set_labels, report.decisions),
         "verdicts": {
             x: {"isf": isf, "relaxed_isf": relaxed, "satisfaction_ratio": ratio}
             for x, isf, relaxed, ratio in zip(
@@ -212,14 +212,14 @@ def build_report_doc(
 
 def baselines_section(
     run: AuditRunFile,
-    decisions: DecisionVector | None,
+    decisions: Sequence[int] | None,
     group_attr: str | None = None,
     include_if: bool = False,
 ) -> dict[str, Any]:
-    """The ``baselines`` section of the report: statistical parity of
-    ``decisions`` on ``group_attr`` when one is given, and both
-    individual-fairness checks when ``include_if`` and the run carries
-    baseline inputs. Empty when neither applies."""
+    """The ``baselines`` section of the report: statistical parity of the
+    0/1 ``decisions``, by person position, on ``group_attr`` when one is
+    given, and both individual-fairness checks when ``include_if`` and the
+    run carries baseline inputs. Empty when neither applies."""
     baselines: dict[str, Any] = {}
     if group_attr is not None:
         rates, gap = statistical_parity_gap(decisions, run.population, group_attr)

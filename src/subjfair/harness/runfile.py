@@ -29,13 +29,12 @@ from ..aggregation import (
     VetoRule,
     validate_veto_rules,
 )
-from ..baselines import ObjectiveDistanceTable
+from ..baselines import ObjectiveDistanceTable, check_ids
 from ..core import (
     BINARY,
     SCORE,
     AuditParams,
     InputError,
-    Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -75,9 +74,8 @@ class BaselineInputs:
     distances: ObjectiveDistanceTable
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "scores", {str(i): float(v) for i, v in self.scores.items()}
-        )
+        check_ids(self.scores)
+        object.__setattr__(self, "scores", {i: float(v) for i, v in self.scores.items()})
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,9 @@ class AuditRunFile:
     """One audit run: inputs, parameters, and acceptance state.
 
     Theta is one fact: the strategy's theta must equal ``params.theta``.
+    ``metadata.ethicality_asserted``, the one metadata key the engine reads,
+    must be a boolean: any other value would be read by its truth and could
+    assert by accident.
     """
 
     population: Population
@@ -97,12 +98,18 @@ class AuditRunFile:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.strategy.theta != self.params.theta:
-            raise InputError(
-                f"strategy theta {self.strategy.theta} differs from params theta "
-                f"{self.params.theta}"
-            )
         object.__setattr__(self, "metadata", dict(self.metadata))
+        asserted = self.metadata.get("ethicality_asserted", False)
+        if type(asserted) is not bool:
+            raise RunFileError(
+                f"expected true or false, got {asserted!r}", "metadata.ethicality_asserted"
+            )
+        if self.strategy.theta != self.params.theta:
+            raise RunFileError(
+                f"strategy theta {self.strategy.theta} differs from params theta "
+                f"{self.params.theta}",
+                "strategy.theta",
+            )
 
     @property
     def purpose(self) -> str:
@@ -161,21 +168,27 @@ def _parse_distance(value: Any, location: str) -> float:
     return distance
 
 
-def _parse_outcome(value: Any, kind: str, individual: str) -> Outcome:
-    """The recommendation at ``rec.values.<individual>``. A plain number is
-    taken as it is; the location is spelled out only for any other value
-    or one the outcome rejects."""
-    if type(value) is float or type(value) is int:  # a bool is neither
-        try:
-            return Outcome(value, kind)
-        except (InputError, OverflowError):
-            pass
-    location = f"rec.values.{individual}"
-    number = _expect_number(value, location)
+def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
+    """The ``rec`` section as a vector of ``doc``'s purpose. The values go
+    to the vector as they are; only if it refuses them are they given to it
+    one by one, to report the first at fault at ``rec.values.<id>``."""
+    rec = _expect_object(_require(doc, "rec"), "rec", frozenset({"kind", "values"}))
+    kind = rec.get("kind", BINARY)
+    if kind not in (BINARY, SCORE):
+        raise RunFileError(f"unknown outcome kind {kind!r}", "rec.kind")
+    values = _expect_object(_require(rec, "values", "rec.values"), "rec.values")
+    purpose = _require(doc, "purpose")
+    if not isinstance(purpose, str):
+        raise RunFileError(f"expected a string, got {purpose!r}", "purpose")
     try:
-        return Outcome(number, kind)
-    except InputError as exc:
-        raise RunFileError(str(exc), location) from None
+        return RecommendationVector(purpose, values, kind)
+    except InputError:
+        for i, v in values.items():
+            try:
+                RecommendationVector(purpose, {i: v}, kind)
+            except InputError as exc:
+                raise RunFileError(str(exc), f"rec.values.{i}") from None
+        raise
 
 
 def _parse_distance_row(row: Any, size: int, location: str) -> list[Any]:
@@ -260,7 +273,7 @@ def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineI
     ).items():
         if not (type(v) is float and math.isfinite(v)):
             v = _parse_score(v, f"baseline.scores.{i}")
-        scores[str(i)] = v
+        scores[i] = v
     unknown = sorted(scores.keys() - ids)
     if unknown:
         raise RunFileError(
@@ -396,18 +409,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     except InputError as exc:
         raise RunFileError(str(exc), "provenance") from None
 
-    rec = _expect_object(_require(doc, "rec"), "rec", frozenset({"kind", "values"}))
-    kind = rec.get("kind", "binary")
-    if kind not in (BINARY, SCORE):
-        raise RunFileError(f"unknown outcome kind {kind!r}", "rec.kind")
-    values = {
-        str(i): _parse_outcome(v, kind, i)
-        for i, v in _expect_object(_require(rec, "values", "rec.values"), "rec.values").items()
-    }
-    purpose = _require(doc, "purpose")
-    if not isinstance(purpose, str):
-        raise RunFileError(f"expected a string, got {purpose!r}", "purpose")
-    recommendations = RecommendationVector(purpose, values)
+    recommendations = _parse_recommendations(doc)
 
     params = _parse_params(doc)
     strategy = _parse_strategy(doc, params)
@@ -423,28 +425,16 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
                     raise RunFileError(str(exc), f"ledger.{individual}.{obligation}") from None
 
     baseline = _parse_baseline(doc, population.positions)
-    metadata = _expect_object(doc.get("metadata", {}), "metadata")
-    # The one metadata key the engine reads; any other value than a JSON
-    # boolean would be read by its truth and could assert by accident.
-    asserted = metadata.get("ethicality_asserted", False)
-    if type(asserted) is not bool:
-        raise RunFileError(
-            f"expected true or false, got {asserted!r}", "metadata.ethicality_asserted"
-        )
-    try:
-        run = AuditRunFile(
-            population=population,
-            perceptions=perceptions,
-            recommendations=recommendations,
-            params=params,
-            strategy=strategy,
-            ledger=ledger,
-            baseline=baseline,
-            metadata=metadata,
-        )
-    except InputError as exc:
-        raise RunFileError(str(exc), "strategy.theta") from None
-    return run
+    return AuditRunFile(
+        population=population,
+        perceptions=perceptions,
+        recommendations=recommendations,
+        params=params,
+        strategy=strategy,
+        ledger=ledger,
+        baseline=baseline,
+        metadata=_expect_object(doc.get("metadata", {}), "metadata"),
+    )
 
 
 def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
@@ -474,22 +464,17 @@ def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
 
 def to_dict(run: AuditRunFile) -> dict[str, Any]:
     """Canonical document form of a run. Optional sections are omitted
-    when empty. The ``sim`` rows, the attributes and the baseline scores are
-    the run's own maps, unsorted and uncopied (the canonical writer sorts
-    every key), so the document is for writing, not for changing."""
+    when empty. The ``sim`` rows, the recommendation values, the attributes
+    and the baseline scores are the run's own maps, unsorted and uncopied
+    (the canonical writer sorts every key), so the document is for writing,
+    not for changing."""
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "purpose": run.purpose,
         "individuals": list(run.population.individuals),
         "provenance": run.perceptions.provenance,
         "sim": run.perceptions.rows,
-        "rec": {
-            "kind": run.recommendations.kind,
-            "values": {
-                i: (int(o.value) if o.is_binary else o.value)
-                for i, o in run.recommendations.values.items()
-            },
-        },
+        "rec": {"kind": run.recommendations.kind, "values": run.recommendations.values},
         **settings_to_dict(run),
     }
     if run.population.attributes:

@@ -17,7 +17,6 @@ from ..aggregation import AggregationStrategy
 from ..core import (
     AuditParams,
     InputError,
-    Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -88,10 +87,7 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
                 row[target] = round(rng.random(), 3)
         rows[observer] = row
 
-    rec_values = {
-        i: Outcome.label(1 if rng.random() < profile.base_positive_rate else 0)
-        for i in ids
-    }
+    rec_values = {i: 1 if rng.random() < profile.base_positive_rate else 0 for i in ids}
 
     delta = DEFAULT_PARAMS.delta
     boost = round(min(1.0, delta + (1.0 - delta) * 0.9), 3)

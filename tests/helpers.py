@@ -11,13 +11,10 @@ from subjfair import (
     AggregationStrategy,
     AuditParams,
     AuditReport,
-    DecisionVector,
     ExplanationObligation,
-    Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
-    UnknownIndividualError,
     audit_population,
     build_cluster_family,
     run_pipeline,
@@ -35,17 +32,17 @@ def perceived_cluster(
     so delta = 0.0 admits everyone.
 
     Raises:
-        UnknownIndividualError: if ``x`` is not in the population.
+        KeyError: if ``x`` is not in the population.
     """
     if x not in pop:
-        raise UnknownIndividualError(x)
+        raise KeyError(x)
     ids = pop.individuals
     return [k for k in pop.order if ids[k] == x or perceptions.similarity(x, ids[k]) >= delta]
 
 
-def by_id(vector: DecisionVector) -> dict[str, int]:
-    """A label vector as ``{id: 0/1 label}``, read through its id view."""
-    return {x: int(vector[x].value) for x in vector.positions}
+def by_id(ids: tuple[str, ...], labels: list[int]) -> dict[str, int]:
+    """The 0/1 labels of the people of ``ids``, by position, as ``{id: label}``."""
+    return dict(zip(ids, labels))
 
 
 def obligation_records(owed: dict[str, tuple[str, ...]]) -> list[ExplanationObligation]:
@@ -66,8 +63,7 @@ def make_inputs(
     """Assemble validated audit inputs from plain dicts."""
     pop = Population(tuple(rows), attributes)
     table = PerceptionTable(rows)
-    make = Outcome.label if kind == "binary" else Outcome.score
-    vector = RecommendationVector(purpose, {i: make(v) for i, v in recs.items()})
+    vector = RecommendationVector(purpose, recs, kind)
     params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
     family = build_cluster_family(pop, table, delta)
     return SimpleNamespace(
@@ -89,19 +85,20 @@ def audit(
         theta=inputs.params.theta if theta is None else theta,
     )
     strategy = AggregationStrategy(kind, theta=params.theta)
-    set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
     return audit_population(
-        inputs.pop, inputs.family, inputs.recs, params, set_recs, decisions
+        inputs.pop, inputs.family, inputs.recs, params, set_labels, decisions
     )
 
 
-def similarity(a: Outcome, b: Outcome) -> float:
-    """Treatment similarity by its definition, the reference the audit's
-    epsilon tests are checked against: binary outcomes compare by exact
-    match (1.0 or 0.0), scores by ``1 - |a - b|``."""
-    if a.kind == BINARY:
-        return 1.0 if a.value == b.value else 0.0
-    return 1.0 - abs(a.value - b.value)
+def similarity(a: float, b: float, kind: str) -> float:
+    """Treatment similarity of two recommendations of ``kind`` by its
+    definition, the reference the audit's epsilon tests are checked against:
+    binary labels compare by exact match (1.0 or 0.0), scores by
+    ``1 - |a - b|``."""
+    if kind == BINARY:
+        return 1.0 if a == b else 0.0
+    return 1.0 - abs(a - b)
 
 
 def cluster_label(
@@ -114,10 +111,10 @@ def cluster_label(
     rows = {i: {i: 1.0} for i in ids}
     rows[ids[0]] = dict.fromkeys(ids, 1.0)
     inputs = make_inputs(rows, dict(zip(ids, recs)), theta=theta, kind=kind)
-    set_recs, _ = run_pipeline(
+    set_labels, _ = run_pipeline(
         inputs.pop, inputs.family, inputs.recs, AggregationStrategy(strategy, theta=theta)
     )
-    return int(set_recs[ids[0]].value)
+    return set_labels[0]
 
 
 def as_run(inputs: SimpleNamespace, kind: str = MAJORITY) -> AuditRunFile:
@@ -208,14 +205,11 @@ def find_manipulation_instance(
         )
         run = generate_population(profile)
         family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-        set_recs, decisions = run_pipeline(
+        set_labels, decisions = run_pipeline(
             run.population, family, run.recommendations, run.strategy
         )
-        if (
-            set_recs[target].value == 1.0
-            and set_recs[agent].value == 1.0
-            and decisions[agent].value == 0.0
-        ):
+        a, t = run.population.positions[agent], run.population.positions[target]
+        if set_labels[t] == 1 and set_labels[a] == 1 and decisions[a] == 0:
             return run
     raise LookupError(
         f"no manipulation-mitigation instance found within {max_seeds} seeds"

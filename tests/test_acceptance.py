@@ -19,7 +19,6 @@ from subjfair import (
     AggregationStrategy,
     AuditParams,
     ObjectiveDistanceTable,
-    Outcome,
     Population,
     PerceptionTable,
     build_cluster_family,
@@ -56,9 +55,9 @@ def test_acceptance_1_stage_one_reproduction():
     run = crossed_clusters_run()
     family = build_cluster_family(run.population, run.perceptions, run.params.delta)
     start = time.perf_counter()
-    set_recs, _ = run_pipeline(run.population, family, run.recommendations, run.strategy)
+    set_labels, _ = run_pipeline(run.population, family, run.recommendations, run.strategy)
     elapsed = time.perf_counter() - start
-    assert by_id(set_recs) == {
+    assert by_id(run.population.individuals, set_labels) == {
         "x": 0,
         "y": 1,
         "u": 0,
@@ -74,7 +73,7 @@ def test_acceptance_2_stage_two_reproduction():
     start = time.perf_counter()
     _, decisions = run_pipeline(run.population, family, run.recommendations, run.strategy)
     elapsed = time.perf_counter() - start
-    assert by_id(decisions) == {
+    assert by_id(run.population.individuals, decisions) == {
         "x": 0,
         "y": 1,
         "u": 0,
@@ -160,9 +159,8 @@ def test_acceptance_5_property_suite():
             theta=rng.uniform(0, 0.99),
         )
         strategy = AggregationStrategy(theta=inputs.params.theta)
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert all(v == float(constant) for v in by_id(set_recs).values())
-        assert all(v == float(constant) for v in by_id(decisions).values())
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        assert set_labels == decisions == [constant] * n
 
     # ISF implies relaxed ISF for binary outcomes under majority aggregation
     rng = random.Random(104)
@@ -178,20 +176,20 @@ def test_acceptance_5_property_suite():
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert set(by_id(decisions)) == set(inputs.pop.individuals)
+        assert len(decisions) == len(inputs.pop)
 
     # scenario classes partition the population
     rng = random.Random(106)
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
         report = audit(inputs)
-        set_recs = report.set_recommendations
         ids = inputs.pop.individuals
+        values, kind = inputs.recs.values, inputs.recs.kind
         for k, x in enumerate(ids):
-            r_x = inputs.recs[x]
+            r_x = values[x]
             members = [ids[j] for j in inputs.family.members[k]]
-            own_vs_set = similarity(r_x, set_recs[x])
-            all_match = all(similarity(inputs.recs[y], r_x) > 0.0 for y in members)
+            own_vs_set = similarity(r_x, report.set_labels[k], kind)
+            all_match = all(similarity(values[y], r_x, kind) > 0.0 for y in members)
             conds = [
                 own_vs_set > 0.0 and all_match,
                 own_vs_set > 0.0 and not all_match,
@@ -222,10 +220,10 @@ def test_acceptance_5_property_suite():
             recs.update(dict.fromkeys([f"o{k}", *supporters], label))
         inputs = make_inputs(rows, recs, theta=theta)
         strategy = AggregationStrategy(theta=theta)
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        owners = inputs.family.owners[inputs.pop.positions["t"]]
-        assert sorted(set_recs.labels[o] for o in owners) == sorted(labels)
-        assert decisions["t"] == Outcome.label(0)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        t = inputs.pop.positions["t"]
+        assert sorted(set_labels[o] for o in inputs.family.owners[t]) == sorted(labels)
+        assert decisions[t] == 0
 
     # subjective check with no overrides is the objective check per observer
     rng = random.Random(108)

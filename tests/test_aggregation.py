@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from subjfair import (
     AggregationStrategy,
     ConfigError,
-    Outcome,
     VetoRule,
     binarize,
     run_pipeline,
@@ -44,8 +43,9 @@ class TestStageOne:
         assert cluster_label([0.7, 0.6, 0.2], kind="score") == 1
 
     def test_score_exactly_half_binarizes_to_zero(self):
-        assert binarize(Outcome.score(0.5)) == Outcome.label(0)
-        assert binarize(Outcome.score(0.51)) == Outcome.label(1)
+        assert binarize(0.5) == 0
+        assert binarize(0.51) == 1
+        assert binarize(1) == 1 and binarize(0) == 0
         assert cluster_label([0.5], kind="score") == 0
         assert cluster_label([0.51], kind="score") == 1
 
@@ -56,29 +56,30 @@ class TestStageTwo:
     def test_majority_across_clusters(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        decisions = by_id(inputs.pop.individuals, decisions)
         # y sits in the clusters of x (0), y (1) and v (1)
         assert inputs.family.owners[1] == [3, 0, 1]  # v, x, y in id order
-        assert decisions["y"] == Outcome.label(1)
+        assert decisions["y"] == 1
 
     def test_tie_across_clusters_resolves_to_zero(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        decisions = by_id(inputs.pop.individuals, decisions)
         # u sits in the clusters of y (1) and u (0)
         assert inputs.family.owners[2] == [2, 1]  # u, y in id order
-        assert decisions["u"] == Outcome.label(0)
+        assert decisions["u"] == 0
 
     def test_single_cluster_membership_inherits_label(self):
         inputs = make_inputs({"a": {"a": 1.0}, "b": {"b": 1.0}}, {"a": 1, "b": 0})
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert decisions["a"] == Outcome.label(1)
-        assert decisions["b"] == Outcome.label(0)
+        assert by_id(inputs.pop.individuals, decisions) == {"a": 1, "b": 0}
 
 
 class TestPipeline:
     def test_crossed_clusters_stage_one(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        set_recs, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert by_id(set_recs) == {
+        set_labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        assert by_id(inputs.pop.individuals, set_labels) == {
             "x": 0,
             "y": 1,
             "u": 0,
@@ -88,7 +89,7 @@ class TestPipeline:
     def test_crossed_clusters_stage_two(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert by_id(decisions) == {
+        assert by_id(inputs.pop.individuals, decisions) == {
             "x": 0,
             "y": 1,
             "u": 0,
@@ -103,23 +104,23 @@ class TestPipeline:
             for x in ids
         }
         inputs = make_inputs(rows, {i: 1 for i in ids}, delta=0.5)
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        assert all(v == 1.0 for v in by_id(set_recs).values())
-        assert all(v == 1.0 for v in by_id(decisions).values())
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        assert set_labels == decisions == [1] * len(ids)
 
     def test_decisions_are_total(self):
         rng = random.Random(5)
         for _ in range(20):
             inputs = random_instance(rng)
             _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-            assert set(by_id(decisions)) == set(inputs.pop.individuals)
+            assert len(decisions) == len(inputs.pop)
 
 
 def _trusted(inputs):
     """Who carries trust weight 1, by its definition: a person whose
     binarized recommendation matches their own cluster's plain majority."""
     plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-    return {x for x in inputs.pop.individuals if binarize(inputs.recs[x]) == plain[x]}
+    ids = inputs.pop.individuals
+    return {x for x, own in zip(ids, plain) if binarize(inputs.recs.values[x]) == own}
 
 
 def _matches_oracle(inputs):
@@ -128,7 +129,7 @@ def _matches_oracle(inputs):
         inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
     )
     doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
-    return by_id(weighted) == doc["set_rec"]
+    return by_id(inputs.pop.individuals, weighted) == doc["set_rec"]
 
 
 class TestTrustWeighting:
@@ -165,8 +166,8 @@ class TestTrustWeighting:
         weighted, _ = run_pipeline(
             inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
         )
-        assert plain["o"] == Outcome.label(1)
-        assert weighted["o"] == Outcome.label(0)
+        o = inputs.pop.positions["o"]
+        assert (plain[o], weighted[o]) == (1, 0)
 
     def test_all_zero_weights_fall_back_to_majority(self):
         # every member of a's cluster disagrees with their own cluster's
@@ -184,7 +185,8 @@ class TestTrustWeighting:
         weighted, _ = run_pipeline(
             inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
         )
-        assert weighted["a"] == plain["a"]
+        a = inputs.pop.positions["a"]
+        assert weighted[a] == plain[a]
         assert _matches_oracle(inputs)
 
     def test_pipeline_matches_per_member_trust_weights(self):
@@ -196,7 +198,7 @@ class TestTrustWeighting:
             strategy = AggregationStrategy("trust_weighted", inputs.params.theta)
             labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
             doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
-            assert by_id(labels) == doc["set_rec"]
+            assert by_id(inputs.pop.individuals, labels) == doc["set_rec"]
 
     def test_pipeline_aggregates_each_cluster_once(self, monkeypatch):
         # complexity gate by counted calls: at most three majority tallies
@@ -241,10 +243,10 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
 
     calls = 0
 
-    def counting(outcome):
+    def counting(value):
         nonlocal calls
         calls += 1
-        return binarize(outcome)
+        return binarize(value)
 
     monkeypatch.setattr(aggregation, "binarize", counting)
     assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy) == expected
@@ -275,18 +277,18 @@ class TestPessimistic:
 
     def test_pipeline_uses_min_at_both_stages(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        set_recs, decisions = run_pipeline(
+        set_labels, decisions = run_pipeline(
             inputs.pop, inputs.family, inputs.recs, AggregationStrategy("pessimistic")
         )
         # every cluster but v's contains at least one 0 recommendation
-        assert by_id(set_recs) == {
+        assert by_id(inputs.pop.individuals, set_labels) == {
             "x": 0,
             "y": 0,
             "u": 0,
             "v": 1,
         }
         # v belongs to clusters of y (0), u (0) and v (1) -> 0
-        assert all(v == 0.0 for v in by_id(decisions).values())
+        assert decisions == [0, 0, 0, 0]
 
 
 def _vetoed_decision(person, rec, age, rule):
@@ -295,22 +297,22 @@ def _vetoed_decision(person, rec, age, rule):
     inputs = make_inputs({person: {person: 1.0}}, {person: rec}, attributes={person: {"age": age}})
     strategy = AggregationStrategy("veto", veto_rules=(rule,))
     _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-    return decisions[person]
+    return decisions[0]
 
 
 class TestVeto:
     def test_matching_rule_strips_positive_decision(self):
         rule = VetoRule("age", "<", 18, vetoed_label=1)
-        assert _vetoed_decision("kid", 1, 16, rule) == Outcome.label(0)
+        assert _vetoed_decision("kid", 1, 16, rule) == 0
 
     def test_non_matching_rule_passes_through(self):
         rule = VetoRule("age", "<", 18, vetoed_label=1)
-        assert _vetoed_decision("adult", 1, 30, rule) == Outcome.label(1)
+        assert _vetoed_decision("adult", 1, 30, rule) == 1
 
     def test_veto_is_idempotent_on_zero(self):
         for vetoed_label in (0, 1):
             rule = VetoRule("age", "<", 18, vetoed_label=vetoed_label)
-            assert _vetoed_decision("kid", 0, 16, rule) == Outcome.label(0)
+            assert _vetoed_decision("kid", 0, 16, rule) == 0
 
     def test_unknown_attribute_rejected_at_validation(self):
         inputs = make_inputs(
@@ -341,8 +343,7 @@ class TestVeto:
             "veto", theta=0.5, veto_rules=(VetoRule("age", "<", 18),)
         )
         _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert decisions["a"] == Outcome.label(0)
-        assert decisions["b"] == Outcome.label(1)
+        assert by_id(inputs.pop.individuals, decisions) == {"a": 0, "b": 1}
 
     def test_rules_only_valid_on_veto_strategy(self):
         with pytest.raises(ConfigError):
@@ -398,7 +399,7 @@ def test_pipeline_matches_naive_rederivation():
     rng = random.Random(41)
     for _ in range(60):
         inputs = random_instance(rng)
-        set_recs, decisions = run_pipeline(
+        set_labels, decisions = run_pipeline(
             inputs.pop,
             inputs.family,
             inputs.recs,
@@ -409,15 +410,14 @@ def test_pipeline_matches_naive_rederivation():
         expected_set = {}
         for owner in ids:
             members = [z for z in ids if inputs.table.similarity(owner, z) >= inputs.params.delta]
-            tally = sum(inputs.recs[m].value for m in members) / len(members)
+            tally = sum(inputs.recs.values[m] for m in members) / len(members)
             expected_set[owner] = 1 if tally > theta else 0
-        for owner in ids:
-            assert int(set_recs[owner].value) == expected_set[owner]
-        for i in ids:
+        assert set_labels == [expected_set[owner] for owner in ids]
+        for i, decision in zip(ids, decisions):
             owners = [
                 o
                 for o in ids
                 if inputs.table.similarity(o, i) >= inputs.params.delta or o == i
             ]
             tally = sum(expected_set[o] for o in owners) / len(owners)
-            assert int(decisions[i].value) == (1 if tally > theta else 0)
+            assert decision == (1 if tally > theta else 0)

@@ -15,9 +15,6 @@ from subjfair import (
     NO_CONFLICT,
     JUSTIFIABLE_BY_GROUP,
     SYSTEM_SUSPECT,
-    DecisionVector,
-    Outcome,
-    SetRecommendationVector,
     audit_population,
     binarize,
     run_pipeline,
@@ -49,8 +46,9 @@ def satisfied_share(inputs, k, epsilon):
     definition, member by member."""
     ids = inputs.pop.individuals
     members = inputs.family.members[k]
-    r_x = inputs.recs[ids[k]]
-    hits = sum(1 for j in members if similarity(r_x, inputs.recs[ids[j]]) > epsilon)
+    values, kind = inputs.recs.values, inputs.recs.kind
+    r_x = values[ids[k]]
+    hits = sum(1 for j in members if similarity(r_x, values[ids[j]], kind) > epsilon)
     return hits / len(members)
 
 
@@ -128,7 +126,7 @@ class TestRelaxedIsf:
             {"a": 1, "b": 1, "c": 0},
         )
         report = audit(inputs, kind=PESSIMISTIC)
-        assert report.set_recommendations["a"] == Outcome.label(0)
+        assert report.set_labels[0] == 0
         assert report.relaxed_isf[0] == FAIR
         assert report.scenario[0] == NEITHER
 
@@ -192,14 +190,14 @@ class TestScenario:
         for _ in range(80):
             inputs = random_instance(rng, epsilon=0.0)
             report = audit(inputs)
-            set_recs = report.set_recommendations
             eps = inputs.params.epsilon
             ids = inputs.pop.individuals
+            values, kind = inputs.recs.values, inputs.recs.kind
             for k, x in enumerate(ids):
-                r_x = inputs.recs[x]
-                own_vs_set = similarity(r_x, set_recs[x])
+                r_x = values[x]
+                own_vs_set = similarity(r_x, report.set_labels[k], kind)
                 all_match = all(
-                    similarity(inputs.recs[ids[j]], r_x) > eps for j in inputs.family.members[k]
+                    similarity(values[ids[j]], r_x, kind) > eps for j in inputs.family.members[k]
                 )
                 conds = [
                     own_vs_set > eps and all_match,
@@ -214,10 +212,8 @@ class TestScenario:
 class TestConflict:
     def _conflict(self, r, r_set, d):
         inputs = make_inputs({"i": {"i": 1.0}}, {"i": r})
-        set_recs = SetRecommendationVector.of("t", {"i": Outcome.label(r_set)})
-        decisions = DecisionVector.of("t", {"i": Outcome.label(d)})
         report = audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
+            inputs.pop, inputs.family, inputs.recs, inputs.params, [r_set], [d]
         )
         return report.conflict[0]
 
@@ -235,11 +231,9 @@ class TestConflict:
         for _ in range(50):
             inputs = random_instance(rng, epsilon=0.0)
             report = audit(inputs)
-            for x, got in zip(inputs.pop.individuals, report.conflict):
-                matches_cluster = (
-                    similarity(inputs.recs[x], report.set_recommendations[x])
-                    > inputs.params.epsilon
-                )
+            values, kind = inputs.recs.values, inputs.recs.kind
+            for x, own, got in zip(inputs.pop.individuals, report.set_labels, report.conflict):
+                matches_cluster = similarity(values[x], own, kind) > inputs.params.epsilon
                 if matches_cluster:
                     assert got == NO_CONFLICT
                 else:
@@ -292,9 +286,10 @@ class TestInvariants:
             eps = rng.choice([0.0, 0.2, 0.5])
             isf = audit(inputs, epsilon=eps).isf
             ids = inputs.pop.individuals
+            values, kind = inputs.recs.values, inputs.recs.kind
             for k, x in enumerate(ids):
                 without_self = all(
-                    similarity(inputs.recs[x], inputs.recs[ids[j]]) > eps
+                    similarity(values[x], values[ids[j]], kind) > eps
                     for j in inputs.family.members[k]
                     if j != k
                 )
@@ -304,9 +299,9 @@ class TestInvariants:
 class TestAuditPopulation:
     def test_full_report_fields(self):
         inputs = crossed()
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
         report = audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
+            inputs.pop, inputs.family, inputs.recs, inputs.params, set_labels, decisions
         )
         columns = (report.isf, report.relaxed_isf, report.satisfaction_ratio)
         assert all(len(column) == len(inputs.pop) for column in columns)
@@ -315,20 +310,18 @@ class TestAuditPopulation:
         assert report.scenario[V] == ISF_SATISFIED
         assert report.relaxed_isf[X] == FAIR
 
-    def test_label_vectors_in_another_order_are_refused(self):
-        # the audit reads the vectors by position, so a vector positioned
-        # otherwise than the population would pair people with others' labels
+    def test_label_lists_of_another_length_are_refused(self):
+        # the audit reads the labels by position, so a list that holds no
+        # label for someone, or one too many, is refused
         from subjfair import InputError
 
         inputs = crossed()
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
-        backwards = tuple(reversed(inputs.pop.individuals))
-        reordered = SetRecommendationVector.of("t", {x: set_recs[x] for x in backwards})
-        assert all(reordered[x] == set_recs[x] for x in backwards)
-        with pytest.raises(InputError, match="population's positions"):
-            audit_population(
-                inputs.pop, inputs.family, inputs.recs, inputs.params, reordered, decisions
-            )
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        for short, long in ((set_labels[:-1], decisions), (set_labels, decisions + [0])):
+            with pytest.raises(InputError, match="one label per person"):
+                audit_population(
+                    inputs.pop, inputs.family, inputs.recs, inputs.params, short, long
+                )
 
     def test_reads_each_cluster_once(self, monkeypatch):
         # complexity gate by counted calls: one binarized label per person
@@ -338,7 +331,7 @@ class TestAuditPopulation:
         inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score")
         sum_c = sum(map(len, inputs.family.members))
         assert sum_c > 20 * len(ids)
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
 
         calls = Counter()
 
@@ -354,7 +347,7 @@ class TestAuditPopulation:
         assert not hasattr(audit_module, "binarize")
         monkeypatch.setattr(aggregation, "binarize", counting("binarize", binarize))
         audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, set_recs, decisions
+            inputs.pop, inputs.family, inputs.recs, inputs.params, set_labels, decisions
         )
         assert calls["binarize"] <= len(ids)
 

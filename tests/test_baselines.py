@@ -4,16 +4,15 @@ import random
 import pytest
 
 from subjfair import (
-    DecisionVector,
     InputError,
     ObjectiveDistanceTable,
-    Outcome,
     Population,
     dwork_if_check,
     statistical_parity_gap,
     subjective_if_check,
 )
 from subjfair.baselines import GAP_TOLERANCE
+from subjfair.harness.runfile import BaselineInputs
 
 
 class TestObjectiveCheck:
@@ -113,7 +112,8 @@ class TestSubjectiveCheck:
 
 
 def _decisions(values):
-    return DecisionVector.of("t", {i: Outcome.label(v) for i, v in values.items()})
+    """The 0/1 decisions of ``values``, by position in its id order."""
+    return list(values.values())
 
 
 def _population(groups):
@@ -189,13 +189,13 @@ class TestStatisticalParity:
         rates, _ = statistical_parity_gap(decisions, pop, "group")
         assert rates == {1: 0.5, "2": 0.0, None: 1.0}
 
-    def test_decisions_in_another_order_are_refused(self):
-        # parity reads the decisions by position, so a vector positioned
-        # otherwise than the population would pair people with others' labels
+    def test_decisions_of_another_length_are_refused(self):
+        # parity reads the decisions by position, so a list that holds no
+        # decision for someone, or one too many, is refused
         pop = _population({"a": "A", "b": "A", "c": "B"})
-        decisions = _decisions({"c": 1, "b": 1, "a": 0})
-        with pytest.raises(InputError, match="population's positions"):
-            statistical_parity_gap(decisions, pop, "group")
+        for decisions in ([1, 0], [1, 0, 1, 1]):
+            with pytest.raises(InputError, match="one label per person"):
+                statistical_parity_gap(decisions, pop, "group")
 
     def test_missing_attribute_rejected(self):
         pop = Population(("a", "b"))
@@ -205,6 +205,21 @@ class TestStatisticalParity:
 
 
 class TestDistanceTable:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ObjectiveDistanceTable({(1, "x"): 0.1}),
+            lambda: ObjectiveDistanceTable({("x", "y"): 0.1}, {(1, "x", "y"): 0.1}),
+            lambda: BaselineInputs({1: 0.9, "x": 0.2}, ObjectiveDistanceTable({})),
+        ],
+        ids=["distance", "override", "score"],
+    )
+    def test_ids_that_are_not_strings_are_refused(self, build):
+        # a coerced 1 would name the id "1", and comparing 1 with "x" to
+        # sort a pair would raise a bare TypeError
+        with pytest.raises(InputError, match="expected an id string, got 1"):
+            build()
+
     def test_pairs_are_stored_sorted(self):
         table = ObjectiveDistanceTable({("y", "x"): 0.3}, {("y", "y", "x"): 1})
         assert table.entries == {("x", "y"): 0.3}

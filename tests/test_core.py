@@ -5,10 +5,7 @@ from hypothesis import given, strategies as st
 
 from subjfair import (
     AuditParams,
-    DecisionVector,
     InputError,
-    KindMismatchError,
-    Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -65,21 +62,39 @@ class TestTreatmentSimilarity:
         assert _pair_ratios(a, a, epsilon, kind="score") == (1.0, 1.0)
 
 
-class TestOutcome:
+class TestRecommendationVector:
     def test_binary_values_restricted(self):
-        with pytest.raises(InputError):
-            Outcome.label(2)
+        for value in (2, 0.5, -1):
+            with pytest.raises(InputError, match="must be 0 or 1"):
+                RecommendationVector("p", {"a": value})
 
     def test_score_range(self):
-        with pytest.raises(InputError):
-            Outcome.score(1.2)
+        for value in (1.2, -0.01, float("inf")):
+            with pytest.raises(InputError, match="outside"):
+                RecommendationVector("p", {"a": value}, "score")
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            Outcome(0.5, "ordinal")
+            RecommendationVector("p", {"a": 0.5}, "ordinal")
 
-    def test_label_int_and_float_equal(self):
-        assert Outcome(1, "binary") == Outcome.label(1)
+    def test_values_are_stored_as_their_kind(self):
+        # a binary label is an int and a score a float, whichever was given
+        labels = RecommendationVector("p", {"a": 1.0, "b": 0, "c": -0.0})
+        assert labels.values == {"a": 1, "b": 0, "c": 0}
+        assert {type(v) for v in labels.values.values()} == {int}
+        scores = RecommendationVector("p", {"a": 1, "b": 0, "c": 0.25}, "score")
+        assert scores.values == {"a": 1.0, "b": 0.0, "c": 0.25}
+        assert {type(v) for v in scores.values.values()} == {float}
+
+    @pytest.mark.parametrize("kind", ["binary", "score"])
+    @pytest.mark.parametrize("value", [True, False, float("nan"), "1", None, [1]])
+    def test_bools_nans_and_non_numbers_refused(self, kind, value):
+        with pytest.raises(InputError):
+            RecommendationVector("p", {"a": value}, kind)
+
+    def test_kind_is_stated_once_for_the_vector(self):
+        assert RecommendationVector("p", {}).kind == "binary"
+        assert RecommendationVector("p", {"a": 0.5}, "score").kind == "score"
 
 
 class TestAuditParams:
@@ -122,16 +137,6 @@ class TestPopulation:
             Population(("a",), {"z": {"age": 1}})
 
 
-class TestVectors:
-    def test_recommendation_vector_rejects_mixed_kinds(self):
-        with pytest.raises(KindMismatchError):
-            RecommendationVector("p", {"a": Outcome.label(1), "b": Outcome.score(0.5)})
-
-    def test_decision_vector_rejects_scores(self):
-        with pytest.raises(KindMismatchError):
-            DecisionVector.of("p", {"a": Outcome.score(0.5)})
-
-
 class TestValidatePopulation:
     def _valid(self):
         return make_inputs(
@@ -161,7 +166,7 @@ class TestValidatePopulation:
 
     def test_missing_recommendation_is_flagged(self):
         inputs = self._valid()
-        recs = RecommendationVector("test", {"a": Outcome.label(1)})
+        recs = RecommendationVector("test", {"a": 1})
         report = validate_population(inputs.pop, inputs.table, recs)
         assert any(
             code == MISSING_RECOMMENDATION and "no recommendation for b" in message
@@ -173,9 +178,7 @@ class TestValidatePopulation:
         table = PerceptionTable(
             {"a": {"a": 1.0, "ghost": 0.8}, "b": {"b": 1.0}}
         )
-        recs = RecommendationVector(
-            "test", {"a": Outcome.label(1), "b": Outcome.label(0), "ghost": Outcome.label(1)}
-        )
+        recs = RecommendationVector("test", {"a": 1, "b": 0, "ghost": 1})
         report = validate_population(inputs.pop, table, recs)
         codes = {code for code, _, _ in report}
         assert UNKNOWN_ID in codes
@@ -289,7 +292,7 @@ def test_validation_matches_the_sorted_scan_on_broken_tables():
         pop = Population(tuple(ids))
         table = PerceptionTable(rows_of(_broken_entries(rng, ids)))
         rec_ids = rng.sample(ids, n - rng.randint(0, 5)) + [f"zz{k}" for k in range(rng.randint(0, 3))]
-        recs = RecommendationVector("t", {i: Outcome.label(rng.randint(0, 1)) for i in rec_ids})
+        recs = RecommendationVector("t", {i: rng.randint(0, 1) for i in rec_ids})
         report = validate_population(pop, table, recs)
         assert report == _sorted_scan(pop, table, recs)
         assert {code for code, _, _ in report} == {SELF_SIMILARITY, VALUE_RANGE, UNKNOWN_ID} | (

@@ -46,8 +46,8 @@ from subjfair import (
     TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
+    SCORE,
     AuditParams,
-    Outcome,
     Population,
     RecommendationVector,
     VetoRule,
@@ -122,7 +122,7 @@ def _synthetic_run(n, density, strategy, kind, extras, seed):
     changes = {"params": params}
     if kind == "score":
         changes["recommendations"] = RecommendationVector(
-            run.purpose, {i: Outcome.score(round(rng.random(), 3)) for i in ids}
+            run.purpose, {i: round(rng.random(), 3) for i in ids}, SCORE
         )
     attributes = {i: {"age": rng.randint(10, 60), "group": rng.choice("abc")} for i in ids}
     changes["population"] = Population(ids, attributes)

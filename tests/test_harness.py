@@ -11,7 +11,6 @@ from subjfair import (
     AggregationStrategy,
     AuditParams,
     ObjectiveDistanceTable,
-    Outcome,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -280,6 +279,14 @@ class TestRunFile:
                 lambda d: d["rec"]["values"].update({"b": 0.5}),
                 "rec.values.b",
                 id="rec-binary-half",
+            ),
+            pytest.param(
+                lambda d: d["rec"].update(kind="score", values={"a": 0.5, "b": float("nan")}),
+                "rec.values.b",
+                id="rec-score-nan",
+            ),
+            pytest.param(
+                lambda d: d["rec"]["values"].update({"a": "1"}), "rec.values.a", id="rec-string"
             ),
             pytest.param(
                 lambda d: d.update(
@@ -562,7 +569,7 @@ class TestOracle:
             if seed >= len(cases):
                 rng = random.Random(seed)
                 recs = RecommendationVector(
-                    recs.purpose, {i: Outcome.score(round(rng.random(), 2)) for i in ids}
+                    recs.purpose, {i: round(rng.random(), 2) for i in ids}, "score"
                 )
                 epsilon = (0.1, 0.3, 0.5, 0.8)[seed - len(cases)]
             rules = ()
@@ -594,9 +601,7 @@ class TestOracle:
         run = generate_population(SynthProfile(n=1, seed=0))
         doc = brute_force_oracle(run)
         assert doc["sf"]["verdict"] == "fair"
-        assert doc["dec"] == {
-            i: int(run.recommendations[i].value) for i in run.population.individuals
-        }
+        assert doc["dec"] == run.recommendations.values
         assert doc == build_audit_doc(audit_run(run))
 
     def test_refuses_large_populations(self):
@@ -955,11 +960,12 @@ class TestCli:
             assert built == 0
 
     def test_report_builds_as_many_records_at_any_size(self, tmp_path, monkeypatch):
-        # work gate by counted constructions: the full report of a run with
-        # a group attribute and baseline violations builds the same number
-        # of subjfair dataclass instances at n = 120 with 30 scored people
-        # as at n = 240 with 60, so it builds none per person or per pair
-        runs = []
+        # work gate by counted constructions: loading a run with a group
+        # attribute and baseline violations and building its full report
+        # builds the same number of subjfair dataclass instances at n = 120
+        # with 30 scored people as at n = 240 with 60, so it builds none per
+        # person or per pair
+        paths = []
         for n, scored in ((120, 30), (240, 60)):
             run = generate_population(SynthProfile(n=n, cluster_density=0.3, seed=n))
             rng = random.Random(n)
@@ -978,7 +984,7 @@ class TestCli:
                     ObjectiveDistanceTable(distances, overrides),
                 ),
             )
-            runs.append(load_run(save_run(run, tmp_path / f"n{n}.json")))
+            paths.append(save_run(run, tmp_path / f"n{n}.json"))
 
         built = 0
         classes = {
@@ -1000,8 +1006,9 @@ class TestCli:
 
                 monkeypatch.setattr(cls, "__init__", counting)
         counts = []
-        for run in runs:
+        for path in paths:
             built = 0
+            run = load_run(path)
             doc = build_report_doc(audit_run(run), group_attr="group", include_baselines=True)
             counts.append(built)
             assert doc["baselines"]["objective_if"] and doc["baselines"]["subjective_if"]
@@ -1108,6 +1115,20 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["report", "--input", str(path)]) == 0
         assert f"procedural rules satisfied: {satisfied}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "changes, location",
+        [
+            ({"metadata": {"ethicality_asserted": "yes"}}, "metadata.ethicality_asserted"),
+            ({"metadata": {"ethicality_asserted": None}}, "metadata.ethicality_asserted"),
+            ({"strategy": AggregationStrategy(theta=0.4)}, "strategy.theta"),
+        ],
+    )
+    def test_a_run_the_loader_would_refuse_cannot_be_built(self, changes, location):
+        # the run checks itself, so every run that can be saved loads back
+        with pytest.raises(RunFileError) as err:
+            dataclasses.replace(crossed_clusters_run(), **changes)
+        assert err.value.location == location
 
     @pytest.mark.parametrize("flag", ["--deltas", "--epsilons", "--thetas"])
     @pytest.mark.parametrize("grid", [",", "", " , ,"])

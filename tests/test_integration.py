@@ -12,7 +12,6 @@ from subjfair import (
     UNFAIR,
     PENDING,
     AggregationStrategy,
-    Outcome,
     PerceptionTable,
     run_pipeline,
 )
@@ -81,14 +80,12 @@ class TestPerOwnerClusterCounting:
         }
         inputs = make_inputs(rows, {"a": 1, "b": 1, "c": 0, "i": 0}, theta=0.4)
         strategy = AggregationStrategy(theta=0.4)
-        set_recs, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert by_id(set_recs) == {
-            "a": 1, "b": 1, "c": 0, "i": 0
-        }
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        assert by_id(inputs.pop.individuals, set_labels) == {"a": 1, "b": 1, "c": 0, "i": 0}
         assert inputs.family.owners[3] == [0, 1, 2, 3]  # a, b, c, i
         # per-owner counting: mean over {1, 1, 0, 0} = 0.5;
         # collapsing identical clusters would give mean over {1, 0, 0}
-        assert decisions["i"] == Outcome.label(1)  # 0.5 > 0.4 only with per-owner counting
+        assert decisions[3] == 1  # 0.5 > 0.4 only with per-owner counting
 
 
 class TestScoreKindEndToEnd:
@@ -121,7 +118,7 @@ class TestScoreKindEndToEnd:
         path = save_run(self._run(), tmp_path / "scores.json")
         reloaded = load_run(path)
         assert reloaded.recommendations.kind == "score"
-        assert reloaded.recommendations["a"].value == 0.9
+        assert reloaded.recommendations.values["a"] == 0.9
 
 
 def test_no_stage_builds_the_tuple_keyed_entries(tmp_path, monkeypatch):
@@ -173,8 +170,9 @@ def test_readme_quick_start_runs():
     namespace: dict = {}
     for block in blocks:
         exec(block.split("```", 1)[0], namespace)
-    assert by_id(namespace["set_recs"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
-    assert by_id(namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    ids = namespace["pop"].individuals
+    assert by_id(ids, namespace["set_labels"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
+    assert by_id(ids, namespace["decisions"]) == {"x": 0, "y": 1, "u": 0, "v": 1}
     report = namespace["report"]
     assert report.sf == UNFAIR
     assert report.dissenters == {"x", "y", "u"}

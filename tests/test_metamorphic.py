@@ -21,8 +21,8 @@ from subjfair import (
     TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
+    SCORE,
     AuditParams,
-    Outcome,
     Population,
     RecommendationVector,
     VetoRule,
@@ -43,10 +43,10 @@ RUNS = [
 ]
 IDS = [f"n{c[0]}-d{c[1]}-{c[2]}" for c in RUNS]
 
-#: The per-person fields of an audit report: the label vectors and the
+#: The per-person fields of an audit report: the label lists and the
 #: verdict, scenario and conflict columns.
 COLUMNS = (
-    "set_recommendations",
+    "set_labels",
     "decisions",
     "isf",
     "relaxed_isf",
@@ -67,7 +67,7 @@ def _run(n, density, kind, seed, delta=0.5, epsilon=0.0, theta=0.5):
     }
     if kind == "score":
         changes["recommendations"] = RecommendationVector(
-            run.purpose, {i: Outcome.score(round(rng.random(), 3)) for i in ids}
+            run.purpose, {i: round(rng.random(), 3) for i in ids}, SCORE
         )
     return replace(run, **changes)
 
@@ -82,9 +82,8 @@ def test_pessimistic_decisions_never_exceed_majority(case, theta):
     run = _run(*case, delta=0.4, theta=theta)
     majority = audit_run(run).report
     pessimistic = audit_run(_with_strategy(run, PESSIMISTIC)).report
-    for x in run.population.individuals:
-        assert pessimistic.set_recommendations[x].value <= majority.set_recommendations[x].value
-        assert pessimistic.decisions[x].value <= majority.decisions[x].value
+    for field in ("set_labels", "decisions"):
+        assert all(map(int.__le__, getattr(pessimistic, field), getattr(majority, field))), field
 
 
 @pytest.mark.parametrize("case", RUNS, ids=IDS)
@@ -196,11 +195,11 @@ def _self_consistent(run):
     cluster's majority label cut down to themself. A row is one person's
     own statement, so this changes only their own cluster, which then holds
     them alone and agrees with them: every trust weight becomes 1."""
-    majority = audit_run(run).report.set_recommendations
+    majority = audit_run(run).report.set_labels
     rows = run.perceptions.as_rows()
     dissenting = [
-        x for x in run.population.individuals
-        if binarize(run.recommendations[x]) != majority[x]
+        x for x, own in zip(run.population.individuals, majority)
+        if binarize(run.recommendations.values[x]) != own
     ]
     for x in dissenting:
         rows[x] = {x: 1.0}
@@ -215,8 +214,8 @@ def test_trust_weighted_is_majority_when_everyone_agrees_with_their_cluster(case
     family = majority.family
     assert cut > 0
     assert sum(map(len, family.members)) > 2 * run.n
-    for x in run.population.individuals:
-        assert binarize(run.recommendations[x]) == majority.report.set_recommendations[x]
+    for x, own in zip(run.population.individuals, majority.report.set_labels):
+        assert binarize(run.recommendations.values[x]) == own
     weighted = audit_run(_with_strategy(run, TRUST_WEIGHTED))
     for field in COLUMNS:
         assert getattr(weighted.report, field) == getattr(majority.report, field), field
@@ -225,8 +224,8 @@ def test_trust_weighted_is_majority_when_everyone_agrees_with_their_cluster(case
 
 def _as_scores(run):
     """The run with each binary label restated as the score 0.0 or 1.0."""
-    values = {x: Outcome.score(o.value) for x, o in run.recommendations.values.items()}
-    return replace(run, recommendations=RecommendationVector(run.purpose, values))
+    values = run.recommendations.values
+    return replace(run, recommendations=RecommendationVector(run.purpose, values, SCORE))
 
 
 #: (n, density, seed) of the binary runs restated as scores
