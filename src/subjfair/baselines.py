@@ -29,33 +29,52 @@ def check_ids(ids: Iterable[Any]) -> None:
             raise InputError(f"expected an id string, got {i!r}")
 
 
+def add_distances(table: dict, items: Iterable[tuple[tuple[str, ...], float]]) -> None:
+    """Store each ``(key, d)`` of ``items`` in ``table``, the key ``(x, y)``
+    or ``(observer, x, y)`` with its pair sorted, as an
+    ``ObjectiveDistanceTable`` keeps it.
+
+    Refuses an id that is not a string, a distance that is not >= 0 (NaN
+    included: no score gap compares above it, so it would hide a pair), an
+    observer who is not a party to the pair, and a key that ``table``
+    already holds in either order.
+    """
+    for key, d in items:
+        check_ids(key)
+        x, y = key[-2], key[-1]
+        if not d >= 0:
+            raise InputError(f"distance must be >= 0, got {d}")
+        if len(key) == 3 and key[0] != x and key[0] != y:
+            raise InputError(f"observer {key[0]!r} is not a party to the pair ({x}, {y})")
+        stored = key if x <= y else (*key[:-2], y, x)
+        if stored in table:
+            raise InputError(
+                f"second override by {key[0]!r} for the pair ({x}, {y})"
+                if len(key) == 3
+                else f"second distance for the pair ({x}, {y})"
+            )
+        table[stored] = float(d)
+
+
 @dataclass(frozen=True)
 class ObjectiveDistanceTable:
     """Symmetric pairwise distances, optionally overridden per observer.
 
     ``entries`` maps each unordered pair, keyed in sorted order, to its
     objective distance. ``subjective_overrides`` maps (observer, x, y), pair
-    sorted too, to the distance that observer perceives: the parties may disagree.
+    sorted too, to the distance that observer, a party to the pair,
+    perceives: the parties may disagree. Each key is given once, in either
+    order (``add_distances``).
     """
 
     entries: Mapping[tuple[str, str], float]
     subjective_overrides: Mapping[tuple[str, str, str], float] | None = None
 
     def __post_init__(self) -> None:
-        normalized = {}
-        for (x, y), d in self.entries.items():
-            check_ids((x, y))
-            if not d >= 0:
-                raise InputError(f"distance d({x},{y}) must be >= 0, got {d}")
-            normalized[(x, y) if x <= y else (y, x)] = float(d)
-        object.__setattr__(self, "entries", normalized)
-        overrides = {}
-        for (observer, x, y), d in (self.subjective_overrides or {}).items():
-            check_ids((observer, x, y))
-            if not d >= 0:
-                raise InputError(f"distance d_{observer}({x},{y}) must be >= 0, got {d}")
-            overrides[(observer, x, y) if x <= y else (observer, y, x)] = float(d)
-        object.__setattr__(self, "subjective_overrides", overrides)
+        for name in ("entries", "subjective_overrides"):
+            table: dict[tuple[str, ...], float] = {}
+            add_distances(table, (getattr(self, name) or {}).items())
+            object.__setattr__(self, name, table)
 
     @classmethod
     def adopt(
@@ -64,10 +83,10 @@ class ObjectiveDistanceTable:
         subjective_overrides: dict[tuple[str, str, str], float],
     ) -> "ObjectiveDistanceTable":
         """A table that keeps ``entries`` and ``subjective_overrides``
-        themselves, as the constructor would have made them: every pair
-        keyed in sorted order and every distance a float >= 0. The
-        constructor's pass over them is skipped, so nothing may change them
-        afterwards. The run-file loader builds its tables so."""
+        themselves, as the constructor would have made them: pairs keyed in
+        sorted order, observers parties to their pairs, distances floats
+        >= 0. The constructor's pass over them is skipped, so nothing may
+        change them afterwards. The run-file loader builds its tables so."""
         table = cls.__new__(cls)
         object.__setattr__(table, "entries", entries)
         object.__setattr__(table, "subjective_overrides", subjective_overrides)

@@ -1,11 +1,11 @@
 """Domain types, parameter validation, and input validation.
 
 Everything downstream (clustering, aggregation, auditing) is built on the
-types in this module. All types are immutable after construction and safe to
-share across concurrent audit runs. The one exception downstream is the
-cluster family (``clustering.ClusterFamily``): its clusters are immutable,
-but it also holds a derived cache, the stage-1 tally of the last
-recommendation vector read over it, which never changes its value.
+types in this module. They and every value downstream, the acceptance ledger
+included, are immutable and safe to share across concurrent audit runs. The
+one exception is the cluster family (``clustering.ClusterFamily``): its
+clusters are immutable, but it also holds a derived cache, the stage-1 tally
+of the last recommendation vector read over it, which never changes its value.
 A recommendation is one number per person, and its kind is stated once
 per vector. Past loading, people are known by their index in
 ``individuals``: the pipeline's labels are plain 0/1 lists by position,

@@ -3,17 +3,18 @@
 Every individual whose audit falls short of full individual fairness is owed
 justifications. The engine tracks those obligations and the recorded
 acceptance state of each one; it does not generate explanation content.
-Acceptance is defeasible: ledger entries may be rewritten across rounds as
-arguments land or fail, and the explanation-level verdict is re-derived from
-the current ledger each time.
+Acceptance is defeasible: each explanation round is a new, read-only
+ledger, in which an obligation rejected before may stand accepted as
+arguments land or fail, and the explanation-level verdict is derived from
+the ledger a run carries.
 What is owed follows from a person's scenario and conflict classes alone,
 so ``derive_obligations`` reads it from one table and builds no record.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
 
 from .audit import (
     FAIR,
@@ -118,64 +119,48 @@ def derive_obligations(report: AuditReport) -> dict[str, tuple[str, ...]]:
     return {ids[k]: owed[k] for k in report.population.order if owed[k]}
 
 
-class AcceptanceLedger:
-    """Mutable record of each obligation's acceptance state.
+class AcceptanceLedger(Mapping[tuple[str, str], str]):
+    """Read-only record of each obligation's acceptance state,
+    ``{(individual, kind): state}``, iterated in sorted key order.
 
-    States may be rewritten across explanation rounds; only the latest
-    state per obligation counts. Unrecorded obligations are pending.
+    The constructor checks every kind and state once, and nothing changes a
+    ledger afterwards: a later explanation round is a new ledger. An
+    obligation with no entry is pending (``ledger.get(key, PENDING)``).
     """
 
-    def __init__(
-        self, entries: Mapping[tuple[str, str], str] | None = None
-    ) -> None:
-        self._entries: dict[tuple[str, str], str] = {}
-        for (individual, kind), state in (entries or {}).items():
-            self.record(individual, kind, state)
+    def __init__(self, states: Mapping[tuple[str, str], str] | None = None) -> None:
+        self._states = dict(sorted((states or {}).items()))
+        for (_, kind), state in self._states.items():
+            if kind not in OBLIGATION_KINDS:
+                raise InputError(f"unknown obligation kind {kind!r}")
+            if state not in ACCEPTANCE_STATES:
+                raise InputError(f"unknown acceptance state {state!r}")
 
-    def record(self, individual: str, kind: str, state: str) -> None:
-        if kind not in OBLIGATION_KINDS:
-            raise InputError(f"unknown obligation kind {kind!r}")
-        if state not in ACCEPTANCE_STATES:
-            raise InputError(f"unknown acceptance state {state!r}")
-        self._entries[(individual, kind)] = state
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        return self._states[key]
 
-    def state(self, individual: str, kind: str) -> str:
-        return self._entries.get((individual, kind), PENDING)
-
-    def __iter__(self) -> Iterator[tuple[tuple[str, str], str]]:
-        return iter(sorted(self._entries.items()))
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._states)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AcceptanceLedger):
-            return NotImplemented
-        return self._entries == other._entries
+        return len(self._states)
 
     def as_rows(self) -> dict[str, dict[str, str]]:
         """Nested ``{individual: {kind: state}}`` view."""
         rows: dict[str, dict[str, str]] = {}
-        for (individual, kind), state in sorted(self._entries.items()):
+        for (individual, kind), state in self._states.items():
             rows.setdefault(individual, {})[kind] = state
         return rows
-
-    @classmethod
-    def from_rows(cls, rows: Mapping[str, Mapping[str, str]]) -> "AcceptanceLedger":
-        ledger = cls()
-        for individual, states in rows.items():
-            for kind, state in states.items():
-                ledger.record(individual, kind, state)
-        return ledger
 
 
 def fairness_through_explanations(
     owed: Mapping[str, Sequence[str]],
-    ledger: AcceptanceLedger,
+    ledger: Mapping[tuple[str, str], str],
 ) -> str:
-    """Explanation-level verdict from the current acceptance states, for
-    the obligations ``owed`` names: ``{individual: kinds}`` with distinct
-    kinds per person, as ``derive_obligations`` gives them.
+    """Explanation-level verdict from the acceptance states of ``ledger``
+    (an ``AcceptanceLedger`` or any mapping like it), for the obligations
+    ``owed`` names: ``{individual: kinds}`` with distinct kinds per person,
+    as ``derive_obligations`` gives them.
 
     Fair iff every obligation is accepted (vacuously fair with none --
     individuals owed nothing are presumed accepting). Unfair as soon as any
@@ -187,7 +172,7 @@ def fairness_through_explanations(
     """
     accepted = 0
     rejected = False
-    for (individual, kind), state in ledger:
+    for (individual, kind), state in ledger.items():
         if kind not in owed.get(individual, ()):
             raise LedgerIntegrityError((individual, kind))
         accepted += state == ACCEPTED

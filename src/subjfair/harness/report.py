@@ -29,7 +29,6 @@ from ..clustering import ClusterFamily, build_cluster_family
 from ..core import AuditParams, InputError, validate_population
 from ..explanations import (
     KIND_TAGS,
-    AcceptanceLedger,
     ExplanationObligation,
     LedgerIntegrityError,
     derive_obligations,
@@ -77,7 +76,6 @@ def audit_grid(
     violations = validate_population(run.population, run.perceptions, run.recommendations)
     if violations:
         raise InputError("invalid audit inputs: " + "; ".join(m for _, _, m in violations[:5]))
-    ledger = run.ledger if run.ledger is not None else AcceptanceLedger()
     family = delta = None
     for params, strategy in settings:
         if params.delta != delta:
@@ -92,7 +90,7 @@ def audit_grid(
         )
         owed = derive_obligations(report)
         try:
-            explanation_fairness = fairness_through_explanations(owed, ledger)
+            explanation_fairness = fairness_through_explanations(owed, run.ledger or {})
         except LedgerIntegrityError as exc:
             raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
         yield RunResult(

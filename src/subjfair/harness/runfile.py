@@ -19,9 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from ..aggregation import (
     STRATEGY_KINDS,
@@ -29,7 +31,7 @@ from ..aggregation import (
     VetoRule,
     validate_veto_rules,
 )
-from ..baselines import ObjectiveDistanceTable, check_ids
+from ..baselines import ObjectiveDistanceTable, add_distances, check_ids
 from ..core import (
     BINARY,
     SCORE,
@@ -68,14 +70,23 @@ class RunFileError(InputError):
 
 @dataclass(frozen=True)
 class BaselineInputs:
-    """Optional inputs for the classical baseline auditors."""
+    """Optional inputs for the classical baseline auditors. Every score is
+    finite, and every pair of scored people has a distance."""
 
     scores: Mapping[str, float]
     distances: ObjectiveDistanceTable
 
     def __post_init__(self) -> None:
         check_ids(self.scores)
-        object.__setattr__(self, "scores", {i: float(v) for i, v in self.scores.items()})
+        scores = {i: float(v) for i, v in self.scores.items()}
+        for v in scores.values():
+            if not math.isfinite(v):
+                raise InputError(f"expected a finite score, got {v}")
+        pairs = itertools.combinations(sorted(scores), 2)
+        missing = next(itertools.filterfalse(self.distances.entries.__contains__, pairs), None)
+        if missing is not None:
+            raise InputError(f"no distance recorded for scored pair ({missing[0]}, {missing[1]})")
+        object.__setattr__(self, "scores", scores)
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,8 @@ class AuditRunFile:
     """One audit run: inputs, parameters, and acceptance state.
 
     Theta is one fact: the strategy's theta must equal ``params.theta``.
+    Every veto rule must hold for the population (``validate_veto_rules``),
+    and every baseline score must name a person of the population.
     ``metadata.ethicality_asserted``, the one metadata key the engine reads,
     must be a boolean: any other value would be read by its truth and could
     assert by accident.
@@ -110,6 +123,17 @@ class AuditRunFile:
                 f"{self.params.theta}",
                 "strategy.theta",
             )
+        if self.strategy.veto_rules:
+            try:
+                validate_veto_rules(self.strategy.veto_rules, self.population)
+            except InputError as exc:
+                raise RunFileError(str(exc), "strategy.veto_rules") from None
+        if self.baseline is not None:
+            unknown = sorted(self.baseline.scores.keys() - self.population.positions.keys())
+            if unknown:
+                raise RunFileError(
+                    f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
+                )
 
     @property
     def purpose(self) -> str:
@@ -154,24 +178,29 @@ def _expect_number(value: Any, location: str) -> float:
         raise RunFileError(f"number {value} is out of range", location) from None
 
 
-def _parse_score(value: Any, location: str) -> float:
-    score = _expect_number(value, location)
-    if not math.isfinite(score):
-        raise RunFileError(f"expected a finite score, got {score}", location)
-    return score
-
-
-def _parse_distance(value: Any, location: str) -> float:
-    distance = _expect_number(value, location)
-    if not distance >= 0:  # NaN included
-        raise RunFileError(f"distance must be >= 0, got {distance}", location)
-    return distance
+def _located(
+    build: Callable[[dict], Any],
+    entries: Mapping,
+    where: Callable[[Any], str],
+    location: str | None = None,
+) -> Any:
+    """``build(entries)``. Only if it refuses them are the entries given to
+    it one by one, to report the first it refuses alone at ``where(key)``;
+    if it refuses none alone, its refusal is reported at ``location``."""
+    try:
+        return build(entries)
+    except InputError as exc:
+        for key, value in entries.items():
+            try:
+                build({key: value})
+            except InputError as one:
+                raise RunFileError(str(one), where(key)) from None
+        raise RunFileError(str(exc), location) from None
 
 
 def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
-    """The ``rec`` section as a vector of ``doc``'s purpose. The values go
-    to the vector as they are; only if it refuses them are they given to it
-    one by one, to report the first at fault at ``rec.values.<id>``."""
+    """The ``rec`` section as a vector of ``doc``'s purpose, the first value
+    the vector refuses reported at ``rec.values.<id>``."""
     rec = _expect_object(_require(doc, "rec"), "rec", frozenset({"kind", "values"}))
     kind = rec.get("kind", BINARY)
     if kind not in (BINARY, SCORE):
@@ -180,27 +209,9 @@ def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
     purpose = _require(doc, "purpose")
     if not isinstance(purpose, str):
         raise RunFileError(f"expected a string, got {purpose!r}", "purpose")
-    try:
-        return RecommendationVector(purpose, values, kind)
-    except InputError:
-        for i, v in values.items():
-            try:
-                RecommendationVector(purpose, {i: v}, kind)
-            except InputError as exc:
-                raise RunFileError(str(exc), f"rec.values.{i}") from None
-        raise
-
-
-def _parse_distance_row(row: Any, size: int, location: str) -> list[Any]:
-    """``row`` as ``[*ids, distance]`` with ``size`` items, each id a string
-    and its distance checked."""
-    if not (isinstance(row, list) and len(row) == size):
-        names = "[x, y, distance]" if size == 3 else "[observer, x, y, distance]"
-        raise RunFileError(f"expected {names}", location)
-    for name in row[:-1]:
-        if type(name) is not str:
-            raise RunFileError(f"expected an id string, got {name!r}", location)
-    return [*row[:-1], _parse_distance(row[-1], location)]
+    return _located(
+        lambda vs: RecommendationVector(purpose, vs, kind), values, "rec.values.{}".format
+    )
 
 
 def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
@@ -258,109 +269,78 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
 
 
 def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineInputs | None:
-    """The baseline section, checked against the population ``ids``: every
-    id it names must be in the population, every override's observer must be
-    a party to its pair, and every pair of scored people needs a distance."""
+    """The baseline section. Every id its rows name must be in the
+    population ``ids``; the run itself refuses a scored id outside it."""
     section = doc.get("baseline")
     if section is None:
         return None
     section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
-    # A value that passes the plain type test is taken as it is, and only any
-    # other value is checked again with its location spelled out.
-    scores = {}
-    for i, v in _expect_object(
-        _require(section, "scores", "baseline.scores"), "baseline.scores"
-    ).items():
-        if not (type(v) is float and math.isfinite(v)):
-            v = _parse_score(v, f"baseline.scores.{i}")
-        scores[i] = v
-    unknown = sorted(scores.keys() - ids)
-    if unknown:
-        raise RunFileError(
-            f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
-        )
-    entries = _parse_distances(section, ids)
-    overrides = _parse_overrides(section, ids)
-    pairs = itertools.combinations(sorted(scores), 2)
-    missing = next(itertools.filterfalse(entries.__contains__, pairs), None)
-    if missing is not None:
-        raise RunFileError(
-            f"no distance recorded for scored pair ({missing[0]}, {missing[1]})",
-            "baseline.distances",
-        )
-    return BaselineInputs(scores, ObjectiveDistanceTable.adopt(entries, overrides))
+    scores = _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores")
+    scores = {
+        i: v if type(v) is float else _expect_number(v, f"baseline.scores.{i}")
+        for i, v in scores.items()
+    }
+    # A row may name a scored id outside the population: the run refuses
+    # that score, which is the fault to report, so the row is left to it.
+    known = ids.keys() | scores.keys()
+    table = ObjectiveDistanceTable.adopt(
+        _parse_rows(section, "distances", known), _parse_rows(section, "overrides", known)
+    )
+    return _located(
+        partial(BaselineInputs, distances=table),
+        scores,
+        "baseline.scores.{}".format,
+        "baseline.distances",
+    )
 
 
-def _parse_distances(
-    section: Mapping[str, Any], ids: Mapping[str, int]
-) -> dict[tuple[str, str], float]:
-    """The ``[x, y, distance]`` rows keyed by sorted pair, as the distance
-    table keeps them, so that a pair given twice, in either order, is seen.
+def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[tuple, float]:
+    """The ``distances`` rows, ``[x, y, distance]``, or the ``overrides``
+    rows, ``[observer, x, y, distance]``, of the baseline ``section``, keyed
+    as the distance table keeps them (``add_distances``), every id in
+    ``known``.
 
-    Plain rows, two population ids and a float >= 0, go in first; only if
-    some row is no such row, or a pair repeats, are the rows read again one
-    by one, to convert that row or to report it at its location."""
-    rows = _expect_list(section.get("distances", []), "baseline.distances")
-    entries: dict[tuple[str, str], float] = {}
+    Plain rows, of ids in ``known`` with each observer a party to its pair
+    and a float >= 0, go in first; only if some row is no such row, or a key
+    repeats, are the rows read again one by one, to convert that row or to
+    report it at its location."""
+    location = f"baseline.{name}"
+    rows = _expect_list(section.get(name, []), location)
+    size = 3 if name == "distances" else 4
     try:
-        for row in rows:
-            if type(row) is list and len(row) == 3:
-                x, y, d = row
-                if type(d) is float and d >= 0 and x in ids and y in ids:
-                    entries[(x, y) if x <= y else (y, x)] = d
-                    continue
-            break
-    except TypeError:  # an id that is a list or an object
+        if size == 3:
+            entries = {
+                (x, y) if x <= y else (y, x): d
+                for x, y, d in rows
+                if type(d) is float and d >= 0 and x in known and y in known
+            }
+        else:
+            entries = {
+                (o, x, y) if x <= y else (o, y, x): d
+                for o, x, y, d in rows
+                if type(d) is float and d >= 0 and x in known and y in known and o in (x, y)
+            }
+        if len(entries) == len(rows):
+            return entries
+    except (TypeError, ValueError):  # a row of another length, an id that is a list or an object
         pass
-    if len(entries) == len(rows):
-        return entries
     entries = {}
     for idx, row in enumerate(rows):
-        where = f"baseline.distances[{idx}]"
-        x, y, d = _parse_distance_row(row, 3, where)
-        pair = (x, y) if x <= y else (y, x)
-        if not all(map(ids.__contains__, pair)):
-            raise _unknown_id((x, y), ids, where)
-        if pair in entries:
-            raise RunFileError(f"second distance for the pair ({x}, {y})", where)
-        entries[pair] = d
+        where = f"{location}[{idx}]"
+        if not (isinstance(row, list) and len(row) == size):
+            shape = "[x, y, distance]" if size == 3 else "[observer, x, y, distance]"
+            raise RunFileError(f"expected {shape}", where)
+        *names, d = row
+        d = _expect_number(d, where)
+        try:
+            check_ids(names)
+            unknown = next((i for i in names if i not in known), None)
+            if unknown is not None:
+                raise InputError(f"unknown id {unknown!r}")
+            add_distances(entries, [(tuple(names), d)])
+        except InputError as exc:
+            raise RunFileError(str(exc), where) from None
     return entries
-
-
-def _parse_overrides(
-    section: Mapping[str, Any], ids: Mapping[str, int]
-) -> dict[tuple[str, str, str], float]:
-    """The ``[observer, x, y, distance]`` rows keyed by observer and sorted
-    pair, as the distance table keeps them; the observer must be a party to
-    the pair and may state one distance for it."""
-    overrides: dict[tuple[str, str, str], float] = {}
-    for idx, row in enumerate(_expect_list(section.get("overrides", []), "baseline.overrides")):
-        where = f"baseline.overrides[{idx}]"
-        if not (
-            type(row) is list
-            and len(row) == 4
-            and type(row[0]) is type(row[1]) is type(row[2]) is str
-            and type(row[3]) is float
-            and row[3] >= 0
-        ):
-            row = _parse_distance_row(row, 4, where)
-        observer, x, y, d = row
-        key = (observer, x, y) if x <= y else (observer, y, x)
-        if not all(map(ids.__contains__, key)):
-            raise _unknown_id((observer, x, y), ids, where)
-        if observer != x and observer != y:
-            raise RunFileError(
-                f"observer {observer!r} is not a party to the pair ({x}, {y})", where
-            )
-        if key in overrides:
-            raise RunFileError(f"second override by {observer!r} for the pair ({x}, {y})", where)
-        overrides[key] = d
-    return overrides
-
-
-def _unknown_id(names: tuple[str, ...], ids: Mapping[str, int], location: str) -> RunFileError:
-    unknown = next(name for name in names if name not in ids)
-    return RunFileError(f"unknown id {unknown!r}", location)
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
@@ -416,13 +396,12 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
 
     ledger = None
     if "ledger" in doc:
-        ledger = AcceptanceLedger()
-        for individual, states in _expect_object(doc["ledger"], "ledger").items():
-            for obligation, state in _expect_object(states, f"ledger.{individual}").items():
-                try:
-                    ledger.record(individual, obligation, state)
-                except InputError as exc:
-                    raise RunFileError(str(exc), f"ledger.{individual}.{obligation}") from None
+        states = {
+            (individual, kind): state
+            for individual, row in _expect_object(doc["ledger"], "ledger").items()
+            for kind, state in _expect_object(row, f"ledger.{individual}").items()
+        }
+        ledger = _located(AcceptanceLedger, states, "ledger.{0[0]}.{0[1]}".format)
 
     baseline = _parse_baseline(doc, population.positions)
     return AuditRunFile(
@@ -506,11 +485,6 @@ def validate_run(run: AuditRunFile) -> None:
             + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""),
             violations[0][1],
         )
-    if run.strategy.veto_rules:
-        try:
-            validate_veto_rules(run.strategy.veto_rules, run.population)
-        except InputError as exc:
-            raise RunFileError(str(exc), "strategy.veto_rules") from None
 
 
 def loads_run(text: str, validate: bool = True) -> AuditRunFile:

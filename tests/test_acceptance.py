@@ -258,8 +258,7 @@ def test_acceptance_7_explanation_state_machine():
     assert fairness_through_explanations({}, AcceptanceLedger()) == FAIR
 
     single = {"a": (SYSTEM_RECOMMENDATION,)}
-    ledger = AcceptanceLedger()
-    ledger.record("a", SYSTEM_RECOMMENDATION, REJECTED)
+    ledger = AcceptanceLedger({("a", SYSTEM_RECOMMENDATION): REJECTED})
     assert fairness_through_explanations(single, ledger) == UNFAIR
 
     order = {UNFAIR: 0, PENDING: 1, FAIR: 2}
@@ -273,12 +272,12 @@ def test_acceptance_7_explanation_state_machine():
     for _ in range(500):
         owed = {f"p{k}": (rng.choice(kinds),) for k in range(rng.randint(1, 6))}
         obligations = obligation_records(owed)
-        ledger = AcceptanceLedger()
-        for o in obligations:
-            ledger.record(o.individual, o.kind, rng.choice([ACCEPTED, REJECTED, PENDING]))
+        ledger = AcceptanceLedger(
+            {o.key: rng.choice([ACCEPTED, REJECTED, PENDING]) for o in obligations}
+        )
         before = fairness_through_explanations(owed, ledger)
         flipped = rng.choice(obligations)
-        ledger.record(flipped.individual, flipped.kind, ACCEPTED)
+        ledger = AcceptanceLedger({**ledger, flipped.key: ACCEPTED})
         after = fairness_through_explanations(owed, ledger)
         assert order[after] >= order[before]
     _passed(7, "vacuous fairness, rejection, and 500 acceptance mutations")

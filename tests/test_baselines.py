@@ -220,6 +220,40 @@ class TestDistanceTable:
         with pytest.raises(InputError, match="expected an id string, got 1"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: ObjectiveDistanceTable({("x", "y"): 0.5, ("y", "x"): 2.0}),
+                r"second distance for the pair \(y, x\)",
+            ),
+            (
+                lambda: ObjectiveDistanceTable(
+                    {("x", "y"): 0.5}, {("x", "x", "y"): 0.1, ("x", "y", "x"): 0.2}
+                ),
+                r"second override by 'x' for the pair \(y, x\)",
+            ),
+            (
+                lambda: ObjectiveDistanceTable({("x", "y"): 0.5}, {("u", "x", "y"): 0.1}),
+                r"observer 'u' is not a party to the pair \(x, y\)",
+            ),
+            (
+                lambda: BaselineInputs({"x": float("nan")}, ObjectiveDistanceTable({})),
+                "expected a finite score, got nan",
+            ),
+            (
+                lambda: BaselineInputs({"x": 0.0, "y": 1.0}, ObjectiveDistanceTable({})),
+                r"no distance recorded for scored pair \(x, y\)",
+            ),
+        ],
+        ids=["pair-twice", "override-twice", "override-by-a-non-party", "nan-score", "no-distance"],
+    )
+    def test_tables_a_run_file_cannot_state_are_refused(self, build, message):
+        # the repeated key kept only its last value; the others were written
+        # by dumps_run and refused by loads_run
+        with pytest.raises(InputError, match=message):
+            build()
+
     def test_pairs_are_stored_sorted(self):
         table = ObjectiveDistanceTable({("y", "x"): 0.3}, {("y", "y", "x"): 1})
         assert table.entries == {("x", "y"): 0.3}

@@ -129,42 +129,35 @@ class TestFairnessThroughExplanations:
         assert fairness_through_explanations({}, AcceptanceLedger()) == FAIR
 
     def test_pending_until_everyone_accepts(self):
-        ledger = AcceptanceLedger()
-        assert fairness_through_explanations(self.OWED, ledger) == PENDING
-        ledger.record("a", SYSTEM_RECOMMENDATION, ACCEPTED)
+        assert fairness_through_explanations(self.OWED, AcceptanceLedger()) == PENDING
+        ledger = AcceptanceLedger({("a", SYSTEM_RECOMMENDATION): ACCEPTED})
         assert fairness_through_explanations(self.OWED, ledger) == PENDING
 
     def test_all_accepted_is_fair(self):
-        ledger = AcceptanceLedger()
-        for o in obligation_records(self.OWED):
-            ledger.record(o.individual, o.kind, ACCEPTED)
+        ledger = AcceptanceLedger({o.key: ACCEPTED for o in obligation_records(self.OWED)})
         assert fairness_through_explanations(self.OWED, ledger) == FAIR
 
     def test_single_rejection_is_unfair(self):
-        ledger = AcceptanceLedger()
-        for o in obligation_records(self.OWED):
-            ledger.record(o.individual, o.kind, ACCEPTED)
-        ledger.record("b", SYSTEM_RECOMMENDATION, REJECTED)
+        states = {o.key: ACCEPTED for o in obligation_records(self.OWED)}
+        ledger = AcceptanceLedger({**states, ("b", SYSTEM_RECOMMENDATION): REJECTED})
         assert fairness_through_explanations(self.OWED, ledger) == UNFAIR
 
     def test_kinds_owed_to_someone_else_do_not_match(self):
-        ledger = AcceptanceLedger()
-        ledger.record("b", AGGREGATION_METHOD, ACCEPTED)
+        ledger = AcceptanceLedger({("b", AGGREGATION_METHOD): ACCEPTED})
         with pytest.raises(LedgerIntegrityError):
             fairness_through_explanations(self.OWED, ledger)
 
     def test_rejection_is_defeasible(self):
-        # a later convincing explanation supersedes the rejection
+        # a later convincing explanation supersedes the rejection: the next
+        # round's ledger records it accepted
         obligations = {"a": (SYSTEM_RECOMMENDATION,)}
-        ledger = AcceptanceLedger()
-        ledger.record("a", SYSTEM_RECOMMENDATION, REJECTED)
+        ledger = AcceptanceLedger({("a", SYSTEM_RECOMMENDATION): REJECTED})
         assert fairness_through_explanations(obligations, ledger) == UNFAIR
-        ledger.record("a", SYSTEM_RECOMMENDATION, ACCEPTED)
+        ledger = AcceptanceLedger({**ledger, ("a", SYSTEM_RECOMMENDATION): ACCEPTED})
         assert fairness_through_explanations(obligations, ledger) == FAIR
 
     def test_dangling_entry_rejected(self):
-        ledger = AcceptanceLedger()
-        ledger.record("ghost", SYSTEM_RECOMMENDATION, ACCEPTED)
+        ledger = AcceptanceLedger({("ghost", SYSTEM_RECOMMENDATION): ACCEPTED})
         with pytest.raises(LedgerIntegrityError):
             fairness_through_explanations({}, ledger)
 
@@ -173,14 +166,12 @@ class TestFairnessThroughExplanations:
         rng = random.Random(61)
         obligations = obligation_records(self.OWED)
         for _ in range(200):
-            ledger = AcceptanceLedger()
-            for o in obligations:
-                ledger.record(
-                    o.individual, o.kind, rng.choice([ACCEPTED, REJECTED, PENDING])
-                )
+            ledger = AcceptanceLedger(
+                {o.key: rng.choice([ACCEPTED, REJECTED, PENDING]) for o in obligations}
+            )
             before = fairness_through_explanations(self.OWED, ledger)
             flipped = rng.choice(obligations)
-            ledger.record(flipped.individual, flipped.kind, ACCEPTED)
+            ledger = AcceptanceLedger({**ledger, flipped.key: ACCEPTED})
             after = fairness_through_explanations(self.OWED, ledger)
             assert order[after] >= order[before]
 
@@ -194,21 +185,34 @@ class TestFairnessThroughExplanations:
 
 class TestLedger:
     def test_round_trip(self):
-        ledger = AcceptanceLedger()
-        ledger.record("a", SYSTEM_RECOMMENDATION, ACCEPTED)
-        ledger.record("b", AGGREGATION_METHOD, REJECTED)
-        assert AcceptanceLedger.from_rows(ledger.as_rows()) == ledger
+        ledger = AcceptanceLedger(
+            {("b", AGGREGATION_METHOD): REJECTED, ("a", SYSTEM_RECOMMENDATION): ACCEPTED}
+        )
+        rows = ledger.as_rows()
+        assert rows == {"a": {SYSTEM_RECOMMENDATION: ACCEPTED}, "b": {AGGREGATION_METHOD: REJECTED}}
+        states = {(i, kind): state for i, row in rows.items() for kind, state in row.items()}
+        assert AcceptanceLedger(states) == ledger
+        assert list(ledger) == [("a", SYSTEM_RECOMMENDATION), ("b", AGGREGATION_METHOD)]
 
     def test_unknown_state_rejected(self):
         with pytest.raises(InputError):
-            AcceptanceLedger().record("a", SYSTEM_RECOMMENDATION, "maybe")
+            AcceptanceLedger({("a", SYSTEM_RECOMMENDATION): "maybe"})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError, match="unknown obligation kind 'BOGUS'"):
-            AcceptanceLedger().record("a", "BOGUS", ACCEPTED)
+            AcceptanceLedger({("a", "BOGUS"): ACCEPTED})
 
     def test_unrecorded_defaults_to_pending(self):
-        assert AcceptanceLedger().state("a", SYSTEM_RECOMMENDATION) == PENDING
+        assert AcceptanceLedger().get(("a", SYSTEM_RECOMMENDATION), PENDING) == PENDING
+
+    def test_ledger_cannot_change_after_construction(self):
+        states = {("a", SYSTEM_RECOMMENDATION): ACCEPTED}
+        ledger = AcceptanceLedger(states)
+        states[("a", SYSTEM_RECOMMENDATION)] = REJECTED
+        assert ledger[("a", SYSTEM_RECOMMENDATION)] == ACCEPTED
+        assert not hasattr(ledger, "record")
+        with pytest.raises(TypeError):
+            ledger[("a", SYSTEM_RECOMMENDATION)] = REJECTED
 
 
 class TestProceduralCheck:

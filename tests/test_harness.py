@@ -73,9 +73,6 @@ class TestRunFile:
         family = build_cluster_family(run.population, run.perceptions, run.params.delta)
         assert len(family.members) == 4
 
-    def test_bundled_fixture_matches_programmatic_run(self):
-        assert dumps_run(crossed_clusters_run()) == crossed_clusters_path().read_text()
-
     def test_save_load_is_byte_stable(self, tmp_path):
         run = load_run(crossed_clusters_path())
         path = save_run(run, tmp_path / "copy.json")
@@ -398,7 +395,7 @@ class TestRunFile:
         doc = _minimal_doc(ledger={"a": {"SYSTEM_RECOMMENDATION": "accepted"}})
         run = from_dict(doc)
         assert run.ledger is not None
-        assert run.ledger.state("a", "SYSTEM_RECOMMENDATION") == "accepted"
+        assert run.ledger[("a", "SYSTEM_RECOMMENDATION")] == "accepted"
         assert to_dict(run)["ledger"] == {"a": {"SYSTEM_RECOMMENDATION": "accepted"}}
 
     def test_baseline_section_round_trips(self):
@@ -1122,6 +1119,20 @@ class TestCli:
             ({"metadata": {"ethicality_asserted": "yes"}}, "metadata.ethicality_asserted"),
             ({"metadata": {"ethicality_asserted": None}}, "metadata.ethicality_asserted"),
             ({"strategy": AggregationStrategy(theta=0.4)}, "strategy.theta"),
+            pytest.param(
+                {"strategy": AggregationStrategy("veto", veto_rules=(VetoRule("age", "<", 18),))},
+                "strategy.veto_rules",
+                id="veto-rule-on-a-missing-attribute",
+            ),
+            pytest.param(
+                {
+                    "baseline": BaselineInputs(
+                        {"x": 0.0, "zz": 1.0}, ObjectiveDistanceTable({("x", "zz"): 0.1})
+                    )
+                },
+                "baseline.scores.zz",
+                id="score-outside-the-population",
+            ),
         ],
     )
     def test_a_run_the_loader_would_refuse_cannot_be_built(self, changes, location):
@@ -1176,6 +1187,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "strategy.veto_rules" in err
         assert "Traceback" not in err
+
+    def test_veto_rule_on_a_missing_attribute_fails_validate(self, tmp_path, capsys):
+        # validate reported the file clean, while audit refused it
+        doc = _fixture_doc()
+        doc["strategy"] = {
+            "kind": "veto",
+            "veto_rules": [{"attribute": "age", "op": "<", "value": 18}],
+        }
+        path = tmp_path / "veto.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "audit"):
+            assert main([command, "--input", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: strategy.veto_rules: veto rule references unknown attribute 'age'\n"
+            )
 
     def test_list_attribute_is_input_error(self, tmp_path, capsys):
         # grouping by an unhashable value was a TypeError, exit 3

@@ -6,11 +6,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
+
+import pytest
 
 from subjfair import (
+    ACCEPTED,
     FAIR,
     UNFAIR,
     PENDING,
+    REJECTED,
+    AcceptanceLedger,
     AggregationStrategy,
     PerceptionTable,
     run_pipeline,
@@ -47,9 +53,10 @@ class TestAcceptanceRoundsThroughRunFiles:
         result = audit_run(load_run(path))
         assert result.explanation_fairness == UNFAIR
 
-        # round 2: a new argument lands; the rejection is superseded
+        # round 2: a new argument lands; the new ledger supersedes the rejection
         run = load_run(path)
-        run.ledger.record("x", "SYSTEM_RECOMMENDATION", "accepted")
+        states = {**run.ledger, ("x", "SYSTEM_RECOMMENDATION"): "accepted"}
+        run = replace(run, ledger=AcceptanceLedger(states))
         path = save_run(run, tmp_path / "round2.json")
         result = audit_run(load_run(path))
         assert result.explanation_fairness == FAIR
@@ -61,8 +68,27 @@ class TestAcceptanceRoundsThroughRunFiles:
         path = tmp_path / "with_ledger.json"
         path.write_text(json.dumps(doc))
         reloaded = load_run(path)
-        assert reloaded.ledger.state("x", "SYSTEM_RECOMMENDATION") == "accepted"
+        assert reloaded.ledger[("x", "SYSTEM_RECOMMENDATION")] == "accepted"
         assert to_dict(reloaded)["ledger"] == doc["ledger"]
+
+    def test_audited_ledger_stays_what_the_report_reads(self):
+        # the ledger could be rewritten in place after the audit: the report
+        # then echoed the new state while its verdict read the old one
+        run = crossed_clusters_run()
+        kinds = audit_run(run).owed["u"]
+        run = replace(run, ledger=AcceptanceLedger({("u", k): ACCEPTED for k in kinds}))
+        result = audit_run(run)
+        assert not hasattr(run.ledger, "record")
+        with pytest.raises(TypeError):
+            run.ledger[("u", kinds[0])] = REJECTED
+        doc = build_report_doc(result)
+        assert doc["ledger"] == {"u": dict.fromkeys(kinds, ACCEPTED)}
+        echoed = [
+            doc["ledger"].get(o["individual"], {}).get(o["kind"], PENDING)
+            for o in doc["obligations"]
+        ]
+        assert REJECTED not in echoed and PENDING in echoed
+        assert doc["explanation_fairness"] == PENDING
 
 
 class TestPerOwnerClusterCounting:
