@@ -5,13 +5,14 @@ objective symmetric distance, one against each observer's own perceived
 distance -- plus a group-level statistical parity gap over final decisions.
 The outcome metric is the absolute score difference throughout. The checks
 give their findings as plain tuples, in the order the report lists them.
+Each walks the stored pairs once and sorts only what it finds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import InputError, Population
 
@@ -93,30 +94,36 @@ class ObjectiveDistanceTable:
         return table
 
 
-def _scored_pairs(
-    scores: ScoreMapping, distances: ObjectiveDistanceTable
-) -> Iterator[tuple[tuple[str, str], float, float]]:
-    """Each sorted pair of scored people once, with its score gap and its
-    distance; raises ``InputError`` naming the first pair with no distance."""
-    for pair in itertools.combinations(sorted(scores), 2):
-        d = distances.entries.get(pair)
-        if d is None:
-            raise InputError(f"no distance recorded for pair ({pair[0]}, {pair[1]})")
-        yield pair, abs(scores[pair[0]] - scores[pair[1]]), d
-
-
 def dwork_if_check(
     scores: ScoreMapping, distances: ObjectiveDistanceTable
 ) -> list[tuple[tuple[str, str], float, float]]:
     """Individual-fairness check against the objective distance: a pair
     (x, y) of scored people violates when |score(x) - score(y)| > d(x, y).
     Each violation is ``(pair, score gap, distance)``, pair sorted, in pair
-    order."""
-    return [
-        (pair, gap, d)
-        for pair, gap, d in _scored_pairs(scores, distances)
-        if gap > d + GAP_TOLERANCE
-    ]
+    order.
+
+    One walk over the stored pairs, keeping those of two distinct scored
+    people; only the violations are sorted. If fewer than every scored pair
+    were met, raises ``InputError`` naming the first pair with no distance.
+    """
+    entries = distances.entries
+    violations = []
+    skipped = 0
+    for pair, d in entries.items():
+        x, y = pair
+        if x in scores and y in scores and x != y:
+            gap = abs(scores[x] - scores[y])
+            if gap > d + GAP_TOLERANCE:
+                violations.append((pair, gap, d))
+        else:
+            skipped += 1
+    k = len(scores)
+    if len(entries) - skipped < k * (k - 1) // 2:
+        pairs = itertools.combinations(sorted(scores), 2)
+        x, y = next(itertools.filterfalse(entries.__contains__, pairs))
+        raise InputError(f"no distance recorded for pair ({x}, {y})")
+    violations.sort()
+    return violations
 
 
 def subjective_if_check(
@@ -128,15 +135,29 @@ def subjective_if_check(
     score gap exceed the distance *you* perceive? A party who never stated
     one perceives the objective distance, so with no overrides this
     reduces to the objective check, reported once per observer. Each
-    violation is ``(observer, pair, score gap, perceived distance)``.
+    violation is ``(observer, pair, score gap, perceived distance)``, in
+    pair order, then observer order.
+
+    The overrides are read only where they exist: each objective
+    violation counts for each party with no override, and each override on
+    a pair of scored people counts when the gap exceeds it (never on a self
+    pair, whose gap is 0).
+    Raises ``InputError`` as ``dwork_if_check`` does.
     """
     overrides = distances.subjective_overrides
     violations = []
-    for pair, gap, d in _scored_pairs(scores, distances):
-        for observer in pair:
-            perceived = overrides.get((observer, *pair), d)
+    for pair, gap, d in dwork_if_check(scores, distances):
+        x, y = pair
+        if (x, x, y) not in overrides:
+            violations.append((x, pair, gap, d))
+        if (y, x, y) not in overrides:
+            violations.append((y, pair, gap, d))
+    for (observer, x, y), perceived in overrides.items():
+        if x in scores and y in scores:
+            gap = abs(scores[x] - scores[y])
             if gap > perceived + GAP_TOLERANCE:
-                violations.append((observer, pair, gap, perceived))
+                violations.append((observer, (x, y), gap, perceived))
+    violations.sort(key=lambda v: (v[1], v[0]))
     return violations
 
 

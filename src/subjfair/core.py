@@ -2,10 +2,13 @@
 
 Everything downstream (clustering, aggregation, auditing) is built on the
 types in this module. They and every value downstream, the acceptance ledger
-included, are immutable and safe to share across concurrent audit runs. The
-one exception is the cluster family (``clustering.ClusterFamily``): its
-clusters are immutable, but it also holds a derived cache, the stage-1 tally
-of the last recommendation vector read over it, which never changes its value.
+included, are immutable and safe to share across concurrent audit runs. Two
+derived caches are the exception, and neither changes its holder's value.
+The cluster family (``clustering.ClusterFamily``) keeps the stage-1 tally of
+the last recommendation vector read over it. The perception table keeps the
+result of ``validate_population`` for the population and recommendation
+vector it last checked, so a loaded run, and every ``replace`` copy that keeps
+its population, table and vector, is validated once.
 A recommendation is one number per person, and its kind is stated once
 per vector. Past loading, people are known by their index in
 ``individuals``: the pipeline's labels are plain 0/1 lists by position,
@@ -122,6 +125,10 @@ class PerceptionTable:
 
     rows: Mapping[IndividualId, Mapping[IndividualId, float]]
     provenance: str = "declared"
+    #: A derived cache, not part of the table's value: ``validate_population``
+    #: keeps here the population and recommendation vector it last checked
+    #: against this table, by identity, with its result.
+    validated: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_provenance(self.provenance)
@@ -259,7 +266,13 @@ def validate_population(
     - perception entries reference known ids only,
     - the recommendation vector is total over the population and references
       known ids only.
+
+    The result is kept on ``perceptions``, so a second call with the same
+    population and recommendation objects returns it at once.
     """
+    checked = perceptions.validated
+    if checked is not None and checked[0] is pop and checked[1] is recs:
+        return checked[2]
     violations: list[tuple[str, str, str]] = []
     known = pop.positions
 
@@ -298,4 +311,6 @@ def validate_population(
             message = f"recommendation for unknown id {individual}"
             violations.append((UNKNOWN_ID, f"rec({individual})", message))
 
-    return tuple(violations)
+    result = tuple(violations)
+    object.__setattr__(perceptions, "validated", (pop, recs, result))
+    return result

@@ -65,7 +65,8 @@ def audit_grid(
 ) -> Iterator[RunResult]:
     """One ``RunResult`` per ``(params, strategy)`` of ``settings``, in order.
 
-    Validation does not depend on the settings, so it runs once. Clusters
+    Validation does not depend on the settings, so it runs once, and not
+    at all for a run whose inputs ``load_run`` has validated. Clusters
     depend on delta alone: a family is built only when delta differs from
     the previous point's, and only one is kept.
 

@@ -129,11 +129,7 @@ class AuditRunFile:
             except InputError as exc:
                 raise RunFileError(str(exc), "strategy.veto_rules") from None
         if self.baseline is not None:
-            unknown = sorted(self.baseline.scores.keys() - self.population.positions.keys())
-            if unknown:
-                raise RunFileError(
-                    f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}"
-                )
+            _check_scored_ids(self.baseline.scores, self.population.positions)
 
     @property
     def purpose(self) -> str:
@@ -176,6 +172,13 @@ def _expect_number(value: Any, location: str) -> float:
         return float(value)
     except OverflowError:
         raise RunFileError(f"number {value} is out of range", location) from None
+
+
+def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> None:
+    """Refuse the first scored id, in sorted order, outside the population ``ids``."""
+    unknown = sorted(scores.keys() - ids.keys())
+    if unknown:
+        raise RunFileError(f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}")
 
 
 def _located(
@@ -286,12 +289,19 @@ def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineI
     table = ObjectiveDistanceTable.adopt(
         _parse_rows(section, "distances", known), _parse_rows(section, "overrides", known)
     )
-    return _located(
-        partial(BaselineInputs, distances=table),
-        scores,
-        "baseline.scores.{}".format,
-        "baseline.distances",
-    )
+    try:
+        return _located(
+            partial(BaselineInputs, distances=table),
+            scores,
+            "baseline.scores.{}".format,
+            "baseline.distances",
+        )
+    except RunFileError as exc:
+        # A scored pair with no distance may be the trace of a score the
+        # run refuses, the root fault to report.
+        if exc.location == "baseline.distances":
+            _check_scored_ids(scores, ids)
+        raise
 
 
 def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[tuple, float]:

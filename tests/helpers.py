@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ from subjfair import (
     AuditParams,
     AuditReport,
     ExplanationObligation,
+    InputError,
+    ObjectiveDistanceTable,
     PerceptionTable,
     Population,
     RecommendationVector,
@@ -19,6 +22,7 @@ from subjfair import (
     build_cluster_family,
     run_pipeline,
 )
+from subjfair.baselines import GAP_TOLERANCE
 from subjfair.harness.runfile import AuditRunFile
 from subjfair.harness.synth import SynthProfile, generate_population, individual_ids
 
@@ -89,6 +93,34 @@ def audit(
     return audit_population(
         inputs.pop, inputs.family, inputs.recs, params, set_labels, decisions
     )
+
+
+def if_checks_by_pair(
+    scores: dict[str, float], distances: ObjectiveDistanceTable
+) -> tuple[list, list]:
+    """Both individual-fairness checks by their per-pair definition, the
+    reference ``dwork_if_check`` and ``subjective_if_check`` are checked
+    against: each sorted pair of scored people in turn, its distance looked
+    up, then each party's own distance, the objective one when the party
+    stated none. Returns the (objective, subjective) violations.
+
+    Raises:
+        InputError: naming the first scored pair with no distance.
+    """
+    objective, subjective = [], []
+    overrides = distances.subjective_overrides
+    for pair in itertools.combinations(sorted(scores), 2):
+        d = distances.entries.get(pair)
+        if d is None:
+            raise InputError(f"no distance recorded for pair ({pair[0]}, {pair[1]})")
+        gap = abs(scores[pair[0]] - scores[pair[1]])
+        if gap > d + GAP_TOLERANCE:
+            objective.append((pair, gap, d))
+        for observer in pair:
+            perceived = overrides.get((observer, *pair), d)
+            if gap > perceived + GAP_TOLERANCE:
+                subjective.append((observer, pair, gap, perceived))
+    return objective, subjective
 
 
 def similarity(a: float, b: float, kind: str) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -13,6 +14,8 @@ from subjfair import (
 )
 from subjfair.baselines import GAP_TOLERANCE
 from subjfair.harness.runfile import BaselineInputs
+
+from helpers import if_checks_by_pair
 
 
 class TestObjectiveCheck:
@@ -332,3 +335,117 @@ class TestAgainstRestatedDefinition:
             for check in (dwork_if_check, subjective_if_check):
                 with pytest.raises(InputError, match=rf"pair \({missing[0]}, {missing[1]}\)"):
                     check(scores, broken)
+
+
+def _mixed_table(rng):
+    """Scores and a table with what the one-walk checks must skip or
+    reorder: pairs inserted in shuffled order, keyed either way round, table
+    ids with no score, self pairs, and overrides on unscored pairs and self
+    pairs, below, at and above the pair's distance."""
+    ids = [f"p{k:02d}" for k in rng.sample(range(100), rng.randint(2, 40))]
+    scored = ids[: rng.randint(0, len(ids))]
+    scores = {i: rng.randint(0, 10) / 10 for i in scored}
+    rows = [((x, y), rng.randint(0, 10) / 10) for x, y in itertools.combinations(ids, 2)]
+    rows += [((x, x), rng.randint(0, 10) / 10) for x in rng.sample(ids, len(ids) // 4)]
+    rng.shuffle(rows)
+    entries, overrides = {}, {}
+    for (x, y), d in rows:
+        key = (x, y) if rng.random() < 0.5 else (y, x)
+        entries[key] = d
+        if rng.random() < 0.2:
+            perceived = max(0.0, d + rng.choice([-0.3, -0.1, 0.0, 0.1, 0.3]))
+            overrides[(rng.choice(key), *key)] = perceived
+    return scores, ObjectiveDistanceTable(entries, overrides)
+
+
+class TestAgainstPairByPairReference:
+    """Both one-walk checks against ``helpers.if_checks_by_pair``."""
+
+    def test_both_checks_match_the_reference(self):
+        rng = random.Random(97)
+        seen = dict.fromkeys(["unscored", "self", "override-unscored", "flags", "clears"], 0)
+        for _ in range(200):
+            scores, table = _mixed_table(rng)
+            objective, subjective = if_checks_by_pair(scores, table)
+            assert dwork_if_check(scores, table) == objective
+            assert subjective_if_check(scores, table) == subjective
+            seen["unscored"] += not {x for pair in table.entries for x in pair} <= scores.keys()
+            seen["self"] += any(x == y for x, y in table.entries)
+            seen["override-unscored"] += any(
+                not {x, y} <= scores.keys() for _, x, y in table.subjective_overrides
+            )
+            # an override below d flags a pair the objective check passes;
+            # one above the gap clears a party of an objective violation
+            pairs = {pair for pair, _, _ in objective}
+            objective_pair = [pair in pairs for _, pair, _, _ in subjective]
+            seen["flags"] += not all(objective_pair)
+            seen["clears"] += sum(objective_pair) < 2 * len(objective)
+        # the tables reached every case the walk skips or reads an override for
+        assert all(seen.values()), seen
+
+    def test_missing_pair_raises_as_the_reference_does(self):
+        rng = random.Random(101)
+        refused = 0
+        for _ in range(200):
+            scores, table = _mixed_table(rng)
+            scored_pairs = [p for p in table.entries if p[0] != p[1] and set(p) <= scores.keys()]
+            if not scored_pairs:
+                continue
+            gone = set(rng.sample(scored_pairs, rng.randint(1, len(scored_pairs))))
+            entries = {p: d for p, d in table.entries.items() if p not in gone}
+            broken = ObjectiveDistanceTable.adopt(entries, table.subjective_overrides)
+            with pytest.raises(InputError) as expected:
+                if_checks_by_pair(scores, broken)
+            for check in (dwork_if_check, subjective_if_check):
+                with pytest.raises(InputError) as raised:
+                    check(scores, broken)
+                assert str(raised.value) == str(expected.value)
+            refused += 1
+        assert refused > 100
+
+
+class _CountingMapping(Mapping):
+    """A read-only mapping that counts every key it is asked for and every
+    item it hands out."""
+
+    def __init__(self, data):
+        self.data = data
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.data[key]
+
+    def __contains__(self, key):
+        self.reads += 1
+        return key in self.data
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+    def items(self):
+        for item in self.data.items():
+            self.reads += 1
+            yield item
+
+
+def test_subjective_check_reads_only_the_overrides_that_exist():
+    # work gate by counted reads: two per objective violation and one per
+    # override, not two per scored pair
+    rng = random.Random(7)
+    ids = [f"p{k:02d}" for k in range(60)]
+    scores = {i: rng.random() for i in ids}
+    entries = {pair: rng.random() for pair in itertools.combinations(ids, 2)}
+    overrides = {
+        (rng.choice(pair), *pair): rng.random() for pair in entries if rng.random() < 0.1
+    }
+    counting = _CountingMapping(overrides)
+    table = ObjectiveDistanceTable.adopt(entries, counting)
+    objective = dwork_if_check(scores, table)
+    subjective = subjective_if_check(scores, table)
+    assert 0 < counting.reads <= 2 * len(objective) + len(overrides) < 2 * len(entries)
+    reference = ObjectiveDistanceTable.adopt(entries, overrides)
+    assert (objective, subjective) == if_checks_by_pair(scores, reference)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from subjfair import (
     AggregationStrategy,
     AuditParams,
+    InputError,
     ObjectiveDistanceTable,
     PerceptionTable,
     Population,
@@ -101,6 +102,34 @@ class TestRunFile:
         path.write_text(json.dumps(doc))
         run = load_run(path, validate=False)
         assert run.perceptions.similarity("a", "a") == 0.9
+        with pytest.raises(InputError, match="self-similarity must be 1.0 for a"):
+            audit_run(run)
+
+    def test_a_loaded_run_is_validated_once(self, monkeypatch):
+        # work gate by counted calls: validation reads each person's own
+        # similarity once; audit_run, and a copy of the run at other
+        # settings, reuse the result load_run computed, while a copy with
+        # another recommendation vector is validated again
+        reads = []
+        similarity = PerceptionTable.similarity
+
+        def counted(self, observer, target):
+            reads.append(observer)
+            return similarity(self, observer, target)
+
+        monkeypatch.setattr(PerceptionTable, "similarity", counted)
+        run = load_run(crossed_clusters_path())
+        assert len(reads) == run.n
+        audit_run(run)
+        audit_run(dataclasses.replace(run, params=dataclasses.replace(run.params, epsilon=0.5)))
+        assert len(reads) == run.n
+        recs = run.recommendations
+        audit_run(
+            dataclasses.replace(
+                run, recommendations=RecommendationVector(recs.purpose, recs.values, recs.kind)
+            )
+        )
+        assert len(reads) == 2 * run.n
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(RunFileError, match="line 1"):
@@ -1228,6 +1257,12 @@ class TestCli:
             (
                 {"scores": {"x": 0.0, "y": 1.0}, "distances": []},
                 "baseline.distances: no distance recorded for scored pair (x, y)",
+            ),
+            # with no distance row, the missing pair was named instead of
+            # the score behind it
+            (
+                {"scores": {"x": 0.0, "zz": 1.0}, "distances": []},
+                "baseline.scores.zz: score for unknown id 'zz'",
             ),
         ],
     )
