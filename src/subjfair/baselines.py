@@ -5,7 +5,9 @@ objective symmetric distance, one against each observer's own perceived
 distance -- plus a group-level statistical parity gap over final decisions.
 The outcome metric is the absolute score difference throughout. The checks
 give their findings as plain tuples, in the order the report lists them.
-Each walks the stored pairs once and sorts only what it finds.
+The objective check walks the stored pairs once and the subjective check
+starts from its findings, so the pairs are walked once for both; each
+sorts only what it finds.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ def dwork_if_check(
 
 
 def subjective_if_check(
-    scores: ScoreMapping, distances: ObjectiveDistanceTable
+    scores: ScoreMapping,
+    distances: ObjectiveDistanceTable,
+    objective: Sequence[tuple[tuple[str, str], float, float]],
 ) -> list[tuple[str, tuple[str, str], float, float]]:
     """Individual-fairness check against each observer's own distance.
 
@@ -138,15 +142,15 @@ def subjective_if_check(
     violation is ``(observer, pair, score gap, perceived distance)``, in
     pair order, then observer order.
 
-    The overrides are read only where they exist: each objective
-    violation counts for each party with no override, and each override on
-    a pair of scored people counts when the gap exceeds it (never on a self
-    pair, whose gap is 0).
-    Raises ``InputError`` as ``dwork_if_check`` does.
+    ``objective`` is what ``dwork_if_check(scores, distances)`` returned,
+    so the stored pairs are not walked again, and the overrides are read
+    only where they exist: each objective violation counts for each party
+    with no override, and each override on a pair of scored people counts
+    when the gap exceeds it (never on a self pair, whose gap is 0).
     """
     overrides = distances.subjective_overrides
     violations = []
-    for pair, gap, d in dwork_if_check(scores, distances):
+    for pair, gap, d in objective:
         x, y = pair
         if (x, x, y) not in overrides:
             violations.append((x, pair, gap, d))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -325,16 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the whole command and put
+    back as the caller had it, on every exit. The engine forms no reference
+    cycles, so reference counting frees all it makes; what a command leaves
+    for the collector is argparse's parser, the same few hundred objects for
+    any input, which the next collection takes.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except Exception:
-        traceback.print_exc()
-        return EXIT_FAULT
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (InputError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INPUT
+        except Exception:
+            traceback.print_exc()
+            return EXIT_FAULT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -149,6 +149,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
     report = result.report
     ids = run.population.individuals
     named = ids.__getitem__
+    tags = {kind: sorted(kind_tags) for kind, kind_tags in KIND_TAGS.items()}
     return {
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
@@ -168,7 +169,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
         **summary_counts(report),
         "obligations": [
-            {"individual": x, "kind": kind, "procedural_tags": sorted(KIND_TAGS[kind])}
+            {"individual": x, "kind": kind, "procedural_tags": tags[kind].copy()}
             for x, kinds in result.owed.items()
             for kind in kinds
         ],
@@ -230,9 +231,10 @@ def baselines_section(
     if include_if and run.baseline is not None:
         scores = run.baseline.scores
         distances = run.baseline.distances
+        objective = dwork_if_check(scores, distances)
         baselines["objective_if"] = [
             {"pair": list(pair), "score_gap": gap, "distance": d}
-            for pair, gap, d in dwork_if_check(scores, distances)
+            for pair, gap, d in objective
         ]
         baselines["subjective_if"] = [
             {
@@ -241,7 +243,9 @@ def baselines_section(
                 "score_gap": gap,
                 "perceived_distance": perceived,
             }
-            for observer, pair, gap, perceived in subjective_if_check(scores, distances)
+            for observer, pair, gap, perceived in subjective_if_check(
+                scores, distances, objective
+            )
         ]
     return baselines
 

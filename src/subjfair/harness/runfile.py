@@ -8,7 +8,7 @@ epsilon, theta) so files stay traceable next to the definitions. Metadata
 is free-form except ``ethicality_asserted``, the one key the engine reads,
 which must be a JSON boolean. The ids of every baseline row, and the
 attribute and operator of every veto rule, must be strings: none is
-coerced.
+coerced. Every id a baseline score or row names must be in the population.
 
 ``save_run`` writes a canonical form (sorted keys, two-space indent);
 loading and re-saving any valid file is idempotent and preserves content.
@@ -71,10 +71,16 @@ class RunFileError(InputError):
 @dataclass(frozen=True)
 class BaselineInputs:
     """Optional inputs for the classical baseline auditors. Every score is
-    finite, and every pair of scored people has a distance."""
+    finite, and every pair of scored people has a distance.
+
+    ``checked`` is the population whose ids ``AuditRunFile`` last found
+    these inputs to name, so that a copy of a run with the same population
+    and baseline is not checked again.
+    """
 
     scores: Mapping[str, float]
     distances: ObjectiveDistanceTable
+    checked: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ids(self.scores)
@@ -95,7 +101,8 @@ class AuditRunFile:
 
     Theta is one fact: the strategy's theta must equal ``params.theta``.
     Every veto rule must hold for the population (``validate_veto_rules``),
-    and every baseline score must name a person of the population.
+    and every baseline score, distance and override must name people of
+    the population (``_check_baseline_ids``).
     ``metadata.ethicality_asserted``, the one metadata key the engine reads,
     must be a boolean: any other value would be read by its truth and could
     assert by accident.
@@ -128,8 +135,9 @@ class AuditRunFile:
                 validate_veto_rules(self.strategy.veto_rules, self.population)
             except InputError as exc:
                 raise RunFileError(str(exc), "strategy.veto_rules") from None
-        if self.baseline is not None:
-            _check_scored_ids(self.baseline.scores, self.population.positions)
+        if self.baseline is not None and self.baseline.checked is not self.population:
+            _check_baseline_ids(self.baseline, self.population.positions)
+            object.__setattr__(self.baseline, "checked", self.population)
 
     @property
     def purpose(self) -> str:
@@ -179,6 +187,29 @@ def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> No
     unknown = sorted(scores.keys() - ids.keys())
     if unknown:
         raise RunFileError(f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}")
+
+
+def _check_baseline_ids(baseline: BaselineInputs, ids: Mapping[str, int]) -> None:
+    """Refuse the first id of ``baseline`` outside the population ``ids``:
+    a scored one (``_check_scored_ids``), else one that a distance or
+    override names, at ``baseline.<distances or overrides>[<index>]`` in
+    the order the table holds them, which for a loaded run is the file's.
+
+    One pass over the ids each table names finds whether there is such an
+    id; only then are its keys read one by one, to locate it."""
+    _check_scored_ids(baseline.scores, ids)
+    table = baseline.distances
+    for name, rows in (("distances", table.entries), ("overrides", table.subjective_overrides)):
+        if not ids.keys() >= set(itertools.chain.from_iterable(rows)):
+            for idx, key in enumerate(rows):
+                unknown = next((i for i in key if i not in ids), None)
+                if unknown is not None:
+                    where = f"baseline.{name}[{idx}]"
+                    try:
+                        check_ids(key)  # the loader keys a row of numbers too
+                    except InputError as exc:
+                        raise RunFileError(str(exc), where) from None
+                    raise RunFileError(f"unknown id {unknown!r}", where)
 
 
 def _located(
@@ -272,8 +303,8 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
 
 
 def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineInputs | None:
-    """The baseline section. Every id its rows name must be in the
-    population ``ids``; the run itself refuses a scored id outside it."""
+    """The baseline section. The run refuses an id of it outside the
+    population ``ids`` (``_check_baseline_ids``)."""
     section = doc.get("baseline")
     if section is None:
         return None
@@ -283,8 +314,8 @@ def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineI
         i: v if type(v) is float else _expect_number(v, f"baseline.scores.{i}")
         for i, v in scores.items()
     }
-    # A row may name a scored id outside the population: the run refuses
-    # that score, which is the fault to report, so the row is left to it.
+    # A row read one by one may name a scored id outside the population:
+    # the run refuses that score, which is the fault to report.
     known = ids.keys() | scores.keys()
     table = ObjectiveDistanceTable.adopt(
         _parse_rows(section, "distances", known), _parse_rows(section, "overrides", known)
@@ -307,13 +338,13 @@ def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineI
 def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[tuple, float]:
     """The ``distances`` rows, ``[x, y, distance]``, or the ``overrides``
     rows, ``[observer, x, y, distance]``, of the baseline ``section``, keyed
-    as the distance table keeps them (``add_distances``), every id in
-    ``known``.
+    as the distance table keeps them (``add_distances``), in row order.
 
-    Plain rows, of ids in ``known`` with each observer a party to its pair
-    and a float >= 0, go in first; only if some row is no such row, or a key
-    repeats, are the rows read again one by one, to convert that row or to
-    report it at its location."""
+    Plain rows, each observer a party to its pair and a float >= 0, go in
+    first, their ids left to the run (``_check_baseline_ids``); only if some
+    row is no such row, or a key repeats, are the rows read again one by
+    one, to convert that row or to report the first faulty row at its
+    location, a row naming an id outside ``known`` included."""
     location = f"baseline.{name}"
     rows = _expect_list(section.get(name, []), location)
     size = 3 if name == "distances" else 4
@@ -322,13 +353,13 @@ def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[
             entries = {
                 (x, y) if x <= y else (y, x): d
                 for x, y, d in rows
-                if type(d) is float and d >= 0 and x in known and y in known
+                if type(d) is float and d >= 0
             }
         else:
             entries = {
                 (o, x, y) if x <= y else (o, y, x): d
                 for o, x, y, d in rows
-                if type(d) is float and d >= 0 and x in known and y in known and o in (x, y)
+                if type(d) is float and d >= 0 and o in (x, y)
             }
         if len(entries) == len(rows):
             return entries

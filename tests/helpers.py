@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 from subjfair import (
@@ -93,6 +94,37 @@ def audit(
     return audit_population(
         inputs.pop, inputs.family, inputs.recs, params, set_labels, decisions
     )
+
+
+class CountingMapping(Mapping):
+    """A read-only mapping that counts every key it is asked for and every
+    key or item it hands out, for work gates on the tables the engine
+    walks."""
+
+    def __init__(self, data):
+        self.data = data
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.data[key]
+
+    def __contains__(self, key):
+        self.reads += 1
+        return key in self.data
+
+    def __iter__(self):
+        for key in self.data:
+            self.reads += 1
+            yield key
+
+    def __len__(self):
+        return len(self.data)
+
+    def items(self):
+        for item in self.data.items():
+            self.reads += 1
+            yield item
 
 
 def if_checks_by_pair(

@@ -86,8 +86,9 @@ def test_acceptance_2_stage_two_reproduction():
 def test_acceptance_3_objective_vs_subjective_distance():
     scores = {"x": 0.85, "y": 0.90}
     distances = ObjectiveDistanceTable({("x", "y"): 0.05}, {("x", "x", "y"): 0.04})
-    assert dwork_if_check(scores, distances) == []
-    subjective = subjective_if_check(scores, distances)
+    objective = dwork_if_check(scores, distances)
+    assert objective == []
+    subjective = subjective_if_check(scores, distances, objective)
     assert [observer for observer, _, _, _ in subjective] == ["x"]
     _passed(3, "objective check passes while one observer dissents")
 
@@ -234,8 +235,9 @@ def test_acceptance_5_property_suite():
         distances = ObjectiveDistanceTable(
             {(a, b): round(rng.random(), 3) for a, b in itertools.combinations(ids, 2)}
         )
-        objective = {pair for pair, _, _ in dwork_if_check(scores, distances)}
-        subjective = subjective_if_check(scores, distances)
+        found = dwork_if_check(scores, distances)
+        objective = {pair for pair, _, _ in found}
+        subjective = subjective_if_check(scores, distances, found)
         assert {pair for _, pair, _, _ in subjective} == objective
         assert all(observer in pair for observer, pair, _, _ in subjective)
         assert len(subjective) == 2 * len(objective)

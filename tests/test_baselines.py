@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections.abc import Mapping
 
 import pytest
 
@@ -15,7 +14,13 @@ from subjfair import (
 from subjfair.baselines import GAP_TOLERANCE
 from subjfair.harness.runfile import BaselineInputs
 
-from helpers import if_checks_by_pair
+from helpers import CountingMapping, if_checks_by_pair
+
+
+def _subjective(scores, distances):
+    """The subjective check as the report runs it: on the findings of the
+    objective check, which raises for a missing pair."""
+    return subjective_if_check(scores, distances, dwork_if_check(scores, distances))
 
 
 class TestObjectiveCheck:
@@ -59,7 +64,7 @@ class TestSubjectiveCheck:
         distances = ObjectiveDistanceTable(
             {("x", "y"): 0.05}, {("x", "x", "y"): 0.04}
         )
-        violations = subjective_if_check(scores, distances)
+        violations = _subjective(scores, distances)
         assert [observer for observer, _, _, _ in violations] == ["x"]
         assert violations[0][3] == 0.04
 
@@ -76,7 +81,7 @@ class TestSubjectiveCheck:
                 }
             )
             objective = {pair for pair, _, _ in dwork_if_check(scores, distances)}
-            subjective = subjective_if_check(scores, distances)
+            subjective = _subjective(scores, distances)
             # each violating pair appears once per party, and only those
             assert {pair for _, pair, _, _ in subjective} == objective
             for pair in objective:
@@ -98,8 +103,8 @@ class TestSubjectiveCheck:
             looser = {
                 (observer,) + pair: base[pair] + rng.random()
             }
-            without = subjective_if_check(scores, ObjectiveDistanceTable(base))
-            with_override = subjective_if_check(
+            without = _subjective(scores, ObjectiveDistanceTable(base))
+            with_override = _subjective(
                 scores, ObjectiveDistanceTable(base, looser)
             )
             mine = lambda vs: {(observer, pair) for observer, pair, _, _ in vs}
@@ -268,7 +273,7 @@ class TestDistanceTable:
         scores = {"x": 0.5, "y": 0.7}
         table = ObjectiveDistanceTable({("x", "y"): 0.3}, {("x", "x", "y"): 0.1})
         assert table.subjective_overrides == {("x", "x", "y"): 0.1}
-        assert subjective_if_check(scores, table) == [("x", ("x", "y"), pytest.approx(0.2), 0.1)]
+        assert _subjective(scores, table) == [("x", ("x", "y"), pytest.approx(0.2), 0.1)]
 
 
 def _restated_checks(scores, distances, overrides):
@@ -318,7 +323,7 @@ class TestAgainstRestatedDefinition:
             scores, distances, overrides, table = self._instance(rng)
             objective, subjective = _restated_checks(scores, distances, overrides)
             assert dwork_if_check(scores, table) == objective
-            assert subjective_if_check(scores, table) == subjective
+            assert _subjective(scores, table) == subjective
             observers |= {
                 "first" if observer == min(pair) else "second" for observer, pair in overrides
             }
@@ -332,7 +337,7 @@ class TestAgainstRestatedDefinition:
             missing = rng.choice(sorted(table.entries))
             entries = {pair: d for pair, d in table.entries.items() if pair != missing}
             broken = ObjectiveDistanceTable(entries, table.subjective_overrides)
-            for check in (dwork_if_check, subjective_if_check):
+            for check in (dwork_if_check, _subjective):
                 with pytest.raises(InputError, match=rf"pair \({missing[0]}, {missing[1]}\)"):
                     check(scores, broken)
 
@@ -368,7 +373,7 @@ class TestAgainstPairByPairReference:
             scores, table = _mixed_table(rng)
             objective, subjective = if_checks_by_pair(scores, table)
             assert dwork_if_check(scores, table) == objective
-            assert subjective_if_check(scores, table) == subjective
+            assert _subjective(scores, table) == subjective
             seen["unscored"] += not {x for pair in table.entries for x in pair} <= scores.keys()
             seen["self"] += any(x == y for x, y in table.entries)
             seen["override-unscored"] += any(
@@ -396,40 +401,12 @@ class TestAgainstPairByPairReference:
             broken = ObjectiveDistanceTable.adopt(entries, table.subjective_overrides)
             with pytest.raises(InputError) as expected:
                 if_checks_by_pair(scores, broken)
-            for check in (dwork_if_check, subjective_if_check):
+            for check in (dwork_if_check, _subjective):
                 with pytest.raises(InputError) as raised:
                     check(scores, broken)
                 assert str(raised.value) == str(expected.value)
             refused += 1
         assert refused > 100
-
-
-class _CountingMapping(Mapping):
-    """A read-only mapping that counts every key it is asked for and every
-    item it hands out."""
-
-    def __init__(self, data):
-        self.data = data
-        self.reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return self.data[key]
-
-    def __contains__(self, key):
-        self.reads += 1
-        return key in self.data
-
-    def __iter__(self):
-        return iter(self.data)
-
-    def __len__(self):
-        return len(self.data)
-
-    def items(self):
-        for item in self.data.items():
-            self.reads += 1
-            yield item
 
 
 def test_subjective_check_reads_only_the_overrides_that_exist():
@@ -442,10 +419,10 @@ def test_subjective_check_reads_only_the_overrides_that_exist():
     overrides = {
         (rng.choice(pair), *pair): rng.random() for pair in entries if rng.random() < 0.1
     }
-    counting = _CountingMapping(overrides)
+    counting = CountingMapping(overrides)
     table = ObjectiveDistanceTable.adopt(entries, counting)
     objective = dwork_if_check(scores, table)
-    subjective = subjective_if_check(scores, table)
+    subjective = subjective_if_check(scores, table, objective)
     assert 0 < counting.reads <= 2 * len(objective) + len(overrides) < 2 * len(entries)
     reference = ObjectiveDistanceTable.adopt(entries, overrides)
     assert (objective, subjective) == if_checks_by_pair(scores, reference)

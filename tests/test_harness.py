@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
@@ -43,7 +44,7 @@ from subjfair.harness.runfile import (
 )
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import make_inputs
+from helpers import CountingMapping, make_inputs
 
 
 NAN = float("nan")
@@ -685,6 +686,13 @@ class TestReport:
         two = dumps_doc(build_report_doc(audit_run(crossed_clusters_run())))
         assert one == two
 
+    def test_each_obligation_has_its_own_tag_list(self):
+        # the tags are sorted once per kind; a record's list is still its own
+        obligations = build_audit_doc(audit_run(crossed_clusters_run()))["obligations"]
+        tag_lists = [o["procedural_tags"] for o in obligations]
+        assert len({o["kind"] for o in obligations}) < len(tag_lists)
+        assert len(set(map(id, tag_lists))) == len(tag_lists)
+
     def test_parity_included_on_request(self):
         inputs = make_inputs(
             {"a": {"a": 1.0}, "b": {"b": 1.0}},
@@ -1162,6 +1170,27 @@ class TestCli:
                 "baseline.scores.zz",
                 id="score-outside-the-population",
             ),
+            # dumps_run wrote these runs and loads_run refused them
+            pytest.param(
+                {
+                    "baseline": BaselineInputs(
+                        {"x": 0.0, "y": 1.0},
+                        ObjectiveDistanceTable({("x", "y"): 0.5, ("u", "ghost"): 0.1}),
+                    )
+                },
+                "baseline.distances[1]",
+                id="distance-for-an-id-outside-the-population",
+            ),
+            pytest.param(
+                {
+                    "baseline": BaselineInputs(
+                        {"x": 0.0, "y": 1.0},
+                        ObjectiveDistanceTable({("x", "y"): 0.5}, {("ghost", "ghost", "x"): 0.1}),
+                    )
+                },
+                "baseline.overrides[0]",
+                id="override-for-an-id-outside-the-population",
+            ),
         ],
     )
     def test_a_run_the_loader_would_refuse_cannot_be_built(self, changes, location):
@@ -1301,6 +1330,24 @@ class TestCli:
                 {
                     "scores": {"x": 0.0, "y": 1.0},
                     "distances": [["x", "y", 0.5]],
+                    "overrides": [["y", "x", "y", 0.2], ["ghost", "ghost", "x", 2.0]],
+                },
+                "baseline.overrides[1]: unknown id 'ghost'",
+                id="override-on-a-pair-with-an-unknown-id",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5], [1, 2, 0.5]],
+                    "overrides": [["x", "x", "y", 0.2], [2, 1, 2, 0.5]],
+                },
+                "baseline.distances[1]: expected an id string, got 1",
+                id="pair-of-numbers",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5]],
                     "overrides": [["u", "x", "y", 0.0]],
                 },
                 "baseline.overrides[0]: observer 'u' is not a party to the pair (x, y)",
@@ -1395,3 +1442,117 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_main_pauses_the_collector_and_restores_it(
+        self, tmp_path, monkeypatch, capsys, enabled
+    ):
+        # paused for the whole command, then as the caller had it, on the
+        # exit-0, exit-2 and exit-3 paths and when argparse exits
+        during = []
+        audit = cli.audit_run
+
+        def watched(run):
+            during.append(gc.isenabled())
+            return audit(run)
+
+        def fault(run):
+            during.append(gc.isenabled())
+            raise RuntimeError("engine fault")
+
+        fixture = ["audit", "--input", str(crossed_clusters_path())]
+        caller = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        after = []
+        try:
+            monkeypatch.setattr(cli, "audit_run", watched)
+            assert main(fixture) == 0
+            after.append(gc.isenabled())
+            assert main(["audit", "--input", str(tmp_path / "missing.json")]) == 2
+            after.append(gc.isenabled())
+            monkeypatch.setattr(cli, "audit_run", fault)
+            assert main(fixture) == 3
+            after.append(gc.isenabled())
+            with pytest.raises(SystemExit):
+                main(["audit"])
+            after.append(gc.isenabled())
+        finally:
+            (gc.enable if caller else gc.disable)()
+        capsys.readouterr()
+        assert during == [False, False]
+        assert after == [enabled] * 4
+
+    def test_commands_leave_cyclic_garbage_that_does_not_grow_with_the_input(
+        self, tmp_path, capsys
+    ):
+        # the premise of pausing the collector in main: reference counting
+        # frees what the engine builds, so what a command leaves for the
+        # collector is the same on the 4-person fixture as on 200 people
+        paths = []
+        for run in (crossed_clusters_run(), generate_population(SynthProfile(n=200, seed=5))):
+            ids = run.population.individuals
+            scored = ids[:40]
+            pairs = list(itertools.combinations(scored, 2))
+            run = dataclasses.replace(
+                run,
+                population=Population(ids, {i: {"group": k % 3} for k, i in enumerate(ids)}),
+                baseline=BaselineInputs(
+                    {i: k / len(scored) for k, i in enumerate(scored)},
+                    ObjectiveDistanceTable(
+                        dict.fromkeys(pairs, 0.05), {(x, x, y): 0.01 for x, y in pairs[::7]}
+                    ),
+                ),
+            )
+            paths.append(save_run(run, tmp_path / f"run{run.n}.json"))
+        commands = [
+            ["validate"],
+            ["audit", "--group-attr", "group"],
+            ["decide"],
+            ["report", "--group-attr", "group"],
+            ["baseline", "--group-attr", "group"],
+            ["oracle", "--bound", "200"],
+            ["simulate", "--sweep", "--deltas", "0.3,0.6", "--thetas", "0.4,0.6"],
+        ]
+        caller = gc.isenabled()
+        gc.disable()
+        found = {}
+        try:
+            for command in commands:
+                for path in paths:
+                    gc.collect()
+                    assert main([command[0], "--input", str(path), *command[1:]]) == 0
+                    found[command[0], path.name] = gc.collect()
+                    capsys.readouterr()
+        finally:
+            if caller:
+                gc.enable()
+        for command in commands:
+            small, large = (found[command[0], path.name] for path in paths)
+            assert small == large, (command, small, large)
+
+    def test_report_and_baseline_walk_the_stored_pairs_once(self, monkeypatch, capsys):
+        # work gate by counted reads of the distance table: both IF checks
+        # share one walk of its pairs, and a copy of the run at the command's
+        # settings does not check their ids again
+        run = generate_population(SynthProfile(n=60, seed=9))
+        ids = run.population.individuals
+        scored = ids[:40]
+        rng = random.Random(9)
+        entries = CountingMapping(
+            {pair: rng.random() / 2 for pair in itertools.combinations(scored, 2)}
+        )
+        run = dataclasses.replace(
+            run,
+            population=Population(ids, {i: {"group": k % 2} for k, i in enumerate(ids)}),
+            baseline=BaselineInputs(
+                {i: rng.random() for i in scored},
+                ObjectiveDistanceTable.adopt(entries, {(scored[0], *sorted(scored[:2])): 0.0}),
+            ),
+        )
+        monkeypatch.setattr(cli, "load_run", lambda path: run)
+        for command in ("report", "baseline"):
+            entries.reads = 0
+            assert main([command, "--input", "run.json", "--group-attr", "group"]) == 0
+            assert entries.reads == len(entries.data)
+            out = capsys.readouterr().out
+            assert "objective IF violations" in out and "subjective IF violations" in out
