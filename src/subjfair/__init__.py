@@ -58,6 +58,7 @@ from .explanations import (
     procedural_check,
 )
 from .baselines import (
+    BaselineInputs,
     ObjectiveDistanceTable,
     dwork_if_check,
     statistical_parity_gap,

@@ -1,11 +1,12 @@
 """Classical fairness auditors for comparison.
 
-Two individual-fairness checks over a score mapping -- one against an
-objective symmetric distance, one against each observer's own perceived
-distance -- plus a group-level statistical parity gap over final decisions.
-The outcome metric is the absolute score difference throughout. The checks
-give their findings as plain tuples, in the order the report lists them.
-The objective check walks the stored pairs once and the subjective check
+Two individual-fairness checks over ``BaselineInputs``, which refuses a
+scored pair with no distance -- one against an objective symmetric
+distance, one against each observer's own perceived distance -- plus a
+group-level statistical parity gap over final decisions. The outcome
+metric is the absolute score difference throughout. The checks give
+their findings as plain tuples, in the order the report lists them. The
+objective check walks the stored pairs once and the subjective check
 starts from its findings, so the pairs are walked once for both; each
 sorts only what it finds.
 """
@@ -13,12 +14,11 @@ sorts only what it finds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .core import InputError, Population
-
-ScoreMapping = Mapping[str, float]
 
 #: Absolute slack for gap-vs-distance comparisons, so float rounding noise
 #: (e.g. |0.85 - 0.90| landing a few ulp above 0.05) never flags a pair.
@@ -30,6 +30,17 @@ def check_ids(ids: Iterable[Any]) -> None:
     for i in ids:
         if not isinstance(i, str):
             raise InputError(f"expected an id string, got {i!r}")
+
+
+def check_scores(scores: Mapping[str, float]) -> dict[str, float]:
+    """``scores`` as floats; refuses an id that is not a string and a score
+    that is not finite."""
+    check_ids(scores)
+    floats = {i: float(v) for i, v in scores.items()}
+    for v in floats.values():
+        if not math.isfinite(v):
+            raise InputError(f"expected a finite score, got {v}")
+    return floats
 
 
 def add_distances(table: dict, items: Iterable[tuple[tuple[str, ...], float]]) -> None:
@@ -96,42 +107,53 @@ class ObjectiveDistanceTable:
         return table
 
 
-def dwork_if_check(
-    scores: ScoreMapping, distances: ObjectiveDistanceTable
-) -> list[tuple[tuple[str, str], float, float]]:
+@dataclass(frozen=True)
+class BaselineInputs:
+    """Optional inputs for the classical baseline auditors: finite scores
+    (``check_scores``), and a distance for every pair of scored people, the
+    one place a missing one is refused. ``ids`` is every id the scores,
+    distances and overrides name, gathered once here.
+    """
+
+    scores: Mapping[str, float]
+    distances: ObjectiveDistanceTable
+    ids: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scores = check_scores(self.scores)
+        entries = self.distances.entries
+        pairs = itertools.combinations(sorted(scores), 2)
+        missing = next(itertools.filterfalse(entries.__contains__, pairs), None)
+        if missing is not None:
+            raise InputError(f"no distance recorded for scored pair ({missing[0]}, {missing[1]})")
+        object.__setattr__(self, "scores", scores)
+        overrides = self.distances.subjective_overrides
+        object.__setattr__(self, "ids", frozenset(scores).union(*entries, *overrides))
+
+
+def dwork_if_check(baseline: BaselineInputs) -> list[tuple[tuple[str, str], float, float]]:
     """Individual-fairness check against the objective distance: a pair
     (x, y) of scored people violates when |score(x) - score(y)| > d(x, y).
     Each violation is ``(pair, score gap, distance)``, pair sorted, in pair
     order.
 
     One walk over the stored pairs, keeping those of two distinct scored
-    people; only the violations are sorted. If fewer than every scored pair
-    were met, raises ``InputError`` naming the first pair with no distance.
+    people; only the violations are sorted.
     """
-    entries = distances.entries
+    scores = baseline.scores
     violations = []
-    skipped = 0
-    for pair, d in entries.items():
+    for pair, d in baseline.distances.entries.items():
         x, y = pair
         if x in scores and y in scores and x != y:
             gap = abs(scores[x] - scores[y])
             if gap > d + GAP_TOLERANCE:
                 violations.append((pair, gap, d))
-        else:
-            skipped += 1
-    k = len(scores)
-    if len(entries) - skipped < k * (k - 1) // 2:
-        pairs = itertools.combinations(sorted(scores), 2)
-        x, y = next(itertools.filterfalse(entries.__contains__, pairs))
-        raise InputError(f"no distance recorded for pair ({x}, {y})")
     violations.sort()
     return violations
 
 
 def subjective_if_check(
-    scores: ScoreMapping,
-    distances: ObjectiveDistanceTable,
-    objective: Sequence[tuple[tuple[str, str], float, float]],
+    baseline: BaselineInputs, objective: Sequence[tuple[tuple[str, str], float, float]]
 ) -> list[tuple[str, tuple[str, str], float, float]]:
     """Individual-fairness check against each observer's own distance.
 
@@ -142,13 +164,14 @@ def subjective_if_check(
     violation is ``(observer, pair, score gap, perceived distance)``, in
     pair order, then observer order.
 
-    ``objective`` is what ``dwork_if_check(scores, distances)`` returned,
-    so the stored pairs are not walked again, and the overrides are read
-    only where they exist: each objective violation counts for each party
-    with no override, and each override on a pair of scored people counts
-    when the gap exceeds it (never on a self pair, whose gap is 0).
+    ``objective`` is what ``dwork_if_check(baseline)`` returned, so the
+    stored pairs are not walked again, and the overrides are read only
+    where they exist: each objective violation counts for each party with
+    no override, and each override on a pair of scored people counts when
+    the gap exceeds it (never on a self pair, whose gap is 0).
     """
-    overrides = distances.subjective_overrides
+    scores = baseline.scores
+    overrides = baseline.distances.subjective_overrides
     violations = []
     for pair, gap, d in objective:
         x, y = pair

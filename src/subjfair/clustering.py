@@ -27,7 +27,7 @@ class ClusterFamily:
     """All perceived clusters of one population, plus the inverse index.
 
     ``members[k]`` lists the positions in the cluster of the person at
-    position k of ``population``, the owner included; ``owners[k]`` lists
+    position k of the population, the owner included; ``owners[k]`` lists
     the owners whose clusters contain that person, never empty. Both are in
     id order, and they are exact transposes of each other.
 
@@ -36,7 +36,6 @@ class ClusterFamily:
     it last computed over these clusters, with the inputs it read.
     """
 
-    population: Population
     members: list[list[int]]
     owners: list[list[int]]
     tally: Any = field(default=None, init=False, repr=False, compare=False)
@@ -85,4 +84,4 @@ def build_cluster_family(
     # Transposing in id order lists each person's owners in id order, and
     # transposing those back lists each cluster's members in id order.
     owners = _transpose(clusters, pop.order)
-    return ClusterFamily(pop, _transpose(owners, pop.order), owners)
+    return ClusterFamily(_transpose(owners, pop.order), owners)

@@ -229,9 +229,7 @@ def baselines_section(
             "gap": gap,
         }
     if include_if and run.baseline is not None:
-        scores = run.baseline.scores
-        distances = run.baseline.distances
-        objective = dwork_if_check(scores, distances)
+        objective = dwork_if_check(run.baseline)
         baselines["objective_if"] = [
             {"pair": list(pair), "score_gap": gap, "distance": d}
             for pair, gap, d in objective
@@ -243,9 +241,7 @@ def baselines_section(
                 "score_gap": gap,
                 "perceived_distance": perceived,
             }
-            for observer, pair, gap, perceived in subjective_if_check(
-                scores, distances, objective
-            )
+            for observer, pair, gap, perceived in subjective_if_check(run.baseline, objective)
         ]
     return baselines
 

@@ -8,7 +8,8 @@ epsilon, theta) so files stay traceable next to the definitions. Metadata
 is free-form except ``ethicality_asserted``, the one key the engine reads,
 which must be a JSON boolean. The ids of every baseline row, and the
 attribute and operator of every veto rule, must be strings: none is
-coerced. Every id a baseline score or row names must be in the population.
+coerced. Every id a baseline score or row names must be in the population
+(``BaselineInputs``, from ``baselines``, gathers them into one set).
 
 ``save_run`` writes a canonical form (sorted keys, two-space indent);
 loading and re-saving any valid file is idempotent and preserves content.
@@ -16,12 +17,9 @@ loading and re-saving any valid file is idempotent and preserves content.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
-from collections.abc import Callable, Mapping, Set
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -31,7 +29,13 @@ from ..aggregation import (
     VetoRule,
     validate_veto_rules,
 )
-from ..baselines import ObjectiveDistanceTable, add_distances, check_ids
+from ..baselines import (
+    BaselineInputs,
+    ObjectiveDistanceTable,
+    add_distances,
+    check_ids,
+    check_scores,
+)
 from ..core import (
     BINARY,
     SCORE,
@@ -69,40 +73,14 @@ class RunFileError(InputError):
 
 
 @dataclass(frozen=True)
-class BaselineInputs:
-    """Optional inputs for the classical baseline auditors. Every score is
-    finite, and every pair of scored people has a distance.
-
-    ``checked`` is the population whose ids ``AuditRunFile`` last found
-    these inputs to name, so that a copy of a run with the same population
-    and baseline is not checked again.
-    """
-
-    scores: Mapping[str, float]
-    distances: ObjectiveDistanceTable
-    checked: Any = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_ids(self.scores)
-        scores = {i: float(v) for i, v in self.scores.items()}
-        for v in scores.values():
-            if not math.isfinite(v):
-                raise InputError(f"expected a finite score, got {v}")
-        pairs = itertools.combinations(sorted(scores), 2)
-        missing = next(itertools.filterfalse(self.distances.entries.__contains__, pairs), None)
-        if missing is not None:
-            raise InputError(f"no distance recorded for scored pair ({missing[0]}, {missing[1]})")
-        object.__setattr__(self, "scores", scores)
-
-
-@dataclass(frozen=True)
 class AuditRunFile:
     """One audit run: inputs, parameters, and acceptance state.
 
     Theta is one fact: the strategy's theta must equal ``params.theta``.
     Every veto rule must hold for the population (``validate_veto_rules``),
-    and every baseline score, distance and override must name people of
-    the population (``_check_baseline_ids``).
+    and every id the baseline names must be of the population: one set
+    test of ``baseline.ids``, and only a refused baseline is read key by
+    key (``_check_baseline_ids``).
     ``metadata.ethicality_asserted``, the one metadata key the engine reads,
     must be a boolean: any other value would be read by its truth and could
     assert by accident.
@@ -135,9 +113,9 @@ class AuditRunFile:
                 validate_veto_rules(self.strategy.veto_rules, self.population)
             except InputError as exc:
                 raise RunFileError(str(exc), "strategy.veto_rules") from None
-        if self.baseline is not None and self.baseline.checked is not self.population:
-            _check_baseline_ids(self.baseline, self.population.positions)
-            object.__setattr__(self.baseline, "checked", self.population)
+        ids = self.population.positions
+        if self.baseline is not None and not self.baseline.ids <= ids.keys():
+            _check_baseline_ids(self.baseline, ids)
 
     @property
     def purpose(self) -> str:
@@ -194,33 +172,25 @@ def _check_baseline_ids(baseline: BaselineInputs, ids: Mapping[str, int]) -> Non
     a scored one (``_check_scored_ids``), else one that a distance or
     override names, at ``baseline.<distances or overrides>[<index>]`` in
     the order the table holds them, which for a loaded run is the file's.
-
-    One pass over the ids each table names finds whether there is such an
-    id; only then are its keys read one by one, to locate it."""
+    The run calls it only to locate an id it knows is there."""
     _check_scored_ids(baseline.scores, ids)
     table = baseline.distances
     for name, rows in (("distances", table.entries), ("overrides", table.subjective_overrides)):
-        if not ids.keys() >= set(itertools.chain.from_iterable(rows)):
-            for idx, key in enumerate(rows):
-                unknown = next((i for i in key if i not in ids), None)
-                if unknown is not None:
-                    where = f"baseline.{name}[{idx}]"
-                    try:
-                        check_ids(key)  # the loader keys a row of numbers too
-                    except InputError as exc:
-                        raise RunFileError(str(exc), where) from None
-                    raise RunFileError(f"unknown id {unknown!r}", where)
+        for idx, key in enumerate(rows):
+            unknown = next((i for i in key if i not in ids), None)
+            if unknown is not None:
+                where = f"baseline.{name}[{idx}]"
+                try:
+                    check_ids(key)  # the loader keys a row of numbers too
+                except InputError as exc:
+                    raise RunFileError(str(exc), where) from None
+                raise RunFileError(f"unknown id {unknown!r}", where)
 
 
-def _located(
-    build: Callable[[dict], Any],
-    entries: Mapping,
-    where: Callable[[Any], str],
-    location: str | None = None,
-) -> Any:
+def _located(build: Callable[[dict], Any], entries: Mapping, where: Callable[[Any], str]) -> Any:
     """``build(entries)``. Only if it refuses them are the entries given to
     it one by one, to report the first it refuses alone at ``where(key)``;
-    if it refuses none alone, its refusal is reported at ``location``."""
+    if it refuses none alone, its refusal is reported with no location."""
     try:
         return build(entries)
     except InputError as exc:
@@ -229,7 +199,7 @@ def _located(
                 build({key: value})
             except InputError as one:
                 raise RunFileError(str(one), where(key)) from None
-        raise RunFileError(str(exc), location) from None
+        raise RunFileError(str(exc)) from None
 
 
 def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
@@ -303,8 +273,9 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
 
 
 def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineInputs | None:
-    """The baseline section. The run refuses an id of it outside the
-    population ``ids`` (``_check_baseline_ids``)."""
+    """The baseline section. The scores are checked before the rows are
+    read, so a score is refused at its own location before any trace it
+    leaves there, such as a scored pair with no distance."""
     section = doc.get("baseline")
     if section is None:
         return None
@@ -314,28 +285,18 @@ def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineI
         i: v if type(v) is float else _expect_number(v, f"baseline.scores.{i}")
         for i, v in scores.items()
     }
-    # A row read one by one may name a scored id outside the population:
-    # the run refuses that score, which is the fault to report.
-    known = ids.keys() | scores.keys()
+    scores = _located(check_scores, scores, "baseline.scores.{}".format)
+    _check_scored_ids(scores, ids)
     table = ObjectiveDistanceTable.adopt(
-        _parse_rows(section, "distances", known), _parse_rows(section, "overrides", known)
+        _parse_rows(section, "distances", ids), _parse_rows(section, "overrides", ids)
     )
     try:
-        return _located(
-            partial(BaselineInputs, distances=table),
-            scores,
-            "baseline.scores.{}".format,
-            "baseline.distances",
-        )
-    except RunFileError as exc:
-        # A scored pair with no distance may be the trace of a score the
-        # run refuses, the root fault to report.
-        if exc.location == "baseline.distances":
-            _check_scored_ids(scores, ids)
-        raise
+        return BaselineInputs(scores, table)
+    except InputError as exc:  # a scored pair with no distance
+        raise RunFileError(str(exc), "baseline.distances") from None
 
 
-def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[tuple, float]:
+def _parse_rows(section: Mapping[str, Any], name: str, ids: Mapping) -> dict[tuple, float]:
     """The ``distances`` rows, ``[x, y, distance]``, or the ``overrides``
     rows, ``[observer, x, y, distance]``, of the baseline ``section``, keyed
     as the distance table keeps them (``add_distances``), in row order.
@@ -344,7 +305,7 @@ def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[
     first, their ids left to the run (``_check_baseline_ids``); only if some
     row is no such row, or a key repeats, are the rows read again one by
     one, to convert that row or to report the first faulty row at its
-    location, a row naming an id outside ``known`` included."""
+    location, a row naming an id outside the population ``ids`` included."""
     location = f"baseline.{name}"
     rows = _expect_list(section.get(name, []), location)
     size = 3 if name == "distances" else 4
@@ -375,7 +336,7 @@ def _parse_rows(section: Mapping[str, Any], name: str, known: Set[str]) -> dict[
         d = _expect_number(d, where)
         try:
             check_ids(names)
-            unknown = next((i for i in names if i not in known), None)
+            unknown = next((i for i in names if i not in ids), None)
             if unknown is not None:
                 raise InputError(f"unknown id {unknown!r}")
             add_distances(entries, [(tuple(names), d)])
@@ -483,11 +444,12 @@ def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
 
 
 def to_dict(run: AuditRunFile) -> dict[str, Any]:
-    """Canonical document form of a run. Optional sections are omitted
-    when empty. The ``sim`` rows, the recommendation values, the attributes
-    and the baseline scores are the run's own maps, unsorted and uncopied
-    (the canonical writer sorts every key), so the document is for writing,
-    not for changing."""
+    """Canonical document form of a run. A ledger is written whenever the
+    run has one, as a report echoes it even empty; other optional sections
+    are omitted when empty. The ``sim`` rows, the recommendation values,
+    the attributes and the baseline scores are the run's own maps, unsorted
+    and uncopied (the canonical writer sorts every key), so the document is
+    for writing, not for changing."""
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "purpose": run.purpose,
@@ -499,7 +461,7 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
     }
     if run.population.attributes:
         doc["attributes"] = run.population.attributes
-    if run.ledger is not None and len(run.ledger):
+    if run.ledger is not None:
         doc["ledger"] = run.ledger.as_rows()
     if run.baseline is not None:
         doc["baseline"] = {

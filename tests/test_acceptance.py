@@ -18,6 +18,7 @@ from subjfair import (
     AcceptanceLedger,
     AggregationStrategy,
     AuditParams,
+    BaselineInputs,
     ObjectiveDistanceTable,
     Population,
     PerceptionTable,
@@ -86,9 +87,10 @@ def test_acceptance_2_stage_two_reproduction():
 def test_acceptance_3_objective_vs_subjective_distance():
     scores = {"x": 0.85, "y": 0.90}
     distances = ObjectiveDistanceTable({("x", "y"): 0.05}, {("x", "x", "y"): 0.04})
-    objective = dwork_if_check(scores, distances)
+    baseline = BaselineInputs(scores, distances)
+    objective = dwork_if_check(baseline)
     assert objective == []
-    subjective = subjective_if_check(scores, distances, objective)
+    subjective = subjective_if_check(baseline, objective)
     assert [observer for observer, _, _, _ in subjective] == ["x"]
     _passed(3, "objective check passes while one observer dissents")
 
@@ -235,9 +237,10 @@ def test_acceptance_5_property_suite():
         distances = ObjectiveDistanceTable(
             {(a, b): round(rng.random(), 3) for a, b in itertools.combinations(ids, 2)}
         )
-        found = dwork_if_check(scores, distances)
+        baseline = BaselineInputs(scores, distances)
+        found = dwork_if_check(baseline)
         objective = {pair for pair, _, _ in found}
-        subjective = subjective_if_check(scores, distances, found)
+        subjective = subjective_if_check(baseline, found)
         assert {pair for _, pair, _, _ in subjective} == objective
         assert all(observer in pair for observer, pair, _, _ in subjective)
         assert len(subjective) == 2 * len(objective)

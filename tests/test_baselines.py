@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from subjfair import (
+    BaselineInputs,
     InputError,
     ObjectiveDistanceTable,
     Population,
@@ -12,33 +14,38 @@ from subjfair import (
     subjective_if_check,
 )
 from subjfair.baselines import GAP_TOLERANCE
-from subjfair.harness.runfile import BaselineInputs
 
 from helpers import CountingMapping, if_checks_by_pair
 
 
+def _objective(scores, distances):
+    """The objective check on the baseline ``scores`` and ``distances``."""
+    return dwork_if_check(BaselineInputs(scores, distances))
+
+
 def _subjective(scores, distances):
     """The subjective check as the report runs it: on the findings of the
-    objective check, which raises for a missing pair."""
-    return subjective_if_check(scores, distances, dwork_if_check(scores, distances))
+    objective check."""
+    baseline = BaselineInputs(scores, distances)
+    return subjective_if_check(baseline, dwork_if_check(baseline))
 
 
 class TestObjectiveCheck:
     def test_gap_at_distance_is_no_violation(self):
         scores = {"x": 0.85, "y": 0.90}
         distances = ObjectiveDistanceTable({("x", "y"): 0.05})
-        assert dwork_if_check(scores, distances) == []
+        assert _objective(scores, distances) == []
 
     def test_identical_scores_never_violate(self):
         scores = {"x": 0.4, "y": 0.4}
         distances = ObjectiveDistanceTable({("x", "y"): 0.0})
-        assert dwork_if_check(scores, distances) == []
+        assert _objective(scores, distances) == []
 
     def test_large_gap_violates(self):
         # |0.2 - 0.9| = 0.7 > 0.1
         scores = {"x": 0.2, "y": 0.9}
         distances = ObjectiveDistanceTable({("x", "y"): 0.1})
-        violations = dwork_if_check(scores, distances)
+        violations = _objective(scores, distances)
         assert len(violations) == 1
         pair, gap, _ = violations[0]
         assert pair == ("x", "y")
@@ -47,13 +54,13 @@ class TestObjectiveCheck:
     def test_symmetric_in_pair_order(self):
         # a table keyed (y, x) gives the same violations as one keyed (x, y)
         scores = {"x": 0.2, "y": 0.9}
-        one = dwork_if_check(scores, ObjectiveDistanceTable({("x", "y"): 0.1}))
-        two = dwork_if_check(scores, ObjectiveDistanceTable({("y", "x"): 0.1}))
+        one = _objective(scores, ObjectiveDistanceTable({("x", "y"): 0.1}))
+        two = _objective(scores, ObjectiveDistanceTable({("y", "x"): 0.1}))
         assert one == two == [(("x", "y"), pytest.approx(0.7), 0.1)]
 
     def test_missing_distance_rejected(self):
         with pytest.raises(InputError, match=r"pair \(x, y\)"):
-            dwork_if_check({"x": 0.2, "y": 0.4}, ObjectiveDistanceTable({}))
+            BaselineInputs({"x": 0.2, "y": 0.4}, ObjectiveDistanceTable({}))
 
 
 class TestSubjectiveCheck:
@@ -80,7 +87,7 @@ class TestSubjectiveCheck:
                     for a, b in itertools.combinations(ids, 2)
                 }
             )
-            objective = {pair for pair, _, _ in dwork_if_check(scores, distances)}
+            objective = {pair for pair, _, _ in _objective(scores, distances)}
             subjective = _subjective(scores, distances)
             # each violating pair appears once per party, and only those
             assert {pair for _, pair, _, _ in subjective} == objective
@@ -322,7 +329,7 @@ class TestAgainstRestatedDefinition:
         for _ in range(30):
             scores, distances, overrides, table = self._instance(rng)
             objective, subjective = _restated_checks(scores, distances, overrides)
-            assert dwork_if_check(scores, table) == objective
+            assert _objective(scores, table) == objective
             assert _subjective(scores, table) == subjective
             observers |= {
                 "first" if observer == min(pair) else "second" for observer, pair in overrides
@@ -337,9 +344,8 @@ class TestAgainstRestatedDefinition:
             missing = rng.choice(sorted(table.entries))
             entries = {pair: d for pair, d in table.entries.items() if pair != missing}
             broken = ObjectiveDistanceTable(entries, table.subjective_overrides)
-            for check in (dwork_if_check, _subjective):
-                with pytest.raises(InputError, match=rf"pair \({missing[0]}, {missing[1]}\)"):
-                    check(scores, broken)
+            with pytest.raises(InputError, match=rf"pair \({missing[0]}, {missing[1]}\)"):
+                BaselineInputs(scores, broken)
 
 
 def _mixed_table(rng):
@@ -372,7 +378,7 @@ class TestAgainstPairByPairReference:
         for _ in range(200):
             scores, table = _mixed_table(rng)
             objective, subjective = if_checks_by_pair(scores, table)
-            assert dwork_if_check(scores, table) == objective
+            assert _objective(scores, table) == objective
             assert _subjective(scores, table) == subjective
             seen["unscored"] += not {x for pair in table.entries for x in pair} <= scores.keys()
             seen["self"] += any(x == y for x, y in table.entries)
@@ -401,10 +407,10 @@ class TestAgainstPairByPairReference:
             broken = ObjectiveDistanceTable.adopt(entries, table.subjective_overrides)
             with pytest.raises(InputError) as expected:
                 if_checks_by_pair(scores, broken)
-            for check in (dwork_if_check, _subjective):
-                with pytest.raises(InputError) as raised:
-                    check(scores, broken)
-                assert str(raised.value) == str(expected.value)
+            with pytest.raises(InputError) as raised:
+                BaselineInputs(scores, broken)
+            named = [re.search(r"pair \(.*\)$", str(e.value))[0] for e in (raised, expected)]
+            assert named[0] == named[1]
             refused += 1
         assert refused > 100
 
@@ -420,9 +426,10 @@ def test_subjective_check_reads_only_the_overrides_that_exist():
         (rng.choice(pair), *pair): rng.random() for pair in entries if rng.random() < 0.1
     }
     counting = CountingMapping(overrides)
-    table = ObjectiveDistanceTable.adopt(entries, counting)
-    objective = dwork_if_check(scores, table)
-    subjective = subjective_if_check(scores, table, objective)
+    baseline = BaselineInputs(scores, ObjectiveDistanceTable.adopt(entries, counting))
+    counting.reads = 0
+    objective = dwork_if_check(baseline)
+    subjective = subjective_if_check(baseline, objective)
     assert 0 < counting.reads <= 2 * len(objective) + len(overrides) < 2 * len(entries)
     reference = ObjectiveDistanceTable.adopt(entries, overrides)
     assert (objective, subjective) == if_checks_by_pair(scores, reference)

@@ -428,6 +428,34 @@ class TestRunFile:
         assert run.ledger[("a", "SYSTEM_RECOMMENDATION")] == "accepted"
         assert to_dict(run)["ledger"] == {"a": {"SYSTEM_RECOMMENDATION": "accepted"}}
 
+    def test_a_run_tests_the_baseline_ids_without_reading_its_pairs(self, monkeypatch, capsys):
+        # work gate by counted reads of the distance table: once the
+        # baseline has gathered its ids, building a run and the two copies
+        # a report makes at its settings read no stored pair; the report
+        # reads each pair once
+        run = generate_population(SynthProfile(n=60, seed=9))
+        scored = run.population.individuals[:40]
+        rng = random.Random(11)
+        entries = CountingMapping(
+            {pair: rng.random() / 2 for pair in itertools.combinations(scored, 2)}
+        )
+        table = ObjectiveDistanceTable.adopt(entries, {})
+        baseline = BaselineInputs({i: rng.random() for i in scored}, table)
+        entries.reads = 0
+        built = []
+
+        def counted(self, check=AuditRunFile.__post_init__):
+            check(self)
+            built.append(entries.reads)
+
+        monkeypatch.setattr(AuditRunFile, "__post_init__", counted)
+        run = dataclasses.replace(run, baseline=baseline)
+        monkeypatch.setattr(cli, "load_run", lambda path: run)
+        assert main(["report", "--input", "run.json", "--format", "json"]) == 0
+        assert "objective_if" in capsys.readouterr().out
+        assert built == [0, 0, 0]
+        assert entries.reads == len(entries.data)
+
     def test_baseline_section_round_trips(self):
         doc = _minimal_doc(
             baseline={
@@ -1421,6 +1449,22 @@ class TestCli:
             assert main(argv + ["--input", str(plain)]) == 0
             assert with_ledger == capsys.readouterr().out
 
+    def test_an_empty_ledger_survives_a_re_save(self, tmp_path, capsys):
+        # the report echoes an empty ledger, so saving the run must keep it:
+        # the report on the saved copy is the report on the original
+        doc = _fixture_doc()
+        doc["ledger"] = {}
+        original, saved = tmp_path / "original.json", tmp_path / "saved.json"
+        original.write_text(json.dumps(doc))
+        assert main(["simulate", "--input", str(original), "--output", str(saved)]) == 0
+        capsys.readouterr()
+        reports = []
+        for path in (original, saved):
+            assert main(["report", "--input", str(path), "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert '"ledger": {}' in reports[0]
+        assert reports[1] == reports[0]
+
     def test_ledger_entry_matching_no_obligation_is_located(self, tmp_path, capsys):
         doc = _fixture_doc()
         doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
@@ -1533,7 +1577,7 @@ class TestCli:
     def test_report_and_baseline_walk_the_stored_pairs_once(self, monkeypatch, capsys):
         # work gate by counted reads of the distance table: both IF checks
         # share one walk of its pairs, and a copy of the run at the command's
-        # settings does not check their ids again
+        # settings tests the baseline's ids without reading them
         run = generate_population(SynthProfile(n=60, seed=9))
         ids = run.population.individuals
         scored = ids[:40]
