@@ -3,24 +3,28 @@
 Stage 1 turns individual recommendations into one label per perceived
 cluster; stage 2 turns cluster labels into one final decision per individual
 by aggregating over every cluster that contains them. Both stages use one
-strict majority test, ``majority_label``: a tally exactly equal to theta
+strict majority test, ``majority_labels``: a tally exactly equal to theta
 resolves to 0.
 
 Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
 
-Everything runs on lists indexed by person position. ``cluster_tally``
-binarizes each recommendation once into a 0/1 label and counts the positive
-labels of each cluster once. Neither depends on theta or the strategy, so it
-keeps them on the family for the recommendation vector it read: both
-pipeline stages, the audit's verdicts and every theta of a sweep share one
-tally per family. Stage 1 reads a cluster's label off its count in O(1);
-trust weighting and stage 2 count again per strategy, so every strategy
-costs O(n + sum |C|). A recommendation is a plain number, and trust
-weights and both outputs are plain lists of 0/1 labels by person position.
-Each rule has one home: ``majority_label`` and ``_unanimous`` are the two
-tallies, ``_veto`` applies veto rules, and trust weighting is one line of
+Everything runs on lists indexed by person position, one whole column at a
+time: past the one ``binarize`` call per person that the tally makes, no
+stage calls a Python function per cluster or per person. ``cluster_tally``
+binarizes each recommendation once into a 0/1 label and counts the
+positive labels of each cluster once. Neither depends on theta or the
+strategy, so it keeps them on the family for the recommendation vector it
+read: both pipeline stages, the audit's verdicts and every theta of a
+sweep share one tally per family. Stage 1 reads the cluster labels off
+those counts in O(n); trust weighting and stage 2 count again per strategy,
+so every strategy costs O(n + sum |C|). A recommendation is a plain number,
+and trust weights and both outputs are plain lists of 0/1 labels by person
+position. Each step has one home: ``column_sums`` sums a column over every
+list of a family in one nested ``map`` pass, ``majority_labels`` and
+``unanimous_labels`` are the two tallies, each applied to whole columns,
+``_veto`` applies veto rules, and trust weighting is a few lines of
 ``run_pipeline``.
 """
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily
@@ -130,10 +135,24 @@ def binarize(value: float) -> int:
     return 1 if value > 0.5 else 0
 
 
-def majority_label(positive: int, size: int, theta: float) -> int:
-    """1 iff the positive share ``positive / size`` is strictly above theta,
-    else 0: a tally exactly at theta resolves to 0."""
-    return 1 if positive / size > theta else 0
+def column_sums(values: list[int], lists: Iterable[list[int]]) -> list[int]:
+    """The sum of ``values`` over the positions of each list of ``lists``,
+    in one nested ``map`` pass with no Python frame per list."""
+    return list(map(sum, map(map, repeat(values.__getitem__), lists)))
+
+
+def majority_labels(positive: Iterable[int], sizes: Iterable[int], theta: float) -> list[int]:
+    """The strict theta rule over whole columns: label k is 1 iff the share
+    ``positive[k] / sizes[k]`` is strictly above theta, else 0, so a tally
+    exactly at theta resolves to 0."""
+    return [1 if p / size > theta else 0 for p, size in zip(positive, sizes)]
+
+
+def unanimous_labels(positive: Iterable[int], sizes: Iterable[int]) -> list[int]:
+    """The pessimistic rule over whole columns: label k is 1 iff every one of
+    the ``sizes[k]`` labels is positive, so the bad outcome wins any
+    conflict."""
+    return [1 if p == size else 0 for p, size in zip(positive, sizes)]
 
 
 def cluster_tally(
@@ -143,22 +162,17 @@ def cluster_tally(
 
     ``label[k]`` is the binarized recommendation of the person at position
     k; ``positive[k]`` counts the positive labels in their cluster. Computed
-    in O(n + sum |C|) with one ``binarize`` call per person, then kept on
-    ``family`` and returned again while the same ``pop`` and ``recs``
-    objects are asked for.
+    in O(n + sum |C|) with one ``binarize`` call per person and one
+    ``column_sums`` pass, then kept on ``family`` and returned again while
+    the same ``pop`` and ``recs`` objects are asked for.
     """
     cached = family.tally
     if cached is not None and cached[0] is pop and cached[1] is recs:
         return cached[2]
     label = list(map(binarize, map(recs.values.__getitem__, pop.individuals)))
-    positive = [sum(map(label.__getitem__, c)) for c in family.members]
+    positive = column_sums(label, family.members)
     object.__setattr__(family, "tally", (pop, recs, (label, positive)))
     return label, positive
-
-
-def _unanimous(positive: int, size: int) -> int:
-    # The pessimistic rule: the bad outcome wins any conflict.
-    return 1 if positive == size else 0
 
 
 def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> int:
@@ -187,25 +201,31 @@ def run_pipeline(
     rules = strategy.veto_rules
     if rules:
         validate_veto_rules(rules, pop)
-    theta = strategy.theta
-    tally = _unanimous if strategy.kind == PESSIMISTIC else partial(majority_label, theta=theta)
+    if strategy.kind == PESSIMISTIC:
+        rule = unanimous_labels
+    else:
+        rule = partial(majority_labels, theta=strategy.theta)
     label, positive = cluster_tally(pop, family, recs)
-    members = family.members
-    set_label = list(map(tally, positive, map(len, members)))
+    members, owners = family.members, family.owners
+    sizes = list(map(len, members))
+    set_label = rule(positive, sizes)
     if strategy.kind == TRUST_WEIGHTED:
         # Weight 1 for a label that matches its owner's cluster majority,
         # else 0. A cluster tallies the positive labels of weight 1 over all
         # labels of weight 1, and keeps its majority when none has weight.
         # One sum per cluster counts both: a member of weight 1 adds 1, and
         # n + 1 more if its label is positive, and the total is at most n.
+        # A cluster whose sum is 0 has no weight: it is tallied over its
+        # plain counts again, so nothing divides by zero.
         base = len(label) + 1
         code = [1 + base * own if own == cluster else 0 for own, cluster in zip(label, set_label)]
-        for k, c in enumerate(members):
-            trusted, total = divmod(sum(map(code.__getitem__, c)), base)
-            if total:
-                set_label[k] = tally(trusted, total)
+        coded = column_sums(code, members)
+        set_label = rule(
+            [c // base if c else p for c, p in zip(coded, positive)],
+            [c % base or size for c, size in zip(coded, sizes)],
+        )
 
-    decisions = [tally(sum(map(set_label.__getitem__, o)), len(o)) for o in family.owners]
+    decisions = rule(column_sums(set_label, owners), map(len, owners))
     if rules:
         attributes = pop.attributes or {}
         decisions = [

@@ -13,7 +13,8 @@ first, mirroring the decision pipeline.
 
 The verdicts read the pipeline's stage-1 tally (``cluster_tally``): each
 person's label and each cluster's positive count, computed once per family
-and recommendation vector. Relaxed ISF needs only the count; so does ISF on
+and recommendation vector. Relaxed ISF needs only the count, which it puts
+to the pipeline's own whole-column rule, ``majority_labels``; so does ISF on
 binary recommendations, where the members treated like x are the members
 sharing x's label. Score recommendations are compared member by member.
 Recommendations are read as the numbers they are stored as, and the
@@ -25,12 +26,11 @@ builds no per-person record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from operator import truediv
 from typing import Sequence
 
-from .aggregation import cluster_tally, majority_label
+from .aggregation import cluster_tally, majority_labels
 from .clustering import ClusterFamily
 from .core import BINARY, AuditParams, InputError, Population, RecommendationVector
 
@@ -107,8 +107,9 @@ def audit_population(
     keeps on ``family`` (``cluster_tally``): the person's label and the
     count of positive labels in their cluster. Relaxed ISF compares the
     label with the cluster's plain theta-majority of that count, whatever
-    the strategy. On 0/1 labels epsilon-similarity is equality for every
-    epsilon in [0, 1), so labels are compared by equality, and on binary
+    the strategy, as ``majority_labels`` reads it for every cluster at
+    once. On 0/1 labels epsilon-similarity is equality for every epsilon in
+    [0, 1), so labels are compared by equality, and on binary
     recommendations the members treated like x are the positive count when
     x's label is 1 and the rest when it is 0; score recommendations are
     compared with x's raw value member by member. ISF is fair iff every
@@ -129,7 +130,7 @@ def audit_population(
             for own, cluster in zip(raw, members)
         ]
     isf = [FAIR if sat == size else UNFAIR for sat, size in zip(satisfied, sizes)]
-    majority = map(partial(majority_label, theta=params.theta), positive, sizes)
+    majority = majority_labels(positive, sizes, params.theta)
     agrees = list(map(int.__eq__, label, set_labels))
     sf, dissenters = sf_process(pop.individuals, isf)
     return AuditReport(

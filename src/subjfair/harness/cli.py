@@ -263,36 +263,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subjfair",
-        description="Subjective-fairness auditing and decision aggregation",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a run file against the model invariants")
+def _validate_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, with_params=False)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("audit", help="full fairness audit of a run file")
+
+def _audit_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--group-attr", help="also report statistical parity on this attribute")
     p.add_argument(
         "--strict", action="store_true", help="exit 1 when the process is SF-unfair"
     )
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("decide", help="run the two-stage decision pipeline only")
-    _add_common(p)
-    p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("baseline", help="classical fairness baselines")
+def _baseline_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--group-attr", help="statistical parity attribute")
-    p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("simulate", help="generate synthetic runs and parameter sweeps")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="sweep an existing run file instead of generating")
     p.add_argument("--n", type=int, default=8, help="population size")
     p.add_argument("--density", type=float, default=0.3, help="off-diagonal perception density")
@@ -310,18 +298,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", help="comma-separated epsilon grid")
     p.add_argument("--thetas", help="comma-separated theta grid")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="compare the engine against the brute-force oracle")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="max population for the oracle")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("report", help="emit the full audit report")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--group-attr", help="also report statistical parity on this attribute")
-    p.set_defaults(func=_cmd_report)
 
+
+#: Each subcommand: its name, its help line, what adds its arguments, and
+#: what runs it.
+_COMMANDS = (
+    ("validate", "check a run file against the model invariants", _validate_args, _cmd_validate),
+    ("audit", "full fairness audit of a run file", _audit_args, _cmd_audit),
+    ("decide", "run the two-stage decision pipeline only", _add_common, _cmd_decide),
+    ("baseline", "classical fairness baselines", _baseline_args, _cmd_baseline),
+    ("simulate", "generate synthetic runs and parameter sweeps", _simulate_args, _cmd_simulate),
+    ("oracle", "compare the engine against the brute-force oracle", _oracle_args, _cmd_oracle),
+    ("report", "emit the full audit report", _report_args, _cmd_report),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with the ``argv`` it is about to parse, only
+    the subcommand ``argv`` runs gets its arguments.
+
+    That subcommand is named by the first argument that does not start with
+    "-": the top-level options take no value, so argparse hands the rest to
+    that subcommand or to none. Every subcommand is still registered with
+    its name and help, so usage, help and error text are the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="subjfair",
+        description="Subjective-fairness auditing and decision aggregation",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    for name, help_line, add_arguments, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if named is None or named == name:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -331,13 +353,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     The cyclic garbage collector is paused for the whole command and put
     back as the caller had it, on every exit. The engine forms no reference
     cycles, so reference counting frees all it makes; what a command leaves
-    for the collector is argparse's parser, the same few hundred objects for
-    any input, which the next collection takes.
+    for the collector is argparse's parser, a few hundred objects at most
+    for any input, which the next collection takes.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         try:
             return args.func(args)
         except (InputError, OSError) as exc:

@@ -66,6 +66,26 @@ def individual_ids(n: int) -> list[str]:
     return [f"i{k:0{width}d}" for k in range(n)]
 
 
+def honest_rows(
+    rng: random.Random, ids: list[str], density: float
+) -> dict[str, dict[str, float]]:
+    """The honest perception table, row by row in id order: each observer
+    rates themself 1.0, and every other person, in id order, is drawn with
+    probability ``density`` and then given a value uniform in [0, 1] to 3
+    decimals. The observer is skipped by slicing around them, so ``rng`` is
+    asked for exactly one draw per other person, plus one per drawn entry."""
+    draw = rng.random
+    rows: dict[str, dict[str, float]] = {}
+    for k, observer in enumerate(ids):
+        row = {observer: 1.0}
+        for others in (ids[:k], ids[k + 1 :]):
+            for target in others:
+                if draw() < density:
+                    row[target] = round(draw(), 3)
+        rows[observer] = row
+    return rows
+
+
 def generate_population(profile: SynthProfile) -> AuditRunFile:
     """Draw a run file deterministically from the profile's seed.
 
@@ -79,14 +99,7 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
     ids = individual_ids(profile.n)
     known = set(ids)
 
-    rows: dict[str, dict[str, float]] = {}
-    for observer in ids:
-        row = {observer: 1.0}
-        for target in ids:
-            if target != observer and rng.random() < profile.cluster_density:
-                row[target] = round(rng.random(), 3)
-        rows[observer] = row
-
+    rows = honest_rows(rng, ids, profile.cluster_density)
     rec_values = {i: 1 if rng.random() < profile.base_positive_rate else 0 for i in ids}
 
     delta = DEFAULT_PARAMS.delta

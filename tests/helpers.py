@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from collections.abc import Mapping
 from types import SimpleNamespace
 
 from subjfair import (
     BINARY,
     MAJORITY,
+    PESSIMISTIC,
+    TRUST_WEIGHTED,
     AggregationStrategy,
     AuditParams,
     AuditReport,
@@ -24,6 +27,7 @@ from subjfair import (
     run_pipeline,
 )
 from subjfair.baselines import GAP_TOLERANCE
+from subjfair.clustering import ClusterFamily
 from subjfair.harness.runfile import AuditRunFile
 from subjfair.harness.synth import SynthProfile, generate_population, individual_ids
 
@@ -153,6 +157,73 @@ def if_checks_by_pair(
             if gap > perceived + GAP_TOLERANCE:
                 subjective.append((observer, pair, gap, perceived))
     return objective, subjective
+
+
+def pipeline_by_cluster(
+    pop: Population,
+    family: ClusterFamily,
+    recs: RecommendationVector,
+    strategy: AggregationStrategy,
+    reached: Counter | None = None,
+) -> tuple[list[int], list[int]]:
+    """Both pipeline stages tallied cluster by cluster and person by person,
+    each by a scalar majority test: the reference the whole-column kernels
+    of ``run_pipeline`` are checked against.
+
+    ``reached`` counts the cases met: ``tie`` for a tally exactly at theta,
+    ``singleton`` for a cluster of one, ``zero_weight`` for a trust-weighted
+    cluster whose weight total is 0.
+    """
+    reached = Counter() if reached is None else reached
+    theta = strategy.theta
+
+    def majority_label(positive: int, size: int) -> int:
+        if positive / size == theta:
+            reached["tie"] += 1
+        return 1 if positive / size > theta else 0
+
+    def unanimous(positive: int, size: int) -> int:
+        return 1 if positive == size else 0
+
+    tally = unanimous if strategy.kind == PESSIMISTIC else majority_label
+    label = [1 if recs.values[i] > 0.5 else 0 for i in pop.individuals]
+    members = family.members
+    reached["singleton"] += sum(len(c) == 1 for c in members)
+    positive = [sum(map(label.__getitem__, c)) for c in members]
+    set_label = list(map(tally, positive, map(len, members)))
+    if strategy.kind == TRUST_WEIGHTED:
+        base = len(label) + 1
+        code = [1 + base * own if own == cluster else 0 for own, cluster in zip(label, set_label)]
+        for k, c in enumerate(members):
+            trusted, total = divmod(sum(map(code.__getitem__, c)), base)
+            if total:
+                set_label[k] = tally(trusted, total)
+            else:
+                reached["zero_weight"] += 1
+    decisions = [tally(sum(map(set_label.__getitem__, o)), len(o)) for o in family.owners]
+    attributes = pop.attributes or {}
+    for k, i in enumerate(pop.individuals):
+        for rule in strategy.veto_rules:
+            if decisions[k] == rule.vetoed_label and rule.matches(attributes.get(i, {})):
+                decisions[k] = 0
+                break
+    return set_label, decisions
+
+
+def honest_rows_by_pair(
+    rng: random.Random, ids: list[str], density: float
+) -> dict[str, dict[str, float]]:
+    """The honest perception table drawn pair by pair, testing each
+    (observer, target) pair for the diagonal: the reference
+    ``synth.honest_rows`` is checked against."""
+    rows: dict[str, dict[str, float]] = {}
+    for observer in ids:
+        row = {observer: 1.0}
+        for target in ids:
+            if target != observer and rng.random() < density:
+                row[target] = round(rng.random(), 3)
+        rows[observer] = row
+    return rows
 
 
 def similarity(a: float, b: float, kind: str) -> float:

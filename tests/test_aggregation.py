@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from subjfair import (
+    VETO,
     AggregationStrategy,
     ConfigError,
     VetoRule,
@@ -11,10 +13,18 @@ from subjfair import (
     run_pipeline,
 )
 from subjfair import aggregation
-from subjfair.aggregation import validate_veto_rules
+from subjfair.aggregation import STRATEGY_KINDS, validate_veto_rules
 from subjfair.harness.oracle import brute_force_oracle
 
-from helpers import as_run, by_id, cluster_label, make_inputs, random_instance, random_rows
+from helpers import (
+    as_run,
+    by_id,
+    cluster_label,
+    make_inputs,
+    pipeline_by_cluster,
+    random_instance,
+    random_rows,
+)
 
 
 CROSSED_ROWS = {
@@ -201,8 +211,9 @@ class TestTrustWeighting:
             assert by_id(inputs.pop.individuals, labels) == doc["set_rec"]
 
     def test_pipeline_aggregates_each_cluster_once(self, monkeypatch):
-        # complexity gate by counted calls: at most three majority tallies
-        # per person (stage 1, the weighted recount, stage 2), not one per
+        # complexity gate by counted calls: at most three whole-column
+        # majority tallies per pipeline (stage 1, the weighted recount,
+        # stage 2), each over at most n items, not one per cluster or
         # (cluster, member) pair
         rng = random.Random(3)
         ids = [f"p{k:03d}" for k in range(100)]
@@ -211,18 +222,19 @@ class TestTrustWeighting:
         sum_c = sum(map(len, inputs.family.members))
         assert sum_c > 4 * len(ids)
 
-        calls = 0
-        tally = aggregation.majority_label
+        sizes = []
+        tally = aggregation.majority_labels
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return tally(*args, **kwargs)
+        def counting(positive, size, theta):
+            positive, size = list(positive), list(size)
+            sizes.append(len(positive))
+            return tally(positive, size, theta)
 
-        monkeypatch.setattr(aggregation, "majority_label", counting)
+        monkeypatch.setattr(aggregation, "majority_labels", counting)
         strategy = AggregationStrategy("trust_weighted")
         run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
-        assert 0 < calls <= 3 * len(ids)
+        assert 0 < len(sizes) <= 3
+        assert max(sizes) <= len(ids)
 
 
 @pytest.mark.parametrize("kind", ["majority", "trust_weighted", "pessimistic", "veto"])
@@ -421,3 +433,87 @@ def test_pipeline_matches_naive_rederivation():
             ]
             tally = sum(expected_set[o] for o in owners) / len(owners)
             assert decision == (1 if tally > theta else 0)
+
+
+MINOR_VETO = VetoRule("age", "<", 18, vetoed_label=1)
+
+
+class TestColumnKernels:
+    """The whole-column kernels of ``run_pipeline`` against the per-cluster
+    reference ``pipeline_by_cluster``."""
+
+    @staticmethod
+    def _check(inputs, strategy, reached):
+        expected = pipeline_by_cluster(inputs.pop, inputs.family, inputs.recs, strategy, reached)
+        assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy) == expected
+
+    def test_random_families_match_the_per_cluster_pipeline(self):
+        rng = random.Random(53)
+        reached = Counter()
+        kinds = Counter()
+        for trial in range(40):
+            # small families reach a trust-weighted cluster of no weight
+            n = rng.randint(1, 200) if trial % 4 == 0 else rng.randint(2, 12)
+            ids = [f"p{k:03d}" for k in range(n)]
+            kind = ("binary", "score")[trial % 2]
+            if kind == "binary":
+                recs = {i: rng.randint(0, 1) for i in ids}
+            else:
+                recs = {i: round(rng.random(), 3) for i in ids}
+            attributes = {i: {"age": rng.randint(10, 60)} for i in ids}
+            inputs = make_inputs(
+                random_rows(rng, ids, density=rng.choice([0.0, 0.05, 0.3, 0.8])),
+                recs,
+                delta=rng.choice([0.0, 0.3, 0.5, 0.8, 1.0]),
+                kind=kind,
+                attributes=attributes,
+            )
+            for theta in (0.0, 0.25, 1 / 3, 0.5, rng.choice([0.4, 0.6, 0.75])):
+                for strategy_kind in STRATEGY_KINDS:
+                    rules = (MINOR_VETO,) if strategy_kind == VETO else ()
+                    strategy = AggregationStrategy(strategy_kind, theta, rules)
+                    self._check(inputs, strategy, reached)
+                    kinds[strategy_kind, kind] += 1
+        assert len(kinds) == 2 * len(STRATEGY_KINDS)
+        assert reached["tie"] and reached["singleton"] and reached["zero_weight"]
+
+    @pytest.mark.parametrize(
+        "positives, size, theta",
+        # 29 / 50 is the float 0.58, yet 29 > 0.58 * 50: a tally rewritten
+        # as a product would label this tie 1
+        [(2, 4, 0.5), (1, 4, 0.25), (1, 3, 1 / 3), (0, 1, 0.0), (29, 50, 0.58)],
+    )
+    @pytest.mark.parametrize("strategy_kind", ["majority", "trust_weighted"])
+    def test_tie_at_theta_resolves_to_zero(self, positives, size, theta, strategy_kind):
+        # p0's cluster holds everyone; everyone else's holds only themself
+        ids = [f"p{k:02d}" for k in range(size)]
+        rows = {i: {i: 1.0} for i in ids}
+        rows[ids[0]] = dict.fromkeys(ids, 1.0)
+        recs = dict(zip(ids, [1] * positives + [0] * (size - positives)))
+        inputs = make_inputs(rows, recs, theta=theta)
+        reached = Counter()
+        strategy = AggregationStrategy(strategy_kind, theta)
+        self._check(inputs, strategy, reached)
+        assert reached["tie"]
+        assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)[0][0] == 0
+
+    def test_cluster_with_no_weight_keeps_its_plain_label(self):
+        # x's cluster {x, y} is labelled 0 (1/2 is not above 0.5), so x's
+        # label 1 has weight 0; y's own cluster {y, a, b} is labelled 1, so
+        # y's label 0 has weight 0 too: x's cluster has a weight total of 0
+        rows = {
+            "x": {"x": 1.0, "y": 1.0},
+            "y": {"y": 1.0, "a": 1.0, "b": 1.0},
+            "a": {"a": 1.0},
+            "b": {"b": 1.0},
+        }
+        inputs = make_inputs(rows, {"x": 1, "y": 0, "a": 1, "b": 1})
+        reached = Counter()
+        self._check(inputs, AggregationStrategy("trust_weighted"), reached)
+        assert reached["zero_weight"] == 1
+        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        weighted, _ = run_pipeline(
+            inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+        )
+        x = inputs.pop.positions["x"]
+        assert weighted[x] == plain[x] == 0

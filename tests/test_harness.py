@@ -19,7 +19,7 @@ from subjfair import (
     VetoRule,
     build_cluster_family,
 )
-from subjfair.harness import cli
+from subjfair.harness import cli, synth
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
@@ -44,7 +44,7 @@ from subjfair.harness.runfile import (
 )
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import CountingMapping, make_inputs
+from helpers import CountingMapping, honest_rows_by_pair, make_inputs
 
 
 NAN = float("nan")
@@ -582,6 +582,27 @@ class TestSynth:
         with pytest.raises(Exception):
             generate_population(SynthProfile(n=3, manipulation=(("i00", "zz"),)))
 
+    @pytest.mark.parametrize(
+        "n, density, seed, manipulation",
+        [
+            (1, 0.3, 0, ()),
+            (9, 0.0, 1, ()),
+            (9, 1.0, 2, ()),
+            (40, 0.3, 3, ()),
+            (120, 0.02, 4, ()),
+            (12, 0.5, 9, (("i00", "i11"),)),
+        ],
+    )
+    def test_honest_rows_draw_as_the_per_pair_loop(
+        self, monkeypatch, n, density, seed, manipulation
+    ):
+        # the sliced loop asks the generator for the same draws in the same
+        # order as a loop over every pair that skips the diagonal
+        profile = SynthProfile(n=n, cluster_density=density, seed=seed, manipulation=manipulation)
+        sliced = dumps_run(generate_population(profile))
+        monkeypatch.setattr(synth, "honest_rows", honest_rows_by_pair)
+        assert dumps_run(generate_population(profile)) == sliced
+
 
 class TestOracle:
     def test_fixture_matches_engine(self):
@@ -738,7 +759,27 @@ class TestReport:
         assert doc["baselines"]["statistical_parity"]["gap"] == 1.0
 
 
+SUBCOMMANDS = ("validate", "audit", "decide", "baseline", "simulate", "oracle", "report")
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "-h"] for command in SUBCOMMANDS]
+        + [["-h"], ["--version"], [], ["bogus"], ["audit"], ["--", "audit", "-h"]],
+    )
+    def test_parser_text_and_exit_code_match_the_full_parser(self, argv, capsys):
+        # ``main`` builds the arguments of the subcommand it runs only; what
+        # it prints and its exit code are the full parser's
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            return exc.value.code, capsys.readouterr()
+
+        full = outcome(cli.build_parser().parse_args)
+        assert full[1].out or full[1].err
+        assert outcome(main) == full
+
     def test_validate_clean(self, capsys):
         code = main(["validate", "--input", str(crossed_clusters_path())])
         assert code == 0
