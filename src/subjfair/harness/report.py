@@ -5,9 +5,9 @@ settings: validation, clustering, both aggregation stages, fairness
 verdicts, obligations and the explanation-level verdict. ``audit_run`` is
 its single-point case; ``decide_run`` runs the clusters and both pipeline
 stages alone, for the commands that print no audit. Reports come in a
-machine form, a plain dict that ``dumps_doc`` writes with the canonical
-JSON writer (sorted keys, two-space indent), and a human-readable text
-form; both are deterministic for a given run file and engine version.
+machine form, a plain dict that ``dumps_doc`` (from ``runfile``) writes as
+compact JSON with sorted keys, and a human-readable text form; both are
+deterministic for a given run file and engine version.
 Each is written from the family's position lists, the audit's columns and
 the baselines' violation tuples; ``build_report_doc`` adds the procedural
 check, from the run's ``metadata.ethicality_asserted``.
@@ -35,8 +35,7 @@ from ..explanations import (
     fairness_through_explanations,
     procedural_check,
 )
-from .canonical import dumps_canonical
-from .runfile import AuditRunFile, RunFileError, settings_to_dict
+from .runfile import AuditRunFile, RunFileError, dumps_doc, settings_to_dict
 
 REPORT_SCHEMA = "subjfair-report/1"
 
@@ -244,11 +243,6 @@ def baselines_section(
             for observer, pair, gap, perceived in subjective_if_check(run.baseline, objective)
         ]
     return baselines
-
-
-def dumps_doc(doc: Any) -> str:
-    """Canonical JSON form: deterministic bytes for a deterministic doc."""
-    return dumps_canonical(doc)
 
 
 def render_labels(doc: dict[str, Any]) -> list[str]:

@@ -11,8 +11,11 @@ attribute and operator of every veto rule, must be strings: none is
 coerced. Every id a baseline score or row names must be in the population
 (``BaselineInputs``, from ``baselines``, gathers them into one set).
 
-``save_run`` writes a canonical form (sorted keys, two-space indent);
+``dumps_doc`` is the one written form of every JSON document, run files
+and reports alike: compact JSON with sorted keys and a closing newline, in
+one call to the standard library's C encoder. ``save_run`` writes it;
 loading and re-saving any valid file is idempotent and preserves content.
+The loader reads any JSON layout, so indented files load as well.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from ..core import (
     validate_population,
 )
 from ..explanations import AcceptanceLedger
-from .canonical import dumps_canonical
 
 SCHEMA = "subjfair-run/1"
 
@@ -448,8 +450,8 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
     run has one, as a report echoes it even empty; other optional sections
     are omitted when empty. The ``sim`` rows, the recommendation values,
     the attributes and the baseline scores are the run's own maps, unsorted
-    and uncopied (the canonical writer sorts every key), so the document is
-    for writing, not for changing."""
+    and uncopied (``dumps_doc`` sorts every key), so the document is for
+    writing, not for changing."""
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "purpose": run.purpose,
@@ -515,12 +517,18 @@ def load_run(path: str | Path, validate: bool = True) -> AuditRunFile:
     return loads_run(text, validate=validate)
 
 
+def dumps_doc(doc: Any) -> str:
+    """``doc`` as compact JSON with sorted keys and a closing newline:
+    deterministic bytes for a deterministic document."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def dumps_run(run: AuditRunFile) -> str:
-    return dumps_canonical(to_dict(run))
+    return dumps_doc(to_dict(run))
 
 
 def save_run(run: AuditRunFile, path: str | Path) -> Path:
-    """Write the canonical form; re-saving a loaded file is idempotent."""
+    """Write ``dumps_run``'s form; re-saving a loaded file is idempotent."""
     path = Path(path)
     path.write_text(dumps_run(run), encoding="utf-8")
     return path

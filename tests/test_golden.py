@@ -26,6 +26,11 @@ tables were pinned before the per-person and per-pair records beside those
 columns were deleted. The runs whose binary labels are written as floats, or
 whose scores include the ints 0 and 1, were pinned before a recommendation
 became one number with one kind per vector.
+
+Every hash was pinned when JSON documents were written indented, before
+they became compact, so ``_as_pinned`` checks that a JSON text is exactly
+the compact form and hashes its indented rebuild: that pins the compact
+bytes as exactly as the old ones.
 """
 
 from __future__ import annotations
@@ -56,17 +61,37 @@ from subjfair.baselines import ObjectiveDistanceTable
 from subjfair.explanations import ACCEPTED, REJECTED, AcceptanceLedger
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path
-from subjfair.harness.report import audit_run
-from subjfair.harness.runfile import BaselineInputs, load_run, save_run, to_dict
+from subjfair.harness.report import audit_run, build_report_doc
+from subjfair.harness.runfile import (
+    BaselineInputs,
+    dumps_run,
+    load_run,
+    loads_run,
+    save_run,
+    to_dict,
+)
 from subjfair.harness.synth import SynthProfile, generate_population
 
 
+def _as_pinned(text: str) -> str:
+    """The SHA-256 of ``text`` in its pinned form: a JSON text, which must be
+    exactly the compact sorted form, as its two-space-indented rebuild; any
+    other text as it is."""
+    if text.startswith(("{", "[")):
+        value = json.loads(text)
+        # a bool, so that a failure does not diff megabytes of text
+        compact = text == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+        assert compact, "not the compact sorted JSON form"
+        text = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _printed(argv: list[str]) -> str:
-    """``"<exit code>:<sha256 of stdout>"`` of one command."""
+    """``"<exit code>:<pinned hash of stdout>"`` of one command."""
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(argv)
-    return f"{code}:{hashlib.sha256(buffer.getvalue().encode('utf-8')).hexdigest()}"
+    return f"{code}:{_as_pinned(buffer.getvalue())}"
 
 
 # --- the bundled fixture -----------------------------------------------------
@@ -372,22 +397,60 @@ SAVED = {
 }
 
 
+def _full_run():
+    """``FULL_RUN`` with a metadata note that needs escaping."""
+    full = _synthetic_run(*FULL_RUN)
+    return replace(full, metadata={**full.metadata, "note": "Zürich \"q\" \\ \u0007"})
+
+
 def test_saved_run_bytes_are_pinned(tmp_path):
     """The SHA-256 of what ``save_run`` writes for the fixture as loaded, for
     a run with every optional section and for two of ``SYNTHETIC``."""
-    full = _synthetic_run(*FULL_RUN)
-    full = replace(full, metadata={**full.metadata, "note": "Zürich \"q\" \\ \u0007"})
     runs = {
         "fixture": load_run(crossed_clusters_path()),
-        "full": full,
+        "full": _full_run(),
         "n40-s1": _synthetic_run(*SYNTHETIC[0]),
         "n800-s17": _synthetic_run(*SYNTHETIC[16]),
     }
     saved = {
-        name: hashlib.sha256(save_run(run, tmp_path / f"{name}.json").read_bytes()).hexdigest()
+        name: _as_pinned(save_run(run, tmp_path / f"{name}.json").read_text(encoding="utf-8"))
         for name, run in runs.items()
     }
     assert saved == SAVED
+
+
+def _keys(value):
+    """Every dict key in ``value``, at any depth."""
+    if isinstance(value, dict):
+        yield from value
+        values = value.values()
+    elif isinstance(value, (list, tuple)):
+        values = value
+    else:
+        return
+    for child in values:
+        yield from _keys(child)
+
+
+def test_indented_and_compact_run_files_load_alike():
+    """A run file loads the same whether it is indented, as files written
+    before run files became compact are, or compact; and every key the
+    engine writes into a run file or a report is a string, since sorted
+    keys of mixed types cannot be written and an int key would sort apart
+    from its string form after a rebuild."""
+    runs = {
+        "fixture": (load_run(crossed_clusters_path()), None),
+        "full": (_full_run(), "group"),
+        "n120-s8": (_synthetic_run(*SYNTHETIC[7]), None),
+    }
+    for name, (run, group_attr) in runs.items():
+        doc = to_dict(run)
+        compact = dumps_run(run)
+        indented = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert compact != indented, name
+        assert loads_run(indented) == loads_run(compact) == run, name
+        report = build_report_doc(audit_run(run), group_attr, include_baselines=True)
+        assert {type(key) for key in _keys([doc, report])} == {str}, name
 
 
 # --- broken tables ---------------------------------------------------------------
@@ -500,7 +563,7 @@ def test_retyped_recommendation_values_are_pinned(tmp_path):
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         saved = save_run(load_run(path), tmp_path / f"{kind}-saved.json")
-        printed[f"{kind}-saved"] = hashlib.sha256(saved.read_bytes()).hexdigest()
+        printed[f"{kind}-saved"] = _as_pinned(saved.read_text(encoding="utf-8"))
         printed[f"{kind}-report"] = _printed(
             ["report", "--input", str(path), "--format", "json"]
         )
