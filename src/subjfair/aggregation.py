@@ -12,28 +12,34 @@ attribute-based veto rules applied to final decisions.
 
 Everything runs on lists indexed by person position, one whole column at a
 time: past the one ``binarize`` call per person that the tally makes, no
-stage calls a Python function per cluster or per person. ``cluster_tally``
-binarizes each recommendation once into a 0/1 label and counts the
-positive labels of each cluster once. Neither depends on theta or the
-strategy, so it keeps them on the family for the recommendation vector it
-read: both pipeline stages, the audit's verdicts and every theta of a
-sweep share one tally per family. Stage 1 reads the cluster labels off
-those counts in O(n); trust weighting and stage 2 count again per strategy,
-so every strategy costs O(n + sum |C|). A recommendation is a plain number,
-and trust weights and both outputs are plain lists of 0/1 labels by person
-position. Each step has one home: ``column_sums`` sums a column over every
-list of a family in one nested ``map`` pass, ``majority_labels`` and
-``unanimous_labels`` are the two tallies, each applied to whole columns,
-``_veto`` applies veto rules, and trust weighting is a few lines of
-``run_pipeline``.
+stage calls a Python function per cluster or per person. One kernel,
+``flagged_counts``, makes every count: given a 0/1 flag per position and a
+family's lists, it counts for each position how many flagged positions'
+lists name it, reading the flagged lists only, in O(n + sum over flagged j
+of |lists[j]|). ``cluster_tally`` binarizes each recommendation once into a
+0/1 label and counts the positive labels of each cluster through the
+positive people's owner lists. Neither depends on theta or the strategy,
+so it keeps them on the family for the recommendation vector it read: both
+pipeline stages, the audit's verdicts and every theta of a sweep share one
+tally per family. Stage 1 reads the cluster labels off those counts in
+O(n). Trust weighting counts only the members of weight 0, and the
+positive ones among them, through their owner lists; stage 2 counts the
+positive cluster labels through the positive clusters' member lists; so
+every strategy costs at most O(n + sum |C|). A recommendation is a plain
+number, and trust weights and both outputs are plain lists of 0/1 labels
+by person position. Each step has one home: ``flagged_counts`` counts,
+``majority_labels`` and ``unanimous_labels`` are the two tallies, each
+applied to whole columns, ``_veto`` applies veto rules, and trust
+weighting is a few lines of ``run_pipeline``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily
@@ -135,10 +141,17 @@ def binarize(value: float) -> int:
     return 1 if value > 0.5 else 0
 
 
-def column_sums(values: list[int], lists: Iterable[list[int]]) -> list[int]:
-    """The sum of ``values`` over the positions of each list of ``lists``,
-    in one nested ``map`` pass with no Python frame per list."""
-    return list(map(sum, map(map, repeat(values.__getitem__), lists)))
+def flagged_counts(flags: Iterable[int], lists: list[list[int]]) -> list[int]:
+    """For each position k, how many flagged positions j have k in
+    ``lists[j]``: ``flags`` holds one 0/1 flag per position, and ``lists``
+    one list of positions per position, so its length is the count's.
+
+    One C-level pass counts the lists of the flagged positions only, so it
+    costs O(n + sum over flagged j of |lists[j]|) and never reads the list
+    of an unflagged position.
+    """
+    counts = Counter(chain.from_iterable(compress(lists, flags)))
+    return list(map(counts.get, range(len(lists)), repeat(0)))
 
 
 def majority_labels(positive: Iterable[int], sizes: Iterable[int], theta: float) -> list[int]:
@@ -162,15 +175,17 @@ def cluster_tally(
 
     ``label[k]`` is the binarized recommendation of the person at position
     k; ``positive[k]`` counts the positive labels in their cluster. Computed
-    in O(n + sum |C|) with one ``binarize`` call per person and one
-    ``column_sums`` pass, then kept on ``family`` and returned again while
-    the same ``pop`` and ``recs`` objects are asked for.
+    with one ``binarize`` call per person and one ``flagged_counts`` pass
+    over the owner lists of the positive people, in O(n + sum over them of
+    the clusters they sit in), at most O(n + sum |C|); then kept on
+    ``family`` and returned again while the same ``pop`` and ``recs``
+    objects are asked for.
     """
     cached = family.tally
     if cached is not None and cached[0] is pop and cached[1] is recs:
         return cached[2]
     label = list(map(binarize, map(recs.values.__getitem__, pop.individuals)))
-    positive = column_sums(label, family.members)
+    positive = flagged_counts(label, family.owners)
     object.__setattr__(family, "tally", (pop, recs, (label, positive)))
     return label, positive
 
@@ -212,20 +227,19 @@ def run_pipeline(
     if strategy.kind == TRUST_WEIGHTED:
         # Weight 1 for a label that matches its owner's cluster majority,
         # else 0. A cluster tallies the positive labels of weight 1 over all
-        # labels of weight 1, and keeps its majority when none has weight.
-        # One sum per cluster counts both: a member of weight 1 adds 1, and
-        # n + 1 more if its label is positive, and the total is at most n.
-        # A cluster whose sum is 0 has no weight: it is tallied over its
-        # plain counts again, so nothing divides by zero.
-        base = len(label) + 1
-        code = [1 + base * own if own == cluster else 0 for own, cluster in zip(label, set_label)]
-        coded = column_sums(code, members)
+        # labels of weight 1, and keeps its plain tally when none has
+        # weight, so nothing divides by zero. Only the members of weight 0
+        # are counted, with the positive ones among them (label 1 against
+        # a cluster label of 0); the rest follow from the plain counts.
+        zero = flagged_counts(map(operator.ne, label, set_label), owners)
+        zero_positive = flagged_counts(map(operator.gt, label, set_label), owners)
+        weights = [size - z for size, z in zip(sizes, zero)]
         set_label = rule(
-            [c // base if c else p for c, p in zip(coded, positive)],
-            [c % base or size for c, size in zip(coded, sizes)],
+            [p - zp if w else p for p, zp, w in zip(positive, zero_positive, weights)],
+            [w or size for w, size in zip(weights, sizes)],
         )
 
-    decisions = rule(column_sums(set_label, owners), map(len, owners))
+    decisions = rule(flagged_counts(set_label, members), map(len, owners))
     if rules:
         attributes = pop.attributes or {}
         decisions = [

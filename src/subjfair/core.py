@@ -106,6 +106,27 @@ class Population:
 _NO_ROW: Mapping[IndividualId, float] = MappingProxyType({})
 
 
+#: The value types a perception row may hold, tested for a whole row in one
+#: C-level pass; a row holding any other type is checked value by value.
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _similarities(observer: IndividualId, row: Mapping[IndividualId, Any]) -> dict:
+    """``row`` with each value as a float. A bool or a value that is no
+    number is refused with an ``InputError`` naming its entry; a subclass
+    of int or float other than bool is a number."""
+    values = row.values()
+    types = set(map(type, values))
+    if types == {float}:
+        # float(x) is x itself for an exact float, so a copy is the row.
+        return dict(row)
+    if not types <= _PLAIN_NUMBERS:
+        for target, value in row.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"sim({observer},{target}): expected a number, got {value!r}")
+    return dict(zip(row, map(float, values)))
+
+
 def _check_provenance(provenance: str) -> None:
     if provenance not in PROVENANCE_TAGS:
         raise InputError(f"provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}")
@@ -120,7 +141,8 @@ class PerceptionTable:
     rows are the only form the table keeps. Missing entries read as 0.0 (no
     perceived similarity), which keeps input files sparse. Symmetry is not
     required and not assumed anywhere: ``sim(x, z)`` and ``sim(z, x)`` are
-    independent opinions.
+    independent opinions. The constructor stores every value as a float and
+    refuses a bool or a value that is no number.
     """
 
     rows: Mapping[IndividualId, Mapping[IndividualId, float]]
@@ -137,7 +159,7 @@ class PerceptionTable:
             self,
             "rows",
             {
-                observer: dict(zip(row, map(float, row.values())))
+                observer: _similarities(observer, row)
                 for observer, row in self.rows.items()
                 if row
             },

@@ -192,10 +192,15 @@ def pipeline_by_cluster(
     positive = [sum(map(label.__getitem__, c)) for c in members]
     set_label = list(map(tally, positive, map(len, members)))
     if strategy.kind == TRUST_WEIGHTED:
-        base = len(label) + 1
-        code = [1 + base * own if own == cluster else 0 for own, cluster in zip(label, set_label)]
+        # a member has weight 1 iff their label equals the plain label of
+        # their own cluster; the plain labels are read before any changes
+        plain = list(set_label)
         for k, c in enumerate(members):
-            trusted, total = divmod(sum(map(code.__getitem__, c)), base)
+            total = trusted = 0
+            for j in c:
+                if label[j] == plain[j]:
+                    total += 1
+                    trusted += label[j]
             if total:
                 set_label[k] = tally(trusted, total)
             else:

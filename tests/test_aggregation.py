@@ -438,6 +438,12 @@ def test_pipeline_matches_naive_rederivation():
 MINOR_VETO = VetoRule("age", "<", 18, vetoed_label=1)
 
 
+def _count_by_position(flags, lists):
+    # position by position: how many flagged j have k in lists[j]
+    n = len(lists)
+    return [sum(flags[j] for j in range(n) if k in lists[j]) for k in range(n)]
+
+
 class TestColumnKernels:
     """The whole-column kernels of ``run_pipeline`` against the per-cluster
     reference ``pipeline_by_cluster``."""
@@ -476,6 +482,33 @@ class TestColumnKernels:
                     kinds[strategy_kind, kind] += 1
         assert len(kinds) == 2 * len(STRATEGY_KINDS)
         assert reached["tie"] and reached["singleton"] and reached["zero_weight"]
+
+    def test_flagged_counts_match_a_per_position_count(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 60)
+            lists = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(n)]
+            for flags in ([0] * n, [1] * n, [rng.randint(0, 1) for _ in range(n)]):
+                assert aggregation.flagged_counts(flags, lists) == _count_by_position(flags, lists)
+
+    def test_flagged_counts_never_read_an_unflagged_list(self):
+        # work gate: the count costs O(n + sum of the flagged lists), so
+        # the list of an unflagged position is never iterated
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("the list of an unflagged position was read")
+
+        rng = random.Random(31)
+        ids = [f"p{k:03d}" for k in range(100)]
+        recs = {i: rng.randint(0, 1) for i in ids}
+        family = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3).family
+        for lists in (family.members, family.owners):
+            assert sum(map(len, lists)) > 4 * len(ids)
+            flags = [rng.randint(0, 1) for _ in ids]
+            assert 0 < sum(flags) < len(ids)
+            guarded = [c if flag else Unread() for c, flag in zip(lists, flags)]
+            expected = _count_by_position(flags, lists)
+            assert aggregation.flagged_counts(flags, guarded) == expected
 
     @pytest.mark.parametrize(
         "positives, size, theta",

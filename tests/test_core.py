@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,6 +224,27 @@ class TestPerceptionTable:
         assert table == PerceptionTable({"a": {"b": 0.4, "a": 1.0}})
         rows["a"]["b"] = 0.9
         assert table.similarity("a", "b") == 0.4
+
+    @pytest.mark.parametrize(
+        "value, where",
+        [(True, "sim(x,x)"), (False, "sim(x,x)"), ("0.7", "sim(x,y)"), (None, "sim(x,y)"),
+         ([0.7], "sim(x,y)")],
+    )
+    def test_a_bool_or_a_value_that_is_no_number_is_refused(self, value, where):
+        # a row of exact floats is copied as it is; any other row is checked
+        # value by value, so the fault is named wherever it sits
+        target = "x" if where == "sim(x,x)" else "y"
+        row = {"x": 1.0, "y": 0.5, target: value}
+        with pytest.raises(InputError, match=rf"^{re.escape(where)}: expected a number"):
+            PerceptionTable({"x": row, "y": {"y": 1}})
+
+    def test_int_and_float_subclasses_are_numbers(self):
+        class Score(float):
+            pass
+
+        table = PerceptionTable({"x": {"x": 1, "y": Score(0.25)}})
+        assert table.rows == {"x": {"x": 1.0, "y": 0.25}}
+        assert all(type(value) is float for value in table.rows["x"].values())
 
     def test_entries_is_a_read_only_view_of_the_rows(self):
         table = PerceptionTable({"a": {"a": 1.0, "b": 0.4}, "b": {"b": 1.0}})
