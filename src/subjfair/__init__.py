@@ -31,6 +31,7 @@ from .aggregation import (
     ConfigError,
     VetoRule,
     binarize,
+    cluster_tally,
     run_pipeline,
 )
 from .audit import (

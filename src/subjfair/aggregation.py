@@ -10,27 +10,14 @@ Besides plain majority voting the pipeline supports trust-weighted voting,
 pessimistic conflict resolution (the bad outcome wins any conflict), and
 attribute-based veto rules applied to final decisions.
 
-Everything runs on lists indexed by person position, one whole column at a
-time: past the one ``binarize`` call per person that the tally makes, no
-stage calls a Python function per cluster or per person. One kernel,
-``flagged_counts``, makes every count: given a 0/1 flag per position and a
-family's lists, it counts for each position how many flagged positions'
-lists name it, reading the flagged lists only, in O(n + sum over flagged j
-of |lists[j]|). ``cluster_tally`` binarizes each recommendation once into a
-0/1 label and counts the positive labels of each cluster through the
-positive people's owner lists. Neither depends on theta or the strategy,
-so it keeps them on the family for the recommendation vector it read: both
-pipeline stages, the audit's verdicts and every theta of a sweep share one
-tally per family. Stage 1 reads the cluster labels off those counts in
-O(n). Trust weighting counts only the members of weight 0, and the
-positive ones among them, through their owner lists; stage 2 counts the
-positive cluster labels through the positive clusters' member lists; so
-every strategy costs at most O(n + sum |C|). A recommendation is a plain
-number, and trust weights and both outputs are plain lists of 0/1 labels
-by person position. Each step has one home: ``flagged_counts`` counts,
-``majority_labels`` and ``unanimous_labels`` are the two tallies, each
-applied to whole columns, ``_veto`` applies veto rules, and trust
-weighting is a few lines of ``run_pipeline``.
+Everything runs on lists of 0/1 labels indexed by person position, one
+whole column at a time, and ``flagged_counts`` makes every count. The
+stage-1 tally (``cluster_tally``) depends on neither theta nor the
+strategy, so the caller makes it once per family and recommendation vector
+and passes the value on: both pipeline stages, the audit's verdicts and
+every theta of a sweep read it. Past its one ``binarize`` call per person
+no stage calls a Python function per cluster or per person, and every
+strategy costs at most O(n + sum |C|).
 """
 
 from __future__ import annotations
@@ -171,23 +158,16 @@ def unanimous_labels(positive: Iterable[int], sizes: Iterable[int]) -> list[int]
 def cluster_tally(
     pop: Population, family: ClusterFamily, recs: RecommendationVector
 ) -> tuple[list[int], list[int]]:
-    """Each person's 0/1 label and each cluster's positive count, by position.
+    """The stage-1 tally ``(label, positive)``, by position: ``label[k]`` is
+    the binarized recommendation of the person at position k of ``pop``, and
+    ``positive[k]`` counts the positive labels in their cluster.
 
-    ``label[k]`` is the binarized recommendation of the person at position
-    k; ``positive[k]`` counts the positive labels in their cluster. Computed
-    with one ``binarize`` call per person and one ``flagged_counts`` pass
-    over the owner lists of the positive people, in O(n + sum over them of
-    the clusters they sit in), at most O(n + sum |C|); then kept on
-    ``family`` and returned again while the same ``pop`` and ``recs``
-    objects are asked for.
+    One ``binarize`` call per person and one ``flagged_counts`` pass over
+    the owner lists of the positive people: O(n + sum over them of the
+    clusters they sit in), at most O(n + sum |C|).
     """
-    cached = family.tally
-    if cached is not None and cached[0] is pop and cached[1] is recs:
-        return cached[2]
     label = list(map(binarize, map(recs.values.__getitem__, pop.individuals)))
-    positive = flagged_counts(label, family.owners)
-    object.__setattr__(family, "tally", (pop, recs, (label, positive)))
-    return label, positive
+    return label, flagged_counts(label, family.owners)
 
 
 def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> int:
@@ -201,16 +181,17 @@ def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> in
 def run_pipeline(
     pop: Population,
     family: ClusterFamily,
-    recs: RecommendationVector,
+    tally: tuple[list[int], list[int]],
     strategy: AggregationStrategy | None = None,
 ) -> tuple[list[int], list[int]]:
     """Run both stages and return (cluster labels, final decisions), each a
     0/1 label by person position: ``set_labels[k]`` is the label of the
     cluster of the person at position k, ``decisions[k]`` their decision.
 
-    Stage 1 reads each cluster's positive count from ``cluster_tally``.
-    The decisions are total: everyone belongs at least to their own
-    cluster, so stage 2 always has something to aggregate.
+    ``tally`` is ``cluster_tally`` of the same ``pop`` and ``family``;
+    stage 1 reads each cluster's positive count off it. The decisions are
+    total: everyone belongs at least to their own cluster, so stage 2
+    always has something to aggregate.
     """
     strategy = strategy or AggregationStrategy()
     rules = strategy.veto_rules
@@ -220,7 +201,7 @@ def run_pipeline(
         rule = unanimous_labels
     else:
         rule = partial(majority_labels, theta=strategy.theta)
-    label, positive = cluster_tally(pop, family, recs)
+    label, positive = tally
     members, owners = family.members, family.owners
     sizes = list(map(len, members))
     set_label = rule(positive, sizes)

@@ -11,16 +11,10 @@ Whenever a recommendation is compared against a binary aggregate (a cluster
 label or a final decision), score recommendations are binarized at 0.5
 first, mirroring the decision pipeline.
 
-The verdicts read the pipeline's stage-1 tally (``cluster_tally``): each
-person's label and each cluster's positive count, computed once per family
-and recommendation vector. Relaxed ISF needs only the count, which it puts
-to the pipeline's own whole-column rule, ``majority_labels``; so does ISF on
-binary recommendations, where the members treated like x are the members
-sharing x's label. Score recommendations are compared member by member.
-Recommendations are read as the numbers they are stored as, and the
-pipeline's cluster labels and decisions as the 0/1 lists by position that
-it returns. The audit fills one column per verdict, by person position, and
-builds no per-person record.
+The audit reads the stage-1 tally the pipeline read (``cluster_tally``),
+passed in as a value, and the pipeline's 0/1 lists by position. It fills
+one column per verdict, by person position, and builds no per-person
+record.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from itertools import compress
 from operator import truediv
 from typing import Sequence
 
-from .aggregation import cluster_tally, majority_labels
+from .aggregation import majority_labels
 from .clustering import ClusterFamily
 from .core import BINARY, AuditParams, InputError, Population, RecommendationVector
 
@@ -96,6 +90,7 @@ def audit_population(
     family: ClusterFamily,
     recs: RecommendationVector,
     params: AuditParams,
+    tally: tuple[list[int], list[int]],
     set_labels: list[int],
     decisions: list[int],
 ) -> AuditReport:
@@ -103,22 +98,22 @@ def audit_population(
     and ``decisions`` are those of the same family at ``params.theta``, one
     label per person of ``pop`` (else InputError).
 
-    Each person's cluster is read once, from the stage-1 tally the pipeline
-    keeps on ``family`` (``cluster_tally``): the person's label and the
-    count of positive labels in their cluster. Relaxed ISF compares the
-    label with the cluster's plain theta-majority of that count, whatever
-    the strategy, as ``majority_labels`` reads it for every cluster at
-    once. On 0/1 labels epsilon-similarity is equality for every epsilon in
+    Each person's cluster is read once, from ``tally``, the pipeline's
+    ``cluster_tally`` of ``pop``, ``family`` and ``recs``: the person's
+    label and the count of positive labels in their cluster. Relaxed ISF
+    compares the label with the cluster's plain theta-majority of that
+    count, whatever the strategy, as ``majority_labels`` reads it for every
+    cluster at once. On 0/1 labels epsilon-similarity is equality for every epsilon in
     [0, 1), so labels are compared by equality, and on binary
     recommendations the members treated like x are the positive count when
     x's label is 1 and the rest when it is 0; score recommendations are
     compared with x's raw value member by member. ISF is fair iff every
     member is satisfied; the scenario compares the label with the cluster
     label, and the conflict class with it and then with the decision. Cost:
-    O(n) on binary recommendations once the tally exists, else O(n + sum |C|)."""
+    O(n) on binary recommendations, else O(n + sum |C|)."""
     if len(set_labels) != len(pop) or len(decisions) != len(pop):
         raise InputError("the pipeline's labels must hold one label per person")
-    label, positive = cluster_tally(pop, family, recs)
+    label, positive = tally
     members = family.members
     sizes = list(map(len, members))
     if recs.kind == BINARY:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from .core import InputError, Population
+from .core import InputError, Population, as_floats
 
 #: Absolute slack for gap-vs-distance comparisons, so float rounding noise
 #: (e.g. |0.85 - 0.90| landing a few ulp above 0.05) never flags a pair.
@@ -34,9 +34,9 @@ def check_ids(ids: Iterable[Any]) -> None:
 
 def check_scores(scores: Mapping[str, float]) -> dict[str, float]:
     """``scores`` as floats; refuses an id that is not a string and a score
-    that is not finite."""
+    that is not finite or too large for a float."""
     check_ids(scores)
-    floats = {i: float(v) for i, v in scores.items()}
+    floats = as_floats(scores, "score {}".format)
     for v in floats.values():
         if not math.isfinite(v):
             raise InputError(f"expected a finite score, got {v}")
@@ -49,9 +49,9 @@ def add_distances(table: dict, items: Iterable[tuple[tuple[str, ...], float]]) -
     ``ObjectiveDistanceTable`` keeps it.
 
     Refuses an id that is not a string, a distance that is not >= 0 (NaN
-    included: no score gap compares above it, so it would hide a pair), an
-    observer who is not a party to the pair, and a key that ``table``
-    already holds in either order.
+    included: no score gap compares above it, so it would hide a pair) or
+    too large for a float, an observer who is not a party to the pair, and
+    a key that ``table`` already holds in either order.
     """
     for key, d in items:
         check_ids(key)
@@ -67,7 +67,11 @@ def add_distances(table: dict, items: Iterable[tuple[tuple[str, ...], float]]) -
                 if len(key) == 3
                 else f"second distance for the pair ({x}, {y})"
             )
-        table[stored] = float(d)
+        try:
+            table[stored] = float(d)
+        except OverflowError:
+            by = f" by {key[0]!r}" if len(key) == 3 else ""
+            raise InputError(f"distance for ({x}, {y}){by}: too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ It never looks up the n^2 pairs a table leaves unstated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .core import PerceptionTable, Population
@@ -30,15 +30,10 @@ class ClusterFamily:
     position k of the population, the owner included; ``owners[k]`` lists
     the owners whose clusters contain that person, never empty. Both are in
     id order, and they are exact transposes of each other.
-
-    ``tally`` is a derived cache, not part of the family's value:
-    ``aggregation.cluster_tally`` keeps there the labels and positive counts
-    it last computed over these clusters, with the inputs it read.
     """
 
     members: list[list[int]]
     owners: list[list[int]]
-    tally: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 def _transpose(lists: list[list[int]], order: list[int]) -> list[list[int]]:

@@ -2,13 +2,12 @@
 
 Everything downstream (clustering, aggregation, auditing) is built on the
 types in this module. They and every value downstream, the acceptance ledger
-included, are immutable and safe to share across concurrent audit runs. Two
-derived caches are the exception, and neither changes its holder's value.
-The cluster family (``clustering.ClusterFamily``) keeps the stage-1 tally of
-the last recommendation vector read over it. The perception table keeps the
-result of ``validate_population`` for the population and recommendation
-vector it last checked, so a loaded run, and every ``replace`` copy that keeps
-its population, table and vector, is validated once.
+included, are immutable and safe to share across concurrent audit runs. One
+derived cache is the exception, and it does not change its holder's value:
+the perception table keeps the result of ``validate_population`` for the
+population and recommendation vector it last checked, so a loaded run, and
+every ``replace`` copy that keeps its population, table and vector, is
+validated once.
 A recommendation is one number per person, and its kind is stated once
 per vector. Past loading, people are known by their index in
 ``individuals``: the pipeline's labels are plain 0/1 lists by position,
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -111,10 +110,25 @@ _NO_ROW: Mapping[IndividualId, float] = MappingProxyType({})
 _PLAIN_NUMBERS = frozenset((float, int))
 
 
+def as_floats(numbers: Mapping[Any, Any], entry: Callable[[Any], str]) -> dict:
+    """``numbers`` with each value as a float. A value too large for a float
+    (an int of over 308 digits) is refused with an ``InputError`` naming its
+    entry, ``entry(key)``."""
+    try:
+        return dict(zip(numbers, map(float, numbers.values())))
+    except OverflowError:
+        for key, value in numbers.items():
+            try:
+                float(value)
+            except OverflowError:
+                raise InputError(f"{entry(key)}: too large for a float") from None
+        raise
+
+
 def _similarities(observer: IndividualId, row: Mapping[IndividualId, Any]) -> dict:
-    """``row`` with each value as a float. A bool or a value that is no
-    number is refused with an ``InputError`` naming its entry; a subclass
-    of int or float other than bool is a number."""
+    """``row`` with each value as a float. A bool, a value that is no number
+    or an int too large for a float is refused with an ``InputError`` naming
+    its entry; a subclass of int or float other than bool is a number."""
     values = row.values()
     types = set(map(type, values))
     if types == {float}:
@@ -124,7 +138,7 @@ def _similarities(observer: IndividualId, row: Mapping[IndividualId, Any]) -> di
         for target, value in row.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputError(f"sim({observer},{target}): expected a number, got {value!r}")
-    return dict(zip(row, map(float, values)))
+    return as_floats(row, lambda target: f"sim({observer},{target})")
 
 
 def _check_provenance(provenance: str) -> None:

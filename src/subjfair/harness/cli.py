@@ -2,9 +2,9 @@
 
 Subcommands: validate, audit, decide, baseline, simulate, oracle, report.
 Exit codes: 0 clean, 1 audit found the process SF-unfair (with --strict) or
-an oracle mismatch, 2 input error (including an unreadable file and a sweep
-grid flag that lists no number), 3 a fault in the engine itself, with its
-traceback on stderr.
+an oracle mismatch, 2 input error (including an unreadable file, a sweep
+grid flag that lists no number and a flag the command would ignore), 3 a
+fault in the engine itself, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .. import __version__
 from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
@@ -86,11 +86,8 @@ def _overridden(run: AuditRunFile, args: argparse.Namespace) -> AuditRunFile:
     return _with_settings(run, args.delta, args.epsilon, args.theta, args.strategy)
 
 
-def _emit(doc: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(dumps_doc(doc))
-    else:
-        sys.stdout.write(render_text(doc))
+def _emit(doc: dict[str, Any], fmt: str, text: Callable[[Any], str] = render_text) -> None:
+    sys.stdout.write(dumps_doc(doc) if fmt == "json" else text(doc))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -125,10 +122,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     run = _overridden(load_run(args.input), args)
     doc = label_fields(run.population.individuals, *decide_run(run))
-    if args.format == "json":
-        sys.stdout.write(dumps_doc(doc))
-    else:
-        sys.stdout.write("\n".join(render_labels(doc)) + "\n")
+    _emit(doc, args.format, lambda d: "\n".join(render_labels(d)) + "\n")
     return EXIT_OK
 
 
@@ -141,10 +135,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         raise InputError(
             "nothing to report: pass --group-attr or add a 'baseline' section to the run file"
         )
-    if args.format == "json":
-        sys.stdout.write(dumps_doc(baselines))
-    else:
-        sys.stdout.write("\n".join(render_baselines(baselines)) + "\n")
+    _emit(baselines, args.format, lambda d: "\n".join(render_baselines(d)) + "\n")
     return EXIT_OK
 
 
@@ -200,24 +191,38 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
     return rows
 
 
+#: The generator's flags, each with the ``SynthProfile`` field it sets; a
+#: flag not given leaves the profile's default.
+_PROFILE_FLAGS = {
+    "n": "n", "density": "cluster_density", "rate": "base_positive_rate", "seed": "seed"
+}
+
+
+def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:
+    # Refuse the first of the flags ``names`` that was given, naming it.
+    for name in names:
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} {why}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.sweep:
+        _refuse_given(args, ("deltas", "epsilons", "thetas"), "needs --sweep")
     if args.input is not None:
+        generator = (*_PROFILE_FLAGS, "manipulate")
+        _refuse_given(args, generator, "shapes a generated run, but --input reads one")
         run = load_run(args.input)
     else:
         manipulation = []
         for spec_str in args.manipulate or []:
             if ":" not in spec_str:
-                raise InputError(
-                    f"--manipulate expects AGENT:TARGET, got {spec_str!r}"
-                )
+                raise InputError(f"--manipulate expects AGENT:TARGET, got {spec_str!r}")
             agent, target = spec_str.split(":", 1)
             manipulation.append((agent, target))
+        given = {field: getattr(args, flag) for flag, field in _PROFILE_FLAGS.items()}
         profile = SynthProfile(
-            n=args.n,
-            cluster_density=args.density,
-            base_positive_rate=args.rate,
             manipulation=tuple(manipulation),
-            seed=args.seed,
+            **{field: value for field, value in given.items() if value is not None},
         )
         run = generate_population(profile)
 
@@ -236,7 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             writer.writerows(rows)
             sys.stdout.write(buffer.getvalue())
     elif args.output is None:
-        sys.stdout.write(render_text(build_report_doc(audit_run(run))))
+        _emit(build_report_doc(audit_run(run)), args.format)
     return EXIT_OK
 
 
@@ -282,10 +287,10 @@ def _baseline_args(p: argparse.ArgumentParser) -> None:
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="sweep an existing run file instead of generating")
-    p.add_argument("--n", type=int, default=8, help="population size")
-    p.add_argument("--density", type=float, default=0.3, help="off-diagonal perception density")
-    p.add_argument("--rate", type=float, default=0.5, help="base positive recommendation rate")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--n", type=int, help="population size")
+    p.add_argument("--density", type=float, help="off-diagonal perception density")
+    p.add_argument("--rate", type=float, help="base positive recommendation rate")
+    p.add_argument("--seed", type=int, help="generator seed")
     p.add_argument(
         "--manipulate",
         action="append",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .. import __version__
-from ..aggregation import AggregationStrategy, run_pipeline
+from ..aggregation import AggregationStrategy, cluster_tally, run_pipeline
 from ..audit import CONFLICTS, FAIR, SCENARIOS, SYSTEM_SUSPECT, AuditReport, audit_population
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
@@ -65,9 +65,10 @@ def audit_grid(
     """One ``RunResult`` per ``(params, strategy)`` of ``settings``, in order.
 
     Validation does not depend on the settings, so it runs once, and not
-    at all for a run whose inputs ``load_run`` has validated. Clusters
-    depend on delta alone: a family is built only when delta differs from
-    the previous point's, and only one is kept.
+    at all for a run whose inputs ``load_run`` has validated. Clusters and
+    their stage-1 tally depend on delta alone: both are made only when delta
+    differs from the previous point's, only one of each is kept, and the
+    tally is passed to the pipeline and the audit of every point.
 
     Raises:
         InputError: if the inputs break the model invariants.
@@ -76,18 +77,16 @@ def audit_grid(
     violations = validate_population(run.population, run.perceptions, run.recommendations)
     if violations:
         raise InputError("invalid audit inputs: " + "; ".join(m for _, _, m in violations[:5]))
-    family = delta = None
+    pop, recs = run.population, run.recommendations
+    family = tally = delta = None
     for params, strategy in settings:
         if params.delta != delta:
-            family = None  # the previous family goes before the next is built
+            family = tally = None  # the previous ones go before the next are built
             delta = params.delta
-            family = build_cluster_family(run.population, run.perceptions, delta)
-        set_labels, decisions = run_pipeline(
-            run.population, family, run.recommendations, strategy
-        )
-        report = audit_population(
-            run.population, family, run.recommendations, params, set_labels, decisions
-        )
+            family = build_cluster_family(pop, run.perceptions, delta)
+            tally = cluster_tally(pop, family, recs)
+        set_labels, decisions = run_pipeline(pop, family, tally, strategy)
+        report = audit_population(pop, family, recs, params, tally, set_labels, decisions)
         owed = derive_obligations(report)
         try:
             explanation_fairness = fairness_through_explanations(owed, run.ledger or {})
@@ -112,8 +111,10 @@ def decide_run(run: AuditRunFile) -> tuple[list[int], list[int]]:
     """The 0/1 cluster labels and decisions of ``run`` at its own settings,
     by person position: the clusters and both pipeline stages, with no
     audit. ``run`` must have passed validation, as every loaded run has."""
-    family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-    return run_pipeline(run.population, family, run.recommendations, run.strategy)
+    pop = run.population
+    family = build_cluster_family(pop, run.perceptions, run.params.delta)
+    tally = cluster_tally(pop, family, run.recommendations)
+    return run_pipeline(pop, family, tally, run.strategy)
 
 
 def label_fields(

@@ -40,7 +40,7 @@ class SynthProfile:
     threshold after the honest table is drawn.
     """
 
-    n: int
+    n: int = 8
     cluster_density: float = 0.3
     base_positive_rate: float = 0.5
     manipulation: tuple[tuple[str, str], ...] = ()

@@ -24,6 +24,7 @@ from subjfair import (
     RecommendationVector,
     audit_population,
     build_cluster_family,
+    cluster_tally,
     run_pipeline,
 )
 from subjfair.baselines import GAP_TOLERANCE
@@ -76,7 +77,12 @@ def make_inputs(
     params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
     family = build_cluster_family(pop, table, delta)
     return SimpleNamespace(
-        pop=pop, table=table, recs=vector, params=params, family=family
+        pop=pop,
+        table=table,
+        recs=vector,
+        params=params,
+        family=family,
+        tally=cluster_tally(pop, family, vector),
     )
 
 
@@ -94,9 +100,9 @@ def audit(
         theta=inputs.params.theta if theta is None else theta,
     )
     strategy = AggregationStrategy(kind, theta=params.theta)
-    set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
     return audit_population(
-        inputs.pop, inputs.family, inputs.recs, params, set_labels, decisions
+        inputs.pop, inputs.family, inputs.recs, params, inputs.tally, set_labels, decisions
     )
 
 
@@ -252,7 +258,7 @@ def cluster_label(
     rows[ids[0]] = dict.fromkeys(ids, 1.0)
     inputs = make_inputs(rows, dict(zip(ids, recs)), theta=theta, kind=kind)
     set_labels, _ = run_pipeline(
-        inputs.pop, inputs.family, inputs.recs, AggregationStrategy(strategy, theta=theta)
+        inputs.pop, inputs.family, inputs.tally, AggregationStrategy(strategy, theta=theta)
     )
     return set_labels[0]
 
@@ -345,9 +351,8 @@ def find_manipulation_instance(
         )
         run = generate_population(profile)
         family = build_cluster_family(run.population, run.perceptions, run.params.delta)
-        set_labels, decisions = run_pipeline(
-            run.population, family, run.recommendations, run.strategy
-        )
+        tally = cluster_tally(run.population, family, run.recommendations)
+        set_labels, decisions = run_pipeline(run.population, family, tally, run.strategy)
         a, t = run.population.positions[agent], run.population.positions[target]
         if set_labels[t] == 1 and set_labels[a] == 1 and decisions[a] == 0:
             return run

@@ -23,6 +23,7 @@ from subjfair import (
     Population,
     PerceptionTable,
     build_cluster_family,
+    cluster_tally,
     dwork_if_check,
     fairness_through_explanations,
     run_pipeline,
@@ -56,7 +57,8 @@ def test_acceptance_1_stage_one_reproduction():
     run = crossed_clusters_run()
     family = build_cluster_family(run.population, run.perceptions, run.params.delta)
     start = time.perf_counter()
-    set_labels, _ = run_pipeline(run.population, family, run.recommendations, run.strategy)
+    tally = cluster_tally(run.population, family, run.recommendations)
+    set_labels, _ = run_pipeline(run.population, family, tally, run.strategy)
     elapsed = time.perf_counter() - start
     assert by_id(run.population.individuals, set_labels) == {
         "x": 0,
@@ -72,7 +74,8 @@ def test_acceptance_2_stage_two_reproduction():
     run = crossed_clusters_run()
     family = build_cluster_family(run.population, run.perceptions, run.params.delta)
     start = time.perf_counter()
-    _, decisions = run_pipeline(run.population, family, run.recommendations, run.strategy)
+    tally = cluster_tally(run.population, family, run.recommendations)
+    _, decisions = run_pipeline(run.population, family, tally, run.strategy)
     elapsed = time.perf_counter() - start
     assert by_id(run.population.individuals, decisions) == {
         "x": 0,
@@ -162,7 +165,7 @@ def test_acceptance_5_property_suite():
             theta=rng.uniform(0, 0.99),
         )
         strategy = AggregationStrategy(theta=inputs.params.theta)
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
         assert set_labels == decisions == [constant] * n
 
     # ISF implies relaxed ISF for binary outcomes under majority aggregation
@@ -178,7 +181,7 @@ def test_acceptance_5_property_suite():
     rng = random.Random(105)
     for _ in range(cases):
         inputs = random_instance(rng, max_n=6)
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         assert len(decisions) == len(inputs.pop)
 
     # scenario classes partition the population
@@ -223,7 +226,7 @@ def test_acceptance_5_property_suite():
             recs.update(dict.fromkeys([f"o{k}", *supporters], label))
         inputs = make_inputs(rows, recs, theta=theta)
         strategy = AggregationStrategy(theta=theta)
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
         t = inputs.pop.positions["t"]
         assert sorted(set_labels[o] for o in inputs.family.owners[t]) == sorted(labels)
         assert decisions[t] == 0

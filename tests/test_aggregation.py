@@ -10,6 +10,7 @@ from subjfair import (
     ConfigError,
     VetoRule,
     binarize,
+    cluster_tally,
     run_pipeline,
 )
 from subjfair import aggregation
@@ -65,7 +66,7 @@ class TestStageTwo:
 
     def test_majority_across_clusters(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         decisions = by_id(inputs.pop.individuals, decisions)
         # y sits in the clusters of x (0), y (1) and v (1)
         assert inputs.family.owners[1] == [3, 0, 1]  # v, x, y in id order
@@ -73,7 +74,7 @@ class TestStageTwo:
 
     def test_tie_across_clusters_resolves_to_zero(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         decisions = by_id(inputs.pop.individuals, decisions)
         # u sits in the clusters of y (1) and u (0)
         assert inputs.family.owners[2] == [2, 1]  # u, y in id order
@@ -81,14 +82,14 @@ class TestStageTwo:
 
     def test_single_cluster_membership_inherits_label(self):
         inputs = make_inputs({"a": {"a": 1.0}, "b": {"b": 1.0}}, {"a": 1, "b": 0})
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         assert by_id(inputs.pop.individuals, decisions) == {"a": 1, "b": 0}
 
 
 class TestPipeline:
     def test_crossed_clusters_stage_one(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        set_labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         assert by_id(inputs.pop.individuals, set_labels) == {
             "x": 0,
             "y": 1,
@@ -98,7 +99,7 @@ class TestPipeline:
 
     def test_crossed_clusters_stage_two(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         assert by_id(inputs.pop.individuals, decisions) == {
             "x": 0,
             "y": 1,
@@ -114,21 +115,21 @@ class TestPipeline:
             for x in ids
         }
         inputs = make_inputs(rows, {i: 1 for i in ids}, delta=0.5)
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         assert set_labels == decisions == [1] * len(ids)
 
     def test_decisions_are_total(self):
         rng = random.Random(5)
         for _ in range(20):
             inputs = random_instance(rng)
-            _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+            _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
             assert len(decisions) == len(inputs.pop)
 
 
 def _trusted(inputs):
     """Who carries trust weight 1, by its definition: a person whose
     binarized recommendation matches their own cluster's plain majority."""
-    plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+    plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally)
     ids = inputs.pop.individuals
     return {x for x, own in zip(ids, plain) if binarize(inputs.recs.values[x]) == own}
 
@@ -136,7 +137,7 @@ def _trusted(inputs):
 def _matches_oracle(inputs):
     """Whether the trust-weighted cluster labels equal the oracle's."""
     weighted, _ = run_pipeline(
-        inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+        inputs.pop, inputs.family, inputs.tally, AggregationStrategy("trust_weighted")
     )
     doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
     return by_id(inputs.pop.individuals, weighted) == doc["set_rec"]
@@ -172,9 +173,9 @@ class TestTrustWeighting:
         }
         recs = {"o": 1, "m": 0, "m1": 1, "z": 0}
         inputs = make_inputs(rows, recs)
-        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         weighted, _ = run_pipeline(
-            inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+            inputs.pop, inputs.family, inputs.tally, AggregationStrategy("trust_weighted")
         )
         o = inputs.pop.positions["o"]
         assert (plain[o], weighted[o]) == (1, 0)
@@ -191,9 +192,9 @@ class TestTrustWeighting:
         recs = {"a": 1, "b": 0, "c": 1, "d": 1}
         inputs = make_inputs(rows, recs)
         assert {"a", "b"}.isdisjoint(_trusted(inputs))
-        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         weighted, _ = run_pipeline(
-            inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+            inputs.pop, inputs.family, inputs.tally, AggregationStrategy("trust_weighted")
         )
         a = inputs.pop.positions["a"]
         assert weighted[a] == plain[a]
@@ -206,7 +207,7 @@ class TestTrustWeighting:
         for _ in range(6):
             inputs = random_instance(rng, max_n=60, delta=rng.choice([0.3, 0.5, 0.8]))
             strategy = AggregationStrategy("trust_weighted", inputs.params.theta)
-            labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+            labels, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
             doc = brute_force_oracle(as_run(inputs, "trust_weighted"), bound=len(inputs.pop))
             assert by_id(inputs.pop.individuals, labels) == doc["set_rec"]
 
@@ -232,15 +233,15 @@ class TestTrustWeighting:
 
         monkeypatch.setattr(aggregation, "majority_labels", counting)
         strategy = AggregationStrategy("trust_weighted")
-        run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
         assert 0 < len(sizes) <= 3
         assert max(sizes) <= len(ids)
 
 
 @pytest.mark.parametrize("kind", ["majority", "trust_weighted", "pessimistic", "veto"])
 def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
-    # complexity gate by counted calls: at most n binarize calls, so none
-    # per cluster member, under every strategy
+    # complexity gate by counted calls: the tally and both stages make at
+    # most n binarize calls, so none per cluster member, under every strategy
     rng = random.Random(19)
     ids = [f"p{k:03d}" for k in range(200)]
     recs = {i: round(rng.random(), 3) for i in ids}
@@ -251,7 +252,7 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
     assert sum(map(len, inputs.family.members)) > 20 * len(ids)
     rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == "veto" else ()
     strategy = AggregationStrategy(kind, veto_rules=rules)
-    expected = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    expected = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
 
     calls = 0
 
@@ -261,7 +262,8 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
         return binarize(value)
 
     monkeypatch.setattr(aggregation, "binarize", counting)
-    assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy) == expected
+    tally = cluster_tally(inputs.pop, inputs.family, inputs.recs)
+    assert run_pipeline(inputs.pop, inputs.family, tally, strategy) == expected
     assert calls <= len(ids)
 
 
@@ -290,7 +292,7 @@ class TestPessimistic:
     def test_pipeline_uses_min_at_both_stages(self):
         inputs = make_inputs(CROSSED_ROWS, CROSSED_RECS)
         set_labels, decisions = run_pipeline(
-            inputs.pop, inputs.family, inputs.recs, AggregationStrategy("pessimistic")
+            inputs.pop, inputs.family, inputs.tally, AggregationStrategy("pessimistic")
         )
         # every cluster but v's contains at least one 0 recommendation
         assert by_id(inputs.pop.individuals, set_labels) == {
@@ -308,7 +310,7 @@ def _vetoed_decision(person, rec, age, rule):
     recommended ``rec``, under the veto strategy with one rule."""
     inputs = make_inputs({person: {person: 1.0}}, {person: rec}, attributes={person: {"age": age}})
     strategy = AggregationStrategy("veto", veto_rules=(rule,))
-    _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+    _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
     return decisions[0]
 
 
@@ -354,7 +356,7 @@ class TestVeto:
         strategy = AggregationStrategy(
             "veto", theta=0.5, veto_rules=(VetoRule("age", "<", 18),)
         )
-        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        _, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
         assert by_id(inputs.pop.individuals, decisions) == {"a": 0, "b": 1}
 
     def test_rules_only_valid_on_veto_strategy(self):
@@ -414,7 +416,7 @@ def test_pipeline_matches_naive_rederivation():
         set_labels, decisions = run_pipeline(
             inputs.pop,
             inputs.family,
-            inputs.recs,
+            inputs.tally,
             AggregationStrategy(theta=inputs.params.theta),
         )
         ids = list(inputs.pop.individuals)
@@ -451,7 +453,7 @@ class TestColumnKernels:
     @staticmethod
     def _check(inputs, strategy, reached):
         expected = pipeline_by_cluster(inputs.pop, inputs.family, inputs.recs, strategy, reached)
-        assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy) == expected
+        assert run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy) == expected
 
     def test_random_families_match_the_per_cluster_pipeline(self):
         rng = random.Random(53)
@@ -528,7 +530,7 @@ class TestColumnKernels:
         strategy = AggregationStrategy(strategy_kind, theta)
         self._check(inputs, strategy, reached)
         assert reached["tie"]
-        assert run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)[0][0] == 0
+        assert run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)[0][0] == 0
 
     def test_cluster_with_no_weight_keeps_its_plain_label(self):
         # x's cluster {x, y} is labelled 0 (1/2 is not above 0.5), so x's
@@ -544,9 +546,9 @@ class TestColumnKernels:
         reached = Counter()
         self._check(inputs, AggregationStrategy("trust_weighted"), reached)
         assert reached["zero_weight"] == 1
-        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        plain, _ = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         weighted, _ = run_pipeline(
-            inputs.pop, inputs.family, inputs.recs, AggregationStrategy("trust_weighted")
+            inputs.pop, inputs.family, inputs.tally, AggregationStrategy("trust_weighted")
         )
         x = inputs.pop.positions["x"]
         assert weighted[x] == plain[x] == 0

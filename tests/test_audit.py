@@ -7,7 +7,9 @@ import pytest
 from subjfair import aggregation, audit as audit_module
 from subjfair import (
     FAIR,
+    MAJORITY,
     PESSIMISTIC,
+    TRUST_WEIGHTED,
     UNFAIR,
     ISF_SATISFIED,
     RELAXED_ONLY,
@@ -15,13 +17,22 @@ from subjfair import (
     NO_CONFLICT,
     JUSTIFIABLE_BY_GROUP,
     SYSTEM_SUSPECT,
+    AggregationStrategy,
     audit_population,
     binarize,
+    cluster_tally,
     run_pipeline,
     sf_process,
 )
 
-from helpers import audit, make_inputs, random_instance, random_rows, similarity
+from helpers import (
+    audit,
+    make_inputs,
+    pipeline_by_cluster,
+    random_instance,
+    random_rows,
+    similarity,
+)
 
 
 CROSSED_ROWS = {
@@ -213,7 +224,7 @@ class TestConflict:
     def _conflict(self, r, r_set, d):
         inputs = make_inputs({"i": {"i": 1.0}}, {"i": r})
         report = audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, [r_set], [d]
+            inputs.pop, inputs.family, inputs.recs, inputs.params, inputs.tally, [r_set], [d]
         )
         return report.conflict[0]
 
@@ -299,9 +310,15 @@ class TestInvariants:
 class TestAuditPopulation:
     def test_full_report_fields(self):
         inputs = crossed()
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         report = audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, set_labels, decisions
+            inputs.pop,
+            inputs.family,
+            inputs.recs,
+            inputs.params,
+            inputs.tally,
+            set_labels,
+            decisions,
         )
         columns = (report.isf, report.relaxed_isf, report.satisfaction_ratio)
         assert all(len(column) == len(inputs.pop) for column in columns)
@@ -316,22 +333,28 @@ class TestAuditPopulation:
         from subjfair import InputError
 
         inputs = crossed()
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
         for short, long in ((set_labels[:-1], decisions), (set_labels, decisions + [0])):
             with pytest.raises(InputError, match="one label per person"):
                 audit_population(
-                    inputs.pop, inputs.family, inputs.recs, inputs.params, short, long
+                    inputs.pop,
+                    inputs.family,
+                    inputs.recs,
+                    inputs.params,
+                    inputs.tally,
+                    short,
+                    long,
                 )
 
     def test_reads_each_cluster_once(self, monkeypatch):
-        # complexity gate by counted calls: one binarized label per person
+        # complexity gate by counted calls: the audit binarizes nothing
         rng = random.Random(11)
         ids = [f"p{k:03d}" for k in range(200)]
         recs = {i: round(rng.random(), 3) for i in ids}
         inputs = make_inputs(random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score")
         sum_c = sum(map(len, inputs.family.members))
         assert sum_c > 20 * len(ids)
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
 
         calls = Counter()
 
@@ -342,14 +365,48 @@ class TestAuditPopulation:
 
             return wrapper
 
-        # the audit reads its labels from the pipeline's tally, so every
-        # binarize call goes through the aggregation module
+        # the audit reads its labels from the tally it is given, so it makes
+        # no binarize call of its own, in either module
         assert not hasattr(audit_module, "binarize")
         monkeypatch.setattr(aggregation, "binarize", counting("binarize", binarize))
         audit_population(
-            inputs.pop, inputs.family, inputs.recs, inputs.params, set_labels, decisions
+            inputs.pop,
+            inputs.family,
+            inputs.recs,
+            inputs.params,
+            inputs.tally,
+            set_labels,
+            decisions,
         )
-        assert calls["binarize"] <= len(ids)
+        assert calls["binarize"] == 0
+
+    @pytest.mark.parametrize("kind", ["binary", "score"])
+    def test_one_family_serves_two_vectors_in_alternation(self, kind):
+        # the tally is a value of one family and one vector, so two vectors
+        # audited in turn over one family each get their own pipeline and
+        # audit, whichever was tallied last
+        rng = random.Random(23)
+        ids = [f"p{k:02d}" for k in range(30)]
+        rows = random_rows(rng, ids, density=0.4)
+
+        def draw():
+            return float(rng.randint(0, 1)) if kind == "binary" else round(rng.random(), 3)
+
+        vectors = [{i: draw() for i in ids} for _ in range(2)]
+        # each vector's own inputs, with a family built for it alone
+        fresh = [make_inputs(rows, values, delta=0.4, epsilon=0.2, kind=kind) for values in vectors]
+        pop, family, params = fresh[0].pop, fresh[0].family, fresh[0].params
+        for strategy_kind in (MAJORITY, TRUST_WEIGHTED, PESSIMISTIC):
+            strategy = AggregationStrategy(strategy_kind, theta=params.theta)
+            results = []
+            for inputs in fresh + fresh:
+                tally = cluster_tally(pop, family, inputs.recs)
+                labels = run_pipeline(pop, family, tally, strategy)
+                assert labels == pipeline_by_cluster(pop, family, inputs.recs, strategy)
+                report = audit_population(pop, family, inputs.recs, params, tally, *labels)
+                assert report == audit(inputs, kind=strategy_kind)
+                results.append(report)
+            assert results[0] == results[2] != results[1] == results[3]
 
     def test_theta_mismatch_rejected(self, tmp_path, capsys):
         # Theta agreement is an invariant of the run, so the audit never

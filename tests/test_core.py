@@ -6,12 +6,15 @@ from hypothesis import given, strategies as st
 
 from subjfair import (
     AuditParams,
+    BaselineInputs,
     InputError,
+    ObjectiveDistanceTable,
     PerceptionTable,
     Population,
     RecommendationVector,
     validate_population,
 )
+from subjfair.baselines import check_scores
 from subjfair.core import (
     MISSING_RECOMMENDATION,
     SELF_SIMILARITY,
@@ -251,6 +254,27 @@ class TestPerceptionTable:
         assert dict(table.entries) == {("a", "a"): 1.0, ("a", "b"): 0.4, ("b", "b"): 1.0}
         with pytest.raises(TypeError):
             table.entries[("b", "a")] = 0.5  # type: ignore[index]
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda big: PerceptionTable({"x": {"x": 1.0, "y": big}}), "sim(x,y)"),
+        (lambda big: check_scores({"a": 0.5, "b": big}), "score b"),
+        (lambda big: BaselineInputs({"b": big}, ObjectiveDistanceTable({})), "score b"),
+        (lambda big: ObjectiveDistanceTable({("b", "a"): big}), "distance for (b, a)"),
+        (
+            lambda big: ObjectiveDistanceTable({("a", "b"): 1.0}, {("a", "a", "b"): big}),
+            "distance for (a, b) by 'a'",
+        ),
+    ],
+    ids=["similarity", "score", "baseline_score", "distance", "override"],
+)
+def test_a_number_too_large_for_a_float_is_refused_at_its_entry(build, where):
+    # an int beyond the float range has no float: each constructor names
+    # the entry that holds it, as it does for every other refusal
+    with pytest.raises(InputError, match=rf"^{re.escape(where)}: too large for a float$"):
+        build(10**400)
 
 
 # --- differential: the unsorted scan against the sorted definition ----------

@@ -33,9 +33,15 @@ from helpers import as_run, make_inputs, obligation_records
 
 def _report(rows, recs):
     inputs = make_inputs(rows, recs)
-    set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs)
+    set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally)
     return audit_population(
-        inputs.pop, inputs.family, inputs.recs, inputs.params, set_labels, decisions
+        inputs.pop,
+        inputs.family,
+        inputs.recs,
+        inputs.params,
+        inputs.tally,
+        set_labels,
+        decisions,
     )
 
 

@@ -899,6 +899,45 @@ class TestCli:
         assert run.n == 6
         capsys.readouterr()
 
+    def test_simulate_prints_its_report_in_the_format_asked(self, capsys):
+        # without --sweep the report goes through the same writer as
+        # ``audit``, so --format json prints the audit's JSON document
+        path = str(crossed_clusters_path())
+        for fmt in ("json", "text"):
+            assert main(["audit", "--input", path, "--format", fmt]) == 0
+            expected = capsys.readouterr().out
+            assert main(["simulate", "--input", path, "--format", fmt]) == 0
+            assert capsys.readouterr().out == expected
+            assert expected.startswith("{") == (fmt == "json")
+
+    @pytest.mark.parametrize("flag", ["--deltas", "--epsilons", "--thetas"])
+    def test_simulate_refuses_a_grid_flag_without_sweep(self, capsys, flag):
+        argv = ["simulate", "--input", str(crossed_clusters_path()), flag, "0.9"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} needs --sweep\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "50"), ("--density", "0.3"), ("--rate", "0.5"), ("--seed", "0"),
+         ("--manipulate", "i00:i01")],
+    )
+    def test_simulate_refuses_a_generator_flag_with_input(self, capsys, flag, value):
+        # --input reads the run, so a flag that would shape a generated one
+        # is refused, even at its default value
+        argv = ["simulate", "--input", str(crossed_clusters_path()), "--sweep", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} shapes a generated run")
+
+    def test_simulate_leaves_generator_defaults_to_the_profile(self, tmp_path, capsys):
+        out = tmp_path / "synth.json"
+        assert main(["simulate", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert load_run(out) == generate_population(SynthProfile())
+
     def test_simulate_sweep_emits_flat_table(self, capsys):
         code = main(
             [
@@ -961,9 +1000,10 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys
     ):
         # call-count gate: 12 grid points over 3 deltas compute the stage-1
-        # tally once per delta (each tally binarizes every person once, and
-        # nothing else binarizes), and the binary audit makes at most three
-        # similarity tests per person, none per cluster member
+        # tally once per delta (one ``cluster_tally`` call per family, each
+        # binarizing every person once, and nothing else binarizes), and the
+        # binary audit makes at most three similarity tests per person, none
+        # per cluster member
         from subjfair import aggregation, audit
         from subjfair.harness import report
 
@@ -975,7 +1015,7 @@ class TestCli:
         for delta in deltas:
             family = build_cluster_family(run.population, run.perceptions, delta)
             assert sum(map(len, family.members)) > 3 * n
-        calls = {"binarize": 0, "similar": 0}
+        calls = {"binarize": 0, "similar": 0, "tally": 0}
         per_point = []
 
         def counting(name, function):
@@ -995,6 +1035,7 @@ class TestCli:
 
         monkeypatch.setattr(aggregation, "binarize", counting("binarize", aggregation.binarize))
         monkeypatch.setattr(audit, "_similar", counting("similar", audit._similar))
+        monkeypatch.setattr(report, "cluster_tally", counting("tally", report.cluster_tally))
         monkeypatch.setattr(report, "audit_population", auditing)
         code = main(
             [
@@ -1005,6 +1046,7 @@ class TestCli:
         )
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)) == 12 * 12
+        assert calls["tally"] == len(deltas)
         assert calls["binarize"] == len(deltas) * n
         assert len(per_point) == 12
         assert max(per_point) <= 3 * n

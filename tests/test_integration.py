@@ -106,7 +106,7 @@ class TestPerOwnerClusterCounting:
         }
         inputs = make_inputs(rows, {"a": 1, "b": 1, "c": 0, "i": 0}, theta=0.4)
         strategy = AggregationStrategy(theta=0.4)
-        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.recs, strategy)
+        set_labels, decisions = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
         assert by_id(inputs.pop.individuals, set_labels) == {"a": 1, "b": 1, "c": 0, "i": 0}
         assert inputs.family.owners[3] == [0, 1, 2, 3]  # a, b, c, i
         # per-owner counting: mean over {1, 1, 0, 0} = 0.5;
