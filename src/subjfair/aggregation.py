@@ -30,7 +30,7 @@ from itertools import chain, compress, repeat
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily
-from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector
+from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector, number
 
 MAJORITY = "majority"
 TRUST_WEIGHTED = "trust_weighted"
@@ -59,7 +59,9 @@ class VetoRule:
     """Force a decision label to 0 for individuals matching a predicate.
 
     E.g. ``VetoRule("age", "<", 18, vetoed_label=1)`` strips a positive
-    decision from anyone under 18.
+    decision from anyone under 18. The attribute and the operator are
+    strings, and the label is a number (``number``) equal to 0 or 1,
+    kept as an int.
     """
 
     attribute: str
@@ -68,10 +70,17 @@ class VetoRule:
     vetoed_label: int = GOOD_LABEL
 
     def __post_init__(self) -> None:
+        for name in ("attribute", "op"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"expected a string {name}, got {value!r}", (name,))
         if self.op not in _OPS:
-            raise ConfigError(f"unknown veto operator {self.op!r}")
-        if self.vetoed_label not in (0, 1):
-            raise ConfigError(f"vetoed label must be 0 or 1, got {self.vetoed_label}")
+            raise ConfigError(f"unknown veto operator {self.op!r}", ("op",))
+        label = number(self.vetoed_label, ("vetoed_label",))
+        if label != 0 and label != 1:
+            message = f"vetoed label must be 0 or 1, got {self.vetoed_label}"
+            raise ConfigError(message, ("vetoed_label",))
+        object.__setattr__(self, "vetoed_label", int(label))
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         if self.attribute not in attributes:
@@ -95,9 +104,10 @@ class AggregationStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
+            raise ConfigError(f"unknown strategy kind {self.kind!r}", ("kind",))
+        object.__setattr__(self, "theta", number(self.theta, ("theta",), "theta"))
         if not 0.0 <= self.theta < 1.0:
-            raise ConfigError(f"theta must be in [0, 1), got {self.theta}")
+            raise ConfigError(f"theta must be in [0, 1), got {self.theta}", ("theta",))
         object.__setattr__(self, "veto_rules", tuple(self.veto_rules))
         if self.veto_rules and self.kind != VETO:
             raise ConfigError("veto rules are only valid with the veto strategy")

@@ -16,62 +16,88 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .core import InputError, Population, as_floats
+from .core import InputError, Population, as_floats, check_ids, number
 
 #: Absolute slack for gap-vs-distance comparisons, so float rounding noise
 #: (e.g. |0.85 - 0.90| landing a few ulp above 0.05) never flags a pair.
 GAP_TOLERANCE = 1e-9
 
 
-def check_ids(ids: Iterable[Any]) -> None:
-    """Refuse any id that is not a string: a coerced ``1`` would name ``"1"``."""
-    for i in ids:
-        if not isinstance(i, str):
-            raise InputError(f"expected an id string, got {i!r}")
-
-
 def check_scores(scores: Mapping[str, float]) -> dict[str, float]:
-    """``scores`` as floats; refuses an id that is not a string and a score
-    that is not finite or too large for a float."""
-    check_ids(scores)
-    floats = as_floats(scores, "score {}".format)
-    for v in floats.values():
-        if not math.isfinite(v):
-            raise InputError(f"expected a finite score, got {v}")
+    """``scores`` as floats (``as_floats``); refuses an id that is not a
+    string and a score that is not finite."""
+    check_ids(scores, ("scores",))
+    floats = as_floats(scores, "score {}".format, ("scores",))
+    if not all(map(math.isfinite, floats.values())):
+        i, v = next((i, v) for i, v in floats.items() if not math.isfinite(v))
+        raise InputError(f"expected a finite score, got {v}", ("scores", i), f"score {i}")
     return floats
 
 
-def add_distances(table: dict, items: Iterable[tuple[tuple[str, ...], float]]) -> None:
-    """Store each ``(key, d)`` of ``items`` in ``table``, the key ``(x, y)``
-    or ``(observer, x, y)`` with its pair sorted, as an
-    ``ObjectiveDistanceTable`` keeps it.
+#: The layout of a row of each of the two maps of ``ObjectiveDistanceTable``.
+_LAYOUTS = {"entries": "[x, y, distance]", "subjective_overrides": "[observer, x, y, distance]"}
 
-    Refuses an id that is not a string, a distance that is not >= 0 (NaN
-    included: no score gap compares above it, so it would hide a pair) or
-    too large for a float, an observer who is not a party to the pair, and
-    a key that ``table`` already holds in either order.
+
+def add_distances(rows: Sequence[Any], name: str) -> tuple[dict[tuple, float], frozenset[str]]:
+    """The rows of ``ObjectiveDistanceTable``'s map ``name`` in the run
+    file's layout (``_LAYOUTS``), keyed as the table keeps them:
+    ``(x, y)`` or ``(observer, x, y)`` with the pair sorted, ``d`` a float;
+    and the set of the ids they name.
+
+    Refuses a row of another layout, an id that is not a string, a distance
+    that is no number (``number``) or not >= 0 (NaN included: no score gap
+    compares above it, so it would hide a pair), an observer who is not a
+    party to the pair, and a key given twice, in either order. One pass
+    keys every row with a float >= 0; only if it keys fewer rows than it
+    reads, or an id is no string, are they read again one by one, to
+    convert a distance or to refuse the first faulty row at ``(name, index)``.
     """
-    for key, d in items:
-        check_ids(key)
-        x, y = key[-2], key[-1]
-        if not d >= 0:
-            raise InputError(f"distance must be >= 0, got {d}")
-        if len(key) == 3 and key[0] != x and key[0] != y:
-            raise InputError(f"observer {key[0]!r} is not a party to the pair ({x}, {y})")
-        stored = key if x <= y else (*key[:-2], y, x)
-        if stored in table:
-            raise InputError(
-                f"second override by {key[0]!r} for the pair ({x}, {y})"
-                if len(key) == 3
-                else f"second distance for the pair ({x}, {y})"
-            )
+    try:
+        if name == "entries":
+            table = {
+                (x, y) if x <= y else (y, x): d for x, y, d in rows if type(d) is float and d >= 0
+            }
+        else:
+            table = {
+                (o, x, y) if x <= y else (o, y, x): d
+                for o, x, y, d in rows
+                if type(d) is float and d >= 0 and o in (x, y)
+            }
+        if len(table) == len(rows):
+            ids = frozenset().union(*table)
+            check_ids(ids)
+            return table, ids
+    except (TypeError, ValueError):  # no row of the layout, or an id that is no string
+        pass
+    table = {}
+    for idx, row in enumerate(rows):
         try:
-            table[stored] = float(d)
-        except OverflowError:
-            by = f" by {key[0]!r}" if len(key) == 3 else ""
-            raise InputError(f"distance for ({x}, {y}){by}: too large for a float") from None
+            _add_row(table, row, name)
+        except InputError as exc:
+            raise InputError(str(exc), (name, idx)) from None
+    return table, frozenset().union(*table)
+
+
+def _add_row(table: dict[tuple[str, ...], float], row: Any, name: str) -> None:
+    """Store one row of ``add_distances`` in ``table``, or refuse it."""
+    if not (isinstance(row, (list, tuple)) and len(row) == (3 if name == "entries" else 4)):
+        raise InputError(f"expected {_LAYOUTS[name]}")
+    *key, d = row
+    check_ids(key)
+    x, y = key[-2], key[-1]
+    by = f" by {key[0]!r}" if len(key) == 3 else ""
+    d = number(d, name=f"distance for ({x}, {y}){by}")
+    if not d >= 0:
+        raise InputError(f"distance must be >= 0, got {d}")
+    if by and key[0] != x and key[0] != y:
+        raise InputError(f"observer {key[0]!r} is not a party to the pair ({x}, {y})")
+    stored = (*key[:-2], x, y) if x <= y else (*key[:-2], y, x)
+    if stored in table:
+        second = f"override{by}" if by else "distance"
+        raise InputError(f"second {second} for the pair ({x}, {y})")
+    table[stored] = d
 
 
 @dataclass(frozen=True)
@@ -82,41 +108,47 @@ class ObjectiveDistanceTable:
     objective distance. ``subjective_overrides`` maps (observer, x, y), pair
     sorted too, to the distance that observer, a party to the pair,
     perceives: the parties may disagree. Each key is given once, in either
-    order (``add_distances``).
+    order. Both are checked and keyed by ``add_distances``, as rows
+    ``(*key, distance)``; ``from_rows`` takes the rows of a run file.
     """
 
     entries: Mapping[tuple[str, str], float]
     subjective_overrides: Mapping[tuple[str, str, str], float] | None = None
+    #: Every id the distances and overrides name, gathered once here.
+    ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("entries", "subjective_overrides"):
-            table: dict[tuple[str, ...], float] = {}
-            add_distances(table, (getattr(self, name) or {}).items())
-            object.__setattr__(self, name, table)
+        # a key that is no tuple makes a row of one id, which is refused
+        distances, overrides = (
+            [(*key, d) if isinstance(key, tuple) else (key, d) for key, d in rows.items()]
+            for rows in (self.entries, self.subjective_overrides or {})
+        )
+        self._keep(distances, overrides)
 
     @classmethod
-    def adopt(
-        cls,
-        entries: dict[tuple[str, str], float],
-        subjective_overrides: dict[tuple[str, str, str], float],
-    ) -> "ObjectiveDistanceTable":
-        """A table that keeps ``entries`` and ``subjective_overrides``
-        themselves, as the constructor would have made them: pairs keyed in
-        sorted order, observers parties to their pairs, distances floats
-        >= 0. The constructor's pass over them is skipped, so nothing may
-        change them afterwards. The run-file loader builds its tables so."""
+    def from_rows(
+        cls, distances: Sequence[Any], overrides: Sequence[Any] = ()
+    ) -> ObjectiveDistanceTable:
+        """The table of a run file's ``distances`` and ``overrides`` rows,
+        checked as the constructor checks its maps, with no map in between."""
         table = cls.__new__(cls)
-        object.__setattr__(table, "entries", entries)
-        object.__setattr__(table, "subjective_overrides", subjective_overrides)
+        table._keep(distances, overrides)
         return table
+
+    def _keep(self, distances: Sequence[Any], overrides: Sequence[Any]) -> None:
+        entries, ids = add_distances(distances, "entries")
+        overrides, observed = add_distances(overrides, "subjective_overrides")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "subjective_overrides", overrides)
+        object.__setattr__(self, "ids", ids | observed)
 
 
 @dataclass(frozen=True)
 class BaselineInputs:
     """Optional inputs for the classical baseline auditors: finite scores
     (``check_scores``), and a distance for every pair of scored people, the
-    one place a missing one is refused. ``ids`` is every id the scores,
-    distances and overrides name, gathered once here.
+    one place a missing one is refused. ``ids`` is every id the scores and
+    the table (``ObjectiveDistanceTable.ids``) name.
     """
 
     scores: Mapping[str, float]
@@ -129,10 +161,12 @@ class BaselineInputs:
         pairs = itertools.combinations(sorted(scores), 2)
         missing = next(itertools.filterfalse(entries.__contains__, pairs), None)
         if missing is not None:
-            raise InputError(f"no distance recorded for scored pair ({missing[0]}, {missing[1]})")
+            raise InputError(
+                f"no distance recorded for scored pair ({missing[0]}, {missing[1]})",
+                ("distances",),
+            )
         object.__setattr__(self, "scores", scores)
-        overrides = self.distances.subjective_overrides
-        object.__setattr__(self, "ids", frozenset(scores).union(*entries, *overrides))
+        object.__setattr__(self, "ids", self.distances.ids.union(scores))
 
 
 def dwork_if_check(baseline: BaselineInputs) -> list[tuple[tuple[str, str], float, float]]:

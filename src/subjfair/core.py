@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Collection, Mapping
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -42,7 +44,43 @@ PROVENANCE_TAGS = ("declared", "fitted", "sampled", "dynamic")
 
 
 class InputError(ValueError):
-    """Malformed or incomplete caller-supplied data."""
+    """Malformed or incomplete caller-supplied data.
+
+    ``path`` locates the fault in the caller's arguments: an argument's
+    name, then keys or a row index, as ``("rows", observer, target)``.
+    ``reason`` is the message without ``name`` (``sim(x,y)``), so a loader
+    can give it at its own location for the path."""
+
+    def __init__(self, reason: str, path: tuple = (), name: str = "") -> None:
+        super().__init__(f"{name}: {reason}" if name else reason)
+        self.reason = reason
+        self.path = path
+
+
+#: The one type an id has, and the types an attribute value may have.
+_STR = frozenset((str,))
+_SCALARS = (str, int, float, type(None))
+_SCALAR_TYPES = frozenset((*_SCALARS, bool))
+
+
+def number(value: Any, path: tuple = (), name: str = "") -> float:
+    """``value`` as a float: an int or a float, not a bool, that fits in a
+    float. Anything else is refused with an ``InputError`` at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"expected a number, got {value!r}", path, name)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError("too large for a float", path, name) from None
+
+
+def check_ids(ids: Collection[Any], path: tuple = ()) -> None:
+    """Refuse any id that is not a string: a coerced ``1`` would name ``"1"``.
+    One C-level type scan; only ids of another type are read one by one."""
+    if not _STR.issuperset(map(type, ids)):
+        for i in ids:
+            if not isinstance(i, str):
+                raise InputError(f"expected an id string, got {i!r}", path)
 
 
 @dataclass(frozen=True)
@@ -62,20 +100,46 @@ class Population:
     def __post_init__(self) -> None:
         object.__setattr__(self, "individuals", tuple(self.individuals))
         if not self.individuals:
-            raise InputError("population must contain at least one individual")
+            raise InputError("population must contain at least one individual", ("individuals",))
+        check_ids(self.individuals, ("individuals",))
         object.__setattr__(self, "positions", {x: k for k, x in enumerate(self.individuals)})
         if len(self.positions) != len(self.individuals):
-            raise InputError("population contains duplicate ids")
+            raise InputError("population contains duplicate ids", ("individuals",))
         if self.attributes is not None:
-            attrs = {i: dict(v) for i, v in self.attributes.items()}
-            object.__setattr__(self, "attributes", attrs)
-            keysets = set()
-            for ind, values in attrs.items():
-                if ind not in self.positions:
-                    raise InputError(f"attributes reference unknown id {ind!r}")
-                keysets.add(frozenset(values))
-            if len(keysets) > 1:
-                raise InputError("attribute keys differ across individuals")
+            object.__setattr__(self, "attributes", self._attributes(self.attributes))
+
+    def _attributes(self, given: Any) -> dict[IndividualId, dict[str, Any]]:
+        """A copy of ``given``: a mapping from ids of the population to
+        mappings from attribute names, strings, to scalars (a string, a
+        number, a boolean or None), with the same names for everyone. One
+        C-level scan tests each rule; only a refused mapping is read one by
+        one, to name the fault."""
+        if not isinstance(given, Mapping):
+            raise InputError("expected a mapping", ("attributes",), "attributes")
+        rows = given.values()
+        if not (
+            _DICT.issuperset(map(type, rows))
+            and given.keys() <= self.positions.keys()
+            and _STR.issuperset(map(type, chain.from_iterable(rows)))
+            and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, rows))))
+        ):
+            for individual, values in given.items():
+                path = ("attributes", individual)
+                if individual not in self.positions:
+                    raise InputError(f"unknown id {individual!r}", path, "attributes")
+                if not isinstance(values, Mapping):
+                    raise InputError("expected a mapping", path, f"attributes of {individual}")
+                for key, value in values.items():
+                    if not isinstance(key, str):
+                        message = f"expected an attribute name string, got {key!r}"
+                        raise InputError(message, path, f"attributes of {individual}")
+                    if not isinstance(value, _SCALARS):
+                        message = "expected a string, number, boolean or null"
+                        raise InputError(message, (*path, key), f"attribute {key} of {individual}")
+        attrs = {individual: dict(values) for individual, values in given.items()}
+        if len(set(map(frozenset, attrs.values()))) > 1:
+            raise InputError("attribute keys differ across individuals", ("attributes",))
+        return attrs
 
     def __len__(self) -> int:
         return len(self.individuals)
@@ -105,45 +169,44 @@ class Population:
 _NO_ROW: Mapping[IndividualId, float] = MappingProxyType({})
 
 
-#: The value types a perception row may hold, tested for a whole row in one
-#: C-level pass; a row holding any other type is checked value by value.
+#: The types one C-level pass tests a whole collection for: a row's, a
+#: value's that needs no conversion, and a number's.
+_DICT = frozenset((dict,))
+_FLOAT = frozenset((float,))
 _PLAIN_NUMBERS = frozenset((float, int))
 
 
-def as_floats(numbers: Mapping[Any, Any], entry: Callable[[Any], str]) -> dict:
-    """``numbers`` with each value as a float. A value too large for a float
-    (an int of over 308 digits) is refused with an ``InputError`` naming its
-    entry, ``entry(key)``."""
-    try:
-        return dict(zip(numbers, map(float, numbers.values())))
-    except OverflowError:
-        for key, value in numbers.items():
-            try:
-                float(value)
-            except OverflowError:
-                raise InputError(f"{entry(key)}: too large for a float") from None
-        raise
+def as_floats(numbers: Mapping[Any, Any], name: Callable[[Any], str], path: tuple = ()) -> dict:
+    """``numbers`` with each value as a float (``number``), refused at
+    ``(*path, key)`` and named ``name(key)``. One C-level type scan; only
+    a type other than int and float, or a huge int, is read one by one."""
+    if _PLAIN_NUMBERS.issuperset(map(type, numbers.values())):
+        try:
+            return dict(zip(numbers, map(float, numbers.values())))
+        except OverflowError:
+            pass
+    return {key: number(v, (*path, key), name(key)) for key, v in numbers.items()}
 
 
-def _similarities(observer: IndividualId, row: Mapping[IndividualId, Any]) -> dict:
-    """``row`` with each value as a float. A bool, a value that is no number
-    or an int too large for a float is refused with an ``InputError`` naming
-    its entry; a subclass of int or float other than bool is a number."""
-    values = row.values()
-    types = set(map(type, values))
-    if types == {float}:
-        # float(x) is x itself for an exact float, so a copy is the row.
-        return dict(row)
-    if not types <= _PLAIN_NUMBERS:
-        for target, value in row.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InputError(f"sim({observer},{target}): expected a number, got {value!r}")
-    return as_floats(row, lambda target: f"sim({observer},{target})")
-
-
-def _check_provenance(provenance: str) -> None:
-    if provenance not in PROVENANCE_TAGS:
-        raise InputError(f"provenance must be one of {PROVENANCE_TAGS}, got {provenance!r}")
+def _similarity_rows(rows: Any) -> dict[IndividualId, Mapping[IndividualId, float]]:
+    """``rows`` as a ``PerceptionTable`` keeps them: a mapping from each
+    observer to a mapping of numbers (``as_floats``), an empty row dropped.
+    One C-level type scan covers every value: if each is a float, the rows
+    are kept themselves; only else is each row converted."""
+    if not isinstance(rows, Mapping):
+        raise InputError("expected a mapping", ("rows",), "rows")
+    if not _DICT.issuperset(map(type, rows.values())):
+        for observer, row in rows.items():
+            if not isinstance(row, Mapping):
+                raise InputError("expected a mapping", ("rows", observer), f"row {observer}")
+        rows = {observer: dict(row) for observer, row in rows.items()}
+    kept = dict(filter(itemgetter(1), rows.items()))
+    if _FLOAT.issuperset(map(type, chain.from_iterable(map(dict.values, kept.values())))):
+        return kept
+    return {
+        observer: as_floats(row, lambda target: f"sim({observer},{target})", ("rows", observer))
+        for observer, row in kept.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -155,8 +218,9 @@ class PerceptionTable:
     rows are the only form the table keeps. Missing entries read as 0.0 (no
     perceived similarity), which keeps input files sparse. Symmetry is not
     required and not assumed anywhere: ``sim(x, z)`` and ``sim(z, x)`` are
-    independent opinions. The constructor stores every value as a float and
-    refuses a bool or a value that is no number.
+    independent opinions. The constructor and ``adopt`` share one rule for
+    rows (``_similarity_rows``): each row a mapping, each value a number
+    (``number``), kept as a float; a row that states nothing is not kept.
     """
 
     rows: Mapping[IndividualId, Mapping[IndividualId, float]]
@@ -167,29 +231,20 @@ class PerceptionTable:
     validated: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_provenance(self.provenance)
-        # An empty row states nothing, so it is not kept.
-        object.__setattr__(
-            self,
-            "rows",
-            {
-                observer: _similarities(observer, row)
-                for observer, row in self.rows.items()
-                if row
-            },
-        )
+        rows = PerceptionTable.adopt(self.rows, self.provenance).rows
+        object.__setattr__(self, "rows", {observer: dict(row) for observer, row in rows.items()})
 
     @classmethod
-    def adopt(
-        cls, rows: dict[IndividualId, dict[IndividualId, float]], provenance: str = "declared"
-    ) -> "PerceptionTable":
-        """A table that keeps ``rows`` themselves, as the constructor would
-        have made them: no row empty and every value a float. The
-        constructor's copy is skipped, so nothing may change the rows
-        afterwards. The run-file loader builds its rows so."""
-        _check_provenance(provenance)
+    def adopt(cls, rows: Mapping[str, Any], provenance: str = "declared") -> PerceptionTable:
+        """The table the constructor makes of ``rows``, refused alike, but
+        keeping each row that holds only floats itself, uncopied, so nothing
+        may change those rows afterwards. The run-file loader builds its
+        table so."""
         table = cls.__new__(cls)
-        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "rows", _similarity_rows(rows))
+        if provenance not in PROVENANCE_TAGS:
+            message = f"must be one of {PROVENANCE_TAGS}, got {provenance!r}"
+            raise InputError(message, ("provenance",), "provenance")
         object.__setattr__(table, "provenance", provenance)
         return table
 
@@ -214,19 +269,8 @@ class PerceptionTable:
         return {observer: dict(row) for observer, row in self.rows.items()}
 
 
-def _recommendation(value: Any, kind: str) -> float:
-    """One recommendation as a vector of ``kind`` stores it: a binary label
-    as the int 0 or 1, a score as a float in [0, 1]. A bool, NaN or any
-    value that is no number is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"expected a number, got {value!r}")
-    if kind == BINARY:
-        if value == 0 or value == 1:
-            return int(value)
-        raise InputError(f"binary outcome must be 0 or 1, got {value}")
-    if 0 <= value <= 1:
-        return float(value)
-    raise InputError(f"outcome value {value} outside [0, 1]")
+#: The two labels a binary vector holds.
+_LABELS = frozenset((0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -245,9 +289,24 @@ class RecommendationVector:
 
     def __post_init__(self) -> None:
         if self.kind not in (BINARY, SCORE):
-            raise InputError(f"unknown outcome kind {self.kind!r}")
-        kind = self.kind
-        values = {x: _recommendation(v, kind) for x, v in self.values.items()}
+            raise InputError(f"unknown outcome kind {self.kind!r}", ("kind",))
+        if not isinstance(self.purpose, str):
+            raise InputError(f"expected a string, got {self.purpose!r}", ("purpose",))
+        values = self.values
+        if not _PLAIN_NUMBERS.issuperset(map(type, values.values())):
+            values = as_floats(values, "rec({})".format, ("values",))
+        binary = self.kind == BINARY
+        fits = _LABELS.__contains__ if binary else lambda value: 0.0 <= value <= 1.0
+        if not all(map(fits, values.values())):
+            x = next(x for x, value in values.items() if not fits(value))
+            given = self.values[x]
+            message = (
+                f"binary outcome must be 0 or 1, got {given}"
+                if binary
+                else f"outcome value {given} outside [0, 1]"
+            )
+            raise InputError(message, ("values", x), f"rec({x})")
+        values = dict(zip(values, map(int if binary else float, values.values())))
         object.__setattr__(self, "values", values)
 
 
@@ -269,12 +328,14 @@ class AuditParams:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("delta", "epsilon", "theta"):
+            object.__setattr__(self, name, number(getattr(self, name), (name,), name))
         if not 0.0 <= self.delta <= 1.0:
-            raise InputError(f"delta must be in [0, 1], got {self.delta}")
+            raise InputError(f"delta must be in [0, 1], got {self.delta}", ("delta",))
         if not 0.0 <= self.epsilon < 1.0:
-            raise InputError(f"epsilon must be in [0, 1), got {self.epsilon}")
+            raise InputError(f"epsilon must be in [0, 1), got {self.epsilon}", ("epsilon",))
         if not 0.0 <= self.theta < 1.0:
-            raise InputError(f"theta must be in [0, 1), got {self.theta}")
+            raise InputError(f"theta must be in [0, 1), got {self.theta}", ("theta",))
 
 
 # --- input validation -------------------------------------------------------

@@ -130,11 +130,12 @@ class AcceptanceLedger(Mapping[tuple[str, str], str]):
 
     def __init__(self, states: Mapping[tuple[str, str], str] | None = None) -> None:
         self._states = dict(sorted((states or {}).items()))
-        for (_, kind), state in self._states.items():
+        for (individual, kind), state in self._states.items():
+            path = ("states", individual, kind)
             if kind not in OBLIGATION_KINDS:
-                raise InputError(f"unknown obligation kind {kind!r}")
+                raise InputError(f"unknown obligation kind {kind!r}", path)
             if state not in ACCEPTANCE_STATES:
-                raise InputError(f"unknown acceptance state {state!r}")
+                raise InputError(f"unknown acceptance state {state!r}", path)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
         return self._states[key]

@@ -6,10 +6,15 @@ optional acceptance ledger, optional baseline-auditor inputs, and run
 metadata. Field names mirror the engine's symbols (sim, rec, delta,
 epsilon, theta) so files stay traceable next to the definitions. Metadata
 is free-form except ``ethicality_asserted``, the one key the engine reads,
-which must be a JSON boolean. The ids of every baseline row, and the
-attribute and operator of every veto rule, must be strings: none is
-coerced. Every id a baseline score or row names must be in the population
-(``BaselineInputs``, from ``baselines``, gathers them into one set).
+which must be a JSON boolean. Every id a baseline score or row names must
+be in the population (``BaselineInputs``, from ``baselines``, gathers them
+into one set).
+
+The loader checks the document's shape: its objects, its lists and its
+field names. Every value goes to the engine constructor that takes it,
+which holds that value's rule and refuses a bad one with an
+``InputError`` whose ``path`` the loader maps to the field that holds the
+value (``_build``), so a run built in code is refused alike.
 
 ``dumps_doc`` is the one written form of every JSON document, run files
 and reports alike: compact JSON with sorted keys and a closing newline, in
@@ -21,32 +26,22 @@ The loader reads any JSON layout, so indented files load as well.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..aggregation import (
-    STRATEGY_KINDS,
-    AggregationStrategy,
-    VetoRule,
-    validate_veto_rules,
-)
-from ..baselines import (
-    BaselineInputs,
-    ObjectiveDistanceTable,
-    add_distances,
-    check_ids,
-    check_scores,
-)
+from ..aggregation import AggregationStrategy, VetoRule, validate_veto_rules
+from ..baselines import BaselineInputs, ObjectiveDistanceTable, check_scores
 from ..core import (
     BINARY,
-    SCORE,
     AuditParams,
     InputError,
     PerceptionTable,
     Population,
     RecommendationVector,
+    check_ids,
+    number,
     validate_population,
 )
 from ..explanations import AcceptanceLedger
@@ -60,10 +55,6 @@ FIELDS = frozenset(
         "rec", "params", "strategy", "ledger", "baseline", "metadata",
     }
 )
-
-
-#: The one type a parsed similarity value needs no further check for.
-_FLOAT = frozenset((float,))
 
 
 class RunFileError(InputError):
@@ -117,7 +108,7 @@ class AuditRunFile:
                 raise RunFileError(str(exc), "strategy.veto_rules") from None
         ids = self.population.positions
         if self.baseline is not None and not self.baseline.ids <= ids.keys():
-            _check_baseline_ids(self.baseline, ids)
+            _check_baseline_ids(self.baseline, self.population)
 
     @property
     def purpose(self) -> str:
@@ -153,13 +144,18 @@ def _expect_list(value: Any, location: str) -> list[Any]:
     return value
 
 
-def _expect_number(value: Any, location: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RunFileError(f"expected a number, got {value!r}", location)
+def _build(build: Callable[[], Any], where: Callable[[tuple], str]) -> Any:
+    """``build()``, a call of the engine, which refuses a bad value with an
+    ``InputError`` whose ``path`` locates it in its arguments: the refusal
+    is reported at ``where(path)``, the field of the file that holds it."""
     try:
-        return float(value)
-    except OverflowError:
-        raise RunFileError(f"number {value} is out of range", location) from None
+        return build()
+    except InputError as exc:
+        raise RunFileError(exc.reason, where(exc.path)) from None
+
+
+def _expect_number(value: Any, location: str) -> float:
+    return _build(lambda: number(value), lambda path: location)
 
 
 def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> None:
@@ -169,54 +165,34 @@ def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> No
         raise RunFileError(f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}")
 
 
-def _check_baseline_ids(baseline: BaselineInputs, ids: Mapping[str, int]) -> None:
-    """Refuse the first id of ``baseline`` outside the population ``ids``:
-    a scored one (``_check_scored_ids``), else one that a distance or
-    override names, at ``baseline.<distances or overrides>[<index>]`` in
-    the order the table holds them, which for a loaded run is the file's.
-    The run calls it only to locate an id it knows is there."""
-    _check_scored_ids(baseline.scores, ids)
-    table = baseline.distances
-    for name, rows in (("distances", table.entries), ("overrides", table.subjective_overrides)):
-        for idx, key in enumerate(rows):
-            unknown = next((i for i in key if i not in ids), None)
-            if unknown is not None:
-                where = f"baseline.{name}[{idx}]"
-                try:
-                    check_ids(key)  # the loader keys a row of numbers too
-                except InputError as exc:
-                    raise RunFileError(str(exc), where) from None
-                raise RunFileError(f"unknown id {unknown!r}", where)
+def _check_rows(population: Population, name: str, keys: Iterable[Any]) -> None:
+    """Refuse the first of ``keys``, the ids of the rows of
+    ``baseline.<name>``, that names no one in ``population``, an id that is
+    no string (``check_ids``) first, at ``baseline.<name>[<index>]``."""
+    for idx, key in enumerate(keys):
+        where = f"baseline.{name}[{idx}]"
+        _build(lambda: check_ids(key), lambda path: where)
+        unknown = next((i for i in key if i not in population.positions), None)
+        if unknown is not None:
+            raise RunFileError(f"unknown id {unknown!r}", where)
 
 
-def _located(build: Callable[[dict], Any], entries: Mapping, where: Callable[[Any], str]) -> Any:
-    """``build(entries)``. Only if it refuses them are the entries given to
-    it one by one, to report the first it refuses alone at ``where(key)``;
-    if it refuses none alone, its refusal is reported with no location."""
-    try:
-        return build(entries)
-    except InputError as exc:
-        for key, value in entries.items():
-            try:
-                build({key: value})
-            except InputError as one:
-                raise RunFileError(str(one), where(key)) from None
-        raise RunFileError(str(exc)) from None
+def _check_baseline_ids(baseline: BaselineInputs, population: Population) -> None:
+    """Refuse the first id of ``baseline`` outside ``population``: a scored
+    one, else one that a row names, in the table's order, for a loaded run
+    the file's. The run calls it only to locate an id it knows is there."""
+    _check_scored_ids(baseline.scores, population.positions)
+    _check_rows(population, "distances", baseline.distances.entries)
+    _check_rows(population, "overrides", baseline.distances.subjective_overrides)
 
 
 def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
-    """The ``rec`` section as a vector of ``doc``'s purpose, the first value
-    the vector refuses reported at ``rec.values.<id>``."""
     rec = _expect_object(_require(doc, "rec"), "rec", frozenset({"kind", "values"}))
-    kind = rec.get("kind", BINARY)
-    if kind not in (BINARY, SCORE):
-        raise RunFileError(f"unknown outcome kind {kind!r}", "rec.kind")
     values = _expect_object(_require(rec, "values", "rec.values"), "rec.values")
     purpose = _require(doc, "purpose")
-    if not isinstance(purpose, str):
-        raise RunFileError(f"expected a string, got {purpose!r}", "purpose")
-    return _located(
-        lambda vs: RecommendationVector(purpose, vs, kind), values, "rec.values.{}".format
+    return _build(
+        lambda: RecommendationVector(purpose, values, rec.get("kind", BINARY)),
+        lambda path: "purpose" if path == ("purpose",) else ".".join(("rec", *path)),
     )
 
 
@@ -224,14 +200,10 @@ def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
     section = _expect_object(
         _require(doc, "params"), "params", frozenset({"delta", "epsilon", "theta"})
     )
-    try:
-        return AuditParams(
-            delta=_expect_number(_require(section, "delta", "params.delta"), "params.delta"),
-            epsilon=_expect_number(section.get("epsilon", 0.0), "params.epsilon"),
-            theta=_expect_number(section.get("theta", 0.5), "params.theta"),
-        )
-    except InputError as exc:
-        raise RunFileError(str(exc), "params") from None
+    delta = _expect_number(_require(section, "delta", "params.delta"), "params.delta")
+    epsilon = _expect_number(section.get("epsilon", 0.0), "params.epsilon")
+    theta = _expect_number(section.get("theta", 0.5), "params.theta")
+    return _build(lambda: AuditParams(delta, epsilon, theta), lambda path: "params")
 
 
 def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationStrategy:
@@ -239,118 +211,61 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
     if section is None:
         return AggregationStrategy(theta=params.theta)
     section = _expect_object(section, "strategy", frozenset({"kind", "theta", "veto_rules"}))
-    kind = section.get("kind", "majority")
-    if kind not in STRATEGY_KINDS:
-        raise RunFileError(f"unknown strategy kind {kind!r}", "strategy.kind")
     rules = []
     for idx, rule in enumerate(_expect_list(section.get("veto_rules", []), "strategy.veto_rules")):
         where = f"strategy.veto_rules[{idx}]"
         rule = _expect_object(rule, where, frozenset({"attribute", "op", "value", "vetoes"}))
-        label = rule.get("vetoes", 1)
-        if isinstance(label, bool) or label not in (0, 1):
-            raise RunFileError(f"expected 0 or 1, got {label!r}", f"{where}.vetoes")
-        attribute, op = _require(rule, "attribute", where), _require(rule, "op", where)
-        for name, value in (("attribute", attribute), ("op", op)):
-            if type(value) is not str:
-                raise RunFileError(f"expected a string {name}, got {value!r}", where)
-        try:
-            rules.append(
-                VetoRule(
-                    attribute=attribute,
-                    op=op,
-                    operand=_require(rule, "value", where),
-                    vetoed_label=int(label),
-                )
+        attribute, op, operand = (_require(rule, k, where) for k in ("attribute", "op", "value"))
+        rules.append(
+            _build(
+                lambda: VetoRule(attribute, op, operand, rule.get("vetoes", 1)),
+                lambda path: f"{where}.vetoes" if path == ("vetoed_label",) else where,
             )
-        except InputError as exc:
-            raise RunFileError(str(exc), where) from None
-    try:
-        return AggregationStrategy(
-            kind=kind,
-            theta=_expect_number(section.get("theta", params.theta), "strategy.theta"),
-            veto_rules=tuple(rules),
         )
-    except InputError as exc:
-        raise RunFileError(str(exc), "strategy") from None
+    theta = _expect_number(section.get("theta", params.theta), "strategy.theta")
+    return _build(
+        lambda: AggregationStrategy(section.get("kind", "majority"), theta, tuple(rules)),
+        lambda path: "strategy.kind" if path == ("kind",) else "strategy",
+    )
 
 
-def _parse_baseline(doc: Mapping[str, Any], ids: Mapping[str, int]) -> BaselineInputs | None:
-    """The baseline section. The scores are checked before the rows are
-    read, so a score is refused at its own location before any trace it
-    leaves there, such as a scored pair with no distance."""
+def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineInputs | None:
+    """The baseline section. The scores and their ids are checked before
+    the rows are read, so a score is refused at its own location before
+    any trace it leaves there, such as a scored pair with no distance."""
     section = doc.get("baseline")
     if section is None:
         return None
     section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
     scores = _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores")
-    scores = {
-        i: v if type(v) is float else _expect_number(v, f"baseline.scores.{i}")
-        for i, v in scores.items()
+    rows = {
+        name: _expect_list(section.get(name, []), f"baseline.{name}")
+        for name in ("distances", "overrides")
     }
-    scores = _located(check_scores, scores, "baseline.scores.{}".format)
-    _check_scored_ids(scores, ids)
-    table = ObjectiveDistanceTable.adopt(
-        _parse_rows(section, "distances", ids), _parse_rows(section, "overrides", ids)
-    )
+    _check_scored_ids(_build(lambda: check_scores(scores), _in_baseline), population.positions)
     try:
-        return BaselineInputs(scores, table)
-    except InputError as exc:  # a scored pair with no distance
-        raise RunFileError(str(exc), "baseline.distances") from None
+        table = ObjectiveDistanceTable.from_rows(rows["distances"], rows["overrides"])
+    except InputError as exc:
+        name, idx = "distances" if exc.path[0] == "entries" else "overrides", exc.path[1]
+        # An id outside the population, in this row or an earlier one, is
+        # named first, as the run names it in rows the table takes.
+        keys = [row[:-1] if isinstance(row, list) else () for row in rows[name][: idx + 1]]
+        _check_rows(population, name, keys)
+        raise RunFileError(exc.reason, f"baseline.{name}[{idx}]") from None
+    return _build(lambda: BaselineInputs(scores, table), _in_baseline)
 
 
-def _parse_rows(section: Mapping[str, Any], name: str, ids: Mapping) -> dict[tuple, float]:
-    """The ``distances`` rows, ``[x, y, distance]``, or the ``overrides``
-    rows, ``[observer, x, y, distance]``, of the baseline ``section``, keyed
-    as the distance table keeps them (``add_distances``), in row order.
-
-    Plain rows, each observer a party to its pair and a float >= 0, go in
-    first, their ids left to the run (``_check_baseline_ids``); only if some
-    row is no such row, or a key repeats, are the rows read again one by
-    one, to convert that row or to report the first faulty row at its
-    location, a row naming an id outside the population ``ids`` included."""
-    location = f"baseline.{name}"
-    rows = _expect_list(section.get(name, []), location)
-    size = 3 if name == "distances" else 4
-    try:
-        if size == 3:
-            entries = {
-                (x, y) if x <= y else (y, x): d
-                for x, y, d in rows
-                if type(d) is float and d >= 0
-            }
-        else:
-            entries = {
-                (o, x, y) if x <= y else (o, y, x): d
-                for o, x, y, d in rows
-                if type(d) is float and d >= 0 and o in (x, y)
-            }
-        if len(entries) == len(rows):
-            return entries
-    except (TypeError, ValueError):  # a row of another length, an id that is a list or an object
-        pass
-    entries = {}
-    for idx, row in enumerate(rows):
-        where = f"{location}[{idx}]"
-        if not (isinstance(row, list) and len(row) == size):
-            shape = "[x, y, distance]" if size == 3 else "[observer, x, y, distance]"
-            raise RunFileError(f"expected {shape}", where)
-        *names, d = row
-        d = _expect_number(d, where)
-        try:
-            check_ids(names)
-            unknown = next((i for i in names if i not in ids), None)
-            if unknown is not None:
-                raise InputError(f"unknown id {unknown!r}")
-            add_distances(entries, [(tuple(names), d)])
-        except InputError as exc:
-            raise RunFileError(str(exc), where) from None
-    return entries
+def _in_baseline(path: tuple) -> str:
+    return ".".join(("baseline", *path))
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     """Build a run from a parsed document, reporting the offending field
-    on any schema violation. The run keeps the document's ``sim`` rows that
-    hold only floats, so the document must not change afterwards."""
+    on any schema violation. The loader checks the document's shape, its
+    objects, lists and field names; each value is checked by the engine
+    constructor that takes it, whose refusal the loader reports at the
+    value's field. The run keeps the document's ``sim`` rows that hold
+    only floats, so the document must not change afterwards."""
     doc = _expect_object(doc, "<document>")
     schema = _require(doc, "schema")
     if schema != SCHEMA:
@@ -359,40 +274,13 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     if unknown:
         raise RunFileError(f"unknown field {unknown[0]!r}", unknown[0])
 
-    individuals = _require(doc, "individuals")
-    if not isinstance(individuals, list) or not all(isinstance(i, str) for i in individuals):
-        raise RunFileError("expected a list of id strings", "individuals")
-    attributes = doc.get("attributes")
-    if attributes is not None:
-        attributes = _expect_object(attributes, "attributes")
-        for individual, values in attributes.items():
-            for key, value in _expect_object(values, f"attributes.{individual}").items():
-                if isinstance(value, (list, dict)):
-                    raise RunFileError(
-                        "expected a string, number, boolean or null",
-                        f"attributes.{individual}.{key}",
-                    )
-    try:
-        population = Population(tuple(individuals), attributes)
-    except InputError as exc:
-        raise RunFileError(str(exc), "individuals") from None
-
-    # A row of floats is kept as it is; only any other row is checked value
-    # by value, with each location spelled out, and copied as floats.
-    rows = {}
-    for observer, row in _expect_object(_require(doc, "sim"), "sim").items():
-        if not (type(row) is dict and _FLOAT.issuperset(map(type, row.values()))):
-            row = {
-                target: _expect_number(value, f"sim.{observer}.{target}")
-                for target, value in _expect_object(row, f"sim.{observer}").items()
-            }
-        if row:
-            rows[observer] = row
-    try:
-        perceptions = PerceptionTable.adopt(rows, doc.get("provenance", "declared"))
-    except InputError as exc:
-        raise RunFileError(str(exc), "provenance") from None
-
+    individuals = _expect_list(_require(doc, "individuals"), "individuals")
+    population = _build(lambda: Population(tuple(individuals), doc.get("attributes")), ".".join)
+    sim = _require(doc, "sim")
+    perceptions = _build(
+        lambda: PerceptionTable.adopt(sim, doc.get("provenance", "declared")),
+        lambda path: ".".join(("sim", *path[1:])) if path[:1] == ("rows",) else "provenance",
+    )
     recommendations = _parse_recommendations(doc)
 
     params = _parse_params(doc)
@@ -405,9 +293,11 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
             for individual, row in _expect_object(doc["ledger"], "ledger").items()
             for kind, state in _expect_object(row, f"ledger.{individual}").items()
         }
-        ledger = _located(AcceptanceLedger, states, "ledger.{0[0]}.{0[1]}".format)
+        ledger = _build(
+            lambda: AcceptanceLedger(states), lambda path: ".".join(("ledger", *path[1:]))
+        )
 
-    baseline = _parse_baseline(doc, population.positions)
+    baseline = _parse_baseline(doc, population)
     return AuditRunFile(
         population=population,
         perceptions=perceptions,

@@ -137,6 +137,14 @@ class CountingMapping(Mapping):
             yield item
 
 
+def counted_map(table, name):
+    """Put a ``CountingMapping`` in place of the map ``name`` of the built
+    distance ``table``, and return it."""
+    counting = CountingMapping(getattr(table, name))
+    object.__setattr__(table, name, counting)
+    return counting
+
+
 def if_checks_by_pair(
     scores: dict[str, float], distances: ObjectiveDistanceTable
 ) -> tuple[list, list]:

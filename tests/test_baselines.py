@@ -15,7 +15,7 @@ from subjfair import (
 )
 from subjfair.baselines import GAP_TOLERANCE
 
-from helpers import CountingMapping, if_checks_by_pair
+from helpers import counted_map, if_checks_by_pair
 
 
 def _objective(scores, distances):
@@ -404,7 +404,7 @@ class TestAgainstPairByPairReference:
                 continue
             gone = set(rng.sample(scored_pairs, rng.randint(1, len(scored_pairs))))
             entries = {p: d for p, d in table.entries.items() if p not in gone}
-            broken = ObjectiveDistanceTable.adopt(entries, table.subjective_overrides)
+            broken = ObjectiveDistanceTable(entries, table.subjective_overrides)
             with pytest.raises(InputError) as expected:
                 if_checks_by_pair(scores, broken)
             with pytest.raises(InputError) as raised:
@@ -425,11 +425,12 @@ def test_subjective_check_reads_only_the_overrides_that_exist():
     overrides = {
         (rng.choice(pair), *pair): rng.random() for pair in entries if rng.random() < 0.1
     }
-    counting = CountingMapping(overrides)
-    baseline = BaselineInputs(scores, ObjectiveDistanceTable.adopt(entries, counting))
+    table = ObjectiveDistanceTable(entries, overrides)
+    counting = counted_map(table, "subjective_overrides")
+    baseline = BaselineInputs(scores, table)
     counting.reads = 0
     objective = dwork_if_check(baseline)
     subjective = subjective_if_check(baseline, objective)
     assert 0 < counting.reads <= 2 * len(objective) + len(overrides) < 2 * len(entries)
-    reference = ObjectiveDistanceTable.adopt(entries, overrides)
+    reference = ObjectiveDistanceTable(entries, overrides)
     assert (objective, subjective) == if_checks_by_pair(scores, reference)

@@ -140,6 +140,27 @@ class TestPopulation:
         with pytest.raises(InputError):
             Population(("a",), {"z": {"age": 1}})
 
+    @pytest.mark.parametrize(
+        "attributes, path",
+        [
+            ({"a": {"g": [1]}, "b": {"g": 2}}, ("attributes", "a", "g")),
+            ({"a": {1: "x"}, "b": {1: "y"}}, ("attributes", "a")),
+            ({"a": None}, ("attributes", "a")),
+            ({"z": {"g": 1}}, ("attributes", "z")),
+            ({"a": {"g": 1}, "b": {"h": 1}}, ("attributes",)),
+            ([("a", {"g": 1})], ("attributes",)),
+        ],
+        ids=["list-value", "number-name", "row-not-a-mapping", "unknown-id", "keys-differ",
+             "not-a-mapping"],
+    )
+    def test_attributes_are_refused_at_their_path(self, attributes, path):
+        # the path is where the loader reports the refusal: a number name
+        # would be written as a string, and a row that is no mapping raised
+        # a bare TypeError
+        with pytest.raises(InputError) as err:
+            Population(("a", "b"), attributes)
+        assert err.value.path == path
+
 
 class TestValidatePopulation:
     def _valid(self):

@@ -6,9 +6,10 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subjfair import (
+    AcceptanceLedger,
     AggregationStrategy,
     AuditParams,
     InputError,
@@ -19,6 +20,7 @@ from subjfair import (
     VetoRule,
     build_cluster_family,
 )
+from subjfair import baselines, core
 from subjfair.harness import cli, synth
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
@@ -44,7 +46,7 @@ from subjfair.harness.runfile import (
 )
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import CountingMapping, honest_rows_by_pair, make_inputs
+from helpers import counted_map, honest_rows_by_pair, make_inputs
 
 
 NAN = float("nan")
@@ -377,6 +379,17 @@ class TestRunFile:
                 lambda d: d.update(attributes={"a": {"group": 1}, "b": {"group": {"k": 1}}}),
                 "attributes.b.group",
             ),
+            # both were refused at individuals
+            pytest.param(
+                lambda d: d.update(attributes={"a": {"g": 1}, "b": {"g": 2}, "zz": {"g": 1}}),
+                "attributes.zz",
+                id="attributes-of-an-unknown-id",
+            ),
+            pytest.param(
+                lambda d: d.update(attributes={"a": {"g": 1}, "b": {"h": 1}}),
+                "attributes",
+                id="attribute-keys-that-differ",
+            ),
         ],
     )
     def test_schema_violations_carry_field_location(self, mutate, location):
@@ -442,10 +455,10 @@ class TestRunFile:
         run = generate_population(SynthProfile(n=60, seed=9))
         scored = run.population.individuals[:40]
         rng = random.Random(11)
-        entries = CountingMapping(
+        table = ObjectiveDistanceTable(
             {pair: rng.random() / 2 for pair in itertools.combinations(scored, 2)}
         )
-        table = ObjectiveDistanceTable.adopt(entries, {})
+        entries = counted_map(table, "entries")
         baseline = BaselineInputs({i: rng.random() for i in scored}, table)
         entries.reads = 0
         built = []
@@ -461,6 +474,37 @@ class TestRunFile:
         assert "objective_if" in capsys.readouterr().out
         assert built == [0, 0, 0]
         assert entries.reads == len(entries.data)
+
+    def test_a_clean_file_is_checked_in_bulk(self, monkeypatch):
+        # work gate by counted calls: on a clean file with a baseline, no
+        # sim row is converted one by one and add_distances reads no row one
+        # by one; one int similarity and one int distance take both paths
+        run = generate_population(SynthProfile(n=30, cluster_density=0.3, seed=4))
+        ids = run.population.individuals
+        distances = {(x, y): 0.5 for i, x in enumerate(ids) for y in ids[i + 1 :]}
+        table = ObjectiveDistanceTable(distances, {(ids[1], ids[1], ids[0]): 0.25})
+        baseline = BaselineInputs(dict.fromkeys(ids, 0.5), table)
+        doc = json.loads(dumps_run(dataclasses.replace(run, baseline=baseline)))
+        walked = []
+        as_floats, add_row = core.as_floats, baselines._add_row
+
+        def counted_as_floats(numbers, name, path=()):
+            walked.append(path[:1])
+            return as_floats(numbers, name, path)
+
+        def counted_add_row(table, row, name):
+            walked.append(name)
+            add_row(table, row, name)
+
+        monkeypatch.setattr(core, "as_floats", counted_as_floats)
+        monkeypatch.setattr(baselines, "_add_row", counted_add_row)
+        assert loads_run(json.dumps(doc)).baseline == baseline
+        assert walked == []
+        doc["sim"][ids[0]][ids[0]] = 1
+        doc["baseline"]["distances"][0][2] = 1
+        loads_run(json.dumps(doc))
+        assert walked.count(("rows",)) == len(ids)
+        assert walked.count("entries") == len(distances)
 
     def test_baseline_section_round_trips(self):
         doc = _minimal_doc(
@@ -550,6 +594,114 @@ def test_any_json_value_in_any_field_gives_a_run_or_run_file_error(path, value):
     except RunFileError:
         return
     assert isinstance(run, AuditRunFile)
+
+
+def _set(*path):
+    """Put the value at ``path`` of the document."""
+
+    def put(doc, value):
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+
+    return put
+
+
+def _append(*path, row=lambda value: value):
+    """Append ``row(value)`` to the list at ``path`` of the document."""
+
+    def put(doc, value):
+        section = doc
+        for key in path:
+            section = section[key]
+        section.append(row(value))
+
+    return put
+
+
+#: Every number field, every kind of id field and an attribute value of
+#: ``_rich_fixture_doc``, and the rows that hold them. An id is put in a
+#: row of its own, so the run is refused for the id and nothing else.
+_VALUE_FIELDS = {
+    "sim value": _set("sim", "x", "y"),
+    "sim row": _set("sim", "x"),
+    "rec value": _set("rec", "values", "x"),
+    "purpose": _set("purpose"),
+    "delta": _set("params", "delta"),
+    "epsilon": _set("params", "epsilon"),
+    "params theta": _set("params", "theta"),
+    "strategy theta": _set("strategy", "theta"),
+    "vetoes": _set("strategy", "veto_rules", 0, "vetoes"),
+    "score": _set("baseline", "scores", "x"),
+    "distance": _set("baseline", "distances", 0, 2),
+    "override": _set("baseline", "overrides", 0, 3),
+    "individual": _append("individuals"),
+    "distance id": _append("baseline", "distances", row=lambda i: [i, "u", 0.25]),
+    "override id": _append("baseline", "overrides", row=lambda i: [i, i, "u", 0.25]),
+    "attribute value": _set("attributes", "x", "group"),
+    "attribute row": _set("attributes", "x"),
+}
+
+
+def _run_in_code(doc):
+    """The run of ``doc`` made by the engine's constructors from the
+    document's own values, with no loader in between."""
+    rec, strategy, baseline = doc["rec"], doc["strategy"], doc["baseline"]
+    try:  # an id that cannot key a map cannot be stated in code
+        distances, overrides = (
+            {tuple(row[:-1]): row[-1] for row in baseline[name]} for name in ("distances", "overrides")
+        )
+    except TypeError:
+        assume(False)
+    rules = tuple(
+        VetoRule(r["attribute"], r["op"], r["value"], r["vetoes"]) for r in strategy["veto_rules"]
+    )
+    return AuditRunFile(
+        population=Population(tuple(doc["individuals"]), doc["attributes"]),
+        perceptions=PerceptionTable(doc["sim"], doc["provenance"]),
+        recommendations=RecommendationVector(doc["purpose"], rec["values"], rec["kind"]),
+        params=AuditParams(**doc["params"]),
+        strategy=AggregationStrategy(strategy["kind"], strategy["theta"], rules),
+        ledger=AcceptanceLedger(
+            {(i, kind): state for i, row in doc["ledger"].items() for kind, state in row.items()}
+        ),
+        baseline=BaselineInputs(baseline["scores"], ObjectiveDistanceTable(distances, overrides)),
+        metadata=doc["metadata"],
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(field=st.sampled_from(sorted(_VALUE_FIELDS)), value=_JSON_VALUES)
+@example(field="score", value="0.5")
+@example(field="score", value=True)
+@example(field="distance", value=True)
+@example(field="distance", value="0.5")
+@example(field="distance", value=None)
+@example(field="sim row", value=[1.0])
+@example(field="sim row", value=None)
+@example(field="individual", value=1)
+@example(field="attribute value", value=[1])
+def test_a_value_built_in_code_and_loaded_from_a_file_are_refused_alike(field, value):
+    # the loader only locates what the engine's constructors refuse: a value
+    # they took in code, such as a bool score, a None row or a number id,
+    # was refused in a file or ended in another exception, and a run they
+    # built could fail to be written
+    doc = _rich_fixture_doc()
+    for k, attributes in enumerate(doc["attributes"].values()):
+        attributes["group"] = "ab"[k % 2]  # an attribute no veto rule compares
+    _VALUE_FIELDS[field](doc, value)
+    try:
+        loaded = loads_run(json.dumps(doc), validate=False)
+    except RunFileError:
+        loaded = None
+    try:
+        built = _run_in_code(doc)
+    except InputError:
+        built = None
+    assert (built is None) == (loaded is None)
+    if built is not None:
+        assert dumps_run(built) == dumps_run(loaded)
 
 
 class TestSynth:
@@ -1671,16 +1823,15 @@ class TestCli:
         ids = run.population.individuals
         scored = ids[:40]
         rng = random.Random(9)
-        entries = CountingMapping(
-            {pair: rng.random() / 2 for pair in itertools.combinations(scored, 2)}
+        table = ObjectiveDistanceTable(
+            {pair: rng.random() / 2 for pair in itertools.combinations(scored, 2)},
+            {(scored[0], *sorted(scored[:2])): 0.0},
         )
+        entries = counted_map(table, "entries")
         run = dataclasses.replace(
             run,
             population=Population(ids, {i: {"group": k % 2} for k, i in enumerate(ids)}),
-            baseline=BaselineInputs(
-                {i: rng.random() for i in scored},
-                ObjectiveDistanceTable.adopt(entries, {(scored[0], *sorted(scored[:2])): 0.0}),
-            ),
+            baseline=BaselineInputs({i: rng.random() for i in scored}, table),
         )
         monkeypatch.setattr(cli, "load_run", lambda path: run)
         for command in ("report", "baseline"):
