@@ -28,6 +28,8 @@ GAP_TOLERANCE = 1e-9
 def check_scores(scores: Mapping[str, float]) -> dict[str, float]:
     """``scores`` as floats (``as_floats``); refuses an id that is not a
     string and a score that is not finite."""
+    if not isinstance(scores, Mapping):
+        raise InputError("expected a mapping", ("scores",), "scores")
     check_ids(scores, ("scores",))
     floats = as_floats(scores, "score {}".format, ("scores",))
     if not all(map(math.isfinite, floats.values())):
@@ -54,6 +56,8 @@ def add_distances(rows: Sequence[Any], name: str) -> tuple[dict[tuple, float], f
     reads, or an id is no string, are they read again one by one, to
     convert a distance or to refuse the first faulty row at ``(name, index)``.
     """
+    if not isinstance(rows, (list, tuple)):
+        raise InputError("expected a list of rows", (name,), name)
     try:
         if name == "entries":
             table = {
@@ -118,10 +122,14 @@ class ObjectiveDistanceTable:
     ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        override_map = {} if self.subjective_overrides is None else self.subjective_overrides
+        for name, rows in (("entries", self.entries), ("subjective_overrides", override_map)):
+            if not isinstance(rows, Mapping):
+                raise InputError("expected a mapping", (name,), name)
         # a key that is no tuple makes a row of one id, which is refused
         distances, overrides = (
             [(*key, d) if isinstance(key, tuple) else (key, d) for key, d in rows.items()]
-            for rows in (self.entries, self.subjective_overrides or {})
+            for rows in (self.entries, override_map)
         )
         self._keep(distances, overrides)
 
@@ -157,6 +165,8 @@ class BaselineInputs:
 
     def __post_init__(self) -> None:
         scores = check_scores(self.scores)
+        if not isinstance(self.distances, ObjectiveDistanceTable):
+            raise InputError("expected an ObjectiveDistanceTable", ("distances",), "distances")
         entries = self.distances.entries
         pairs = itertools.combinations(sorted(scores), 2)
         missing = next(itertools.filterfalse(entries.__contains__, pairs), None)

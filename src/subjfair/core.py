@@ -293,6 +293,8 @@ class RecommendationVector:
         if not isinstance(self.purpose, str):
             raise InputError(f"expected a string, got {self.purpose!r}", ("purpose",))
         values = self.values
+        if not isinstance(values, Mapping):
+            raise InputError("expected a mapping", ("values",), "values")
         if not _PLAIN_NUMBERS.issuperset(map(type, values.values())):
             values = as_floats(values, "rec({})".format, ("values",))
         binary = self.kind == BINARY

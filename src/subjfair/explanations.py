@@ -123,13 +123,21 @@ class AcceptanceLedger(Mapping[tuple[str, str], str]):
     """Read-only record of each obligation's acceptance state,
     ``{(individual, kind): state}``, iterated in sorted key order.
 
-    The constructor checks every kind and state once, and nothing changes a
-    ledger afterwards: a later explanation round is a new ledger. An
-    obligation with no entry is pending (``ledger.get(key, PENDING)``).
+    The constructor takes a mapping keyed by pairs of strings and checks
+    every kind and state once, and nothing changes a ledger afterwards: a
+    later explanation round is a new ledger. An obligation with no entry is
+    pending (``ledger.get(key, PENDING)``).
     """
 
     def __init__(self, states: Mapping[tuple[str, str], str] | None = None) -> None:
-        self._states = dict(sorted((states or {}).items()))
+        states = {} if states is None else states
+        if not isinstance(states, Mapping):
+            raise InputError("expected a mapping", ("states",), "states")
+        for key in states:
+            pair = type(key) is tuple and len(key) == 2
+            if not (pair and isinstance(key[0], str) and isinstance(key[1], str)):
+                raise InputError("expected an (individual, kind) key", ("states", key), "states")
+        self._states = dict(sorted(states.items()))
         for (individual, kind), state in self._states.items():
             path = ("states", individual, kind)
             if kind not in OBLIGATION_KINDS:

@@ -5,6 +5,8 @@ loops and the most literal transcription of the definitions, on purpose.
 It shares no computation with the engine modules, so a field-for-field
 comparison of its output against the engine's audit document is a real
 differential test. Deliberately slow; refuses populations above ``bound``.
+It writes the ``subjfair-report/2`` audit document, which leaves out the
+membership relation that stage 2 reads here.
 """
 
 from __future__ import annotations
@@ -135,13 +137,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
 
     dissenters = sorted(x for x in ids if verdicts[x]["isf"] == "unfair")
 
-    # obligations, re-derived from the literal mapping
-    tag_table = {
-        "SYSTEM_RECOMMENDATION": ["accuracy"],
-        "AGGREGATION_METHOD": ["consistency"],
-        "GROUP_IDENTIFICATION": ["ethicality"],
-        "SYSTEM_ERROR_REVIEW": ["accuracy"],
-    }
+    # obligations, re-derived from the classes
     obligations: list[dict[str, Any]] = []
     for x in sorted(ids):
         kinds: list[str] = []
@@ -152,12 +148,10 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
         elif conflicts[x] == "SYSTEM_SUSPECT":
             kinds.append("SYSTEM_ERROR_REVIEW")
         for k in kinds:
-            obligations.append(
-                {"individual": x, "kind": k, "procedural_tags": tag_table[k]}
-            )
+            obligations.append({"individual": x, "kind": k})
 
     return {
-        "schema": "subjfair-report/1",
+        "schema": "subjfair-report/2",
         "purpose": run.purpose,
         "n": n,
         "params": {"delta": delta, "epsilon": eps, "theta": theta},
@@ -175,7 +169,6 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             ],
         },
         "clusters": {x: sorted(clusters[x]) for x in ids},
-        "membership": {i: sorted(membership[i]) for i in ids},
         "set_rec": {x: int(set_rec[x]) for x in ids},
         "dec": {i: int(dec[i]) for i in ids},
         "verdicts": verdicts,
@@ -200,4 +193,10 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             for label in ("NO_CONFLICT", "JUSTIFIABLE_BY_GROUP", "SYSTEM_SUSPECT")
         },
         "obligations": obligations,
+        "obligation_tags": {
+            "SYSTEM_RECOMMENDATION": ["accuracy"],
+            "AGGREGATION_METHOD": ["consistency"],
+            "GROUP_IDENTIFICATION": ["ethicality"],
+            "SYSTEM_ERROR_REVIEW": ["accuracy"],
+        },
     }

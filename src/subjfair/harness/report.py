@@ -9,8 +9,11 @@ machine form, a plain dict that ``dumps_doc`` (from ``runfile``) writes as
 compact JSON with sorted keys, and a human-readable text form; both are
 deterministic for a given run file and engine version.
 Each is written from the family's position lists, the audit's columns and
-the baselines' violation tuples; ``build_report_doc`` adds the procedural
-check, from the run's ``metadata.ethicality_asserted``.
+the baselines' violation tuples, and states each fact once
+(``subjfair-report/2``): ``clusters`` with no transposed membership, each
+obligation as its individual and kind beside one ``obligation_tags``
+table, and the procedural check as ``{tag: provenance}``, which
+``build_report_doc`` adds from the run's ``metadata.ethicality_asserted``.
 ``baselines_section`` builds the baselines part on its own, for the report
 and for the ``baseline`` command.
 """
@@ -37,7 +40,7 @@ from ..explanations import (
 )
 from .runfile import AuditRunFile, RunFileError, dumps_doc, settings_to_dict
 
-REPORT_SCHEMA = "subjfair-report/1"
+REPORT_SCHEMA = "subjfair-report/2"
 
 #: Report flag raised whenever any individual's conflict is SYSTEM_SUSPECT.
 SYSTEM_REVIEW_FLAG = "ADMS recommendation requires review"
@@ -149,14 +152,12 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
     report = result.report
     ids = run.population.individuals
     named = ids.__getitem__
-    tags = {kind: sorted(kind_tags) for kind, kind_tags in KIND_TAGS.items()}
     return {
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
         "n": len(ids),
         **settings_to_dict(run),
         "clusters": {x: list(map(named, c)) for x, c in zip(ids, result.family.members)},
-        "membership": {x: list(map(named, o)) for x, o in zip(ids, result.family.owners)},
         **label_fields(ids, report.set_labels, report.decisions),
         "verdicts": {
             x: {"isf": isf, "relaxed_isf": relaxed, "satisfaction_ratio": ratio}
@@ -169,10 +170,9 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
         **summary_counts(report),
         "obligations": [
-            {"individual": x, "kind": kind, "procedural_tags": tags[kind].copy()}
-            for x, kinds in result.owed.items()
-            for kind in kinds
+            {"individual": x, "kind": kind} for x, kinds in result.owed.items() for kind in kinds
         ],
+        "obligation_tags": {kind: sorted(tags) for kind, tags in KIND_TAGS.items()},
     }
 
 
@@ -192,11 +192,7 @@ def build_report_doc(
         doc["ledger"] = result.run.ledger.as_rows()
     # Only JSON ``true`` asserts ethicality; the loader refuses any other
     # value but ``false``.
-    procedural = procedural_check(result.run.metadata.get("ethicality_asserted") is True)
-    doc["procedural"] = {
-        "satisfied": sorted(procedural),
-        "provenance": dict(sorted(procedural.items())),
-    }
+    doc["procedural"] = procedural_check(result.run.metadata.get("ethicality_asserted") is True)
     flags = []
     if doc["conflict_histogram"][SYSTEM_SUSPECT] > 0:
         flags.append(SYSTEM_REVIEW_FLAG)
@@ -316,13 +312,13 @@ def render_text(doc: dict[str, Any]) -> str:
     lines += render_labels(doc)
 
     lines.append(f"obligations: {len(doc['obligations'])}")
+    tags = {kind: ",".join(kind_tags) for kind, kind_tags in doc["obligation_tags"].items()}
     for o in doc["obligations"]:
-        tags = ",".join(o["procedural_tags"])
-        lines.append(f"  - {o['individual']}: {o['kind']} [{tags}]")
+        lines.append(f"  - {o['individual']}: {o['kind']} [{tags[o['kind']]}]")
     if "explanation_fairness" in doc:
         lines.append(f"explanation fairness: {doc['explanation_fairness']}")
     if "procedural" in doc:
-        satisfied = ", ".join(doc["procedural"]["satisfied"]) or "none"
+        satisfied = ", ".join(sorted(doc["procedural"])) or "none"
         lines.append(f"procedural rules satisfied: {satisfied}")
     for flag in doc.get("flags", []):
         lines.append(f"flag: {flag}")

@@ -31,6 +31,15 @@ Every hash was pinned when JSON documents were written indented, before
 they became compact, so ``_as_pinned`` checks that a JSON text is exactly
 the compact form and hashes its indented rebuild: that pins the compact
 bytes as exactly as the old ones.
+
+The report and audit hashes were pinned in ``subjfair-report/1``, before
+the report stated each fact once (``subjfair-report/2``), so ``_as_pinned``
+first turns a ``/2`` document back into its ``/1`` value with
+``_as_report_1``: it puts back the ``membership`` list that transposes
+``clusters``, each obligation's own ``procedural_tags`` from the
+``obligation_tags`` table, and ``procedural``'s sorted ``satisfied`` list
+beside its provenance. A ``/2`` document rebuilt so hashes as its ``/1``
+document did, and the converter only adds what ``/2`` states elsewhere.
 """
 
 from __future__ import annotations
@@ -73,15 +82,34 @@ from subjfair.harness.runfile import (
 from subjfair.harness.synth import SynthProfile, generate_population
 
 
+def _as_report_1(doc: dict) -> dict:
+    """The ``subjfair-report/1`` value of a ``subjfair-report/2`` document."""
+    doc = dict(doc, schema="subjfair-report/1")
+    membership = {x: [] for x in doc["clusters"]}
+    for owner in sorted(doc["clusters"]):
+        for x in doc["clusters"][owner]:
+            membership[x].append(owner)
+    doc["membership"] = membership
+    tags = doc.pop("obligation_tags")
+    doc["obligations"] = [{**o, "procedural_tags": tags[o["kind"]]} for o in doc["obligations"]]
+    if "procedural" in doc:
+        provenance = doc["procedural"]
+        doc["procedural"] = {"satisfied": sorted(provenance), "provenance": provenance}
+    return doc
+
+
 def _as_pinned(text: str) -> str:
     """The SHA-256 of ``text`` in its pinned form: a JSON text, which must be
-    exactly the compact sorted form, as its two-space-indented rebuild; any
-    other text as it is."""
+    exactly the compact sorted form, as its two-space-indented rebuild, a
+    ``subjfair-report/2`` document as its ``/1`` value (``_as_report_1``);
+    any other text as it is."""
     if text.startswith(("{", "[")):
         value = json.loads(text)
         # a bool, so that a failure does not diff megabytes of text
         compact = text == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
         assert compact, "not the compact sorted JSON form"
+        if isinstance(value, dict) and value.get("schema") == "subjfair-report/2":
+            value = _as_report_1(value)
         text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

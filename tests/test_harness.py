@@ -21,6 +21,7 @@ from subjfair import (
     build_cluster_family,
 )
 from subjfair import baselines, core
+from subjfair.explanations import KIND_TAGS, procedural_check
 from subjfair.harness import cli, synth
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
@@ -641,19 +642,59 @@ _VALUE_FIELDS = {
     "override id": _append("baseline", "overrides", row=lambda i: [i, i, "u", 0.25]),
     "attribute value": _set("attributes", "x", "group"),
     "attribute row": _set("attributes", "x"),
+    "rec values": _set("rec", "values"),
+    "scores": _set("baseline", "scores"),
+    "distance rows": _set("baseline", "distances"),
+    "override rows": _set("baseline", "overrides"),
+    "ledger": _set("ledger"),
 }
+
+
+@pytest.mark.parametrize(
+    "build, path",
+    [
+        (lambda: RecommendationVector("p", 5), ("values",)),
+        (lambda: ObjectiveDistanceTable(5), ("entries",)),
+        (lambda: ObjectiveDistanceTable({}, 5), ("subjective_overrides",)),
+        (lambda: ObjectiveDistanceTable.from_rows(5), ("entries",)),
+        (lambda: ObjectiveDistanceTable.from_rows([], {}), ("subjective_overrides",)),
+        (lambda: BaselineInputs(5, ObjectiveDistanceTable({})), ("scores",)),
+        (lambda: BaselineInputs({}, {}), ("distances",)),
+        (lambda: AcceptanceLedger([1]), ("states",)),
+        (lambda: AcceptanceLedger({"x": "accepted"}), ("states", "x")),
+    ],
+    ids=[
+        "rec-values", "entries", "overrides", "entry-rows", "override-rows",
+        "scores", "distances", "ledger", "ledger-key",
+    ],
+)
+def test_a_constructor_refuses_a_section_of_the_wrong_type_at_its_path(build, path):
+    with pytest.raises(InputError) as refused:
+        build()
+    assert refused.value.path == path
+
+
+def _table_in_code(distances, overrides):
+    """The distance table of the document's rows, built from maps where a
+    map can key every row, else from the rows themselves."""
+    if isinstance(distances, list) and isinstance(overrides, list):
+        try:
+            return ObjectiveDistanceTable(
+                *({tuple(row[:-1]): row[-1] for row in rows} for rows in (distances, overrides))
+            )
+        except (TypeError, IndexError):  # a row that no map can key
+            pass
+    return ObjectiveDistanceTable.from_rows(distances, overrides)
 
 
 def _run_in_code(doc):
     """The run of ``doc`` made by the engine's constructors from the
     document's own values, with no loader in between."""
-    rec, strategy, baseline = doc["rec"], doc["strategy"], doc["baseline"]
-    try:  # an id that cannot key a map cannot be stated in code
-        distances, overrides = (
-            {tuple(row[:-1]): row[-1] for row in baseline[name]} for name in ("distances", "overrides")
-        )
-    except TypeError:
-        assume(False)
+    rec, strategy, baseline, ledger = doc["rec"], doc["strategy"], doc["baseline"], doc["ledger"]
+    # a null ledger means no ledger in code, which a file states by leaving it out
+    assume(ledger is not None)
+    if isinstance(ledger, dict) and all(isinstance(row, dict) for row in ledger.values()):
+        ledger = {(i, kind): state for i, row in ledger.items() for kind, state in row.items()}
     rules = tuple(
         VetoRule(r["attribute"], r["op"], r["value"], r["vetoes"]) for r in strategy["veto_rules"]
     )
@@ -663,10 +704,10 @@ def _run_in_code(doc):
         recommendations=RecommendationVector(doc["purpose"], rec["values"], rec["kind"]),
         params=AuditParams(**doc["params"]),
         strategy=AggregationStrategy(strategy["kind"], strategy["theta"], rules),
-        ledger=AcceptanceLedger(
-            {(i, kind): state for i, row in doc["ledger"].items() for kind, state in row.items()}
+        ledger=AcceptanceLedger(ledger),
+        baseline=BaselineInputs(
+            baseline["scores"], _table_in_code(baseline["distances"], baseline["overrides"])
         ),
-        baseline=BaselineInputs(baseline["scores"], ObjectiveDistanceTable(distances, overrides)),
         metadata=doc["metadata"],
     )
 
@@ -682,6 +723,12 @@ def _run_in_code(doc):
 @example(field="sim row", value=None)
 @example(field="individual", value=1)
 @example(field="attribute value", value=[1])
+@example(field="rec values", value=5)
+@example(field="scores", value=[])
+@example(field="distance rows", value={})
+@example(field="override rows", value=5)
+@example(field="ledger", value=[1])
+@example(field="ledger", value={"x": "accepted"})
 def test_a_value_built_in_code_and_loaded_from_a_file_are_refused_alike(field, value):
     # the loader only locates what the engine's constructors refuse: a value
     # they took in code, such as a bool score, a None row or a number id,
@@ -893,12 +940,23 @@ class TestReport:
         two = dumps_doc(build_report_doc(audit_run(crossed_clusters_run())))
         assert one == two
 
-    def test_each_obligation_has_its_own_tag_list(self):
-        # the tags are sorted once per kind; a record's list is still its own
-        obligations = build_audit_doc(audit_run(crossed_clusters_run()))["obligations"]
-        tag_lists = [o["procedural_tags"] for o in obligations]
-        assert len({o["kind"] for o in obligations}) < len(tag_lists)
-        assert len(set(map(id, tag_lists))) == len(tag_lists)
+    @pytest.mark.parametrize("name", ["fixture", "generated"])
+    def test_report_states_each_fact_once(self, name):
+        # no transposed membership, one tag table for every obligation's
+        # kind, and the procedural check as it is computed
+        if name == "fixture":
+            run = crossed_clusters_run()
+        else:
+            run = generate_population(SynthProfile(n=60, cluster_density=0.3, seed=5))
+            run = dataclasses.replace(run, metadata={"ethicality_asserted": True})
+        doc = build_report_doc(audit_run(run))
+        assert doc["schema"] == "subjfair-report/2"
+        assert "membership" not in doc
+        assert doc["obligations"]
+        assert all(o.keys() == {"individual", "kind"} for o in doc["obligations"])
+        assert doc["obligation_tags"] == {k: sorted(v) for k, v in KIND_TAGS.items()}
+        asserted = run.metadata.get("ethicality_asserted") is True
+        assert doc["procedural"] == procedural_check(asserted)
 
     def test_parity_included_on_request(self):
         inputs = make_inputs(

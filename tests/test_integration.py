@@ -165,12 +165,17 @@ def test_no_stage_builds_the_tuple_keyed_entries(tmp_path, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # in development mode with every warning an error, and nothing on stderr
     env = dict(os.environ)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [
             sys.executable,
+            "-X",
+            "dev",
+            "-W",
+            "error",
             "-m",
             "subjfair",
             "audit",
@@ -184,8 +189,26 @@ def test_module_entry_point_runs():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     doc = json.loads(proc.stdout)
+    assert doc["schema"] == "subjfair-report/2"
     assert doc["sf"]["verdict"] == "unfair"
+
+
+def test_readme_report_table_names_every_key_of_the_report():
+    # the first column of the README's report table, against the fixture's
+    # report; the audit core comes first, in the order the engine writes it
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Report format")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    present = {key.strip().strip("`"): when.strip() for key, when in rows}
+    result = audit_run(crossed_clusters_run())
+    assert {key for key, when in present.items() if when == "always"} == set(
+        build_report_doc(result)
+    )
+    assert {key for key, when in present.items() if when == "optional"} == {"ledger", "baselines"}
+    core = list(build_audit_doc(result))
+    assert list(present)[: len(core)] == core
 
 
 def test_readme_quick_start_runs():

@@ -125,9 +125,6 @@ def _renamed_doc(doc, name):
     by_id = ("set_rec", "dec", "verdicts", "scenarios", "conflicts")
     renamed = dict(doc)
     renamed["clusters"] = {name[x]: [name[m] for m in c] for x, c in doc["clusters"].items()}
-    renamed["membership"] = {
-        name[x]: [name[o] for o in owners] for x, owners in doc["membership"].items()
-    }
     for field in by_id:
         renamed[field] = {name[x]: v for x, v in doc[field].items()}
     renamed["sf"] = {
