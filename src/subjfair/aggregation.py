@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from typing import Any, Iterable, Mapping
 
 from .clustering import ClusterFamily
-from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector, number
+from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector, Value, number
 
 MAJORITY = "majority"
 TRUST_WEIGHTED = "trust_weighted"
@@ -54,8 +53,7 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class VetoRule:
+class VetoRule(Value):
     """Force a decision label to 0 for individuals matching a predicate.
 
     E.g. ``VetoRule("age", "<", 18, vetoed_label=1)`` strips a positive
@@ -64,23 +62,25 @@ class VetoRule:
     kept as an int.
     """
 
+    _fields = ("attribute", "op", "operand", "vetoed_label")
     attribute: str
     op: str
     operand: Any
-    vetoed_label: int = GOOD_LABEL
+    vetoed_label: int
 
-    def __post_init__(self) -> None:
-        for name in ("attribute", "op"):
-            value = getattr(self, name)
+    def __init__(
+        self, attribute: str, op: str, operand: Any, vetoed_label: int = GOOD_LABEL
+    ) -> None:
+        for name, value in (("attribute", attribute), ("op", op)):
             if not isinstance(value, str):
                 raise ConfigError(f"expected a string {name}, got {value!r}", (name,))
-        if self.op not in _OPS:
-            raise ConfigError(f"unknown veto operator {self.op!r}", ("op",))
-        label = number(self.vetoed_label, ("vetoed_label",))
+        if op not in _OPS:
+            raise ConfigError(f"unknown veto operator {op!r}", ("op",))
+        label = number(vetoed_label, ("vetoed_label",))
         if label != 0 and label != 1:
-            message = f"vetoed label must be 0 or 1, got {self.vetoed_label}"
+            message = f"vetoed label must be 0 or 1, got {vetoed_label}"
             raise ConfigError(message, ("vetoed_label",))
-        object.__setattr__(self, "vetoed_label", int(label))
+        self._set(attribute=attribute, op=op, operand=operand, vetoed_label=int(label))
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         if self.attribute not in attributes:
@@ -88,8 +88,7 @@ class VetoRule:
         return bool(_OPS[self.op](attributes[self.attribute], self.operand))
 
 
-@dataclass(frozen=True)
-class AggregationStrategy:
+class AggregationStrategy(Value):
     """How the pipeline aggregates at both stages.
 
     kind: one of majority, trust_weighted, pessimistic, veto. The veto kind
@@ -98,19 +97,23 @@ class AggregationStrategy:
     theta: majority threshold, strict, in [0, 1). Unused by pessimistic.
     """
 
-    kind: str = MAJORITY
-    theta: float = 0.5
-    veto_rules: tuple[VetoRule, ...] = ()
+    _fields = ("kind", "theta", "veto_rules")
+    kind: str
+    theta: float
+    veto_rules: tuple[VetoRule, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}", ("kind",))
-        object.__setattr__(self, "theta", number(self.theta, ("theta",), "theta"))
-        if not 0.0 <= self.theta < 1.0:
-            raise ConfigError(f"theta must be in [0, 1), got {self.theta}", ("theta",))
-        object.__setattr__(self, "veto_rules", tuple(self.veto_rules))
-        if self.veto_rules and self.kind != VETO:
+    def __init__(
+        self, kind: str = MAJORITY, theta: float = 0.5, veto_rules: Iterable[VetoRule] = ()
+    ) -> None:
+        if kind not in STRATEGY_KINDS:
+            raise ConfigError(f"unknown strategy kind {kind!r}", ("kind",))
+        theta = number(theta, ("theta",), "theta")
+        if not 0.0 <= theta < 1.0:
+            raise ConfigError(f"theta must be in [0, 1), got {theta}", ("theta",))
+        veto_rules = tuple(veto_rules)
+        if veto_rules and kind != VETO:
             raise ConfigError("veto rules are only valid with the veto strategy")
+        self._set(kind=kind, theta=theta, veto_rules=veto_rules)
 
 
 def validate_veto_rules(rules: Iterable[VetoRule], pop: Population) -> None:

@@ -19,14 +19,13 @@ record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import truediv
 from typing import Sequence
 
 from .aggregation import majority_labels
 from .clustering import ClusterFamily
-from .core import BINARY, AuditParams, InputError, Population, RecommendationVector
+from .core import BINARY, AuditParams, InputError, Population, RecommendationVector, Value
 
 FAIR = "fair"
 UNFAIR = "unfair"
@@ -44,8 +43,7 @@ SYSTEM_SUSPECT = "SYSTEM_SUSPECT"
 CONFLICTS = (NO_CONFLICT, JUSTIFIABLE_BY_GROUP, SYSTEM_SUSPECT)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Value):
     """Everything one audit run decided, in columns by person position:
     ``isf[k]`` is the ISF verdict of the person at position k of
     ``population``, and so on; ``set_labels`` and ``decisions`` are the
@@ -55,6 +53,10 @@ class AuditReport:
     treated epsilon-similarly to them; it is reported as a scalar fairness
     degree but never enters the fair/unfair logic."""
 
+    _fields = (
+        "population", "isf", "relaxed_isf", "satisfaction_ratio", "scenario", "conflict",
+        "set_labels", "decisions", "sf", "dissenters",
+    )
     population: Population
     isf: list[str]
     relaxed_isf: list[str]

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .core import InputError, Population, as_floats, check_ids, number
+from .core import InputError, Population, Value, as_floats, check_ids, number
 
 #: Absolute slack for gap-vs-distance comparisons, so float rounding noise
 #: (e.g. |0.85 - 0.90| landing a few ulp above 0.05) never flags a pair.
@@ -104,8 +103,7 @@ def _add_row(table: dict[tuple[str, ...], float], row: Any, name: str) -> None:
     table[stored] = d
 
 
-@dataclass(frozen=True)
-class ObjectiveDistanceTable:
+class ObjectiveDistanceTable(Value):
     """Symmetric pairwise distances, optionally overridden per observer.
 
     ``entries`` maps each unordered pair, keyed in sorted order, to its
@@ -116,20 +114,23 @@ class ObjectiveDistanceTable:
     ``(*key, distance)``; ``from_rows`` takes the rows of a run file.
     """
 
+    _fields = ("entries", "subjective_overrides")
     entries: Mapping[tuple[str, str], float]
-    subjective_overrides: Mapping[tuple[str, str, str], float] | None = None
+    subjective_overrides: Mapping[tuple[str, str, str], float]
     #: Every id the distances and overrides name, gathered once here.
-    ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    ids: frozenset[str]
 
-    def __post_init__(self) -> None:
-        override_map = {} if self.subjective_overrides is None else self.subjective_overrides
-        for name, rows in (("entries", self.entries), ("subjective_overrides", override_map)):
+    def __init__(
+        self, entries: Mapping[tuple, float], subjective_overrides: Mapping | None = None
+    ) -> None:
+        override_map = {} if subjective_overrides is None else subjective_overrides
+        for name, rows in (("entries", entries), ("subjective_overrides", override_map)):
             if not isinstance(rows, Mapping):
                 raise InputError("expected a mapping", (name,), name)
         # a key that is no tuple makes a row of one id, which is refused
         distances, overrides = (
             [(*key, d) if isinstance(key, tuple) else (key, d) for key, d in rows.items()]
-            for rows in (self.entries, override_map)
+            for rows in (entries, override_map)
         )
         self._keep(distances, overrides)
 
@@ -146,28 +147,26 @@ class ObjectiveDistanceTable:
     def _keep(self, distances: Sequence[Any], overrides: Sequence[Any]) -> None:
         entries, ids = add_distances(distances, "entries")
         overrides, observed = add_distances(overrides, "subjective_overrides")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "subjective_overrides", overrides)
-        object.__setattr__(self, "ids", ids | observed)
+        self._set(entries=entries, subjective_overrides=overrides, ids=ids | observed)
 
 
-@dataclass(frozen=True)
-class BaselineInputs:
+class BaselineInputs(Value):
     """Optional inputs for the classical baseline auditors: finite scores
     (``check_scores``), and a distance for every pair of scored people, the
     one place a missing one is refused. ``ids`` is every id the scores and
     the table (``ObjectiveDistanceTable.ids``) name.
     """
 
+    _fields = ("scores", "distances")
     scores: Mapping[str, float]
     distances: ObjectiveDistanceTable
-    ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    ids: frozenset[str]
 
-    def __post_init__(self) -> None:
-        scores = check_scores(self.scores)
-        if not isinstance(self.distances, ObjectiveDistanceTable):
+    def __init__(self, scores: Mapping[str, float], distances: ObjectiveDistanceTable) -> None:
+        scores = check_scores(scores)
+        if not isinstance(distances, ObjectiveDistanceTable):
             raise InputError("expected an ObjectiveDistanceTable", ("distances",), "distances")
-        entries = self.distances.entries
+        entries = distances.entries
         pairs = itertools.combinations(sorted(scores), 2)
         missing = next(itertools.filterfalse(entries.__contains__, pairs), None)
         if missing is not None:
@@ -175,8 +174,7 @@ class BaselineInputs:
                 f"no distance recorded for scored pair ({missing[0]}, {missing[1]})",
                 ("distances",),
             )
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "ids", self.distances.ids.union(scores))
+        self._set(scores=scores, distances=distances, ids=distances.ids.union(scores))
 
 
 def dwork_if_check(baseline: BaselineInputs) -> list[tuple[tuple[str, str], float, float]]:

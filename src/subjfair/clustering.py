@@ -16,14 +16,12 @@ It never looks up the n^2 pairs a table leaves unstated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .core import PerceptionTable, Population
+from .core import PerceptionTable, Population, Value
 
 
-@dataclass(frozen=True)
-class ClusterFamily:
+class ClusterFamily(Value):
     """All perceived clusters of one population, plus the inverse index.
 
     ``members[k]`` lists the positions in the cluster of the person at
@@ -32,6 +30,7 @@ class ClusterFamily:
     id order, and they are exact transposes of each other.
     """
 
+    _fields = ("members", "owners")
     members: list[list[int]]
     owners: list[list[int]]
 

@@ -16,7 +16,6 @@ shared and never changed, and ids appear only in the documents written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from itertools import chain
@@ -83,8 +82,52 @@ def check_ids(ids: Collection[Any], path: tuple = ()) -> None:
                 raise InputError(f"expected an id string, got {i!r}", path)
 
 
-@dataclass(frozen=True)
-class Population:
+class Value:
+    """An immutable record that compares, hashes and shows the fields named
+    in ``_fields``. A record's ``__init__`` checks its arguments and stores
+    them with ``_set``; then assigning or deleting an attribute raises
+    ``AttributeError``. A member outside ``_fields`` is derived from them
+    (an index, a cache) and does not enter equality. This ``__init__``
+    takes every field, by position or by name, and checks nothing."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self._set(**values)
+
+    def _set(self, **values: Any) -> None:
+        # One attribute at a time, not through ``__dict__``: an instance
+        # whose dict is never asked for keeps its attributes inline, where
+        # reading one is faster.
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Population(Value):
     """The ordered set of individuals one audit run is about.
 
     Attributes are optional objective features (group labels for the
@@ -92,21 +135,23 @@ class Population:
     individual must carry the same attribute keys.
     """
 
+    _fields = ("individuals", "attributes")
     individuals: tuple[IndividualId, ...]
-    attributes: Mapping[IndividualId, Mapping[str, Any]] | None = None
+    attributes: Mapping[IndividualId, Mapping[str, Any]] | None
     #: Each id's position, its index in ``individuals``.
-    positions: Mapping[IndividualId, int] = field(init=False, repr=False, compare=False)
+    positions: Mapping[IndividualId, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "individuals", tuple(self.individuals))
-        if not self.individuals:
+    def __init__(
+        self, individuals: Collection[IndividualId], attributes: Mapping[str, Any] | None = None
+    ) -> None:
+        individuals = tuple(individuals)
+        if not individuals:
             raise InputError("population must contain at least one individual", ("individuals",))
-        check_ids(self.individuals, ("individuals",))
-        object.__setattr__(self, "positions", {x: k for k, x in enumerate(self.individuals)})
-        if len(self.positions) != len(self.individuals):
+        check_ids(individuals, ("individuals",))
+        self._set(individuals=individuals, positions={x: k for k, x in enumerate(individuals)})
+        if len(self.positions) != len(individuals):
             raise InputError("population contains duplicate ids", ("individuals",))
-        if self.attributes is not None:
-            object.__setattr__(self, "attributes", self._attributes(self.attributes))
+        self._set(attributes=None if attributes is None else self._attributes(attributes))
 
     def _attributes(self, given: Any) -> dict[IndividualId, dict[str, Any]]:
         """A copy of ``given``: a mapping from ids of the population to
@@ -209,8 +254,7 @@ def _similarity_rows(rows: Any) -> dict[IndividualId, Mapping[IndividualId, floa
     }
 
 
-@dataclass(frozen=True)
-class PerceptionTable:
+class PerceptionTable(Value):
     """Per-observer, non-symmetric similarity scores over the population.
 
     ``rows[observer][target]`` is how similar *observer* rates *target* to
@@ -223,16 +267,18 @@ class PerceptionTable:
     (``number``), kept as a float; a row that states nothing is not kept.
     """
 
+    _fields = ("rows", "provenance")
     rows: Mapping[IndividualId, Mapping[IndividualId, float]]
-    provenance: str = "declared"
+    provenance: str
     #: A derived cache, not part of the table's value: ``validate_population``
     #: keeps here the population and recommendation vector it last checked
     #: against this table, by identity, with its result.
-    validated: Any = field(default=None, init=False, repr=False, compare=False)
+    validated: Any = None
 
-    def __post_init__(self) -> None:
-        rows = PerceptionTable.adopt(self.rows, self.provenance).rows
-        object.__setattr__(self, "rows", {observer: dict(row) for observer, row in rows.items()})
+    def __init__(self, rows: Mapping[str, Any], provenance: str = "declared") -> None:
+        rows = PerceptionTable.adopt(rows, provenance).rows
+        rows = {observer: dict(row) for observer, row in rows.items()}
+        self._set(rows=rows, provenance=provenance)
 
     @classmethod
     def adopt(cls, rows: Mapping[str, Any], provenance: str = "declared") -> PerceptionTable:
@@ -241,11 +287,11 @@ class PerceptionTable:
         may change those rows afterwards. The run-file loader builds its
         table so."""
         table = cls.__new__(cls)
-        object.__setattr__(table, "rows", _similarity_rows(rows))
+        table._set(rows=_similarity_rows(rows))
         if provenance not in PROVENANCE_TAGS:
             message = f"must be one of {PROVENANCE_TAGS}, got {provenance!r}"
             raise InputError(message, ("provenance",), "provenance")
-        object.__setattr__(table, "provenance", provenance)
+        table._set(provenance=provenance)
         return table
 
     @property
@@ -273,8 +319,7 @@ class PerceptionTable:
 _LABELS = frozenset((0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class RecommendationVector:
+class RecommendationVector(Value):
     """Per-individual system recommendations for one purpose, all of one
     ``kind``: ``values[x]`` is x's label, 0 or 1 (1 is the favorable
     outcome), or x's score in [0, 1].
@@ -283,37 +328,38 @@ class RecommendationVector:
     not at construction.
     """
 
+    _fields = ("purpose", "values", "kind")
     purpose: Purpose
     values: Mapping[IndividualId, float]
-    kind: str = BINARY
+    kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (BINARY, SCORE):
-            raise InputError(f"unknown outcome kind {self.kind!r}", ("kind",))
-        if not isinstance(self.purpose, str):
-            raise InputError(f"expected a string, got {self.purpose!r}", ("purpose",))
-        values = self.values
+    def __init__(
+        self, purpose: Purpose, values: Mapping[IndividualId, float], kind: str = BINARY
+    ) -> None:
+        if kind not in (BINARY, SCORE):
+            raise InputError(f"unknown outcome kind {kind!r}", ("kind",))
+        if not isinstance(purpose, str):
+            raise InputError(f"expected a string, got {purpose!r}", ("purpose",))
+        given = values
         if not isinstance(values, Mapping):
             raise InputError("expected a mapping", ("values",), "values")
         if not _PLAIN_NUMBERS.issuperset(map(type, values.values())):
             values = as_floats(values, "rec({})".format, ("values",))
-        binary = self.kind == BINARY
+        binary = kind == BINARY
         fits = _LABELS.__contains__ if binary else lambda value: 0.0 <= value <= 1.0
         if not all(map(fits, values.values())):
             x = next(x for x, value in values.items() if not fits(value))
-            given = self.values[x]
             message = (
-                f"binary outcome must be 0 or 1, got {given}"
+                f"binary outcome must be 0 or 1, got {given[x]}"
                 if binary
-                else f"outcome value {given} outside [0, 1]"
+                else f"outcome value {given[x]} outside [0, 1]"
             )
             raise InputError(message, ("values", x), f"rec({x})")
         values = dict(zip(values, map(int if binary else float, values.values())))
-        object.__setattr__(self, "values", values)
+        self._set(purpose=purpose, values=values, kind=kind)
 
 
-@dataclass(frozen=True)
-class AuditParams:
+class AuditParams(Value):
     """The three audit thresholds.
 
     delta: cluster threshold -- how similar a target must be rated to join
@@ -325,13 +371,14 @@ class AuditParams:
         majority and is the default.
     """
 
+    _fields = ("delta", "epsilon", "theta")
     delta: float
-    epsilon: float = 0.0
-    theta: float = 0.5
+    epsilon: float
+    theta: float
 
-    def __post_init__(self) -> None:
-        for name in ("delta", "epsilon", "theta"):
-            object.__setattr__(self, name, number(getattr(self, name), (name,), name))
+    def __init__(self, delta: float, epsilon: float = 0.0, theta: float = 0.5) -> None:
+        given = zip(self._fields, (delta, epsilon, theta))
+        self._set(**{name: number(value, (name,), name) for name, value in given})
         if not 0.0 <= self.delta <= 1.0:
             raise InputError(f"delta must be in [0, 1], got {self.delta}", ("delta",))
         if not 0.0 <= self.epsilon < 1.0:
@@ -347,6 +394,14 @@ SELF_SIMILARITY = "self_similarity"
 VALUE_RANGE = "value_range"
 MISSING_RECOMMENDATION = "missing_recommendation"
 UNKNOWN_ID = "unknown_id"
+
+
+def _id_order(individual: Any) -> tuple:
+    """A sort key for ids that is total over ids of any type: strings first,
+    in their own order, then every other id by its type's name and repr."""
+    if isinstance(individual, str):
+        return (0, individual)
+    return (1, type(individual).__name__, repr(individual))
 
 
 def validate_population(
@@ -383,7 +438,8 @@ def validate_population(
 
     # One unsorted pass over the rows; only the entries at fault are sorted,
     # so a clean table costs O(nnz). No two entries share an (observer,
-    # target) pair, so the sort orders them by that pair alone.
+    # target) pair, so the sort orders them by that pair alone, and
+    # ``_id_order`` orders ids of any type.
     faulty: list[tuple[str, str, float]] = []
     for observer, row in perceptions.rows.items():
         if observer not in known:
@@ -392,7 +448,7 @@ def validate_population(
         for target, value in row.items():
             if target not in known or not 0.0 <= value <= 1.0:
                 faulty.append((observer, target, value))
-    for observer, target, value in sorted(faulty):
+    for observer, target, value in sorted(faulty, key=lambda e: (_id_order(e[0]), _id_order(e[1]))):
         where = f"sim({observer},{target})"
         for individual in (observer, target):
             if individual not in known:
@@ -405,11 +461,10 @@ def validate_population(
         if individual not in recs.values:
             message = f"no recommendation for {individual}"
             violations.append((MISSING_RECOMMENDATION, f"rec({individual})", message))
-    for individual in sorted(recs.values):
-        if individual not in known:
-            message = f"recommendation for unknown id {individual}"
-            violations.append((UNKNOWN_ID, f"rec({individual})", message))
+    for individual in sorted(recs.values.keys() - known.keys(), key=_id_order):
+        message = f"recommendation for unknown id {individual}"
+        violations.append((UNKNOWN_ID, f"rec({individual})", message))
 
     result = tuple(violations)
-    object.__setattr__(perceptions, "validated", (pop, recs, result))
+    perceptions._set(validated=(pop, recs, result))
     return result

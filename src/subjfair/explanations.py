@@ -14,7 +14,6 @@ so ``derive_obligations`` reads it from one table and builds no record.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 
 from .audit import (
     FAIR,
@@ -27,7 +26,7 @@ from .audit import (
     SYSTEM_SUSPECT,
     AuditReport,
 )
-from .core import InputError
+from .core import InputError, Value
 
 PENDING = "pending"
 ACCEPTED = "accepted"
@@ -73,16 +72,17 @@ class LedgerIntegrityError(InputError):
         super().__init__(f"ledger entry for ({key[0]}, {key[1]}) matches no obligation")
 
 
-@dataclass(frozen=True)
-class ExplanationObligation:
+class ExplanationObligation(Value):
     """One justification the process owes one individual."""
 
+    _fields = ("individual", "kind")
     individual: str
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in OBLIGATION_KINDS:
-            raise InputError(f"unknown obligation kind {self.kind!r}")
+    def __init__(self, individual: str, kind: str) -> None:
+        if kind not in OBLIGATION_KINDS:
+            raise InputError(f"unknown obligation kind {kind!r}")
+        self._set(individual=individual, kind=kind)
 
     @property
     def procedural_tags(self) -> frozenset[str]:

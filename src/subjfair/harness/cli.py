@@ -5,17 +5,19 @@ Exit codes: 0 clean, 1 audit found the process SF-unfair (with --strict) or
 an oracle mismatch, 2 input error (including an unreadable file, a sweep
 grid flag that lists no number and a flag the command would ignore), 3 a
 fault in the engine itself, with its traceback on stderr.
+
+A command imports only what it runs: the generator, the oracle, the CSV
+writer and the traceback printer are imported by the one subcommand or
+fault path that uses each.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
 import sys
-import traceback
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
@@ -23,7 +25,6 @@ from .. import __version__
 from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
 from ..audit import FAIR, UNFAIR
 from ..core import AuditParams, InputError, validate_population
-from .oracle import DEFAULT_BOUND, brute_force_oracle
 from .report import (
     audit_grid,
     audit_run,
@@ -39,7 +40,6 @@ from .report import (
     summary_counts,
 )
 from .runfile import AuditRunFile, load_run, save_run
-from .synth import SynthProfile, generate_population
 
 EXIT_OK = 0
 EXIT_UNFAIR = 1
@@ -213,6 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _refuse_given(args, generator, "shapes a generated run, but --input reads one")
         run = load_run(args.input)
     else:
+        from .synth import SynthProfile, generate_population
         manipulation = []
         for spec_str in args.manipulate or []:
             if ":" not in spec_str:
@@ -235,6 +236,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.format == "json":
             sys.stdout.write(dumps_doc(rows))
         else:
+            import csv
             buffer = io.StringIO()
             writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS)
             writer.writeheader()
@@ -246,6 +248,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_oracle
     run = load_run(args.input)
     engine_doc = build_audit_doc(audit_run(run))
     oracle_doc = brute_force_oracle(run, bound=args.bound)
@@ -306,6 +309,7 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
 
 
 def _oracle_args(p: argparse.ArgumentParser) -> None:
+    from .oracle import DEFAULT_BOUND
     p.add_argument("--input", required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="max population for the oracle")
 
@@ -373,6 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_INPUT
         except Exception:
+            import traceback
             traceback.print_exc()
             return EXIT_FAULT
     finally:

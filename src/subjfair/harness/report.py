@@ -21,7 +21,7 @@ and for the ``baseline`` command.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .. import __version__
@@ -29,7 +29,7 @@ from ..aggregation import AggregationStrategy, cluster_tally, run_pipeline
 from ..audit import CONFLICTS, FAIR, SCENARIOS, SYSTEM_SUSPECT, AuditReport, audit_population
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, InputError, validate_population
+from ..core import AuditParams, InputError, Value, validate_population
 from ..explanations import (
     KIND_TAGS,
     ExplanationObligation,
@@ -46,10 +46,10 @@ REPORT_SCHEMA = "subjfair-report/2"
 SYSTEM_REVIEW_FLAG = "ADMS recommendation requires review"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Value):
     """Everything one audit run produced; ``owed`` is ``derive_obligations``'s."""
 
+    _fields = ("run", "family", "report", "owed", "explanation_fairness")
     run: AuditRunFile
     family: ClusterFamily
     report: AuditReport

@@ -1,25 +1,36 @@
+import pickle
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from subjfair import (
+    AggregationStrategy,
     AuditParams,
+    AuditReport,
     BaselineInputs,
+    ClusterFamily,
+    ExplanationObligation,
     InputError,
     ObjectiveDistanceTable,
     PerceptionTable,
     Population,
     RecommendationVector,
+    VetoRule,
     validate_population,
 )
 from subjfair.baselines import check_scores
+from subjfair.harness.fixtures import crossed_clusters_run
+from subjfair.harness.report import RunResult, audit_run
+from subjfair.harness.runfile import AuditRunFile
 from subjfair.core import (
     MISSING_RECOMMENDATION,
     SELF_SIMILARITY,
     UNKNOWN_ID,
     VALUE_RANGE,
+    Value,
 )
 
 from helpers import audit, make_inputs, rows_of
@@ -208,6 +219,30 @@ class TestValidatePopulation:
         codes = {code for code, _, _ in report}
         assert UNKNOWN_ID in codes
 
+    @pytest.mark.parametrize(
+        "rows, values, where",
+        [
+            (
+                {"a": {"a": 1.0, 2: 0.5}, "b": {"b": 1.0}, 1: {"a": 0.5}},
+                {"a": 1, "b": 0},
+                ["sim(a,2)", "sim(1,a)"],
+            ),
+            ({"a": {"a": 1.0}, "b": {"b": 1.0}}, {"a": 1, "b": 0, 3: 1}, ["rec(3)"]),
+        ],
+        ids=["perceptions", "recommendations"],
+    )
+    def test_ids_of_mixed_types_are_reported_as_unknown(self, rows, values, where):
+        # a run built in code may key entries by ids of any type; sorting
+        # them must not raise, and string ids come first, in their order
+        pop = Population(("a", "b"))
+        table = PerceptionTable(rows)
+        recs = RecommendationVector("t", values)
+        report = validate_population(pop, table, recs)
+        assert [(code, at) for code, at, _ in report] == [(UNKNOWN_ID, at) for at in where]
+        run = AuditRunFile(pop, table, recs, AuditParams(0.5), AggregationStrategy())
+        with pytest.raises(InputError, match="invalid audit inputs: .*unknown id"):
+            audit_run(run)
+
     def test_out_of_range_similarity_is_flagged(self):
         inputs = self._valid()
         table = PerceptionTable({"a": {"a": 1.0, "b": 1.5}, "b": {"b": 1.0}})
@@ -365,3 +400,70 @@ def test_validation_matches_the_sorted_scan_on_broken_tables():
         assert {code for code, _, _ in report} == {SELF_SIMILARITY, VALUE_RANGE, UNKNOWN_ID} | (
             {MISSING_RECOMMENDATION} if len(set(rec_ids) & set(ids)) < n else set()
         )
+
+
+#: One record of each ``Value`` class, built afresh by each call from the
+#: same arguments.
+_RECORDS = {
+    Population: lambda: Population(("b", "a"), {"a": {"g": 1}, "b": {"g": 2}}),
+    PerceptionTable: lambda: PerceptionTable({"a": {"a": 1.0, "b": 0.5}}, "sampled"),
+    RecommendationVector: lambda: RecommendationVector("p", {"a": 1, "b": 0}),
+    AuditParams: lambda: AuditParams(0.4, 0.1, 0.6),
+    ClusterFamily: lambda: ClusterFamily([[0, 1], [1]], [[0], [0, 1]]),
+    VetoRule: lambda: VetoRule("age", "<", 18),
+    AggregationStrategy: lambda: AggregationStrategy("veto", 0.6, [VetoRule("age", "<", 18)]),
+    ObjectiveDistanceTable: lambda: ObjectiveDistanceTable(
+        {("b", "a"): 0.5}, {("a", "a", "b"): 0.25}
+    ),
+    BaselineInputs: lambda: BaselineInputs(
+        {"a": 0.1, "b": 0.2}, ObjectiveDistanceTable({("a", "b"): 0.5})
+    ),
+    AuditReport: lambda: audit_run(crossed_clusters_run()).report,
+    ExplanationObligation: lambda: ExplanationObligation("a", "AGGREGATION_METHOD"),
+    RunResult: lambda: audit_run(crossed_clusters_run()),
+}
+
+#: The members a record may hold beyond its fields: derived from them.
+_DERIVED = {"positions", "validated", "ids", "order"}
+
+
+@pytest.mark.parametrize("cls", sorted(Value.__subclasses__(), key=lambda c: c.__name__))
+def test_a_record_is_an_immutable_value_of_its_fields(cls):
+    a, b = _RECORDS[cls](), _RECORDS[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    values = tuple(getattr(a, name) for name in cls._fields)
+    try:
+        hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    # another class never compares equal, even with the same fields
+    same_fields = SimpleNamespace(**{name: getattr(a, name) for name in cls._fields})
+    assert a != same_fields and a.__eq__(same_fields) is NotImplemented
+    other = next(c for c in _RECORDS if c is not cls)
+    assert a != _RECORDS[other]()
+    assert repr(a) == "{}({})".format(
+        cls.__qualname__, ", ".join(f"{name}={getattr(a, name)!r}" for name in cls._fields)
+    )
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is cls and copy == a and vars(copy).keys() == vars(a).keys()
+    # a derived member is no part of the value
+    if cls is Population:
+        assert a.order is a.order and "order" in vars(a) and "order" not in vars(b)
+    if cls is PerceptionTable:
+        validate_population(Population(("a", "b")), a, RecommendationVector("p", {}))
+    derived = vars(a).keys() - set(cls._fields)
+    assert derived <= _DERIVED
+    for name in derived:
+        vars(b)[name] = None
+    assert a == b

@@ -131,7 +131,8 @@ class TestRunFile:
         run = load_run(crossed_clusters_path())
         assert len(reads) == run.n
         audit_run(run)
-        audit_run(dataclasses.replace(run, params=dataclasses.replace(run.params, epsilon=0.5)))
+        params = AuditParams(run.params.delta, 0.5, run.params.theta)
+        audit_run(dataclasses.replace(run, params=params))
         assert len(reads) == run.n
         recs = run.recommendations
         audit_run(
@@ -532,11 +533,11 @@ class TestRunFile:
         text = dumps_run(dataclasses.replace(run, baseline=baseline))
         passes = []
         for table in (PerceptionTable, ObjectiveDistanceTable):
-            def counted(self, check=table.__post_init__):
+            def counted(self, *args, check=table.__init__):
                 passes.append(self)
-                check(self)
+                check(self, *args)
 
-            monkeypatch.setattr(table, "__post_init__", counted)
+            monkeypatch.setattr(table, "__init__", counted)
         loaded = loads_run(text)
         assert passes == []
         assert loaded.perceptions == run.perceptions
@@ -1323,7 +1324,8 @@ class TestCli:
     def test_report_builds_as_many_records_at_any_size(self, tmp_path, monkeypatch):
         # work gate by counted constructions: loading a run with a group
         # attribute and baseline violations and building its full report
-        # builds the same number of subjfair dataclass instances at n = 120
+        # builds the same number of subjfair records (``Value`` subclasses
+        # and dataclasses) at n = 120
         # with 30 scored people as at n = 240 with 60, so it builds none per
         # person or per pair
         paths = []
@@ -1354,18 +1356,17 @@ class TestCli:
             if name == "subjfair" or name.startswith("subjfair.")
             for cls in vars(module).values()
             if isinstance(cls, type)
-            and dataclasses.is_dataclass(cls)
             and cls.__module__.startswith("subjfair")
+            and (dataclasses.is_dataclass(cls) or issubclass(cls, core.Value))
+            and cls is not core.Value
         }
         for cls in classes:
-            if "__init__" in vars(cls):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                nonlocal built
+                built += 1
+                _init(self, *args, **kwargs)
 
-                def counting(self, *args, _init=cls.__init__, **kwargs):
-                    nonlocal built
-                    built += 1
-                    _init(self, *args, **kwargs)
-
-                monkeypatch.setattr(cls, "__init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         counts = []
         for path in paths:
             built = 0

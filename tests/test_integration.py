@@ -195,6 +195,45 @@ def test_module_entry_point_runs():
     assert doc["sf"]["verdict"] == "unfair"
 
 
+#: Run in a fresh interpreter: the modules importing the CLI loads, and the
+#: dataclasses among the classes of the subjfair modules then loaded.
+_COLD_START = """
+import sys
+bare = set(sys.modules)
+import subjfair.harness.cli
+loaded = set(sys.modules) - bare
+import dataclasses, json
+records = {
+    cls.__module__ + "." + cls.__qualname__
+    for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "subjfair"
+    for cls in vars(module).values()
+    if isinstance(cls, type)
+    and cls.__module__.startswith("subjfair")
+    and dataclasses.is_dataclass(cls)
+}
+print(json.dumps({"loaded": sorted(loaded), "dataclasses": sorted(records)}))
+"""
+
+
+def test_importing_the_cli_loads_only_what_every_command_runs():
+    # start-up gate: the generator, the oracle, the CSV writer and the
+    # traceback printer load only in the command or fault path that uses
+    # them, and the one dataclass is the run, which callers ``replace``
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert "subjfair.harness.cli" in found["loaded"]
+    deferred = {"subjfair.harness.oracle", "subjfair.harness.synth", "csv", "traceback"}
+    assert deferred.isdisjoint(found["loaded"])
+    assert found["dataclasses"] == ["subjfair.harness.runfile.AuditRunFile"]
+
+
 def test_readme_report_table_names_every_key_of_the_report():
     # the first column of the README's report table, against the fixture's
     # report; the audit core comes first, in the order the engine writes it

@@ -23,6 +23,7 @@ from subjfair import (
     AggregationStrategy,
     SCORE,
     AuditParams,
+    PerceptionTable,
     Population,
     RecommendationVector,
     VetoRule,
@@ -200,7 +201,8 @@ def _self_consistent(run):
     ]
     for x in dissenting:
         rows[x] = {x: 1.0}
-    return replace(run, perceptions=replace(run.perceptions, rows=rows)), len(dissenting)
+    perceptions = PerceptionTable(rows, run.perceptions.provenance)
+    return replace(run, perceptions=perceptions), len(dissenting)
 
 
 @pytest.mark.parametrize("case", RUNS, ids=IDS)
