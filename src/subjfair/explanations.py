@@ -85,11 +85,6 @@ class ExplanationObligation(Value):
         self._set(individual=individual, kind=kind)
 
     @property
-    def procedural_tags(self) -> frozenset[str]:
-        """The procedural rules this obligation speaks to, fixed by its kind."""
-        return KIND_TAGS[self.kind]
-
-    @property
     def key(self) -> tuple[str, str]:
         return (self.individual, self.kind)
 

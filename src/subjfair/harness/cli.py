@@ -26,6 +26,7 @@ from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
 from ..audit import FAIR, UNFAIR
 from ..core import AuditParams, InputError, validate_population
 from .report import (
+    Point,
     audit_grid,
     audit_run,
     baselines_section,
@@ -67,9 +68,9 @@ def _with_settings(
     epsilon: float | None = None,
     theta: float | None = None,
     kind: str | None = None,
-) -> AuditRunFile:
-    """The run with each given setting in place of its own. Veto rules are
-    kept only under the veto kind."""
+) -> Point:
+    """The point ``(params, strategy)`` of the run's own settings with each
+    given one in their place. Veto rules are kept only under the veto kind."""
     theta = run.params.theta if theta is None else theta
     params = AuditParams(
         delta=run.params.delta if delta is None else delta,
@@ -78,11 +79,10 @@ def _with_settings(
     )
     kind = run.strategy.kind if kind is None else kind
     rules = run.strategy.veto_rules if kind == VETO else ()
-    strategy = AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
-    return replace(run, params=params, strategy=strategy)
+    return params, AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
 
 
-def _overridden(run: AuditRunFile, args: argparse.Namespace) -> AuditRunFile:
+def _overridden(run: AuditRunFile, args: argparse.Namespace) -> Point:
     return _with_settings(run, args.delta, args.epsilon, args.theta, args.strategy)
 
 
@@ -112,7 +112,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    result = audit_run(_overridden(load_run(args.input), args))
+    run = load_run(args.input)
+    result = audit_run(run, _overridden(run, args))
     _emit(build_report_doc(result, group_attr=args.group_attr), args.format)
     if args.strict and result.report.sf == UNFAIR:
         return EXIT_UNFAIR
@@ -120,16 +121,17 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    run = _overridden(load_run(args.input), args)
-    doc = label_fields(run.population.individuals, *decide_run(run))
+    run = load_run(args.input)
+    doc = label_fields(run.population.individuals, *decide_run(run, _overridden(run, args)))
     _emit(doc, args.format, lambda d: "\n".join(render_labels(d)) + "\n")
     return EXIT_OK
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     # Parity reads the decisions alone, and the IF checks read no audit.
-    run = _overridden(load_run(args.input), args)
-    decisions = decide_run(run)[1] if args.group_attr is not None else None
+    run = load_run(args.input)
+    point = _overridden(run, args)
+    decisions = decide_run(run, point)[1] if args.group_attr is not None else None
     baselines = baselines_section(run, decisions, args.group_attr, include_if=True)
     if not baselines:
         raise InputError(
@@ -160,8 +162,8 @@ _SWEEP_FIELDS = ("delta", "epsilon", "theta", "metric", "value")
 
 
 def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, Any]]:
-    # The table reports no explanation verdict, and the ledger names the
-    # obligations of the run's own settings, so the points go without it.
+    # The table reports no explanation verdict, so not even the file's own
+    # point reads the ledger.
     run = replace(run, ledger=None)
     points = [
         _with_settings(run, delta, epsilon, theta)
@@ -170,7 +172,7 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
         for theta in _parse_grid(args.thetas, run.params.theta, "--thetas")
     ]
     rows = []
-    for result in audit_grid(run, [(p.params, p.strategy) for p in points]):
+    for result in audit_grid(run, points):
         report = result.report
         summary = summary_counts(report)
         metrics = {
@@ -265,7 +267,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    result = audit_run(_overridden(load_run(args.input), args))
+    run = load_run(args.input)
+    result = audit_run(run, _overridden(run, args))
     doc = build_report_doc(result, group_attr=args.group_attr, include_baselines=True)
     _emit(doc, args.format)
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Audit orchestration and report emission.
 
 ``audit_grid`` wires the full pipeline for one run file at a sequence of
-settings: validation, clustering, both aggregation stages, fairness
+points: validation, clustering, both aggregation stages, fairness
 verdicts, obligations and the explanation-level verdict. ``audit_run`` is
 its single-point case; ``decide_run`` runs the clusters and both pipeline
 stages alone, for the commands that print no audit. Reports come in a
@@ -42,19 +42,28 @@ from .runfile import AuditRunFile, RunFileError, dumps_doc, settings_to_dict
 
 REPORT_SCHEMA = "subjfair-report/2"
 
+#: The settings a run is audited at, a point of a grid.
+Point = tuple[AuditParams, AggregationStrategy]
+
 #: Report flag raised whenever any individual's conflict is SYSTEM_SUSPECT.
 SYSTEM_REVIEW_FLAG = "ADMS recommendation requires review"
 
+#: Report flag raised when a run that carries a ledger is audited at
+#: settings other than its own: the ledger was not read.
+OTHER_SETTINGS_FLAG = "ledger not read: it answers the run file's own settings"
+
 
 class RunResult(Value):
-    """Everything one audit run produced; ``owed`` is ``derive_obligations``'s."""
+    """Everything one audit run produced; ``owed`` is ``derive_obligations``'s.
+    ``explanation_fairness`` is None when the run's ledger was not read,
+    because ``run`` is a copy at settings other than its file's own."""
 
     _fields = ("run", "family", "report", "owed", "explanation_fairness")
     run: AuditRunFile
     family: ClusterFamily
     report: AuditReport
     owed: Mapping[str, tuple[str, ...]]
-    explanation_fairness: str
+    explanation_fairness: str | None
 
     @property
     def obligations(self) -> tuple[ExplanationObligation, ...]:
@@ -62,10 +71,14 @@ class RunResult(Value):
         return tuple(ExplanationObligation(x, k) for x, kinds in self.owed.items() for k in kinds)
 
 
-def audit_grid(
-    run: AuditRunFile, settings: Iterable[tuple[AuditParams, AggregationStrategy]]
-) -> Iterator[RunResult]:
-    """One ``RunResult`` per ``(params, strategy)`` of ``settings``, in order.
+def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResult]:
+    """One ``RunResult`` per ``(params, strategy)`` point of ``settings``, in order.
+
+    A point equal by value to the run's own settings is audited on the run
+    itself; any other on one copy of the run at that point, without its
+    ledger. A ledger answers the obligations of its file's own settings,
+    so at another point it is neither read nor echoed, and a run that
+    carries one gets no explanation verdict there.
 
     Validation does not depend on the settings, so it runs once, and not
     at all for a run whose inputs ``load_run`` has validated. Clusters and
@@ -75,7 +88,7 @@ def audit_grid(
 
     Raises:
         InputError: if the inputs break the model invariants.
-        RunFileError: at the ledger entry that names no obligation of a point.
+        RunFileError: at the ledger entry that names no obligation.
     """
     violations = validate_population(run.population, run.perceptions, run.recommendations)
     if violations:
@@ -83,6 +96,8 @@ def audit_grid(
     pop, recs = run.population, run.recommendations
     family = tally = delta = None
     for params, strategy in settings:
+        own = (params, strategy) == (run.params, run.strategy)
+        at = run if own else replace(run, params=params, strategy=strategy, ledger=None)
         if params.delta != delta:
             family = tally = None  # the previous ones go before the next are built
             delta = params.delta
@@ -91,12 +106,15 @@ def audit_grid(
         set_labels, decisions = run_pipeline(pop, family, tally, strategy)
         report = audit_population(pop, family, recs, params, tally, set_labels, decisions)
         owed = derive_obligations(report)
-        try:
-            explanation_fairness = fairness_through_explanations(owed, run.ledger or {})
-        except LedgerIntegrityError as exc:
-            raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
+        explanation_fairness = None
+        if own or run.ledger is None:
+            try:
+                explanation_fairness = fairness_through_explanations(owed, run.ledger or {})
+            except LedgerIntegrityError as exc:
+                location = "ledger.{}.{}".format(*exc.key)
+                raise RunFileError("matches no obligation", location) from None
         yield RunResult(
-            run=replace(run, params=params, strategy=strategy),
+            run=at,
             family=family,
             report=report,
             owed=owed,
@@ -104,20 +122,21 @@ def audit_grid(
         )
 
 
-def audit_run(run: AuditRunFile) -> RunResult:
-    """The full audit of ``run`` at its own settings: ``audit_grid`` at one
-    point, raising as it does."""
-    return next(audit_grid(run, [(run.params, run.strategy)]))
+def audit_run(run: AuditRunFile, settings: Point | None = None) -> RunResult:
+    """The full audit of ``run`` at the point ``settings``, by default its
+    own: ``audit_grid`` at one point, raising as it does."""
+    return next(audit_grid(run, [settings or (run.params, run.strategy)]))
 
 
-def decide_run(run: AuditRunFile) -> tuple[list[int], list[int]]:
-    """The 0/1 cluster labels and decisions of ``run`` at its own settings,
-    by person position: the clusters and both pipeline stages, with no
-    audit. ``run`` must have passed validation, as every loaded run has."""
+def decide_run(run: AuditRunFile, settings: Point | None = None) -> tuple[list[int], list[int]]:
+    """The 0/1 cluster labels and decisions of ``run`` at the point
+    ``settings``, by default its own, by person position: the clusters and
+    both pipeline stages, with no audit. ``run`` must be valid."""
+    params, strategy = settings or (run.params, run.strategy)
     pop = run.population
-    family = build_cluster_family(pop, run.perceptions, run.params.delta)
+    family = build_cluster_family(pop, run.perceptions, params.delta)
     tally = cluster_tally(pop, family, run.recommendations)
-    return run_pipeline(pop, family, tally, run.strategy)
+    return run_pipeline(pop, family, tally, strategy)
 
 
 def label_fields(
@@ -182,12 +201,12 @@ def build_report_doc(
     include_baselines: bool = False,
 ) -> dict[str, Any]:
     """The full report document: audit core plus validation, explanation
-    state, procedural tags, review flags, and optional baseline metrics."""
+    state, procedural tags, review flags, and optional baseline metrics.
+    With no explanation verdict (``RunResult``), the flags say why instead."""
     doc = build_audit_doc(result)
     doc["engine_version"] = __version__
     # Only a run whose inputs pass validation is audited (``audit_grid``).
     doc["validation"] = {"ok": True, "violations": []}
-    doc["explanation_fairness"] = result.explanation_fairness
     if result.run.ledger is not None:
         doc["ledger"] = result.run.ledger.as_rows()
     # Only JSON ``true`` asserts ethicality; the loader refuses any other
@@ -196,6 +215,10 @@ def build_report_doc(
     flags = []
     if doc["conflict_histogram"][SYSTEM_SUSPECT] > 0:
         flags.append(SYSTEM_REVIEW_FLAG)
+    if result.explanation_fairness is None:
+        flags.append(OTHER_SETTINGS_FLAG)
+    else:
+        doc["explanation_fairness"] = result.explanation_fairness
     doc["flags"] = flags
 
     baselines = baselines_section(

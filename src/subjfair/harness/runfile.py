@@ -41,7 +41,6 @@ from ..core import (
     Population,
     RecommendationVector,
     check_ids,
-    number,
     validate_population,
 )
 from ..explanations import AcceptanceLedger
@@ -154,10 +153,6 @@ def _build(build: Callable[[], Any], where: Callable[[tuple], str]) -> Any:
         raise RunFileError(exc.reason, where(exc.path)) from None
 
 
-def _expect_number(value: Any, location: str) -> float:
-    return _build(lambda: number(value), lambda path: location)
-
-
 def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> None:
     """Refuse the first scored id, in sorted order, outside the population ``ids``."""
     unknown = sorted(scores.keys() - ids.keys())
@@ -200,10 +195,8 @@ def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
     section = _expect_object(
         _require(doc, "params"), "params", frozenset({"delta", "epsilon", "theta"})
     )
-    delta = _expect_number(_require(section, "delta", "params.delta"), "params.delta")
-    epsilon = _expect_number(section.get("epsilon", 0.0), "params.epsilon")
-    theta = _expect_number(section.get("theta", 0.5), "params.theta")
-    return _build(lambda: AuditParams(delta, epsilon, theta), lambda path: "params")
+    _require(section, "delta", "params.delta")
+    return _build(lambda: AuditParams(**section), lambda path: ".".join(("params", *path)))
 
 
 def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationStrategy:
@@ -219,13 +212,13 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         rules.append(
             _build(
                 lambda: VetoRule(attribute, op, operand, rule.get("vetoes", 1)),
-                lambda path: f"{where}.vetoes" if path == ("vetoed_label",) else where,
+                lambda path: f"{where}.{'vetoes' if path == ('vetoed_label',) else path[0]}",
             )
         )
-    theta = _expect_number(section.get("theta", params.theta), "strategy.theta")
+    theta = section.get("theta", params.theta)
     return _build(
         lambda: AggregationStrategy(section.get("kind", "majority"), theta, tuple(rules)),
-        lambda path: "strategy.kind" if path == ("kind",) else "strategy",
+        lambda path: ".".join(("strategy", *path)),
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subjfair import (
+    MAJORITY,
+    PESSIMISTIC,
+    TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
     ConfigError,
@@ -438,6 +442,68 @@ def test_pipeline_matches_naive_rederivation():
 
 
 MINOR_VETO = VetoRule("age", "<", 18, vetoed_label=1)
+
+
+def _owner_labels(rows, recs, strategies, delta, attributes=None):
+    """The cluster labels, by position, under each of ``strategies``."""
+    inputs = make_inputs(rows, recs, delta=delta, attributes=attributes)
+    return [run_pipeline(inputs.pop, inputs.family, inputs.tally, s)[0] for s in strategies]
+
+
+def test_no_row_of_x_moves_another_owners_label_but_under_trust_weighting():
+    # brute force at n <= 6: for each person x, every binary row x could
+    # state. An owner's cluster label reads only that owner's members and
+    # their recommendations, and x's row names only x's own members, so
+    # under majority, pessimistic and veto no other owner's label moves.
+    rng = random.Random(1709)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        ids = [f"p{k}" for k in range(n)]
+        rows = random_rows(rng, ids, density=rng.choice([0.2, 0.5, 0.8]))
+        recs = {i: rng.randint(0, 1) for i in ids}
+        attributes = {i: {"age": rng.randint(10, 30)} for i in ids}
+        delta = rng.choice([0.3, 0.5, 0.8, 1.0])
+        theta = rng.choice([0.25, 0.5, 0.75])
+        strategies = [
+            AggregationStrategy(MAJORITY, theta),
+            AggregationStrategy(PESSIMISTIC, theta),
+            AggregationStrategy(VETO, theta, (MINOR_VETO,)),
+        ]
+        truthful = _owner_labels(rows, recs, strategies, delta, attributes)
+        for k, x in enumerate(ids):
+            others = [y for y in ids if y != x]
+            for bits in itertools.product((0.0, 1.0), repeat=len(others)):
+                stated = {**rows, x: {x: 1.0, **dict(zip(others, bits))}}
+                labels = _owner_labels(stated, recs, strategies, delta, attributes)
+                for before, after in zip(truthful, labels):
+                    assert before[:k] + before[k + 1 :] == after[:k] + after[k + 1 :]
+
+
+def test_under_trust_weighting_a_row_moves_another_owners_label():
+    # x's row decides the plain label of x's own cluster, and so x's trust
+    # weight, which counts in the trusted tally of every cluster that holds
+    # x. Truthfully x's cluster is {x}, plainly 0 like x's own label, so x's
+    # negative vote has weight and ties y's cluster {x, y, z} (z, whose
+    # cluster {x, z} ties to 0, has none). Stating {x, y, z} makes x's
+    # cluster plainly 1: x loses the weight, y's cluster turns 1, and x,
+    # y and z are all granted.
+    rows = {
+        "x": {"x": 1.0, "z": 0.25},
+        "y": {"y": 1.0, "x": 0.5, "z": 0.75},
+        "z": {"z": 1.0, "x": 0.75},
+    }
+    recs = {"x": 0, "y": 1, "z": 1}
+    stated = {**rows, "x": {"x": 1.0, "y": 1.0, "z": 1.0}}
+    trusted = AggregationStrategy(TRUST_WEIGHTED)
+    for table, labels, decisions in ((rows, [0, 0, 0], [0, 0, 0]), (stated, [1, 1, 0], [1, 1, 1])):
+        inputs = make_inputs(table, recs)
+        assert run_pipeline(inputs.pop, inputs.family, inputs.tally, trusted) == (
+            labels,
+            decisions,
+        )
+    # under majority, y's cluster is 1 whatever x states
+    for table in (rows, stated):
+        assert _owner_labels(table, recs, [AggregationStrategy()], 0.5)[0][1] == 1
 
 
 def _count_by_position(flags, lists):

@@ -22,6 +22,7 @@ from subjfair.explanations import (
     CONSISTENCY,
     ETHICALITY,
     GROUP_IDENTIFICATION,
+    KIND_TAGS,
     SYSTEM_ERROR_REVIEW,
     SYSTEM_RECOMMENDATION,
 )
@@ -114,18 +115,19 @@ class TestDeriveObligations:
         report = _report(*SUSPECT)
         for o in obligation_records(derive_obligations(report)):
             if o.kind == SYSTEM_RECOMMENDATION:
-                assert o.procedural_tags == {ACCURACY}
+                assert KIND_TAGS[o.kind] == {ACCURACY}
             if o.kind == AGGREGATION_METHOD:
-                assert o.procedural_tags == {CONSISTENCY}
+                assert KIND_TAGS[o.kind] == {CONSISTENCY}
 
     def test_constructed_obligation_equals_derived_one(self):
-        # the tags follow from the kind, so an obligation built by hand is
-        # the very obligation the derivation issues for that person and kind
+        # the tags follow from the kind (``KIND_TAGS``), so an obligation
+        # built by hand is the very obligation the derivation issues for that
+        # person and kind
         report = _report(*SUSPECT)
         for o in obligation_records(derive_obligations(report)):
             built = ExplanationObligation(o.individual, o.kind)
             assert built == o
-            assert built.procedural_tags == o.procedural_tags != frozenset()
+            assert KIND_TAGS[built.kind] != frozenset()
 
 
 class TestFairnessThroughExplanations:

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -27,6 +31,7 @@ from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import (
+    OTHER_SETTINGS_FLAG,
     SYSTEM_REVIEW_FLAG,
     audit_run,
     build_audit_doc,
@@ -155,7 +160,7 @@ class TestRunFile:
             (lambda d: d.pop("params"), "params"),
             (lambda d: d["rec"]["values"].update({"a": 2}), "rec.values.a"),
             (lambda d: d["sim"]["a"].update({"b": "high"}), "sim.a.b"),
-            (lambda d: d["params"].update({"delta": 2.0}), "params"),
+            (lambda d: d["params"].update({"delta": 2.0}), "params.delta"),
             (lambda d: d.update(schema="other/9"), "schema"),
             (lambda d: d.update(strategy={"kind": "median"}), "strategy.kind"),
             (lambda d: d.update(individuals=["a", "a"]), "individuals"),
@@ -357,7 +362,7 @@ class TestRunFile:
                         "veto_rules": [{"attribute": 5, "op": "<", "value": 10}],
                     },
                 ),
-                "strategy.veto_rules[0]",
+                "strategy.veto_rules[0].attribute",
                 id="veto-rule-with-a-number-attribute",
             ),
             pytest.param(
@@ -368,7 +373,7 @@ class TestRunFile:
                         "veto_rules": [{"attribute": "g", "op": ["<"], "value": 10}],
                     },
                 ),
-                "strategy.veto_rules[0]",
+                "strategy.veto_rules[0].op",
                 id="veto-rule-with-a-list-op",
             ),
             (lambda d: d.update(purpose=None), "purpose"),
@@ -391,6 +396,32 @@ class TestRunFile:
                 lambda d: d.update(attributes={"a": {"g": 1}, "b": {"h": 1}}),
                 "attributes",
                 id="attribute-keys-that-differ",
+            ),
+            # each settings refusal at its own field, not at its section
+            pytest.param(
+                lambda d: d["params"].update({"epsilon": 1.0}),
+                "params.epsilon",
+                id="params-epsilon-out-of-range",
+            ),
+            pytest.param(
+                lambda d: d["params"].update({"theta": 1.0}),
+                "params.theta",
+                id="params-theta-out-of-range",
+            ),
+            pytest.param(
+                lambda d: d.update(strategy={"theta": 1.5}),
+                "strategy.theta",
+                id="strategy-theta-out-of-range",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    strategy={
+                        "kind": "veto",
+                        "veto_rules": [{"attribute": "g", "op": "~", "value": 1}],
+                    }
+                ),
+                "strategy.veto_rules[0].op",
+                id="veto-rule-with-an-unknown-op",
             ),
         ],
     )
@@ -451,8 +482,8 @@ class TestRunFile:
 
     def test_a_run_tests_the_baseline_ids_without_reading_its_pairs(self, monkeypatch, capsys):
         # work gate by counted reads of the distance table: once the
-        # baseline has gathered its ids, building a run and the two copies
-        # a report makes at its settings read no stored pair; the report
+        # baseline has gathered its ids, building a run and the one copy a
+        # report makes at other settings read no stored pair; the report
         # reads each pair once
         run = generate_population(SynthProfile(n=60, seed=9))
         scored = run.population.individuals[:40]
@@ -472,9 +503,10 @@ class TestRunFile:
         monkeypatch.setattr(AuditRunFile, "__post_init__", counted)
         run = dataclasses.replace(run, baseline=baseline)
         monkeypatch.setattr(cli, "load_run", lambda path: run)
-        assert main(["report", "--input", "run.json", "--format", "json"]) == 0
+        argv = ["report", "--input", "run.json", "--delta", "0.3", "--format", "json"]
+        assert main(argv) == 0
         assert "objective_if" in capsys.readouterr().out
-        assert built == [0, 0, 0]
+        assert built == [0, 0]
         assert entries.reads == len(entries.data)
 
     def test_a_clean_file_is_checked_in_bulk(self, monkeypatch):
@@ -1434,7 +1466,7 @@ class TestCli:
         assert {(row["delta"], row["metric"]): row["value"] for row in rows}[(0.5, "sf_fair")] == 0.0
 
     def test_engine_fault_is_neither_verdict_nor_input_error(self, monkeypatch, capsys):
-        def broken(run):
+        def broken(run, settings):
             raise KeyError("x")
 
         monkeypatch.setattr(cli, "audit_run", broken)
@@ -1796,11 +1828,11 @@ class TestCli:
         during = []
         audit = cli.audit_run
 
-        def watched(run):
+        def watched(run, settings):
             during.append(gc.isenabled())
-            return audit(run)
+            return audit(run, settings)
 
-        def fault(run):
+        def fault(run, settings):
             during.append(gc.isenabled())
             raise RuntimeError("engine fault")
 
@@ -1876,8 +1908,7 @@ class TestCli:
 
     def test_report_and_baseline_walk_the_stored_pairs_once(self, monkeypatch, capsys):
         # work gate by counted reads of the distance table: both IF checks
-        # share one walk of its pairs, and a copy of the run at the command's
-        # settings tests the baseline's ids without reading them
+        # share one walk of its pairs
         run = generate_population(SynthProfile(n=60, seed=9))
         ids = run.population.individuals
         scored = ids[:40]
@@ -1899,3 +1930,147 @@ class TestCli:
             assert entries.reads == len(entries.data)
             out = capsys.readouterr().out
             assert "objective IF violations" in out and "subjective IF violations" in out
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["report"], 1),
+            (["audit"], 1),
+            (["decide"], 1),
+            (["report", "--delta", "0.5", "--theta", "0.5", "--strategy", "majority"], 1),
+            (["audit", "--epsilon", "0.0"], 1),
+            (["decide", "--theta", "0.5"], 1),
+            (["report", "--delta", "0.3"], 2),
+            (["simulate", "--sweep", "--deltas", "0.3,0.5,0.7", "--thetas", "0.4,0.5,0.6"], 10),
+        ],
+    )
+    def test_each_audit_point_builds_one_run(self, monkeypatch, capsys, argv, built):
+        # call-count gate: a command passes its settings to the audit as a
+        # (params, strategy) point, and only the grid copies the run, once
+        # per point other than the file's own; loading builds the first run,
+        # and a sweep drops the ledger in one more copy
+        count = 0
+        check = AuditRunFile.__post_init__
+
+        def counted(self):
+            nonlocal count
+            count += 1
+            check(self)
+
+        monkeypatch.setattr(AuditRunFile, "__post_init__", counted)
+        assert main(argv + ["--input", str(crossed_clusters_path())]) == 0
+        capsys.readouterr()
+        assert count == built
+
+
+def _ledgered_fixture(tmp_path, ledger):
+    doc = _fixture_doc()
+    doc["ledger"] = ledger
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestLedgerSettings:
+    """A ledger answers the obligations of its file's own settings: under a
+    flag that sets another, it is neither read nor echoed, and the report
+    gives no explanation verdict."""
+
+    LEDGER = {"u": {"AGGREGATION_METHOD": "accepted"}}
+
+    def _report(self, capsys, path, *flags):
+        code = main(["report", "--input", str(path), "--format", "json", *flags])
+        out, err = capsys.readouterr()
+        return code, (json.loads(out) if code == 0 else err)
+
+    def test_at_the_files_own_settings_the_ledger_is_read(self, tmp_path, capsys):
+        path = _ledgered_fixture(tmp_path, self.LEDGER)
+        code, doc = self._report(capsys, path)
+        assert code == 0
+        assert doc["ledger"] == self.LEDGER
+        assert doc["explanation_fairness"] == "pending"
+        assert OTHER_SETTINGS_FLAG not in doc["flags"]
+
+    def test_a_flag_that_repeats_the_files_value_is_no_override(self, tmp_path, capsys):
+        path = _ledgered_fixture(tmp_path, self.LEDGER)
+        own = self._report(capsys, path)
+        assert self._report(capsys, path, "--theta", "0.5") == own
+        assert self._report(capsys, path, "--delta", "0.5", "--strategy", "majority") == own
+
+    def test_another_delta_does_not_read_the_ledger(self, tmp_path, capsys):
+        # at delta 0.9 u is owed no AGGREGATION_METHOD, so reading the ledger
+        # there refused the file
+        path = _ledgered_fixture(tmp_path, self.LEDGER)
+        code, doc = self._report(capsys, path, "--delta", "0.9")
+        assert code == 0
+        assert doc["params"]["delta"] == 0.9
+        assert "ledger" not in doc and "explanation_fairness" not in doc
+        assert doc["flags"] == [OTHER_SETTINGS_FLAG]
+
+    def test_another_theta_counts_no_acceptance_given_at_the_files(self, tmp_path, capsys):
+        path = _ledgered_fixture(tmp_path, self.LEDGER)
+        code, doc = self._report(capsys, path, "--theta", "0.3")
+        assert code == 0
+        assert "ledger" not in doc and "explanation_fairness" not in doc
+        assert doc["flags"] == [SYSTEM_REVIEW_FLAG, OTHER_SETTINGS_FLAG]
+        assert main(["report", "--input", str(path), "--theta", "0.3"]) == 0
+        text = capsys.readouterr().out
+        assert "explanation fairness" not in text
+        assert f"flag: {OTHER_SETTINGS_FLAG}\n" in text
+
+    def test_a_run_with_no_ledger_gets_its_verdict_at_any_settings(self, tmp_path, capsys):
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(_fixture_doc()))
+        for flags in ((), ("--delta", "0.9"), ("--theta", "0.3")):
+            code, doc = self._report(capsys, path, *flags)
+            assert code == 0
+            assert doc["explanation_fairness"] in ("fair", "pending")
+            assert "ledger" not in doc and OTHER_SETTINGS_FLAG not in doc["flags"]
+
+    def test_a_ledger_that_matches_no_obligation_still_fails_at_its_own_settings(
+        self, tmp_path, capsys
+    ):
+        path = _ledgered_fixture(tmp_path, {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}})
+        assert self._report(capsys, path, "--theta", "0.5") == (
+            2, "error: ledger.x.SYSTEM_ERROR_REVIEW: matches no obligation\n"
+        )
+        assert self._report(capsys, path, "--delta", "0.9")[0] == 0
+
+
+_LEDGERS = st.dictionaries(
+    st.sampled_from(["x", "y", "u", "v"]),
+    st.dictionaries(
+        st.sampled_from(list(KIND_TAGS)), st.sampled_from(["accepted", "rejected", "pending"])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    first=_LEDGERS,
+    second=_LEDGERS,
+    delta=st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+    epsilon=st.sampled_from([0.0, 0.5]),
+    theta=st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+    kind=st.sampled_from(["majority", "trust_weighted", "pessimistic", "veto"]),
+    command=st.sampled_from([["report"], ["audit", "--strict"]]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_under_a_real_override_the_output_does_not_depend_on_the_ledger(
+    first, second, delta, epsilon, theta, kind, command, fmt
+):
+    assume((delta, epsilon, theta, kind) != (0.5, 0.0, 0.5, "majority"))
+    flags = [
+        "--delta", str(delta), "--epsilon", str(epsilon), "--theta", str(theta),
+        "--strategy", kind, "--format", fmt,
+    ]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for ledger in (first, second):
+            path = _ledgered_fixture(Path(tmp), ledger)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(command + ["--input", str(path), *flags])
+            results.append((code, out.getvalue()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
