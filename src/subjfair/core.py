@@ -5,9 +5,8 @@ types in this module. They and every value downstream, the acceptance ledger
 included, are immutable and safe to share across concurrent audit runs. One
 derived cache is the exception, and it does not change its holder's value:
 the perception table keeps the result of ``validate_population`` for the
-population and recommendation vector it last checked, so a loaded run, and
-every ``replace`` copy that keeps its population, table and vector, is
-validated once.
+population and recommendation vector it last checked, so a loaded run is
+validated once, however many points it is audited at.
 A recommendation is one number per person, and its kind is stated once
 per vector. Past loading, people are known by their index in
 ``individuals``: the pipeline's labels are plain 0/1 lists by position,

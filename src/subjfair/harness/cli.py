@@ -18,7 +18,6 @@ import gc
 import io
 import json
 import sys
-from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 from .. import __version__
@@ -48,18 +47,27 @@ EXIT_INPUT = 2
 EXIT_FAULT = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
+#: The settings flags, each with its ``add_argument`` keywords.
+_SETTINGS_FLAGS = {
+    "delta": {"type": float, "help": "override cluster threshold"},
+    "epsilon": {"type": float, "help": "override treatment threshold"},
+    "theta": {"type": float, "help": "override majority threshold"},
+    "strategy": {"choices": STRATEGY_KINDS, "help": "override aggregation strategy"},
+}
+
+#: The settings the pipeline reads; epsilon is read by the audit alone.
+_PIPELINE_FLAGS = ("delta", "theta", "strategy")
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, settings: Sequence[str] = tuple(_SETTINGS_FLAGS)
+) -> None:
     parser.add_argument("--input", required=True, help="audit-run file (JSON)")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output form"
     )
-    if with_params:
-        parser.add_argument("--delta", type=float, help="override cluster threshold")
-        parser.add_argument("--epsilon", type=float, help="override treatment threshold")
-        parser.add_argument("--theta", type=float, help="override majority threshold")
-        parser.add_argument(
-            "--strategy", choices=STRATEGY_KINDS, help="override aggregation strategy"
-        )
+    for name in settings:
+        parser.add_argument(f"--{name}", **_SETTINGS_FLAGS[name])
 
 
 def _with_settings(
@@ -83,7 +91,15 @@ def _with_settings(
 
 
 def _overridden(run: AuditRunFile, args: argparse.Namespace) -> Point:
-    return _with_settings(run, args.delta, args.epsilon, args.theta, args.strategy)
+    # A settings flag the command does not take counts as not given.
+    return _with_settings(run, *(getattr(args, name, None) for name in _SETTINGS_FLAGS))
+
+
+def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:
+    # Refuse the first of the flags ``names`` that was given, naming it.
+    for name in names:
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} {why}")
 
 
 def _emit(doc: dict[str, Any], fmt: str, text: Callable[[Any], str] = render_text) -> None:
@@ -128,10 +144,11 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    # Parity reads the decisions alone, and the IF checks read no audit.
+    # Parity reads the decisions alone, and the IF checks read no settings.
+    if args.group_attr is None:
+        _refuse_given(args, _PIPELINE_FLAGS, "needs --group-attr: without it no setting is read")
     run = load_run(args.input)
-    point = _overridden(run, args)
-    decisions = decide_run(run, point)[1] if args.group_attr is not None else None
+    decisions = None if args.group_attr is None else decide_run(run, _overridden(run, args))[1]
     baselines = baselines_section(run, decisions, args.group_attr, include_if=True)
     if not baselines:
         raise InputError(
@@ -162,9 +179,6 @@ _SWEEP_FIELDS = ("delta", "epsilon", "theta", "metric", "value")
 
 
 def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, Any]]:
-    # The table reports no explanation verdict, so not even the file's own
-    # point reads the ledger.
-    run = replace(run, ledger=None)
     points = [
         _with_settings(run, delta, epsilon, theta)
         for delta in _parse_grid(args.deltas, run.params.delta, "--deltas")
@@ -185,7 +199,7 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
         for histogram in ("scenario", "conflict"):
             for label, count in summary[f"{histogram}_histogram"].items():
                 metrics[f"{histogram}_{label}"] = float(count)
-        params = result.run.params
+        params = result.params
         rows += [
             dict(zip(_SWEEP_FIELDS, (params.delta, params.epsilon, params.theta, *item)))
             for item in metrics.items()
@@ -198,13 +212,6 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
 _PROFILE_FLAGS = {
     "n": "n", "density": "cluster_density", "rate": "base_positive_rate", "seed": "seed"
 }
-
-
-def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:
-    # Refuse the first of the flags ``names`` that was given, naming it.
-    for name in names:
-        if getattr(args, name) is not None:
-            raise InputError(f"--{name} {why}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -275,7 +282,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _validate_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, with_params=False)
+    _add_common(p, settings=())
+
+
+def _decide_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, settings=_PIPELINE_FLAGS)
 
 
 def _audit_args(p: argparse.ArgumentParser) -> None:
@@ -287,7 +298,7 @@ def _audit_args(p: argparse.ArgumentParser) -> None:
 
 
 def _baseline_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _decide_args(p)
     p.add_argument("--group-attr", help="statistical parity attribute")
 
 
@@ -327,7 +338,7 @@ def _report_args(p: argparse.ArgumentParser) -> None:
 _COMMANDS = (
     ("validate", "check a run file against the model invariants", _validate_args, _cmd_validate),
     ("audit", "full fairness audit of a run file", _audit_args, _cmd_audit),
-    ("decide", "run the two-stage decision pipeline only", _add_common, _cmd_decide),
+    ("decide", "run the two-stage decision pipeline only", _decide_args, _cmd_decide),
     ("baseline", "classical fairness baselines", _baseline_args, _cmd_baseline),
     ("simulate", "generate synthetic runs and parameter sweeps", _simulate_args, _cmd_simulate),
     ("oracle", "compare the engine against the brute-force oracle", _oracle_args, _cmd_oracle),

@@ -2,7 +2,7 @@
 
 ``audit_grid`` wires the full pipeline for one run file at a sequence of
 points: validation, clustering, both aggregation stages, fairness
-verdicts, obligations and the explanation-level verdict. ``audit_run`` is
+verdicts and obligations. ``audit_run`` is
 its single-point case; ``decide_run`` runs the clusters and both pipeline
 stages alone, for the commands that print no audit. Reports come in a
 machine form, a plain dict that ``dumps_doc`` (from ``runfile``) writes as
@@ -13,7 +13,8 @@ the baselines' violation tuples, and states each fact once
 (``subjfair-report/2``): ``clusters`` with no transposed membership, each
 obligation as its individual and kind beside one ``obligation_tags``
 table, and the procedural check as ``{tag: provenance}``, which
-``build_report_doc`` adds from the run's ``metadata.ethicality_asserted``.
+``build_report_doc`` adds from the run's ``metadata.ethicality_asserted``,
+beside the explanation-level verdict, which only it reads off the ledger.
 ``baselines_section`` builds the baselines part on its own, for the report
 and for the ``baseline`` command.
 """
@@ -21,7 +22,6 @@ and for the ``baseline`` command.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .. import __version__
@@ -54,16 +54,16 @@ OTHER_SETTINGS_FLAG = "ledger not read: it answers the run file's own settings"
 
 
 class RunResult(Value):
-    """Everything one audit run produced; ``owed`` is ``derive_obligations``'s.
-    ``explanation_fairness`` is None when the run's ledger was not read,
-    because ``run`` is a copy at settings other than its file's own."""
+    """Everything one audit of ``run`` at the point ``(params, strategy)``
+    produced; ``owed`` is ``derive_obligations``'s."""
 
-    _fields = ("run", "family", "report", "owed", "explanation_fairness")
+    _fields = ("run", "params", "strategy", "family", "report", "owed")
     run: AuditRunFile
+    params: AuditParams
+    strategy: AggregationStrategy
     family: ClusterFamily
     report: AuditReport
     owed: Mapping[str, tuple[str, ...]]
-    explanation_fairness: str | None
 
     @property
     def obligations(self) -> tuple[ExplanationObligation, ...]:
@@ -74,11 +74,8 @@ class RunResult(Value):
 def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResult]:
     """One ``RunResult`` per ``(params, strategy)`` point of ``settings``, in order.
 
-    A point equal by value to the run's own settings is audited on the run
-    itself; any other on one copy of the run at that point, without its
-    ledger. A ledger answers the obligations of its file's own settings,
-    so at another point it is neither read nor echoed, and a run that
-    carries one gets no explanation verdict there.
+    Every point is audited on ``run`` itself, and each result records its
+    point; the ledger is not read here (``build_report_doc`` reads it).
 
     Validation does not depend on the settings, so it runs once, and not
     at all for a run whose inputs ``load_run`` has validated. Clusters and
@@ -88,7 +85,6 @@ def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResu
 
     Raises:
         InputError: if the inputs break the model invariants.
-        RunFileError: at the ledger entry that names no obligation.
     """
     violations = validate_population(run.population, run.perceptions, run.recommendations)
     if violations:
@@ -96,8 +92,6 @@ def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResu
     pop, recs = run.population, run.recommendations
     family = tally = delta = None
     for params, strategy in settings:
-        own = (params, strategy) == (run.params, run.strategy)
-        at = run if own else replace(run, params=params, strategy=strategy, ledger=None)
         if params.delta != delta:
             family = tally = None  # the previous ones go before the next are built
             delta = params.delta
@@ -105,21 +99,7 @@ def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResu
             tally = cluster_tally(pop, family, recs)
         set_labels, decisions = run_pipeline(pop, family, tally, strategy)
         report = audit_population(pop, family, recs, params, tally, set_labels, decisions)
-        owed = derive_obligations(report)
-        explanation_fairness = None
-        if own or run.ledger is None:
-            try:
-                explanation_fairness = fairness_through_explanations(owed, run.ledger or {})
-            except LedgerIntegrityError as exc:
-                location = "ledger.{}.{}".format(*exc.key)
-                raise RunFileError("matches no obligation", location) from None
-        yield RunResult(
-            run=at,
-            family=family,
-            report=report,
-            owed=owed,
-            explanation_fairness=explanation_fairness,
-        )
+        yield RunResult(run, params, strategy, family, report, derive_obligations(report))
 
 
 def audit_run(run: AuditRunFile, settings: Point | None = None) -> RunResult:
@@ -175,7 +155,7 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
         "n": len(ids),
-        **settings_to_dict(run),
+        **settings_to_dict(result.params, result.strategy),
         "clusters": {x: list(map(named, c)) for x, c in zip(ids, result.family.members)},
         **label_fields(ids, report.set_labels, report.decisions),
         "verdicts": {
@@ -202,28 +182,37 @@ def build_report_doc(
 ) -> dict[str, Any]:
     """The full report document: audit core plus validation, explanation
     state, procedural tags, review flags, and optional baseline metrics.
-    With no explanation verdict (``RunResult``), the flags say why instead."""
+
+    A ledger answers the obligations of its file's own settings, so it is
+    read and echoed only at that point; at any other, a run that carries
+    one gets no explanation verdict, and a flag says why.
+
+    Raises:
+        RunFileError: at the ledger entry that names no obligation.
+    """
     doc = build_audit_doc(result)
     doc["engine_version"] = __version__
     # Only a run whose inputs pass validation is audited (``audit_grid``).
     doc["validation"] = {"ok": True, "violations": []}
-    if result.run.ledger is not None:
-        doc["ledger"] = result.run.ledger.as_rows()
+    run, ledger = result.run, result.run.ledger
     # Only JSON ``true`` asserts ethicality; the loader refuses any other
     # value but ``false``.
-    doc["procedural"] = procedural_check(result.run.metadata.get("ethicality_asserted") is True)
+    doc["procedural"] = procedural_check(run.metadata.get("ethicality_asserted") is True)
     flags = []
     if doc["conflict_histogram"][SYSTEM_SUSPECT] > 0:
         flags.append(SYSTEM_REVIEW_FLAG)
-    if result.explanation_fairness is None:
-        flags.append(OTHER_SETTINGS_FLAG)
+    if ledger is None or (result.params, result.strategy) == (run.params, run.strategy):
+        try:
+            doc["explanation_fairness"] = fairness_through_explanations(result.owed, ledger or {})
+        except LedgerIntegrityError as exc:
+            raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
+        if ledger is not None:
+            doc["ledger"] = ledger.as_rows()
     else:
-        doc["explanation_fairness"] = result.explanation_fairness
+        flags.append(OTHER_SETTINGS_FLAG)
     doc["flags"] = flags
 
-    baselines = baselines_section(
-        result.run, result.report.decisions, group_attr, include_baselines
-    )
+    baselines = baselines_section(run, result.report.decisions, group_attr, include_baselines)
     if baselines:
         doc["baselines"] = baselines
     return doc

@@ -303,18 +303,18 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     )
 
 
-def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
-    """The ``params`` and ``strategy`` blocks, as run files and reports
-    write them."""
+def settings_to_dict(params: AuditParams, strategy: AggregationStrategy) -> dict[str, Any]:
+    """The ``params`` and ``strategy`` blocks of the point ``(params,
+    strategy)``, as run files and reports write them."""
     return {
         "params": {
-            "delta": run.params.delta,
-            "epsilon": run.params.epsilon,
-            "theta": run.params.theta,
+            "delta": params.delta,
+            "epsilon": params.epsilon,
+            "theta": params.theta,
         },
         "strategy": {
-            "kind": run.strategy.kind,
-            "theta": run.strategy.theta,
+            "kind": strategy.kind,
+            "theta": strategy.theta,
             "veto_rules": [
                 {
                     "attribute": r.attribute,
@@ -322,7 +322,7 @@ def settings_to_dict(run: AuditRunFile) -> dict[str, Any]:
                     "value": r.operand,
                     "vetoes": r.vetoed_label,
                 }
-                for r in run.strategy.veto_rules
+                for r in strategy.veto_rules
             ],
         },
     }
@@ -342,7 +342,7 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
         "provenance": run.perceptions.provenance,
         "sim": run.perceptions.rows,
         "rec": {"kind": run.recommendations.kind, "values": run.recommendations.values},
-        **settings_to_dict(run),
+        **settings_to_dict(run.params, run.strategy),
     }
     if run.population.attributes:
         doc["attributes"] = run.population.attributes

@@ -21,9 +21,12 @@ from subjfair import (
     PerceptionTable,
     Population,
     RecommendationVector,
+    SCORE,
+    VETO,
     VetoRule,
     build_cluster_family,
 )
+from subjfair.aggregation import STRATEGY_KINDS
 from subjfair import baselines, core
 from subjfair.explanations import KIND_TAGS, procedural_check
 from subjfair.harness import cli, synth
@@ -482,9 +485,9 @@ class TestRunFile:
 
     def test_a_run_tests_the_baseline_ids_without_reading_its_pairs(self, monkeypatch, capsys):
         # work gate by counted reads of the distance table: once the
-        # baseline has gathered its ids, building a run and the one copy a
-        # report makes at other settings read no stored pair; the report
-        # reads each pair once
+        # baseline has gathered its ids, building a run reads no stored
+        # pair, a report at other settings builds no second run, and the
+        # report reads each pair once
         run = generate_population(SynthProfile(n=60, seed=9))
         scored = run.population.individuals[:40]
         rng = random.Random(11)
@@ -506,7 +509,7 @@ class TestRunFile:
         argv = ["report", "--input", "run.json", "--delta", "0.3", "--format", "json"]
         assert main(argv) == 0
         assert "objective_if" in capsys.readouterr().out
-        assert built == [0, 0]
+        assert built == [0]
         assert entries.reads == len(entries.data)
 
     def test_a_clean_file_is_checked_in_bulk(self, monkeypatch):
@@ -1766,8 +1769,8 @@ class TestCli:
             assert "Traceback" not in err
 
     def test_commands_without_a_verdict_ignore_the_ledger(self, tmp_path, capsys):
-        # decide and baseline print no explanation verdict, so a ledger entry
-        # that matches no obligation is no error of theirs
+        # decide, baseline, oracle and a sweep print no explanation verdict,
+        # so a ledger entry that matches no obligation is no error of theirs
         doc = _fixture_doc()
         doc["attributes"] = {i: {"g": "a" if i in "xy" else "b"} for i in doc["individuals"]}
         plain = tmp_path / "plain.json"
@@ -1775,7 +1778,12 @@ class TestCli:
         doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps(doc))
-        for argv in (["decide"], ["baseline", "--group-attr", "g", "--format", "json"]):
+        for argv in (
+            ["decide"],
+            ["baseline", "--group-attr", "g", "--format", "json"],
+            ["oracle"],
+            ["simulate", "--sweep", "--format", "json"],
+        ):
             assert main(argv + ["--input", str(path)]) == 0
             with_ledger = capsys.readouterr().out
             assert main(argv + ["--input", str(plain)]) == 0
@@ -1931,6 +1939,32 @@ class TestCli:
             out = capsys.readouterr().out
             assert "objective IF violations" in out and "subjective IF violations" in out
 
+    @pytest.mark.parametrize("command", [["decide"], ["baseline", "--group-attr", "group"]])
+    def test_epsilon_is_no_flag_of_the_commands_that_run_no_audit(self, command, capsys):
+        # only the audit reads epsilon, so decide and baseline do not take it
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--input", str(crossed_clusters_path()), "--epsilon", "0.7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon 0.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--delta", "0.9"], ["--theta", "0.1"], ["--strategy", "pessimistic"]]
+    )
+    def test_baseline_refuses_settings_without_group_attr(self, tmp_path, capsys, flag):
+        # without --group-attr the baseline runs no pipeline, so a settings
+        # flag would change nothing it prints
+        doc = _fixture_doc()
+        doc["baseline"] = {"scores": {"x": 0.2, "y": 0.9}, "distances": [["x", "y", 0.3]]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["baseline", "--input", str(path), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[0]} needs --group-attr: without it no setting is read\n"
+        doc["attributes"] = {i: {"g": "a" if i in "xy" else "b"} for i in doc["individuals"]}
+        path.write_text(json.dumps(doc))
+        assert main(["baseline", "--input", str(path), "--group-attr", "g", *flag]) == 0
+        assert "statistical parity on 'g'" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv, built",
         [
@@ -1940,15 +1974,14 @@ class TestCli:
             (["report", "--delta", "0.5", "--theta", "0.5", "--strategy", "majority"], 1),
             (["audit", "--epsilon", "0.0"], 1),
             (["decide", "--theta", "0.5"], 1),
-            (["report", "--delta", "0.3"], 2),
-            (["simulate", "--sweep", "--deltas", "0.3,0.5,0.7", "--thetas", "0.4,0.5,0.6"], 10),
+            (["report", "--delta", "0.3"], 1),
+            (["simulate", "--sweep", "--deltas", "0.3,0.5,0.7", "--thetas", "0.4,0.5,0.6"], 1),
         ],
     )
     def test_each_audit_point_builds_one_run(self, monkeypatch, capsys, argv, built):
         # call-count gate: a command passes its settings to the audit as a
-        # (params, strategy) point, and only the grid copies the run, once
-        # per point other than the file's own; loading builds the first run,
-        # and a sweep drops the ledger in one more copy
+        # (params, strategy) point, and every point is audited on the loaded
+        # run, so loading builds the only run
         count = 0
         check = AuditRunFile.__post_init__
 
@@ -2035,6 +2068,38 @@ class TestLedgerSettings:
             2, "error: ledger.x.SYSTEM_ERROR_REVIEW: matches no obligation\n"
         )
         assert self._report(capsys, path, "--delta", "0.9")[0] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 1000),
+    score=st.booleans(),
+    delta=st.sampled_from([0.3, 0.5, 0.7]),
+    epsilon=st.sampled_from([0.3, 0.5, 0.7]),
+    theta=st.sampled_from([0.3, 0.5, 0.7]),
+    kind=st.sampled_from(STRATEGY_KINDS),
+)
+def test_a_point_audited_on_the_loaded_run_is_a_run_built_at_it(
+    n, seed, score, delta, epsilon, theta, kind
+):
+    # the audit reads a point's settings off the result, never off the run:
+    # its document is the one of a run copied at that point, which is how
+    # reference documents for a sweep are built
+    base = generate_population(SynthProfile(n=n, seed=seed))
+    rng = random.Random(seed)
+    ids = base.population.individuals
+    changes = {"population": Population(ids, {i: {"age": rng.randint(10, 60)} for i in ids})}
+    if score:
+        changes["recommendations"] = RecommendationVector(
+            base.purpose, {i: round(rng.random(), 3) for i in ids}, SCORE
+        )
+    run = loads_run(dumps_run(dataclasses.replace(base, **changes)))
+    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == VETO else ()
+    params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
+    strategy = AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
+    copy = dataclasses.replace(run, params=params, strategy=strategy)
+    assert build_audit_doc(audit_run(run, (params, strategy))) == build_audit_doc(audit_run(copy))
 
 
 _LEDGERS = st.dictionaries(

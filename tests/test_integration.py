@@ -39,7 +39,7 @@ class TestAcceptanceRoundsThroughRunFiles:
 
         # round 0: obligations issued, nothing recorded yet
         result = audit_run(load_run(path))
-        assert result.explanation_fairness == PENDING
+        assert build_report_doc(result)["explanation_fairness"] == PENDING
         assert len(result.obligations) == 6
 
         # round 1: every addressee accepts except one rejection
@@ -51,7 +51,7 @@ class TestAcceptanceRoundsThroughRunFiles:
         doc["ledger"] = ledger
         path.write_text(json.dumps(doc))
         result = audit_run(load_run(path))
-        assert result.explanation_fairness == UNFAIR
+        assert build_report_doc(result)["explanation_fairness"] == UNFAIR
 
         # round 2: a new argument lands; the new ledger supersedes the rejection
         run = load_run(path)
@@ -59,7 +59,7 @@ class TestAcceptanceRoundsThroughRunFiles:
         run = replace(run, ledger=AcceptanceLedger(states))
         path = save_run(run, tmp_path / "round2.json")
         result = audit_run(load_run(path))
-        assert result.explanation_fairness == FAIR
+        assert build_report_doc(result)["explanation_fairness"] == FAIR
 
     def test_ledger_survives_save_load(self, tmp_path):
         run = crossed_clusters_run()
