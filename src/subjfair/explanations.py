@@ -49,7 +49,6 @@ OBLIGATION_KINDS = (
 CONSISTENCY = "consistency"
 ACCURACY = "accuracy"
 ETHICALITY = "ethicality"
-PROCEDURAL_TAGS = (CONSISTENCY, ACCURACY, ETHICALITY)
 
 #: Which procedural rules each obligation kind speaks to. Justifying the
 #: system's recommendation or reviewing a suspect one is about deciding on

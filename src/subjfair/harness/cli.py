@@ -75,24 +75,25 @@ def _with_settings(
     delta: float | None = None,
     epsilon: float | None = None,
     theta: float | None = None,
-    kind: str | None = None,
+    strategy: str | None = None,
 ) -> Point:
     """The point ``(params, strategy)`` of the run's own settings with each
-    given one in their place. Veto rules are kept only under the veto kind."""
+    given one in their place, ``strategy`` a kind. Veto rules are kept only
+    under the veto kind."""
     theta = run.params.theta if theta is None else theta
     params = AuditParams(
         delta=run.params.delta if delta is None else delta,
         epsilon=run.params.epsilon if epsilon is None else epsilon,
         theta=theta,
     )
-    kind = run.strategy.kind if kind is None else kind
+    kind = run.strategy.kind if strategy is None else strategy
     rules = run.strategy.veto_rules if kind == VETO else ()
     return params, AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
 
 
 def _overridden(run: AuditRunFile, args: argparse.Namespace) -> Point:
     # A settings flag the command does not take counts as not given.
-    return _with_settings(run, *(getattr(args, name, None) for name in _SETTINGS_FLAGS))
+    return _with_settings(run, **{name: getattr(args, name, None) for name in _SETTINGS_FLAGS})
 
 
 def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:

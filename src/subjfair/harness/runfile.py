@@ -105,9 +105,10 @@ class AuditRunFile:
                 validate_veto_rules(self.strategy.veto_rules, self.population)
             except InputError as exc:
                 raise RunFileError(str(exc), "strategy.veto_rules") from None
-        ids = self.population.positions
-        if self.baseline is not None and not self.baseline.ids <= ids.keys():
-            _check_baseline_ids(self.baseline, self.population)
+        baseline = self.baseline
+        if baseline is not None and not baseline.ids <= self.population.positions.keys():
+            rows = baseline.distances.entries, baseline.distances.subjective_overrides
+            _check_baseline_ids(self.population, baseline.scores, *rows)
 
     @property
     def purpose(self) -> str:
@@ -153,32 +154,25 @@ def _build(build: Callable[[], Any], where: Callable[[tuple], str]) -> Any:
         raise RunFileError(exc.reason, where(exc.path)) from None
 
 
-def _check_scored_ids(scores: Mapping[str, float], ids: Mapping[str, int]) -> None:
-    """Refuse the first scored id, in sorted order, outside the population ``ids``."""
+def _check_baseline_ids(
+    population: Population, scores: Mapping[str, float], *rows: Iterable[Any]
+) -> None:
+    """Refuse the first id outside ``population`` in file order: a scored
+    one, in sorted order, at ``baseline.scores.<id>``, else one that a row
+    names, the ids of the ``distances`` rows then of the ``overrides`` rows
+    given as ``rows``, an id that is no string (``check_ids``) first, at
+    ``baseline.<name>[<index>]``."""
+    ids = population.positions
     unknown = sorted(scores.keys() - ids.keys())
     if unknown:
         raise RunFileError(f"score for unknown id {unknown[0]!r}", f"baseline.scores.{unknown[0]}")
-
-
-def _check_rows(population: Population, name: str, keys: Iterable[Any]) -> None:
-    """Refuse the first of ``keys``, the ids of the rows of
-    ``baseline.<name>``, that names no one in ``population``, an id that is
-    no string (``check_ids``) first, at ``baseline.<name>[<index>]``."""
-    for idx, key in enumerate(keys):
-        where = f"baseline.{name}[{idx}]"
-        _build(lambda: check_ids(key), lambda path: where)
-        unknown = next((i for i in key if i not in population.positions), None)
-        if unknown is not None:
-            raise RunFileError(f"unknown id {unknown!r}", where)
-
-
-def _check_baseline_ids(baseline: BaselineInputs, population: Population) -> None:
-    """Refuse the first id of ``baseline`` outside ``population``: a scored
-    one, else one that a row names, in the table's order, for a loaded run
-    the file's. The run calls it only to locate an id it knows is there."""
-    _check_scored_ids(baseline.scores, population.positions)
-    _check_rows(population, "distances", baseline.distances.entries)
-    _check_rows(population, "overrides", baseline.distances.subjective_overrides)
+    for name, keys in zip(("distances", "overrides"), rows):
+        for idx, key in enumerate(keys):
+            where = f"baseline.{name}[{idx}]"
+            _build(lambda: check_ids(key), lambda path: where)
+            unknown = next((i for i in key if i not in ids), None)
+            if unknown is not None:
+                raise RunFileError(f"unknown id {unknown!r}", where)
 
 
 def _parse_recommendations(doc: Mapping[str, Any]) -> RecommendationVector:
@@ -235,15 +229,19 @@ def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineI
         name: _expect_list(section.get(name, []), f"baseline.{name}")
         for name in ("distances", "overrides")
     }
-    _check_scored_ids(_build(lambda: check_scores(scores), _in_baseline), population.positions)
+    scores = _build(lambda: check_scores(scores), _in_baseline)
+    _check_baseline_ids(population, scores)
     try:
         table = ObjectiveDistanceTable.from_rows(rows["distances"], rows["overrides"])
     except InputError as exc:
         name, idx = "distances" if exc.path[0] == "entries" else "overrides", exc.path[1]
-        # An id outside the population, in this row or an earlier one, is
-        # named first, as the run names it in rows the table takes.
-        keys = [row[:-1] if isinstance(row, list) else () for row in rows[name][: idx + 1]]
-        _check_rows(population, name, keys)
+        # An id outside the population, in this row or an earlier one in
+        # file order, is named first, as the run names it in rows the table
+        # takes: every distances row comes before the overrides rows.
+        upto = rows[name][: idx + 1]
+        read = (upto,) if name == "distances" else (rows["distances"], upto)
+        keys = ([row[:-1] if isinstance(row, list) else () for row in part] for part in read)
+        _check_baseline_ids(population, scores, *keys)
         raise RunFileError(exc.reason, f"baseline.{name}[{idx}]") from None
     return _build(lambda: BaselineInputs(scores, table), _in_baseline)
 

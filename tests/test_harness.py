@@ -29,7 +29,7 @@ from subjfair import (
 from subjfair.aggregation import STRATEGY_KINDS
 from subjfair import baselines, core
 from subjfair.explanations import KIND_TAGS, procedural_check
-from subjfair.harness import cli, synth
+from subjfair.harness import cli, oracle, synth
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
@@ -1576,6 +1576,70 @@ class TestCli:
         assert code == 0
         assert "match" in capsys.readouterr().out
 
+    def test_oracle_mismatch_names_the_field(self, monkeypatch, capsys):
+        def flipped(run, bound):
+            doc = brute_force_oracle(run, bound=bound)
+            first = min(doc["dec"])
+            doc["dec"] = {**doc["dec"], first: 1 - doc["dec"][first]}
+            return doc
+
+        monkeypatch.setattr(oracle, "brute_force_oracle", flipped)
+        assert main(["oracle", "--input", str(crossed_clusters_path())]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("oracle: MISMATCH\n")
+        assert "  field 'dec':\n" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(
+                b"\xff\xfe{}", "error: byte 0: not UTF-8 text: invalid start byte\n", id="utf-16"
+            ),
+            pytest.param(
+                b"[" * 100_000 + b"]" * 100_000,
+                "error: <document>: unreadable JSON: maximum recursion depth exceeded",
+                id="nested-too-deep",
+            ),
+        ],
+    )
+    def test_unreadable_bytes_are_input_errors(self, tmp_path, capsys, content, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        assert main(["validate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ["--n", "6", "--manipulate", "foo"],
+                2,
+                "--manipulate expects AGENT:TARGET, got 'foo'",
+            ),
+            (["--n", "6", "--manipulate", "i00:i01"], 0, None),
+            (
+                ["--input", str(crossed_clusters_path()), "--sweep", "--deltas", "a,b"],
+                2,
+                "--deltas expects a comma-separated list of numbers, got 'a,b'",
+            ),
+            (["--n", "0"], 2, "population size must be >= 1, got 0"),
+            (["--density", "2"], 2, "cluster_density must be in [0, 1], got 2.0"),
+            (["--rate", "-1"], 2, "base_positive_rate must be in [0, 1], got -1.0"),
+        ],
+    )
+    def test_simulate_checks_each_flag_value(self, capsys, argv, code, message):
+        assert main(["simulate", *argv]) == code
+        captured = capsys.readouterr()
+        if message is None:
+            assert captured.err == ""
+            assert captured.out.startswith("subjective-fairness audit:")
+        else:
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+
     def test_report_subcommand_json(self, capsys):
         code = main(
             ["report", "--input", str(crossed_clusters_path()), "--format", "json"]
@@ -1732,6 +1796,26 @@ class TestCli:
                 },
                 "baseline.overrides[1]: second override by 'x' for the pair (y, x)",
                 id="override-given-twice",
+            ),
+            # the table refused the override first, though an id outside
+            # the population comes earlier in the file
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5], ["x", "ghost", 0.1]],
+                    "overrides": [["x", "x", "y", -1.0]],
+                },
+                "baseline.distances[1]: unknown id 'ghost'",
+                id="unknown-id-before-a-refused-override",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5], ["x", "y", 0.1]],
+                    "overrides": [["ghost", "x", "y", 1.0]],
+                },
+                "baseline.distances[1]: second distance for the pair (x, y)",
+                id="refused-distance-before-an-unknown-observer",
             ),
         ],
     )
