@@ -63,6 +63,10 @@ KIND_TAGS: Mapping[str, frozenset[str]] = {
 }
 
 
+#: Violation code of a ledger entry that names no owed obligation.
+NO_OBLIGATION = "no_obligation"
+
+
 class LedgerIntegrityError(InputError):
     """A ledger entry references an obligation that was never issued."""
 
@@ -156,6 +160,15 @@ class AcceptanceLedger(Mapping[tuple[str, str], str]):
         return rows
 
 
+def unmatched_entries(
+    owed: Mapping[str, Sequence[str]],
+    ledger: Mapping[tuple[str, str], str],
+) -> list[tuple[str, str]]:
+    """The keys of ``ledger`` that name no obligation in ``owed``, in the
+    ledger's order."""
+    return [key for key in ledger if key[1] not in owed.get(key[0], ())]
+
+
 def fairness_through_explanations(
     owed: Mapping[str, Sequence[str]],
     ledger: Mapping[tuple[str, str], str],
@@ -173,13 +186,12 @@ def fairness_through_explanations(
         LedgerIntegrityError: if the ledger references an obligation that
             is not in ``owed``.
     """
-    accepted = 0
-    rejected = False
-    for (individual, kind), state in ledger.items():
-        if kind not in owed.get(individual, ()):
-            raise LedgerIntegrityError((individual, kind))
-        accepted += state == ACCEPTED
-        rejected = rejected or state == REJECTED
+    unmatched = unmatched_entries(owed, ledger)
+    if unmatched:
+        raise LedgerIntegrityError(unmatched[0])
+    states = list(ledger.values())
+    accepted = states.count(ACCEPTED)
+    rejected = REJECTED in states
     # Every entry names a distinct obligation, so all are accepted exactly
     # when the accepted entries number as many as the obligations.
     if rejected:

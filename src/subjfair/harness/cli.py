@@ -24,6 +24,7 @@ from .. import __version__
 from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
 from ..audit import FAIR, UNFAIR
 from ..core import AuditParams, InputError, validate_population
+from ..explanations import NO_OBLIGATION, unmatched_entries
 from .report import (
     Point,
     audit_grid,
@@ -110,6 +111,14 @@ def _emit(doc: dict[str, Any], fmt: str, text: Callable[[Any], str] = render_tex
 def _cmd_validate(args: argparse.Namespace) -> int:
     run = load_run(args.input, validate=False)
     violations = validate_population(run.population, run.perceptions, run.recommendations)
+    if not violations and run.ledger is not None:
+        # A ledger answers the obligations of its file's own settings, as
+        # ``report`` reads it there; only clean inputs can be audited.
+        owed = audit_run(run).owed
+        violations = [
+            (NO_OBLIGATION, "ledger.{}.{}".format(*key), "matches no obligation")
+            for key in unmatched_entries(owed, run.ledger)
+        ]
     if args.format == "json":
         doc = {
             "ok": not violations,

@@ -5,8 +5,9 @@ loops and the most literal transcription of the definitions, on purpose.
 It shares no computation with the engine modules, so a field-for-field
 comparison of its output against the engine's audit document is a real
 differential test. Deliberately slow; refuses populations above ``bound``.
-It writes the ``subjfair-report/2`` audit document, which leaves out the
-membership relation that stage 2 reads here.
+It writes the ``subjfair-report/3`` audit document, which leaves out the
+membership relation that stage 2 reads here and lists the per-person
+verdicts, scenarios and conflicts in sorted id order.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             conflicts[x] = "SYSTEM_SUSPECT"
 
     dissenters = sorted(x for x in ids if verdicts[x]["isf"] == "unfair")
+    individuals = sorted(ids)
 
     # obligations, re-derived from the classes
     obligations: list[dict[str, Any]] = []
-    for x in sorted(ids):
+    for x in individuals:
         kinds: list[str] = []
         if scenarios[x] != "ISF_SATISFIED":
             kinds += ["SYSTEM_RECOMMENDATION", "AGGREGATION_METHOD"]
@@ -151,7 +153,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             obligations.append({"individual": x, "kind": k})
 
     return {
-        "schema": "subjfair-report/2",
+        "schema": "subjfair-report/3",
         "purpose": run.purpose,
         "n": n,
         "params": {"delta": delta, "epsilon": eps, "theta": theta},
@@ -171,9 +173,13 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
         "clusters": {x: sorted(clusters[x]) for x in ids},
         "set_rec": {x: int(set_rec[x]) for x in ids},
         "dec": {i: int(dec[i]) for i in ids},
-        "verdicts": verdicts,
-        "scenarios": scenarios,
-        "conflicts": conflicts,
+        "individuals": individuals,
+        "verdicts": {
+            key: [verdicts[x][key] for x in individuals]
+            for key in ("isf", "relaxed_isf", "satisfaction_ratio")
+        },
+        "scenarios": [scenarios[x] for x in individuals],
+        "conflicts": [conflicts[x] for x in individuals],
         "sf": {
             "verdict": "fair" if not dissenters else "unfair",
             "dissenters": dissenters,

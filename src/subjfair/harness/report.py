@@ -10,11 +10,13 @@ compact JSON with sorted keys, and a human-readable text form; both are
 deterministic for a given run file and engine version.
 Each is written from the family's position lists, the audit's columns and
 the baselines' violation tuples, and states each fact once
-(``subjfair-report/2``): ``clusters`` with no transposed membership, each
-obligation as its individual and kind beside one ``obligation_tags``
-table, and the procedural check as ``{tag: provenance}``, which
-``build_report_doc`` adds from the run's ``metadata.ethicality_asserted``,
-beside the explanation-level verdict, which only it reads off the ledger.
+(``subjfair-report/3``): ``clusters`` with no transposed membership, the
+per-person verdicts, scenarios and conflicts as columns that follow one
+``individuals`` list, each obligation as its individual and kind beside
+one ``obligation_tags`` table, and the procedural check as
+``{tag: provenance}``, which ``build_report_doc`` adds from the run's
+``metadata.ethicality_asserted``, beside the explanation-level verdict,
+which only it reads off the ledger.
 ``baselines_section`` builds the baselines part on its own, for the report
 and for the ``baseline`` command.
 """
@@ -40,7 +42,7 @@ from ..explanations import (
 )
 from .runfile import AuditRunFile, RunFileError, dumps_doc, settings_to_dict
 
-REPORT_SCHEMA = "subjfair-report/2"
+REPORT_SCHEMA = "subjfair-report/3"
 
 #: The settings a run is audited at, a point of a grid.
 Point = tuple[AuditParams, AggregationStrategy]
@@ -146,11 +148,18 @@ def summary_counts(report: AuditReport) -> dict[str, dict[str, int]]:
 def build_audit_doc(result: RunResult) -> dict[str, Any]:
     """The audit core as a plain document, comparable field-for-field with
     the brute-force oracle's output. Written from the family's lists and
-    the report's columns by position, each list of people in id order."""
+    the report's columns by position, each list of people in id order:
+    ``individuals`` lists the ids so, and each per-person column (the
+    verdicts, ``scenarios`` and ``conflicts``) follows it."""
     run = result.run
     report = result.report
     ids = run.population.individuals
     named = ids.__getitem__
+    order = run.population.order
+
+    def by_id(column: Sequence[Any]) -> list[Any]:
+        return list(map(column.__getitem__, order))
+
     return {
         "schema": REPORT_SCHEMA,
         "purpose": run.purpose,
@@ -158,14 +167,14 @@ def build_audit_doc(result: RunResult) -> dict[str, Any]:
         **settings_to_dict(result.params, result.strategy),
         "clusters": {x: list(map(named, c)) for x, c in zip(ids, result.family.members)},
         **label_fields(ids, report.set_labels, report.decisions),
+        "individuals": by_id(ids),
         "verdicts": {
-            x: {"isf": isf, "relaxed_isf": relaxed, "satisfaction_ratio": ratio}
-            for x, isf, relaxed, ratio in zip(
-                ids, report.isf, report.relaxed_isf, report.satisfaction_ratio
-            )
+            "isf": by_id(report.isf),
+            "relaxed_isf": by_id(report.relaxed_isf),
+            "satisfaction_ratio": by_id(report.satisfaction_ratio),
         },
-        "scenarios": dict(zip(ids, report.scenario)),
-        "conflicts": dict(zip(ids, report.conflict)),
+        "scenarios": by_id(report.scenario),
+        "conflicts": by_id(report.conflict),
         "sf": {"verdict": report.sf, "dissenters": sorted(report.dissenters)},
         **summary_counts(report),
         "obligations": [

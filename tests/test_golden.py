@@ -40,6 +40,10 @@ first turns a ``/2`` document back into its ``/1`` value with
 ``obligation_tags`` table, and ``procedural``'s sorted ``satisfied`` list
 beside its provenance. A ``/2`` document rebuilt so hashes as its ``/1``
 document did, and the converter only adds what ``/2`` states elsewhere.
+Since ``subjfair-report/3`` wrote the verdicts, scenarios and conflicts
+as lists that follow one sorted ``individuals`` list, ``_as_report_2``
+first keys those lists by id again and drops ``individuals``, checking
+that it is sorted, has no repeats and is as long as every column.
 """
 
 from __future__ import annotations
@@ -82,6 +86,21 @@ from subjfair.harness.runfile import (
 from subjfair.harness.synth import SynthProfile, generate_population
 
 
+def _as_report_2(doc: dict) -> dict:
+    """The ``subjfair-report/2`` value of a ``subjfair-report/3`` document."""
+    doc = dict(doc, schema="subjfair-report/2")
+    ids = doc.pop("individuals")
+    n = doc["n"]
+    assert ids == sorted(ids) and len(set(ids)) == len(ids) == n
+    verdicts = doc["verdicts"]
+    columns = [*verdicts.values(), doc["scenarios"], doc["conflicts"]]
+    assert all(len(column) == n for column in columns)
+    doc["verdicts"] = {x: dict(zip(verdicts, row)) for x, *row in zip(ids, *verdicts.values())}
+    doc["scenarios"] = dict(zip(ids, doc["scenarios"]))
+    doc["conflicts"] = dict(zip(ids, doc["conflicts"]))
+    return doc
+
+
 def _as_report_1(doc: dict) -> dict:
     """The ``subjfair-report/1`` value of a ``subjfair-report/2`` document."""
     doc = dict(doc, schema="subjfair-report/1")
@@ -101,25 +120,34 @@ def _as_report_1(doc: dict) -> dict:
 def _as_pinned(text: str) -> str:
     """The SHA-256 of ``text`` in its pinned form: a JSON text, which must be
     exactly the compact sorted form, as its two-space-indented rebuild, a
-    ``subjfair-report/2`` document as its ``/1`` value (``_as_report_1``);
-    any other text as it is."""
+    ``subjfair-report/3`` document as its ``/2`` value (``_as_report_2``)
+    and a ``/2`` document as its ``/1`` value (``_as_report_1``); any other
+    text as it is."""
     if text.startswith(("{", "[")):
         value = json.loads(text)
         # a bool, so that a failure does not diff megabytes of text
         compact = text == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
         assert compact, "not the compact sorted JSON form"
+        if isinstance(value, dict) and value.get("schema") == "subjfair-report/3":
+            value = _as_report_2(value)
         if isinstance(value, dict) and value.get("schema") == "subjfair-report/2":
             value = _as_report_1(value)
         text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _printed(argv: list[str]) -> str:
-    """``"<exit code>:<pinned hash of stdout>"`` of one command."""
+def _run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one command."""
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(argv)
-    return f"{code}:{_as_pinned(buffer.getvalue())}"
+    return code, buffer.getvalue()
+
+
+def _printed(argv: list[str]) -> str:
+    """``"<exit code>:<pinned hash of stdout>"`` of one command."""
+    code, out = _run(argv)
+    return f"{code}:{_as_pinned(out)}"
 
 
 # --- the bundled fixture -----------------------------------------------------
@@ -135,6 +163,17 @@ FIXTURE = {
 def test_fixture_output_is_pinned(command):
     argv = [command, "--input", str(crossed_clusters_path()), "--format", "json"]
     assert _printed(argv) == FIXTURE[command]
+
+
+#: The SHA-256 of the ``subjfair-report/3`` bytes ``audit --format json``
+#: prints for the fixture, as printed, with no conversion.
+FIXTURE_REPORT_3 = "0:8c47ab06c5342602d7102e4e151f7763012d965f3e87a88f5552c6ba25d8d561"
+
+
+def test_fixture_report_3_bytes_are_pinned():
+    code, out = _run(["audit", "--input", str(crossed_clusters_path()), "--format", "json"])
+    assert json.loads(out)["schema"] == "subjfair-report/3"
+    assert f"{code}:{hashlib.sha256(out.encode('utf-8')).hexdigest()}" == FIXTURE_REPORT_3
 
 
 # --- synthetic runs ------------------------------------------------------------
@@ -234,6 +273,41 @@ def test_synthetic_report_is_pinned(tmp_path, case, expected):
     if "group" in case[4]:
         argv += ["--group-attr", "group"]
     assert _printed(argv) == expected
+
+
+#: ``audit --format json`` on a run whose ``individuals`` are listed out of
+#: id order, pinned in ``subjfair-report/2``, before the per-person
+#: sections became columns.
+OUT_OF_ORDER = "0:6a51fef7e74074c273e1c7e8b61e778e3a8353378a542e59c97f99080d1c7b20"
+
+
+def test_a_population_out_of_id_order(tmp_path):
+    """Generated runs list their ids sorted and the fixture has four people;
+    this run lists forty out of id order: the columns follow the sorted
+    ``individuals``, the document is the oracle's, and its ``/2`` rebuild
+    hashes as the ``/2`` output did."""
+    doc = to_dict(_synthetic_run(40, 0.3, TRUST_WEIGHTED, "score", ("group",), 39))
+    doc["individuals"] = random.Random(39).sample(doc["individuals"], len(doc["individuals"]))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = _run(["audit", "--input", str(path), "--format", "json"])
+    printed = json.loads(out)
+    assert code == 0 and printed["individuals"] == sorted(doc["individuals"])
+    assert printed["individuals"] != doc["individuals"]
+    # each column's k-th entry is the k-th sorted id's, found by file position
+    result = audit_run(load_run(path))
+    report, at = result.report, result.run.population.positions
+    for k, x in enumerate(printed["individuals"]):
+        verdicts = {key: column[k] for key, column in printed["verdicts"].items()}
+        assert verdicts == {
+            "isf": report.isf[at[x]],
+            "relaxed_isf": report.relaxed_isf[at[x]],
+            "satisfaction_ratio": report.satisfaction_ratio[at[x]],
+        }
+        assert printed["scenarios"][k] == report.scenario[at[x]]
+        assert printed["conflicts"][k] == report.conflict[at[x]]
+    assert _run(["oracle", "--input", str(path), "--bound", "40"]) == (0, "oracle: match\n")
+    assert f"{code}:{_as_pinned(out)}" == OUT_OF_ORDER
 
 
 SWEEP = "0:1db0eaabd7d158b08ef2e65fe2759be6073dfc741fcda4d10795e992cc5a127d"

@@ -986,7 +986,7 @@ class TestReport:
             run = generate_population(SynthProfile(n=60, cluster_density=0.3, seed=5))
             run = dataclasses.replace(run, metadata={"ethicality_asserted": True})
         doc = build_report_doc(audit_run(run))
-        assert doc["schema"] == "subjfair-report/2"
+        assert doc["schema"] == "subjfair-report/3"
         assert "membership" not in doc
         assert doc["obligations"]
         assert all(o.keys() == {"individual", "kind"} for o in doc["obligations"])
@@ -1894,8 +1894,11 @@ class TestCli:
         doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", "--input", str(path)]) == 0
-        capsys.readouterr()
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "validation: 1 violation(s)\n"
+            "  ! ledger.x.SYSTEM_ERROR_REVIEW: matches no obligation\n"
+        )
         for command in ("audit", "report"):
             assert main([command, "--input", str(path)]) == 2
             err = capsys.readouterr().err
@@ -2086,6 +2089,60 @@ def _ledgered_fixture(tmp_path, ledger):
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestValidateLedger:
+    """``validate`` refuses the ledger entries that ``report`` refuses: on a
+    run with clean inputs, every entry that names no obligation owed at the
+    file's own settings, in ledger order."""
+
+    def _validate(self, capsys, path, fmt):
+        code = main(["validate", "--input", str(path), "--format", fmt])
+        return code, capsys.readouterr().out
+
+    def test_every_unmatched_entry_is_listed(self, tmp_path, capsys):
+        # at the fixture's settings x is owed SYSTEM_RECOMMENDATION and
+        # AGGREGATION_METHOD, and u no GROUP_IDENTIFICATION
+        ledger = {
+            "x": {"SYSTEM_ERROR_REVIEW": "accepted", "SYSTEM_RECOMMENDATION": "accepted"},
+            "u": {"GROUP_IDENTIFICATION": "rejected"},
+        }
+        path = _ledgered_fixture(tmp_path, ledger)
+        where = ["ledger.u.GROUP_IDENTIFICATION", "ledger.x.SYSTEM_ERROR_REVIEW"]
+        code, out = self._validate(capsys, path, "json")
+        assert code == 2
+        assert json.loads(out) == {
+            "ok": False,
+            "violations": [
+                {"code": "no_obligation", "where": w, "message": "matches no obligation"}
+                for w in where
+            ],
+        }
+        code, out = self._validate(capsys, path, "text")
+        assert code == 2
+        assert out == "validation: 2 violation(s)\n" + "".join(
+            f"  ! {w}: matches no obligation\n" for w in where
+        )
+        assert main(["report", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {where[0]}: matches no obligation\n"
+
+    @pytest.mark.parametrize("ledger", [{}, {"u": {"AGGREGATION_METHOD": "rejected"}}])
+    def test_a_ledger_of_owed_obligations_is_clean(self, tmp_path, capsys, ledger):
+        path = _ledgered_fixture(tmp_path, ledger)
+        assert self._validate(capsys, path, "text") == (0, "validation: clean\n")
+        assert self._validate(capsys, path, "json") == (0, '{"ok":true,"violations":[]}\n')
+
+    def test_inputs_that_fail_are_not_audited(self, tmp_path, capsys, monkeypatch):
+        # only clean inputs can be audited: the ledger is not checked then
+        doc = _fixture_doc()
+        doc["sim"]["x"]["x"] = 0.9
+        doc["ledger"] = {"x": {"SYSTEM_ERROR_REVIEW": "accepted"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "audit_run", None)
+        code, out = self._validate(capsys, path, "json")
+        assert code == 2
+        assert [v["code"] for v in json.loads(out)["violations"]] == ["self_similarity"]
 
 
 class TestLedgerSettings:

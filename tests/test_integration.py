@@ -23,7 +23,7 @@ from subjfair import (
 )
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
-from subjfair.harness.report import audit_run, build_audit_doc, build_report_doc
+from subjfair.harness.report import REPORT_SCHEMA, audit_run, build_audit_doc, build_report_doc
 from subjfair.harness.runfile import load_run, save_run, to_dict
 from subjfair.harness.synth import SynthProfile, generate_population
 
@@ -191,7 +191,7 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     doc = json.loads(proc.stdout)
-    assert doc["schema"] == "subjfair-report/2"
+    assert doc["schema"] == REPORT_SCHEMA
     assert doc["sf"]["verdict"] == "unfair"
 
 
@@ -249,6 +249,17 @@ def test_readme_report_table_names_every_key_of_the_report():
     )
     core = list(build_audit_doc(result))
     assert list(present)[: len(core)] == core
+
+
+def test_readme_report_format_names_the_schema_the_engine_writes():
+    # the heading of the report table and its ``schema`` row
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    headings = [line for line in text.splitlines() if line.startswith("## Report format")]
+    assert headings == [f"## Report format (`{REPORT_SCHEMA}`)"]
+    section = text.split(headings[0])[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `schema` |")]
+    assert rows == [f'| `schema` | always | `"{REPORT_SCHEMA}"` |']
 
 
 def test_readme_quick_start_runs():

@@ -123,11 +123,12 @@ def _renamed_run(run, name):
 
 
 def _renamed_doc(doc, name):
-    by_id = ("set_rec", "dec", "verdicts", "scenarios", "conflicts")
+    # the per-person columns follow ``individuals``, which keeps its order
     renamed = dict(doc)
     renamed["clusters"] = {name[x]: [name[m] for m in c] for x, c in doc["clusters"].items()}
-    for field in by_id:
+    for field in ("set_rec", "dec"):
         renamed[field] = {name[x]: v for x, v in doc[field].items()}
+    renamed["individuals"] = [name[x] for x in doc["individuals"]]
     renamed["sf"] = {
         "verdict": doc["sf"]["verdict"],
         "dissenters": [name[x] for x in doc["sf"]["dissenters"]],
