@@ -267,10 +267,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import brute_force_oracle
+    from .oracle import DEFAULT_BOUND, brute_force_oracle
     run = load_run(args.input)
     engine_doc = build_audit_doc(audit_run(run))
-    oracle_doc = brute_force_oracle(run, bound=args.bound)
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    oracle_doc = brute_force_oracle(run, bound=bound)
     if engine_doc == oracle_doc:
         sys.stdout.write("oracle: match\n")
         return EXIT_OK
@@ -333,9 +334,8 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
 
 
 def _oracle_args(p: argparse.ArgumentParser) -> None:
-    from .oracle import DEFAULT_BOUND
     p.add_argument("--input", required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="max population for the oracle")
+    p.add_argument("--bound", type=int, help="max population for the oracle")
 
 
 def _report_args(p: argparse.ArgumentParser) -> None:
@@ -357,26 +357,31 @@ _COMMANDS = (
 
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with the ``argv`` it is about to parse, only
-    the subcommand ``argv`` runs gets its arguments.
+    """The command-line parser; when ``argv``, the arguments it is about to
+    parse, starts with a subcommand's name, only that subcommand is
+    registered.
 
-    That subcommand is named by the first argument that does not start with
-    "-": the top-level options take no value, so argparse hands the rest to
-    that subcommand or to none. Every subcommand is still registered with
-    its name and help, so usage, help and error text are the full parser's.
+    In every other case (no argument, an unknown command, ``--help``,
+    ``--version``) all seven are. The one-subcommand parser lists all seven
+    names in its usage, so every usage, help and error text it prints is
+    the full parser's.
     """
     parser = argparse.ArgumentParser(
         prog="subjfair",
         description="Subjective-fairness auditing and decision aggregation",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    names = [name for name, *_ in _COMMANDS]
+    named = argv[0] if argv and argv[0] in names else None
+    # Usage shows the choices: with one registered, name all seven. The full
+    # parser sets no metavar, as its errors name the argument ``command``.
+    metavar = None if named is None else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_line, add_arguments, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_line)
-        if named is None or named == name:
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_line)
             add_arguments(p)
-        p.set_defaults(func=func)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -386,8 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     The cyclic garbage collector is paused for the whole command and put
     back as the caller had it, on every exit. The engine forms no reference
     cycles, so reference counting frees all it makes; what a command leaves
-    for the collector is argparse's parser, a few hundred objects at most
-    for any input, which the next collection takes.
+    for the collector is argparse's parser, about a hundred objects for any
+    input. In process the caller's next collection takes it; a process run
+    for one command (``subjfair.__main__.run``) keeps the collector off and
+    freezes it with the rest.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -410,4 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from subjfair.__main__ import run
+
+    run()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import gc
@@ -1013,16 +1014,37 @@ class TestReport:
 
 SUBCOMMANDS = ("validate", "audit", "decide", "baseline", "simulate", "oracle", "report")
 
+#: A value each subcommand's parser refuses, after its name.
+BAD_VALUES = {
+    "validate": ["--format", "xml"],
+    "audit": ["--delta", "abc"],
+    "decide": ["--strategy", "bogus"],
+    "baseline": ["--theta", "x"],
+    "simulate": ["--n", "abc"],
+    "oracle": ["--bound", "1.5"],
+    "report": ["--format", "yaml"],
+}
+
+
+def _subcommands(parser):
+    # the names a parser registers as subcommands, in order
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
 
 class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [[command, "-h"] for command in SUBCOMMANDS]
-        + [["-h"], ["--version"], [], ["bogus"], ["audit"], ["--", "audit", "-h"]],
+        + [["-h"], ["--version"], [], ["bogus"], ["audit"], ["--", "audit", "-h"]]
+        + [[command, "--help"] for command in SUBCOMMANDS]
+        + [[command, "--input", "x.json", "--bogus"] for command in SUBCOMMANDS]
+        + [[command, *BAD_VALUES[command]] for command in SUBCOMMANDS]
+        + [["--help"], ["-h", "audit"], ["audit", "--input", "x.json", "extra"]],
     )
     def test_parser_text_and_exit_code_match_the_full_parser(self, argv, capsys):
-        # ``main`` builds the arguments of the subcommand it runs only; what
-        # it prints and its exit code are the full parser's
+        # ``main`` registers only the subcommand it runs; what it prints and
+        # its exit code are the full parser's
         def outcome(parse):
             with pytest.raises(SystemExit) as exc:
                 parse(argv)
@@ -1031,6 +1053,14 @@ class TestCli:
         full = outcome(cli.build_parser().parse_args)
         assert full[1].out or full[1].err
         assert outcome(main) == full
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_a_command_registers_only_its_own_parser(self, command):
+        # work gate: the parser for a command's arguments builds one
+        # subcommand parser; any other argument list gets all seven
+        assert _subcommands(cli.build_parser([command, "--input", "x.json"])) == [command]
+        for argv in (None, [], ["--help"], ["-h", command], ["bogus", command]):
+            assert _subcommands(cli.build_parser(argv)) == list(SUBCOMMANDS)
 
     def test_validate_clean(self, capsys):
         code = main(["validate", "--input", str(crossed_clusters_path())])

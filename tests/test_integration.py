@@ -4,6 +4,7 @@ score-kind audits, and semantics pinned against the oracle."""
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,6 +22,7 @@ from subjfair import (
     PerceptionTable,
     run_pipeline,
 )
+from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
 from subjfair.harness.report import REPORT_SCHEMA, audit_run, build_audit_doc, build_report_doc
@@ -195,12 +197,84 @@ def test_module_entry_point_runs():
     assert doc["sf"]["verdict"] == "unfair"
 
 
-#: Run in a fresh interpreter: the modules importing the CLI loads, and the
-#: dataclasses among the classes of the subjfair modules then loaded.
+#: Run in a fresh interpreter as ``-c ENTRY ARGS...``: the process entry
+#: ``ENTRY``, a module run as ``python -m`` runs it or the ``module:function``
+#: an installed script calls, then a last stdout line with its exit code and
+#: the collector's state at exit.
+_PROCESS_ENTRY = """
+import gc, importlib, json, runpy, sys
+entry = sys.argv.pop(1)
+try:
+    if ":" in entry:
+        module, function = entry.split(":")
+        getattr(importlib.import_module(module), function)()
+    else:
+        runpy.run_module(entry, run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def _script_target():
+    # the ``subjfair`` script's ``module:function`` in pyproject.toml
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    section = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    (target,) = re.findall(r'^subjfair = "(.+)"$', section.split("\n[")[0], re.M)
+    return target
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--input", str(crossed_clusters_path()), "--format", "json"],
+        ["audit", "--input", str(crossed_clusters_path()), "--strict"],
+        ["audit", "--input", "missing.json"],
+        ["audit", "--input", str(crossed_clusters_path()), "--bogus"],
+        ["--help"],
+        ["--version"],
+    ],
+    ids=["exit-0", "exit-1", "input-error", "unknown-flag", "help", "version"],
+)
+def test_every_process_entry_exits_with_mains_code_and_leaves_the_collector_frozen(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # ``python -m subjfair``, ``python -m subjfair.harness.cli`` and the
+    # installed script print what ``main`` prints and exit with its code,
+    # with the collector off and what is alive at exit frozen
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    printed = capsys.readouterr()
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    for entry in ("subjfair", "subjfair.harness.cli", _script_target()):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROCESS_ENTRY, entry, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *lines, last = proc.stdout.splitlines(keepends=True)
+        exit_code, collector, frozen = json.loads(last)
+        assert (exit_code, collector) == (code, False), entry
+        assert frozen > 0, entry
+        assert ("".join(lines), proc.stderr) == (printed.out, printed.err), entry
+
+
+#: Run in a fresh interpreter: the modules that importing the CLI and building
+#: its full parser load, and the dataclasses among the classes of the subjfair
+#: modules then loaded.
 _COLD_START = """
 import sys
 bare = set(sys.modules)
 import subjfair.harness.cli
+subjfair.harness.cli.build_parser()
 loaded = set(sys.modules) - bare
 import dataclasses, json
 records = {
@@ -219,7 +293,8 @@ print(json.dumps({"loaded": sorted(loaded), "dataclasses": sorted(records)}))
 def test_importing_the_cli_loads_only_what_every_command_runs():
     # start-up gate: the generator, the oracle, the CSV writer and the
     # traceback printer load only in the command or fault path that uses
-    # them, and the one dataclass is the run, which callers ``replace``
+    # them, not with the CLI or its full parser, and the one dataclass is
+    # the run, which callers ``replace``
     env = dict(os.environ)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
