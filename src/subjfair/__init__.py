@@ -28,7 +28,6 @@ from .aggregation import (
     TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
-    ConfigError,
     VetoRule,
     binarize,
     cluster_tally,
@@ -53,7 +52,6 @@ from .explanations import (
     REJECTED,
     AcceptanceLedger,
     ExplanationObligation,
-    LedgerIntegrityError,
     derive_obligations,
     fairness_through_explanations,
     procedural_check,

@@ -39,10 +39,6 @@ VETO = "veto"
 STRATEGY_KINDS = (MAJORITY, TRUST_WEIGHTED, PESSIMISTIC, VETO)
 
 
-class ConfigError(InputError):
-    """A strategy or veto-rule configuration is unusable."""
-
-
 _OPS = {
     "<": operator.lt,
     "<=": operator.le,
@@ -59,7 +55,8 @@ class VetoRule(Value):
     E.g. ``VetoRule("age", "<", 18, vetoed_label=1)`` strips a positive
     decision from anyone under 18. The attribute and the operator are
     strings, and the label is a number (``number``) equal to 0 or 1,
-    kept as an int.
+    kept as an int. A vetoed label is set to 0, so a rule with
+    ``vetoed_label=0`` changes no decision.
     """
 
     _fields = ("attribute", "op", "operand", "vetoed_label")
@@ -73,13 +70,13 @@ class VetoRule(Value):
     ) -> None:
         for name, value in (("attribute", attribute), ("op", op)):
             if not isinstance(value, str):
-                raise ConfigError(f"expected a string {name}, got {value!r}", (name,))
+                raise InputError(f"expected a string {name}, got {value!r}", (name,))
         if op not in _OPS:
-            raise ConfigError(f"unknown veto operator {op!r}", ("op",))
+            raise InputError(f"unknown veto operator {op!r}", ("op",))
         label = number(vetoed_label, ("vetoed_label",))
         if label != 0 and label != 1:
             message = f"vetoed label must be 0 or 1, got {vetoed_label}"
-            raise ConfigError(message, ("vetoed_label",))
+            raise InputError(message, ("vetoed_label",))
         self._set(attribute=attribute, op=op, operand=operand, vetoed_label=int(label))
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
@@ -106,32 +103,33 @@ class AggregationStrategy(Value):
         self, kind: str = MAJORITY, theta: float = 0.5, veto_rules: Iterable[VetoRule] = ()
     ) -> None:
         if kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {kind!r}", ("kind",))
+            raise InputError(f"unknown strategy kind {kind!r}", ("kind",))
         theta = number(theta, ("theta",), "theta")
         if not 0.0 <= theta < 1.0:
-            raise ConfigError(f"theta must be in [0, 1), got {theta}", ("theta",))
+            raise InputError(f"theta must be in [0, 1), got {theta}", ("theta",))
         veto_rules = tuple(veto_rules)
         if veto_rules and kind != VETO:
-            raise ConfigError("veto rules are only valid with the veto strategy")
+            raise InputError("veto rules are only valid with the veto strategy")
         self._set(kind=kind, theta=theta, veto_rules=veto_rules)
 
 
 def validate_veto_rules(rules: Iterable[VetoRule], pop: Population) -> None:
-    """Reject rules referencing attribute keys the population lacks, or
-    whose operand cannot be compared with some individual's value."""
+    """Reject, at ``veto_rules``, rules referencing attribute keys the
+    population lacks, or whose operand cannot be compared with some
+    individual's value."""
     keys = pop.attribute_keys()
     for rule in rules:
         if rule.attribute not in keys:
-            raise ConfigError(
-                f"veto rule references unknown attribute {rule.attribute!r}"
-            )
+            message = f"veto rule references unknown attribute {rule.attribute!r}"
+            raise InputError(message, ("veto_rules",))
         for individual, attrs in (pop.attributes or {}).items():
             try:
                 rule.matches(attrs)
             except TypeError:
-                raise ConfigError(
+                raise InputError(
                     f"veto rule {rule.attribute} {rule.op} {rule.operand!r} cannot "
-                    f"compare {individual}'s value {attrs[rule.attribute]!r}"
+                    f"compare {individual}'s value {attrs[rule.attribute]!r}",
+                    ("veto_rules",),
                 ) from None
 
 

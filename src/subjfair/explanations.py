@@ -67,14 +67,6 @@ KIND_TAGS: Mapping[str, frozenset[str]] = {
 NO_OBLIGATION = "no_obligation"
 
 
-class LedgerIntegrityError(InputError):
-    """A ledger entry references an obligation that was never issued."""
-
-    def __init__(self, key: tuple[str, str]) -> None:
-        self.key = key
-        super().__init__(f"ledger entry for ({key[0]}, {key[1]}) matches no obligation")
-
-
 class ExplanationObligation(Value):
     """One justification the process owes one individual."""
 
@@ -163,10 +155,13 @@ class AcceptanceLedger(Mapping[tuple[str, str], str]):
 def unmatched_entries(
     owed: Mapping[str, Sequence[str]],
     ledger: Mapping[tuple[str, str], str],
-) -> list[tuple[str, str]]:
-    """The keys of ``ledger`` that name no obligation in ``owed``, in the
-    ledger's order."""
-    return [key for key in ledger if key[1] not in owed.get(key[0], ())]
+) -> list[InputError]:
+    """One refusal per entry of ``ledger`` that names no obligation in
+    ``owed``, in the ledger's order, at ``("ledger", individual, kind)``."""
+    return [
+        InputError("matches no obligation", ("ledger", x, k), f"ledger entry ({x}, {k})")
+        for x, k in ledger if k not in owed.get(x, ())
+    ]
 
 
 def fairness_through_explanations(
@@ -183,12 +178,12 @@ def fairness_through_explanations(
     obligation stands rejected. Pending otherwise.
 
     Raises:
-        LedgerIntegrityError: if the ledger references an obligation that
-            is not in ``owed``.
+        InputError: at the first ledger entry that names no obligation in
+            ``owed`` (``unmatched_entries``).
     """
     unmatched = unmatched_entries(owed, ledger)
     if unmatched:
-        raise LedgerIntegrityError(unmatched[0])
+        raise unmatched[0]
     states = list(ledger.values())
     accepted = states.count(ACCEPTED)
     rejected = REJECTED in states

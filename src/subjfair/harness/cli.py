@@ -40,7 +40,7 @@ from .report import (
     render_text,
     summary_counts,
 )
-from .runfile import AuditRunFile, load_run, save_run
+from .runfile import AuditRunFile, load_run, located, save_run
 
 EXIT_OK = 0
 EXIT_UNFAIR = 1
@@ -114,11 +114,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if not violations and run.ledger is not None:
         # A ledger answers the obligations of its file's own settings, as
         # ``report`` reads it there; only clean inputs can be audited.
-        owed = audit_run(run).owed
-        violations = [
-            (NO_OBLIGATION, "ledger.{}.{}".format(*key), "matches no obligation")
-            for key in unmatched_entries(owed, run.ledger)
-        ]
+        unmatched = unmatched_entries(audit_run(run).owed, run.ledger)
+        refusals = [located(exc, ".".join) for exc in unmatched]
+        violations = [(NO_OBLIGATION, r.location, r.reason) for r in refusals]
     if args.format == "json":
         doc = {
             "ok": not violations,
@@ -233,15 +231,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         run = load_run(args.input)
     else:
         from .synth import SynthProfile, generate_population
-        manipulation = []
-        for spec_str in args.manipulate or []:
-            if ":" not in spec_str:
-                raise InputError(f"--manipulate expects AGENT:TARGET, got {spec_str!r}")
-            agent, target = spec_str.split(":", 1)
-            manipulation.append((agent, target))
+        specs = args.manipulate or []
+        for spec in specs:
+            if ":" not in spec:
+                raise InputError(f"--manipulate expects AGENT:TARGET, got {spec!r}")
         given = {field: getattr(args, flag) for flag, field in _PROFILE_FLAGS.items()}
         profile = SynthProfile(
-            manipulation=tuple(manipulation),
+            manipulation=[spec.split(":", 1) for spec in specs],
             **{field: value for field, value in given.items() if value is not None},
         )
         run = generate_population(profile)

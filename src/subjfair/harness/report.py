@@ -3,8 +3,8 @@
 ``audit_grid`` wires the full pipeline for one run file at a sequence of
 points: validation, clustering, both aggregation stages, fairness
 verdicts and obligations. ``audit_run`` is
-its single-point case; ``decide_run`` runs the clusters and both pipeline
-stages alone, for the commands that print no audit. Reports come in a
+its single-point case; ``decide_run`` runs its part before the audit alone,
+for the commands that print no audit. Reports come in a
 machine form, a plain dict that ``dumps_doc`` (from ``runfile``) writes as
 compact JSON with sorted keys, and a human-readable text form; both are
 deterministic for a given run file and engine version.
@@ -31,16 +31,15 @@ from ..aggregation import AggregationStrategy, cluster_tally, run_pipeline
 from ..audit import CONFLICTS, FAIR, SCENARIOS, SYSTEM_SUSPECT, AuditReport, audit_population
 from ..baselines import dwork_if_check, statistical_parity_gap, subjective_if_check
 from ..clustering import ClusterFamily, build_cluster_family
-from ..core import AuditParams, InputError, Value, validate_population
+from ..core import AuditParams, Value, validate_population
 from ..explanations import (
     KIND_TAGS,
     ExplanationObligation,
-    LedgerIntegrityError,
     derive_obligations,
     fairness_through_explanations,
     procedural_check,
 )
-from .runfile import AuditRunFile, RunFileError, dumps_doc, settings_to_dict
+from .runfile import AuditRunFile, _build, dumps_doc, settings_to_dict, validate_run
 
 REPORT_SCHEMA = "subjfair-report/3"
 
@@ -73,24 +72,15 @@ class RunResult(Value):
         return tuple(ExplanationObligation(x, k) for x, kinds in self.owed.items() for k in kinds)
 
 
-def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResult]:
-    """One ``RunResult`` per ``(params, strategy)`` point of ``settings``, in order.
-
-    Every point is audited on ``run`` itself, and each result records its
-    point; the ledger is not read here (``build_report_doc`` reads it).
-
+def _decide_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[tuple]:
+    """``audit_grid``'s part before the audit: ``(params, strategy, family,
+    tally, (set_labels, decisions))`` per point of ``settings``, in order.
     Validation does not depend on the settings, so it runs once, and not
     at all for a run whose inputs ``load_run`` has validated. Clusters and
     their stage-1 tally depend on delta alone: both are made only when delta
-    differs from the previous point's, only one of each is kept, and the
-    tally is passed to the pipeline and the audit of every point.
-
-    Raises:
-        InputError: if the inputs break the model invariants.
-    """
-    violations = validate_population(run.population, run.perceptions, run.recommendations)
-    if violations:
-        raise InputError("invalid audit inputs: " + "; ".join(m for _, _, m in violations[:5]))
+    differs from the previous point's, and only one of each is kept."""
+    if validate_population(run.population, run.perceptions, run.recommendations):
+        validate_run(run)  # refuses as ``load_run`` does; the table kept the result
     pop, recs = run.population, run.recommendations
     family = tally = delta = None
     for params, strategy in settings:
@@ -99,8 +89,22 @@ def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResu
             delta = params.delta
             family = build_cluster_family(pop, run.perceptions, delta)
             tally = cluster_tally(pop, family, recs)
-        set_labels, decisions = run_pipeline(pop, family, tally, strategy)
-        report = audit_population(pop, family, recs, params, tally, set_labels, decisions)
+        yield params, strategy, family, tally, run_pipeline(pop, family, tally, strategy)
+
+
+def audit_grid(run: AuditRunFile, settings: Iterable[Point]) -> Iterator[RunResult]:
+    """One ``RunResult`` per ``(params, strategy)`` point of ``settings``, in order.
+
+    Every point is audited on ``run`` itself, with the stage-1 tally its
+    pipeline read, and each result records its point; the ledger is not
+    read here (``build_report_doc`` reads it).
+
+    Raises:
+        RunFileError: at the first model invariant the inputs break.
+    """
+    pop, recs = run.population, run.recommendations
+    for params, strategy, family, tally, labels in _decide_grid(run, settings):
+        report = audit_population(pop, family, recs, params, tally, *labels)
         yield RunResult(run, params, strategy, family, report, derive_obligations(report))
 
 
@@ -112,13 +116,9 @@ def audit_run(run: AuditRunFile, settings: Point | None = None) -> RunResult:
 
 def decide_run(run: AuditRunFile, settings: Point | None = None) -> tuple[list[int], list[int]]:
     """The 0/1 cluster labels and decisions of ``run`` at the point
-    ``settings``, by default its own, by person position: the clusters and
-    both pipeline stages, with no audit. ``run`` must be valid."""
-    params, strategy = settings or (run.params, run.strategy)
-    pop = run.population
-    family = build_cluster_family(pop, run.perceptions, params.delta)
-    tally = cluster_tally(pop, family, run.recommendations)
-    return run_pipeline(pop, family, tally, strategy)
+    ``settings``, by default its own, by person position: ``audit_grid``
+    with no audit, validating and raising as it does."""
+    return next(_decide_grid(run, [settings or (run.params, run.strategy)]))[-1]
 
 
 def label_fields(
@@ -211,10 +211,9 @@ def build_report_doc(
     if doc["conflict_histogram"][SYSTEM_SUSPECT] > 0:
         flags.append(SYSTEM_REVIEW_FLAG)
     if ledger is None or (result.params, result.strategy) == (run.params, run.strategy):
-        try:
-            doc["explanation_fairness"] = fairness_through_explanations(result.owed, ledger or {})
-        except LedgerIntegrityError as exc:
-            raise RunFileError("matches no obligation", "ledger.{}.{}".format(*exc.key)) from None
+        doc["explanation_fairness"] = _build(
+            lambda: fairness_through_explanations(result.owed, ledger or {}), ".".join
+        )
         if ledger is not None:
             doc["ledger"] = ledger.as_rows()
     else:

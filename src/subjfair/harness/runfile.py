@@ -57,11 +57,12 @@ FIELDS = frozenset(
 
 
 class RunFileError(InputError):
-    """A run file is malformed, violates the schema, or fails validation."""
+    """A run file is malformed, violates the schema, or fails validation, at
+    the field ``location``; ``reason`` is the message without it."""
 
     def __init__(self, message: str, location: str | None = None) -> None:
         self.location = location
-        super().__init__(f"{location}: {message}" if location else message)
+        super().__init__(message, name=location or "")
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,10 @@ class AuditRunFile:
                 f"{self.params.theta}",
                 "strategy.theta",
             )
-        if self.strategy.veto_rules:
-            try:
-                validate_veto_rules(self.strategy.veto_rules, self.population)
-            except InputError as exc:
-                raise RunFileError(str(exc), "strategy.veto_rules") from None
+        _build(
+            lambda: validate_veto_rules(self.strategy.veto_rules, self.population),
+            lambda path: ".".join(("strategy", *path)),
+        )
         baseline = self.baseline
         if baseline is not None and not baseline.ids <= self.population.positions.keys():
             rows = baseline.distances.entries, baseline.distances.subjective_overrides
@@ -144,14 +144,18 @@ def _expect_list(value: Any, location: str) -> list[Any]:
     return value
 
 
+def located(exc: InputError, where: Callable[[tuple], str]) -> RunFileError:
+    """The engine's refusal ``exc``, whose ``path`` locates the bad value in
+    its arguments, at ``where(path)``, the field of the file that holds it."""
+    return RunFileError(exc.reason, where(exc.path))
+
+
 def _build(build: Callable[[], Any], where: Callable[[tuple], str]) -> Any:
-    """``build()``, a call of the engine, which refuses a bad value with an
-    ``InputError`` whose ``path`` locates it in its arguments: the refusal
-    is reported at ``where(path)``, the field of the file that holds it."""
+    """``build()``, a call of the engine, its refusal ``located`` at ``where``."""
     try:
         return build()
     except InputError as exc:
-        raise RunFileError(exc.reason, where(exc.path)) from None
+        raise located(exc, where) from None
 
 
 def _check_baseline_ids(
@@ -242,7 +246,7 @@ def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineI
         read = (upto,) if name == "distances" else (rows["distances"], upto)
         keys = ([row[:-1] if isinstance(row, list) else () for row in part] for part in read)
         _check_baseline_ids(population, scores, *keys)
-        raise RunFileError(exc.reason, f"baseline.{name}[{idx}]") from None
+        raise located(exc, lambda path: f"baseline.{name}[{idx}]") from None
     return _build(lambda: BaselineInputs(scores, table), _in_baseline)
 
 

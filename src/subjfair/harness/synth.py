@@ -20,6 +20,8 @@ from ..core import (
     PerceptionTable,
     Population,
     RecommendationVector,
+    check_ids,
+    number,
     validate_population,
 )
 from .runfile import AuditRunFile
@@ -38,6 +40,8 @@ class SynthProfile:
     manipulation lists (agent, target owner) pairs: each agent's similarity
     toward every member of the target's cluster is raised above the cluster
     threshold after the honest table is drawn.
+    A bad field is refused with an ``InputError`` at its name, a bad pair
+    at ``("manipulation", index)``.
     """
 
     n: int = 8
@@ -47,17 +51,22 @@ class SynthProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise InputError(f"expected an int, got {self.n!r}", ("n",), "n")
         if self.n < 1:
-            raise InputError(f"population size must be >= 1, got {self.n}")
-        if not 0.0 <= self.cluster_density <= 1.0:
-            raise InputError(f"cluster_density must be in [0, 1], got {self.cluster_density}")
-        if not 0.0 <= self.base_positive_rate <= 1.0:
-            raise InputError(
-                f"base_positive_rate must be in [0, 1], got {self.base_positive_rate}"
-            )
-        object.__setattr__(
-            self, "manipulation", tuple((str(a), str(t)) for a, t in self.manipulation)
-        )
+            raise InputError(f"population size must be >= 1, got {self.n}", ("n",))
+        for name in ("cluster_density", "base_positive_rate"):
+            value = number(getattr(self, name), (name,), name)
+            if not 0.0 <= value <= 1.0:
+                raise InputError(f"{name} must be in [0, 1], got {value}", (name,))
+            object.__setattr__(self, name, value)
+        pairs = tuple(self.manipulation)
+        for idx, pair in enumerate(pairs):
+            path = ("manipulation", idx)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InputError(f"expected an (agent, target) pair, got {pair!r}", path)
+            check_ids(pair, path)
+        object.__setattr__(self, "manipulation", tuple(map(tuple, pairs)))
 
 
 def individual_ids(n: int) -> list[str]:

@@ -11,7 +11,7 @@ from subjfair import (
     TRUST_WEIGHTED,
     VETO,
     AggregationStrategy,
-    ConfigError,
+    InputError,
     VetoRule,
     binarize,
     cluster_tally,
@@ -338,8 +338,9 @@ class TestVeto:
             {"a": 1},
             attributes={"a": {"age": 20}},
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="unknown attribute 'income'") as err:
             validate_veto_rules([VetoRule("income", "<", 100)], inputs.pop)
+        assert err.value.path == ("veto_rules",)
 
     def test_incomparable_operand_rejected_at_validation(self):
         inputs = make_inputs(
@@ -347,8 +348,9 @@ class TestVeto:
             {"a": 1, "b": 1},
             attributes={"a": {"age": 16}, "b": {"age": "young"}},
         )
-        with pytest.raises(ConfigError, match="cannot compare b's value 'young'"):
+        with pytest.raises(InputError, match="cannot compare b's value 'young'") as err:
             validate_veto_rules([VetoRule("age", "<", 18)], inputs.pop)
+        assert err.value.path == ("veto_rules",)
         validate_veto_rules([VetoRule("age", "==", 18)], inputs.pop)
 
     def test_pipeline_applies_veto_to_final_decisions(self):
@@ -364,22 +366,25 @@ class TestVeto:
         assert by_id(inputs.pop.individuals, decisions) == {"a": 0, "b": 1}
 
     def test_rules_only_valid_on_veto_strategy(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="only valid with the veto strategy"):
             AggregationStrategy("majority", veto_rules=(VetoRule("age", "<", 18),))
 
     def test_bad_operator_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="unknown veto operator '~'") as err:
             VetoRule("age", "~", 18)
+        assert err.value.path == ("op",)
 
 
 class TestStrategyValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="unknown strategy kind 'median'") as err:
             AggregationStrategy("median")
+        assert err.value.path == ("kind",)
 
     def test_theta_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=r"theta must be in \[0, 1\), got 1.0") as err:
             AggregationStrategy(theta=1.0)
+        assert err.value.path == ("theta",)
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import pickle
 import random
 import re
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +24,7 @@ from subjfair import (
 from subjfair.baselines import check_scores
 from subjfair.harness.fixtures import crossed_clusters_run
 from subjfair.harness.report import RunResult, audit_run
-from subjfair.harness.runfile import AuditRunFile
+from subjfair.harness.runfile import AuditRunFile, RunFileError
 from subjfair.core import (
     MISSING_RECOMMENDATION,
     SELF_SIMILARITY,
@@ -240,8 +240,10 @@ class TestValidatePopulation:
         report = validate_population(pop, table, recs)
         assert [(code, at) for code, at, _ in report] == [(UNKNOWN_ID, at) for at in where]
         run = AuditRunFile(pop, table, recs, AuditParams(0.5), AggregationStrategy())
-        with pytest.raises(InputError, match="invalid audit inputs: .*unknown id"):
+        # refused as load_run refuses the file, at the first fault
+        with pytest.raises(RunFileError, match=re.escape(where[0]) + ": .*unknown id") as err:
             audit_run(run)
+        assert err.value.location == where[0]
 
     def test_out_of_range_similarity_is_flagged(self):
         inputs = self._valid()
@@ -304,6 +306,16 @@ class TestPerceptionTable:
         table = PerceptionTable({"x": {"x": 1, "y": Score(0.25)}})
         assert table.rows == {"x": {"x": 1.0, "y": 0.25}}
         assert all(type(value) is float for value in table.rows["x"].values())
+
+    def test_rows_that_are_mappings_but_not_dicts_are_converted(self):
+        # a read-only row is a mapping of another type: it is copied into a
+        # dict, as the constructor and ``adopt`` share one rule for rows
+        rows = {"a": {"a": 1.0, "b": 0.4}, "b": {"b": 1}}
+        proxied = {observer: MappingProxyType(row) for observer, row in rows.items()}
+        for build in (PerceptionTable, PerceptionTable.adopt):
+            table = build(proxied)
+            assert table == PerceptionTable(rows)
+            assert all(type(row) is dict for row in table.rows.values())
 
     def test_entries_is_a_read_only_view_of_the_rows(self):
         table = PerceptionTable({"a": {"a": 1.0, "b": 0.4}, "b": {"b": 1.0}})
@@ -425,6 +437,16 @@ _RECORDS = {
 
 #: The members a record may hold beyond its fields: derived from them.
 _DERIVED = {"positions", "validated", "ids", "order"}
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [(([0],), {}), (([0], [0], [0]), {}), ((), {"members": [[0]], "others": [[0]]})],
+    ids=["too-few", "too-many", "unknown-name"],
+)
+def test_a_record_without_its_own_init_refuses_another_set_of_fields(args, kwargs):
+    with pytest.raises(TypeError, match=r"^ClusterFamily takes the fields members, owners$"):
+        ClusterFamily(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cls", sorted(Value.__subclasses__(), key=lambda c: c.__name__))

@@ -40,6 +40,7 @@ from subjfair.harness.report import (
     audit_run,
     build_audit_doc,
     build_report_doc,
+    decide_run,
     dumps_doc,
     render_text,
 )
@@ -825,6 +826,50 @@ class TestSynth:
             generate_population(SynthProfile(n=3, manipulation=(("i00", "zz"),)))
 
     @pytest.mark.parametrize(
+        "given, path, message",
+        [
+            ({"n": 2.5}, ("n",), "n: expected an int, got 2.5"),
+            ({"n": True}, ("n",), "n: expected an int, got True"),
+            ({"n": 0}, ("n",), "population size must be >= 1, got 0"),
+            (
+                {"cluster_density": "0.3"},
+                ("cluster_density",),
+                "cluster_density: expected a number, got '0.3'",
+            ),
+            (
+                {"base_positive_rate": None},
+                ("base_positive_rate",),
+                "base_positive_rate: expected a number, got None",
+            ),
+            (
+                {"cluster_density": 2},
+                ("cluster_density",),
+                "cluster_density must be in [0, 1], got 2.0",
+            ),
+            ({"manipulation": ((1, 2),)}, ("manipulation", 0), "expected an id string, got 1"),
+            (
+                {"manipulation": (("i00", "i01"), ("i02",))},
+                ("manipulation", 1),
+                "expected an (agent, target) pair, got ('i02',)",
+            ),
+        ],
+    )
+    def test_profile_refuses_each_bad_field_at_its_name(self, given, path, message):
+        # a profile built in code is refused, not crashed on or coerced:
+        # the manipulation pair (1, 2) is not read as the unknown id '1'
+        with pytest.raises(InputError) as err:
+            SynthProfile(**given)
+        assert err.value.path == path
+        assert str(err.value) == message
+
+    def test_profile_keeps_numbers_as_floats_and_pairs_as_tuples(self):
+        profile = SynthProfile(n=6, cluster_density=1, manipulation=[["i00", "i05"]], seed=9)
+        assert profile.cluster_density == 1.0 and type(profile.cluster_density) is float
+        assert profile.manipulation == (("i00", "i05"),)
+        same = SynthProfile(n=6, cluster_density=1.0, manipulation=(("i00", "i05"),), seed=9)
+        assert dumps_run(generate_population(profile)) == dumps_run(generate_population(same))
+
+    @pytest.mark.parametrize(
         "n, density, seed, manipulation",
         [
             (1, 0.3, 0, ()),
@@ -915,6 +960,37 @@ class TestOracle:
         run = dataclasses.replace(base, population=population, strategy=strategy)
         assert brute_force_oracle(run) == build_audit_doc(audit_run(run))
 
+    def test_veto_rule_passes_over_people_the_attributes_leave_out(self):
+        # attributes may cover only some people; a rule matches no one they
+        # leave out, so y's positive decision stands while v's is vetoed
+        doc = _veto_doc(1)
+        doc["attributes"] = {"v": {"age": 10}, "x": {"age": 10}}
+        run = from_dict(doc)
+        result = audit_run(run)
+        decisions = dict(zip(run.population.individuals, result.report.decisions))
+        assert decisions == {"x": 0, "y": 1, "u": 0, "v": 0}
+        assert brute_force_oracle(run) == build_audit_doc(result)
+
+    @pytest.mark.parametrize(
+        "vetoes, decisions",
+        [(None, "u=0 v=1 x=0 y=1"), (0, "u=0 v=1 x=0 y=1"), (1, "u=0 v=0 x=0 y=0")],
+    )
+    def test_only_a_rule_that_vetoes_1_changes_a_decision(
+        self, tmp_path, capsys, vetoes, decisions
+    ):
+        # a matching person's decision is set to 0 only when it equals the
+        # vetoed label, so a rule with vetoes 0 decides as no rule does
+        path = tmp_path / "veto.json"
+        path.write_text(json.dumps(_veto_doc(vetoes)))
+        assert main(["decide", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(f"decisions: {decisions}\n")
+        run = load_run(path)
+        doc = build_audit_doc(audit_run(run))
+        assert brute_force_oracle(run) == doc
+        if vetoes == 0:
+            plain = build_audit_doc(audit_run(from_dict(_veto_doc(None))))
+            assert {**doc, "strategy": None} == {**plain, "strategy": None}
+
     def test_single_individual_run(self):
         run = generate_population(SynthProfile(n=1, seed=0))
         doc = brute_force_oracle(run)
@@ -926,6 +1002,17 @@ class TestOracle:
         run = generate_population(SynthProfile(n=12, seed=0))
         with pytest.raises(ValueError, match="exceeds oracle bound"):
             brute_force_oracle(run)
+
+
+def _veto_doc(vetoes):
+    """The fixture with age 10 for everyone, under the rule ``age < 18``
+    vetoing ``vetoes``, or under no rule for ``None``."""
+    doc = _fixture_doc()
+    doc["attributes"] = {i: {"age": 10} for i in doc["individuals"]}
+    if vetoes is not None:
+        rule = {"attribute": "age", "op": "<", "value": 18, "vetoes": vetoes}
+        doc["strategy"] = {"kind": "veto", "veto_rules": [rule]}
+    return doc
 
 
 def _unanimous_run():
@@ -956,6 +1043,19 @@ def _suspect_run():
 
 
 class TestReport:
+    def test_decide_run_refuses_a_missing_recommendation_as_audit_run_does(self):
+        # a run built in code is not validated at load: both pipeline entries
+        # validate it first, and refuse it where load_run would
+        run = crossed_clusters_run()
+        values = {x: v for x, v in run.recommendations.values.items() if x != "v"}
+        broken = dataclasses.replace(
+            run, recommendations=RecommendationVector(run.purpose, values)
+        )
+        for call in (decide_run, audit_run):
+            with pytest.raises(RunFileError, match=r"^rec\(v\): no recommendation for v$") as err:
+                call(broken)
+            assert err.value.location == "rec(v)"
+
     def test_fixture_decisions_in_text_report(self):
         result = audit_run(crossed_clusters_run())
         text = render_text(build_report_doc(result))

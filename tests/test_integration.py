@@ -352,3 +352,26 @@ def test_readme_quick_start_runs():
     assert report.sf == UNFAIR
     assert report.dissenters == {"x", "y", "u"}
     assert namespace["doc"]["sf"] == {"verdict": UNFAIR, "dissenters": ["u", "x", "y"]}
+
+
+def test_the_engine_and_the_harness_each_refuse_through_one_type():
+    # the engine raises InputError with its path, the harness RunFileError
+    # at its field; no module defines another exception class
+    import importlib
+    import pkgutil
+
+    import subjfair
+
+    names = [subjfair.__name__] + [
+        info.name for info in pkgutil.walk_packages(subjfair.__path__, "subjfair.")
+    ]
+    defined = {
+        value.__qualname__
+        for module in map(importlib.import_module, names)
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    assert defined == {"InputError", "RunFileError"}
+    assert not {"ConfigError", "LedgerIntegrityError"} & set(vars(subjfair))
