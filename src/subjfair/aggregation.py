@@ -17,7 +17,9 @@ strategy, so the caller makes it once per family and recommendation vector
 and passes the value on: both pipeline stages, the audit's verdicts and
 every theta of a sweep read it. Past its one ``binarize`` call per person
 no stage calls a Python function per cluster or per person, and every
-strategy costs at most O(n + sum |C|).
+strategy costs at most O(n + sum |C|), but for the veto: ``veto_flags``
+compares each rule with each person the attributes cover, once per point,
+so its rules add O(rules * n).
 """
 
 from __future__ import annotations
@@ -109,28 +111,35 @@ class AggregationStrategy(Value):
             raise InputError(f"theta must be in [0, 1), got {theta}", ("theta",))
         veto_rules = tuple(veto_rules)
         if veto_rules and kind != VETO:
-            raise InputError("veto rules are only valid with the veto strategy")
+            raise InputError("veto rules are only valid with the veto strategy", ("veto_rules",))
         self._set(kind=kind, theta=theta, veto_rules=veto_rules)
 
 
-def validate_veto_rules(rules: Iterable[VetoRule], pop: Population) -> None:
-    """Reject, at ``veto_rules``, rules referencing attribute keys the
-    population lacks, or whose operand cannot be compared with some
-    individual's value."""
-    keys = pop.attribute_keys()
+def veto_flags(rules: Iterable[VetoRule], pop: Population) -> list[int]:
+    """One 0/1 flag per position of ``pop``, 1 where a rule that vetoes
+    label 1 matches the person, so their positive decision becomes 0.
+
+    Each rule is compared with each person the attributes cover, rule by
+    rule in attribute order: O(rules * n). A rule naming an attribute the
+    population lacks, or whose operand cannot be compared with someone's
+    value, is refused at ``veto_rules``."""
+    keys, positions = pop.attribute_keys(), pop.positions
+    flags = [0] * len(pop)
     for rule in rules:
         if rule.attribute not in keys:
             message = f"veto rule references unknown attribute {rule.attribute!r}"
             raise InputError(message, ("veto_rules",))
-        for individual, attrs in (pop.attributes or {}).items():
+        for individual, attrs in pop.attributes.items():
             try:
-                rule.matches(attrs)
+                if rule.matches(attrs) and rule.vetoed_label:
+                    flags[positions[individual]] = 1
             except TypeError:
                 raise InputError(
                     f"veto rule {rule.attribute} {rule.op} {rule.operand!r} cannot "
                     f"compare {individual}'s value {attrs[rule.attribute]!r}",
                     ("veto_rules",),
                 ) from None
+    return flags
 
 
 def binarize(value: float) -> int:
@@ -181,14 +190,6 @@ def cluster_tally(
     return label, flagged_counts(label, family.owners)
 
 
-def _veto(label: int, rules: Iterable[VetoRule], attrs: Mapping[str, Any]) -> int:
-    # 0 when a rule matching ``attrs`` vetoes ``label``, else ``label``.
-    for rule in rules:
-        if label == rule.vetoed_label and rule.matches(attrs):
-            return BAD_LABEL
-    return label
-
-
 def run_pipeline(
     pop: Population,
     family: ClusterFamily,
@@ -205,9 +206,6 @@ def run_pipeline(
     always has something to aggregate.
     """
     strategy = strategy or AggregationStrategy()
-    rules = strategy.veto_rules
-    if rules:
-        validate_veto_rules(rules, pop)
     if strategy.kind == PESSIMISTIC:
         rule = unanimous_labels
     else:
@@ -232,9 +230,7 @@ def run_pipeline(
         )
 
     decisions = rule(flagged_counts(set_label, members), map(len, owners))
-    if rules:
-        attributes = pop.attributes or {}
-        decisions = [
-            _veto(d, rules, attributes.get(i, {})) for i, d in zip(pop.individuals, decisions)
-        ]
+    if strategy.veto_rules:
+        vetoed = veto_flags(strategy.veto_rules, pop)
+        decisions = [BAD_LABEL if v else d for d, v in zip(decisions, vetoed)]
     return set_label, decisions

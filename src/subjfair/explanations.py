@@ -76,7 +76,7 @@ class ExplanationObligation(Value):
 
     def __init__(self, individual: str, kind: str) -> None:
         if kind not in OBLIGATION_KINDS:
-            raise InputError(f"unknown obligation kind {kind!r}")
+            raise InputError(f"unknown obligation kind {kind!r}", ("kind",))
         self._set(individual=individual, kind=kind)
 
     @property

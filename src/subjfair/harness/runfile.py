@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..aggregation import AggregationStrategy, VetoRule, validate_veto_rules
+from ..aggregation import AggregationStrategy, VetoRule, veto_flags
 from ..baselines import BaselineInputs, ObjectiveDistanceTable, check_scores
 from ..core import (
     BINARY,
@@ -70,10 +70,11 @@ class AuditRunFile:
     """One audit run: inputs, parameters, and acceptance state.
 
     Theta is one fact: the strategy's theta must equal ``params.theta``.
-    Every veto rule must hold for the population (``validate_veto_rules``),
-    and every id the baseline names must be of the population: one set
-    test of ``baseline.ids``, and only a refused baseline is read key by
-    key (``_check_baseline_ids``).
+    Every veto rule must hold for the population (``veto_flags``), and
+    every id the baseline names must be of the population: one set test of
+    ``baseline.ids``, which spares a clean baseline a walk of its rows
+    (21,900 in the benchmark's ``dense_report``), and only a refused
+    baseline is read key by key (``_check_baseline_ids``).
     ``metadata.ethicality_asserted``, the one metadata key the engine reads,
     must be a boolean: any other value would be read by its truth and could
     assert by accident.
@@ -102,7 +103,7 @@ class AuditRunFile:
                 "strategy.theta",
             )
         _build(
-            lambda: validate_veto_rules(self.strategy.veto_rules, self.population),
+            lambda: veto_flags(self.strategy.veto_rules, self.population),
             lambda path: ".".join(("strategy", *path)),
         )
         baseline = self.baseline

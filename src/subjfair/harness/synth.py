@@ -40,8 +40,9 @@ class SynthProfile:
     manipulation lists (agent, target owner) pairs: each agent's similarity
     toward every member of the target's cluster is raised above the cluster
     threshold after the honest table is drawn.
-    A bad field is refused with an ``InputError`` at its name, a bad pair
-    at ``("manipulation", index)``.
+    A bad field is refused with an ``InputError`` at its name, a bad pair,
+    or one naming an id outside the population, at
+    ``("manipulation", index)``.
     """
 
     n: int = 8
@@ -51,8 +52,10 @@ class SynthProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise InputError(f"expected an int, got {self.n!r}", ("n",), "n")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"expected an int, got {value!r}", (name,), name)
         if self.n < 1:
             raise InputError(f"population size must be >= 1, got {self.n}", ("n",))
         for name in ("cluster_density", "base_positive_rate"):
@@ -60,12 +63,19 @@ class SynthProfile:
             if not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {value}", (name,))
             object.__setattr__(self, name, value)
-        pairs = tuple(self.manipulation)
+        pairs = self.manipulation
+        if not isinstance(pairs, (tuple, list)):
+            message = f"expected a list of (agent, target) pairs, got {pairs!r}"
+            raise InputError(message, ("manipulation",), "manipulation")
+        known = set(individual_ids(self.n))
         for idx, pair in enumerate(pairs):
             path = ("manipulation", idx)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InputError(f"expected an (agent, target) pair, got {pair!r}", path)
             check_ids(pair, path)
+            for i in pair:
+                if i not in known:
+                    raise InputError(f"manipulation references unknown id {i!r}", path)
         object.__setattr__(self, "manipulation", tuple(map(tuple, pairs)))
 
 
@@ -106,7 +116,6 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
     """
     rng = random.Random(profile.seed)
     ids = individual_ids(profile.n)
-    known = set(ids)
 
     rows = honest_rows(rng, ids, profile.cluster_density)
     rec_values = {i: 1 if rng.random() < profile.base_positive_rate else 0 for i in ids}
@@ -114,9 +123,6 @@ def generate_population(profile: SynthProfile) -> AuditRunFile:
     delta = DEFAULT_PARAMS.delta
     boost = round(min(1.0, delta + (1.0 - delta) * 0.9), 3)
     for agent, target in profile.manipulation:
-        for i in (agent, target):
-            if i not in known:
-                raise InputError(f"manipulation references unknown id {i!r}")
         target_members = [
             z for z in ids if rows[target].get(z, 0.0) >= delta
         ]

@@ -18,7 +18,7 @@ from subjfair import (
     run_pipeline,
 )
 from subjfair import aggregation
-from subjfair.aggregation import STRATEGY_KINDS, validate_veto_rules
+from subjfair.aggregation import STRATEGY_KINDS, veto_flags
 from subjfair.harness.oracle import brute_force_oracle
 
 from helpers import (
@@ -339,7 +339,7 @@ class TestVeto:
             attributes={"a": {"age": 20}},
         )
         with pytest.raises(InputError, match="unknown attribute 'income'") as err:
-            validate_veto_rules([VetoRule("income", "<", 100)], inputs.pop)
+            veto_flags([VetoRule("income", "<", 100)], inputs.pop)
         assert err.value.path == ("veto_rules",)
 
     def test_incomparable_operand_rejected_at_validation(self):
@@ -349,9 +349,9 @@ class TestVeto:
             attributes={"a": {"age": 16}, "b": {"age": "young"}},
         )
         with pytest.raises(InputError, match="cannot compare b's value 'young'") as err:
-            validate_veto_rules([VetoRule("age", "<", 18)], inputs.pop)
+            veto_flags([VetoRule("age", "<", 18)], inputs.pop)
         assert err.value.path == ("veto_rules",)
-        validate_veto_rules([VetoRule("age", "==", 18)], inputs.pop)
+        veto_flags([VetoRule("age", "==", 18)], inputs.pop)
 
     def test_pipeline_applies_veto_to_final_decisions(self):
         inputs = make_inputs(
@@ -366,8 +366,23 @@ class TestVeto:
         assert by_id(inputs.pop.individuals, decisions) == {"a": 0, "b": 1}
 
     def test_rules_only_valid_on_veto_strategy(self):
-        with pytest.raises(InputError, match="only valid with the veto strategy"):
+        with pytest.raises(InputError, match="only valid with the veto strategy") as err:
             AggregationStrategy("majority", veto_rules=(VetoRule("age", "<", 18),))
+        assert err.value.path == ("veto_rules",)
+
+    def test_flags_mark_whom_a_rule_vetoing_1_matches(self):
+        # c is left out by the attributes, and a rule vetoing 0 flags no one
+        inputs = make_inputs(
+            {"a": {"a": 1.0}, "b": {"b": 1.0}, "c": {"c": 1.0}},
+            {"a": 1, "b": 1, "c": 1},
+            attributes={"a": {"age": 16}, "b": {"age": 40}},
+        )
+        rules = [VetoRule("age", ">", 30, vetoed_label=0), VetoRule("age", "<", 18)]
+        assert by_id(inputs.pop.individuals, veto_flags(rules, inputs.pop)) == {
+            "a": 1,
+            "b": 0,
+            "c": 0,
+        }
 
     def test_bad_operator_rejected(self):
         with pytest.raises(InputError, match="unknown veto operator '~'") as err:

@@ -173,6 +173,83 @@ class TestPopulation:
         assert err.value.path == path
 
 
+@pytest.mark.parametrize(
+    "build, message, path",
+    [
+        (
+            lambda: Population(["a"], {"a": {5: 1}}),
+            "attributes of a: expected an attribute name string, got 5",
+            ("attributes", "a"),
+        ),
+        (
+            lambda: Population(["a", "b"], {"a": {"g": [1]}, "b": {"g": 2}}),
+            "attribute g of a: expected a string, number, boolean or null",
+            ("attributes", "a", "g"),
+        ),
+        (
+            lambda: Population(["a", "b"], {"a": {"g": 1}, "b": {"h": 1}}),
+            "attribute keys differ across individuals",
+            ("attributes",),
+        ),
+        # several faults: the first in iteration order is named
+        (
+            lambda: Population(["a", 1, 2.5]),
+            "expected an id string, got 1",
+            ("individuals",),
+        ),
+        (
+            lambda: Population(["a", "b"], {"a": {"g": [1]}, "z": {"g": 1}}),
+            "attribute g of a: expected a string, number, boolean or null",
+            ("attributes", "a", "g"),
+        ),
+        (
+            lambda: Population(["a", "b"], {"z": {"g": 1}, "a": {"g": [1]}}),
+            "attributes: unknown id 'z'",
+            ("attributes", "z"),
+        ),
+        (
+            lambda: Population(["a", "b"], {"a": {"g": 1, 2: "x"}, "b": None}),
+            "attributes of a: expected an attribute name string, got 2",
+            ("attributes", "a"),
+        ),
+        (
+            lambda: Population(["a", "b"], {"a": None, "b": {"g": [1]}}),
+            "attributes of a: expected a mapping",
+            ("attributes", "a"),
+        ),
+        (
+            lambda: RecommendationVector("p", {"a": 1, "b": 2, "c": 3}),
+            "rec(b): binary outcome must be 0 or 1, got 2",
+            ("values", "b"),
+        ),
+        (
+            lambda: RecommendationVector("p", {"a": 0.5, "b": 1.5, "c": -1}, "score"),
+            "rec(b): outcome value 1.5 outside [0, 1]",
+            ("values", "b"),
+        ),
+        (
+            lambda: check_scores({"a": 0.5, "b": float("inf"), "c": float("nan")}),
+            "score b: expected a finite score, got inf",
+            ("scores", "b"),
+        ),
+        (
+            lambda: check_scores({"a": 0.5, 2: float("nan"), 3: 0.1}),
+            "expected an id string, got 2",
+            ("scores",),
+        ),
+    ],
+    ids=[
+        "attribute-name", "attribute-value", "attribute-keys", "ids", "attribute-value-first",
+        "unknown-id-first", "attribute-name-first", "row-first", "binary-labels", "scores-range",
+        "finite-scores", "score-ids",
+    ],
+)
+def test_a_refusal_names_the_first_fault_in_iteration_order(build, message, path):
+    with pytest.raises(InputError) as err:
+        build()
+    assert (str(err.value), err.value.path) == (message, path)
+
+
 class TestValidatePopulation:
     def _valid(self):
         return make_inputs(

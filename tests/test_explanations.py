@@ -211,6 +211,11 @@ class TestLedger:
         with pytest.raises(InputError, match="unknown obligation kind 'BOGUS'"):
             AcceptanceLedger({("a", "BOGUS"): ACCEPTED})
 
+    def test_an_obligation_of_an_unknown_kind_is_refused_at_its_field(self):
+        with pytest.raises(InputError, match="^unknown obligation kind 'BOGUS'$") as err:
+            ExplanationObligation("a", "BOGUS")
+        assert err.value.path == ("kind",)
+
     def test_unrecorded_defaults_to_pending(self):
         assert AcceptanceLedger().get(("a", SYSTEM_RECOMMENDATION), PENDING) == PENDING
 

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import dataclasses
 import gc
@@ -108,6 +109,15 @@ class TestRunFile:
         again = dumps_run(loads_run(first))
         assert first == again
         assert loads_run(first) == run
+
+    def test_an_empty_attribute_map_round_trips_as_no_attributes(self):
+        # an empty map was kept, saved without its key and reloaded as None
+        doc = _minimal_doc(attributes={})
+        run = loads_run(json.dumps(doc))
+        saved = dumps_run(run)
+        assert "attributes" not in json.loads(saved)
+        assert loads_run(saved) == run
+        assert Population(["a"]) == Population(["a"], {})
 
     def test_wrong_self_similarity_rejected_at_load(self, tmp_path):
         doc = _minimal_doc(sim={"a": {"a": 0.9, "b": 0.8}, "b": {"b": 1.0}})
@@ -852,6 +862,19 @@ class TestSynth:
                 ("manipulation", 1),
                 "expected an (agent, target) pair, got ('i02',)",
             ),
+            (
+                {"manipulation": 5},
+                ("manipulation",),
+                "manipulation: expected a list of (agent, target) pairs, got 5",
+            ),
+            ({"seed": [1]}, ("seed",), "seed: expected an int, got [1]"),
+            ({"seed": 1.5}, ("seed",), "seed: expected an int, got 1.5"),
+            ({"seed": True}, ("seed",), "seed: expected an int, got True"),
+            (
+                {"n": 3, "manipulation": (("i00", "i01"), ("i02", "zz"))},
+                ("manipulation", 1),
+                "manipulation references unknown id 'zz'",
+            ),
         ],
     )
     def test_profile_refuses_each_bad_field_at_its_name(self, given, path, message):
@@ -1013,6 +1036,32 @@ def _veto_doc(vetoes):
         rule = {"attribute": "age", "op": "<", "value": 18, "vetoes": vetoes}
         doc["strategy"] = {"kind": "veto", "veto_rules": [rule]}
     return doc
+
+
+def test_a_sweep_compares_each_veto_rule_with_each_person_once_per_point(
+    tmp_path, monkeypatch
+):
+    # work gate by counted calls: a 3x3 sweep builds its run once and
+    # audits 9 points, so each rule meets each covered person 10 times,
+    # a rule that vetoes 0 included
+    doc = _veto_doc(1)
+    doc["attributes"] = {i: {"age": 10 + k} for k, i in enumerate(doc["individuals"])}
+    doc["strategy"]["veto_rules"].append({"attribute": "age", "op": ">", "value": 11, "vetoes": 0})
+    path = tmp_path / "veto.json"
+    path.write_text(json.dumps(doc))
+    compared = collections.Counter()
+    matches = VetoRule.matches
+
+    def counted_matches(rule, attributes):
+        compared[rule.op, attributes["age"]] += 1
+        return matches(rule, attributes)
+
+    monkeypatch.setattr(VetoRule, "matches", counted_matches)
+    grid = ["--deltas", "0.3,0.5,0.7", "--thetas", "0.2,0.5,0.7"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--input", str(path), "--sweep", *grid]) == 0
+    ages = range(10, 10 + len(doc["individuals"]))
+    assert compared == {(op, age): 10 for op in ("<", ">") for age in ages}
 
 
 def _unanimous_run():
@@ -1758,6 +1807,7 @@ class TestCli:
             (["--n", "0"], 2, "population size must be >= 1, got 0"),
             (["--density", "2"], 2, "cluster_density must be in [0, 1], got 2.0"),
             (["--rate", "-1"], 2, "base_positive_rate must be in [0, 1], got -1.0"),
+            (["--n", "6", "--manipulate", "i00:i06"], 2, "manipulation references unknown id 'i06'"),
         ],
     )
     def test_simulate_checks_each_flag_value(self, capsys, argv, code, message):
@@ -1817,6 +1867,19 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "error: strategy.veto_rules: veto rule references unknown attribute 'age'\n"
             )
+
+    def test_veto_rules_under_another_strategy_are_refused_at_their_field(
+        self, tmp_path, capsys
+    ):
+        # the field the strategy would ignore is named, not the strategy
+        doc = _fixture_doc()
+        doc["strategy"]["veto_rules"] = [{"attribute": "age", "op": "<", "value": 18}]
+        path = tmp_path / "veto.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: strategy.veto_rules: veto rules are only valid with the veto strategy\n"
+        )
 
     def test_list_attribute_is_input_error(self, tmp_path, capsys):
         # grouping by an unhashable value was a TypeError, exit 3
