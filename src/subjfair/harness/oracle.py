@@ -12,12 +12,19 @@ verdicts, scenarios and conflicts in sorted id order.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from ..core import InputError
 from .runfile import AuditRunFile
 
 DEFAULT_BOUND = 10
+
+#: Each veto operator's comparison; a rule runs only its own.
+COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
 
 
 def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[str, Any]:
@@ -93,14 +100,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             for rule in run.strategy.veto_rules:
                 if rule.attribute in attrs:
                     value = attrs[rule.attribute]
-                    hit = {
-                        "<": value < rule.operand,
-                        "<=": value <= rule.operand,
-                        ">": value > rule.operand,
-                        ">=": value >= rule.operand,
-                        "==": value == rule.operand,
-                        "!=": value != rule.operand,
-                    }[rule.op]
+                    hit = COMPARISONS[rule.op](value, rule.operand)
                     if hit and d == float(rule.vetoed_label):
                         d = 0.0
         dec[i] = d

@@ -8,13 +8,15 @@ epsilon, theta) so files stay traceable next to the definitions. Metadata
 is free-form except ``ethicality_asserted``, the one key the engine reads,
 which must be a JSON boolean. Every id a baseline score or row names must
 be in the population (``BaselineInputs``, from ``baselines``, gathers them
-into one set).
+into one set). An optional section is an object if present, never null.
 
 The loader checks the document's shape: its objects, its lists and its
 field names. Every value goes to the engine constructor that takes it,
 which holds that value's rule and refuses a bad one with an
 ``InputError`` whose ``path`` the loader maps to the field that holds the
-value (``_build``), so a run built in code is refused alike.
+value (``_build``), so a run built in code is refused alike. Only a
+refused baseline section is read again, to name its first fault in file
+order (``_parse_baseline``).
 
 ``dumps_doc`` is the one written form of every JSON document, run files
 and reports alike: compact JSON with sorted keys and a closing newline, in
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..aggregation import AggregationStrategy, VetoRule, veto_flags
+from ..aggregation import MAJORITY, AggregationStrategy, VetoRule, veto_flags
 from ..baselines import BaselineInputs, ObjectiveDistanceTable, check_scores
 from ..core import (
     BINARY,
@@ -199,10 +201,9 @@ def _parse_params(doc: Mapping[str, Any]) -> AuditParams:
 
 
 def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationStrategy:
-    section = doc.get("strategy")
-    if section is None:
-        return AggregationStrategy(theta=params.theta)
-    section = _expect_object(section, "strategy", frozenset({"kind", "theta", "veto_rules"}))
+    section = _expect_object(
+        doc.get("strategy", {}), "strategy", frozenset({"kind", "theta", "veto_rules"})
+    )
     rules = []
     for idx, rule in enumerate(_expect_list(section.get("veto_rules", []), "strategy.veto_rules")):
         where = f"strategy.veto_rules[{idx}]"
@@ -216,43 +217,38 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         )
     theta = section.get("theta", params.theta)
     return _build(
-        lambda: AggregationStrategy(section.get("kind", "majority"), theta, tuple(rules)),
+        lambda: AggregationStrategy(section.get("kind", MAJORITY), theta, tuple(rules)),
         lambda path: ".".join(("strategy", *path)),
     )
 
 
 def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineInputs | None:
-    """The baseline section. The scores and their ids are checked before
-    the rows are read, so a score is refused at its own location before
-    any trace it leaves there, such as a scored pair with no distance."""
-    section = doc.get("baseline")
-    if section is None:
+    """The baseline section, built by one call of the engine. Its refusal
+    is named at the first fault in file order: a score's own fault, then
+    an id outside the population among the scores or the rows read before
+    the refusal (every row, for a scored pair with no distance), then the
+    refusal itself. The ids of a section built are tested by the run."""
+    if "baseline" not in doc:
         return None
-    section = _expect_object(section, "baseline", frozenset({"scores", "distances", "overrides"}))
+    names = ("distances", "overrides")
+    section = _expect_object(doc["baseline"], "baseline", frozenset({"scores", *names}))
     scores = _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores")
-    rows = {
-        name: _expect_list(section.get(name, []), f"baseline.{name}")
-        for name in ("distances", "overrides")
-    }
-    scores = _build(lambda: check_scores(scores), _in_baseline)
-    _check_baseline_ids(population, scores)
+    distances, overrides = (_expect_list(section.get(n, []), f"baseline.{n}") for n in names)
     try:
-        table = ObjectiveDistanceTable.from_rows(rows["distances"], rows["overrides"])
+        return BaselineInputs(scores, ObjectiveDistanceTable.from_rows(distances, overrides))
     except InputError as exc:
-        name, idx = "distances" if exc.path[0] == "entries" else "overrides", exc.path[1]
-        # An id outside the population, in this row or an earlier one in
-        # file order, is named first, as the run names it in rows the table
-        # takes: every distances row comes before the overrides rows.
-        upto = rows[name][: idx + 1]
-        read = (upto,) if name == "distances" else (rows["distances"], upto)
-        keys = ([row[:-1] if isinstance(row, list) else () for row in part] for part in read)
+        _build(lambda: check_scores(scores), lambda path: ".".join(("baseline", *path)))
+        where = "baseline.distances"  # a scored pair with no distance: all rows read
+        if exc.path[0] == "entries":
+            distances, overrides = distances[: exc.path[1] + 1], []
+            where = f"baseline.distances[{exc.path[1]}]"
+        elif exc.path[0] == "subjective_overrides":
+            overrides = overrides[: exc.path[1] + 1]
+            where = f"baseline.overrides[{exc.path[1]}]"
+        read = (distances, overrides)
+        keys = ([row[:-1] if isinstance(row, list) else () for row in rows] for rows in read)
         _check_baseline_ids(population, scores, *keys)
-        raise located(exc, lambda path: f"baseline.{name}[{idx}]") from None
-    return _build(lambda: BaselineInputs(scores, table), _in_baseline)
-
-
-def _in_baseline(path: tuple) -> str:
-    return ".".join(("baseline", *path))
+        raise located(exc, lambda path: where) from None
 
 
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
@@ -271,7 +267,8 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
         raise RunFileError(f"unknown field {unknown[0]!r}", unknown[0])
 
     individuals = _expect_list(_require(doc, "individuals"), "individuals")
-    population = _build(lambda: Population(tuple(individuals), doc.get("attributes")), ".".join)
+    attributes = _expect_object(doc.get("attributes", {}), "attributes")
+    population = _build(lambda: Population(tuple(individuals), attributes), ".".join)
     sim = _require(doc, "sim")
     perceptions = _build(
         lambda: PerceptionTable.adopt(sim, doc.get("provenance", "declared")),

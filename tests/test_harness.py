@@ -31,7 +31,7 @@ from subjfair import (
 from subjfair.aggregation import STRATEGY_KINDS
 from subjfair import baselines, core
 from subjfair.explanations import KIND_TAGS, procedural_check
-from subjfair.harness import cli, oracle, synth
+from subjfair.harness import cli, oracle, runfile, synth
 from subjfair.harness.cli import main
 from subjfair.harness.fixtures import crossed_clusters_path, crossed_clusters_run
 from subjfair.harness.oracle import brute_force_oracle
@@ -567,6 +567,41 @@ class TestRunFile:
         assert run.baseline.distances.subjective_overrides == {("a", "a", "b"): 0.04}
         assert to_dict(run)["baseline"] == doc["baseline"]
 
+    def test_a_clean_baseline_is_checked_once(self, monkeypatch):
+        # work gate by counted calls: a clean baseline section is built by
+        # one engine call, which checks its scores once, and its ids are
+        # tested by the run's one set test, not read id by id
+        calls = collections.Counter()
+        counted_names = [
+            (runfile, "check_scores"),
+            (baselines, "check_scores"),
+            (runfile, "_check_baseline_ids"),
+        ]
+        for module, name in counted_names:
+            def counted(*args, check=getattr(module, name), name=name):
+                calls[name] += 1
+                return check(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        doc = _fixture_doc()
+        ids = doc["individuals"]
+        doc["baseline"] = {
+            "scores": {i: k / 4 for k, i in enumerate(ids)},
+            "distances": [[x, y, 0.5] for x, y in itertools.combinations(ids, 2)],
+            "overrides": [["x", "x", "y", 0.25]],
+        }
+        assert loads_run(json.dumps(doc)).baseline.ids == set(ids)
+        assert calls == {"check_scores": 1}
+
+    @pytest.mark.parametrize("strategy", [None, {}, {"kind": "majority"}])
+    def test_an_absent_or_empty_strategy_loads_the_default(self, strategy):
+        # one path reads the section: absent is read as {}
+        doc = _minimal_doc(params={"delta": 0.5, "theta": 0.3})
+        if strategy is not None:
+            doc["strategy"] = strategy
+        assert from_dict(doc) == from_dict(_minimal_doc(params={"delta": 0.5, "theta": 0.3}))
+        assert from_dict(doc).strategy == AggregationStrategy(theta=0.3)
+
     def test_loading_makes_no_second_pass_over_the_tables(self, monkeypatch):
         # complexity gate by counted calls: the loader keys every row as the
         # tables keep them, so neither constructor's pass over the rows runs;
@@ -1013,6 +1048,43 @@ class TestOracle:
         if vetoes == 0:
             plain = build_audit_doc(audit_run(from_dict(_veto_doc(None))))
             assert {**doc, "strategy": None} == {**plain, "strategy": None}
+
+    def test_an_equality_rule_on_an_operand_that_does_not_order_matches(self, tmp_path, capsys):
+        # the run compares each age with "young" by == only, as the engine
+        # does; comparing by < as well ended the oracle in a TypeError
+        doc = _veto_doc(None)
+        rule = {"attribute": "age", "op": "==", "value": "young"}
+        doc["strategy"] = {"kind": "veto", "veto_rules": [rule]}
+        path = tmp_path / "veto.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "oracle: match\n"
+
+    def test_veto_runs_with_mixed_type_operands_match_engine(self):
+        # == and != take an operand of any scalar type; an ordering operator
+        # takes one of the attribute's own type, as the engine refuses others.
+        # A third of the runs mix the attribute's types and use == and != only.
+        rng = random.Random(33)
+        scalars = ("a", "b", 0, 1, 2, True, False, None)
+        ordering = ("<", "<=", ">", ">=")
+        for seed in range(300):
+            profile = SynthProfile(n=rng.randint(1, 6), cluster_density=rng.random(), seed=seed)
+            base = generate_population(profile)
+            ids = base.population.individuals
+            mixed = rng.random() < 1 / 3
+            values = scalars if mixed else rng.choice(((0, 1, 2), ("a", "b", "c")))
+            ops = ("==", "!=") if mixed else (*ordering, "==", "!=")
+            rules = []
+            for _ in range(rng.randint(1, 3)):
+                op = rng.choice(ops)
+                operand = rng.choice(values if op in ordering else scalars)
+                rules.append(VetoRule("g", op, operand, rng.choice((0, 1))))
+            run = dataclasses.replace(
+                base,
+                population=Population(ids, {i: {"g": rng.choice(values)} for i in ids}),
+                strategy=AggregationStrategy(VETO, base.params.theta, tuple(rules)),
+            )
+            assert brute_force_oracle(run) == build_audit_doc(audit_run(run))
 
     def test_single_individual_run(self):
         run = generate_population(SynthProfile(n=1, seed=0))
@@ -1658,6 +1730,18 @@ class TestCli:
         assert "Traceback" in err
         assert "KeyError" in err
 
+    @pytest.mark.parametrize(
+        "field", ["strategy", "baseline", "attributes", "metadata", "ledger"]
+    )
+    def test_a_null_optional_section_is_input_error(self, tmp_path, capsys, field):
+        # a field that is present is read, never ignored: null is no object
+        doc = _fixture_doc()
+        doc[field] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: expected an object\n"
+
     def test_non_object_metadata_is_input_error(self, tmp_path, capsys):
         doc = _fixture_doc()
         doc["metadata"] = 0
@@ -2009,6 +2093,30 @@ class TestCli:
                 },
                 "baseline.distances[1]: second distance for the pair (x, y)",
                 id="refused-distance-before-an-unknown-observer",
+            ),
+            # a score is named before any row, whatever the table refuses
+            pytest.param(
+                {
+                    "scores": {"x": float("inf"), "y": 1.0},
+                    "distances": [["x", "y", 0.5], ["x", "y", 0.1]],
+                },
+                "baseline.scores.x: expected a finite score, got inf",
+                id="non-finite-score-before-a-refused-row",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "ghost": 1.0},
+                    "distances": [["x", "ghost", 0.5], ["x", "y", -1.0]],
+                },
+                "baseline.scores.ghost: score for unknown id 'ghost'",
+                id="unknown-scored-id-before-a-refused-row",
+            ),
+            # a scored pair with no distance is found after every row is
+            # read, so an id outside the population in any row comes first
+            pytest.param(
+                {"scores": {"x": 0, "y": 1}, "distances": [["x", "ghost", 0.1]]},
+                "baseline.distances[0]: unknown id 'ghost'",
+                id="unknown-id-before-a-scored-pair-with-no-distance",
             ),
         ],
     )
