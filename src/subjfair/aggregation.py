@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from functools import partial
 from itertools import chain, compress, repeat
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .clustering import ClusterFamily
-from .core import BAD_LABEL, GOOD_LABEL, InputError, Population, RecommendationVector, Value, number
+from .core import BAD_LABEL, InputError, Population, RecommendationVector, Value, number
 
 MAJORITY = "majority"
 TRUST_WEIGHTED = "trust_weighted"
@@ -52,34 +53,24 @@ _OPS = {
 
 
 class VetoRule(Value):
-    """Force a decision label to 0 for individuals matching a predicate.
+    """Set the decision of everyone matching a predicate to 0.
 
-    E.g. ``VetoRule("age", "<", 18, vetoed_label=1)`` strips a positive
-    decision from anyone under 18. The attribute and the operator are
-    strings, and the label is a number (``number``) equal to 0 or 1,
-    kept as an int. A vetoed label is set to 0, so a rule with
-    ``vetoed_label=0`` changes no decision.
+    E.g. ``VetoRule("age", "<", 18)`` strips a positive decision from
+    anyone under 18. The attribute and the operator are strings.
     """
 
-    _fields = ("attribute", "op", "operand", "vetoed_label")
+    _fields = ("attribute", "op", "operand")
     attribute: str
     op: str
     operand: Any
-    vetoed_label: int
 
-    def __init__(
-        self, attribute: str, op: str, operand: Any, vetoed_label: int = GOOD_LABEL
-    ) -> None:
+    def __init__(self, attribute: str, op: str, operand: Any) -> None:
         for name, value in (("attribute", attribute), ("op", op)):
             if not isinstance(value, str):
                 raise InputError(f"expected a string {name}, got {value!r}", (name,))
         if op not in _OPS:
             raise InputError(f"unknown veto operator {op!r}", ("op",))
-        label = number(vetoed_label, ("vetoed_label",))
-        if label != 0 and label != 1:
-            message = f"vetoed label must be 0 or 1, got {vetoed_label}"
-            raise InputError(message, ("vetoed_label",))
-        self._set(attribute=attribute, op=op, operand=operand, vetoed_label=int(label))
+        self._set(attribute=attribute, op=op, operand=operand)
 
     def matches(self, attributes: Mapping[str, Any]) -> bool:
         if self.attribute not in attributes:
@@ -116,8 +107,8 @@ class AggregationStrategy(Value):
 
 
 def veto_flags(rules: Iterable[VetoRule], pop: Population) -> list[int]:
-    """One 0/1 flag per position of ``pop``, 1 where a rule that vetoes
-    label 1 matches the person, so their positive decision becomes 0.
+    """One 0/1 flag per position of ``pop``, 1 where a rule matches the
+    person, so their decision becomes 0.
 
     Each rule is compared with each person the attributes cover, rule by
     rule in attribute order: O(rules * n). A rule naming an attribute the
@@ -131,7 +122,7 @@ def veto_flags(rules: Iterable[VetoRule], pop: Population) -> list[int]:
             raise InputError(message, ("veto_rules",))
         for individual, attrs in pop.attributes.items():
             try:
-                if rule.matches(attrs) and rule.vetoed_label:
+                if rule.matches(attrs):
                     flags[positions[individual]] = 1
             except TypeError:
                 raise InputError(

@@ -19,9 +19,9 @@ record.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import compress
 from operator import truediv
-from typing import Sequence
 
 from .aggregation import majority_labels
 from .clustering import ClusterFamily

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from .core import InputError, Population, Value, as_floats, check_ids, number
 

@@ -15,11 +15,12 @@ shared and never changed, and ids appear only in the documents written.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Mapping
 from functools import cached_property
 from types import MappingProxyType
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Collection, Mapping
+from typing import Any
 
 #: Opaque unique token identifying one individual within a population.
 IndividualId = str
@@ -32,8 +33,7 @@ Purpose = str
 BINARY = "binary"
 SCORE = "score"
 
-#: Label 1 is the favorable ("good") outcome by convention.
-GOOD_LABEL = 1
+#: Label 0 is the unfavorable ("bad") outcome, label 1 the favorable one.
 BAD_LABEL = 0
 
 #: How the perception data was obtained. Informational only; the engine

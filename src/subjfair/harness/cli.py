@@ -18,7 +18,8 @@ import gc
 import io
 import json
 import sys
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from .. import __version__
 from ..aggregation import STRATEGY_KINDS, VETO, AggregationStrategy
@@ -244,7 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.output is not None:
         save_run(run, args.output)
-        sys.stdout.write(f"wrote {args.output}\n")
+        sys.stderr.write(f"wrote {args.output}\n")
 
     if args.sweep:
         rows = _sweep_rows(run, args)

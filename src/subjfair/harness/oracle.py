@@ -100,8 +100,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
             for rule in run.strategy.veto_rules:
                 if rule.attribute in attrs:
                     value = attrs[rule.attribute]
-                    hit = COMPARISONS[rule.op](value, rule.operand)
-                    if hit and d == float(rule.vetoed_label):
+                    if COMPARISONS[rule.op](value, rule.operand):
                         d = 0.0
         dec[i] = d
 
@@ -165,7 +164,7 @@ def brute_force_oracle(run: AuditRunFile, bound: int = DEFAULT_BOUND) -> dict[st
                     "attribute": r.attribute,
                     "op": r.op,
                     "value": r.operand,
-                    "vetoes": r.vetoed_label,
+                    "vetoes": 1,
                 }
                 for r in run.strategy.veto_rules
             ],

@@ -24,7 +24,8 @@ and for the ``baseline`` command.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 from .. import __version__
 from ..aggregation import AggregationStrategy, cluster_tally, run_pipeline

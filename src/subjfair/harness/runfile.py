@@ -10,13 +10,15 @@ which must be a JSON boolean. Every id a baseline score or row names must
 be in the population (``BaselineInputs``, from ``baselines``, gathers them
 into one set). An optional section is an object if present, never null.
 
-The loader checks the document's shape: its objects, its lists and its
-field names. Every value goes to the engine constructor that takes it,
-which holds that value's rule and refuses a bad one with an
-``InputError`` whose ``path`` the loader maps to the field that holds the
-value (``_build``), so a run built in code is refused alike. Only a
-refused baseline section is read again, to name its first fault in file
-order (``_parse_baseline``).
+The loader checks the document's shape (its objects, its lists and its
+field names) and the two constants of ``/1``: ``schema``, and a veto
+rule's ``vetoes``, which may be left out and is otherwise 1, as a rule
+sets the decision of everyone it matches to 0. Every other value goes to
+the engine constructor that takes it, which holds that value's rule and
+refuses a bad one with an ``InputError`` whose ``path`` the loader maps
+to the field that holds the value (``_build``), so a run built in code
+is refused alike. Only a refused baseline section is read again, to name
+its first fault in file order (``_parse_baseline``).
 
 ``dumps_doc`` is the one written form of every JSON document, run files
 and reports alike: compact JSON with sorted keys and a closing newline, in
@@ -43,6 +45,7 @@ from ..core import (
     Population,
     RecommendationVector,
     check_ids,
+    number,
     validate_population,
 )
 from ..explanations import AcceptanceLedger
@@ -209,12 +212,11 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
         where = f"strategy.veto_rules[{idx}]"
         rule = _expect_object(rule, where, frozenset({"attribute", "op", "value", "vetoes"}))
         attribute, op, operand = (_require(rule, k, where) for k in ("attribute", "op", "value"))
-        rules.append(
-            _build(
-                lambda: VetoRule(attribute, op, operand, rule.get("vetoes", 1)),
-                lambda path: f"{where}.{'vetoes' if path == ('vetoed_label',) else path[0]}",
-            )
-        )
+        rules.append(_build(lambda: VetoRule(attribute, op, operand), lambda p: f"{where}.{p[0]}"))
+        vetoes = rule.get("vetoes", 1)
+        if _build(lambda: number(vetoes), lambda p: f"{where}.vetoes") != 1:
+            message = "a veto rule sets the decision of everyone it matches to 0"
+            raise RunFileError(f"{message}, so vetoes must be 1, got {vetoes}", f"{where}.vetoes")
     theta = section.get("theta", params.theta)
     return _build(
         lambda: AggregationStrategy(section.get("kind", MAJORITY), theta, tuple(rules)),
@@ -254,10 +256,11 @@ def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineI
 def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     """Build a run from a parsed document, reporting the offending field
     on any schema violation. The loader checks the document's shape, its
-    objects, lists and field names; each value is checked by the engine
-    constructor that takes it, whose refusal the loader reports at the
-    value's field. The run keeps the document's ``sim`` rows that hold
-    only floats, so the document must not change afterwards."""
+    objects, lists and field names, and its two constants; each other
+    value is checked by the engine constructor that takes it, whose
+    refusal the loader reports at the value's field. The run keeps the
+    document's ``sim`` rows that hold only floats, so the document must
+    not change afterwards."""
     doc = _expect_object(doc, "<document>")
     schema = _require(doc, "schema")
     if schema != SCHEMA:
@@ -320,7 +323,7 @@ def settings_to_dict(params: AuditParams, strategy: AggregationStrategy) -> dict
                     "attribute": r.attribute,
                     "op": r.op,
                     "value": r.operand,
-                    "vetoes": r.vetoed_label,
+                    "vetoes": 1,
                 }
                 for r in strategy.veto_rules
             ],

@@ -222,10 +222,8 @@ def pipeline_by_cluster(
     decisions = [tally(sum(map(set_label.__getitem__, o)), len(o)) for o in family.owners]
     attributes = pop.attributes or {}
     for k, i in enumerate(pop.individuals):
-        for rule in strategy.veto_rules:
-            if decisions[k] == rule.vetoed_label and rule.matches(attributes.get(i, {})):
-                decisions[k] = 0
-                break
+        if any(rule.matches(attributes.get(i, {})) for rule in strategy.veto_rules):
+            decisions[k] = 0
     return set_label, decisions
 
 

@@ -254,7 +254,7 @@ def test_pipeline_binarizes_each_recommendation_once(monkeypatch, kind):
         random_rows(rng, ids, density=0.5), recs, delta=0.3, kind="score", attributes=attributes
     )
     assert sum(map(len, inputs.family.members)) > 20 * len(ids)
-    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == "veto" else ()
+    rules = (VetoRule("age", "<", 18),) if kind == "veto" else ()
     strategy = AggregationStrategy(kind, veto_rules=rules)
     expected = run_pipeline(inputs.pop, inputs.family, inputs.tally, strategy)
 
@@ -320,17 +320,16 @@ def _vetoed_decision(person, rec, age, rule):
 
 class TestVeto:
     def test_matching_rule_strips_positive_decision(self):
-        rule = VetoRule("age", "<", 18, vetoed_label=1)
+        rule = VetoRule("age", "<", 18)
         assert _vetoed_decision("kid", 1, 16, rule) == 0
 
     def test_non_matching_rule_passes_through(self):
-        rule = VetoRule("age", "<", 18, vetoed_label=1)
+        rule = VetoRule("age", "<", 18)
         assert _vetoed_decision("adult", 1, 30, rule) == 1
 
     def test_veto_is_idempotent_on_zero(self):
-        for vetoed_label in (0, 1):
-            rule = VetoRule("age", "<", 18, vetoed_label=vetoed_label)
-            assert _vetoed_decision("kid", 0, 16, rule) == 0
+        rule = VetoRule("age", "<", 18)
+        assert _vetoed_decision("kid", 0, 16, rule) == 0
 
     def test_unknown_attribute_rejected_at_validation(self):
         inputs = make_inputs(
@@ -370,19 +369,26 @@ class TestVeto:
             AggregationStrategy("majority", veto_rules=(VetoRule("age", "<", 18),))
         assert err.value.path == ("veto_rules",)
 
-    def test_flags_mark_whom_a_rule_vetoing_1_matches(self):
-        # c is left out by the attributes, and a rule vetoing 0 flags no one
+    def test_flags_mark_whom_any_rule_matches(self):
+        # c is left out by the attributes, and no rule matches d
         inputs = make_inputs(
-            {"a": {"a": 1.0}, "b": {"b": 1.0}, "c": {"c": 1.0}},
-            {"a": 1, "b": 1, "c": 1},
-            attributes={"a": {"age": 16}, "b": {"age": 40}},
+            {"a": {"a": 1.0}, "b": {"b": 1.0}, "c": {"c": 1.0}, "d": {"d": 1.0}},
+            {"a": 1, "b": 1, "c": 1, "d": 1},
+            attributes={"a": {"age": 16}, "b": {"age": 40}, "d": {"age": 20}},
         )
-        rules = [VetoRule("age", ">", 30, vetoed_label=0), VetoRule("age", "<", 18)]
+        rules = [VetoRule("age", ">", 30), VetoRule("age", "<", 18)]
         assert by_id(inputs.pop.individuals, veto_flags(rules, inputs.pop)) == {
             "a": 1,
-            "b": 0,
+            "b": 1,
             "c": 0,
+            "d": 0,
         }
+
+    def test_a_rule_states_no_label(self):
+        # a rule sets every matching decision to 0; there is no label to name
+        assert VetoRule._fields == ("attribute", "op", "operand")
+        with pytest.raises(TypeError):
+            VetoRule("age", "<", 18, 1)
 
     def test_bad_operator_rejected(self):
         with pytest.raises(InputError, match="unknown veto operator '~'") as err:
@@ -461,7 +467,7 @@ def test_pipeline_matches_naive_rederivation():
             assert decision == (1 if tally > theta else 0)
 
 
-MINOR_VETO = VetoRule("age", "<", 18, vetoed_label=1)
+MINOR_VETO = VetoRule("age", "<", 18)
 
 
 def _owner_labels(rows, recs, strategies, delta, attributes=None):

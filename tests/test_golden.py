@@ -218,7 +218,7 @@ def _synthetic_run(n, density, strategy, kind, extras, seed):
         )
     attributes = {i: {"age": rng.randint(10, 60), "group": rng.choice("abc")} for i in ids}
     changes["population"] = Population(ids, attributes)
-    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if strategy == VETO else ()
+    rules = (VetoRule("age", "<", 18),) if strategy == VETO else ()
     changes["strategy"] = AggregationStrategy(kind=strategy, theta=0.5, veto_rules=rules)
     if "baseline" in extras:
         people = sorted(rng.sample(ids, 30))

@@ -3,6 +3,7 @@ import collections
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -716,7 +717,6 @@ _VALUE_FIELDS = {
     "epsilon": _set("params", "epsilon"),
     "params theta": _set("params", "theta"),
     "strategy theta": _set("strategy", "theta"),
-    "vetoes": _set("strategy", "veto_rules", 0, "vetoes"),
     "score": _set("baseline", "scores", "x"),
     "distance": _set("baseline", "distances", 0, 2),
     "override": _set("baseline", "overrides", 0, 3),
@@ -779,7 +779,7 @@ def _run_in_code(doc):
     if isinstance(ledger, dict) and all(isinstance(row, dict) for row in ledger.values()):
         ledger = {(i, kind): state for i, row in ledger.items() for kind, state in row.items()}
     rules = tuple(
-        VetoRule(r["attribute"], r["op"], r["value"], r["vetoes"]) for r in strategy["veto_rules"]
+        VetoRule(r["attribute"], r["op"], r["value"]) for r in strategy["veto_rules"]
     )
     return AuditRunFile(
         population=Population(tuple(doc["individuals"]), doc["attributes"]),
@@ -1031,23 +1031,25 @@ class TestOracle:
 
     @pytest.mark.parametrize(
         "vetoes, decisions",
-        [(None, "u=0 v=1 x=0 y=1"), (0, "u=0 v=1 x=0 y=1"), (1, "u=0 v=0 x=0 y=0")],
+        [(None, "u=0 v=1 x=0 y=1"), (0, None), (1, "u=0 v=0 x=0 y=0")],
     )
     def test_only_a_rule_that_vetoes_1_changes_a_decision(
         self, tmp_path, capsys, vetoes, decisions
     ):
-        # a matching person's decision is set to 0 only when it equals the
-        # vetoed label, so a rule with vetoes 0 decides as no rule does
+        # a rule sets the decision of everyone it matches to 0, so a rule
+        # stating vetoes 0, which once decided as no rule does, is refused
         path = tmp_path / "veto.json"
         path.write_text(json.dumps(_veto_doc(vetoes)))
+        if decisions is None:
+            assert main(["decide", "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: strategy.veto_rules[0].vetoes: ")
+            return
         assert main(["decide", "--input", str(path)]) == 0
         assert capsys.readouterr().out.endswith(f"decisions: {decisions}\n")
         run = load_run(path)
-        doc = build_audit_doc(audit_run(run))
-        assert brute_force_oracle(run) == doc
-        if vetoes == 0:
-            plain = build_audit_doc(audit_run(from_dict(_veto_doc(None))))
-            assert {**doc, "strategy": None} == {**plain, "strategy": None}
+        assert brute_force_oracle(run) == build_audit_doc(audit_run(run))
 
     def test_an_equality_rule_on_an_operand_that_does_not_order_matches(self, tmp_path, capsys):
         # the run compares each age with "young" by == only, as the engine
@@ -1078,7 +1080,7 @@ class TestOracle:
             for _ in range(rng.randint(1, 3)):
                 op = rng.choice(ops)
                 operand = rng.choice(values if op in ordering else scalars)
-                rules.append(VetoRule("g", op, operand, rng.choice((0, 1))))
+                rules.append(VetoRule("g", op, operand))
             run = dataclasses.replace(
                 base,
                 population=Population(ids, {i: {"g": rng.choice(values)} for i in ids}),
@@ -1114,11 +1116,11 @@ def test_a_sweep_compares_each_veto_rule_with_each_person_once_per_point(
     tmp_path, monkeypatch
 ):
     # work gate by counted calls: a 3x3 sweep builds its run once and
-    # audits 9 points, so each rule meets each covered person 10 times,
-    # a rule that vetoes 0 included
+    # audits 9 points, so each of the two rules meets each covered person
+    # 10 times
     doc = _veto_doc(1)
     doc["attributes"] = {i: {"age": 10 + k} for k, i in enumerate(doc["individuals"])}
-    doc["strategy"]["veto_rules"].append({"attribute": "age", "op": ">", "value": 11, "vetoes": 0})
+    doc["strategy"]["veto_rules"].append({"attribute": "age", "op": ">", "value": 11})
     path = tmp_path / "veto.json"
     path.write_text(json.dumps(doc))
     compared = collections.Counter()
@@ -1134,6 +1136,93 @@ def test_a_sweep_compares_each_veto_rule_with_each_person_once_per_point(
         assert main(["simulate", "--input", str(path), "--sweep", *grid]) == 0
     ages = range(10, 10 + len(doc["individuals"]))
     assert compared == {(op, age): 10 for op in ("<", ">") for age in ages}
+
+
+_VETOES_AT = "strategy.veto_rules[0].vetoes"
+
+
+def _vetoes_doc(vetoes=None):
+    """``_veto_doc(1)`` with the rule's ``vetoes`` set to ``vetoes``, or
+    left out for ``None``."""
+    doc = _veto_doc(1)
+    rule = doc["strategy"]["veto_rules"][0]
+    if vetoes is None:
+        del rule["vetoes"]
+    else:
+        rule["vetoes"] = vetoes
+    return doc
+
+
+@pytest.mark.parametrize("command", ["validate", "audit", "oracle"])
+def test_a_rule_stating_vetoes_0_is_refused_by_every_command(tmp_path, capsys, command):
+    # everyone is 10, so a rule vetoing 0 once changed no decision and the
+    # file passed validate; it is refused at its field instead (``decide``
+    # in ``test_only_a_rule_that_vetoes_1_changes_a_decision``)
+    path = tmp_path / "veto.json"
+    path.write_text(json.dumps(_vetoes_doc(0)))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {_VETOES_AT}: a veto rule sets the decision of everyone it matches "
+        "to 0, so vetoes must be 1, got 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "vetoes, reason",
+    [
+        (0, "so vetoes must be 1, got 0"),
+        (2, "so vetoes must be 1, got 2"),
+        (0.5, "so vetoes must be 1, got 0.5"),
+        ("1", "expected a number, got '1'"),
+        (True, "expected a number, got True"),
+        (None, "expected a number, got None"),
+    ],
+)
+def test_the_loader_refuses_vetoes_other_than_1_at_its_field(vetoes, reason):
+    doc = _vetoes_doc()
+    doc["strategy"]["veto_rules"][0]["vetoes"] = vetoes
+    with pytest.raises(RunFileError) as refused:
+        loads_run(json.dumps(doc))
+    assert refused.value.location == _VETOES_AT
+    assert refused.value.reason.endswith(reason)
+
+
+def test_vetoes_of_1_or_left_out_load_as_one_run_that_saves_as_before():
+    # the sha256 of the bytes every earlier writer gave these runs
+    runs = [loads_run(json.dumps(_vetoes_doc(vetoes))) for vetoes in (1, 1.0, None)]
+    assert runs[0] == runs[1] == runs[2]
+    for run in runs:
+        saved = dumps_run(run)
+        assert '"vetoes":1}' in saved
+        assert hashlib.sha256(saved.encode("utf-8")).hexdigest() == (
+            "a02ff57d5e8c172d51b8d4c25d117db1d8e1202d3848525cf693957c9ba5450c"
+        )
+
+
+def test_a_veto_rule_faults_in_attribute_or_op_before_vetoes():
+    # the rule is built first, so its own faults are named before vetoes
+    for key, value in (("attribute", 5), ("op", "~")):
+        doc = _vetoes_doc(0)
+        doc["strategy"]["veto_rules"][0][key] = value
+        with pytest.raises(RunFileError) as refused:
+            loads_run(json.dumps(doc))
+        assert refused.value.location == f"strategy.veto_rules[0].{key}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value=float("nan"))
+@example(value=10**400)
+@example(value=1 + 2**-52)
+def test_any_json_value_but_1_in_vetoes_is_refused_at_its_field(value):
+    assume(not (type(value) in (int, float) and value == 1))
+    doc = _vetoes_doc()
+    doc["strategy"]["veto_rules"][0]["vetoes"] = value
+    with pytest.raises(RunFileError) as refused:
+        loads_run(json.dumps(doc))
+    assert refused.value.location == _VETOES_AT
 
 
 def _unanimous_run():
@@ -1395,6 +1484,22 @@ class TestCli:
         run = load_run(out)
         assert run.n == 6
         capsys.readouterr()
+
+    def test_simulate_output_notice_leaves_the_sweep_document_alone(self, tmp_path, capsys):
+        # the notice goes to stderr, so stdout carries only the document
+        out = tmp_path / "g.json"
+        argv = ["simulate", "--n", "4", "--output", str(out), "--sweep"]
+        assert main([*argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"wrote {out}\n"
+        rows = json.loads(captured.out)
+        assert main(["simulate", "--input", str(out), "--sweep", "--format", "json"]) == 0
+        assert capsys.readouterr().out == captured.out
+        assert rows and all(set(row) == set(cli._SWEEP_FIELDS) for row in rows)
+        assert main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith(",".join(cli._SWEEP_FIELDS) + "\r\n")
+        assert main(["simulate", "--n", "4", "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", f"wrote {out}\n")
 
     def test_simulate_prints_its_report_in_the_format_asked(self, capsys):
         # without --sweep the report goes through the same writer as
@@ -2537,7 +2642,7 @@ def test_a_point_audited_on_the_loaded_run_is_a_run_built_at_it(
             base.purpose, {i: round(rng.random(), 3) for i in ids}, SCORE
         )
     run = loads_run(dumps_run(dataclasses.replace(base, **changes)))
-    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == VETO else ()
+    rules = (VetoRule("age", "<", 18),) if kind == VETO else ()
     params = AuditParams(delta=delta, epsilon=epsilon, theta=theta)
     strategy = AggregationStrategy(kind=kind, theta=theta, veto_rules=rules)
     copy = dataclasses.replace(run, params=params, strategy=strategy)

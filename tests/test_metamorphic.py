@@ -179,7 +179,7 @@ def test_shuffling_the_population_leaves_the_report_unchanged(tmp_path, strategy
     # loop runs in that order; the printed bytes must not.
     seed = 1 + 2 * STRATEGIES.index(strategy) + (kind == "score")
     run = _run(250, [0.3, 0.05][seed % 2], kind, seed, epsilon=0.1)
-    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if strategy == VETO else ()
+    rules = (VetoRule("age", "<", 18),) if strategy == VETO else ()
     run = replace(run, strategy=AggregationStrategy(strategy, theta=0.5, veto_rules=rules))
     doc = to_dict(run)
     shuffled = dict(doc, individuals=random.Random(seed).sample(doc["individuals"], run.n))
@@ -240,7 +240,7 @@ def test_binary_labels_audit_as_their_zero_one_scores(case, epsilon, kind):
     # member. On 0/1 values the two must agree at every epsilon.
     n, density, seed = case
     run = _run(n, density, "binary", seed, epsilon=epsilon, theta=0.4)
-    rules = (VetoRule("age", "<", 18, vetoed_label=1),) if kind == VETO else ()
+    rules = (VetoRule("age", "<", 18),) if kind == VETO else ()
     run = replace(run, strategy=AggregationStrategy(kind, theta=0.4, veto_rules=rules))
     scored = _as_scores(run)
     assert scored.recommendations.kind == "score"
