@@ -6,14 +6,22 @@ optional acceptance ledger, optional baseline-auditor inputs, and run
 metadata. Field names mirror the engine's symbols (sim, rec, delta,
 epsilon, theta) so files stay traceable next to the definitions. Metadata
 is free-form except ``ethicality_asserted``, the one key the engine reads,
-which must be a JSON boolean. Every id a baseline score or row names must
-be in the population (``BaselineInputs``, from ``baselines``, gathers them
-into one set). An optional section is an object if present, never null.
+which must be a JSON boolean. Every id a baseline score names must be in
+the population, and a baseline row names only scored people
+(``BaselineInputs``, from ``baselines``). An optional section is an
+object if present, never null.
+
+Two versions load (``SCHEMAS``); ``save_run`` writes the last. They differ
+only in ``baseline.distances``: ``subjfair-run/1`` gives one ``[x, y, d]``
+row per pair of scored people, in any order and either way round;
+``subjfair-run/2`` gives one number per pair, in
+``itertools.combinations(sorted(scores), 2)`` order
+(``BaselineInputs.from_condensed``), as the scores already name the pairs.
 
 The loader checks the document's shape (its objects, its lists and its
-field names) and the two constants of ``/1``: ``schema``, and a veto
-rule's ``vetoes``, which may be left out and is otherwise 1, as a rule
-sets the decision of everyone it matches to 0. Every other value goes to
+field names) and two constants: ``schema``, and a veto rule's ``vetoes``,
+which may be left out and is otherwise 1, as a rule sets the decision of
+everyone it matches to 0. Every other value goes to
 the engine constructor that takes it, which holds that value's rule and
 refuses a bad one with an ``InputError`` whose ``path`` the loader maps
 to the field that holds the value (``_build``), so a run built in code
@@ -29,6 +37,7 @@ The loader reads any JSON layout, so indented files load as well.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -50,7 +59,9 @@ from ..core import (
 )
 from ..explanations import AcceptanceLedger
 
-SCHEMA = "subjfair-run/1"
+#: The run-file versions the loader reads; ``save_run`` writes the last.
+SCHEMAS = ("subjfair-run/1", "subjfair-run/2")
+SCHEMA = SCHEMAS[-1]
 
 #: Every top-level field the schema defines; any other key is rejected.
 FIELDS = frozenset(
@@ -77,9 +88,7 @@ class AuditRunFile:
     Theta is one fact: the strategy's theta must equal ``params.theta``.
     Every veto rule must hold for the population (``veto_flags``), and
     every id the baseline names must be of the population: one set test of
-    ``baseline.ids``, which spares a clean baseline a walk of its rows
-    (21,900 in the benchmark's ``dense_report``), and only a refused
-    baseline is read key by key (``_check_baseline_ids``).
+    its scores, as its rows name only scored people.
     ``metadata.ethicality_asserted``, the one metadata key the engine reads,
     must be a boolean: any other value would be read by its truth and could
     assert by accident.
@@ -112,9 +121,8 @@ class AuditRunFile:
             lambda path: ".".join(("strategy", *path)),
         )
         baseline = self.baseline
-        if baseline is not None and not baseline.ids <= self.population.positions.keys():
-            rows = baseline.distances.entries, baseline.distances.subjective_overrides
-            _check_baseline_ids(self.population, baseline.scores, *rows)
+        if baseline is not None and not baseline.scores.keys() <= self.population.positions.keys():
+            _check_baseline_ids(self.population, baseline.scores)
 
     @property
     def purpose(self) -> str:
@@ -224,12 +232,16 @@ def _parse_strategy(doc: Mapping[str, Any], params: AuditParams) -> AggregationS
     )
 
 
-def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineInputs | None:
-    """The baseline section, built by one call of the engine. Its refusal
-    is named at the first fault in file order: a score's own fault, then
-    an id outside the population among the scores or the rows read before
-    the refusal (every row, for a scored pair with no distance), then the
-    refusal itself. The ids of a section built are tested by the run."""
+def _parse_baseline(
+    doc: Mapping[str, Any], population: Population, condensed: bool
+) -> BaselineInputs | None:
+    """The baseline section, built by one call of the engine: its
+    ``distances`` ``condensed`` (``subjfair-run/2``) or as rows. Its
+    refusal is named at the first fault in file order: a score's own
+    fault, then an id outside the population among the scores or the rows
+    read before the refusal (every row, for a scored pair with no
+    distance), then the refusal itself. The ids of a section built are
+    tested by the run."""
     if "baseline" not in doc:
         return None
     names = ("distances", "overrides")
@@ -237,13 +249,19 @@ def _parse_baseline(doc: Mapping[str, Any], population: Population) -> BaselineI
     scores = _expect_object(_require(section, "scores", "baseline.scores"), "baseline.scores")
     distances, overrides = (_expect_list(section.get(n, []), f"baseline.{n}") for n in names)
     try:
+        if condensed:
+            return BaselineInputs.from_condensed(scores, distances, overrides)
         return BaselineInputs(scores, ObjectiveDistanceTable.from_rows(distances, overrides))
     except InputError as exc:
         _build(lambda: check_scores(scores), lambda path: ".".join(("baseline", *path)))
+        if condensed:
+            distances = []  # a column names no id
         where = "baseline.distances"  # a scored pair with no distance: all rows read
         if exc.path[0] == "entries":
-            distances, overrides = distances[: exc.path[1] + 1], []
-            where = f"baseline.distances[{exc.path[1]}]"
+            overrides = []
+            if len(exc.path) == 2:  # else the column's length
+                distances = distances[: exc.path[1] + 1]
+                where = f"baseline.distances[{exc.path[1]}]"
         elif exc.path[0] == "subjective_overrides":
             overrides = overrides[: exc.path[1] + 1]
             where = f"baseline.overrides[{exc.path[1]}]"
@@ -263,8 +281,9 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
     not change afterwards."""
     doc = _expect_object(doc, "<document>")
     schema = _require(doc, "schema")
-    if schema != SCHEMA:
-        raise RunFileError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "schema")
+    if schema not in SCHEMAS:
+        expected = " or ".join(map(repr, SCHEMAS))
+        raise RunFileError(f"unsupported schema {schema!r}, expected {expected}", "schema")
     unknown = sorted(str(key) for key in doc if key not in FIELDS)
     if unknown:
         raise RunFileError(f"unknown field {unknown[0]!r}", unknown[0])
@@ -293,7 +312,7 @@ def from_dict(doc: Mapping[str, Any]) -> AuditRunFile:
             lambda: AcceptanceLedger(states), lambda path: ".".join(("ledger", *path[1:]))
         )
 
-    baseline = _parse_baseline(doc, population)
+    baseline = _parse_baseline(doc, population, condensed=schema == SCHEMA)
     return AuditRunFile(
         population=population,
         perceptions=perceptions,
@@ -352,14 +371,13 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
     if run.ledger is not None:
         doc["ledger"] = run.ledger.as_rows()
     if run.baseline is not None:
+        scores, table = run.baseline.scores, run.baseline.distances
+        pairs = itertools.combinations(sorted(scores), 2)
         doc["baseline"] = {
-            "scores": run.baseline.scores,
-            "distances": [
-                [x, y, d] for (x, y), d in sorted(run.baseline.distances.entries.items())
-            ],
+            "scores": scores,
+            "distances": list(map(table.entries.__getitem__, pairs)),
             "overrides": [
-                [o, x, y, d]
-                for (o, x, y), d in sorted(run.baseline.distances.subjective_overrides.items())
+                [o, x, y, d] for (o, x, y), d in sorted(table.subjective_overrides.items())
             ],
         }
     if run.metadata:

@@ -365,3 +365,18 @@ def find_manipulation_instance(
     raise LookupError(
         f"no manipulation-mitigation instance found within {max_seeds} seeds"
     )
+
+
+def as_run_1(doc: dict) -> dict:
+    """The ``subjfair-run/1`` value of a ``subjfair-run/2`` document: the
+    schema back to ``/1``, and the baseline's column of distances back to
+    the ``[x, y, d]`` rows the ``/1`` writer gave, one per pair of scored
+    people in ``itertools.combinations(sorted(scores), 2)`` order."""
+    assert doc["schema"] == "subjfair-run/2"
+    doc = dict(doc, schema="subjfair-run/1")
+    if "baseline" in doc:
+        baseline = doc["baseline"]
+        pairs = itertools.combinations(sorted(baseline["scores"]), 2)
+        rows = [[x, y, d] for (x, y), d in zip(pairs, baseline["distances"], strict=True)]
+        doc["baseline"] = dict(baseline, distances=rows)
+    return doc

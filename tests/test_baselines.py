@@ -349,15 +349,13 @@ class TestAgainstRestatedDefinition:
 
 
 def _mixed_table(rng):
-    """Scores and a table with what the one-walk checks must skip or
-    reorder: pairs inserted in shuffled order, keyed either way round, table
-    ids with no score, self pairs, and overrides on unscored pairs and self
-    pairs, below, at and above the pair's distance."""
+    """Scores and a complete table of the pairs of scored people, with what
+    the one-walk checks must reorder: pairs inserted in shuffled order,
+    keyed either way round, and overrides by either party, below, at and
+    above the pair's distance."""
     ids = [f"p{k:02d}" for k in rng.sample(range(100), rng.randint(2, 40))]
-    scored = ids[: rng.randint(0, len(ids))]
-    scores = {i: rng.randint(0, 10) / 10 for i in scored}
+    scores = {i: rng.randint(0, 10) / 10 for i in ids}
     rows = [((x, y), rng.randint(0, 10) / 10) for x, y in itertools.combinations(ids, 2)]
-    rows += [((x, x), rng.randint(0, 10) / 10) for x in rng.sample(ids, len(ids) // 4)]
     rng.shuffle(rows)
     entries, overrides = {}, {}
     for (x, y), d in rows:
@@ -369,39 +367,67 @@ def _mixed_table(rng):
     return scores, ObjectiveDistanceTable(entries, overrides)
 
 
+def _inserted(rows, row, rng):
+    """``rows`` with ``row`` at a random index, and that index."""
+    rows = list(rows.items())
+    idx = rng.randint(0, len(rows))
+    rows.insert(idx, row)
+    return dict(rows), idx
+
+
 class TestAgainstPairByPairReference:
     """Both one-walk checks against ``helpers.if_checks_by_pair``."""
 
     def test_both_checks_match_the_reference(self):
         rng = random.Random(97)
-        seen = dict.fromkeys(["unscored", "self", "override-unscored", "flags", "clears"], 0)
+        seen = dict.fromkeys(["reversed", "second-party", "flags", "clears"], 0)
         for _ in range(200):
             scores, table = _mixed_table(rng)
             objective, subjective = if_checks_by_pair(scores, table)
             assert _objective(scores, table) == objective
             assert _subjective(scores, table) == subjective
-            seen["unscored"] += not {x for pair in table.entries for x in pair} <= scores.keys()
-            seen["self"] += any(x == y for x, y in table.entries)
-            seen["override-unscored"] += any(
-                not {x, y} <= scores.keys() for _, x, y in table.subjective_overrides
-            )
+            seen["reversed"] += list(table.entries) != sorted(table.entries)
+            seen["second-party"] += any(o == y for o, _, y in table.subjective_overrides)
             # an override below d flags a pair the objective check passes;
             # one above the gap clears a party of an objective violation
             pairs = {pair for pair, _, _ in objective}
             objective_pair = [pair in pairs for _, pair, _, _ in subjective]
             seen["flags"] += not all(objective_pair)
             seen["clears"] += sum(objective_pair) < 2 * len(objective)
-        # the tables reached every case the walk skips or reads an override for
+        # the tables reached every case the walk reorders or reads an override for
         assert all(seen.values()), seen
+
+    def test_each_row_the_checks_used_to_skip_is_refused(self):
+        # both checks skipped a row naming someone with no score, a pair of
+        # one person and an override on either; each is refused at its row
+        rng = random.Random(103)
+        for _ in range(50):
+            scores, table = _mixed_table(rng)
+            entries, overrides = table.entries, table.subjective_overrides
+            x = rng.choice(sorted(scores))
+            unscored = [(("zz", x), 0.5), (("zz", "zz", x), 0.5)]
+            for name, (key, d) in zip(("entries", "subjective_overrides"), unscored):
+                rows, idx = _inserted(getattr(table, name), (key, d), rng)
+                maps = {"entries": entries, "subjective_overrides": overrides, name: rows}
+                built = ObjectiveDistanceTable(maps["entries"], maps["subjective_overrides"])
+                with pytest.raises(InputError, match="'zz' of the pair") as refused:
+                    BaselineInputs(scores, built)
+                assert refused.value.path == (name, idx)
+            with pytest.raises(InputError, match="names one person twice") as refused:
+                rows, idx = _inserted(entries, ((x, x), 0.0), rng)
+                ObjectiveDistanceTable(rows, overrides)
+            assert refused.value.path == ("entries", idx)
+            with pytest.raises(InputError, match="names one person twice") as refused:
+                rows, idx = _inserted(overrides, ((x, x, x), 0.0), rng)
+                ObjectiveDistanceTable(entries, rows)
+            assert refused.value.path == ("subjective_overrides", idx)
 
     def test_missing_pair_raises_as_the_reference_does(self):
         rng = random.Random(101)
         refused = 0
         for _ in range(200):
             scores, table = _mixed_table(rng)
-            scored_pairs = [p for p in table.entries if p[0] != p[1] and set(p) <= scores.keys()]
-            if not scored_pairs:
-                continue
+            scored_pairs = list(table.entries)
             gone = set(rng.sample(scored_pairs, rng.randint(1, len(scored_pairs))))
             entries = {p: d for p, d in table.entries.items() if p not in gone}
             broken = ObjectiveDistanceTable(entries, table.subjective_overrides)
@@ -411,8 +437,19 @@ class TestAgainstPairByPairReference:
                 BaselineInputs(scores, broken)
             named = [re.search(r"pair \(.*\)$", str(e.value))[0] for e in (raised, expected)]
             assert named[0] == named[1]
+            assert raised.value.path == ("distances",)
             refused += 1
-        assert refused > 100
+        assert refused == 200
+
+
+def test_a_complete_table_is_taken_without_reading_a_pair():
+    # work gate by counted reads: the table's ids all scored and its
+    # k(k-1)/2 pairs prove it complete, so no pair is looked up
+    rng = random.Random(5)
+    scores, table = _mixed_table(rng)
+    entries, overrides = counted_map(table, "entries"), counted_map(table, "subjective_overrides")
+    BaselineInputs(scores, table)
+    assert entries.reads == overrides.reads == 0
 
 
 def test_subjective_check_reads_only_the_overrides_that_exist():

@@ -44,6 +44,14 @@ Since ``subjfair-report/3`` wrote the verdicts, scenarios and conflicts
 as lists that follow one sorted ``individuals`` list, ``_as_report_2``
 first keys those lists by id again and drops ``individuals``, checking
 that it is sorted, has no repeats and is as long as every column.
+
+The saved-run hashes were pinned in ``subjfair-run/1``, before
+``subjfair-run/2`` wrote the baseline's distances as one column over the
+pairs of scored people, so ``_as_pinned`` turns a ``/2`` run file back
+into its ``/1`` value with ``helpers.as_run_1``: the schema, and each
+distance as the ``[x, y, d]`` row of its pair, in the order the ``/1``
+writer listed them. ``SAVED_RUN_2`` pins the ``/2`` bytes of a saved run
+with a baseline section as written, with no conversion.
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ from subjfair.harness.runfile import (
 )
 from subjfair.harness.synth import SynthProfile, generate_population
 
+from helpers import as_run_1
+
 
 def _as_report_2(doc: dict) -> dict:
     """The ``subjfair-report/2`` value of a ``subjfair-report/3`` document."""
@@ -120,8 +130,9 @@ def _as_report_1(doc: dict) -> dict:
 def _as_pinned(text: str) -> str:
     """The SHA-256 of ``text`` in its pinned form: a JSON text, which must be
     exactly the compact sorted form, as its two-space-indented rebuild, a
-    ``subjfair-report/3`` document as its ``/2`` value (``_as_report_2``)
-    and a ``/2`` document as its ``/1`` value (``_as_report_1``); any other
+    ``subjfair-report/3`` document as its ``/2`` value (``_as_report_2``),
+    a ``/2`` document as its ``/1`` value (``_as_report_1``) and a
+    ``subjfair-run/2`` file as its ``/1`` value (``as_run_1``); any other
     text as it is."""
     if text.startswith(("{", "[")):
         value = json.loads(text)
@@ -132,6 +143,8 @@ def _as_pinned(text: str) -> str:
             value = _as_report_2(value)
         if isinstance(value, dict) and value.get("schema") == "subjfair-report/2":
             value = _as_report_1(value)
+        if isinstance(value, dict) and value.get("schema") == "subjfair-run/2":
+            value = as_run_1(value)
         text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -519,6 +532,18 @@ def test_saved_run_bytes_are_pinned(tmp_path):
         for name, run in runs.items()
     }
     assert saved == SAVED
+
+
+#: The SHA-256 of the ``subjfair-run/2`` bytes ``save_run`` writes for the
+#: run with every optional section, as written, with no conversion.
+SAVED_RUN_2 = "97a16b820f424f3374f4538929266ac6a8867aec0569310af6cccaa821368bbb"
+
+
+def test_saved_run_2_bytes_are_pinned(tmp_path):
+    text = save_run(_full_run(), tmp_path / "full.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["schema"] == "subjfair-run/2" and len(doc["baseline"]["distances"]) == 435
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_RUN_2
 
 
 def _keys(value):

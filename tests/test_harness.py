@@ -50,6 +50,7 @@ from subjfair.harness.runfile import (
     AuditRunFile,
     BaselineInputs,
     RunFileError,
+    dumps_doc,
     dumps_run,
     from_dict,
     load_run,
@@ -59,7 +60,7 @@ from subjfair.harness.runfile import (
 )
 from subjfair.harness.synth import SynthProfile, generate_population
 
-from helpers import counted_map, honest_rows_by_pair, make_inputs
+from helpers import as_run_1, counted_map, honest_rows_by_pair, make_inputs
 
 
 NAN = float("nan")
@@ -91,12 +92,13 @@ class TestRunFile:
         assert len(family.members) == 4
 
     def test_save_load_is_byte_stable(self, tmp_path):
-        # the bundled fixture stays indented, for reading: the saved copy is
-        # its compact form, and saving that copy again is a fixed point
+        # the bundled fixture stays indented, for reading, and subjfair-run/1:
+        # the saved copy is its compact subjfair-run/2 form, and saving that
+        # copy again is a fixed point
         run = load_run(crossed_clusters_path())
         path = save_run(run, tmp_path / "copy.json")
         saved = path.read_text(encoding="utf-8")
-        rebuilt = json.dumps(json.loads(saved), indent=2, sort_keys=True) + "\n"
+        rebuilt = json.dumps(as_run_1(json.loads(saved)), indent=2, sort_keys=True) + "\n"
         assert rebuilt == crossed_clusters_path().read_text(encoding="utf-8")
         again = save_run(load_run(path), tmp_path / "again.json")
         assert again.read_text(encoding="utf-8") == saved
@@ -454,7 +456,7 @@ class TestRunFile:
             individuals=["a", "b", "c"],
             sim={i: {i: 1.0} for i in "abc"},
             rec={"values": {"a": 1, "b": 0, "c": 1}},
-            baseline={"scores": scores, "distances": [["c", "a", 0.2], ["a", "a", 0.0]]},
+            baseline={"scores": scores, "distances": [["c", "a", 0.2]]},
         )
         with pytest.raises(RunFileError, match=r"scored pair \(a, b\)") as err:
             from_dict(doc)
@@ -536,7 +538,7 @@ class TestRunFile:
         baseline = BaselineInputs(dict.fromkeys(ids, 0.5), table)
         doc = json.loads(dumps_run(dataclasses.replace(run, baseline=baseline)))
         walked = []
-        as_floats, add_row = core.as_floats, baselines._add_row
+        as_floats, add_row, distance = core.as_floats, baselines._add_row, baselines._distance
 
         def counted_as_floats(numbers, name, path=()):
             walked.append(path[:1])
@@ -546,14 +548,25 @@ class TestRunFile:
             walked.append(name)
             add_row(table, row, name)
 
+        def counted_distance(value, name):
+            walked.append("distance")
+            return distance(value, name)
+
         monkeypatch.setattr(core, "as_floats", counted_as_floats)
         monkeypatch.setattr(baselines, "_add_row", counted_add_row)
+        monkeypatch.setattr(baselines, "_distance", counted_distance)
         assert loads_run(json.dumps(doc)).baseline == baseline
+        assert loads_run(json.dumps(as_run_1(doc))).baseline == baseline
         assert walked == []
+        # the int takes the subjfair-run/2 column's per-value path, and the
+        # per-row path of the same file in subjfair-run/1
         doc["sim"][ids[0]][ids[0]] = 1
-        doc["baseline"]["distances"][0][2] = 1
+        doc["baseline"]["distances"][0] = 1
         loads_run(json.dumps(doc))
         assert walked.count(("rows",)) == len(ids)
+        assert walked.count("distance") == len(distances) and "entries" not in walked
+        walked.clear()
+        loads_run(json.dumps(as_run_1(doc)))
         assert walked.count("entries") == len(distances)
 
     def test_baseline_section_round_trips(self):
@@ -566,7 +579,29 @@ class TestRunFile:
         )
         run = from_dict(doc)
         assert run.baseline.distances.subjective_overrides == {("a", "a", "b"): 0.04}
-        assert to_dict(run)["baseline"] == doc["baseline"]
+        saved = to_dict(run)
+        assert saved["baseline"] == {**doc["baseline"], "distances": [0.05]}
+        assert as_run_1(saved)["baseline"] == doc["baseline"]
+        assert from_dict(saved) == run
+
+    def test_a_run_2_file_keys_only_its_overrides_by_row(self, monkeypatch):
+        # work gate by counted calls: the subjfair-run/2 column is keyed by
+        # the scored pairs, so only the override rows go through
+        # add_distances; the subjfair-run/1 rows of the same file all do
+        doc = json.loads(dumps_run(_baseline_run(*_BASELINE_SCORES)))
+        calls = []
+        add_distances = baselines.add_distances
+
+        def counted(rows, name):
+            calls.append((name, len(rows)))
+            return add_distances(rows, name)
+
+        monkeypatch.setattr(baselines, "add_distances", counted)
+        loads_run(json.dumps(doc))
+        assert calls == [("subjective_overrides", 2)]
+        calls.clear()
+        loads_run(json.dumps(as_run_1(doc)))
+        assert calls == [("entries", 6), ("subjective_overrides", 2)]
 
     def test_a_clean_baseline_is_checked_once(self, monkeypatch):
         # work gate by counted calls: a clean baseline section is built by
@@ -591,7 +626,7 @@ class TestRunFile:
             "distances": [[x, y, 0.5] for x, y in itertools.combinations(ids, 2)],
             "overrides": [["x", "x", "y", 0.25]],
         }
-        assert loads_run(json.dumps(doc)).baseline.ids == set(ids)
+        assert loads_run(json.dumps(doc)).baseline.scores.keys() == set(ids)
         assert calls == {"check_scores": 1}
 
     @pytest.mark.parametrize("strategy", [None, {}, {"kind": "majority"}])
@@ -631,6 +666,124 @@ class TestRunFile:
             ObjectiveDistanceTable(distances, overrides),
         ]
         assert passes == hand_built
+
+
+#: Scores for the fixture's four people, and two overrides.
+_BASELINE_SCORES = (
+    {"x": 0.1, "y": 0.9, "u": 0.5, "v": 0.45},
+    {("u", "u", "v"): 0.2, ("x", "x", "y"): 0.7},
+)
+
+
+def _baseline_run(scores, overrides):
+    """The bundled fixture with ``scores``, a distance for each pair of
+    scored people and ``overrides``."""
+    pairs = itertools.combinations(sorted(scores), 2)
+    table = ObjectiveDistanceTable({pair: 0.1 * k for k, pair in enumerate(pairs)}, overrides)
+    return dataclasses.replace(crossed_clusters_run(), baseline=BaselineInputs(scores, table))
+
+
+def _printed(argv):
+    """The exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Each fault of a subjfair-run/2 distance column, and what it is refused as.
+_COLUMN_FAULTS = {
+    "too-short": (
+        lambda column: column.pop(),
+        "baseline.distances: expected 6 distances, one per pair of scored people, got 5",
+    ),
+    "too-long": (
+        lambda column: column.append(0.5),
+        "baseline.distances: expected 6 distances, one per pair of scored people, got 7",
+    ),
+    "bool": (
+        lambda column: column.__setitem__(2, True),
+        "baseline.distances[2]: distance for (u, y): expected a number, got True",
+    ),
+    "string": (
+        lambda column: column.__setitem__(3, "0.5"),
+        "baseline.distances[3]: distance for (v, x): expected a number, got '0.5'",
+    ),
+    "negative": (
+        lambda column: column.__setitem__(4, -0.5),
+        "baseline.distances[4]: distance for (v, y): must be >= 0, got -0.5",
+    ),
+    "nan": (
+        lambda column: column.__setitem__(5, NAN),
+        "baseline.distances[5]: distance for (x, y): must be >= 0, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_COLUMN_FAULTS))
+def test_a_faulty_distance_column_is_refused_at_its_value(tmp_path, fault):
+    mutate, refusal = _COLUMN_FAULTS[fault]
+    doc = json.loads(dumps_run(_baseline_run(*_BASELINE_SCORES)))
+    assert doc["schema"] == "subjfair-run/2"
+    mutate(doc["baseline"]["distances"])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "report"):
+        assert _printed([command, "--input", str(path)]) == (2, "", f"error: {refusal}\n")
+
+
+def test_an_unknown_schema_names_both_versions(tmp_path):
+    doc = _fixture_doc()
+    doc["schema"] = "subjfair-run/3"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = "unsupported schema 'subjfair-run/3', expected 'subjfair-run/1' or 'subjfair-run/2'"
+    assert _printed(["validate", "--input", str(path)]) == (2, "", f"error: schema: {expected}\n")
+
+
+_SCORED_PEOPLE = ["x", "y", "u", "v"]
+
+
+@st.composite
+def _run_1_baselines(draw):
+    """A subjfair-run/1 baseline section for the fixture: scores for some
+    of its people, one distance row per pair of them in any order, each
+    keyed either way round, and overrides by either party."""
+    people = draw(st.lists(st.sampled_from(_SCORED_PEOPLE), unique=True))
+    numbers = st.floats(0, 2, allow_nan=False) | st.integers(0, 2)
+    scores = {i: draw(numbers) for i in people}
+    distances, overrides = [], []
+    for pair in itertools.combinations(people, 2):
+        x, y = draw(st.permutations(pair))
+        distances.append([x, y, draw(numbers)])
+        for observer in draw(st.lists(st.sampled_from(pair), unique=True)):
+            overrides.append([observer, *draw(st.permutations(pair)), draw(numbers)])
+    return {
+        "scores": scores,
+        "distances": draw(st.permutations(distances)),
+        "overrides": draw(st.permutations(overrides)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(baseline=_run_1_baselines())
+def test_a_run_1_file_and_its_rewrite_load_alike(baseline):
+    # a subjfair-run/1 file and the subjfair-run/2 file save_run rewrites
+    # it to load to one run and print the same report; the rewrite is
+    # byte-stable
+    doc = _fixture_doc()
+    doc["baseline"] = baseline
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp, "run-1.json"), Path(tmp, "run-2.json")
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        run = load_run(old)
+        text = save_run(run, new).read_text(encoding="utf-8")
+        assert json.loads(text)["schema"] == "subjfair-run/2"
+        assert load_run(new) == run
+        assert dumps_run(load_run(new)) == text
+        printed = [_printed(["report", "--input", str(p), "--format", "json"]) for p in (old, new)]
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0
 
 
 def _rich_fixture_doc():
@@ -1194,7 +1347,7 @@ def test_vetoes_of_1_or_left_out_load_as_one_run_that_saves_as_before():
     runs = [loads_run(json.dumps(_vetoes_doc(vetoes))) for vetoes in (1, 1.0, None)]
     assert runs[0] == runs[1] == runs[2]
     for run in runs:
-        saved = dumps_run(run)
+        saved = dumps_doc(as_run_1(json.loads(dumps_run(run))))
         assert '"vetoes":1}' in saved
         assert hashlib.sha256(saved.encode("utf-8")).hexdigest() == (
             "a02ff57d5e8c172d51b8d4c25d117db1d8e1202d3848525cf693957c9ba5450c"
@@ -1901,27 +2054,6 @@ class TestCli:
                 "baseline.scores.zz",
                 id="score-outside-the-population",
             ),
-            # dumps_run wrote these runs and loads_run refused them
-            pytest.param(
-                {
-                    "baseline": BaselineInputs(
-                        {"x": 0.0, "y": 1.0},
-                        ObjectiveDistanceTable({("x", "y"): 0.5, ("u", "ghost"): 0.1}),
-                    )
-                },
-                "baseline.distances[1]",
-                id="distance-for-an-id-outside-the-population",
-            ),
-            pytest.param(
-                {
-                    "baseline": BaselineInputs(
-                        {"x": 0.0, "y": 1.0},
-                        ObjectiveDistanceTable({("x", "y"): 0.5}, {("ghost", "ghost", "x"): 0.1}),
-                    )
-                },
-                "baseline.overrides[0]",
-                id="override-for-an-id-outside-the-population",
-            ),
         ],
     )
     def test_a_run_the_loader_would_refuse_cannot_be_built(self, changes, location):
@@ -1929,6 +2061,27 @@ class TestCli:
         with pytest.raises(RunFileError) as err:
             dataclasses.replace(crossed_clusters_run(), **changes)
         assert err.value.location == location
+
+    @pytest.mark.parametrize(
+        "table, path",
+        [
+            (ObjectiveDistanceTable({("x", "y"): 0.5, ("u", "ghost"): 0.1}), ("entries", 1)),
+            (
+                ObjectiveDistanceTable({("x", "y"): 0.5}, {("ghost", "ghost", "x"): 0.1}),
+                ("subjective_overrides", 0),
+            ),
+        ],
+        ids=[
+            "distance-for-an-id-outside-the-population",
+            "override-for-an-id-outside-the-population",
+        ],
+    )
+    def test_a_baseline_naming_an_id_outside_its_scores_cannot_be_built(self, table, path):
+        # dumps_run wrote such runs and loads_run refused them; the ids are
+        # unscored, so the baseline itself is refused at the row
+        with pytest.raises(InputError) as err:
+            BaselineInputs({"x": 0.0, "y": 1.0}, table)
+        assert err.value.path == path
 
     @pytest.mark.parametrize("flag", ["--deltas", "--epsilons", "--thetas"])
     @pytest.mark.parametrize("grid", [",", "", " , ,"])
@@ -2101,6 +2254,36 @@ class TestCli:
             (
                 {"scores": {"x": 0.0, "zz": 1.0}, "distances": []},
                 "baseline.scores.zz: score for unknown id 'zz'",
+            ),
+            # each of these rows loaded, was saved back, and both IF checks
+            # skipped it
+            pytest.param(
+                {"scores": {"x": 0.0, "y": 1.0}, "distances": [["x", "y", 0.5], ["v", "u", 0.3]]},
+                "baseline.distances[1]: 'u' of the pair (u, v) has no score",
+                id="distance-for-unscored-people",
+            ),
+            pytest.param(
+                {"scores": {"x": 0.0, "y": 1.0}, "distances": [["x", "y", 0.5], ["x", "x", 0.0]]},
+                "baseline.distances[1]: the pair (x, x) names one person twice",
+                id="distance-for-a-self-pair",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5]],
+                    "overrides": [["x", "x", "y", 0.4], ["u", "x", "u", 0.1]],
+                },
+                "baseline.overrides[1]: 'u' of the pair (u, x) has no score",
+                id="override-on-a-pair-with-an-unscored-party",
+            ),
+            pytest.param(
+                {
+                    "scores": {"x": 0.0, "y": 1.0},
+                    "distances": [["x", "y", 0.5]],
+                    "overrides": [["y", "y", "y", 0.1]],
+                },
+                "baseline.overrides[0]: the pair (y, y) names one person twice",
+                id="override-on-a-self-pair",
             ),
         ],
     )
