@@ -105,8 +105,17 @@ def _refuse_given(args: argparse.Namespace, names: Sequence[str], why: str) -> N
             raise InputError(f"--{name} {why}")
 
 
-def _emit(doc: dict[str, Any], fmt: str, text: Callable[[Any], str] = render_text) -> None:
+def _emit(doc: Any, fmt: str, text: Callable[[Any], str] = render_text) -> None:
+    """Print ``doc`` as JSON (``dumps_doc``) or ``text(doc)``: all stdout but ``oracle``'s."""
     sys.stdout.write(dumps_doc(doc) if fmt == "json" else text(doc))
+
+
+def _render_validation(doc: dict[str, Any]) -> str:
+    violations = doc["violations"]
+    if not violations:
+        return "validation: clean\n"
+    lines = [f"  ! {v['where']}: {v['message']}\n" for v in violations]
+    return f"validation: {len(violations)} violation(s)\n" + "".join(lines)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -118,21 +127,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         unmatched = unmatched_entries(audit_run(run).owed, run.ledger)
         refusals = [located(exc, ".".join) for exc in unmatched]
         violations = [(NO_OBLIGATION, r.location, r.reason) for r in refusals]
-    if args.format == "json":
-        doc = {
-            "ok": not violations,
-            "violations": [
-                {"code": code, "where": where, "message": message}
-                for code, where, message in violations
-            ],
-        }
-        sys.stdout.write(dumps_doc(doc))
-    elif not violations:
-        sys.stdout.write("validation: clean\n")
-    else:
-        sys.stdout.write(f"validation: {len(violations)} violation(s)\n")
-        for _, where, message in violations:
-            sys.stdout.write(f"  ! {where}: {message}\n")
+    rows = [dict(zip(("code", "where", "message"), v)) for v in violations]
+    _emit({"ok": not rows, "violations": rows}, args.format, _render_validation)
     return EXIT_INPUT if violations else EXIT_OK
 
 
@@ -216,6 +212,16 @@ def _sweep_rows(run: AuditRunFile, args: argparse.Namespace) -> list[dict[str, A
     return rows
 
 
+def _render_sweep(rows: list[dict[str, Any]]) -> str:
+    """The sweep table as CSV, a header and one line per row."""
+    import csv
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 #: The generator's flags, each with the ``SynthProfile`` field it sets; a
 #: flag not given leaves the profile's default.
 _PROFILE_FLAGS = {
@@ -248,16 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sys.stderr.write(f"wrote {args.output}\n")
 
     if args.sweep:
-        rows = _sweep_rows(run, args)
-        if args.format == "json":
-            sys.stdout.write(dumps_doc(rows))
-        else:
-            import csv
-            buffer = io.StringIO()
-            writer = csv.DictWriter(buffer, fieldnames=_SWEEP_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-            sys.stdout.write(buffer.getvalue())
+        _emit(_sweep_rows(run, args), args.format, _render_sweep)
     elif args.output is None:
         _emit(build_report_doc(audit_run(run)), args.format)
     return EXIT_OK

@@ -14,9 +14,9 @@ object if present, never null.
 Two versions load (``SCHEMAS``); ``save_run`` writes the last. They differ
 only in ``baseline.distances``: ``subjfair-run/1`` gives one ``[x, y, d]``
 row per pair of scored people, in any order and either way round;
-``subjfair-run/2`` gives one number per pair, in
-``itertools.combinations(sorted(scores), 2)`` order
-(``BaselineInputs.from_condensed``), as the scores already name the pairs.
+``subjfair-run/2`` gives one number per pair, in the order
+``BaselineInputs.condensed`` writes and ``BaselineInputs.from_condensed``
+reads, as the scores already name the pairs.
 
 The loader checks the document's shape (its objects, its lists and its
 field names) and two constants: ``schema``, and a veto rule's ``vetoes``,
@@ -37,7 +37,6 @@ The loader reads any JSON layout, so indented files load as well.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -76,9 +75,9 @@ class RunFileError(InputError):
     """A run file is malformed, violates the schema, or fails validation, at
     the field ``location``; ``reason`` is the message without it."""
 
-    def __init__(self, message: str, location: str | None = None) -> None:
+    def __init__(self, message: str, location: str) -> None:
         self.location = location
-        super().__init__(message, name=location or "")
+        super().__init__(message, name=location)
 
 
 @dataclass(frozen=True)
@@ -371,14 +370,11 @@ def to_dict(run: AuditRunFile) -> dict[str, Any]:
     if run.ledger is not None:
         doc["ledger"] = run.ledger.as_rows()
     if run.baseline is not None:
-        scores, table = run.baseline.scores, run.baseline.distances
-        pairs = itertools.combinations(sorted(scores), 2)
+        overrides = run.baseline.distances.subjective_overrides
         doc["baseline"] = {
-            "scores": scores,
-            "distances": list(map(table.entries.__getitem__, pairs)),
-            "overrides": [
-                [o, x, y, d] for (o, x, y), d in sorted(table.subjective_overrides.items())
-            ],
+            "scores": run.baseline.scores,
+            "distances": run.baseline.condensed(),
+            "overrides": [[o, x, y, d] for (o, x, y), d in sorted(overrides.items())],
         }
     if run.metadata:
         doc["metadata"] = dict(run.metadata)

@@ -1715,6 +1715,49 @@ class TestCli:
         assert len(data_rows) % 4 == 0
         assert all(len(row.split(",")) == 5 for row in data_rows)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--format", "json"],
+            ["validate"],
+            ["validate", "--input", "{bad}"],
+            ["audit"],
+            ["decide"],
+            ["baseline", "--group-attr", "group"],
+            ["report"],
+            ["simulate", "--sweep", "--deltas", "0.3,0.6", "--format", "json"],
+            ["simulate", "--sweep", "--deltas", "0.3,0.6", "--format", "text"],
+            ["simulate"],
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_but_the_oracle_prints_one_document_through_emit(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # one writer per output form: whatever a command prints is what one
+        # call of ``_emit`` wrote, as JSON or by the command's text renderer
+        doc = _fixture_doc()
+        doc["attributes"] = {i: {"group": "g" if i in "xy" else "h"} for i in doc["individuals"]}
+        doc["baseline"] = {"scores": {"x": 0.2, "y": 0.9}, "distances": [["x", "y", 0.3]]}
+        path, bad = tmp_path / "run.json", tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        doc["sim"]["x"]["x"] = 0.5
+        bad.write_text(json.dumps(doc))
+        written = []
+
+        def recorded(*args, emit=cli._emit):
+            with contextlib.redirect_stdout(io.StringIO()) as buffer:
+                emit(*args)
+            written.append(buffer.getvalue())
+            sys.stdout.write(written[-1])
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        argv = [arg.format(bad=bad) for arg in argv]
+        main(argv if "--input" in argv else [*argv, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert len(written) == 1 and written[0]
+        assert captured.out == written[0]
+
     def test_sweep_validates_once_and_clusters_once_per_delta(
         self, tmp_path, monkeypatch, capsys
     ):
